@@ -10,6 +10,8 @@ Modules:
     cli        command line entry point
 """
 
+__version__ = "0.1.0"
+
 from .core import (
     Kernel,
     LiftedState,
@@ -30,7 +32,6 @@ from .operators import (
     dissipativity_form,
     generator_inverse_form,
     minus_one_norm,
-    project,
     spectral_decomposition,
 )
 from .sdde import (
@@ -77,5 +78,3 @@ from .models import (
     load_spec_file,
     merton_classical_oracle,
 )
-
-__version__ = "0.1.0"

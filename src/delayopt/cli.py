@@ -3,6 +3,13 @@
 Every subcommand reads a JSON problem file, writes CSV artifacts plus a run
 manifest into --out, and exits 0 on success, 1 on validation failure, and 2
 on numerical failure, with a machine-readable error record on stderr.
+
+A subcommand is one handler plus one entry in COMMANDS. A handler takes the
+Run context of the invocation (parsed args, problem, initial state, output
+directory), writes its artifacts through the context (Run.csv, Run.svg) and
+may add manifest fields to Run.extra; it returns (stdout lines, exit code).
+main builds the context, calls the handler, writes run_manifest.json, prints
+the lines, and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -12,19 +19,13 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    GridMismatchError,
-    LiftedState,
-    NumericalError,
-    ProblemSpec,
-    Segment,
-    ValidationError,
-)
+from .core import (DomainError, GridMismatchError, Kernel, LiftedState, NumericalError,
+                   ProblemSpec, Segment, ValidationError, kernel_convolve, validate_kernel)
 from . import hjb, lift, models, operators, output, sdde
 
 
@@ -39,29 +40,57 @@ def _err(kind: str, exc: Exception) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
 
 
-def _parse_control(text: str | None, spec: ProblemSpec, chain=None):
+@dataclass(eq=False)
+class Run:
+    """One invocation: its inputs and the artifacts written so far."""
+
+    args: argparse.Namespace
+    spec: ProblemSpec
+    x: LiftedState
+    out: Path
+    artifacts: list[str] = field(default_factory=list)
+    extra: dict = field(default_factory=dict)
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        self.artifacts.append(output.write_csv(self.out / name, header, rows))
+
+    def svg(self, name: str, series: dict, **kw) -> None:
+        """Write a plot when --svg is given."""
+        if self.args.svg:
+            self.artifacts.append(output.write_svg_lines(self.out / name, series, **kw))
+
+
+def _control(spec: ProblemSpec, text: str | None = None, dt: float | None = None):
+    """Control from --control: the middle control point when absent,
+    'const:v[,v...]', or 'policy:FILE' as feedback at simulation step dt.
+    Without dt a policy is refused: its feedback reads step-grid windows."""
     if text is None:
-        mid = spec.control_set[spec.control_set.shape[0] // 2]
-        return sdde.OpenLoopControl(mid)
+        return sdde.OpenLoopControl(spec.control_set[spec.control_set.shape[0] // 2])
     if text.startswith("const:"):
-        vals = [float(v) for v in text[len("const:"):].split(",")]
+        try:
+            vals = [float(v) for v in text[len("const:"):].split(",")]
+        except ValueError:
+            raise ValidationError(f"constant control must be numbers, got {text!r}") from None
+        if len(vals) != spec.p:
+            raise ValidationError(
+                f"constant control has {len(vals)} components, the problem has p={spec.p}")
         return sdde.OpenLoopControl(np.asarray(vals))
     if text.startswith("policy:"):
+        if dt is None:
+            raise ValidationError(
+                "this subcommand takes const: controls only; a policy feedback reads "
+                "step-grid windows, not the segment-grid windows of the lifted simulation")
         doc = json.loads(Path(text[len("policy:"):]).read_text(encoding="utf-8"))
         axes = tuple(np.asarray(a, dtype=float) for a in doc["axes"])
-        shape = tuple(len(a) for a in axes)
-        policy = hjb.PolicyField(axes, np.asarray(doc["indices"], dtype=np.int64).reshape(shape),
-                                 np.asarray(doc["control_set"], dtype=float))
-        if chain is None:
-            chain = hjb.reduce_to_lag_chain(spec, int(doc["m_lag"]))
-        return policy, chain
+        indices = np.asarray(doc["indices"], dtype=np.int64).reshape([len(a) for a in axes])
+        policy = hjb.PolicyField(axes, indices, np.asarray(doc["control_set"], dtype=float))
+        chain = hjb.reduce_to_lag_chain(spec, int(doc["m_lag"]))
+        return hjb.feedback_from_policy(chain, policy, dt)
     raise ValidationError(f"control must be 'const:v[,v...]' or 'policy:FILE', got {text!r}")
 
 
-def _parse_grid(text: str, chain: hjb.LagChainSpec, x: LiftedState):
+def _parse_grid(text: str, names: list[str], z0: np.ndarray):
     """Axes from 'name:lo:hi:count,...'; unnamed axes collapse at the start state."""
-    names = chain.axis_names()
-    z0 = chain.flatten(hjb.register_from_state(chain, x))
     axes: list[np.ndarray] = [np.array([z0[i]]) for i in range(len(names))]
     if text:
         for token in text.split(","):
@@ -69,98 +98,95 @@ def _parse_grid(text: str, chain: hjb.LagChainSpec, x: LiftedState):
             spacing = "lin"
             if len(parts) == 5 and parts[1] in ("lin", "log"):
                 spacing = parts.pop(1)
-            if len(parts) != 4:
+            try:
+                name, lo, hi, count = parts
+                lo, hi, count = float(lo), float(hi), int(count)
+                pick = (np.geomspace(lo, hi, count) if spacing == "log"
+                        else np.linspace(lo, hi, count))
+            except ValueError:
                 raise ValidationError(
-                    f"bad grid token {token!r}, want name[:log]:lo:hi:count")
-            name, lo, hi, count = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+                    f"bad grid token {token!r}, want name[:log]:lo:hi:count") from None
             if name not in names:
                 raise ValidationError(f"unknown axis {name!r}; axes are {names}")
-            pick = np.geomspace(lo, hi, count) if spacing == "log" else np.linspace(lo, hi, count)
             axes[names.index(name)] = pick
     return tuple(axes)
 
 
-def _write_policy_json(path, policy: hjb.PolicyField, m_lag: int) -> str:
-    doc = {
-        "axes": [ax.tolist() for ax in policy.axes],
-        "indices": policy.indices.ravel().tolist(),
-        "control_set": policy.control_set.tolist(),
-        "m_lag": m_lag,
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-    return str(path)
+def _parse_box(text: str, names: list[str]) -> list[tuple[float, float]]:
+    box = []
+    for token in text.split(","):
+        try:
+            name, lo, hi = token.split(":")
+            lo, hi = float(lo), float(hi)
+        except ValueError:
+            raise ValidationError(f"bad box token {token!r}, want name:lo:hi") from None
+        if name not in names:
+            raise ValidationError(f"box axis {name!r} must be a head axis {names}")
+        box.append((lo, hi))
+    return box
 
 
-def _resolved(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in ("command", "func") and v is not None}
+def _solve(run: Run):
+    """Lag chain, value iteration result and flat start register of a solve."""
+    a = run.args
+    chain = hjb.reduce_to_lag_chain(run.spec, a.mlag)
+    z0 = chain.flatten(hjb.register_from_state(chain, run.x))
+    axes = _parse_grid(a.grid, chain.axis_names(), z0)
+    result = hjb.value_iteration(chain, axes, tol=a.tol, max_iter=a.max_iter, gh_points=a.gh)
+    return chain, result, z0
 
 
-# ---------------------------------------------------------------------------
-# handlers
+def _write_value_policy(run: Run, chain, result) -> None:
+    idx = result.policy.indices.ravel()
+    rows = [[float(v) for v in pt] + [float(value), int(i)] + [float(c) for c in u]
+            for pt, value, i, u in zip(result.value.nodes(), result.value.values.ravel(),
+                                       idx, result.policy.control_set[idx])]
+    run.csv("value_policy.csv", chain.axis_names() + ["value", "control_index"]
+            + [f"u{i}" for i in range(chain.spec.control_set.shape[1])], rows)
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    x = models.initial_state(spec)
-    ctrl = _parse_control(args.control, spec)
-    if isinstance(ctrl, tuple):
-        policy, chain = ctrl
-        ctrl = hjb.feedback_from_policy(chain, policy, args.dt)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
+def _write_dpp(run: Run, chain, result, tau: float):
+    report = hjb.dpp_gap(chain, result.value, run.x, tau, run.args.paths, run.args.seed)
+    grid_tol = 0.03 * (1.0 + abs(report.value_at_x))
+    ok = report.ok(grid_tol)
+    run.csv("dpp.csv", ["tau", "gap", "stderr", "value_at_x", "grid_tol", "pass"],
+            [[report.tau, report.gap, report.stderr, report.value_at_x, grid_tol, int(ok)]])
+    return report, grid_tol, ok
 
-    mean, stderr = sdde.mc_cost(spec, x, ctrl, args.T, args.dt, args.paths, args.seed)
+
+def cmd_simulate(run: Run):
+    a, spec, x = run.args, run.spec, run.x
+    ctrl = _control(spec, a.control, a.dt)
+    mean, stderr = sdde.mc_cost(spec, x, ctrl, a.T, a.dt, a.paths, a.seed)
     try:
         t_trunc = sdde.truncation_horizon(spec, float(np.linalg.norm(x.head)), tol=0.01)
     except ValidationError:
         t_trunc = float("nan")
-    artifacts.append(output.write_csv(out / "summary.csv",
-                                      ["mean", "stderr", "T_trunc"],
-                                      [[mean, stderr, t_trunc]]))
-
-    n_emit = min(args.paths, args.emit_paths)
+    run.csv("summary.csv", ["mean", "stderr", "T_trunc"], [[mean, stderr, t_trunc]])
     rows = []
-    for pidx in range(n_emit):
-        driver = sdde.BrownianDriver(args.seed, pidx, args.dt, spec.q)
-        path = sdde.simulate_sdde(spec, x, ctrl, args.T, args.dt, driver)
+    for pidx in range(min(a.paths, a.emit_paths)):
+        driver = sdde.BrownianDriver(a.seed, pidx, a.dt, spec.q)
+        path = sdde.simulate_sdde(spec, x, ctrl, a.T, a.dt, driver)
         for k, t in enumerate(path.step_times[:-1]):
             rows.append([pidx, float(t)] + [float(v) for v in path.step_states[k]]
                         + [float(v) for v in path.controls[k]])
-    head = (["path", "t"] + [f"y{i}" for i in range(spec.n)]
-            + [f"u{i}" for i in range(spec.control_set.shape[1])])
-    artifacts.append(output.write_csv(out / "paths.csv", head, rows))
-    if args.svg and rows:
+    run.csv("paths.csv", ["path", "t"] + [f"y{i}" for i in range(spec.n)]
+            + [f"u{i}" for i in range(spec.control_set.shape[1])], rows)
+    if a.svg and rows:  # skips collecting path 0 when no plot is drawn
         arr = np.asarray([[r[1], r[2]] for r in rows if r[0] == 0])
-        artifacts.append(output.write_svg_lines(out / "paths.svg",
-                                                {"y0(path 0)": (arr[:, 0], arr[:, 1])},
-                                                title="simulated state"))
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
-    print(f"simulate: mean={mean:.6g} stderr={stderr:.3g} paths={args.paths}")
-    return 0
+        run.svg("paths.svg", {"y0(path 0)": (arr[:, 0], arr[:, 1])}, title="simulated state")
+    return [f"simulate: mean={mean:.6g} stderr={stderr:.3g} paths={a.paths}"], 0
 
 
-def cmd_operators(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    grid, n = spec.grid, spec.n
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-
+def cmd_operators(run: Run):
+    spec, grid, n = run.spec, run.spec.grid, run.spec.n
     op = operators.assemble_gram_operator(grid, n)
     decomp = operators.spectral_decomposition(op)
-    artifacts.append(output.write_csv(
-        out / "spectrum.csv", ["index", "eigenvalue"],
-        [[i, float(v)] for i, v in enumerate(decomp.eigenvalues)]))
-
-    rng = np.random.default_rng(args.seed)
-    diss, weak = [], []
-    norm_rows = []
-    bound = math.sqrt(2.0 * (1.0 + grid.d))
-    for _ in range(args.samples):
+    run.csv("spectrum.csv", ["index", "eigenvalue"],
+            [[i, float(v)] for i, v in enumerate(decomp.eigenvalues)])
+    rng = np.random.default_rng(run.args.seed)
+    diss, weak, norm_rows = [], [], []
+    for _ in range(run.args.samples):
         x = operators.random_smooth_state(grid, n, rng, domain=True)
         nx = operators.lifted_norm_sq(x) ** 0.5
         diss.append(operators.dissipativity_form(x) / max(nx * nx, 1e-300))
@@ -170,48 +196,32 @@ def cmd_operators(args) -> int:
         t = float(rng.uniform(0, 2 * grid.d))
         gn = operators.lifted_norm_sq(operators.apply_shift_semigroup(t, x)) ** 0.5
         norm_rows.append([float(np.linalg.norm(x.head)), operators.minus_one_norm(x),
-                          roundtrip, gn / max(nx, 1e-300), bound])
-    artifacts.append(output.write_csv(
-        out / "forms_report.csv",
-        ["form", "min", "max", "mean", "all_nonpositive"],
-        [["dissipativity", min(diss), max(diss), sum(diss) / len(diss),
-          int(max(diss) <= 1e-8)],
-         ["inverse_pairing", min(weak), max(weak), sum(weak) / len(weak),
-          int(max(weak) <= 1e-8)]]))
-    artifacts.append(output.write_csv(
-        out / "norm_audit.csv",
-        ["head_norm", "weak_norm", "roundtrip_rel", "semigroup_growth",
-         "semigroup_bound"],
-        norm_rows))
-
+                          roundtrip, gn / max(nx, 1e-300), math.sqrt(2.0 * (1.0 + grid.d))])
+    forms_ok = max(diss) <= 1e-8 and max(weak) <= 1e-8
+    run.csv("forms_report.csv", ["form", "min", "max", "mean", "all_nonpositive"],
+            [[form, min(v), max(v), sum(v) / len(v), int(max(v) <= 1e-8)]
+             for form, v in (("dissipativity", diss), ("inverse_pairing", weak))])
+    run.csv("norm_audit.csv", ["head_norm", "weak_norm", "roundtrip_rel",
+                               "semigroup_growth", "semigroup_bound"], norm_rows)
     # tail projector norms against the next eigenvalue
     tail_rows = []
     marks = sorted({1, decomp.dim // 4, decomp.dim // 2, decomp.dim} - {0})
     for n_modes in marks:
         q = decomp.projection_matrix(n_modes, "Q")
-        qn = operators.g_operator_norm(op.matrix @ q, grid, n)
         nxt = float(decomp.eigenvalues[n_modes]) if n_modes < decomp.dim else 0.0
-        tail_rows.append([n_modes, qn, nxt])
-    artifacts.append(output.write_csv(
-        out / "tail_norms.csv", ["n_modes", "tail_norm", "next_eigenvalue"],
-        tail_rows))
-
+        tail_rows.append([n_modes, operators.g_operator_norm(op.matrix @ q, grid, n), nxt])
+    run.csv("tail_norms.csv", ["n_modes", "tail_norm", "next_eigenvalue"], tail_rows)
     # noise trace against the mode count, at the recorded initial state
-    x0 = models.initial_state(spec)
-    z2 = np.asarray(spec.delay_integrals(x0.tail)[1])
-    sig = np.asarray(spec.noise(x0.head, z2, spec.control_set[0]))
+    z2 = np.asarray(spec.delay_integrals(run.x.tail)[1])
+    sig = np.asarray(spec.noise(run.x.head, z2, spec.control_set[0]))
     gram_flat = np.zeros_like(op.matrix)
     gram_flat[:n, :n] = sig @ sig.T
-    trace_rows = [[n_modes,
-                   float(np.trace(gram_flat @ op.matrix
-                                  @ decomp.projection_matrix(n_modes, "Q")))]
-                  for n_modes in marks]
-    artifacts.append(output.write_csv(out / "trace_report.csv",
-                                      ["n_modes", "noise_trace"], trace_rows))
-
+    run.csv("trace_report.csv", ["n_modes", "noise_trace"],
+            [[n_modes, float(np.trace(gram_flat @ op.matrix
+                                      @ decomp.projection_matrix(n_modes, "Q")))]
+             for n_modes in marks])
     # concentrated-mass counterexample: unit-mass tails of shrinking support
     # keep the flat-kernel functional alive while the weak norm collapses
-    from .core import Kernel, Segment, kernel_convolve, validate_kernel
     flat_kernel = Kernel(grid, np.ones((grid.m + 1, 1, n)))
     flat_rejected = not validate_kernel(flat_kernel).ok
     ce_rows = []
@@ -224,187 +234,97 @@ def cmd_operators(args) -> int:
         state = LiftedState(np.zeros(n), Segment(grid, vals))
         ce_rows.append([cells, operators.minus_one_norm(state),
                         float(kernel_convolve(flat_kernel, state.tail)[0])])
-    artifacts.append(output.write_csv(
-        out / "counterexample.csv",
-        ["support_cells", "weak_norm", "flat_kernel_functional"], ce_rows))
-
+    run.csv("counterexample.csv", ["support_cells", "weak_norm", "flat_kernel_functional"],
+            ce_rows)
     # discount and growth arithmetic from the declared constants
-    from .hjb import discount_floor, lipschitz_discount_threshold, max_growth_exponent
-    k_max, case = max_growth_exponent(spec.rho, spec.growth_const)
-    gates = [
-        ["discount_floor", discount_floor(spec.growth_const,
-                                          spec.cost_growth_exponent)],
+    k_max, case = hjb.max_growth_exponent(spec.rho, spec.growth_const)
+    run.csv("gates.csv", ["name", "value"], [
+        ["discount_floor", hjb.discount_floor(spec.growth_const, spec.cost_growth_exponent)],
         ["max_growth_exponent", k_max],
         ["growth_case_quadratic", int(case == "quadratic-bound")],
         ["lipschitz_threshold",
-         lipschitz_discount_threshold(spec.growth_const, decomp.operator_norm)],
-        ["floor_check_m0", discount_floor(3.0, 0.0)],
-        ["floor_check_c1_m2", discount_floor(1.0, 2.0)],
-        ["floor_check_c2_m1", discount_floor(2.0, 1.0)],
-        ["exponent_check_r1_c1", max_growth_exponent(1.0, 1.0)[0]],
-        ["exponent_check_r10_c1", max_growth_exponent(10.0, 1.0)[0]],
-    ]
-    artifacts.append(output.write_csv(out / "gates.csv", ["name", "value"], gates))
-
-    if args.svg:
-        idx = np.arange(decomp.dim)
-        artifacts.append(output.write_svg_lines(
-            out / "spectrum.svg",
-            {"eigenvalue": (idx, np.log10(decomp.eigenvalues))},
-            title="gram spectrum (log10)"))
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
+         hjb.lipschitz_discount_threshold(spec.growth_const, decomp.operator_norm)],
+        ["floor_check_m0", hjb.discount_floor(3.0, 0.0)],
+        ["floor_check_c1_m2", hjb.discount_floor(1.0, 2.0)],
+        ["floor_check_c2_m1", hjb.discount_floor(2.0, 1.0)],
+        ["exponent_check_r1_c1", hjb.max_growth_exponent(1.0, 1.0)[0]],
+        ["exponent_check_r10_c1", hjb.max_growth_exponent(10.0, 1.0)[0]],
+    ])
+    run.svg("spectrum.svg", {"eigenvalue": (np.arange(decomp.dim), np.log10(decomp.eigenvalues))},
+            title="gram spectrum (log10)")
     dominated = all(r[0] <= r[1] + 1e-9 for r in norm_rows)
     worst_round = max(r[2] for r in norm_rows)
-    print(f"operators: modes={decomp.dim} lambda_max={decomp.operator_norm:.6g} "
-          f"forms_ok={int(max(diss) <= 1e-8 and max(weak) <= 1e-8)} "
-          f"head_dominated={int(dominated)} roundtrip={worst_round:.2e} "
-          f"flat_kernel_rejected={int(flat_rejected)}")
-    return 0
+    return [f"operators: modes={decomp.dim} lambda_max={decomp.operator_norm:.6g} "
+            f"forms_ok={int(forms_ok)} head_dominated={int(dominated)} "
+            f"roundtrip={worst_round:.2e} flat_kernel_rejected={int(flat_rejected)}"], 0
 
 
-def cmd_lift_check(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    x = models.initial_state(spec)
-    ctrl = _parse_control(args.control, spec)
-    report = lift.equivalence_report(spec, x, ctrl, args.T, args.dt, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = [[lvl.delta, lvl.m, lvl.head_mismatch, lvl.tail_mismatch, ratio]
-            for lvl, ratio in ((report.base, report.head_ratio),
-                               (report.refined, float("nan")))]
-    artifacts = [output.write_csv(out / "lift_report.csv",
-                                  ["delta", "m", "head_mismatch", "tail_mismatch",
-                                   "head_ratio"], rows)]
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
+def cmd_lift_check(run: Run):
+    a = run.args
+    report = lift.equivalence_report(run.spec, run.x, _control(run.spec, a.control),
+                                     a.T, a.dt, a.seed)
+    run.csv("lift_report.csv", ["delta", "m", "head_mismatch", "tail_mismatch", "head_ratio"],
+            [[lvl.delta, lvl.m, lvl.head_mismatch, lvl.tail_mismatch, ratio]
+             for lvl, ratio in ((report.base, report.head_ratio),
+                                (report.refined, float("nan")))])
     rel = report.base.head_mismatch / report.base.head_scale
-    print(f"lift-check: head_mismatch={report.base.head_mismatch:.6g} "
-          f"(relative {rel:.3%}) ratio={report.head_ratio:.3g}")
-    return 0
+    return [f"lift-check: head_mismatch={report.base.head_mismatch:.6g} "
+            f"(relative {rel:.3%}) ratio={report.head_ratio:.3g}"], 0
 
 
-def cmd_value(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    x = models.initial_state(spec)
-    ctrl = _parse_control(args.control, spec)
-    if isinstance(ctrl, tuple):
-        policy, chain = ctrl
-        ctrl = hjb.feedback_from_policy(chain, policy, args.dt)
-    mean, stderr = sdde.mc_cost(spec, x, ctrl, args.T, args.dt, args.paths, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = [output.write_csv(out / "value.csv", ["mean", "stderr"],
-                                  [[mean, stderr]])]
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
-    print(f"value: mean={mean:.6g} stderr={stderr:.3g}")
-    return 0
+def cmd_value(run: Run):
+    a = run.args
+    ctrl = _control(run.spec, a.control, a.dt)
+    mean, stderr = sdde.mc_cost(run.spec, run.x, ctrl, a.T, a.dt, a.paths, a.seed)
+    run.csv("value.csv", ["mean", "stderr"], [[mean, stderr]])
+    return [f"value: mean={mean:.6g} stderr={stderr:.3g}"], 0
 
 
-def _solve(args, spec: ProblemSpec):
-    chain = hjb.reduce_to_lag_chain(spec, args.mlag)
-    x = models.initial_state(spec)
-    axes = _parse_grid(args.grid, chain, x)
-    result = hjb.value_iteration(chain, axes, tol=args.tol, max_iter=args.max_iter,
-                                 gh_points=args.gh)
-    return chain, x, result
-
-
-def _value_policy_rows(chain, result):
-    names = chain.axis_names()
-    pts = result.value.nodes()
-    vals = result.value.values.ravel()
-    idx = result.policy.indices.ravel()
-    ctrl = result.policy.control_set[idx]
-    rows = []
-    for i in range(pts.shape[0]):
-        rows.append([float(v) for v in pts[i]] + [float(vals[i]), int(idx[i])]
-                    + [float(c) for c in ctrl[i]])
-    header = names + ["value", "control_index"] + \
-        [f"u{i}" for i in range(chain.spec.control_set.shape[1])]
-    return header, rows
-
-
-def cmd_solve(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    chain, x, result = _solve(args, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header, rows = _value_policy_rows(chain, result)
-    growth = hjb.growth_fit(result.value, chain, spec.cost_growth_exponent)
-    artifacts = [output.write_csv(out / "value_policy.csv", header, rows),
-                 _write_policy_json(out / "policy.json", result.policy, args.mlag)]
-    output.write_manifest(out, args.spec,
-                          {**_resolved(args), "iterations": result.iterations,
-                           "residual": result.residual,
-                           "clamp_rate": result.clamp_rate,
-                           "growth_fit": growth},
-                          artifacts, started)
-    z0 = chain.flatten(hjb.register_from_state(chain, x))
-    v0 = result.value.interp_one(z0)
+def cmd_solve(run: Run):
+    chain, result, z0 = _solve(run)
+    growth = hjb.growth_fit(result.value, chain, run.spec.cost_growth_exponent)
+    _write_value_policy(run, chain, result)
+    policy, path = result.policy, run.out / "policy.json"
+    path.write_text(json.dumps({"axes": [ax.tolist() for ax in policy.axes],
+                                "indices": policy.indices.ravel().tolist(),
+                                "control_set": policy.control_set.tolist(),
+                                "m_lag": run.args.mlag}, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    run.artifacts.append(str(path))
+    run.extra.update(iterations=result.iterations, residual=result.residual,
+                     clamp_rate=result.clamp_rate, growth_fit=growth)
     warn = " clamp_warning" if result.clamp_warning else ""
-    print(f"solve: V(x0)={v0:.6g} iters={result.iterations} "
-          f"residual={result.residual:.3g} clamp_rate={result.clamp_rate:.2%} "
-          f"growth_fit={growth:.4g}{warn}")
-    return 0
+    return [f"solve: V(x0)={result.value.interp_one(z0):.6g} iters={result.iterations} "
+            f"residual={result.residual:.3g} clamp_rate={result.clamp_rate:.2%} "
+            f"growth_fit={growth:.4g}{warn}"], 0
 
 
-def cmd_residual(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    chain, x, result = _solve(args, spec)
-    axes = result.value.axes
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    residuals = []
-    for _ in range(args.samples):
+def cmd_residual(run: Run):
+    chain, result, _ = _solve(run)
+    rng = np.random.default_rng(run.args.seed)
+    rows, residuals = [], []
+    for _ in range(run.args.samples):
         pt = np.array([ax[0] if len(ax) == 1 else rng.uniform(ax[1], ax[-2])
-                       for ax in axes])
+                       for ax in result.value.axes])
         r = hjb.hjb_residual(chain, result.value, pt)
         residuals.append(abs(r))
         rows.append([float(v) for v in pt] + [r])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = [output.write_csv(out / "residual.csv",
-                                  chain.axis_names() + ["residual"], rows)]
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
-    print(f"residual: median|r|={float(np.median(residuals)):.6g} over {args.samples} points")
-    return 0
+    run.csv("residual.csv", chain.axis_names() + ["residual"], rows)
+    return [f"residual: median|r|={float(np.median(residuals)):.6g} "
+            f"over {run.args.samples} points"], 0
 
 
-def cmd_dpp(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    chain, x, result = _solve(args, spec)
-    tau = args.tau_steps * chain.delta
-    report = hjb.dpp_gap(chain, result.value, x, tau, args.paths, args.seed)
-    grid_tol = 0.03 * (1.0 + abs(report.value_at_x))
-    ok = report.ok(grid_tol)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = [output.write_csv(
-        out / "dpp.csv",
-        ["tau", "gap", "stderr", "value_at_x", "grid_tol", "pass"],
-        [[report.tau, report.gap, report.stderr, report.value_at_x, grid_tol, int(ok)]])]
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
-    print(f"dpp: gap={report.gap:.6g} stderr={report.stderr:.3g} "
-          f"tol={2 * report.stderr + grid_tol:.3g} pass={ok}")
-    return 0 if ok else 2
+def cmd_dpp(run: Run):
+    chain, result, _ = _solve(run)
+    report, grid_tol, ok = _write_dpp(run, chain, result, run.args.tau_steps * chain.delta)
+    return [f"dpp: gap={report.gap:.6g} stderr={report.stderr:.3g} "
+            f"tol={2 * report.stderr + grid_tol:.3g} pass={ok}"], 0 if ok else 2
 
 
-def cmd_probe_regularity(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    chain, x, result = _solve(args, spec)
-    names = chain.axis_names()[: spec.n]
-    box = []
-    for token in args.box.split(","):
-        name, lo, hi = token.split(":")
-        if name not in names:
-            raise ValidationError(f"box axis {name!r} must be a head axis {names}")
-        box.append((float(lo), float(hi)))
-    z0 = chain.flatten(hjb.register_from_state(chain, x))
+def cmd_probe_regularity(run: Run):
+    spec = run.spec
+    box = _parse_box(run.args.box, list(spec.head_names))
+    chain, result, z0 = _solve(run)
 
     def estimator(pts):
         full = np.tile(z0, (pts.shape[0], 1))
@@ -413,35 +333,24 @@ def cmd_probe_regularity(args) -> int:
 
     spacing = 2.0 * max(float(np.min(np.diff(ax))) for ax in result.value.axes[: spec.n]
                         if len(ax) > 1)
-    report = hjb.regularity_probe(spec, estimator, box, samples=args.samples,
+    report = hjb.regularity_probe(spec, estimator, box, samples=run.args.samples,
                                   gradient_spacing=spacing)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     band = report.alpha_band or (float("nan"), float("nan"))
-    artifacts = [output.write_csv(
-        out / "regularity.csv",
-        ["lipschitz", "alpha_hat", "alpha_lo", "alpha_hi", "flags"],
-        [[report.lipschitz,
-          report.alpha_hat if report.alpha_hat is not None else float("nan"),
-          band[0], band[1], ";".join(report.flags) or "none"]])]
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
-    print(f"probe-regularity: lipschitz={report.lipschitz:.6g} "
-          f"alpha={report.alpha_hat} flags={list(report.flags)}")
-    return 0
+    run.csv("regularity.csv", ["lipschitz", "alpha_hat", "alpha_lo", "alpha_hi", "flags"],
+            [[report.lipschitz,
+              report.alpha_hat if report.alpha_hat is not None else float("nan"),
+              band[0], band[1], ";".join(report.flags) or "none"]])
+    return [f"probe-regularity: lipschitz={report.lipschitz:.6g} "
+            f"alpha={report.alpha_hat} flags={list(report.flags)}"], 0
 
 
-def cmd_probe_bcontinuity(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    x = models.initial_state(spec)
-    mid = spec.control_set[spec.control_set.shape[0] // 2]
-    ctrl = sdde.OpenLoopControl(mid)
-    estimator = hjb.paired_cost_estimator(spec, ctrl, args.T, args.dt,
-                                          args.paths, args.seed)
+def cmd_probe_bcontinuity(run: Run):
+    a, spec, x = run.args, run.spec, run.x
+    estimator = hjb.paired_cost_estimator(spec, _control(spec), a.T, a.dt, a.paths, a.seed)
     pairs = []
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(a.seed)
     nodes = spec.grid.nodes
-    for i in range(args.pairs):
+    for _ in range(a.pairs):
         scale = 10 ** rng.uniform(-3.0, 0.0)
         freq = rng.integers(1, 5)
         bump = scale * np.sin(math.pi * freq * (nodes + spec.d) / spec.d)
@@ -449,186 +358,131 @@ def cmd_probe_bcontinuity(args) -> int:
         pairs.append((x, LiftedState(x.head, pert)))
     table = hjb.b_continuity_probe(spec, pairs, estimator)
     monotone, vanishing = hjb.envelope_is_monotone(table, abs_tol=1e-6)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = [output.write_csv(
-        out / "bcontinuity.csv", ["weak_distance", "difference", "stderr"],
-        [[float(d), float(v), float(s)] for d, v, s in
-         zip(table.distances, table.differences, table.stderrs)])]
-    if args.svg:
-        artifacts.append(output.write_svg_lines(
-            out / "bcontinuity.svg",
-            {"diff": (table.distances, table.differences)},
-            title="value difference vs weak distance", scatter=True))
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
-    print(f"probe-bcontinuity: monotone={monotone} vanishing={vanishing} "
-          f"pairs={args.pairs}")
-    return 0
+    run.csv("bcontinuity.csv", ["weak_distance", "difference", "stderr"],
+            [[float(d), float(v), float(s)] for d, v, s in
+             zip(table.distances, table.differences, table.stderrs)])
+    run.svg("bcontinuity.svg", {"diff": (table.distances, table.differences)},
+            title="value difference vs weak distance", scatter=True)
+    return [f"probe-bcontinuity: monotone={monotone} vanishing={vanishing} "
+            f"pairs={a.pairs}"], 0
 
 
-def cmd_merton_check(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
+def cmd_merton_check(run: Run):
+    a, spec = run.args, run.spec
     if spec.family != "merton":
         raise ValidationError("merton-check needs a portfolio problem file")
     p = spec.params["merton"]
     if "const" not in p["mu"] or "const" not in p["nu"]:
-        raise ValidationError(
-            "merton-check compares against the constant-coefficient closed "
-            "form; use const mu and nu presets with zero kernels")
+        raise ValidationError("merton-check compares against the constant-coefficient closed "
+                              "form; use const mu and nu presets with zero kernels")
     oracle = models.merton_classical_oracle(p["r"], p["mu"]["const"],
                                             p["nu"]["const"], p["gamma"], spec.rho)
-    chain, x, result = _solve(args, spec)
-    z0 = chain.flatten(hjb.register_from_state(chain, x))
+    chain, result, z0 = _solve(run)
     v_solver = -result.value.interp_one(z0)  # cost sign flip back to utility
     v_oracle = oracle.value(p["z0"])
     policy = hjb.extract_feedback(chain, result.value)
     u_extract = float(policy.control_at(z0[None, :])[0][0])
     du = float(spec.control_set[1, 0] - spec.control_set[0, 0])
-    mc_mean, mc_err = hjb.policy_mc_value(chain, result.policy, x, args.T,
-                                          args.dt, args.paths, args.seed)
-    rows = [
-        ["value_iteration_vs_oracle", v_solver, v_oracle,
-         0.03 * abs(v_oracle), int(abs(v_solver - v_oracle) <= 0.03 * abs(v_oracle))],
-        ["feedback_vs_oracle", u_extract, oracle.u_star, du + 1e-12,
-         int(abs(u_extract - oracle.u_star) <= du + 1e-12)],
-        ["closed_loop_vs_solver", -mc_mean, v_solver,
-         0.03 * abs(v_solver) + 2 * mc_err,
-         int(abs(-mc_mean - v_solver) <= 0.03 * abs(v_solver) + 2 * mc_err)],
-    ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = [output.write_csv(out / "merton_check.csv",
-                                  ["check", "observed", "target", "tol", "pass"],
-                                  rows)]
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
-    ok = all(r[-1] for r in rows)
-    for r in rows:
-        print(f"merton-check: {r[0]}: observed={r[1]:.6g} target={r[2]:.6g} "
-              f"tol={r[3]:.3g} {'PASS' if r[-1] else 'FAIL'}")
-    return 0 if ok else 2
+    mc_mean, mc_err = hjb.policy_mc_value(chain, result.policy, run.x, a.T,
+                                          a.dt, a.paths, a.seed)
+    rows = [[check, observed, target, tol, int(abs(observed - target) <= tol)]
+            for check, observed, target, tol in (
+                ("value_iteration_vs_oracle", v_solver, v_oracle, 0.03 * abs(v_oracle)),
+                ("feedback_vs_oracle", u_extract, oracle.u_star, du + 1e-12),
+                ("closed_loop_vs_solver", -mc_mean, v_solver,
+                 0.03 * abs(v_solver) + 2 * mc_err))]
+    run.csv("merton_check.csv", ["check", "observed", "target", "tol", "pass"], rows)
+    return [f"merton-check: {r[0]}: observed={r[1]:.6g} target={r[2]:.6g} "
+            f"tol={r[3]:.3g} {'PASS' if r[-1] else 'FAIL'}"
+            for r in rows], 0 if all(r[-1] for r in rows) else 2
 
 
-def cmd_advertising_demo(args) -> int:
-    started = time.monotonic()
-    spec = models.load_spec_file(args.spec)
-    x = models.initial_state(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-
-    driver = sdde.BrownianDriver(args.seed, 0, args.dt, spec.q)
-    mid = spec.control_set[spec.control_set.shape[0] // 2]
-    path = sdde.simulate_sdde(spec, x, sdde.OpenLoopControl(mid), args.T,
-                              args.dt, driver)
-    rows = [[float(t)] + [float(v) for v in y]
-            for t, y in zip(path.times, path.states)]
-    artifacts.append(output.write_csv(out / "path.csv",
-                                      ["t"] + [f"y{i}" for i in range(spec.n)], rows))
-
-    chain, x, result = _solve(args, spec)
-    header, vrows = _value_policy_rows(chain, result)
-    artifacts.append(output.write_csv(out / "value_policy.csv", header, vrows))
-    tau = 2 * chain.delta
-    report = hjb.dpp_gap(chain, result.value, x, tau, args.paths, args.seed)
-    grid_tol = 0.03 * (1.0 + abs(report.value_at_x))
-    artifacts.append(output.write_csv(
-        out / "dpp.csv", ["tau", "gap", "stderr", "value_at_x", "grid_tol", "pass"],
-        [[report.tau, report.gap, report.stderr, report.value_at_x, grid_tol,
-          int(report.ok(grid_tol))]]))
-    if args.svg:
-        arr = np.asarray(rows)
-        artifacts.append(output.write_svg_lines(out / "path.svg",
-                                                {"goodwill": (arr[:, 0], arr[:, 1])},
-                                                title="goodwill path"))
-    output.write_manifest(out, args.spec, _resolved(args), artifacts, started)
-    z0 = chain.flatten(hjb.register_from_state(chain, x))
-    print(f"advertising-demo: V(x0)={result.value.interp_one(z0):.6g} "
-          f"dpp_gap={report.gap:.4g}")
-    return 0
+def cmd_advertising_demo(run: Run):
+    a, spec = run.args, run.spec
+    driver = sdde.BrownianDriver(a.seed, 0, a.dt, spec.q)
+    path = sdde.simulate_sdde(spec, run.x, _control(spec), a.T, a.dt, driver)
+    rows = [[float(t)] + [float(v) for v in y] for t, y in zip(path.times, path.states)]
+    run.csv("path.csv", ["t"] + [f"y{i}" for i in range(spec.n)], rows)
+    chain, result, z0 = _solve(run)
+    _write_value_policy(run, chain, result)
+    report, _, _ = _write_dpp(run, chain, result, 2 * chain.delta)
+    arr = np.asarray(rows)
+    run.svg("path.svg", {"goodwill": (arr[:, 0], arr[:, 1])}, title="goodwill path")
+    return [f"advertising-demo: V(x0)={result.value.interp_one(z0):.6g} "
+            f"dpp_gap={report.gap:.4g}"], 0
 
 
-# ---------------------------------------------------------------------------
-# parser
+def _flag(*names, **kw):
+    return names, kw
+
+
+def _horizon(T=None, dt=None, paths=None):
+    """--T and --dt, required unless given a default, and --paths when given one."""
+    flags = [_flag(name, type=float,
+                   **({"required": True} if value is None else {"default": value}))
+             for name, value in (("--T", T), ("--dt", dt))]
+    if paths is not None:
+        flags.append(_flag("--paths", type=int, default=paths))
+    return flags
+
+
+CONTROL = _flag("--control", default=None)
+SOLVE = [
+    _flag("--mlag", type=int, default=1),
+    _flag("--grid", default=""),
+    _flag("--tol", type=float, default=1e-6),
+    _flag("--max-iter", type=int, default=20000, dest="max_iter"),
+    _flag("--gh", type=int, default=5),
+]
+
+COMMANDS = {
+    "simulate": (cmd_simulate, [*_horizon(paths=100), CONTROL,
+                                _flag("--emit-paths", type=int, default=20, dest="emit_paths")]),
+    "operators": (cmd_operators, [_flag("--samples", type=int, default=1000)]),
+    "lift-check": (cmd_lift_check, [*_horizon(1.0, 1e-3), CONTROL]),
+    "value": (cmd_value, [*_horizon(paths=200), CONTROL]),
+    "solve": (cmd_solve, SOLVE),
+    "residual": (cmd_residual, [*SOLVE, _flag("--samples", type=int, default=50)]),
+    "dpp": (cmd_dpp, [*SOLVE, _flag("--tau-steps", type=int, default=5, dest="tau_steps"),
+                      _flag("--paths", type=int, default=10000)]),
+    "probe-regularity": (cmd_probe_regularity, [
+        *SOLVE, _flag("--box", required=True, help="head box, e.g. s:0.6:1.4,z:0.5:2"),
+        _flag("--samples", type=int, default=7)]),
+    "merton-check": (cmd_merton_check, [*SOLVE, *_horizon(60.0, 0.01, 1000)]),
+    "advertising-demo": (cmd_advertising_demo, [*SOLVE, *_horizon(5.0, 0.01, 2000)]),
+    "probe-bcontinuity": (cmd_probe_bcontinuity, [*_horizon(5.0, 0.01, 200),
+                                                  _flag("--pairs", type=int, default=24)]),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="delayopt",
                      description="stochastic control with delays: simulate, lift, solve, probe")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **extra):
+    for name, (handler, flags) in COMMANDS.items():
         s = sub.add_parser(name)
         s.add_argument("--spec", required=True, help="problem JSON file")
         s.add_argument("--out", default="out", help="artifact directory")
         s.add_argument("--seed", type=int, default=0)
         s.add_argument("--svg", action="store_true", help="also render SVG plots")
-        s.set_defaults(func=fn)
-        return s
-
-    s = add("simulate", cmd_simulate)
-    s.add_argument("--T", type=float, required=True)
-    s.add_argument("--dt", type=float, required=True)
-    s.add_argument("--paths", type=int, default=100)
-    s.add_argument("--control", default=None)
-    s.add_argument("--emit-paths", type=int, default=20, dest="emit_paths")
-
-    s = add("operators", cmd_operators)
-    s.add_argument("--samples", type=int, default=1000)
-
-    s = add("lift-check", cmd_lift_check)
-    s.add_argument("--T", type=float, default=1.0)
-    s.add_argument("--dt", type=float, default=1e-3)
-    s.add_argument("--control", default=None)
-
-    s = add("value", cmd_value)
-    s.add_argument("--T", type=float, required=True)
-    s.add_argument("--dt", type=float, required=True)
-    s.add_argument("--paths", type=int, default=200)
-    s.add_argument("--control", default=None)
-
-    for name, fn in (("solve", cmd_solve), ("residual", cmd_residual),
-                     ("dpp", cmd_dpp), ("probe-regularity", cmd_probe_regularity),
-                     ("merton-check", cmd_merton_check),
-                     ("advertising-demo", cmd_advertising_demo)):
-        s = add(name, fn)
-        s.add_argument("--mlag", type=int, default=1)
-        s.add_argument("--grid", default="")
-        s.add_argument("--tol", type=float, default=1e-6)
-        s.add_argument("--max-iter", type=int, default=20000, dest="max_iter")
-        s.add_argument("--gh", type=int, default=5)
-        if name == "residual":
-            s.add_argument("--samples", type=int, default=50)
-        if name == "dpp":
-            s.add_argument("--tau-steps", type=int, default=5, dest="tau_steps")
-            s.add_argument("--paths", type=int, default=10000)
-        if name == "probe-regularity":
-            s.add_argument("--box", required=True,
-                           help="head box, e.g. s:0.6:1.4,z:0.5:2")
-            s.add_argument("--samples", type=int, default=7)
-        if name == "merton-check":
-            s.add_argument("--T", type=float, default=60.0)
-            s.add_argument("--dt", type=float, default=0.01)
-            s.add_argument("--paths", type=int, default=1000)
-        if name == "advertising-demo":
-            s.add_argument("--T", type=float, default=5.0)
-            s.add_argument("--dt", type=float, default=0.01)
-            s.add_argument("--paths", type=int, default=2000)
-
-    s = add("probe-bcontinuity", cmd_probe_bcontinuity)
-    s.add_argument("--T", type=float, default=5.0)
-    s.add_argument("--dt", type=float, default=0.01)
-    s.add_argument("--paths", type=int, default=200)
-    s.add_argument("--pairs", type=int, default=24)
-
+        for names, kw in flags:
+            s.add_argument(*names, **kw)
+        s.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        spec = models.load_spec_file(args.spec)
+        run = Run(args, spec, models.initial_state(spec), Path(args.out))
+        run.out.mkdir(parents=True, exist_ok=True)
+        lines, code = args.func(run)
+        resolved = {k: v for k, v in sorted(vars(args).items())
+                    if k not in ("command", "func") and v is not None}
+        output.write_manifest(run.out, args.spec, {**resolved, **run.extra},
+                              run.artifacts, started)
     except (ValidationError, GridMismatchError, DomainError, FileNotFoundError,
             json.JSONDecodeError, KeyError) as exc:
         _err("validation", exc)
@@ -636,6 +490,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _err("numerical", exc)
         return 2
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -312,12 +312,19 @@ class ProblemSpec:
     cost_is_lipschitz: bool = False
     family: str = "custom"
     params: dict = field(default_factory=dict)
+    # names of the head components (y0, y1, ... when not given) and the
+    # initial state as a head vector over a constant history value
+    head_names: tuple[str, ...] = ()
+    initial_head: tuple[float, ...] | None = None
+    initial_history: tuple[float, ...] | None = None
 
     def __post_init__(self):
         cs = np.atleast_2d(np.asarray(self.control_set, dtype=float))
         if cs.shape[0] == 1 and cs.shape[1] > 1 and self.p == 1:
             cs = cs.T
         object.__setattr__(self, "control_set", _freeze(cs))
+        if not self.head_names:
+            object.__setattr__(self, "head_names", tuple(f"y{i}" for i in range(self.n)))
 
     def validate(self) -> None:
         if not self.rho > 0:

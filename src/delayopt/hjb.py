@@ -104,12 +104,18 @@ def hamiltonian(spec: ProblemSpec, x: LiftedState, p0: np.ndarray,
         raise ValidationError("hessian block must be symmetric")
     z1 = kernel_convolve(spec.kernel_drift, x.tail)
     z2 = kernel_convolve(spec.kernel_noise, x.tail)
-    b, sig, l = _control_batch(spec, x.head, z1, z2)
+    value, best = _best_score(spec, x.head, z1, z2, p0, z00)
+    return value, spec.control_set[best]
+
+
+def _best_score(spec: ProblemSpec, y: np.ndarray, z1: np.ndarray, z2: np.ndarray,
+                p0: np.ndarray, z00: np.ndarray) -> tuple[float, int]:
+    """-y . p0 plus the best control score, and the index of that control."""
+    b, sig, l = _control_batch(spec, y, z1, z2)
     trace = np.einsum("unq,umq,nm->u", sig, sig, z00)
     scores = -b @ p0 - 0.5 * trace - l
     best = int(np.argmax(scores))
-    value = float(-x.head @ p0 + scores[best])
-    return value, spec.control_set[best]
+    return float(-y @ p0 + scores[best]), best
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +147,7 @@ class LagChainSpec:
         return math.exp(-self.spec.rho * self.delta)
 
     def axis_names(self) -> list[str]:
-        if self.spec.family == "merton":
-            heads = ["s", "z"]
-        elif self.spec.family == "advertising":
-            heads = ["y"]
-        else:
-            heads = [f"y{i}" for i in range(self.spec.n)]
+        heads = self.spec.head_names
         names = list(heads)
         for j in range(1, self.m_lag + 1):
             names.extend(f"{h}_lag{j}" for h in heads)
@@ -513,16 +514,6 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
 # reduced-equation residual
 
 
-def _chain_hamiltonian(chain: LagChainSpec, reg: np.ndarray, p0: np.ndarray,
-                       z00: np.ndarray) -> float:
-    spec = chain.spec
-    z1, z2 = chain.delay_integrals(reg)
-    b, sig, l = _control_batch(spec, reg[0], z1, z2)
-    trace = np.einsum("unq,umq,nm->u", sig, sig, z00)
-    scores = -b @ p0 - 0.5 * trace - l
-    return float(-reg[0] @ p0 + np.max(scores))
-
-
 def hjb_residual(chain: LagChainSpec, value: ValueField, z) -> float:
     """Residual of the reduced stationary equation at an interior point.
 
@@ -577,7 +568,7 @@ def hjb_residual(chain: LagChainSpec, value: ValueField, z) -> float:
     transport[:n] = -reg[0]
     for j in range(1, chain.m_lag + 1):
         transport[j * n : (j + 1) * n] = (reg[j - 1] - reg[j]) / chain.delta
-    ham = _chain_hamiltonian(chain, reg, grad[:n], hess)
+    ham, _ = _best_score(spec, reg[0], *chain.delay_integrals(reg), grad[:n], hess)
     return float(spec.rho * v_at(z) - transport @ grad + ham)
 
 

@@ -112,10 +112,13 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
                       delta=delta, seed=driver.seed, path_index=driver.path_index)
 
 
-def _interp_columns(t_query: np.ndarray, times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.column_stack([
-        np.interp(t_query, times, values[:, i]) for i in range(values.shape[1])
-    ])
+def _lift_at(t: float, times: np.ndarray, states: np.ndarray,
+             grid: SegmentGrid) -> LiftedState:
+    """(value at t, window over [t - d, t] on grid) of a path tabulated at times."""
+    query = np.concatenate([[t], t + grid.nodes])
+    vals = np.column_stack([np.interp(query, times, states[:, i])
+                            for i in range(states.shape[1])])
+    return LiftedState(vals[0], Segment(grid, vals[1:]))
 
 
 def lift_history(path: SddePath, t: float) -> LiftedState:
@@ -127,10 +130,7 @@ def lift_history(path: SddePath, t: float) -> LiftedState:
     t_lo, t_hi = float(path.times[path.n_history]), float(path.times[-1])
     if t < t_lo - 1e-12 or t > t_hi + 1e-12:
         raise ValueError(f"time {t} outside simulated range [{t_lo}, {t_hi}]")
-    grid = path.segment_grid
-    head = _interp_columns(np.array([t]), path.times, path.states)[0]
-    tail = _interp_columns(t + grid.nodes, path.times, path.states)
-    return LiftedState(head, Segment(grid, tail))
+    return _lift_at(t, path.times, path.states, path.segment_grid)
 
 
 @dataclass(frozen=True)
@@ -241,16 +241,10 @@ def contraction_probe(spec: ProblemSpec, x: LiftedState, y: LiftedState, ctrl,
     times = delta * np.arange(-n_hist, sx.shape[1] - n_hist)
     sq = np.empty(n_paths)
     for i in range(n_paths):
-        lx = _lift_from_states(sx[i], times, spec.grid, r)
-        ly = _lift_from_states(sy[i], times, spec.grid, r)
+        lx = _lift_at(r, times, sx[i], spec.grid)
+        ly = _lift_at(r, times, sy[i], spec.grid)
         sq[i] = minus_one_norm(lx - ly) ** 2
     lhs = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return ContractionReport(lhs=lhs, stderr=stderr, rhs=rhs, rate=rate)
 
-
-def _lift_from_states(states: np.ndarray, times: np.ndarray, grid: SegmentGrid,
-                      t: float) -> LiftedState:
-    head = _interp_columns(np.array([t]), times, states)[0]
-    tail = _interp_columns(t + grid.nodes, times, states)
-    return LiftedState(head, Segment(grid, tail))

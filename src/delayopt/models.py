@@ -235,6 +235,9 @@ def build_merton(p: MertonParams, m: int) -> ProblemSpec:
         ellipticity_floor=None,  # noise degenerates on the u z = 0 slice
         cost_is_lipschitz=False,
         family="merton",
+        head_names=("s", "z"),
+        initial_head=(p.s0, p.z0),
+        initial_history=(p.s1, p.z0),
         params={"merton": {**{k: getattr(p, k) for k in
                               ("r", "gamma", "rho", "d", "z0", "s0", "s1",
                                "z_floor", "n_controls", "audit_radius")},
@@ -352,6 +355,9 @@ def build_advertising(p: AdvertisingParams, m: int) -> ProblemSpec:
         ellipticity_floor=sigma ** 2 if sigma > 0 else None,
         cost_is_lipschitz=True,
         family="advertising",
+        head_names=("y",),
+        initial_head=(p.x0,),
+        initial_history=(p.x1,),
         params={"advertising": {k: getattr(p, k) for k in
                                 ("a0", "c0", "sigma", "rho", "d", "kernel_scale",
                                  "u_max", "spend_cost", "x0", "x1", "n_controls")},
@@ -452,6 +458,8 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
         ellipticity_floor=(lam_floor if lam_floor > 0 else None),
         cost_is_lipschitz=bool(mexp <= 1.0 or np.isfinite(clip)),
         family="affine_test",
+        initial_head=tuple(np.ravel(p.x0)),
+        initial_history=tuple(np.ravel(p.x1)),
         params={"affine_test": {k: (list(map(list, v)) if np.ndim(v) > 1
                                     else (list(v) if isinstance(v, tuple) else v))
                                 for k, v in ((kk, getattr(p, kk)) for kk in
@@ -467,21 +475,11 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
 
 
 def initial_state(spec: ProblemSpec) -> LiftedState:
-    """Initial lifted state recorded in the problem parameters."""
-    if spec.family == "merton":
-        p = spec.params["merton"]
-        head = np.array([p["s0"], p["z0"]])
-        tail = Segment.constant(spec.grid, [p["s1"], p["z0"]])
-        return LiftedState(head, tail)
-    if spec.family == "advertising":
-        p = spec.params["advertising"]
-        return LiftedState(np.array([p["x0"]]),
-                           Segment.constant(spec.grid, [p["x1"]]))
-    if spec.family == "affine_test":
-        p = spec.params["affine_test"]
-        return LiftedState(np.asarray(p["x0"], dtype=float),
-                           Segment.constant(spec.grid, np.asarray(p["x1"], dtype=float)))
-    raise ValidationError(f"no initial state recorded for family {spec.family!r}")
+    """Initial lifted state recorded on the problem by its constructor."""
+    if spec.initial_head is None or spec.initial_history is None:
+        raise ValidationError(f"no initial state recorded for family {spec.family!r}")
+    return LiftedState(np.asarray(spec.initial_head, dtype=float),
+                       Segment.constant(spec.grid, spec.initial_history))
 
 
 _BUILDERS = {

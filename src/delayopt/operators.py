@@ -39,32 +39,6 @@ def weight_vector(grid: SegmentGrid, n: int) -> np.ndarray:
     return np.concatenate([np.ones(n), np.repeat(grid.weights, n)])
 
 
-@dataclass(frozen=True, eq=False)
-class FlatState:
-    """Coordinate column [head; tail(xi_0); ...; tail(xi_m)] with its weights."""
-
-    vector: np.ndarray
-    grid: SegmentGrid
-    n: int
-
-    @classmethod
-    def from_lifted(cls, x: LiftedState) -> "FlatState":
-        vec = np.concatenate([x.head, x.tail.values.ravel()])
-        return cls(vec, x.grid, x.n)
-
-    def to_lifted(self) -> LiftedState:
-        head = self.vector[: self.n]
-        tail = self.vector[self.n :].reshape(self.grid.m + 1, self.n)
-        return LiftedState(head, Segment(self.grid, tail))
-
-    @property
-    def weights(self) -> np.ndarray:
-        return weight_vector(self.grid, self.n)
-
-    def weighted_inner(self, other: "FlatState") -> float:
-        return float(np.sum(self.weights * self.vector * other.vector))
-
-
 def flatten(x: LiftedState) -> np.ndarray:
     return np.concatenate([x.head, x.tail.values.ravel()])
 
@@ -290,23 +264,6 @@ def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
         grid=op.grid,
         n=op.n,
     )
-
-
-def project(decomp: SpectralDecomposition, x: LiftedState, n_modes: int,
-            which: str = "P") -> LiftedState:
-    """Spectral projection onto the leading modes (P) or its complement (Q)."""
-    if not 1 <= n_modes <= decomp.dim:
-        raise ValueError(f"mode count must be in [1, {decomp.dim}], got {n_modes}")
-    w = weight_vector(decomp.grid, decomp.n)
-    vec = flatten(x)
-    F = decomp.vectors[:, :n_modes]
-    coeffs = (w[:, None] * F).T @ vec
-    proj = F @ coeffs
-    if which == "P":
-        return unflatten(proj, decomp.grid, decomp.n)
-    if which == "Q":
-        return unflatten(vec - proj, decomp.grid, decomp.n)
-    raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
 
 
 def g_operator_norm(mat: np.ndarray, grid: SegmentGrid, n: int) -> float:

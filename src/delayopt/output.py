@@ -11,6 +11,8 @@ import json
 import time
 from pathlib import Path
 
+from . import __version__
+
 
 def fmt_cell(v) -> str:
     if isinstance(v, float):
@@ -40,7 +42,7 @@ def write_manifest(out_dir, spec_path, resolved: dict, artifacts: list[str],
         "resolved": resolved,
         "artifacts": sorted(str(a) for a in artifacts),
         "wall_clock_s": round(time.monotonic() - started, 3),
-        "version": "0.1.0",
+        "version": __version__,
     }
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return str(out)

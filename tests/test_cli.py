@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import delayopt
 from delayopt.cli import main
 
 
@@ -96,6 +97,29 @@ def test_solve_portfolio_head_grid(tmp_path):
     assert header.startswith("s,z,s_lag1,z_lag1,value,control_index")
 
 
+@pytest.fixture(scope="module")
+def policy_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("policy")
+    assert run(["solve", "--spec", SPEC, "--mlag", "1", "--grid",
+                "y:-1:2.5:9,y_lag1:-1:2.5:5", "--out", str(out)]) == 0
+    return out / "policy.json"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--spec", SPEC, "--grid", "y:a:1:5"],
+    ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
+     "--grid", "z:log:0.005:100:281", "--box", "z:0.5"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "const:abc"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "const:0.1,0.2"],
+    ["lift-check", "--spec", SPEC, "--T", "0.5", "--dt", "0.01", "--control", "policy:{}"],
+], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy"])
+def test_malformed_input_exits_one(argv, policy_file, tmp_path, capsys):
+    argv = [a.format(policy_file) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err.splitlines()[-1])["error"] == "validation"
+
+
 def test_solve_grid_validation(tmp_path):
     assert run(["solve", "--spec", SPEC, "--mlag", "1", "--grid", "bogus:0:1:5",
                 "--out", str(tmp_path / "x")]) == 1
@@ -152,5 +176,5 @@ def test_manifest_records_spec_digest(tmp_path):
     assert run(["operators", "--spec", str(SPECS / "affine.json"), "--out", str(out),
                 "--samples", "32"]) == 0
     doc = json.loads((out / "run_manifest.json").read_text())
-    assert doc["spec_digest"] and doc["version"]
+    assert doc["spec_digest"] and doc["version"] == delayopt.__version__
     assert any(a.endswith("spectrum.csv") for a in doc["artifacts"])

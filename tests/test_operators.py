@@ -3,7 +3,6 @@ import pytest
 
 from delayopt.core import DomainError, LiftedState, Segment, SegmentGrid
 from delayopt.operators import (
-    FlatState,
     apply_generator,
     apply_generator_inverse,
     apply_shift_semigroup,
@@ -15,7 +14,6 @@ from delayopt.operators import (
     inverse_generator_matrix,
     lifted_norm_sq,
     minus_one_norm,
-    project,
     random_smooth_state,
     spectral_decomposition,
     unflatten,
@@ -37,11 +35,12 @@ def test_flat_roundtrip_and_weighted_inner():
     rng = np.random.default_rng(0)
     x = random_smooth_state(g, 2, rng, domain=False)
     y = random_smooth_state(g, 2, rng, domain=False)
-    fx, fy = FlatState.from_lifted(x), FlatState.from_lifted(y)
-    back = fx.to_lifted()
+    fx, fy = flatten(x), flatten(y)
+    back = unflatten(fx, g, 2)
     np.testing.assert_array_equal(back.head, x.head)
     np.testing.assert_array_equal(back.tail.values, x.tail.values)
-    assert fx.weighted_inner(fy) == pytest.approx(lifted_inner(x, y), rel=1e-13)
+    weighted_inner = float(np.sum(weight_vector(g, 2) * fx * fy))
+    assert weighted_inner == pytest.approx(lifted_inner(x, y), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +300,11 @@ def test_spectral_ghost_mode_is_alternating(gram_50):
     tail = ghost[1:]
     signs = np.sign(tail)
     assert np.all(signs[::2] == signs[0]) and np.all(signs[1::2] == -signs[0])
+
+
+def project(dec, x, n_modes, which):
+    """Spectral projection of a state through the decomposition's projection matrix."""
+    return unflatten(dec.projection_matrix(n_modes, which) @ flatten(x), dec.grid, dec.n)
 
 
 def test_projection_identities(gram_50):
