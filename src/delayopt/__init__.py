@@ -38,7 +38,6 @@ from .sdde import (
     BrownianDriver,
     FeedbackControl,
     OpenLoopControl,
-    discounted_cost,
     mc_cost,
     simulate_sdde,
     truncation_horizon,

@@ -81,10 +81,19 @@ def _control(spec: ProblemSpec, text: str | None = None, dt: float | None = None
                 "this subcommand takes const: controls only; a policy feedback reads "
                 "step-grid windows, not the segment-grid windows of the lifted simulation")
         doc = json.loads(Path(text[len("policy:"):]).read_text(encoding="utf-8"))
-        axes = tuple(np.asarray(a, dtype=float) for a in doc["axes"])
-        indices = np.asarray(doc["indices"], dtype=np.int64).reshape([len(a) for a in axes])
-        policy = hjb.PolicyField(axes, indices, np.asarray(doc["control_set"], dtype=float))
         chain = hjb.reduce_to_lag_chain(spec, int(doc["m_lag"]))
+        axes = tuple(np.asarray(a, dtype=float) for a in doc["axes"])
+        shape = [len(a) for a in axes]
+        indices = np.asarray(doc["indices"], dtype=np.int64)
+        control_set = np.asarray(doc["control_set"], dtype=float)
+        if len(axes) != chain.state_dim or control_set.shape[1:] != (spec.p,):
+            raise ValidationError(
+                f"policy has {len(axes)} axes and controls of shape {control_set.shape[1:]}; "
+                f"the problem needs {chain.state_dim} axes and controls of shape ({spec.p},)")
+        if indices.size != math.prod(shape):
+            raise ValidationError(
+                f"policy has {indices.size} indices for a grid of {math.prod(shape)} nodes")
+        policy = hjb.PolicyField(axes, indices.reshape(shape), control_set)
         return hjb.feedback_from_policy(chain, policy, dt)
     raise ValidationError(f"control must be 'const:v[,v...]' or 'policy:FILE', got {text!r}")
 
@@ -106,6 +115,8 @@ def _parse_grid(text: str, names: list[str], z0: np.ndarray):
             except ValueError:
                 raise ValidationError(
                     f"bad grid token {token!r}, want name[:log]:lo:hi:count") from None
+            if count < 1:
+                raise ValidationError(f"grid axis {name!r} needs at least 1 node, got {count}")
             if name not in names:
                 raise ValidationError(f"unknown axis {name!r}; axes are {names}")
             axes[names.index(name)] = pick
@@ -163,13 +174,14 @@ def cmd_simulate(run: Run):
     except ValidationError:
         t_trunc = float("nan")
     run.csv("summary.csv", ["mean", "stderr", "T_trunc"], [[mean, stderr, t_trunc]])
-    rows = []
-    for pidx in range(min(a.paths, a.emit_paths)):
-        driver = sdde.BrownianDriver(a.seed, pidx, a.dt, spec.q)
-        path = sdde.simulate_sdde(spec, x, ctrl, a.T, a.dt, driver)
-        for k, t in enumerate(path.step_times[:-1]):
-            rows.append([pidx, float(t)] + [float(v) for v in path.step_states[k]]
-                        + [float(v) for v in path.controls[k]])
+    # the emitted paths are paths 0.. of the estimate: same streams, one batch
+    dw = sdde.batch_increments(a.seed, range(min(a.paths, a.emit_paths)), a.dt,
+                               spec.q, sdde._steps_of(a.T, a.dt, "T"))
+    times, states, controls, _ = sdde._simulate_batch(spec, x, ctrl, a.T, a.dt, dw)
+    steps = slice(-controls.shape[1] - 1, -1)  # step times 0 .. T - dt
+    rows = [[pidx, float(t)] + y.tolist() + u.tolist()
+            for pidx in range(len(dw))
+            for t, y, u in zip(times[steps], states[pidx, steps], controls[pidx])]
     run.csv("paths.csv", ["path", "t"] + [f"y{i}" for i in range(spec.n)]
             + [f"u{i}" for i in range(spec.control_set.shape[1])], rows)
     if a.svg and rows:  # skips collecting path 0 when no plot is drawn

@@ -248,6 +248,11 @@ def kernel_convolve(a: Kernel, s: Segment) -> np.ndarray:
     return np.einsum("j,jhn,jn->h", w, a.values, s.values)
 
 
+def interp_columns(x, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x, xp, column) for every column of fp, stacked on the last axis."""
+    return np.stack([np.interp(x, xp, fp[:, i]) for i in range(fp.shape[1])], axis=-1)
+
+
 def resample_segment(s: Segment, new_grid: SegmentGrid) -> Segment:
     """Piecewise-linear resampling onto another grid with the same horizon."""
     if not np.isclose(s.grid.d, new_grid.d, rtol=0, atol=1e-12):
@@ -256,11 +261,7 @@ def resample_segment(s: Segment, new_grid: SegmentGrid) -> Segment:
         )
     if new_grid.m == s.grid.m:
         return Segment(new_grid, s.values)
-    out = np.column_stack([
-        np.interp(new_grid.nodes, s.grid.nodes, s.values[:, i])
-        for i in range(s.n)
-    ])
-    return Segment(new_grid, out)
+    return Segment(new_grid, interp_columns(new_grid.nodes, s.grid.nodes, s.values))
 
 
 def resample_kernel(a: Kernel, new_grid: SegmentGrid) -> Kernel:
@@ -272,12 +273,16 @@ def resample_kernel(a: Kernel, new_grid: SegmentGrid) -> Kernel:
         raise GridMismatchError("resample requires equal horizons")
     if new_grid.m == a.grid.m:
         return Kernel(new_grid, a.values, preset=a.preset)
-    flat = a.values.reshape(a.grid.m + 1, -1)
-    out = np.column_stack([
-        np.interp(new_grid.nodes, a.grid.nodes, flat[:, i])
-        for i in range(flat.shape[1])
-    ]).reshape(new_grid.m + 1, a.h_dim, a.n)
-    return Kernel(new_grid, out, preset=None)
+    out = interp_columns(new_grid.nodes, a.grid.nodes, a.values.reshape(a.grid.m + 1, -1))
+    return Kernel(new_grid, out.reshape(new_grid.m + 1, a.h_dim, a.n), preset=None)
+
+
+def weighted_kernels(spec: ProblemSpec, grid: SegmentGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and noise kernel tables on grid, each node scaled by its quadrature
+    weight: einsum("jhn,...jn->...h", table, window) is the delay integral."""
+    w = grid.weights[:, None, None]
+    return (w * resample_kernel(spec.kernel_drift, grid).values,
+            w * resample_kernel(spec.kernel_noise, grid).values)
 
 
 @dataclass(frozen=True, eq=False)

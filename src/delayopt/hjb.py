@@ -25,10 +25,12 @@ from .core import (
     ProblemSpec,
     SegmentGrid,
     ValidationError,
+    interp_columns,
     kernel_convolve,
-    resample_kernel,
+    weighted_kernels,
 )
-from .sdde import FeedbackControl, _philox, _steps_of, mc_cost
+from .sdde import (FeedbackControl, _philox, _simulate_batch, _steps_of, batch_increments,
+                   mc_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +186,17 @@ def reduce_to_lag_chain(spec: ProblemSpec, m_lag: int) -> LagChainSpec:
     if m_lag < 1:
         raise ValidationError(f"lag count must be >= 1, got {m_lag}")
     coarse = SegmentGrid(spec.d, m_lag)
-    a1 = resample_kernel(spec.kernel_drift, coarse)
-    a2 = resample_kernel(spec.kernel_noise, coarse)
-    w = coarse.weights
+    wk_drift, wk_noise = weighted_kernels(spec, coarse)
     return LagChainSpec(spec=spec, m_lag=m_lag, delta=spec.d / m_lag,
-                        coarse_grid=coarse,
-                        wk_drift=w[:, None, None] * a1.values,
-                        wk_noise=w[:, None, None] * a2.values)
+                        coarse_grid=coarse, wk_drift=wk_drift, wk_noise=wk_noise)
 
 
 def register_from_state(chain: LagChainSpec, x: LiftedState) -> np.ndarray:
     """Sample a lifted state onto the register: head, then lagged tail values."""
-    nodes = x.grid.nodes
     reg = np.empty((chain.m_lag + 1, chain.spec.n))
     reg[0] = x.head
-    for j in range(1, chain.m_lag + 1):
-        t = -j * chain.delta
-        reg[j] = [np.interp(t, nodes, x.tail.values[:, i]) for i in range(chain.spec.n)]
+    lags = -chain.delta * np.arange(1, chain.m_lag + 1)
+    reg[1:] = interp_columns(lags, x.grid.nodes, x.tail.values)
     return reg
 
 
@@ -438,12 +434,7 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
 def feedback_from_policy(chain: LagChainSpec, policy: PolicyField, delta: float,
                          stats: ClampStats | None = None) -> FeedbackControl:
     """Feedback control reading the policy at the sampled register."""
-    stride = chain.delta / delta
-    stride_i = round(stride)
-    if abs(stride - stride_i) > 1e-9 or stride_i < 1:
-        raise ValidationError(
-            f"simulation step {delta} must divide the lag step {chain.delta}"
-        )
+    stride_i = _steps_of(chain.delta, delta, "the lag step")
     offsets = np.array([-1 - j * stride_i for j in range(chain.m_lag + 1)])
 
     def fn(k, t, window):
@@ -485,7 +476,7 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     numbers), and tau must be a multiple of the lag step.
     """
     spec = chain.spec
-    k_tau = _steps_of(tau, chain.delta, "tau") if tau > 0 else 0
+    k_tau = _steps_of(tau, chain.delta, "tau")
     z0 = chain.flatten(register_from_state(chain, x))
     v_x = value.interp_one(z0)
     if k_tau == 0:
@@ -797,20 +788,11 @@ def envelope_is_monotone(table: ContinuityTable, abs_tol: float = 0.0,
 def paired_cost_estimator(spec: ProblemSpec, ctrl, T: float, delta: float,
                           n_paths: int, seed: int):
     """Difference estimator with common random numbers across the pair."""
-    from .sdde import _simulate_batch, batch_increments
-
-    n_steps = _steps_of(T, delta, "T")
-    n_hist = _steps_of(spec.d, delta, "d")
-    dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
+    dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, _steps_of(T, delta, "T"))
 
     def estimate(x: LiftedState, y: LiftedState) -> tuple[float, float]:
-        from .sdde import _discounted_cost_batch
-
-        _, sx, cx = _simulate_batch(spec, x, ctrl, T, delta, dw)
-        _, sy, cy = _simulate_batch(spec, y, ctrl, T, delta, dw)
-        jx = _discounted_cost_batch(sx, cx, spec, n_hist, delta)
-        jy = _discounted_cost_batch(sy, cy, spec, n_hist, delta)
-        d = jx - jy
+        d = (_simulate_batch(spec, x, ctrl, T, delta, dw)[3]
+             - _simulate_batch(spec, y, ctrl, T, delta, dw)[3])
         return float(np.mean(d)), float(np.std(d, ddof=1) / math.sqrt(n_paths))
 
     return estimate

@@ -21,13 +21,18 @@ from .core import (
     ProblemSpec,
     Segment,
     SegmentGrid,
+    ValidationError,
+    interp_columns,
     resample_kernel,
     resample_segment,
+    weighted_kernels,
 )
 from .operators import assemble_gram_operator, minus_one_norm, spectral_decomposition
 from .sdde import (
     BrownianDriver,
     SddePath,
+    _euler_head,
+    _simulate_batch,
     _steps_of,
     batch_increments,
     coarsen_increments,
@@ -73,15 +78,13 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
     the most recent stretch of history.
     """
     spec.validate()
-    n_steps = _steps_of(T, delta, "T") if T > 0 else 0
+    n_steps = _steps_of(T, delta, "T")
     _steps_of(spec.d, delta, "d")
     if increments is None:
         increments = driver.increments(n_steps)
     grid = spec.grid
     nodes = grid.nodes
-    w = grid.weights
-    wk1 = w[:, None, None] * spec.kernel_drift.values
-    wk2 = w[:, None, None] * spec.kernel_noise.values
+    wk = weighted_kernels(spec, grid)
 
     # shift-by-delta interpolation stencil, reused every step; the tail
     # applies on [-d, 0) and the head takes over at 0
@@ -96,12 +99,9 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
     tails[0] = x.tail.values
     for k in range(n_steps):
         head, tail = heads[k], tails[k]
-        z1 = np.einsum("jhn,jn->h", wk1, tail)
-        z2 = np.einsum("jhn,jn->h", wk2, tail)
-        u = ctrl.resolve(k, k * delta, tail[None, :, :])[0]
-        b = np.asarray(spec.drift(head, z1, u), dtype=float)
-        sig = np.asarray(spec.noise(head, z2, u), dtype=float)
-        head_new = head + b * delta + sig @ increments[k]
+        u = ctrl.resolve(k, k * delta, tail[None, :, :])
+        head_new = _euler_head(spec, wk, head[None, :], tail[None, :, :], u,
+                               increments[None, k], delta)[0]
         if not np.all(np.isfinite(head_new)):
             raise NumericalError(f"non-finite lifted head at step {k + 1}")
         shifted = (1.0 - theta)[:, None] * tail[idx] + theta[:, None] * tail[idx + 1]
@@ -115,9 +115,7 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
 def _lift_at(t: float, times: np.ndarray, states: np.ndarray,
              grid: SegmentGrid) -> LiftedState:
     """(value at t, window over [t - d, t] on grid) of a path tabulated at times."""
-    query = np.concatenate([[t], t + grid.nodes])
-    vals = np.column_stack([np.interp(query, times, states[:, i])
-                            for i in range(states.shape[1])])
+    vals = interp_columns(np.concatenate([[t], t + grid.nodes]), times, states)
     return LiftedState(vals[0], Segment(grid, vals[1:]))
 
 
@@ -177,6 +175,8 @@ def equivalence_report(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
     see the same Brownian path.
     """
     n_steps = _steps_of(T, delta, "T")
+    if n_steps == 0:
+        raise ValidationError("the agreement report needs a positive horizon T")
     fine = BrownianDriver(seed, 0, delta / 2, spec.q).increments(2 * n_steps)
     coarse = coarsen_increments(fine, 2)
 
@@ -223,8 +223,6 @@ def contraction_probe(spec: ProblemSpec, x: LiftedState, y: LiftedState, ctrl,
     distance, with C the declared coefficient constant and |B| the largest
     Gram eigenvalue.
     """
-    from .sdde import _simulate_batch
-
     spec.validate()
     decomp = spectral_decomposition(assemble_gram_operator(spec.grid, spec.n))
     c = spec.growth_const
@@ -234,11 +232,8 @@ def contraction_probe(spec: ProblemSpec, x: LiftedState, y: LiftedState, ctrl,
 
     n_steps = _steps_of(r, delta, "r")
     dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
-    _, sx, _ = _simulate_batch(spec, x, ctrl, r, delta, dw)
-    _, sy, _ = _simulate_batch(spec, y, ctrl, r, delta, dw)
-
-    n_hist = _steps_of(spec.d, delta, "d")
-    times = delta * np.arange(-n_hist, sx.shape[1] - n_hist)
+    times, sx, _, _ = _simulate_batch(spec, x, ctrl, r, delta, dw)
+    _, sy, _, _ = _simulate_batch(spec, y, ctrl, r, delta, dw)
     sq = np.empty(n_paths)
     for i in range(n_paths):
         lx = _lift_at(r, times, sx[i], spec.grid)

@@ -27,6 +27,7 @@ from .core import (
     NumericalError,
     Segment,
     SegmentGrid,
+    interp_columns,
     lifted_inner,
     lifted_norm,
 )
@@ -61,11 +62,8 @@ def apply_shift_semigroup(t: float, x: LiftedState) -> LiftedState:
     pos = t + grid.nodes
     # the initial segment applies on [-d, 0); at time 0 the head takes over
     past = pos < 0.0
-    tail_new = np.empty_like(x.tail.values)
-    for i in range(x.n):
-        tail_new[:, i] = np.where(
-            past, np.interp(pos, grid.nodes, x.tail.values[:, i]), x.head[i]
-        )
+    tail_new = np.where(past[:, None], interp_columns(pos, grid.nodes, x.tail.values),
+                        x.head[None, :])
     return LiftedState(x.head, Segment(grid, tail_new))
 
 

@@ -4,7 +4,9 @@ Explicit Euler-Maruyama on a step grid that divides the delay horizon, so
 the history window always aligns with stored nodes and the kernel
 quadrature needs no interpolation. Brownian increments come from
 counter-based generators keyed on (seed, path index), which makes every
-path bit-reproducible and independent across indices.
+path bit-reproducible and independent across indices. The step loop also
+accumulates each path's discounted running cost, so a Monte Carlo estimate
+walks the paths once.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from .core import (
     Segment,
     SegmentGrid,
     ValidationError,
-    resample_kernel,
+    interp_columns,
     resample_segment,
+    weighted_kernels,
 )
 
 
@@ -112,11 +115,16 @@ class FeedbackControl:
 
 @dataclass(frozen=True, eq=False)
 class SddePath:
-    """One realized trajectory on [-d, T] with the applied control path."""
+    """One realized trajectory on [-d, T] with the applied control path.
+
+    discounted_cost is the left Riemann sum of the discounted running cost
+    over [0, T).
+    """
 
     times: np.ndarray
     states: np.ndarray
     controls: np.ndarray
+    discounted_cost: float
     delta: float
     n_history: int
     seed: int
@@ -133,12 +141,17 @@ class SddePath:
         return self.states[self.n_history:]
 
     def value_at(self, t: float) -> np.ndarray:
-        cols = [np.interp(t, self.times, self.states[:, i])
-                for i in range(self.states.shape[1])]
-        return np.asarray(cols)
+        return interp_columns(t, self.times, self.states)
 
 
 def _steps_of(span: float, delta: float, what: str) -> int:
+    """Number of steps of size delta in span: 0 for a zero span, else at least 1."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValidationError(f"step must be finite and positive, got {delta}")
+    if not (math.isfinite(span) and span >= 0):
+        raise ValidationError(f"{what} must be finite and nonnegative, got {span}")
+    if span == 0:
+        return 0
     steps = span / delta
     rounded = round(steps)
     if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
@@ -148,25 +161,36 @@ def _steps_of(span: float, delta: float, what: str) -> int:
     return int(rounded)
 
 
-def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
-                    delta: float, increments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _euler_head(spec: ProblemSpec, wk: tuple[np.ndarray, np.ndarray], y: np.ndarray,
+                window: np.ndarray, u: np.ndarray, dw: np.ndarray,
+                delta: float) -> np.ndarray:
+    """One Euler-Maruyama head update of a batch: y (P, n), window (P, J, n)
+    on the J-node grid of the tables wk, u (P, p), dw (P, q)."""
+    z1 = np.einsum("jhn,pjn->ph", wk[0], window)
+    z2 = np.einsum("jhn,pjn->ph", wk[1], window)
+    b = np.asarray(spec.drift(y, z1, u), dtype=float)
+    sig = np.asarray(spec.noise(y, z2, u), dtype=float)
+    return y + b * delta + np.einsum("pnq,pq->pn", sig, dw)
+
+
+def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
+                    increments: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Euler-Maruyama over a batch of paths sharing spec, state, and control.
 
-    Returns (times, states (P, K+1+hist, n), controls (P, n_steps, p)).
+    Returns (times, states (P, K+1+hist, n), controls (P, n_steps, p),
+    discounted costs (P,)). The cost is the left Riemann sum of the
+    discounted running cost, accumulated as the paths are stepped.
     """
     n_hist = _steps_of(spec.d, delta, "d")
-    n_steps = _steps_of(T, delta, "T") if T > 0 else 0
+    n_steps = _steps_of(T, delta, "T")
     P = increments.shape[0]
     if n_steps and increments.shape[1] < n_steps:
         raise ValidationError(
             f"need {n_steps} increments, driver provided {increments.shape[1]}"
         )
     step_grid = SegmentGrid(spec.d, n_hist)
-    a1 = resample_kernel(spec.kernel_drift, step_grid)
-    a2 = resample_kernel(spec.kernel_noise, step_grid)
-    w = step_grid.weights
-    wk1 = w[:, None, None] * a1.values
-    wk2 = w[:, None, None] * a2.values
+    wk = weighted_kernels(spec, step_grid)
 
     times = delta * np.arange(-n_hist, n_steps + 1)
     states = np.empty((P, n_hist + n_steps + 1, spec.n))
@@ -174,21 +198,20 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
     states[:, : n_hist + 1] = init_tail[None, :, :]
     states[:, n_hist] = x.head[None, :]
     controls = np.empty((P, n_steps, spec.control_set.shape[1]))
+    disc = np.exp(-spec.rho * (delta * np.arange(n_steps)))
+    cost = np.zeros(P)
 
     for k in range(n_steps):
         window = states[:, k : k + n_hist + 1]
         y = states[:, k + n_hist]
-        z1 = np.einsum("jhn,pjn->ph", wk1, window)
-        z2 = np.einsum("jhn,pjn->ph", wk2, window)
         u = ctrl.resolve(k, k * delta, window)
         controls[:, k] = u
-        b = np.asarray(spec.drift(y, z1, u), dtype=float)
-        sig = np.asarray(spec.noise(y, z2, u), dtype=float)
-        y_next = y + b * delta + np.einsum("pnq,pq->pn", sig, increments[:, k])
+        cost += disc[k] * np.asarray(spec.cost(y, u), dtype=float)
+        y_next = _euler_head(spec, wk, y, window, u, increments[:, k], delta)
         if not np.all(np.isfinite(y_next)):
             raise NumericalError(f"non-finite state at step {k + 1} (t={ (k + 1) * delta:g})")
         states[:, k + n_hist + 1] = y_next
-    return times, states, controls
+    return times, states, controls, cost * delta
 
 
 def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
@@ -196,59 +219,37 @@ def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
                   increments: np.ndarray | None = None) -> SddePath:
     """Simulate one strong path of the delayed state equation."""
     spec.validate()
-    n_steps = _steps_of(T, delta, "T") if T > 0 else 0
     if increments is None:
-        increments = driver.increments(n_steps)[None, :, :]
-    else:
-        increments = np.asarray(increments, dtype=float)[None, :, :]
-    times, states, controls = _simulate_batch(spec, x, ctrl, T, delta, increments)
+        increments = driver.increments(_steps_of(T, delta, "T"))
+    times, states, controls, cost = _simulate_batch(
+        spec, x, ctrl, T, delta, np.asarray(increments, dtype=float)[None, :, :])
     return SddePath(times=times, states=states[0], controls=controls[0],
-                    delta=delta, n_history=_steps_of(spec.d, delta, "d"),
+                    discounted_cost=float(cost[0]), delta=delta,
+                    n_history=_steps_of(spec.d, delta, "d"),
                     seed=driver.seed, path_index=driver.path_index,
                     segment_grid=spec.grid)
 
 
-def _discounted_cost_batch(states: np.ndarray, controls: np.ndarray,
-                           spec: ProblemSpec, n_hist: int, delta: float) -> np.ndarray:
-    """Left Riemann sum of the discounted running cost, per path."""
-    n_steps = controls.shape[1]
-    t = delta * np.arange(n_steps)
-    disc = np.exp(-spec.rho * t)
-    y = states[:, n_hist : n_hist + n_steps]
-    total = np.zeros(states.shape[0])
-    for k in range(n_steps):
-        total += disc[k] * np.asarray(spec.cost(y[:, k], controls[:, k]), dtype=float)
-    return total * delta
-
-
-def discounted_cost(path: SddePath, spec: ProblemSpec, T: float) -> float:
-    """Discounted running cost accumulated over [0, T)."""
-    n_steps = _steps_of(T, path.delta, "T") if T > 0 else 0
-    if n_steps > path.controls.shape[0]:
-        raise ValidationError(f"path covers {path.controls.shape[0]} steps, need {n_steps}")
-    return float(_discounted_cost_batch(path.states[None, : path.n_history + n_steps + 1],
-                                        path.controls[None, :n_steps],
-                                        spec, path.n_history, path.delta)[0])
+MC_CHUNK = 256  # paths per batch; bounds the stored (paths, steps, n) state array
 
 
 def mc_cost(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
-            n_paths: int, seed: int, chunk: int = 256) -> tuple[float, float]:
+            n_paths: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the discounted cost: (mean, standard error).
 
     Paths use independent counter-based streams, so the result is
-    deterministic in the seed and independent of the chunk size.
+    deterministic in the seed and each path's cost is the one simulate_sdde
+    gives for that path's driver.
     """
     if n_paths < 2:
         raise ValidationError("mc_cost needs at least 2 paths")
     spec.validate()
-    n_steps = _steps_of(T, delta, "T") if T > 0 else 0
-    n_hist = _steps_of(spec.d, delta, "d")
+    n_steps = _steps_of(T, delta, "T")
     costs: list[float] = []
-    for start in range(0, n_paths, chunk):
-        idx = np.arange(start, min(start + chunk, n_paths))
+    for start in range(0, n_paths, MC_CHUNK):
+        idx = np.arange(start, min(start + MC_CHUNK, n_paths))
         dw = batch_increments(seed, idx, delta, spec.q, n_steps)
-        _, states, controls = _simulate_batch(spec, x, ctrl, T, delta, dw)
-        costs.extend(_discounted_cost_batch(states, controls, spec, n_hist, delta).tolist())
+        costs.extend(_simulate_batch(spec, x, ctrl, T, delta, dw)[3].tolist())
     mean = math.fsum(costs) / n_paths
     var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
     return mean, math.sqrt(var / n_paths)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import delayopt
@@ -73,6 +74,29 @@ def test_simulate_and_value(tmp_path):
                 "--paths", "16", "--out", str(out2)]) == 0
 
 
+def test_simulate_paths_are_single_path_simulations(tmp_path, policy_file):
+    # paths.csv is emitted from one batch; each path must equal its own
+    # single-path simulation on the same stream
+    from delayopt import models, sdde
+    from delayopt.cli import _control
+
+    out = tmp_path / "sim"
+    assert run(["simulate", "--spec", SPEC, "--T", "0.5", "--dt", "0.05", "--paths", "6",
+                "--emit-paths", "3", "--seed", "4", "--control", f"policy:{policy_file}",
+                "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)
+    spec = models.load_spec_file(SPEC)
+    ctrl = _control(spec, f"policy:{policy_file}", 0.05)
+    for i in range(3):
+        path = sdde.simulate_sdde(spec, models.initial_state(spec), ctrl, 0.5, 0.05,
+                                  sdde.BrownianDriver(4, i, 0.05, spec.q))
+        mine = rows[rows[:, 0] == i]
+        np.testing.assert_array_equal(mine[:, 1], path.step_times[:-1])
+        np.testing.assert_array_equal(mine[:, 2:2 + spec.n], path.step_states[:-1])
+        np.testing.assert_array_equal(mine[:, 2 + spec.n:], path.controls)
+    assert len(rows) == 3 * 10
+
+
 def test_solve_policy_roundtrip(tmp_path):
     out = tmp_path / "solve"
     assert run(["solve", "--spec", SPEC, "--mlag", "2", "--grid",
@@ -105,6 +129,17 @@ def policy_file(tmp_path_factory):
     return out / "policy.json"
 
 
+@pytest.fixture(scope="module")
+def bad_policies(policy_file):
+    """The advertising policy with one index dropped, and with two-component controls."""
+    doc = json.loads(policy_file.read_text())
+    short = policy_file.with_name("short.json")
+    short.write_text(json.dumps({**doc, "indices": doc["indices"][:-1]}))
+    wide = policy_file.with_name("wide.json")
+    wide.write_text(json.dumps({**doc, "control_set": [[c[0], c[0]] for c in doc["control_set"]]}))
+    return {"short": short, "wide": wide}
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--spec", SPEC, "--grid", "y:a:1:5"],
     ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
@@ -112,9 +147,27 @@ def policy_file(tmp_path_factory):
     ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "const:abc"],
     ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "const:0.1,0.2"],
     ["lift-check", "--spec", SPEC, "--T", "0.5", "--dt", "0.01", "--control", "policy:{}"],
-], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy"])
-def test_malformed_input_exits_one(argv, policy_file, tmp_path, capsys):
-    argv = [a.format(policy_file) for a in argv] + ["--out", str(tmp_path / "o")]
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0"],
+    ["value", "--spec", SPEC, "--T", "1", "--dt", "0"],
+    ["lift-check", "--spec", SPEC, "--T", "1", "--dt", "0"],
+    ["lift-check", "--spec", SPEC, "--T", "0", "--dt", "0.01"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "nan"],
+    ["simulate", "--spec", SPEC, "--T", "inf", "--dt", "0.01"],
+    ["simulate", "--spec", SPEC, "--T", "nan", "--dt", "0.01"],
+    ["value", "--spec", SPEC, "--T", "-1", "--dt", "0.01"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0", "--control", "policy:{}"],
+    ["simulate", "--spec", str(SPECS / "merton_nodelay.json"), "--T", "1", "--dt", "0.01",
+     "--control", "policy:{}"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "policy:{short}"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "policy:{wide}"],
+    ["solve", "--spec", SPEC, "--grid", "y:-1:2:0"],
+], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
+        "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
+        "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
+        "policy-short-indices", "policy-control-width", "grid-zero-nodes"])
+def test_malformed_input_exits_one(argv, policy_file, bad_policies, tmp_path, capsys):
+    argv = ([a.format(policy_file, **bad_policies) for a in argv]
+            + ["--out", str(tmp_path / "o")])
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert json.loads(err.splitlines()[-1])["error"] == "validation"

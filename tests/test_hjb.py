@@ -223,8 +223,8 @@ def test_chain_matches_direct_simulation_stepwise():
     n_steps = 7
     from delayopt.sdde import _simulate_batch, batch_increments
     dw = batch_increments(9, [0], delta, 1, n_steps)
-    _, states, _ = _simulate_batch(spec, x, OpenLoopControl([0.4]), n_steps * delta,
-                                   delta, dw)
+    _, states, _, _ = _simulate_batch(spec, x, OpenLoopControl([0.4]), n_steps * delta,
+                                      delta, dw)
     reg = register_from_state(chain, x)[None, :, :]
     for k in range(n_steps):
         reg = chain.step(reg, np.array([[0.4]]), dw[:, k] / math.sqrt(delta))

@@ -7,11 +7,11 @@ from delayopt import models
 from delayopt.core import LiftedState, NumericalError, ProblemSpec, Segment, SegmentGrid, ValidationError
 from delayopt.models import AdvertisingParams, AffineTestParams, build_advertising, build_affine_test
 from delayopt.sdde import (
+    MC_CHUNK,
     BrownianDriver,
     OpenLoopControl,
     batch_increments,
     coarsen_increments,
-    discounted_cost,
     mc_cost,
     simulate_sdde,
     truncation_horizon,
@@ -72,7 +72,7 @@ def test_driftless_unit_noise_terminal_moments():
     x = models.initial_state(spec)
     dw = batch_increments(17, np.arange(10000), 0.05, 1, 20)
     from delayopt.sdde import _simulate_batch
-    _, states, _ = _simulate_batch(spec, x, OpenLoopControl([0.0]), 1.0, 0.05, dw)
+    _, states, _, _ = _simulate_batch(spec, x, OpenLoopControl([0.0]), 1.0, 0.05, dw)
     yT = states[:, -1, 0]
     stderr = yT.std(ddof=1) / math.sqrt(len(yT))
     assert abs(yT.mean()) <= 3 * stderr
@@ -147,7 +147,7 @@ def test_unit_cost_discounted_integral():
         path = simulate_sdde(spec, x, OpenLoopControl([1.0]), T, delta,
                              BrownianDriver(0, 0, delta, 1),
                              increments=np.zeros((int(T / delta), 1)))
-        val = discounted_cost(path, spec, T)
+        val = path.discounted_cost
         # left Riemann sum of exp(-t) over [0, T)
         exact = float(np.sum(np.exp(-delta * np.arange(int(T / delta)))) * delta)
         assert val == pytest.approx(exact, rel=1e-12)
@@ -161,7 +161,7 @@ def test_zero_cost():
     x = models.initial_state(spec)
     path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.1,
                          BrownianDriver(0, 0, 0.1, 1))
-    assert discounted_cost(path, spec, 1.0) == 0.0
+    assert path.discounted_cost == 0.0
 
 
 def test_constant_path_linear_cost():
@@ -177,7 +177,7 @@ def test_constant_path_linear_cost():
     path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 10.0, delta,
                          BrownianDriver(0, 0, delta, 1),
                          increments=np.zeros((1000, 1)))
-    val = discounted_cost(path, spec, 10.0)
+    val = path.discounted_cost
     assert val == pytest.approx(2.0 * (1 - math.exp(-10.0)), abs=4 * delta)
 
 
@@ -186,11 +186,18 @@ def test_constant_path_linear_cost():
 
 
 def test_mc_deterministic_given_seed_and_chunk_free():
+    # every path's cost in the batched estimate is the single-path cost of
+    # its own driver, across a chunk boundary too
     spec = pure_noise_spec()
     x = models.initial_state(spec)
-    a = mc_cost(spec, x, OpenLoopControl([0.5]), 1.0, 0.05, 64, seed=3)
-    b = mc_cost(spec, x, OpenLoopControl([0.5]), 1.0, 0.05, 64, seed=3, chunk=7)
-    assert a == b
+    n_paths = MC_CHUNK + 9
+    costs = [simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.05,
+                           BrownianDriver(3, i, 0.05, 1)).discounted_cost
+             for i in range(n_paths)]
+    mean = math.fsum(costs) / n_paths
+    var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
+    got = mc_cost(spec, x, OpenLoopControl([0.5]), 1.0, 0.05, n_paths, seed=3)
+    assert got == (mean, math.sqrt(var / n_paths))
 
 
 def test_mc_zero_noise_zero_stderr():
@@ -270,11 +277,11 @@ def test_strong_convergence_rate_additive_noise():
     deltas = [0.02, 0.01]
     from delayopt.sdde import _simulate_batch
     dw_fine = batch_increments(23, np.arange(64), fine_delta, 1, n_fine)
-    _, ref, _ = _simulate_batch(spec, x, u, T, fine_delta, dw_fine)
+    _, ref, _, _ = _simulate_batch(spec, x, u, T, fine_delta, dw_fine)
     for delta in deltas:
         factor = int(delta / fine_delta)
         dw = coarsen_increments(dw_fine, factor)
-        _, states, _ = _simulate_batch(spec, x, u, T, delta, dw)
+        _, states, _, _ = _simulate_batch(spec, x, u, T, delta, dw)
         errs.append(np.abs(states[:, -1, 0] - ref[:, -1, 0]).mean())
     rate = math.log2(errs[0] / errs[1])
     assert 0.4 <= rate <= 1.1
@@ -294,7 +301,7 @@ def test_moment_growth_envelope():
     for delta, seed in ((0.02, 31), (0.01, 31)):
         n = int(2.0 / delta)
         dw = batch_increments(seed, np.arange(256), delta, 1, n)
-        _, states, _ = _simulate_batch(spec, x, u, 2.0, delta, dw)
+        _, states, _, _ = _simulate_batch(spec, x, u, 2.0, delta, dw)
         t = delta * np.arange(n + 1)
         moments = np.abs(states[:, spec_hist(spec, delta):, 0]).mean(axis=0)
         fits.append(float(np.max(moments / (x_norm * np.exp(lam * t)))))
