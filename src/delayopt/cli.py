@@ -98,6 +98,14 @@ def _control(spec: ProblemSpec, text: str | None = None, dt: float | None = None
     raise ValidationError(f"control must be 'const:v[,v...]' or 'policy:FILE', got {text!r}")
 
 
+def _count(run: Run, name: str) -> int:
+    """The value of the count flag --name, refused below 1."""
+    value = getattr(run.args, name)
+    if value < 1:
+        raise ValidationError(f"--{name} must be at least 1, got {value}")
+    return value
+
+
 def _parse_grid(text: str, names: list[str], z0: np.ndarray):
     """Axes from 'name:lo:hi:count,...'; unnamed axes collapse at the start state."""
     axes: list[np.ndarray] = [np.array([z0[i]]) for i in range(len(names))]
@@ -198,7 +206,7 @@ def cmd_operators(run: Run):
             [[i, float(v)] for i, v in enumerate(decomp.eigenvalues)])
     rng = np.random.default_rng(run.args.seed)
     diss, weak, norm_rows = [], [], []
-    for _ in range(run.args.samples):
+    for _ in range(_count(run, "samples")):
         x = operators.random_smooth_state(grid, n, rng, domain=True)
         nx = operators.lifted_norm_sq(x) ** 0.5
         diss.append(operators.dissipativity_form(x) / max(nx * nx, 1e-300))
@@ -312,10 +320,11 @@ def cmd_solve(run: Run):
 
 
 def cmd_residual(run: Run):
+    samples = _count(run, "samples")
     chain, result, _ = _solve(run)
     rng = np.random.default_rng(run.args.seed)
     rows, residuals = [], []
-    for _ in range(run.args.samples):
+    for _ in range(samples):
         pt = np.array([ax[0] if len(ax) == 1 else rng.uniform(ax[1], ax[-2])
                        for ax in result.value.axes])
         r = hjb.hjb_residual(chain, result.value, pt)

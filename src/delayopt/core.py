@@ -106,11 +106,6 @@ class Segment:
         return self.values.shape[1]
 
     @classmethod
-    def from_callable(cls, grid: SegmentGrid, fn) -> "Segment":
-        vals = np.asarray([np.atleast_1d(fn(xi)) for xi in grid.nodes], dtype=float)
-        return cls(grid, vals)
-
-    @classmethod
     def constant(cls, grid: SegmentGrid, value) -> "Segment":
         v = np.atleast_1d(np.asarray(value, dtype=float))
         return cls(grid, np.tile(v, (grid.m + 1, 1)))

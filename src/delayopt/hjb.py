@@ -26,7 +26,6 @@ from .core import (
     SegmentGrid,
     ValidationError,
     interp_columns,
-    kernel_convolve,
     weighted_kernels,
 )
 from .sdde import (FeedbackControl, _philox, _simulate_batch, _steps_of, batch_increments,
@@ -77,19 +76,6 @@ def lipschitz_discount_threshold(c: float, gram_norm: float) -> float:
 # Hamiltonian
 
 
-def _control_batch(spec: ProblemSpec, y: np.ndarray, z1: np.ndarray,
-                   z2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate drift, noise, cost at one (y, z) for every control point."""
-    n_u = spec.control_set.shape[0]
-    ys = np.broadcast_to(y, (n_u, y.shape[0]))
-    z1s = np.broadcast_to(z1, (n_u, z1.shape[0]))
-    z2s = np.broadcast_to(z2, (n_u, z2.shape[0]))
-    b = np.asarray(spec.drift(ys, z1s, spec.control_set))
-    sig = np.asarray(spec.noise(ys, z2s, spec.control_set))
-    l = np.asarray(spec.cost(ys, spec.control_set))
-    return b, sig, l
-
-
 def hamiltonian(spec: ProblemSpec, x: LiftedState, p0: np.ndarray,
                 z00: np.ndarray) -> tuple[float, np.ndarray]:
     """Reduced Hamiltonian at a lifted state with head gradient and Hessian.
@@ -98,26 +84,35 @@ def hamiltonian(spec: ProblemSpec, x: LiftedState, p0: np.ndarray,
     -drift . p0 - Tr(noise noise^T z00)/2 - cost; ties break to the lowest
     control index. z00 must be symmetric.
     """
-    p0 = np.asarray(p0, dtype=float)
-    z00 = np.asarray(z00, dtype=float)
+    p0, z00 = np.asarray(p0, dtype=float), np.asarray(z00, dtype=float)
     if z00.shape != (spec.n, spec.n):
         raise ValidationError(f"hessian block must be {(spec.n, spec.n)}, got {z00.shape}")
     if not np.allclose(z00, z00.T, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(z00)))):
         raise ValidationError("hessian block must be symmetric")
-    z1 = kernel_convolve(spec.kernel_drift, x.tail)
-    z2 = kernel_convolve(spec.kernel_noise, x.tail)
-    value, best = _best_score(spec, x.head, z1, z2, p0, z00)
-    return value, spec.control_set[best]
+    z1, z2 = spec.delay_integrals(x.tail)
+    value, best = _best_score(spec, x.head[None], z1[None], z2[None], p0[None], z00[None])
+    return float(value[0]), spec.control_set[best[0]]
 
 
 def _best_score(spec: ProblemSpec, y: np.ndarray, z1: np.ndarray, z2: np.ndarray,
-                p0: np.ndarray, z00: np.ndarray) -> tuple[float, int]:
-    """-y . p0 plus the best control score, and the index of that control."""
-    b, sig, l = _control_batch(spec, y, z1, z2)
-    trace = np.einsum("unq,umq,nm->u", sig, sig, z00)
-    scores = -b @ p0 - 0.5 * trace - l
-    best = int(np.argmax(scores))
-    return float(-y @ p0 + scores[best]), best
+                p0: np.ndarray, z00: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-y . p0 plus the best control score at each of k points, and the index
+    of that control.
+
+    y, z1, z2, p0 hold one row per point and z00 one (n, n) block per point.
+    Drift, noise and cost are evaluated once over control-major rows: row
+    iu * k + i is control iu at point i.
+    """
+    k, n_u = y.shape[0], spec.control_set.shape[0]
+    u = np.repeat(spec.control_set, k, axis=0)
+    ys = np.tile(y, (n_u, 1))
+    b = np.asarray(spec.drift(ys, np.tile(z1, (n_u, 1)), u)).reshape(n_u, k, spec.n)
+    sig = np.asarray(spec.noise(ys, np.tile(z2, (n_u, 1)), u)).reshape(n_u, k, spec.n, -1)
+    l = np.asarray(spec.cost(ys, u)).reshape(n_u, k)
+    trace = np.einsum("uknq,ukmq,knm->uk", sig, sig, z00)
+    scores = -np.einsum("ukn,kn->uk", b, p0) - 0.5 * trace - l
+    best = np.argmax(scores, axis=0)
+    return -np.einsum("kn,kn->k", y, p0) + scores[best, np.arange(k)], best
 
 
 # ---------------------------------------------------------------------------
@@ -214,46 +209,71 @@ class ClampStats:
         return self.clamped / self.lookups if self.lookups else 0.0
 
 
+def _brackets(axes: tuple[np.ndarray, ...], pts: np.ndarray,
+              stats: ClampStats | None = None) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Bracket of every point on every axis with more than one node.
+
+    Returns (axis, lower node index, coordinate clipped to the axis) per such
+    axis. Single-node axes are skipped and take no part in clamp accounting;
+    a point counts as clamped when it leaves any other axis.
+    """
+    out, clamped = [], np.zeros(pts.shape[0], dtype=bool)
+    for a, ax in enumerate(axes):
+        if len(ax) == 1:
+            continue
+        x = pts[:, a]
+        if stats is not None:
+            clamped |= (x < ax[0]) | (x > ax[-1])
+        xc = np.clip(x, ax[0], ax[-1])
+        i0 = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, len(ax) - 2)
+        out.append((a, i0, xc))
+    if stats is not None:
+        stats.lookups += pts.shape[0]
+        stats.clamped += int(np.sum(clamped))
+    return out
+
+
 def _interp_plan(axes: tuple[np.ndarray, ...], pts: np.ndarray,
                  stats: ClampStats | None = None):
     """Multilinear interpolation plan: corner flat indices and weights.
 
-    Axes with a single node are collapsed: they contribute index 0 and do
-    not take part in clamp accounting.
+    Axes with a single node are collapsed: they contribute index 0.
     """
-    n_pts, dim = pts.shape
-    shape = tuple(len(ax) for ax in axes)
-    strides = np.ones(dim, dtype=np.int64)
-    for a in range(dim - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
-    active = [a for a in range(dim) if shape[a] > 1]
-    base = np.zeros(n_pts, dtype=np.int64)
-    lowers, thetas = [], []
-    clamped = np.zeros(n_pts, dtype=bool)
-    for a in active:
-        ax = axes[a]
-        x = pts[:, a]
-        clamped |= (x < ax[0]) | (x > ax[-1])
-        xc = np.clip(x, ax[0], ax[-1])
-        i0 = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, len(ax) - 2)
-        th = (xc - ax[i0]) / (ax[i0 + 1] - ax[i0])
-        lowers.append(i0)
-        thetas.append(th)
-    if stats is not None:
-        stats.lookups += n_pts
-        stats.clamped += int(np.sum(clamped))
-    n_corners = 2 ** len(active)
+    n_pts = pts.shape[0]
+    strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]], dtype=np.int64)[::-1]
+    brackets = [(a, i0, (xc - axes[a][i0]) / (axes[a][i0 + 1] - axes[a][i0]))
+                for a, i0, xc in _brackets(axes, pts, stats)]
+    n_corners = 2 ** len(brackets)
     idx = np.empty((n_pts, n_corners), dtype=np.int64)
     wts = np.empty((n_pts, n_corners))
-    for c, bits in enumerate(itertools.product((0, 1), repeat=len(active))):
-        flat = base.copy()
+    for c, bits in enumerate(itertools.product((0, 1), repeat=len(brackets))):
+        flat = np.zeros(n_pts, dtype=np.int64)
         weight = np.ones(n_pts)
-        for (a, bit, i0, th) in zip(active, bits, lowers, thetas):
+        for (a, i0, th), bit in zip(brackets, bits):
             flat += (i0 + bit) * strides[a]
             weight *= th if bit else (1.0 - th)
         idx[:, c] = flat
         wts[:, c] = weight
     return idx, wts
+
+
+def _tensor_nodes(axes) -> np.ndarray:
+    """Nodes of the tensor grid over axes, one per row, the last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _grid_axes(axes, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, ...]:
+    """Float axes of a field of the given shape: one axis per dimension with
+    that many nodes, each finite and strictly increasing."""
+    axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
+    grid = tuple(len(ax) for ax in axes)
+    if shape != grid:
+        raise ValidationError(f"{what} shape {shape} != grid {grid}")
+    for ax in axes:
+        if not (np.all(np.isfinite(ax)) and np.all(np.diff(ax) > 0)):
+            raise ValidationError("axes must be finite and strictly increasing")
+    return axes
 
 
 @dataclass(eq=False)
@@ -264,21 +284,14 @@ class ValueField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.axes = tuple(np.asarray(ax, dtype=float) for ax in self.axes)
-        shape = tuple(len(ax) for ax in self.axes)
-        if self.values.shape != shape:
-            raise ValidationError(f"value shape {self.values.shape} != grid {shape}")
-        for ax in self.axes:
-            if len(ax) > 1 and np.any(np.diff(ax) <= 0):
-                raise ValidationError("axes must be strictly increasing")
+        self.axes = _grid_axes(self.axes, self.values.shape, "value")
 
     @property
     def dim(self) -> int:
         return len(self.axes)
 
     def nodes(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _tensor_nodes(self.axes)
 
     def interp(self, pts: np.ndarray, stats: ClampStats | None = None) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -291,42 +304,29 @@ class ValueField:
 
 @dataclass(eq=False)
 class PolicyField:
-    """Control index per grid node, with nearest-node lookup."""
+    """Control index per grid node, with nearest-node lookup (ties to the
+    lower node, points outside the grid clamped to it)."""
 
     axes: tuple[np.ndarray, ...]
     indices: np.ndarray
     control_set: np.ndarray
 
     def __post_init__(self):
-        shape = tuple(len(ax) for ax in self.axes)
-        if self.indices.shape != shape:
-            raise ValidationError(f"policy shape {self.indices.shape} != grid {shape}")
+        self.axes = _grid_axes(self.axes, self.indices.shape, "policy")
         if self.indices.size and (self.indices.min() < 0
                                   or self.indices.max() >= self.control_set.shape[0]):
             raise ValidationError("policy indices outside the control set")
 
-    def index_at(self, pts: np.ndarray, stats: ClampStats | None = None) -> np.ndarray:
+    def index_at(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n_pts = pts.shape[0]
-        node_idx = []
-        clamped = np.zeros(n_pts, dtype=bool)
-        for a, ax in enumerate(self.axes):
-            if len(ax) == 1:
-                node_idx.append(np.zeros(n_pts, dtype=np.int64))
-                continue
-            x = pts[:, a]
-            clamped |= (x < ax[0]) | (x > ax[-1])
-            xc = np.clip(x, ax[0], ax[-1])
-            i0 = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, len(ax) - 2)
-            pick = i0 + (xc - ax[i0] > ax[i0 + 1] - xc)
-            node_idx.append(pick.astype(np.int64))
-        if stats is not None:
-            stats.lookups += n_pts
-            stats.clamped += int(np.sum(clamped))
-        return self.indices[tuple(node_idx)]
+        node = [np.zeros(pts.shape[0], dtype=np.int64)] * len(self.axes)
+        for a, i0, xc in _brackets(self.axes, pts):
+            ax = self.axes[a]
+            node[a] = i0 + (xc - ax[i0] > ax[i0 + 1] - xc)
+        return self.indices[tuple(node)]
 
-    def control_at(self, pts: np.ndarray, stats: ClampStats | None = None) -> np.ndarray:
-        return self.control_set[self.index_at(pts, stats)]
+    def control_at(self, pts: np.ndarray) -> np.ndarray:
+        return self.control_set[self.index_at(pts)]
 
 
 def noise_rule(q: int, points: int = 5) -> tuple[np.ndarray, np.ndarray]:
@@ -334,16 +334,14 @@ def noise_rule(q: int, points: int = 5) -> tuple[np.ndarray, np.ndarray]:
 
     points = 2 gives the antithetic two-point rule; otherwise Gauss-Hermite.
     """
+    if points < 1:
+        raise ValidationError(f"the noise rule needs at least 1 point, got {points}")
     if points == 2:
         nodes1, w1 = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
     else:
         nodes1, w1 = hermegauss(points)
         w1 = w1 / w1.sum()
-    grids = np.meshgrid(*([nodes1] * q), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w1] * q), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=1)
-    return nodes, weights
+    return _tensor_nodes([nodes1] * q), np.prod(_tensor_nodes([w1] * q), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +371,15 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
     spec = chain.spec
     if spec.rho <= 0:
         raise ValidationError("value iteration needs a positive discount")
-    axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
+    if not tol >= 0:  # also refuses nan
+        raise ValidationError(f"tol must be nonnegative, got {tol}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    shape = tuple(len(ax) for ax in axes)
+    axes = _grid_axes(axes, shape, "value")  # bad axes are refused before the sweeps
     if len(axes) != chain.state_dim:
         raise ValidationError(f"need {chain.state_dim} axes, got {len(axes)}")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    pts = _tensor_nodes(axes)
     n_nodes = pts.shape[0]
     regs = chain.unflatten(pts)
     zeta, zw = noise_rule(spec.q, gh_points)
@@ -402,8 +404,6 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
 
     v = (v0.values.ravel().copy() if v0 is not None else np.zeros(n_nodes))
     history = []
-    shape = tuple(len(ax) for ax in axes)
-    best_u = np.zeros(n_nodes, dtype=np.int64)
     for it in range(1, max_iter + 1):
         totals = np.empty((n_u, n_nodes))
         for iu in range(n_u):
@@ -431,25 +431,22 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
 # closed-loop evaluation and the dynamic programming gap
 
 
-def feedback_from_policy(chain: LagChainSpec, policy: PolicyField, delta: float,
-                         stats: ClampStats | None = None) -> FeedbackControl:
+def feedback_from_policy(chain: LagChainSpec, policy: PolicyField,
+                         delta: float) -> FeedbackControl:
     """Feedback control reading the policy at the sampled register."""
     stride_i = _steps_of(chain.delta, delta, "the lag step")
     offsets = np.array([-1 - j * stride_i for j in range(chain.m_lag + 1)])
 
     def fn(k, t, window):
-        reg = window[:, offsets, :]
-        flat = chain.flatten(reg)
-        return policy.control_at(flat, stats)
+        return policy.control_at(chain.flatten(window[:, offsets, :]))
 
     return FeedbackControl(fn)
 
 
 def policy_mc_value(chain: LagChainSpec, policy: PolicyField, x: LiftedState,
-                    T: float, delta: float, n_paths: int, seed: int,
-                    clamp_stats: ClampStats | None = None) -> tuple[float, float]:
+                    T: float, delta: float, n_paths: int, seed: int) -> tuple[float, float]:
     """Monte Carlo value of the closed loop driven by a policy field."""
-    ctrl = feedback_from_policy(chain, policy, delta, clamp_stats)
+    ctrl = feedback_from_policy(chain, policy, delta)
     return mc_cost(chain.spec, x, ctrl, T, delta, n_paths, seed)
 
 
@@ -477,6 +474,8 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     """
     spec = chain.spec
     k_tau = _steps_of(tau, chain.delta, "tau")
+    if n_paths < 2:
+        raise ValidationError(f"the gap's standard error needs at least 2 paths, got {n_paths}")
     z0 = chain.flatten(register_from_state(chain, x))
     v_x = value.interp_one(z0)
     if k_tau == 0:
@@ -521,120 +520,71 @@ def hjb_residual(chain: LagChainSpec, value: ValueField, z) -> float:
     for a, ax in enumerate(axes):
         if len(ax) == 1:
             continue
-        h = float(np.min(np.diff(ax)))
         if z[a] < ax[1] - 1e-12 or z[a] > ax[-2] + 1e-12:
             raise DomainError(
                 f"point must keep a one-node margin on axis {a}: "
                 f"{z[a]} not in [{ax[1]}, {ax[-2]}]"
             )
-        steps[a] = h
+        steps[a] = np.min(np.diff(ax))
 
-    def v_at(p):
-        return value.interp_one(p)
-
-    grad = np.zeros(len(axes))
-    for a in range(len(axes)):
-        if steps[a] == 0.0:
-            continue
-        e = np.zeros(len(axes)); e[a] = steps[a]
-        grad[a] = (v_at(z + e) - v_at(z - e)) / (2 * steps[a])
-
+    v_at = value.interp_one
+    e = np.diag(steps)  # row a steps along axis a
+    grad = np.array([(v_at(z + e[a]) - v_at(z - e[a])) / (2 * h) if h else 0.0
+                     for a, h in enumerate(steps)])
     hess = np.zeros((n, n))
     for i in range(n):
         if steps[i] == 0.0:
             continue
-        ei = np.zeros(len(axes)); ei[i] = steps[i]
-        hess[i, i] = (v_at(z + ei) - 2 * v_at(z) + v_at(z - ei)) / steps[i] ** 2
+        hess[i, i] = (v_at(z + e[i]) - 2 * v_at(z) + v_at(z - e[i])) / steps[i] ** 2
         for j in range(i + 1, n):
             if steps[j] == 0.0:
                 continue
-            ej = np.zeros(len(axes)); ej[j] = steps[j]
             hess[i, j] = hess[j, i] = (
-                v_at(z + ei + ej) - v_at(z + ei - ej)
-                - v_at(z - ei + ej) + v_at(z - ei - ej)
+                v_at(z + e[i] + e[j]) - v_at(z + e[i] - e[j])
+                - v_at(z - e[i] + e[j]) + v_at(z - e[i] - e[j])
             ) / (4 * steps[i] * steps[j])
 
     reg = chain.unflatten(z)
-    transport = np.zeros(len(axes))
-    transport[:n] = -reg[0]
-    for j in range(1, chain.m_lag + 1):
-        transport[j * n : (j + 1) * n] = (reg[j - 1] - reg[j]) / chain.delta
-    ham, _ = _best_score(spec, reg[0], *chain.delay_integrals(reg), grad[:n], hess)
-    return float(spec.rho * v_at(z) - transport @ grad + ham)
+    transport = np.concatenate([-reg[0], ((reg[:-1] - reg[1:]) / chain.delta).ravel()])
+    ham, _ = _best_score(spec, reg[:1], *chain.delay_integrals(reg[None]), grad[None, :n],
+                         hess[None])
+    return float(spec.rho * v_at(z) - transport @ grad + ham[0])
 
 
 # ---------------------------------------------------------------------------
 # feedback extraction
 
 
-def _noise_depends_on_control(spec: ProblemSpec, seed: int = 0) -> bool:
-    rng = np.random.default_rng(seed)
-    y = rng.normal(size=(8, spec.n))
-    z = rng.normal(size=(8, spec.kernel_noise.h_dim))
-    vals = []
-    for u in spec.control_set:
-        uu = np.broadcast_to(u, (8, spec.p))
-        vals.append(np.asarray(spec.noise(y, z, uu)))
-    spread = float(np.max(np.abs(np.max(vals, axis=0) - np.min(vals, axis=0))))
-    scale = float(np.max(np.abs(vals))) or 1.0
-    return spread > 1e-12 * scale
-
-
-def _field_gradients(value: ValueField, head_dim: int):
-    """Head gradient and Hessian arrays by nodal differences along head axes."""
-    grads = []
-    for a in range(head_dim):
+def _field_gradients(value: ValueField, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Head gradient (nodes, n) and Hessian (nodes, n, n) by nodal differences
+    along the head axes; a single-node axis has zero derivatives."""
+    def diff(f, a):
         ax = value.axes[a]
-        if len(ax) == 1:
-            grads.append(np.zeros_like(value.values))
-        else:
-            grads.append(np.gradient(value.values, ax, axis=a))
-    hess = [[None] * head_dim for _ in range(head_dim)]
+        return np.gradient(f, ax, axis=a) if len(ax) > 1 else np.zeros_like(f)
+
+    grads = [diff(value.values, a) for a in range(head_dim)]
+    hess = np.empty(value.values.shape + (head_dim, head_dim))
     for i in range(head_dim):
         for j in range(i, head_dim):
-            ax = value.axes[j]
-            if len(value.axes[i]) == 1 or len(ax) == 1:
-                hij = np.zeros_like(value.values)
-            else:
-                hij = np.gradient(grads[i], ax, axis=j)
-            hess[i][j] = hij
-            hess[j][i] = hij
-    return grads, hess
+            hess[..., i, j] = hess[..., j, i] = diff(grads[i], j)
+    return (np.stack(grads, axis=-1).reshape(-1, head_dim),
+            hess.reshape(-1, head_dim, head_dim))
 
 
 def extract_feedback(chain: LagChainSpec, value: ValueField) -> PolicyField:
-    """Candidate feedback: per-node best control against the head gradient.
+    """Candidate feedback: per-node best control of the Hamiltonian.
 
-    When the noise does not depend on the control the score is the drift
-    term plus the running cost; otherwise the diffusion trace term joins in
-    with the head Hessian. Ties break to the lowest control index.
+    At every node the head gradient and Hessian come from nodal differences
+    of the field, and the control maximizes the Hamiltonian's score
+    -drift . p0 - Tr(noise noise^T z00)/2 - cost, ties to the lowest index.
+    When the noise ignores the control the trace term is the same for every
+    control and the choice rests on drift and cost.
     """
     spec = chain.spec
-    n = spec.n
-    grads, hess = _field_gradients(value, n)
-    pts = value.nodes()
-    regs = chain.unflatten(pts)
-    y = regs[..., 0, :]
-    z1, z2 = chain.delay_integrals(regs)
-    p0 = np.stack([g.ravel() for g in grads], axis=-1)
-    with_trace = _noise_depends_on_control(spec)
-    n_nodes = pts.shape[0]
-    scores = np.empty((spec.control_set.shape[0], n_nodes))
-    for iu, u in enumerate(spec.control_set):
-        uu = np.broadcast_to(u, (n_nodes, spec.p))
-        b = np.asarray(spec.drift(y, z1, uu))
-        score = np.einsum("kn,kn->k", b, p0) + np.asarray(spec.cost(y, uu))
-        if with_trace:
-            sig = np.asarray(spec.noise(y, z2, uu))
-            z00 = np.empty((n_nodes, n, n))
-            for i in range(n):
-                for j in range(n):
-                    z00[:, i, j] = hess[i][j].ravel()
-            score = score + 0.5 * np.einsum("knq,kmq,knm->k", sig, sig, z00)
-        scores[iu] = score
-    best = np.argmin(scores, axis=0)
-    shape = tuple(len(ax) for ax in value.axes)
-    return PolicyField(value.axes, best.reshape(shape), spec.control_set)
+    p0, z00 = _field_gradients(value, spec.n)
+    regs = chain.unflatten(value.nodes())
+    _, best = _best_score(spec, regs[:, 0, :], *chain.delay_integrals(regs), p0, z00)
+    return PolicyField(value.axes, best.reshape(value.values.shape), spec.control_set)
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +618,10 @@ def regularity_probe(spec: ProblemSpec | None, estimator, box,
     of asserting when the signal is dominated by noise, when the gradient
     jumps, or when no ellipticity floor is declared.
     """
+    if samples < 2:
+        raise ValidationError(f"the lattice needs at least 2 samples per axis, got {samples}")
     box = [(float(lo), float(hi)) for lo, hi in box]
-    dim = len(box)
-    axes = [np.linspace(lo, hi, samples) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    pts = _tensor_nodes([np.linspace(lo, hi, samples) for lo, hi in box])
     vals = np.asarray(estimator(pts), dtype=float)
 
     flags: list[str] = []
@@ -691,12 +640,9 @@ def regularity_probe(spec: ProblemSpec | None, estimator, box,
     h = gradient_spacing if gradient_spacing is not None else span / (2 * (samples - 1))
     if noise > 0:
         h = max(h, math.sqrt(noise))
-    g_axes = [np.linspace(lo + h, hi - h, max(3, samples - 2)) for lo, hi in box]
-    g_mesh = np.meshgrid(*g_axes, indexing="ij")
-    g_pts = np.stack([g.ravel() for g in g_mesh], axis=-1)
+    g_pts = _tensor_nodes([np.linspace(lo + h, hi - h, max(3, samples - 2)) for lo, hi in box])
     grads = np.empty_like(g_pts)
-    for a in range(dim):
-        e = np.zeros(dim); e[a] = h
+    for a, e in enumerate(h * np.eye(len(box))):
         grads[:, a] = (np.asarray(estimator(g_pts + e)) -
                        np.asarray(estimator(g_pts - e))) / (2 * h)
 
@@ -767,12 +713,13 @@ def envelope_is_monotone(table: ContinuityTable, abs_tol: float = 0.0,
     Buckets the sorted rows by distance. Monotone means bucket means do not
     decrease beyond their pooled error bars; vanishing means the smallest
     bucket sits within its error bars plus rel_tol of the table's largest
-    bucket mean.
+    bucket mean. Fewer than 2 rows are refused: one bucket is monotone
+    vacuously.
     """
     t = table.sorted()
     n = len(t.distances)
-    if n == 0:
-        return True, True
+    if n < 2:
+        raise ValidationError(f"an envelope needs at least 2 rows, got {n}")
     edges = np.linspace(0, n, min(buckets, n) + 1).astype(int)
     means, errs = [], []
     for b in range(len(edges) - 1):
@@ -788,6 +735,8 @@ def envelope_is_monotone(table: ContinuityTable, abs_tol: float = 0.0,
 def paired_cost_estimator(spec: ProblemSpec, ctrl, T: float, delta: float,
                           n_paths: int, seed: int):
     """Difference estimator with common random numbers across the pair."""
+    if n_paths < 2:
+        raise ValidationError(f"a paired estimate needs at least 2 paths, got {n_paths}")
     dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, _steps_of(T, delta, "T"))
 
     def estimate(x: LiftedState, y: LiftedState) -> tuple[float, float]:

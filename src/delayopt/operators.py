@@ -137,17 +137,11 @@ def inverse_generator_matrix(grid: SegmentGrid, n: int) -> np.ndarray:
         C[j, j] = h / 2.0
         C[j, m] = h / 2.0
         C[j, j + 1 : m] = h
-    N = n * (m + 2)
-    M = np.zeros((N, N))
-    eye = np.eye(n)
-    M[:n, :n] = -eye
-    rows = n * (1 + np.arange(m + 1))
-    for j, r in enumerate(rows):
-        M[r : r + n, :n] = -eye
-        for k, c in enumerate(rows):
-            if C[j, k] != 0.0:
-                M[r : r + n, c : c + n] = -C[j, k] * eye
-    return M
+    # one scalar block per component; 0.0 - C keeps the zeros positive
+    S = np.zeros((m + 2, m + 2))
+    S[:, 0] = -1.0
+    S[1:, 1:] = 0.0 - C
+    return np.kron(S, np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,6 @@ from .core import (
     Segment,
     SegmentGrid,
     ValidationError,
-    interp_columns,
     resample_segment,
     weighted_kernels,
 )
@@ -139,9 +138,6 @@ class SddePath:
     @property
     def step_states(self) -> np.ndarray:
         return self.states[self.n_history:]
-
-    def value_at(self, t: float) -> np.ndarray:
-        return interp_columns(t, self.times, self.states)
 
 
 def _steps_of(span: float, delta: float, what: str) -> int:

@@ -131,13 +131,23 @@ def policy_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_policies(policy_file):
-    """The advertising policy with one index dropped, and with two-component controls."""
+    """The advertising policy with one index dropped, with two-component controls,
+    with decreasing axes, and with a NaN node on every axis."""
     doc = json.loads(policy_file.read_text())
-    short = policy_file.with_name("short.json")
-    short.write_text(json.dumps({**doc, "indices": doc["indices"][:-1]}))
-    wide = policy_file.with_name("wide.json")
-    wide.write_text(json.dumps({**doc, "control_set": [[c[0], c[0]] for c in doc["control_set"]]}))
-    return {"short": short, "wide": wide}
+    variants = {
+        "short": {"indices": doc["indices"][:-1]},
+        "wide": {"control_set": [[c[0], c[0]] for c in doc["control_set"]]},
+        "reversed": {"axes": [ax[::-1] for ax in doc["axes"]]},
+        "nan_axis": {"axes": [[float("nan")] + ax[1:] for ax in doc["axes"]]},
+    }
+    paths = {}
+    for name, change in variants.items():
+        paths[name] = policy_file.with_name(f"{name}.json")
+        paths[name].write_text(json.dumps({**doc, **change}))
+    return paths
+
+
+SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -161,10 +171,30 @@ def bad_policies(policy_file):
     ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "policy:{short}"],
     ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "policy:{wide}"],
     ["solve", "--spec", SPEC, "--grid", "y:-1:2:0"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "policy:{reversed}"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "policy:{nan_axis}"],
+    ["operators", "--spec", str(SPECS / "affine.json"), "--samples", "0"],
+    ["solve", "--spec", SPEC, "--grid", "y:nan:2.5:9,y_lag1:-1:2.5:5", "--max-iter", "50"],
+    ["solve", "--spec", SPEC, *SMALL, "--gh", "0"],
+    ["solve", "--spec", SPEC, *SMALL, "--max-iter", "0"],
+    ["solve", "--spec", SPEC, *SMALL, "--tol", "-1", "--max-iter", "50"],
+    ["solve", "--spec", SPEC, *SMALL, "--tol", "nan", "--max-iter", "50"],
+    ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
+     "--grid", "z:log:0.005:100:41", "--tol", "1e-5", "--box", "z:0.5:2", "--samples", "1"],
+    ["residual", "--spec", SPEC, *SMALL, "--samples", "0"],
+    ["probe-bcontinuity", "--spec", SPEC, "--pairs", "0"],
+    ["probe-bcontinuity", "--spec", SPEC, "--pairs", "1"],
+    ["probe-bcontinuity", "--spec", SPEC, "--paths", "1", "--pairs", "3"],
+    ["dpp", "--spec", SPEC, *SMALL, "--paths", "1"],
+    ["dpp", "--spec", SPEC, *SMALL, "--paths", "0"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
-        "policy-short-indices", "policy-control-width", "grid-zero-nodes"])
+        "policy-short-indices", "policy-control-width", "grid-zero-nodes",
+        "policy-reversed-axes", "policy-nan-axis", "operators-samples-zero", "grid-nan", "gh-zero",
+        "max-iter-zero", "tol-negative", "tol-nan", "regularity-samples-one",
+        "residual-samples-zero", "bcontinuity-pairs-zero", "bcontinuity-pairs-one", "bcontinuity-paths-one",
+        "dpp-paths-one", "dpp-paths-zero"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, tmp_path, capsys):
     argv = ([a.format(policy_file, **bad_policies) for a in argv]
             + ["--out", str(tmp_path / "o")])

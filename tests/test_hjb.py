@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayopt import models
 from delayopt.core import DomainError, LiftedState, Segment, ValidationError, kernel_convolve
@@ -276,6 +278,45 @@ def test_policy_field_nearest_node():
     np.testing.assert_array_equal(picks, [0, 1, 2])
 
 
+@st.composite
+def grids_and_points(draw):
+    """Strictly increasing axes of 1-5 nodes and points on, between, around them."""
+    axes = tuple(np.cumsum(draw(st.lists(st.floats(0.01, 2.0), min_size=k, max_size=k))) - 1.0
+                 for k in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+
+    def coordinate(ax):
+        marks = list(ax) + list((ax[:-1] + ax[1:]) / 2)  # nodes and midpoints
+        return st.one_of(st.floats(ax[0] - 1.0, ax[-1] + 1.0), st.sampled_from(marks))
+
+    pts = draw(st.lists(st.tuples(*map(coordinate, axes)), min_size=1, max_size=8))
+    return axes, np.array(pts, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_points())
+def test_policy_lookup_is_brute_force_nearest_node(case):
+    # nearest node per axis, ties to the lower node, outside points clamped;
+    # the multilinear interpolant is exact at the nodes
+    axes, pts = case
+    shape = tuple(len(ax) for ax in axes)
+    size = math.prod(shape)
+    pol = PolicyField(axes, np.arange(size).reshape(shape), np.zeros((size, 1)))
+    nearest = [np.argmin(np.abs(ax[None, :] - np.clip(pts[:, [a]], ax[0], ax[-1])), axis=1)
+               for a, ax in enumerate(axes)]
+    np.testing.assert_array_equal(pol.index_at(pts), np.ravel_multi_index(nearest, shape))
+    field = ValueField(axes, np.sin(np.arange(size, dtype=float)).reshape(shape))
+    np.testing.assert_array_equal(field.interp(field.nodes()), field.values.ravel())
+
+
+@pytest.mark.parametrize("axis", [np.array([1.0, 0.5, 0.0]), np.array([0.0, np.nan, 1.0]),
+                                  np.array([np.nan])], ids=["decreasing", "nan", "nan-single"])
+def test_fields_refuse_unordered_or_nan_axes(axis):
+    with pytest.raises(ValidationError):
+        ValueField((axis,), np.zeros(len(axis)))
+    with pytest.raises(ValidationError):
+        PolicyField((axis,), np.zeros(len(axis), dtype=np.int64), np.zeros((1, 1)))
+
+
 def test_noise_rule_moments():
     nodes, w = noise_rule(1, 5)
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
@@ -390,6 +431,14 @@ def test_value_iteration_nonconvergence_raises():
     from delayopt.core import NumericalError
     with pytest.raises(NumericalError, match="residual"):
         value_iteration(chain, axes, tol=1e-12, max_iter=5)
+
+
+def test_value_iteration_infinite_tol_is_one_sweep():
+    # a single reference Bellman sweep; negative and nan tols are refused
+    # (see test_cli.py::test_malformed_input_exits_one)
+    chain = constant_cost_chain()
+    axes = (np.linspace(-1, 1, 3), np.array([0.0]))
+    assert value_iteration(chain, axes, tol=math.inf, max_iter=1).iterations == 1
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +557,44 @@ def test_extract_feedback_uses_diffusion_when_control_dependent(
     x = models.initial_state(chain.spec)
     z0 = chain.flatten(register_from_state(chain, x))
     assert float(pol.control_at(z0[None, :])[0][0]) == pytest.approx(1.0)
+
+
+def _drift_cost_argmin(chain, value):
+    """Feedback by the argmin of drift . p0 + cost alone, the extraction's
+    score when the noise ignores the control."""
+    spec = chain.spec
+    p0 = np.stack([np.gradient(value.values, ax, axis=a).ravel() if len(ax) > 1
+                   else np.zeros(value.values.size)
+                   for a, ax in enumerate(value.axes[:spec.n])], axis=-1)
+    regs = chain.unflatten(value.nodes())
+    y = regs[..., 0, :]
+    z1, _ = chain.delay_integrals(regs)
+    scores = []
+    for u in spec.control_set:
+        uu = np.broadcast_to(u, (y.shape[0], spec.p))
+        scores.append(np.einsum("kn,kn->k", np.asarray(spec.drift(y, z1, uu)), p0)
+                      + np.asarray(spec.cost(y, uu)))
+    return np.argmin(scores, axis=0)
+
+
+def test_extract_feedback_matches_drift_cost_argmin_for_control_free_noise(
+        advertising_solution):
+    affine = models.load_spec_file(SPECS / "affine.json")
+    affine_chain = reduce_to_lag_chain(affine, 1)
+    axes = (np.linspace(-1.0, 2.5, 17), np.linspace(-1.0, 2.5, 7))
+    cases = [advertising_solution,
+             (affine_chain, value_iteration(affine_chain, axes, tol=1e-8, max_iter=20000))]
+    rng = np.random.default_rng(11)
+    for chain, res in cases:
+        spec = chain.spec
+        y = rng.normal(size=(4, spec.n))
+        z = rng.normal(size=(4, spec.kernel_noise.h_dim))
+        sigs = [spec.noise(y, z, np.broadcast_to(u, (4, spec.p))) for u in spec.control_set]
+        assert all(np.array_equal(s, sigs[0]) for s in sigs)  # the noise ignores u
+        noisy = ValueField(res.value.axes, rng.normal(size=res.value.values.shape))
+        for field in (res.value, noisy):
+            pol = extract_feedback(chain, field)
+            np.testing.assert_array_equal(pol.indices.ravel(), _drift_cost_argmin(chain, field))
 
 
 def test_scaled_cost_scales_value_not_policy():
