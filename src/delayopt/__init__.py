@@ -5,7 +5,7 @@ Modules:
     operators  shift semigroup, dissipative generator, weak norm, Gram spectrum
     sdde       Euler-Maruyama simulation of the delay equation, costs
     lift       mild simulation in the lifted space, agreement reports
-    hjb        lag-chain reduction, value iteration, probes, feedback
+    hjb        lag-chain reduction, modified policy iteration, probes, feedback
     models     portfolio and advertising constructors, affine test family
     cli        command line entry point
 """

@@ -99,10 +99,10 @@ def _control(spec: ProblemSpec, text: str | None = None, dt: float | None = None
 
 
 def _count(run: Run, name: str) -> int:
-    """The value of the count flag --name, refused below 1."""
+    """The value of the count flag with destination name, refused below 1."""
     value = getattr(run.args, name)
     if value < 1:
-        raise ValidationError(f"--{name} must be at least 1, got {value}")
+        raise ValidationError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
     return value
 
 
@@ -146,7 +146,7 @@ def _parse_box(text: str, names: list[str]) -> list[tuple[float, float]]:
 
 
 def _solve(run: Run):
-    """Lag chain, value iteration result and flat start register of a solve."""
+    """Lag chain, solver result and flat start register of a solve."""
     a = run.args
     chain = hjb.reduce_to_lag_chain(run.spec, a.mlag)
     z0 = chain.flatten(hjb.register_from_state(chain, run.x))
@@ -311,12 +311,17 @@ def cmd_solve(run: Run):
                                 "m_lag": run.args.mlag}, sort_keys=True) + "\n",
                     encoding="utf-8")
     run.artifacts.append(str(path))
+    run.csv("convergence.csv", ["sweep", "residual", "bound"],
+            [[i, r, hjb.bellman_bound(chain.step_discount, r)]
+             for i, r in enumerate(result.residual_history.tolist(), start=1)])
     run.extra.update(iterations=result.iterations, residual=result.residual,
+                     value_error_bound=result.value_error_bound,
+                     evaluation_sweeps=result.evaluation_sweeps,
                      clamp_rate=result.clamp_rate, growth_fit=growth)
     warn = " clamp_warning" if result.clamp_warning else ""
     return [f"solve: V(x0)={result.value.interp_one(z0):.6g} iters={result.iterations} "
-            f"residual={result.residual:.3g} clamp_rate={result.clamp_rate:.2%} "
-            f"growth_fit={growth:.4g}{warn}"], 0
+            f"residual={result.residual:.3g} bound={result.value_error_bound:.3g} "
+            f"clamp_rate={result.clamp_rate:.2%} growth_fit={growth:.4g}{warn}"], 0
 
 
 def cmd_residual(run: Run):
@@ -336,8 +341,9 @@ def cmd_residual(run: Run):
 
 
 def cmd_dpp(run: Run):
+    tau_steps = _count(run, "tau_steps")
     chain, result, _ = _solve(run)
-    report, grid_tol, ok = _write_dpp(run, chain, result, run.args.tau_steps * chain.delta)
+    report, grid_tol, ok = _write_dpp(run, chain, result, tau_steps * chain.delta)
     return [f"dpp: gap={report.gap:.6g} stderr={report.stderr:.3g} "
             f"tol={2 * report.stderr + grid_tol:.3g} pass={ok}"], 0 if ok else 2
 

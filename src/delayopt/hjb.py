@@ -3,8 +3,11 @@
 The delay problem is reduced to a finite-dimensional Markov chain by keeping
 a shift register of past node values with lag step Delta = d / m_lag. The
 register head is advanced by Euler with the kernel quadrature evaluated on
-the register, then the register shifts. Discounted value iteration on a
-tensor grid solves the reduced problem; the dynamic-programming gap, the
+the register, then the register shifts. Modified policy iteration on a
+tensor grid (full Bellman sweeps that fix the greedy policy, each followed
+by cheaper fixed-policy sweeps) solves the reduced problem and stops once
+the a-posteriori bound g / (1 - g) * |Tv - v|_inf on the value error, with
+the step discount g, is within tol. The dynamic-programming gap, the
 reduced equation residual, the growth and continuity probes, and candidate
 feedback extraction all operate on that fixed point.
 """
@@ -347,22 +350,46 @@ def noise_rule(q: int, points: int = 5) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # value iteration
 
+# Fixed-policy sweeps after each improvement sweep of value_iteration. One
+# costs about 1/n_controls of a Bellman sweep; at step discounts near 0.98 a
+# round of 100 shrinks the residual about 7-fold.
+EVAL_SWEEPS = 100
+
 
 @dataclass(eq=False)
 class ValueIterationResult:
     value: ValueField
     policy: PolicyField
-    iterations: int
-    residual: float
+    iterations: int             # improvement (full Bellman) sweeps
+    residual: float             # |Tv - v|_inf of the last improvement sweep
     clamp_rate: float
     clamp_warning: bool
-    residual_history: np.ndarray
+    residual_history: np.ndarray  # residual of every improvement sweep
+    value_error_bound: float    # g / (1 - g) * residual >= |value - fixed point|_inf
+    evaluation_sweeps: int      # fixed-policy sweeps, in total
+
+
+def bellman_bound(step_discount: float, residual: float) -> float:
+    """A-posteriori value error of Tv for a sweep residual |Tv - v|_inf:
+    g / (1 - g) * residual with the step discount g (inf when g rounds to 1)."""
+    if not residual:
+        return 0.0
+    return step_discount / (1.0 - step_discount) * residual if step_discount < 1.0 else math.inf
 
 
 def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
                     max_iter: int = 5000, gh_points: int = 5,
                     v0: ValueField | None = None) -> ValueIterationResult:
-    """Discounted fixed point of the reduced Bellman operator.
+    """Discounted fixed point of the reduced Bellman operator T, by modified
+    policy iteration (Puterman, Markov Decision Processes, section 6.5).
+
+    Each round is one improvement sweep v <- Tv over every control, which
+    also fixes the greedy policy pi, then EVAL_SWEEPS fixed-policy sweeps
+    v <- c_pi + g P_pi v with the step discount g. The loop stops right after
+    an improvement sweep once g / (1 - g) * |Tv - v|_inf <= tol: that bound on
+    the distance from the returned Tv to the fixed point is value_error_bound,
+    so tol bounds the value error, not just the last change. tol = inf returns
+    exactly one Bellman sweep from v0; max_iter caps the improvement sweeps.
 
     The noise expectation uses a fixed Gauss-Hermite rule, transitions are
     precomputed as interpolation plans, and out-of-box transitions clamp to
@@ -403,6 +430,7 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
                       np.concatenate(wts_list, axis=1)))
 
     v = (v0.values.ravel().copy() if v0 is not None else np.zeros(n_nodes))
+    rows = np.arange(n_nodes)
     history = []
     for it in range(1, max_iter + 1):
         totals = np.empty((n_u, n_nodes))
@@ -410,20 +438,32 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
             idx, wts = plans[iu]
             totals[iu] = stage[iu] + disc * np.sum(v[idx] * wts, axis=1)
         best_u = np.argmin(totals, axis=0)
-        v_new = totals[best_u, np.arange(n_nodes)]
+        v_new = totals[best_u, rows]
         residual = float(np.max(np.abs(v_new - v)))
         history.append(residual)
         v = v_new
-        if residual <= tol:
+        bound = bellman_bound(disc, residual)
+        if bound <= tol:
             return ValueIterationResult(
                 value=ValueField(axes, v.reshape(shape)),
                 policy=PolicyField(axes, best_u.reshape(shape), spec.control_set),
                 iterations=it, residual=residual, clamp_rate=stats.rate,
                 clamp_warning=stats.rate > 0.20,
-                residual_history=np.asarray(history))
+                residual_history=np.asarray(history), value_error_bound=bound,
+                evaluation_sweeps=(it - 1) * EVAL_SWEEPS)
+        # partial evaluation of the greedy policy on its rows of the plans
+        idx_pi = np.empty_like(plans[0][0])
+        wts_pi = np.empty_like(plans[0][1])
+        for iu in range(n_u):
+            on = best_u == iu
+            idx_pi[on] = plans[iu][0][on]
+            wts_pi[on] = plans[iu][1][on]
+        cost_pi = stage[best_u, rows]
+        for _ in range(EVAL_SWEEPS):
+            v = cost_pi + disc * np.sum(v[idx_pi] * wts_pi, axis=1)
     raise NumericalError(
-        f"value iteration did not reach tol {tol:g} in {max_iter} sweeps "
-        f"(residual {history[-1]:g})"
+        f"value iteration did not bound the value error by tol {tol:g} in {max_iter} "
+        f"improvement sweeps (residual {history[-1]:g}, bound {bound:g})"
     )
 
 

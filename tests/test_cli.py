@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +190,7 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["probe-bcontinuity", "--spec", SPEC, "--paths", "1", "--pairs", "3"],
     ["dpp", "--spec", SPEC, *SMALL, "--paths", "1"],
     ["dpp", "--spec", SPEC, *SMALL, "--paths", "0"],
+    ["dpp", "--spec", SPEC, *SMALL, "--tau-steps", "0"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -194,13 +198,60 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "policy-reversed-axes", "policy-nan-axis", "operators-samples-zero", "grid-nan", "gh-zero",
         "max-iter-zero", "tol-negative", "tol-nan", "regularity-samples-one",
         "residual-samples-zero", "bcontinuity-pairs-zero", "bcontinuity-pairs-one", "bcontinuity-paths-one",
-        "dpp-paths-one", "dpp-paths-zero"])
+        "dpp-paths-one", "dpp-paths-zero", "dpp-tau-zero"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, tmp_path, capsys):
     argv = ([a.format(policy_file, **bad_policies) for a in argv]
             + ["--out", str(tmp_path / "o")])
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert json.loads(err.splitlines()[-1])["error"] == "validation"
+
+
+def test_count_flag_refusal_names_the_flag_as_typed(tmp_path, capsys):
+    assert run(["dpp", "--spec", SPEC, *SMALL, "--tau-steps", "0",
+                "--out", str(tmp_path / "o")]) == 1
+    message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+    assert message.startswith("--tau-steps must be at least 1")
+
+
+def test_solve_reports_value_error_bound(tmp_path, capsys):
+    # stdout, manifest and convergence.csv carry the a-posteriori bound of
+    # every improvement sweep; the last one is within --tol
+    from delayopt import hjb, models
+
+    spec = str(SPECS / "merton_nodelay.json")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["solve", "--spec", spec, "--grid", "z:log:0.005:100:281", "--tol", "1e-7",
+                    "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    resolved = json.loads((outs[0] / "run_manifest.json").read_text())["resolved"]
+    assert f"bound={resolved['value_error_bound']:.3g} " in line
+    assert resolved["evaluation_sweeps"] == (resolved["iterations"] - 1) * hjb.EVAL_SWEEPS
+    text = (outs[0] / "convergence.csv").read_text()
+    assert text == (outs[1] / "convergence.csv").read_text()
+    rows = np.loadtxt(outs[0] / "convergence.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert text.splitlines()[0] == "sweep,residual,bound"
+    np.testing.assert_array_equal(rows[:, 0], np.arange(1, resolved["iterations"] + 1))
+    gamma = hjb.reduce_to_lag_chain(models.load_spec_file(spec), 1).step_discount
+    np.testing.assert_allclose(rows[:, 2], gamma / (1 - gamma) * rows[:, 1], rtol=1e-12)
+    assert rows[-1, 1:].tolist() == [resolved["residual"], resolved["value_error_bound"]]
+    assert 0 < resolved["value_error_bound"] <= 1e-7 < rows[-2, 2]
+
+
+def test_import_and_solve_load_no_scipy(tmp_path):
+    # scipy is not a dependency; importing it would add to the start-up time
+    # and the peak memory of every run
+    code = ("import sys\n"
+            "from delayopt.cli import main\n"
+            f"assert main(['solve', '--spec', {SPEC!r}, *{SMALL!r}, "
+            f"'--out', {str(tmp_path / 's')!r}]) == 0\n"
+            "print('scipy' in sys.modules)\n")
+    src = str(Path(delayopt.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_solve_grid_validation(tmp_path):

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from delayopt import models
 from delayopt.core import DomainError, LiftedState, Segment, ValidationError, kernel_convolve
 from delayopt.hjb import (
+    EVAL_SWEEPS,
     ClampStats,
     PolicyField,
     ValueField,
+    _interp_plan,
+    _tensor_nodes,
     b_continuity_probe,
+    bellman_bound,
     discount_floor,
     dpp_gap,
     envelope_is_monotone,
@@ -423,6 +427,77 @@ def test_value_iteration_two_noise_sources():
     x = models.initial_state(spec)
     rep = dpp_gap(chain, res.value, x, tau=2 * chain.delta, n_paths=2000, seed=2)
     assert rep.ok(0.03 * (1 + abs(rep.value_at_x)))
+
+
+def _reference_plans(chain, axes, gh_points=5):
+    """Stage costs and interpolation plans of every control, built like
+    value_iteration's: one plan block per Gauss-Hermite node, in node order."""
+    spec, pts = chain.spec, _tensor_nodes(axes)
+    regs, (zeta, zw) = chain.unflatten(pts), noise_rule(spec.q, gh_points)
+    stage, plans = [], []
+    for u in spec.control_set:
+        uu = np.broadcast_to(u, (pts.shape[0], spec.p))
+        stage.append(chain.running_cost(regs, uu))
+        blocks = [_interp_plan(axes, chain.flatten(chain.step(
+            regs, uu, np.broadcast_to(z, (pts.shape[0], spec.q))))) for z in zeta]
+        plans.append((np.concatenate([i for i, _ in blocks], axis=1),
+                      np.concatenate([w * g for (_, w), g in zip(blocks, zw)], axis=1)))
+    return stage, plans
+
+
+def _reference_sweep(chain, stage, plans, v):
+    """One plain Bellman sweep: (Tv, greedy control index per node)."""
+    totals = np.stack([c + chain.step_discount * np.sum(v[i] * w, axis=1)
+                       for c, (i, w) in zip(stage, plans)])
+    best = np.argmin(totals, axis=0)
+    return totals[best, np.arange(v.size)], best
+
+
+def _reference_value_iteration(chain, axes, tol):
+    """Plain value iteration from zero until |Tv - v| <= tol: (Tv, policy, residual)."""
+    stage, plans = _reference_plans(chain, axes)
+    v = np.zeros(len(stage[0]))
+    while True:
+        v_new, best = _reference_sweep(chain, stage, plans, v)
+        residual, v = float(np.max(np.abs(v_new - v))), v_new
+        if residual <= tol:
+            return v, best, residual
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(advertising_solution, merton_nodelay_solution):
+    """(chain, value_iteration result) on the advertising fixture, specs/affine.json
+    and the 281-node merton_nodelay grid."""
+    affine_chain = reduce_to_lag_chain(models.load_spec_file(SPECS / "affine.json"), 1)
+    affine_axes = (np.linspace(-1.0, 2.5, 17), np.linspace(-1.0, 2.5, 7))
+    return [advertising_solution,
+            (affine_chain, value_iteration(affine_chain, affine_axes, tol=1e-8, max_iter=20000)),
+            merton_nodelay_solution]
+
+
+def test_value_iteration_agrees_with_plain_value_iteration(oracle_cases):
+    # the reference stops on the sweep residual; both values lie within their
+    # own a-posteriori bound of the fixed point, so within the sum of each other
+    for chain, res in oracle_cases:
+        v_ref, policy_ref, residual_ref = _reference_value_iteration(
+            chain, res.value.axes, tol=1e-8)
+        np.testing.assert_array_equal(res.policy.indices.ravel(), policy_ref)
+        gap = np.max(np.abs(res.value.values.ravel() - v_ref))
+        assert gap <= res.value_error_bound + bellman_bound(chain.step_discount, residual_ref)
+        assert res.value_error_bound == bellman_bound(chain.step_discount, res.residual)
+        assert res.evaluation_sweeps == (res.iterations - 1) * EVAL_SWEEPS
+
+
+def test_value_iteration_one_sweep_is_the_reference_sweep(oracle_cases):
+    # tol = inf, max_iter = 1 from v0 is one plain Bellman sweep, bit for bit
+    for chain, res in oracle_cases:
+        axes, v = res.value.axes, res.value.values.ravel()
+        one = value_iteration(chain, axes, tol=math.inf, max_iter=1, v0=res.value)
+        v_ref, policy_ref = _reference_sweep(chain, *_reference_plans(chain, axes), v)
+        np.testing.assert_array_equal(one.value.values.ravel(), v_ref)
+        np.testing.assert_array_equal(one.policy.indices.ravel(), policy_ref)
+        assert one.residual == np.max(np.abs(v_ref - v))
+        assert (one.iterations, one.evaluation_sweeps) == (1, 0)
 
 
 def test_value_iteration_nonconvergence_raises():
