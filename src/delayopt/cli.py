@@ -146,12 +146,16 @@ def _parse_box(text: str, names: list[str]) -> list[tuple[float, float]]:
 
 
 def _solve(run: Run):
-    """Lag chain, solver result and flat start register of a solve."""
+    """Lag chain, solver result and flat start register of a solve; the
+    solver's convergence goes into the manifest."""
     a = run.args
     chain = hjb.reduce_to_lag_chain(run.spec, a.mlag)
     z0 = chain.flatten(hjb.register_from_state(chain, run.x))
     axes = _parse_grid(a.grid, chain.axis_names(), z0)
     result = hjb.value_iteration(chain, axes, tol=a.tol, max_iter=a.max_iter, gh_points=a.gh)
+    run.extra.update(iterations=result.iterations, residual=result.residual,
+                     value_error_bound=result.value_error_bound,
+                     evaluation_sweeps=result.evaluation_sweeps, clamp_rate=result.clamp_rate)
     return chain, result, z0
 
 
@@ -223,9 +227,11 @@ def cmd_operators(run: Run):
              for form, v in (("dissipativity", diss), ("inverse_pairing", weak))])
     run.csv("norm_audit.csv", ["head_norm", "weak_norm", "roundtrip_rel",
                                "semigroup_growth", "semigroup_bound"], norm_rows)
-    # tail projector norms against the next eigenvalue
+    # tail projector norms against the next eigenvalue; every eigenvalue has
+    # multiplicity n, so mode counts round up to whole eigenspaces
     tail_rows = []
-    marks = sorted({1, decomp.dim // 4, decomp.dim // 2, decomp.dim} - {0})
+    marks = sorted({n * math.ceil(k / n) for k in (1, decomp.dim // 4, decomp.dim // 2,
+                                                  decomp.dim)} - {0})
     for n_modes in marks:
         q = decomp.projection_matrix(n_modes, "Q")
         nxt = float(decomp.eigenvalues[n_modes]) if n_modes < decomp.dim else 0.0
@@ -314,10 +320,7 @@ def cmd_solve(run: Run):
     run.csv("convergence.csv", ["sweep", "residual", "bound"],
             [[i, r, hjb.bellman_bound(chain.step_discount, r)]
              for i, r in enumerate(result.residual_history.tolist(), start=1)])
-    run.extra.update(iterations=result.iterations, residual=result.residual,
-                     value_error_bound=result.value_error_bound,
-                     evaluation_sweeps=result.evaluation_sweeps,
-                     clamp_rate=result.clamp_rate, growth_fit=growth)
+    run.extra.update(growth_fit=growth)
     warn = " clamp_warning" if result.clamp_warning else ""
     return [f"solve: V(x0)={result.value.interp_one(z0):.6g} iters={result.iterations} "
             f"residual={result.residual:.3g} bound={result.value_error_bound:.3g} "

@@ -289,7 +289,7 @@ class ProblemSpec:
         noise(y, z, u) -> (..., n, q)
         cost(y, u)     -> (...,)
     The declared constants are the bounds the model constructors certify on
-    a stated audit radius (see models.audit_*).
+    a stated audit radius (see models.audit_constants).
     """
 
     n: int

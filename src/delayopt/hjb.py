@@ -26,13 +26,14 @@ from .core import (
     LiftedState,
     NumericalError,
     ProblemSpec,
+    Segment,
     SegmentGrid,
     ValidationError,
     interp_columns,
     weighted_kernels,
 )
-from .sdde import (FeedbackControl, _philox, _simulate_batch, _steps_of, batch_increments,
-                   mc_cost)
+from .sdde import (FeedbackControl, OpenLoopControl, _euler_head, _philox, _simulate_batch,
+                   _steps_of, batch_increments, mc_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,10 @@ class LagChainSpec:
 
     A register [y(t), y(t - delta), ..., y(t - d)] advances by one Euler
     head update (kernel quadrature over the register) followed by a shift.
-    Per-step discount is exp(-rho delta).
+    One chain step is the direct Euler step of sdde at step delta: the
+    register reversed is that scheme's history window, and a standard
+    normal draw zeta is the increment zeta * sqrt(delta). Per-step discount
+    is exp(-rho delta).
     """
 
     spec: ProblemSpec
@@ -160,14 +164,11 @@ class LagChainSpec:
         return z1, z2
 
     def step(self, reg: np.ndarray, u: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-        """Advance registers one lag step; zeta is a standard normal draw."""
-        y = reg[..., 0, :]
-        z1, z2 = self.delay_integrals(reg)
-        b = np.asarray(self.spec.drift(y, z1, u))
-        sig = np.asarray(self.spec.noise(y, z2, u))
-        y_new = (y + b * self.delta
-                 + np.einsum("...nq,...q->...n", sig, zeta) * math.sqrt(self.delta))
-        return np.concatenate([y_new[..., None, :], reg[..., :-1, :]], axis=-2)
+        """Advance registers (P, m_lag + 1, n) one lag step; zeta (P, q) is a
+        standard normal draw."""
+        y_new = _euler_head(self.spec, (self.wk_drift, self.wk_noise), reg[:, 0, :],
+                            reg[:, ::-1, :], u, zeta * math.sqrt(self.delta), self.delta)
+        return np.concatenate([y_new[:, None, :], reg[:, :-1, :]], axis=1)
 
     def running_cost(self, reg: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.asarray(self.spec.cost(reg[..., 0, :], u)) * self.delta
@@ -521,16 +522,16 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     if k_tau == 0:
         return DppReport(gap=0.0, stderr=0.0, value_at_x=v_x,
                          best_control_index=0, tau=tau)
-    rng = _philox(seed, 0)
-    zeta = rng.standard_normal((k_tau, n_paths, spec.q))
+    # the register as a state on the lag grid, so the rollout starts from z0
+    reg0 = chain.unflatten(z0)
+    x_reg = LiftedState(reg0[0], Segment(chain.coarse_grid, reg0[::-1]))
+    zeta = _philox(seed, 0).standard_normal((k_tau, n_paths, spec.q))
+    dw = np.swapaxes(zeta, 0, 1) * math.sqrt(chain.delta)
     best = (math.inf, 0.0, 0)
     for iu in range(spec.control_set.shape[0]):
-        u = np.broadcast_to(spec.control_set[iu], (n_paths, spec.p))
-        regs = np.repeat(chain.unflatten(z0)[None, :, :], n_paths, axis=0)
-        cost = np.zeros(n_paths)
-        for k in range(k_tau):
-            cost += math.exp(-spec.rho * k * chain.delta) * chain.running_cost(regs, u)
-            regs = chain.step(regs, u, zeta[k])
+        _, states, _, cost = _simulate_batch(spec, x_reg, OpenLoopControl(spec.control_set[iu]),
+                                             tau, chain.delta, dw)
+        regs = states[:, :-chain.m_lag - 2:-1]  # newest node first
         cost += math.exp(-spec.rho * tau) * value.interp(chain.flatten(regs))
         mean = float(np.mean(cost))
         se = float(np.std(cost, ddof=1) / math.sqrt(n_paths))

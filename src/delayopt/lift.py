@@ -27,7 +27,8 @@ from .core import (
     resample_segment,
     weighted_kernels,
 )
-from .operators import assemble_gram_operator, minus_one_norm, spectral_decomposition
+from .operators import (_shift_tail, assemble_gram_operator, minus_one_norm,
+                        spectral_decomposition)
 from .sdde import (
     BrownianDriver,
     SddePath,
@@ -64,9 +65,6 @@ class LiftedPath:
     seed: int
     path_index: int
 
-    def state(self, k: int) -> LiftedState:
-        return LiftedState(self.heads[k], Segment(self.grid, self.tails[k]))
-
 
 def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
                   driver: BrownianDriver,
@@ -83,16 +81,7 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
     if increments is None:
         increments = driver.increments(n_steps)
     grid = spec.grid
-    nodes = grid.nodes
     wk = weighted_kernels(spec, grid)
-
-    # shift-by-delta interpolation stencil, reused every step; the tail
-    # applies on [-d, 0) and the head takes over at 0
-    pos = delta + nodes
-    past = pos < 0.0
-    idx = np.clip(np.searchsorted(nodes, pos, side="right") - 1, 0, grid.m - 1)
-    theta = (pos - nodes[idx]) / grid.h
-
     heads = np.empty((n_steps + 1, spec.n))
     tails = np.empty((n_steps + 1, grid.m + 1, spec.n))
     heads[0] = x.head
@@ -104,8 +93,7 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
                                increments[None, k], delta)[0]
         if not np.all(np.isfinite(head_new)):
             raise NumericalError(f"non-finite lifted head at step {k + 1}")
-        shifted = (1.0 - theta)[:, None] * tail[idx] + theta[:, None] * tail[idx + 1]
-        tails[k + 1] = np.where(past[:, None], shifted, head_new[None, :])
+        tails[k + 1] = _shift_tail(delta, grid.nodes, tail, head_new)
         heads[k + 1] = head_new
     times = delta * np.arange(n_steps + 1)
     return LiftedPath(times=times, heads=heads, tails=tails, grid=grid,
@@ -147,7 +135,6 @@ class EquivalenceReport:
     base: EquivalenceLevel
     refined: EquivalenceLevel
     head_ratio: float
-    tail_ratio: float
 
 
 def _mismatch(spec: ProblemSpec, path: SddePath, lifted: LiftedPath) -> EquivalenceLevel:
@@ -192,12 +179,9 @@ def equivalence_report(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
     lifted_f = simulate_mild(spec_f, x_f, ctrl, T, delta / 2, driver_f, increments=fine)
     refined = _mismatch(spec_f, path_f, lifted_f)
 
-    def ratio(a: float, b: float) -> float:
-        return a / b if b > 0 else math.inf
-
-    return EquivalenceReport(base=base, refined=refined,
-                             head_ratio=ratio(base.head_mismatch, refined.head_mismatch),
-                             tail_ratio=ratio(base.tail_mismatch, refined.tail_mismatch))
+    ratio = (base.head_mismatch / refined.head_mismatch if refined.head_mismatch > 0
+             else math.inf)
+    return EquivalenceReport(base=base, refined=refined, head_ratio=ratio)
 
 
 @dataclass(frozen=True)

@@ -529,65 +529,49 @@ class AuditReport:
         return self.observed >= self.declared * (1.0 - 1e-9)
 
 
-def _sample_inputs(spec: ProblemSpec, n_samples: int, radius: float, seed: int):
-    rng = np.random.default_rng(seed)
-    h = spec.kernel_drift.h_dim
-    y = rng.uniform(-radius, radius, size=(n_samples, spec.n))
-    z = rng.uniform(-radius, radius, size=(n_samples, h))
-    u = spec.control_set[rng.integers(0, spec.control_set.shape[0], size=n_samples)]
-    return y, z, u
-
-
-def audit_growth(spec: ProblemSpec, n_samples: int = 2000, radius: float = 5.0,
-                 seed: int = 0) -> list[AuditReport]:
-    """Sampled growth bounds of drift and noise against the declared constant."""
-    y, z, u = _sample_inputs(spec, n_samples, radius, seed)
-    denom = 1.0 + np.linalg.norm(y, axis=1) + np.linalg.norm(z, axis=1)
-    b = np.asarray(spec.drift(y, z, u))
-    s = np.asarray(spec.noise(y, z, u))
-    rb = float(np.max(np.linalg.norm(b, axis=1) / denom))
-    rs = float(np.max(np.linalg.norm(s.reshape(n_samples, -1), axis=1) / denom))
-    return [AuditReport("drift growth", rb, spec.growth_const),
-            AuditReport("noise growth", rs, spec.growth_const)]
-
-
-def audit_lipschitz(spec: ProblemSpec, n_samples: int = 2000, radius: float = 5.0,
+def audit_constants(spec: ProblemSpec, radius: float = 5.0, n_samples: int = 2000,
                     seed: int = 0) -> list[AuditReport]:
-    """Sampled Lipschitz ratios of drift and noise against the declared constant."""
-    y1, z1, u = _sample_inputs(spec, n_samples, radius, seed)
-    y2, z2, _ = _sample_inputs(spec, n_samples, radius, seed + 1)
-    denom = (np.linalg.norm(y2 - y1, axis=1) + np.linalg.norm(z2 - z1, axis=1))
-    db = np.asarray(spec.drift(y2, z2, u)) - np.asarray(spec.drift(y1, z1, u))
-    ds = (np.asarray(spec.noise(y2, z2, u)) - np.asarray(spec.noise(y1, z1, u)))
-    rb = float(np.max(np.linalg.norm(db, axis=1) / denom))
-    rs = float(np.max(np.linalg.norm(ds.reshape(n_samples, -1), axis=1) / denom))
-    return [AuditReport("drift lipschitz", rb, spec.lipschitz_const),
-            AuditReport("noise lipschitz", rs, spec.lipschitz_const)]
+    """Sampled checks of every declared constant on a ball of the given radius.
 
-
-def audit_cost_growth(spec: ProblemSpec, n_samples: int = 2000, radius: float = 5.0,
-                      seed: int = 0) -> AuditReport:
-    """Sampled cost growth |l| <= K (1 + |y|^m) against the declared pair."""
-    y, _, u = _sample_inputs(spec, n_samples, radius, seed)
-    vals = np.abs(np.asarray(spec.cost(y, u)))
-    denom = 1.0 + np.linalg.norm(y, axis=1) ** spec.cost_growth_exponent
-    return AuditReport("cost growth", float(np.max(vals / denom)),
-                       spec.cost_growth_const)
-
-
-def audit_ellipticity(spec: ProblemSpec, radius: float, n_samples: int = 2000,
-                      seed: int = 0) -> AuditReport:
-    """Smallest sampled eigenvalue of the noise Gram matrix on a ball."""
-    if spec.ellipticity_floor is None:
-        raise ValidationError("no ellipticity floor declared for this problem")
+    Each sample draws two points (y, z_drift, z_noise), each delay integral
+    at its own kernel's width, and one control from the control set.
+    Reports, in order: the growth |f| / (1 + |y| + |z|) against growth_const
+    and the Lipschitz ratio |f(2) - f(1)| / (|y2 - y1| + |z2 - z1|) against
+    lipschitz_const of the drift, then of the noise; the cost growth
+    |l| / (1 + |y|^m) against cost_growth_const; and, when a floor is
+    declared, the smallest sampled eigenvalue of noise noise^T over every
+    control against it.
+    """
     rng = np.random.default_rng(seed)
-    y = rng.uniform(-radius, radius, size=(n_samples, spec.n))
-    z = rng.uniform(-radius, radius, size=(n_samples, spec.kernel_noise.h_dim))
-    lam_min = np.inf
-    for u in spec.control_set:
-        uu = np.broadcast_to(u, (n_samples, u.shape[0]))
-        s = np.asarray(spec.noise(y, z, uu))
-        gram = np.einsum("pnq,pmq->pnm", s, s)
-        lam_min = min(lam_min, float(np.min(np.linalg.eigvalsh(gram))))
-    return AuditReport("ellipticity floor", lam_min, float(spec.ellipticity_floor),
-                       kind="lower")
+    widths = (spec.n, spec.kernel_drift.h_dim, spec.kernel_noise.h_dim)
+    y, zb, zs = (rng.uniform(-radius, radius, size=(n_samples, w)) for w in widths)
+    y2, zb2, zs2 = (rng.uniform(-radius, radius, size=(n_samples, w)) for w in widths)
+    u = spec.control_set[rng.integers(0, spec.control_set.shape[0], size=n_samples)]
+
+    def norm(a):
+        return np.linalg.norm(np.reshape(a, (n_samples, -1)), axis=1)
+
+    def worst(num, denom):
+        return float(np.max(num / denom))
+
+    reports = []
+    for name, f, z, z2 in (("drift", spec.drift, zb, zb2), ("noise", spec.noise, zs, zs2)):
+        v, v2 = np.asarray(f(y, z, u), dtype=float), np.asarray(f(y2, z2, u), dtype=float)
+        reports += [
+            AuditReport(f"{name} growth", worst(norm(v), 1.0 + norm(y) + norm(z)),
+                        spec.growth_const),
+            AuditReport(f"{name} lipschitz", worst(norm(v2 - v), norm(y2 - y) + norm(z2 - z)),
+                        spec.lipschitz_const)]
+    reports.append(AuditReport(
+        "cost growth", worst(np.abs(np.asarray(spec.cost(y, u))),
+                             1.0 + norm(y) ** spec.cost_growth_exponent),
+        spec.cost_growth_const))
+    if spec.ellipticity_floor is not None:
+        lam_min = math.inf
+        for c in spec.control_set:
+            s = np.asarray(spec.noise(y, zs, np.broadcast_to(c, u.shape)))
+            gram = np.einsum("pnq,pmq->pnm", s, s)
+            lam_min = min(lam_min, float(np.min(np.linalg.eigvalsh(gram))))
+        reports.append(AuditReport("ellipticity floor", lam_min, float(spec.ellipticity_floor),
+                                   kind="lower"))
+    return reports

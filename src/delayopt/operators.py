@@ -58,13 +58,16 @@ def apply_shift_semigroup(t: float, x: LiftedState) -> LiftedState:
         raise DomainError(f"semigroup time must be nonnegative, got {t}")
     if t == 0.0:
         return x
-    grid = x.grid
-    pos = t + grid.nodes
+    return LiftedState(x.head, Segment(x.grid, _shift_tail(t, x.grid.nodes, x.tail.values,
+                                                           x.head)))
+
+
+def _shift_tail(t: float, nodes: np.ndarray, tail: np.ndarray,
+                head: np.ndarray) -> np.ndarray:
+    """Tail (m+1, n) on nodes, transported left by t >= 0 under head (n,)."""
+    pos = t + nodes
     # the initial segment applies on [-d, 0); at time 0 the head takes over
-    past = pos < 0.0
-    tail_new = np.where(past[:, None], interp_columns(pos, grid.nodes, x.tail.values),
-                        x.head[None, :])
-    return LiftedState(x.head, Segment(grid, tail_new))
+    return np.where((pos < 0.0)[:, None], interp_columns(pos, nodes, tail), head[None, :])
 
 
 def apply_generator(x: LiftedState, domain_tol: float = 1e-9) -> LiftedState:
@@ -146,12 +149,11 @@ def inverse_generator_matrix(grid: SegmentGrid, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense flat operator with its grid, dimension, and self-adjointness flag."""
+    """Dense flat operator with its grid and dimension."""
 
     matrix: np.ndarray
     grid: SegmentGrid
     n: int
-    g_selfadjoint: bool = False
 
     def check_g_selfadjoint(self, tol: float = 1e-10) -> bool:
         w = weight_vector(self.grid, self.n)
@@ -172,7 +174,7 @@ def assemble_gram_operator(grid: SegmentGrid, n: int) -> OperatorMatrix:
     M = inverse_generator_matrix(grid, n)
     w = weight_vector(grid, n)
     B = (M.T * w[None, :]) @ M / w[:, None]
-    op = OperatorMatrix(B, grid, n, g_selfadjoint=True)
+    op = OperatorMatrix(B, grid, n)
     if not op.check_g_selfadjoint():
         raise NumericalError("gram operator lost weighted self-adjointness")
     return op
@@ -183,15 +185,13 @@ class SpectralDecomposition:
     """Weighted-orthonormal eigenpairs of the Gram operator, descending.
 
     eigenvalues are strictly positive; vectors holds the eigenvectors as
-    columns; scaled_vectors is the weak-norm orthonormal rescaling. The n
-    exact-zero ghost modes of the flat discretization (alternating tail
-    vectors annihilated by the trapezoid rule) are excluded and kept in
-    ghost_vectors for diagnostics.
+    columns. The n exact-zero ghost modes of the flat discretization
+    (alternating tail vectors annihilated by the trapezoid rule) are excluded
+    and kept in ghost_vectors for diagnostics.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    scaled_vectors: np.ndarray
     ghost_vectors: np.ndarray
     grid: SegmentGrid
     n: int
@@ -247,11 +247,9 @@ def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
             f"expected exactly {op.n} ghost modes, found {n_ghost}; "
             "grid is outside the validated desk scale"
         )
-    E = F[:, keep] / np.sqrt(lam[keep])[None, :]
     return SpectralDecomposition(
         eigenvalues=lam[keep],
         vectors=F[:, keep],
-        scaled_vectors=E,
         ghost_vectors=F[:, ~keep],
         grid=op.grid,
         n=op.n,

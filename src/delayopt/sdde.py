@@ -20,7 +20,6 @@ from .core import (
     LiftedState,
     NumericalError,
     ProblemSpec,
-    Segment,
     SegmentGrid,
     ValidationError,
     resample_segment,
@@ -97,19 +96,6 @@ class FeedbackControl:
         if u.ndim == 1:
             u = u[:, None]
         return u
-
-    @classmethod
-    def from_state_policy(cls, policy, step_grid: SegmentGrid):
-        """Adapt a policy defined on lifted states (evaluated path by path)."""
-
-        def fn(k, t, window):
-            us = []
-            for row in window:
-                state = LiftedState(row[-1], Segment(step_grid, row))
-                us.append(np.atleast_1d(policy(state)))
-            return np.asarray(us, dtype=float)
-
-        return cls(fn)
 
 
 @dataclass(frozen=True, eq=False)

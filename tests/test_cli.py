@@ -305,6 +305,55 @@ def test_probe_bcontinuity_subcommand(tmp_path):
     assert len(rows) == 11
 
 
+def test_dpp_manifest_records_solver_convergence(tmp_path, capsys):
+    # a subcommand that tests a solved value records how far that value is
+    # from the discrete fixed point
+    out = tmp_path / "dpp"
+    assert run(["dpp", "--spec", SPEC, *SMALL, "--paths", "200", "--out", str(out)]) == 0
+    resolved = json.loads((out / "run_manifest.json").read_text())["resolved"]
+    assert resolved["iterations"] >= 1 and resolved["evaluation_sweeps"] >= 0
+    assert 0 <= resolved["value_error_bound"] <= resolved["tol"]
+    assert resolved["residual"] >= 0 and 0 <= resolved["clamp_rate"] <= 1
+    assert "growth_fit" not in resolved
+
+
+def test_operators_mode_counts_do_not_depend_on_the_eigenbasis(tmp_path, monkeypatch):
+    # at n = 2 every Gram eigenvalue is double; a basis rotated inside each
+    # eigenspace must leave the tail norms and noise traces unchanged
+    import dataclasses
+
+    from delayopt import operators
+
+    spec = tmp_path / "affine_n2.json"
+    spec.write_text(json.dumps({"model": "affine_test", "m": 20, "params": {
+        "n": 2, "q": 2, "drift_const": [0.0, 0.0],
+        "drift_state": [[-0.5, 0.0], [0.0, -0.5]], "drift_delay": [[0.3], [0.3]],
+        "drift_control": [[0.5], [0.5]], "noise_const": [[0.4, 0.1], [0.0, 0.2]],
+        "x0": [1.0, 1.0], "x1": [1.0, 1.0]}}))
+    decompose = operators.spectral_decomposition
+
+    def rotated(op):
+        dec = decompose(op)
+        angle = np.random.default_rng(0).uniform(0.0, 2 * np.pi, dec.dim // 2)
+        c, s = np.cos(angle), np.sin(angle)
+        a, b = dec.vectors[:, 0::2], dec.vectors[:, 1::2]
+        vectors = np.empty_like(dec.vectors)
+        vectors[:, 0::2], vectors[:, 1::2] = c * a + s * b, c * b - s * a
+        return dataclasses.replace(dec, vectors=vectors)
+
+    tables = []
+    for name, decomposition in (("a", decompose), ("b", rotated)):
+        monkeypatch.setattr(operators, "spectral_decomposition", decomposition)
+        out = tmp_path / name
+        assert run(["operators", "--spec", str(spec), "--samples", "4", "--out", str(out)]) == 0
+        tables.append([np.loadtxt(out / f, delimiter=",", skiprows=1)
+                       for f in ("tail_norms.csv", "trace_report.csv")])
+    (norms, traces), (norms_rot, traces_rot) = tables
+    assert traces[:, 0].tolist() == [2, 10, 22, 42] == traces_rot[:, 0].tolist()
+    np.testing.assert_allclose(norms_rot, norms, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(traces_rot, traces, rtol=1e-9, atol=1e-12)
+
+
 def test_manifest_records_spec_digest(tmp_path):
     out = tmp_path / "m"
     assert run(["operators", "--spec", str(SPECS / "affine.json"), "--out", str(out),

@@ -548,6 +548,52 @@ def test_dpp_gap_advertising(advertising_solution):
     assert rep.ok(0.03 * (1 + abs(rep.value_at_x)))
 
 
+def _register_rollout_gap(chain, value, x, tau, n_paths, seed):
+    """(gap, stderr) of the register rollout dpp_gap ran before it stepped
+    through sdde: the chain's own Euler head update and shift, with the
+    discounted stage costs summed step by step."""
+    from delayopt.sdde import _philox
+
+    spec, delta = chain.spec, chain.delta
+    k_tau = round(tau / delta)
+    z0 = chain.flatten(register_from_state(chain, x))
+    zeta = _philox(seed, 0).standard_normal((k_tau, n_paths, spec.q))
+    best = (math.inf, 0.0)
+    for c in spec.control_set:
+        u = np.broadcast_to(c, (n_paths, spec.p))
+        regs = np.repeat(chain.unflatten(z0)[None, :, :], n_paths, axis=0)
+        cost = np.zeros(n_paths)
+        for k in range(k_tau):
+            y = regs[:, 0, :]
+            cost += math.exp(-spec.rho * k * delta) * np.asarray(spec.cost(y, u)) * delta
+            z1, z2 = chain.delay_integrals(regs)
+            y_new = (y + np.asarray(spec.drift(y, z1, u)) * delta
+                     + np.einsum("pnq,pq->pn", spec.noise(y, z2, u), zeta[k]) * math.sqrt(delta))
+            regs = np.concatenate([y_new[:, None, :], regs[:, :-1, :]], axis=1)
+        cost += math.exp(-spec.rho * tau) * value.interp(chain.flatten(regs))
+        if np.mean(cost) < best[0]:
+            best = (float(np.mean(cost)), float(np.std(cost, ddof=1) / math.sqrt(n_paths)))
+    return value.interp_one(z0) - best[0], best[1]
+
+
+def test_dpp_gap_matches_register_rollout(merton_delay_spec):
+    # delayed Merton on a 3-node register, from a non-constant history, with
+    # an arbitrary field: the sdde rollout reproduces the register rollout
+    spec = merton_delay_spec
+    chain = reduce_to_lag_chain(spec, 2)
+    g = spec.grid
+    tail = np.stack([1.0 + 0.8 * g.nodes, 1.0 - 1.5 * g.nodes], axis=-1)
+    x = LiftedState(tail[-1], Segment(g, tail))
+    z0 = chain.flatten(register_from_state(chain, x))
+    axes = tuple(np.linspace(0.5 * v, 1.5 * v, 4) for v in z0)
+    rng = np.random.default_rng(5)
+    value = ValueField(axes, rng.normal(size=(4,) * len(axes)))
+    rep = dpp_gap(chain, value, x, tau=3 * chain.delta, n_paths=400, seed=4)
+    gap, stderr = _register_rollout_gap(chain, value, x, 3 * chain.delta, 400, 4)
+    assert rep.gap == pytest.approx(gap, rel=1e-12)
+    assert rep.stderr == pytest.approx(stderr, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # reduced-equation residual
 
@@ -736,28 +782,6 @@ def test_policy_value_deterministic_zero_stderr():
     mean, stderr = policy_mc_value(chain, res.policy, x, T=2.0, delta=0.05,
                                    n_paths=8, seed=3)
     assert stderr == 0.0
-
-
-def test_state_policy_feedback_adapter():
-    # a policy reading the lifted state directly must agree with the same
-    # rule written against the raw history window
-    from delayopt.core import SegmentGrid
-    from delayopt.sdde import BrownianDriver, FeedbackControl, simulate_sdde
-
-    spec = build_advertising(AdvertisingParams(), 20)
-    x = models.initial_state(spec)
-    delta = 0.05
-    step_grid = SegmentGrid(spec.d, int(round(spec.d / delta)))
-
-    def state_rule(state):
-        return np.clip(state.head, 0.0, 1.0)
-
-    ctrl_state = FeedbackControl.from_state_policy(state_rule, step_grid)
-    ctrl_window = FeedbackControl(lambda k, t, w: np.clip(w[:, -1], 0.0, 1.0))
-    a = simulate_sdde(spec, x, ctrl_state, 1.0, delta, BrownianDriver(5, 0, delta, 1))
-    b = simulate_sdde(spec, x, ctrl_window, 1.0, delta, BrownianDriver(5, 0, delta, 1))
-    np.testing.assert_array_equal(a.states, b.states)
-    np.testing.assert_array_equal(a.controls, b.controls)
 
 
 def test_closed_loop_beats_or_matches_constants(advertising_solution):

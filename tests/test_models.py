@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -11,10 +12,7 @@ from delayopt.models import (
     AffineTestParams,
     ClampedAffine,
     MertonParams,
-    audit_cost_growth,
-    audit_ellipticity,
-    audit_growth,
-    audit_lipschitz,
+    audit_constants,
     build_advertising,
     build_affine_test,
     build_merton,
@@ -83,11 +81,11 @@ def test_merton_stock_is_geometric_under_constant_coefficients():
 
 def test_merton_spec_passes_audits(merton_delay_spec):
     spec = merton_delay_spec
-    for rep in audit_growth(spec, radius=5.0, seed=1):
+    reports = audit_constants(spec, radius=5.0, seed=1)
+    assert [r.name for r in reports] == ["drift growth", "drift lipschitz", "noise growth",
+                                         "noise lipschitz", "cost growth"]
+    for rep in reports:
         assert rep.ok, rep
-    for rep in audit_lipschitz(spec, radius=5.0, seed=2):
-        assert rep.ok, rep
-    assert audit_cost_growth(spec, radius=5.0, seed=3).ok
     assert validate_kernel(spec.kernel_drift).ok
     assert validate_kernel(spec.kernel_noise).ok
 
@@ -203,12 +201,10 @@ def test_advertising_effectiveness_cannot_hurt():
 
 def test_advertising_spec_passes_audits(advertising_spec):
     spec = advertising_spec
-    for rep in audit_growth(spec, radius=5.0, seed=1):
+    reports = audit_constants(spec, radius=5.0, seed=1)
+    assert reports[-1].name == "ellipticity floor"
+    for rep in reports:
         assert rep.ok, rep
-    for rep in audit_lipschitz(spec, radius=5.0, seed=2):
-        assert rep.ok, rep
-    assert audit_cost_growth(spec, radius=5.0, seed=3).ok
-    assert audit_ellipticity(spec, radius=5.0, seed=4).ok
 
 
 def test_advertising_invalid_params():
@@ -241,20 +237,33 @@ def test_affine_trivial_problem_constant_cost():
 def test_affine_ellipticity_audit():
     spec = build_affine_test(AffineTestParams(), 20)
     assert spec.ellipticity_floor == pytest.approx(0.16, rel=1e-12)
-    assert audit_ellipticity(spec, radius=5.0).ok
+    rep = audit_constants(spec, radius=5.0)[-1]
+    assert rep.name == "ellipticity floor" and rep.ok, rep
 
 
 def test_affine_cost_growth_audit():
     spec = build_affine_test(AffineTestParams(cost_exponent=2.0), 20)
-    assert audit_cost_growth(spec, radius=8.0).ok
+    rep = next(r for r in audit_constants(spec, radius=8.0) if r.name == "cost growth")
+    assert rep.ok, rep
 
 
 def test_affine_audits_hold(merton_nodelay_spec):
     spec = build_affine_test(AffineTestParams(), 20)
-    for rep in audit_growth(spec, radius=5.0):
+    for rep in audit_constants(spec, radius=5.0):
         assert rep.ok, rep
-    for rep in audit_lipschitz(spec, radius=5.0):
-        assert rep.ok, rep
+
+
+@pytest.mark.parametrize("field, factor, failing", [
+    ("growth_const", 0.1, {"drift growth", "noise growth"}),
+    ("lipschitz_const", 0.1, {"drift lipschitz"}),
+    ("ellipticity_floor", 2.0, {"ellipticity floor"}),
+])
+def test_audit_fails_on_misdeclared_constant(field, factor, failing):
+    # a growth or Lipschitz constant below the sampled ratios, or an
+    # ellipticity floor above the smallest sampled eigenvalue, must fail
+    spec = build_affine_test(AffineTestParams(), 20)
+    bad = dataclasses.replace(spec, **{field: factor * getattr(spec, field)})
+    assert {r.name for r in audit_constants(bad, radius=5.0) if not r.ok} == failing
 
 
 # ---------------------------------------------------------------------------
