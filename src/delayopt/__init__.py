@@ -40,7 +40,6 @@ from .sdde import (
     OpenLoopControl,
     mc_cost,
     simulate_sdde,
-    truncation_horizon,
 )
 from .lift import (
     contraction_probe,
@@ -64,6 +63,7 @@ from .hjb import (
     policy_mc_value,
     reduce_to_lag_chain,
     regularity_probe,
+    truncation_horizon,
     value_iteration,
 )
 from .models import (

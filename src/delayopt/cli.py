@@ -182,7 +182,7 @@ def cmd_simulate(run: Run):
     ctrl = _control(spec, a.control, a.dt)
     mean, stderr = sdde.mc_cost(spec, x, ctrl, a.T, a.dt, a.paths, a.seed)
     try:
-        t_trunc = sdde.truncation_horizon(spec, float(np.linalg.norm(x.head)), tol=0.01)
+        t_trunc = hjb.truncation_horizon(spec, float(np.linalg.norm(x.head)), tol=0.01)
     except ValidationError:
         t_trunc = float("nan")
     run.csv("summary.csv", ["mean", "stderr", "T_trunc"], [[mean, stderr, t_trunc]])
@@ -399,17 +399,16 @@ def cmd_probe_bcontinuity(run: Run):
 
 def cmd_merton_check(run: Run):
     a, spec = run.args, run.spec
-    if spec.family != "merton":
+    p = spec.params
+    if not isinstance(p, models.MertonParams):
         raise ValidationError("merton-check needs a portfolio problem file")
-    p = spec.params["merton"]
-    if "const" not in p["mu"] or "const" not in p["nu"]:
+    if not all(c.slope == 0.0 and c.lo == c.hi for c in (p.mu, p.nu)):
         raise ValidationError("merton-check compares against the constant-coefficient closed "
                               "form; use const mu and nu presets with zero kernels")
-    oracle = models.merton_classical_oracle(p["r"], p["mu"]["const"],
-                                            p["nu"]["const"], p["gamma"], spec.rho)
+    oracle = models.merton_classical_oracle(p.r, p.mu.base, p.nu.base, p.gamma, spec.rho)
     chain, result, z0 = _solve(run)
     v_solver = -result.value.interp_one(z0)  # cost sign flip back to utility
-    v_oracle = oracle.value(p["z0"])
+    v_oracle = oracle.value(p.z0)
     policy = hjb.extract_feedback(chain, result.value)
     u_extract = float(policy.control_at(z0[None, :])[0][0])
     du = float(spec.control_set[1, 0] - spec.control_set[0, 0])

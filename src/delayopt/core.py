@@ -8,7 +8,7 @@ segments through the same quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -177,12 +177,13 @@ class Kernel:
     """Matrix-valued delay kernel tabulated at grid nodes, shape (m+1, h, n).
 
     Row 0 (the node at -d) must vanish; the discrete first-derivative
-    seminorm must be finite.
+    seminorm must be finite. preset, when given, tabulates the same analytic
+    kernel on any grid.
     """
 
     grid: SegmentGrid
     values: np.ndarray
-    preset: str | None = None
+    preset: Callable[[SegmentGrid], "Kernel"] | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -260,24 +261,30 @@ def resample_segment(s: Segment, new_grid: SegmentGrid) -> Segment:
 
 
 def resample_kernel(a: Kernel, new_grid: SegmentGrid) -> Kernel:
-    """Resample a kernel table; analytic presets are re-evaluated exactly."""
+    """Resample a kernel table; an analytic preset re-tabulates itself exactly."""
     if a.preset is not None:
-        from . import models  # analytic preset registry lives with the models
-        return models.kernel_from_preset_spec(a.preset, new_grid, a.n)
+        return a.preset(new_grid)
     if not np.isclose(a.grid.d, new_grid.d, rtol=0, atol=1e-12):
         raise GridMismatchError("resample requires equal horizons")
     if new_grid.m == a.grid.m:
-        return Kernel(new_grid, a.values, preset=a.preset)
+        return Kernel(new_grid, a.values)
     out = interp_columns(new_grid.nodes, a.grid.nodes, a.values.reshape(a.grid.m + 1, -1))
-    return Kernel(new_grid, out.reshape(new_grid.m + 1, a.h_dim, a.n), preset=None)
+    return Kernel(new_grid, out.reshape(new_grid.m + 1, a.h_dim, a.n))
 
 
 def weighted_kernels(spec: ProblemSpec, grid: SegmentGrid) -> tuple[np.ndarray, np.ndarray]:
     """Drift and noise kernel tables on grid, each node scaled by its quadrature
-    weight: einsum("jhn,...jn->...h", table, window) is the delay integral."""
+    weight, as _delay_integrals takes them."""
     w = grid.weights[:, None, None]
     return (w * resample_kernel(spec.kernel_drift, grid).values,
             w * resample_kernel(spec.kernel_noise, grid).values)
+
+
+def _delay_integrals(wk: tuple[np.ndarray, np.ndarray],
+                     window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and noise delay integrals of windows (..., J, n), oldest node
+    first, on the J-node grid of the weighted tables wk."""
+    return tuple(np.einsum("jhn,...jn->...h", table, window) for table in wk)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,13 +296,15 @@ class ProblemSpec:
         noise(y, z, u) -> (..., n, q)
         cost(y, u)     -> (...,)
     The declared constants are the bounds the model constructors certify on
-    a stated audit radius (see models.audit_constants).
+    a stated audit radius (see models.audit_constants). params is the
+    parameter object the problem was built from (models.MertonParams,
+    AdvertisingParams or AffineTestParams), or None for a problem assembled
+    by hand. The delay horizon d is the segment grid's.
     """
 
     n: int
     q: int
     p: int
-    d: float
     grid: SegmentGrid
     kernel_drift: Kernel
     kernel_noise: Kernel
@@ -310,8 +319,7 @@ class ProblemSpec:
     cost_growth_exponent: float
     ellipticity_floor: float | None = None
     cost_is_lipschitz: bool = False
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
+    params: object = None
     # names of the head components (y0, y1, ... when not given) and the
     # initial state as a head vector over a constant history value
     head_names: tuple[str, ...] = ()
@@ -326,11 +334,13 @@ class ProblemSpec:
         if not self.head_names:
             object.__setattr__(self, "head_names", tuple(f"y{i}" for i in range(self.n)))
 
+    @property
+    def d(self) -> float:
+        return self.grid.d
+
     def validate(self) -> None:
         if not self.rho > 0:
             raise ValidationError(f"discount must be positive, got {self.rho}")
-        if not self.d > 0:
-            raise ValidationError(f"delay must be positive, got {self.d}")
         if self.control_set.shape[0] == 0:
             raise ValidationError("control set must be nonempty")
         if self.control_set.shape[1] != self.p:

@@ -29,10 +29,12 @@ from .core import (
     Segment,
     SegmentGrid,
     ValidationError,
+    _delay_integrals,
     interp_columns,
     weighted_kernels,
 )
-from .sdde import (FeedbackControl, OpenLoopControl, _euler_head, _philox, _simulate_batch,
+from .operators import minus_one_norm
+from .sdde import (FeedbackControl, OpenLoopControl, _euler_head, _simulate_batch,
                    _steps_of, batch_increments, mc_cost)
 
 
@@ -74,6 +76,26 @@ def lipschitz_discount_threshold(c: float, gram_norm: float) -> float:
     if c < 0 or gram_norm < 0:
         raise ValidationError("constants must be nonnegative")
     return c + 0.5 * c * c * gram_norm
+
+
+def truncation_horizon(spec: ProblemSpec, x_norm: float, tol: float) -> float:
+    """Horizon beyond which the discounted tail is below tol.
+
+    Uses the moment bound with rate midway between the discount and its
+    admissibility floor; requires the discount to clear the floor. The
+    moment-bound prefactor has no closed form and is taken to be 1.
+    """
+    rho0 = discount_floor(spec.growth_const, spec.cost_growth_exponent)
+    if spec.rho <= rho0:
+        raise ValidationError(
+            f"discount {spec.rho} does not exceed the admissibility floor {rho0:g}"
+        )
+    lam = (spec.rho + rho0) / 2.0
+    gap = spec.rho - lam
+    bound0 = (1.0 + x_norm ** spec.cost_growth_exponent) / gap
+    if bound0 <= tol:
+        return 0.0
+    return math.log(bound0 / tol) / gap
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +161,7 @@ class LagChainSpec:
     m_lag: int
     delta: float
     coarse_grid: SegmentGrid
-    wk_drift: np.ndarray
-    wk_noise: np.ndarray
+    wk: tuple[np.ndarray, np.ndarray]  # weighted drift and noise tables on coarse_grid
 
     @property
     def state_dim(self) -> int:
@@ -158,15 +179,12 @@ class LagChainSpec:
         return names
 
     def delay_integrals(self, reg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        window = reg[..., ::-1, :]  # ascending in time, oldest node first
-        z1 = np.einsum("jhn,...jn->...h", self.wk_drift, window)
-        z2 = np.einsum("jhn,...jn->...h", self.wk_noise, window)
-        return z1, z2
+        return _delay_integrals(self.wk, reg[..., ::-1, :])
 
     def step(self, reg: np.ndarray, u: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """Advance registers (P, m_lag + 1, n) one lag step; zeta (P, q) is a
         standard normal draw."""
-        y_new = _euler_head(self.spec, (self.wk_drift, self.wk_noise), reg[:, 0, :],
+        y_new = _euler_head(self.spec, self.wk, reg[:, 0, :],
                             reg[:, ::-1, :], u, zeta * math.sqrt(self.delta), self.delta)
         return np.concatenate([y_new[:, None, :], reg[:, :-1, :]], axis=1)
 
@@ -185,9 +203,8 @@ def reduce_to_lag_chain(spec: ProblemSpec, m_lag: int) -> LagChainSpec:
     if m_lag < 1:
         raise ValidationError(f"lag count must be >= 1, got {m_lag}")
     coarse = SegmentGrid(spec.d, m_lag)
-    wk_drift, wk_noise = weighted_kernels(spec, coarse)
     return LagChainSpec(spec=spec, m_lag=m_lag, delta=spec.d / m_lag,
-                        coarse_grid=coarse, wk_drift=wk_drift, wk_noise=wk_noise)
+                        coarse_grid=coarse, wk=weighted_kernels(spec, coarse))
 
 
 def register_from_state(chain: LagChainSpec, x: LiftedState) -> np.ndarray:
@@ -510,8 +527,9 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     gap = V(x) - min_u E[ sum of discounted stage costs + discounted V at
     the stopped register ]. Constant controls are a subfamily of policies,
     so at the fixed point the gap is nonpositive up to grid and Monte Carlo
-    tolerance. The same noise draws serve every control (common random
-    numbers), and tau must be a multiple of the lag step.
+    tolerance. Path i draws its noise from the stream keyed on (seed, i);
+    the same draws serve every control (common random numbers), and tau
+    must be a multiple of the lag step.
     """
     spec = chain.spec
     k_tau = _steps_of(tau, chain.delta, "tau")
@@ -525,8 +543,7 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     # the register as a state on the lag grid, so the rollout starts from z0
     reg0 = chain.unflatten(z0)
     x_reg = LiftedState(reg0[0], Segment(chain.coarse_grid, reg0[::-1]))
-    zeta = _philox(seed, 0).standard_normal((k_tau, n_paths, spec.q))
-    dw = np.swapaxes(zeta, 0, 1) * math.sqrt(chain.delta)
+    dw = batch_increments(seed, range(n_paths), chain.delta, spec.q, k_tau)
     best = (math.inf, 0.0, 0)
     for iu in range(spec.control_set.shape[0]):
         _, states, _, cost = _simulate_batch(spec, x_reg, OpenLoopControl(spec.control_set[iu]),
@@ -736,8 +753,6 @@ def b_continuity_probe(spec: ProblemSpec, pairs, estimator) -> ContinuityTable:
     estimator(x, y) must return (difference estimate, standard error); pairs
     are (LiftedState, LiftedState) tuples.
     """
-    from .operators import minus_one_norm
-
     dist, diff, err = [], [], []
     for x, y in pairs:
         d, s = estimator(x, y)

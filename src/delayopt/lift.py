@@ -49,7 +49,6 @@ def with_resolution(spec: ProblemSpec, m: int) -> ProblemSpec:
         grid=grid,
         kernel_drift=resample_kernel(spec.kernel_drift, grid),
         kernel_noise=resample_kernel(spec.kernel_noise, grid),
-        params={**spec.params, "m": m},
     )
 
 
@@ -57,13 +56,8 @@ def with_resolution(spec: ProblemSpec, m: int) -> ProblemSpec:
 class LiftedPath:
     """Lifted trajectory: head and tail tabulated at every step time."""
 
-    times: np.ndarray
     heads: np.ndarray            # (K+1, n)
     tails: np.ndarray            # (K+1, m+1, n)
-    grid: SegmentGrid
-    delta: float
-    seed: int
-    path_index: int
 
 
 def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
@@ -95,9 +89,7 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
             raise NumericalError(f"non-finite lifted head at step {k + 1}")
         tails[k + 1] = _shift_tail(delta, grid.nodes, tail, head_new)
         heads[k + 1] = head_new
-    times = delta * np.arange(n_steps + 1)
-    return LiftedPath(times=times, heads=heads, tails=tails, grid=grid,
-                      delta=delta, seed=driver.seed, path_index=driver.path_index)
+    return LiftedPath(heads=heads, tails=tails)
 
 
 def _lift_at(t: float, times: np.ndarray, states: np.ndarray,
@@ -139,15 +131,14 @@ class EquivalenceReport:
 
 def _mismatch(spec: ProblemSpec, path: SddePath, lifted: LiftedPath) -> EquivalenceLevel:
     grid = spec.grid
-    n_steps = lifted.heads.shape[0] - 1
     y = path.states[path.n_history:]
     head_mis = float(np.max(np.linalg.norm(lifted.heads - y, axis=1)))
-    tail_mis = 0.0
-    w = grid.weights
-    for k in range(n_steps + 1):
-        window = lift_history(path, k * path.delta)
-        diff = lifted.tails[k] - window.tail.values
-        tail_mis = max(tail_mis, math.sqrt(float(np.sum(w[:, None] * diff * diff))))
+    # the lifted history window at every step time, in one interpolation
+    t = path.delta * np.arange(y.shape[0])
+    windows = interp_columns((t[:, None] + grid.nodes).ravel(), path.times, path.states)
+    diff = lifted.tails - windows.reshape(lifted.tails.shape)
+    tail_sq = np.sum(grid.weights[:, None] * diff * diff, axis=(1, 2))
+    tail_mis = math.sqrt(float(np.max(tail_sq)))
     return EquivalenceLevel(delta=path.delta, m=grid.m, head_mismatch=head_mis,
                             tail_mismatch=tail_mis,
                             head_scale=1.0 + float(np.max(np.linalg.norm(y, axis=1))))

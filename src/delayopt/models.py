@@ -47,6 +47,7 @@ def build_kernel(spec: dict, grid: SegmentGrid, n: int) -> Kernel:
     Preset form: {"preset": name, "scale": s, "embed": [[...]]} where embed
     is the (h, n) placement matrix (defaults to a single row of ones).
     Table form: {"table": [...]} with shape (m+1,), (m+1, n) or (m+1, h, n).
+    A preset kernel carries its own tabulation, so it resamples exactly.
     """
     if "table" in spec:
         return Kernel(grid, np.asarray(spec["table"], dtype=float))
@@ -57,16 +58,13 @@ def build_kernel(spec: dict, grid: SegmentGrid, n: int) -> Kernel:
     embed = np.asarray(spec.get("embed", [[1.0] * n]), dtype=float)
     if embed.ndim != 2 or embed.shape[1] != n:
         raise ValidationError(f"kernel embed must be (h, {n}), got {embed.shape}")
-    profile = KERNEL_PROFILES[name](grid.nodes, grid.d)
-    values = scale * profile[:, None, None] * embed[None, :, :]
-    tag = json.dumps({"preset": name, "scale": scale, "embed": embed.tolist()},
-                     sort_keys=True)
-    return Kernel(grid, values, preset=tag)
+    profile = KERNEL_PROFILES[name]
 
+    def tabulate(g: SegmentGrid) -> Kernel:
+        return Kernel(g, scale * profile(g.nodes, g.d)[:, None, None] * embed[None, :, :],
+                      preset=tabulate)
 
-def kernel_from_preset_spec(tag: str, grid: SegmentGrid, n: int) -> Kernel:
-    """Re-evaluate a preset kernel (identified by its canonical tag) on a grid."""
-    return build_kernel(json.loads(tag), grid, n)
+    return tabulate(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +118,6 @@ class ClampedAffine:
             return cls.constant(float(d["const"]))
         return cls(base=float(d["base"]), slope=float(d.get("slope", 0.0)),
                    lo=float(d["lo"]), hi=float(d["hi"]))
-
-    def to_dict(self) -> dict:
-        if self.slope == 0.0 and self.lo == self.hi:
-            return {"const": self.base}
-        return {"base": self.base, "slope": self.slope, "lo": self.lo, "hi": self.hi}
 
 
 def power_utility(z, gamma: float, z_floor: float):
@@ -226,7 +219,7 @@ def build_merton(p: MertonParams, m: int) -> ProblemSpec:
     cost_k = max(1.0, z_floor ** (gamma - 1.0), abs(power_utility(0.0, gamma, z_floor)))
 
     spec = ProblemSpec(
-        n=2, q=1, p=1, d=p.d, grid=grid,
+        n=2, q=1, p=1, grid=grid,
         kernel_drift=kernel_drift, kernel_noise=kernel_noise,
         drift=drift, noise=noise, cost=cost, rho=p.rho,
         control_set=control_grid(0.0, 1.0, p.n_controls),
@@ -234,16 +227,10 @@ def build_merton(p: MertonParams, m: int) -> ProblemSpec:
         cost_growth_const=cost_k, cost_growth_exponent=1.0,
         ellipticity_floor=None,  # noise degenerates on the u z = 0 slice
         cost_is_lipschitz=False,
-        family="merton",
+        params=p,
         head_names=("s", "z"),
         initial_head=(p.s0, p.z0),
         initial_history=(p.s1, p.z0),
-        params={"merton": {**{k: getattr(p, k) for k in
-                              ("r", "gamma", "rho", "d", "z0", "s0", "s1",
-                               "z_floor", "n_controls", "audit_radius")},
-                           "mu": mu.to_dict(), "nu": nu.to_dict(),
-                           "kernel_drift": k1, "kernel_noise": k2},
-                "m": m},
     )
     spec.validate()
     return spec
@@ -346,7 +333,7 @@ def build_advertising(p: AdvertisingParams, m: int) -> ProblemSpec:
 
     growth_c = max(abs(a0), 1.0, c0 * p.u_max + sigma)
     spec = ProblemSpec(
-        n=1, q=1, p=1, d=p.d, grid=grid,
+        n=1, q=1, p=1, grid=grid,
         kernel_drift=kernel_drift, kernel_noise=kernel_noise,
         drift=drift, noise=noise, cost=cost, rho=p.rho,
         control_set=control_grid(0.0, p.u_max, p.n_controls),
@@ -354,14 +341,10 @@ def build_advertising(p: AdvertisingParams, m: int) -> ProblemSpec:
         cost_growth_const=max(spend * p.u_max ** 2, 1.0), cost_growth_exponent=1.0,
         ellipticity_floor=sigma ** 2 if sigma > 0 else None,
         cost_is_lipschitz=True,
-        family="advertising",
+        params=p,
         head_names=("y",),
         initial_head=(p.x0,),
         initial_history=(p.x1,),
-        params={"advertising": {k: getattr(p, k) for k in
-                                ("a0", "c0", "sigma", "rho", "d", "kernel_scale",
-                                 "u_max", "spend_cost", "x0", "x1", "n_controls")},
-                "m": m},
     )
     spec.validate()
     return spec
@@ -447,7 +430,7 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
     cost_k = (qs * (clip ** mexp if np.isfinite(clip) else 1.0) + rs * umax ** 2
               if np.isfinite(clip) else max(qs, rs * umax ** 2 + qs))
     spec = ProblemSpec(
-        n=n, q=q, p=1, d=p.d, grid=grid,
+        n=n, q=q, p=1, grid=grid,
         kernel_drift=kernel, kernel_noise=kernel,
         drift=drift, noise=noise, cost=cost, rho=p.rho,
         control_set=control_grid(p.control_lo, p.control_hi, p.n_controls),
@@ -457,14 +440,9 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
         cost_growth_exponent=(0.0 if np.isfinite(clip) else mexp),
         ellipticity_floor=(lam_floor if lam_floor > 0 else None),
         cost_is_lipschitz=bool(mexp <= 1.0 or np.isfinite(clip)),
-        family="affine_test",
+        params=p,
         initial_head=tuple(np.ravel(p.x0)),
         initial_history=tuple(np.ravel(p.x1)),
-        params={"affine_test": {k: (list(map(list, v)) if np.ndim(v) > 1
-                                    else (list(v) if isinstance(v, tuple) else v))
-                                for k, v in ((kk, getattr(p, kk)) for kk in
-                                             p.__dataclass_fields__)},
-                "m": m},
     )
     spec.validate()
     return spec
@@ -477,7 +455,7 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
 def initial_state(spec: ProblemSpec) -> LiftedState:
     """Initial lifted state recorded on the problem by its constructor."""
     if spec.initial_head is None or spec.initial_history is None:
-        raise ValidationError(f"no initial state recorded for family {spec.family!r}")
+        raise ValidationError("no initial state recorded on the problem")
     return LiftedState(np.asarray(spec.initial_head, dtype=float),
                        Segment.constant(spec.grid, spec.initial_history))
 

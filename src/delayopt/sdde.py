@@ -22,6 +22,7 @@ from .core import (
     ProblemSpec,
     SegmentGrid,
     ValidationError,
+    _delay_integrals,
     resample_segment,
     weighted_kernels,
 )
@@ -112,8 +113,6 @@ class SddePath:
     discounted_cost: float
     delta: float
     n_history: int
-    seed: int
-    path_index: int
     segment_grid: SegmentGrid
 
     @property
@@ -148,8 +147,7 @@ def _euler_head(spec: ProblemSpec, wk: tuple[np.ndarray, np.ndarray], y: np.ndar
                 delta: float) -> np.ndarray:
     """One Euler-Maruyama head update of a batch: y (P, n), window (P, J, n)
     on the J-node grid of the tables wk, u (P, p), dw (P, q)."""
-    z1 = np.einsum("jhn,pjn->ph", wk[0], window)
-    z2 = np.einsum("jhn,pjn->ph", wk[1], window)
+    z1, z2 = _delay_integrals(wk, window)
     b = np.asarray(spec.drift(y, z1, u), dtype=float)
     sig = np.asarray(spec.noise(y, z2, u), dtype=float)
     return y + b * delta + np.einsum("pnq,pq->pn", sig, dw)
@@ -208,7 +206,6 @@ def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
     return SddePath(times=times, states=states[0], controls=controls[0],
                     discounted_cost=float(cost[0]), delta=delta,
                     n_history=_steps_of(spec.d, delta, "d"),
-                    seed=driver.seed, path_index=driver.path_index,
                     segment_grid=spec.grid)
 
 
@@ -236,25 +233,3 @@ def mc_cost(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
     var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
     return mean, math.sqrt(var / n_paths)
 
-
-def truncation_horizon(spec: ProblemSpec, x_norm: float, tol: float,
-                       c_lambda: float = 1.0) -> float:
-    """Horizon beyond which the discounted tail is below tol.
-
-    Uses the moment bound with rate midway between the discount and its
-    admissibility floor; requires the discount to clear the floor. The
-    moment-bound prefactor has no closed form and defaults to 1.
-    """
-    from .hjb import discount_floor
-
-    rho0 = discount_floor(spec.growth_const, spec.cost_growth_exponent)
-    if spec.rho <= rho0:
-        raise ValidationError(
-            f"discount {spec.rho} does not exceed the admissibility floor {rho0:g}"
-        )
-    lam = (spec.rho + rho0) / 2.0
-    gap = spec.rho - lam
-    bound0 = c_lambda * (1.0 + x_norm ** spec.cost_growth_exponent) / gap
-    if bound0 <= tol:
-        return 0.0
-    return math.log(bound0 / tol) / gap

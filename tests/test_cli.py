@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -191,6 +192,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["dpp", "--spec", SPEC, *SMALL, "--paths", "1"],
     ["dpp", "--spec", SPEC, *SMALL, "--paths", "0"],
     ["dpp", "--spec", SPEC, *SMALL, "--tau-steps", "0"],
+    ["merton-check", "--spec", SPEC],
+    ["merton-check", "--spec", str(SPECS / "merton_delay.json")],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -198,7 +201,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "policy-reversed-axes", "policy-nan-axis", "operators-samples-zero", "grid-nan", "gh-zero",
         "max-iter-zero", "tol-negative", "tol-nan", "regularity-samples-one",
         "residual-samples-zero", "bcontinuity-pairs-zero", "bcontinuity-pairs-one", "bcontinuity-paths-one",
-        "dpp-paths-one", "dpp-paths-zero", "dpp-tau-zero"])
+        "dpp-paths-one", "dpp-paths-zero", "dpp-tau-zero", "merton-check-advertising",
+        "merton-check-sloped-coefficients"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, tmp_path, capsys):
     argv = ([a.format(policy_file, **bad_policies) for a in argv]
             + ["--out", str(tmp_path / "o")])
@@ -252,6 +256,18 @@ def test_import_and_solve_load_no_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_no_function_imports():
+    # every module dependency is stated at the top of its module, so the
+    # import graph has no cycle hidden inside a function body
+    found = []
+    for path in sorted(Path(delayopt.__file__).resolve().parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, found
 
 
 def test_solve_grid_validation(tmp_path):

@@ -388,7 +388,7 @@ def test_value_iteration_matches_affine_oracle():
     for m_lag in (1, 2):
         chain = reduce_to_lag_chain(spec, m_lag)
         delta, beta, k = chain.delta, chain.step_discount, m_lag + 1
-        w = np.array([chain.wk_drift[k - 1 - j, 0, 0] for j in range(k)])
+        w = np.array([chain.wk[0][k - 1 - j, 0, 0] for j in range(k)])
         M = np.zeros((k, k))
         M[0, :] = delta * w
         M[0, 0] += 1 + delta * p_ad.a0
@@ -551,13 +551,15 @@ def test_dpp_gap_advertising(advertising_solution):
 def _register_rollout_gap(chain, value, x, tau, n_paths, seed):
     """(gap, stderr) of the register rollout dpp_gap ran before it stepped
     through sdde: the chain's own Euler head update and shift, with the
-    discounted stage costs summed step by step."""
+    discounted stage costs summed step by step. Path i draws its noise from
+    the stream keyed on (seed, i)."""
     from delayopt.sdde import _philox
 
     spec, delta = chain.spec, chain.delta
     k_tau = round(tau / delta)
     z0 = chain.flatten(register_from_state(chain, x))
-    zeta = _philox(seed, 0).standard_normal((k_tau, n_paths, spec.q))
+    zeta = np.stack([_philox(seed, i).standard_normal((k_tau, spec.q))
+                     for i in range(n_paths)], axis=1)
     best = (math.inf, 0.0)
     for c in spec.control_set:
         u = np.broadcast_to(c, (n_paths, spec.p))

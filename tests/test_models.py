@@ -273,7 +273,7 @@ def test_audit_fails_on_misdeclared_constant(field, factor, failing):
 def test_build_problem_dispatch_and_errors():
     doc = {"model": "advertising", "m": 10, "params": {"sigma": 0.1}}
     spec = build_problem(doc)
-    assert spec.family == "advertising" and spec.grid.m == 10
+    assert isinstance(spec.params, AdvertisingParams) and spec.grid.m == 10
     with pytest.raises(ValidationError):
         build_problem({"model": "unknown", "m": 4})
     with pytest.raises(ValidationError):

@@ -14,8 +14,8 @@ from delayopt.sdde import (
     coarsen_increments,
     mc_cost,
     simulate_sdde,
-    truncation_horizon,
 )
+from delayopt.hjb import truncation_horizon
 
 
 def pure_noise_spec(sigma=1.0, m=10):
@@ -117,7 +117,7 @@ def test_nan_abort_names_step():
     g = SegmentGrid(1.0, 4)
     kern = models.build_kernel({"preset": "zero"}, g, 1)
     spec = ProblemSpec(
-        n=1, q=1, p=1, d=1.0, grid=g, kernel_drift=kern, kernel_noise=kern,
+        n=1, q=1, p=1, grid=g, kernel_drift=kern, kernel_noise=kern,
         drift=lambda y, z, u: np.exp(y) * 1e30, noise=lambda y, z, u: y[..., None] * 0.0,
         cost=lambda y, u: np.zeros(y.shape[:-1]), rho=1.0,
         control_set=np.array([[0.0]]), growth_const=1.0, lipschitz_const=1.0,
