@@ -108,7 +108,7 @@ def _count(run: Run, name: str) -> int:
 
 def _parse_grid(text: str, names: list[str], z0: np.ndarray):
     """Axes from 'name:lo:hi:count,...'; unnamed axes collapse at the start state."""
-    axes: list[np.ndarray] = [np.array([z0[i]]) for i in range(len(names))]
+    given: dict[str, np.ndarray] = {}
     if text:
         for token in text.split(","):
             parts = token.split(":")
@@ -127,12 +127,15 @@ def _parse_grid(text: str, names: list[str], z0: np.ndarray):
                 raise ValidationError(f"grid axis {name!r} needs at least 1 node, got {count}")
             if name not in names:
                 raise ValidationError(f"unknown axis {name!r}; axes are {names}")
-            axes[names.index(name)] = pick
-    return tuple(axes)
+            if name in given:
+                raise ValidationError(f"grid axis {name!r} is given twice")
+            given[name] = pick
+    return tuple(given.get(name, np.array([z0[i]])) for i, name in enumerate(names))
 
 
-def _parse_box(text: str, names: list[str]) -> list[tuple[float, float]]:
-    box = []
+def _parse_box(text: str, names: list[str]) -> dict[int, tuple[float, float]]:
+    """Box from 'name:lo:hi,...' as {head column: (lo, hi)}, in column order."""
+    box = {}
     for token in text.split(","):
         try:
             name, lo, hi = token.split(":")
@@ -141,8 +144,10 @@ def _parse_box(text: str, names: list[str]) -> list[tuple[float, float]]:
             raise ValidationError(f"bad box token {token!r}, want name:lo:hi") from None
         if name not in names:
             raise ValidationError(f"box axis {name!r} must be a head axis {names}")
-        box.append((lo, hi))
-    return box
+        if names.index(name) in box:
+            raise ValidationError(f"box axis {name!r} is given twice")
+        box[names.index(name)] = (lo, hi)
+    return dict(sorted(box.items()))
 
 
 def _solve(run: Run):
@@ -204,10 +209,12 @@ def cmd_simulate(run: Run):
 
 def cmd_operators(run: Run):
     spec, grid, n = run.spec, run.spec.grid, run.spec.n
-    op = operators.assemble_gram_operator(grid, n)
+    # the flat operator is the scalar one times I_n: each eigenvalue n times
+    op = operators.assemble_gram_operator(grid)
     decomp = operators.spectral_decomposition(op)
+    spectrum = np.repeat(decomp.eigenvalues, n)
     run.csv("spectrum.csv", ["index", "eigenvalue"],
-            [[i, float(v)] for i, v in enumerate(decomp.eigenvalues)])
+            [[i, float(v)] for i, v in enumerate(spectrum)])
     rng = np.random.default_rng(run.args.seed)
     diss, weak, norm_rows = [], [], []
     for _ in range(_count(run, "samples")):
@@ -227,25 +234,19 @@ def cmd_operators(run: Run):
              for form, v in (("dissipativity", diss), ("inverse_pairing", weak))])
     run.csv("norm_audit.csv", ["head_norm", "weak_norm", "roundtrip_rel",
                                "semigroup_growth", "semigroup_bound"], norm_rows)
-    # tail projector norms against the next eigenvalue; every eigenvalue has
-    # multiplicity n, so mode counts round up to whole eigenspaces
-    tail_rows = []
-    marks = sorted({n * math.ceil(k / n) for k in (1, decomp.dim // 4, decomp.dim // 2,
-                                                  decomp.dim)} - {0})
-    for n_modes in marks:
-        q = decomp.projection_matrix(n_modes, "Q")
-        nxt = float(decomp.eigenvalues[n_modes]) if n_modes < decomp.dim else 0.0
-        tail_rows.append([n_modes, operators.g_operator_norm(op.matrix @ q, grid, n), nxt])
-    run.csv("tail_norms.csv", ["n_modes", "tail_norm", "next_eigenvalue"], tail_rows)
-    # noise trace against the mode count, at the recorded initial state
+    # after k whole eigenspaces (n k flat modes): tail projector norm against
+    # the next eigenvalue, and the noise trace at the recorded initial state,
+    # trace((e0 e0^T x sig sig^T)(B Q x I_n)) = (B Q)[0, 0] trace(sig sig^T)
     z2 = np.asarray(spec.delay_integrals(run.x.tail)[1])
     sig = np.asarray(spec.noise(run.x.head, z2, spec.control_set[0]))
-    gram_flat = np.zeros_like(op.matrix)
-    gram_flat[:n, :n] = sig @ sig.T
-    run.csv("trace_report.csv", ["n_modes", "noise_trace"],
-            [[n_modes, float(np.trace(gram_flat @ op.matrix
-                                      @ decomp.projection_matrix(n_modes, "Q")))]
-             for n_modes in marks])
+    tail_rows, trace_rows = [], []
+    for k in sorted({1, decomp.dim // 4, decomp.dim // 2, decomp.dim} - {0}):
+        bq = op.matrix @ decomp.projection_matrix(k, "Q")
+        nxt = float(decomp.eigenvalues[k]) if k < decomp.dim else 0.0
+        tail_rows.append([n * k, operators.g_operator_norm(bq, grid), nxt])
+        trace_rows.append([n * k, float(np.sum(sig * sig) * bq[0, 0])])
+    run.csv("tail_norms.csv", ["n_modes", "tail_norm", "next_eigenvalue"], tail_rows)
+    run.csv("trace_report.csv", ["n_modes", "noise_trace"], trace_rows)
     # concentrated-mass counterexample: unit-mass tails of shrinking support
     # keep the flat-kernel functional alive while the weak norm collapses
     flat_kernel = Kernel(grid, np.ones((grid.m + 1, 1, n)))
@@ -276,11 +277,11 @@ def cmd_operators(run: Run):
         ["exponent_check_r1_c1", hjb.max_growth_exponent(1.0, 1.0)[0]],
         ["exponent_check_r10_c1", hjb.max_growth_exponent(10.0, 1.0)[0]],
     ])
-    run.svg("spectrum.svg", {"eigenvalue": (np.arange(decomp.dim), np.log10(decomp.eigenvalues))},
+    run.svg("spectrum.svg", {"eigenvalue": (np.arange(spectrum.size), np.log10(spectrum))},
             title="gram spectrum (log10)")
     dominated = all(r[0] <= r[1] + 1e-9 for r in norm_rows)
     worst_round = max(r[2] for r in norm_rows)
-    return [f"operators: modes={decomp.dim} lambda_max={decomp.operator_norm:.6g} "
+    return [f"operators: modes={spectrum.size} lambda_max={decomp.operator_norm:.6g} "
             f"forms_ok={int(forms_ok)} head_dominated={int(dominated)} "
             f"roundtrip={worst_round:.2e} flat_kernel_rejected={int(flat_rejected)}"], 0
 
@@ -357,14 +358,15 @@ def cmd_probe_regularity(run: Run):
     chain, result, z0 = _solve(run)
 
     def estimator(pts):
+        # the boxed head columns move; every other coordinate stays at z0
         full = np.tile(z0, (pts.shape[0], 1))
-        full[:, : spec.n] = pts
+        full[:, list(box)] = pts
         return result.value.interp(full)
 
     spacing = 2.0 * max(float(np.min(np.diff(ax))) for ax in result.value.axes[: spec.n]
                         if len(ax) > 1)
-    report = hjb.regularity_probe(spec, estimator, box, samples=run.args.samples,
-                                  gradient_spacing=spacing)
+    report = hjb.regularity_probe(spec, estimator, list(box.values()),
+                                  samples=run.args.samples, gradient_spacing=spacing)
     band = report.alpha_band or (float("nan"), float("nan"))
     run.csv("regularity.csv", ["lipschitz", "alpha_hat", "alpha_lo", "alpha_hi", "flags"],
             [[report.lipschitz,
@@ -405,7 +407,9 @@ def cmd_merton_check(run: Run):
     if not all(c.slope == 0.0 and c.lo == c.hi for c in (p.mu, p.nu)):
         raise ValidationError("merton-check compares against the constant-coefficient closed "
                               "form; use const mu and nu presets with zero kernels")
-    oracle = models.merton_classical_oracle(p.r, p.mu.base, p.nu.base, p.gamma, spec.rho)
+    # a slope-0 map evaluates to clip(base, lo, hi) = min_value, not to base
+    oracle = models.merton_classical_oracle(p.r, p.mu.min_value, p.nu.min_value, p.gamma,
+                                            spec.rho)
     chain, result, z0 = _solve(run)
     v_solver = -result.value.interp_one(z0)  # cost sign flip back to utility
     v_oracle = oracle.value(p.z0)

@@ -199,7 +199,7 @@ def contraction_probe(spec: ProblemSpec, x: LiftedState, y: LiftedState, ctrl,
     Gram eigenvalue.
     """
     spec.validate()
-    decomp = spectral_decomposition(assemble_gram_operator(spec.grid, spec.n))
+    decomp = spectral_decomposition(assemble_gram_operator(spec.grid))
     c = spec.growth_const
     rate = 2.0 * c + c * c * decomp.operator_norm
     d0 = minus_one_norm(x - y)

@@ -461,25 +461,33 @@ def initial_state(spec: ProblemSpec) -> LiftedState:
 
 
 _BUILDERS = {
-    "merton": lambda params, m: build_merton(MertonParams.from_dict(params), m),
-    "advertising": lambda params, m: build_advertising(AdvertisingParams.from_dict(params), m),
-    "affine_test": lambda params, m: build_affine_test(AffineTestParams.from_dict(params), m),
+    "merton": (MertonParams, build_merton),
+    "advertising": (AdvertisingParams, build_advertising),
+    "affine_test": (AffineTestParams, build_affine_test),
 }
 
 
 def build_problem(doc: dict) -> ProblemSpec:
-    """Build a ProblemSpec from a parsed spec document."""
+    """Build a ProblemSpec from a parsed spec document; a malformed document
+    (not an object, a missing or unknown field, a mistyped value) raises
+    ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"spec document must be a JSON object, got {type(doc).__name__}")
     try:
-        model = doc["model"]
-        m = int(doc["m"])
-        params = doc.get("params", {})
+        model, m = doc["model"], doc["m"]
     except KeyError as exc:
         raise ValidationError(f"spec document missing field {exc}") from exc
-    if model not in _BUILDERS:
+    if not isinstance(model, str) or model not in _BUILDERS:
         raise ValidationError(
             f"unknown model {model!r}; expected one of {sorted(_BUILDERS)}"
         )
-    return _BUILDERS[model](params, m)
+    params_type, build = _BUILDERS[model]
+    try:
+        return build(params_type.from_dict(doc.get("params", {})), int(m))
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {model} spec: {exc!r}") from exc
 
 
 def load_spec_file(path) -> ProblemSpec:

@@ -7,12 +7,14 @@ spectral decomposition, and the two structural quadratic forms (dissipativity
 and the inverse pairing) that every state must keep nonpositive.
 
 All adjoints are taken in the quadrature-weighted inner product so matrix
-identities mirror the continuous ones. One discretization artifact is
-handled explicitly: because the inverse's range satisfies the nodal domain
-constraint tail(0) = head, the flat inverse matrix is rank deficient by n,
-and the composed Gram operator carries exactly n machine-zero eigenvalues
-whose eigenvectors are the alternating (Nyquist) tail modes. The spectral
-decomposition strips those ghost modes and records their count.
+identities mirror the continuous ones. Every matrix here is a scalar
+(m+2)-square block: on the flat [head; nodes] vector of an R^n-valued state,
+component index fastest, the operator is that block times I_n, so n is a
+multiplicity. One discretization artifact is handled explicitly: because
+the inverse's range satisfies the nodal domain constraint tail(0) = head,
+the scalar inverse matrix is rank deficient by one, and the Gram operator
+carries one machine-zero eigenvalue per component, whose eigenvector is the
+alternating (Nyquist) tail mode. The spectral decomposition strips it.
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ def generator_inverse_form(x: LiftedState) -> float:
     return lifted_inner(apply_generator_inverse(x), x)
 
 
-def inverse_generator_matrix(grid: SegmentGrid, n: int) -> np.ndarray:
-    """Flat matrix of the inverse generator on [head; tail nodes]."""
+def inverse_generator_matrix(grid: SegmentGrid) -> np.ndarray:
+    """Scalar matrix of the inverse generator on [head; tail nodes]."""
     m, h = grid.m, grid.h
     # cumulative trapezoid coefficients: row j integrates from node j to 0
     C = np.zeros((m + 1, m + 1))
@@ -140,41 +142,37 @@ def inverse_generator_matrix(grid: SegmentGrid, n: int) -> np.ndarray:
         C[j, j] = h / 2.0
         C[j, m] = h / 2.0
         C[j, j + 1 : m] = h
-    # one scalar block per component; 0.0 - C keeps the zeros positive
+    # 0.0 - C keeps the zeros positive
     S = np.zeros((m + 2, m + 2))
     S[:, 0] = -1.0
     S[1:, 1:] = 0.0 - C
-    return np.kron(S, np.eye(n))
+    return S
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense flat operator with its grid and dimension."""
+    """Dense scalar operator with its grid."""
 
     matrix: np.ndarray
     grid: SegmentGrid
-    n: int
 
     def check_g_selfadjoint(self, tol: float = 1e-10) -> bool:
-        w = weight_vector(self.grid, self.n)
+        w = weight_vector(self.grid, 1)
         gm = w[:, None] * self.matrix
         scale = np.max(np.abs(gm))
         return bool(np.max(np.abs(gm - gm.T)) <= tol * max(scale, 1.0))
 
-    def head_block(self) -> np.ndarray:
-        return self.matrix[: self.n, : self.n]
 
-
-def assemble_gram_operator(grid: SegmentGrid, n: int) -> OperatorMatrix:
+def assemble_gram_operator(grid: SegmentGrid) -> OperatorMatrix:
     """Weighted Gram operator of the inverse generator: (adjoint of M) M.
 
     The adjoint is taken in the quadrature inner product, so the quadratic
     form of the result equals the squared weak norm exactly.
     """
-    M = inverse_generator_matrix(grid, n)
-    w = weight_vector(grid, n)
+    M = inverse_generator_matrix(grid)
+    w = weight_vector(grid, 1)
     B = (M.T * w[None, :]) @ M / w[:, None]
-    op = OperatorMatrix(B, grid, n)
+    op = OperatorMatrix(B, grid)
     if not op.check_g_selfadjoint():
         raise NumericalError("gram operator lost weighted self-adjointness")
     return op
@@ -185,8 +183,8 @@ class SpectralDecomposition:
     """Weighted-orthonormal eigenpairs of the Gram operator, descending.
 
     eigenvalues are strictly positive; vectors holds the eigenvectors as
-    columns. The n exact-zero ghost modes of the flat discretization
-    (alternating tail vectors annihilated by the trapezoid rule) are excluded
+    columns. The exact-zero ghost mode of the discretization (the
+    alternating tail vector annihilated by the trapezoid rule) is excluded
     and kept in ghost_vectors for diagnostics.
     """
 
@@ -194,7 +192,6 @@ class SpectralDecomposition:
     vectors: np.ndarray
     ghost_vectors: np.ndarray
     grid: SegmentGrid
-    n: int
 
     @property
     def dim(self) -> int:
@@ -205,14 +202,11 @@ class SpectralDecomposition:
         """Largest eigenvalue = squared operator norm of the inverse generator."""
         return float(self.eigenvalues[0])
 
-    def mode(self, i: int) -> LiftedState:
-        return unflatten(self.vectors[:, i], self.grid, self.n)
-
     def projection_matrix(self, n_modes: int, which: str = "P") -> np.ndarray:
         if not 1 <= n_modes <= self.dim:
             raise ValueError(f"mode count must be in [1, {self.dim}], got {n_modes}")
         F = self.vectors[:, :n_modes]
-        w = weight_vector(self.grid, self.n)
+        w = weight_vector(self.grid, 1)
         P = F @ (w[:, None] * F).T
         if which == "P":
             return P
@@ -220,16 +214,10 @@ class SpectralDecomposition:
             return np.eye(P.shape[0]) - P
         raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
 
-    def ghost_component(self, x: LiftedState) -> np.ndarray:
-        """Coefficients of x on the excluded ghost modes."""
-        w = weight_vector(self.grid, self.n)
-        return (w[:, None] * self.ghost_vectors).T @ flatten(x)
-
 
 def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
     """Eigendecomposition in the weighted metric via symmetric rescaling."""
-    w = weight_vector(op.grid, op.n)
-    s = np.sqrt(w)
+    s = np.sqrt(weight_vector(op.grid, 1))
     S = (s[:, None] * op.matrix) / s[None, :]
     asym = np.max(np.abs(S - S.T))
     if asym > 1e-10 * max(np.max(np.abs(S)), 1.0):
@@ -242,9 +230,9 @@ def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
     F = V / s[:, None]
     keep = lam > GHOST_RELATIVE_TOL * lam[0]
     n_ghost = int(np.sum(~keep))
-    if n_ghost != op.n:
+    if n_ghost != 1:
         raise NumericalError(
-            f"expected exactly {op.n} ghost modes, found {n_ghost}; "
+            f"expected exactly 1 ghost mode, found {n_ghost}; "
             "grid is outside the validated desk scale"
         )
     return SpectralDecomposition(
@@ -252,13 +240,12 @@ def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
         vectors=F[:, keep],
         ghost_vectors=F[:, ~keep],
         grid=op.grid,
-        n=op.n,
     )
 
 
-def g_operator_norm(mat: np.ndarray, grid: SegmentGrid, n: int) -> float:
-    """Operator norm in the weighted metric (spectral norm after rescaling)."""
-    s = np.sqrt(weight_vector(grid, n))
+def g_operator_norm(mat: np.ndarray, grid: SegmentGrid) -> float:
+    """Operator norm in the weighted metric; mat times I_n has the same norm."""
+    s = np.sqrt(weight_vector(grid, 1))
     return float(np.linalg.norm((s[:, None] * mat) / s[None, :], 2))
 
 

@@ -103,13 +103,13 @@ def test_criterion_2_dissipativity_and_weak_form():
 
 def test_criterion_3_spectrum_and_trace():
     g = SegmentGrid(1.0, 100)
-    op = assemble_gram_operator(g, 1)
+    op = assemble_gram_operator(g)
     dec = spectral_decomposition(op)
     positive = bool(np.all(dec.eigenvalues > 0))
     tail_ok, prev = True, np.inf
     for n_modes in (1, 10, 25, 50, dec.dim):
         q = dec.projection_matrix(n_modes, "Q")
-        norm = g_operator_norm(op.matrix @ q, g, 1)
+        norm = g_operator_norm(op.matrix @ q, g)
         expected = dec.eigenvalues[n_modes] if n_modes < dec.dim else 0.0
         tail_ok &= abs(norm - expected) <= 1e-7 * dec.operator_norm
         tail_ok &= norm <= prev + 1e-12

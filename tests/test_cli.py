@@ -1,8 +1,11 @@
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +154,25 @@ def bad_policies(policy_file):
     return paths
 
 
+@pytest.fixture(scope="module")
+def bad_specs(tmp_path_factory):
+    """merton_nodelay.json with an unknown parameter, a text resolution, a text
+    utility exponent, and wrapped in a list."""
+    doc = json.loads((SPECS / "merton_nodelay.json").read_text())
+    variants = {
+        "unknown_param": {**doc, "params": {**doc["params"], "alpha": 1.0}},
+        "m_text": {**doc, "m": "abc"},
+        "gamma_text": {**doc, "params": {**doc["params"], "gamma": "x"}},
+        "top_list": [doc],
+    }
+    root = tmp_path_factory.mktemp("bad_specs")
+    paths = {}
+    for name, variant in variants.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(variant))
+    return paths
+
+
 SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
 
 
@@ -194,6 +216,14 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["dpp", "--spec", SPEC, *SMALL, "--tau-steps", "0"],
     ["merton-check", "--spec", SPEC],
     ["merton-check", "--spec", str(SPECS / "merton_delay.json")],
+    ["solve", "--spec", str(SPECS / "merton_nodelay.json"),
+     "--grid", "z:log:0.005:100:41,z:1:2:3"],
+    ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
+     "--grid", "z:log:0.005:100:41", "--box", "z:0.5:2,z:0.6:1"],
+    ["operators", "--spec", "{unknown_param}"],
+    ["operators", "--spec", "{m_text}"],
+    ["operators", "--spec", "{gamma_text}"],
+    ["operators", "--spec", "{top_list}"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -202,9 +232,11 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "max-iter-zero", "tol-negative", "tol-nan", "regularity-samples-one",
         "residual-samples-zero", "bcontinuity-pairs-zero", "bcontinuity-pairs-one", "bcontinuity-paths-one",
         "dpp-paths-one", "dpp-paths-zero", "dpp-tau-zero", "merton-check-advertising",
-        "merton-check-sloped-coefficients"])
-def test_malformed_input_exits_one(argv, policy_file, bad_policies, tmp_path, capsys):
-    argv = ([a.format(policy_file, **bad_policies) for a in argv]
+        "merton-check-sloped-coefficients", "grid-repeated-axis", "box-repeated-axis",
+        "spec-unknown-param", "spec-m-text", "spec-gamma-text", "spec-top-level-list"])
+def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
+                                   capsys):
+    argv = ([a.format(policy_file, **bad_policies, **bad_specs) for a in argv]
             + ["--out", str(tmp_path / "o")])
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -270,6 +302,28 @@ def test_no_function_imports():
     assert not found, found
 
 
+def test_bench_traced_names_resolve():
+    # the benchmark's tracer wraps functions and methods by name; each must
+    # exist where the tracer looks, or only a traced benchmark run would fail
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spans = types.ModuleType("spans")  # executed from source: writes no bytecode
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
+    callbacks = {f"models.{cb}" for cb in spans.CALLBACKS}
+    names = (set(spans.KEYS) - callbacks) | {".".join(m) for m in spans.METHODS}
+    missing = []
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        mod = importlib.import_module(f"delayopt.{module}")
+        if len(attrs) == 2:  # a method, wrapped on its class
+            ok = callable(getattr(getattr(mod, attrs[0], None), attrs[1], None))
+        else:  # a function, wrapped where its own module defines it
+            obj = getattr(mod, attrs[0], None)
+            ok = inspect.isfunction(obj) and obj.__module__ == mod.__name__
+        if not ok:
+            missing.append(name)
+    assert not missing, missing
+
+
 def test_solve_grid_validation(tmp_path):
     assert run(["solve", "--spec", SPEC, "--mlag", "1", "--grid", "bogus:0:1:5",
                 "--out", str(tmp_path / "x")]) == 1
@@ -312,6 +366,35 @@ def test_probe_regularity_subcommand(tmp_path):
     assert header == "lipschitz,alpha_hat,alpha_lo,alpha_hi,flags"
 
 
+def test_probe_regularity_box_names_its_axes(tmp_path):
+    # each range goes into the head column it names, so the token order of
+    # --box does not matter
+    tables = []
+    for box in ("s:0.6:1.4,z:0.5:2", "z:0.5:2,s:0.6:1.4"):
+        out = tmp_path / box.replace(":", "_").replace(",", "-")
+        assert run(["probe-regularity", "--spec", str(SPECS / "merton_delay.json"),
+                    "--grid", "s:0.4:2.5:5,z:log:0.05:20:21", "--tol", "1e-5",
+                    "--box", box, "--out", str(out)]) == 0
+        tables.append((out / "regularity.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_merton_check_reads_the_constant_through_the_map(tmp_path, capsys):
+    # a slope-0 map evaluates to clip(base, lo, hi): base 0.2 clamped to
+    # [0.07, 0.07] is the constant 0.07
+    doc = json.loads((SPECS / "merton_nodelay.json").read_text())
+    tables = []
+    for name, mu in (("const", {"const": 0.07}),
+                     ("clamped", {"base": 0.2, "slope": 0, "lo": 0.07, "hi": 0.07})):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({**doc, "params": {**doc["params"], "mu": mu}}))
+        code = run(["merton-check", "--spec", str(spec), "--grid", "z:log:0.005:100:41",
+                    "--tol", "1e-5", "--T", "5", "--dt", "0.05", "--paths", "50",
+                    "--out", str(tmp_path / name)])
+        tables.append((code, (tmp_path / name / "merton_check.csv").read_bytes()))
+    assert tables[0] == tables[1]
+
+
 def test_probe_bcontinuity_subcommand(tmp_path):
     out = tmp_path / "bc"
     assert run(["probe-bcontinuity", "--spec", SPEC, "--T", "2", "--dt", "0.02",
@@ -333,41 +416,50 @@ def test_dpp_manifest_records_solver_convergence(tmp_path, capsys):
     assert "growth_fit" not in resolved
 
 
-def test_operators_mode_counts_do_not_depend_on_the_eigenbasis(tmp_path, monkeypatch):
-    # at n = 2 every Gram eigenvalue is double; a basis rotated inside each
-    # eigenspace must leave the tail norms and noise traces unchanged
-    import dataclasses
+def test_operators_n2_matches_dense_kronecker_oracle(tmp_path):
+    # the CLI decomposes the scalar Gram operator B once; the oracle is the
+    # dense flat B x I_2 with its own weighted eigh, in a basis rotated at
+    # random inside each double eigenspace
+    from delayopt import models, operators
 
-    from delayopt import operators
-
-    spec = tmp_path / "affine_n2.json"
-    spec.write_text(json.dumps({"model": "affine_test", "m": 20, "params": {
+    spec_file = tmp_path / "affine_n2.json"
+    spec_file.write_text(json.dumps({"model": "affine_test", "m": 20, "params": {
         "n": 2, "q": 2, "drift_const": [0.0, 0.0],
         "drift_state": [[-0.5, 0.0], [0.0, -0.5]], "drift_delay": [[0.3], [0.3]],
         "drift_control": [[0.5], [0.5]], "noise_const": [[0.4, 0.1], [0.0, 0.2]],
         "x0": [1.0, 1.0], "x1": [1.0, 1.0]}}))
-    decompose = operators.spectral_decomposition
+    out = tmp_path / "ops"
+    assert run(["operators", "--spec", str(spec_file), "--samples", "4",
+                "--out", str(out)]) == 0
+    norms, traces = (np.loadtxt(out / f, delimiter=",", skiprows=1)
+                     for f in ("tail_norms.csv", "trace_report.csv"))
 
-    def rotated(op):
-        dec = decompose(op)
-        angle = np.random.default_rng(0).uniform(0.0, 2 * np.pi, dec.dim // 2)
-        c, s = np.cos(angle), np.sin(angle)
-        a, b = dec.vectors[:, 0::2], dec.vectors[:, 1::2]
-        vectors = np.empty_like(dec.vectors)
-        vectors[:, 0::2], vectors[:, 1::2] = c * a + s * b, c * b - s * a
-        return dataclasses.replace(dec, vectors=vectors)
-
-    tables = []
-    for name, decomposition in (("a", decompose), ("b", rotated)):
-        monkeypatch.setattr(operators, "spectral_decomposition", decomposition)
-        out = tmp_path / name
-        assert run(["operators", "--spec", str(spec), "--samples", "4", "--out", str(out)]) == 0
-        tables.append([np.loadtxt(out / f, delimiter=",", skiprows=1)
-                       for f in ("tail_norms.csv", "trace_report.csv")])
-    (norms, traces), (norms_rot, traces_rot) = tables
-    assert traces[:, 0].tolist() == [2, 10, 22, 42] == traces_rot[:, 0].tolist()
-    np.testing.assert_allclose(norms_rot, norms, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(traces_rot, traces, rtol=1e-9, atol=1e-12)
+    spec = models.load_spec_file(spec_file)
+    g = spec.grid
+    B = np.kron(operators.assemble_gram_operator(g).matrix, np.eye(2))
+    s = np.sqrt(operators.weight_vector(g, 2))
+    lam, V = np.linalg.eigh((s[:, None] * B) / s[None, :])
+    lam, V = lam[::-1], V[:, ::-1] / s[:, None]
+    angle = np.random.default_rng(0).uniform(0.0, 2 * np.pi, lam.size // 2)
+    c, sn = np.cos(angle), np.sin(angle)
+    a, b = V[:, 0::2].copy(), V[:, 1::2].copy()
+    V[:, 0::2], V[:, 1::2] = c * a + sn * b, c * b - sn * a
+    x = models.initial_state(spec)
+    sig = np.asarray(spec.noise(x.head, np.asarray(spec.delay_integrals(x.tail)[1]),
+                                spec.control_set[0]))
+    gram_flat = np.zeros_like(B)
+    gram_flat[:2, :2] = sig @ sig.T
+    dim = lam.size - 2  # two ghost modes
+    oracle_norms, oracle_traces = [], []
+    for n_modes in (2, 10, 20, 42):
+        F = V[:, :n_modes]
+        bq = B @ (np.eye(B.shape[0]) - F @ (s[:, None] ** 2 * F).T)
+        nxt = lam[n_modes] if n_modes < dim else 0.0
+        oracle_norms.append([n_modes, np.linalg.norm((s[:, None] * bq) / s[None, :], 2), nxt])
+        oracle_traces.append([n_modes, np.trace(gram_flat @ bq)])
+    assert norms[:, 0].tolist() == [2, 10, 20, 42] == traces[:, 0].tolist()
+    np.testing.assert_allclose(norms, oracle_norms, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(traces, oracle_traces, rtol=1e-9, atol=1e-12)
 
 
 def test_manifest_records_spec_digest(tmp_path):

@@ -167,7 +167,7 @@ def test_hamiltonian_bq_block_perturbation_vanishes(advert_spec):
     # modes accumulate, and not at all once the spectrum is exhausted
     from delayopt.operators import assemble_gram_operator, spectral_decomposition
     spec = advert_spec
-    op = assemble_gram_operator(spec.grid, 1)
+    op = assemble_gram_operator(spec.grid)
     dec = spectral_decomposition(op)
     rng = np.random.default_rng(5)
     x = random_smooth_state(spec.grid, 1, rng)

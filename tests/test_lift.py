@@ -261,7 +261,7 @@ def test_noise_trace_term_vanishes_spectrally():
     # flat matrices; nonincreasing and exactly zero once all modes are kept
     spec = build_affine_test(AffineTestParams(), 40)
     g = spec.grid
-    op = assemble_gram_operator(g, 1)
+    op = assemble_gram_operator(g)
     dec = spectral_decomposition(op)
     sig = np.asarray(spec.noise(np.array([1.0]), np.array([0.5]), np.array([0.5])))
     N = op.matrix.shape[0]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from delayopt.core import DomainError, LiftedState, Segment, SegmentGrid
+from delayopt.core import DomainError, LiftedState, NumericalError, Segment, SegmentGrid
 from delayopt.operators import (
+    OperatorMatrix,
     apply_generator,
     apply_generator_inverse,
     apply_shift_semigroup,
@@ -229,7 +230,7 @@ def test_weak_norm_vanishes_on_concentrating_mass():
 @pytest.fixture(scope="module")
 def gram_50():
     g = SegmentGrid(1.0, 50)
-    op = assemble_gram_operator(g, 1)
+    op = assemble_gram_operator(g)
     return g, op, spectral_decomposition(op)
 
 
@@ -253,7 +254,7 @@ def test_gram_selfadjoint_and_positive(gram_50):
 
 def test_gram_head_block_positive(gram_50):
     _, op, _ = gram_50
-    head = op.head_block()
+    head = op.matrix[:1, :1]
     assert np.all(np.linalg.eigvalsh((head + head.T) / 2) > 0)
 
 
@@ -304,7 +305,7 @@ def test_spectral_ghost_mode_is_alternating(gram_50):
 
 def project(dec, x, n_modes, which):
     """Spectral projection of a state through the decomposition's projection matrix."""
-    return unflatten(dec.projection_matrix(n_modes, which) @ flatten(x), dec.grid, dec.n)
+    return unflatten(dec.projection_matrix(n_modes, which) @ flatten(x), dec.grid, 1)
 
 
 def test_projection_identities(gram_50):
@@ -314,7 +315,8 @@ def test_projection_identities(gram_50):
     # full projection recovers the state up to its ghost component
     p_full = project(dec, x, dec.dim, "P")
     q_full = project(dec, x, dec.dim, "Q")
-    ghost_coeff = dec.ghost_component(x)
+    w = weight_vector(g, 1)
+    ghost_coeff = (w[:, None] * dec.ghost_vectors).T @ flatten(x)
     ghost_vec = unflatten(dec.ghost_vectors @ ghost_coeff, g, 1)
     np.testing.assert_allclose(flatten(p_full) + flatten(ghost_vec), flatten(x),
                                atol=1e-10)
@@ -331,7 +333,7 @@ def test_projection_identities(gram_50):
 
 def test_projection_of_leading_mode(gram_50):
     g, _, dec = gram_50
-    f1 = dec.mode(0)
+    f1 = unflatten(dec.vectors[:, 0], g, 1)
     p1 = project(dec, f1, 1, "P")
     q1 = project(dec, f1, 1, "Q")
     np.testing.assert_allclose(flatten(p1), flatten(f1), atol=1e-10)
@@ -344,7 +346,7 @@ def test_tail_projector_norm_is_next_eigenvalue(gram_50):
     prev = np.inf
     for n_modes in (1, 5, 10, 25, dec.dim):
         q = dec.projection_matrix(n_modes, "Q")
-        norm = g_operator_norm(op.matrix @ q, g, 1)
+        norm = g_operator_norm(op.matrix @ q, g)
         expected = dec.eigenvalues[n_modes] if n_modes < dec.dim else 0.0
         assert norm == pytest.approx(expected, rel=1e-7, abs=1e-12)
         assert norm <= prev + 1e-12
@@ -423,18 +425,40 @@ def test_weak_norm_dominated_by_operator_norm(gram_50):
 
 
 def test_spectral_ghost_count_matches_dimension():
-    # rank deficiency of the inverse matrix is exactly the state dimension
+    # the scalar Gram operator has one ghost; its flat form B x I_n, in the
+    # flat weighted metric, has one per component and the scalar spectrum
+    # n times over
+    g = SegmentGrid(1.0, 20)
+    dec = spectral_decomposition(assemble_gram_operator(g))
+    assert dec.ghost_vectors.shape[1] == 1
+    assert dec.dim == 21
+    assert np.all(dec.eigenvalues > 0)
     for n in (1, 2, 3):
-        g = SegmentGrid(1.0, 20)
-        dec = spectral_decomposition(assemble_gram_operator(g, n))
-        assert dec.ghost_vectors.shape[1] == n
-        assert dec.dim == n * 22 - n
-        assert np.all(dec.eigenvalues > 0)
+        s = np.sqrt(weight_vector(g, n))
+        A = (s[:, None] * np.kron(inverse_generator_matrix(g), np.eye(n))) / s[None, :]
+        lam = np.linalg.eigvalsh(A.T @ A)[::-1]
+        assert lam.size == n * 22
+        assert int(np.sum(lam <= 1e-13 * lam[0])) == n
+        np.testing.assert_allclose(lam[:-n], np.repeat(dec.eigenvalues, n),
+                                   rtol=0, atol=1e-13 * lam[0])
+
+
+def test_spectral_decomposition_refuses_a_second_ghost():
+    g = SegmentGrid(1.0, 20)
+    op = assemble_gram_operator(g)
+    dec = spectral_decomposition(op)
+    # remove the leading mode from the operator: a second zero eigenvalue
+    f = dec.vectors[:, :1]
+    w = weight_vector(g, 1)
+    deflated = op.matrix - dec.operator_norm * f @ (w[:, None] * f).T
+    with pytest.raises(NumericalError, match="exactly 1 ghost"):
+        spectral_decomposition(OperatorMatrix(deflated, g))
 
 
 def test_inverse_matrix_matches_functional_form():
+    # the flat inverse of an n = 2 state is the scalar matrix times I_2
     g = SegmentGrid(1.0, 12)
-    M = inverse_generator_matrix(g, 2)
+    M = np.kron(inverse_generator_matrix(g), np.eye(2))
     rng = np.random.default_rng(15)
     x = random_smooth_state(g, 2, rng, domain=False)
     np.testing.assert_allclose(M @ flatten(x), flatten(apply_generator_inverse(x)),
