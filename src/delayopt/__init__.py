@@ -36,7 +36,6 @@ from .operators import (
 )
 from .sdde import (
     BrownianDriver,
-    FeedbackControl,
     OpenLoopControl,
     mc_cost,
     simulate_sdde,

@@ -118,18 +118,22 @@ def _parse_grid(text: str, names: list[str], z0: np.ndarray):
             try:
                 name, lo, hi, count = parts
                 lo, hi, count = float(lo), float(hi), int(count)
-                pick = (np.geomspace(lo, hi, count) if spacing == "log"
-                        else np.linspace(lo, hi, count))
             except ValueError:
                 raise ValidationError(
                     f"bad grid token {token!r}, want name[:log]:lo:hi:count") from None
+            if not math.isfinite(hi - lo):  # also refuses a width that overflows
+                raise ValidationError(f"grid axis {name!r} needs finite bounds, got {lo}:{hi}")
+            if spacing == "log" and not (lo > 0 and hi > 0):
+                raise ValidationError(
+                    f"log grid axis {name!r} needs positive bounds, got {lo}:{hi}")
             if count < 1:
                 raise ValidationError(f"grid axis {name!r} needs at least 1 node, got {count}")
             if name not in names:
                 raise ValidationError(f"unknown axis {name!r}; axes are {names}")
             if name in given:
                 raise ValidationError(f"grid axis {name!r} is given twice")
-            given[name] = pick
+            given[name] = (np.geomspace(lo, hi, count) if spacing == "log"
+                           else np.linspace(lo, hi, count))
     return tuple(given.get(name, np.array([z0[i]])) for i, name in enumerate(names))
 
 
@@ -142,6 +146,8 @@ def _parse_box(text: str, names: list[str]) -> dict[int, tuple[float, float]]:
             lo, hi = float(lo), float(hi)
         except ValueError:
             raise ValidationError(f"bad box token {token!r}, want name:lo:hi") from None
+        if not (math.isfinite(hi - lo) and lo < hi):
+            raise ValidationError(f"box axis {name!r} needs finite lo < hi, got {lo}:{hi}")
         if name not in names:
             raise ValidationError(f"box axis {name!r} must be a head axis {names}")
         if names.index(name) in box:

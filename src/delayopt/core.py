@@ -318,7 +318,6 @@ class ProblemSpec:
     cost_growth_const: float
     cost_growth_exponent: float
     ellipticity_floor: float | None = None
-    cost_is_lipschitz: bool = False
     params: object = None
     # names of the head components (y0, y1, ... when not given) and the
     # initial state as a head vector over a constant history value

@@ -34,8 +34,8 @@ from .core import (
     weighted_kernels,
 )
 from .operators import minus_one_norm
-from .sdde import (FeedbackControl, OpenLoopControl, _euler_head, _simulate_batch,
-                   _steps_of, batch_increments, mc_cost)
+from .sdde import (OpenLoopControl, _euler_head, _mean_stderr, _simulate_batch, _steps_of,
+                   batch_increments, mc_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +351,12 @@ class PolicyField:
 
 
 def noise_rule(q: int, points: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor quadrature for a standard normal draw in q dimensions.
-
-    points = 2 gives the antithetic two-point rule; otherwise Gauss-Hermite.
-    """
+    """Tensor Gauss-Hermite quadrature for a standard normal draw in q
+    dimensions (points = 2 is the antithetic rule: nodes -1, 1, weights 1/2)."""
     if points < 1:
         raise ValidationError(f"the noise rule needs at least 1 point, got {points}")
-    if points == 2:
-        nodes1, w1 = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    else:
-        nodes1, w1 = hermegauss(points)
-        w1 = w1 / w1.sum()
+    nodes1, w1 = hermegauss(points)
+    w1 = w1 / w1.sum()
     return _tensor_nodes([nodes1] * q), np.prod(_tensor_nodes([w1] * q), axis=1)
 
 
@@ -489,16 +484,17 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
 # closed-loop evaluation and the dynamic programming gap
 
 
-def feedback_from_policy(chain: LagChainSpec, policy: PolicyField,
-                         delta: float) -> FeedbackControl:
-    """Feedback control reading the policy at the sampled register."""
+def feedback_from_policy(chain: LagChainSpec, policy: PolicyField, delta: float):
+    """Control reading the policy at the register sampled from a step-grid
+    window (step delta, a divisor of the lag step): window (paths, nodes, n)
+    to controls (paths, p)."""
     stride_i = _steps_of(chain.delta, delta, "the lag step")
     offsets = np.array([-1 - j * stride_i for j in range(chain.m_lag + 1)])
 
-    def fn(k, t, window):
+    def control(window):
         return policy.control_at(chain.flatten(window[:, offsets, :]))
 
-    return FeedbackControl(fn)
+    return control
 
 
 def policy_mc_value(chain: LagChainSpec, policy: PolicyField, x: LiftedState,
@@ -513,7 +509,6 @@ class DppReport:
     gap: float
     stderr: float
     value_at_x: float
-    best_control_index: int
     tau: float
 
     def ok(self, grid_tol: float) -> bool:
@@ -529,33 +524,29 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     so at the fixed point the gap is nonpositive up to grid and Monte Carlo
     tolerance. Path i draws its noise from the stream keyed on (seed, i);
     the same draws serve every control (common random numbers), and tau
-    must be a multiple of the lag step.
+    must be a multiple of the lag step. At tau = 0 the gap is 0 exactly and
+    no path is drawn.
     """
     spec = chain.spec
     k_tau = _steps_of(tau, chain.delta, "tau")
-    if n_paths < 2:
-        raise ValidationError(f"the gap's standard error needs at least 2 paths, got {n_paths}")
     z0 = chain.flatten(register_from_state(chain, x))
     v_x = value.interp_one(z0)
     if k_tau == 0:
-        return DppReport(gap=0.0, stderr=0.0, value_at_x=v_x,
-                         best_control_index=0, tau=tau)
+        return DppReport(gap=0.0, stderr=0.0, value_at_x=v_x, tau=tau)
     # the register as a state on the lag grid, so the rollout starts from z0
     reg0 = chain.unflatten(z0)
     x_reg = LiftedState(reg0[0], Segment(chain.coarse_grid, reg0[::-1]))
     dw = batch_increments(seed, range(n_paths), chain.delta, spec.q, k_tau)
-    best = (math.inf, 0.0, 0)
-    for iu in range(spec.control_set.shape[0]):
-        _, states, _, cost = _simulate_batch(spec, x_reg, OpenLoopControl(spec.control_set[iu]),
-                                             tau, chain.delta, dw)
+    best = (math.inf, 0.0)
+    for u in spec.control_set:
+        _, states, _, cost = _simulate_batch(spec, x_reg, OpenLoopControl(u), tau,
+                                             chain.delta, dw)
         regs = states[:, :-chain.m_lag - 2:-1]  # newest node first
         cost += math.exp(-spec.rho * tau) * value.interp(chain.flatten(regs))
-        mean = float(np.mean(cost))
-        se = float(np.std(cost, ddof=1) / math.sqrt(n_paths))
-        if mean < best[0]:
-            best = (mean, se, iu)
-    return DppReport(gap=v_x - best[0], stderr=best[1], value_at_x=v_x,
-                     best_control_index=best[2], tau=tau)
+        stat = _mean_stderr(cost)
+        if stat[0] < best[0]:
+            best = stat
+    return DppReport(gap=v_x - best[0], stderr=best[1], value_at_x=v_x, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -790,15 +781,18 @@ def envelope_is_monotone(table: ContinuityTable, abs_tol: float = 0.0,
 
 def paired_cost_estimator(spec: ProblemSpec, ctrl, T: float, delta: float,
                           n_paths: int, seed: int):
-    """Difference estimator with common random numbers across the pair."""
-    if n_paths < 2:
-        raise ValidationError(f"a paired estimate needs at least 2 paths, got {n_paths}")
-    dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, _steps_of(T, delta, "T"))
+    """Difference estimator with common random numbers across the pair.
+
+    A zero horizon is refused: every difference would be 0 by construction.
+    """
+    n_steps = _steps_of(T, delta, "T")
+    if n_steps == 0:
+        raise ValidationError("a paired estimate needs a positive horizon T")
+    dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
 
     def estimate(x: LiftedState, y: LiftedState) -> tuple[float, float]:
-        d = (_simulate_batch(spec, x, ctrl, T, delta, dw)[3]
-             - _simulate_batch(spec, y, ctrl, T, delta, dw)[3])
-        return float(np.mean(d)), float(np.std(d, ddof=1) / math.sqrt(n_paths))
+        return _mean_stderr(_simulate_batch(spec, x, ctrl, T, delta, dw)[3]
+                            - _simulate_batch(spec, y, ctrl, T, delta, dw)[3])
 
     return estimate
 

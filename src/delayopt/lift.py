@@ -33,6 +33,7 @@ from .sdde import (
     BrownianDriver,
     SddePath,
     _euler_head,
+    _mean_stderr,
     _simulate_batch,
     _steps_of,
     batch_increments,
@@ -82,7 +83,7 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
     tails[0] = x.tail.values
     for k in range(n_steps):
         head, tail = heads[k], tails[k]
-        u = ctrl.resolve(k, k * delta, tail[None, :, :])
+        u = ctrl(tail[None])
         head_new = _euler_head(spec, wk, head[None, :], tail[None, :, :], u,
                                increments[None, k], delta)[0]
         if not np.all(np.isfinite(head_new)):
@@ -209,12 +210,9 @@ def contraction_probe(spec: ProblemSpec, x: LiftedState, y: LiftedState, ctrl,
     dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
     times, sx, _, _ = _simulate_batch(spec, x, ctrl, r, delta, dw)
     _, sy, _, _ = _simulate_batch(spec, y, ctrl, r, delta, dw)
-    sq = np.empty(n_paths)
-    for i in range(n_paths):
-        lx = _lift_at(r, times, sx[i], spec.grid)
-        ly = _lift_at(r, times, sy[i], spec.grid)
-        sq[i] = minus_one_norm(lx - ly) ** 2
-    lhs = float(np.mean(sq))
-    stderr = float(np.std(sq, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    lhs, stderr = _mean_stderr([
+        minus_one_norm(_lift_at(r, times, sx[i], spec.grid)
+                       - _lift_at(r, times, sy[i], spec.grid)) ** 2
+        for i in range(n_paths)])
     return ContractionReport(lhs=lhs, stderr=stderr, rhs=rhs, rate=rate)
 

@@ -226,7 +226,6 @@ def build_merton(p: MertonParams, m: int) -> ProblemSpec:
         growth_const=growth_c, lipschitz_const=lipschitz,
         cost_growth_const=cost_k, cost_growth_exponent=1.0,
         ellipticity_floor=None,  # noise degenerates on the u z = 0 slice
-        cost_is_lipschitz=False,
         params=p,
         head_names=("s", "z"),
         initial_head=(p.s0, p.z0),
@@ -340,7 +339,6 @@ def build_advertising(p: AdvertisingParams, m: int) -> ProblemSpec:
         growth_const=growth_c, lipschitz_const=max(abs(a0), 1.0),
         cost_growth_const=max(spend * p.u_max ** 2, 1.0), cost_growth_exponent=1.0,
         ellipticity_floor=sigma ** 2 if sigma > 0 else None,
-        cost_is_lipschitz=True,
         params=p,
         head_names=("y",),
         initial_head=(p.x0,),
@@ -439,7 +437,6 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
         cost_growth_const=cost_k,
         cost_growth_exponent=(0.0 if np.isfinite(clip) else mexp),
         ellipticity_floor=(lam_floor if lam_floor > 0 else None),
-        cost_is_lipschitz=bool(mexp <= 1.0 or np.isfinite(clip)),
         params=p,
         initial_head=tuple(np.ravel(p.x0)),
         initial_history=tuple(np.ravel(p.x1)),
@@ -481,9 +478,11 @@ def build_problem(doc: dict) -> ProblemSpec:
         raise ValidationError(
             f"unknown model {model!r}; expected one of {sorted(_BUILDERS)}"
         )
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValidationError(f"spec field 'm' must be an integer, got {m!r}")
     params_type, build = _BUILDERS[model]
     try:
-        return build(params_type.from_dict(doc.get("params", {})), int(m))
+        return build(params_type.from_dict(doc.get("params", {})), m)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

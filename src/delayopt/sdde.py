@@ -6,7 +6,15 @@ quadrature needs no interpolation. Brownian increments come from
 counter-based generators keyed on (seed, path index), which makes every
 path bit-reproducible and independent across indices. The step loop also
 accumulates each path's discounted running cost, so a Monte Carlo estimate
-walks the paths once.
+walks the paths once, and every estimate reduces its per-path samples with
+the one compensated-sum statistic `_mean_stderr`.
+
+A control is any callable from a batch of history windows to controls.
+The window has shape (paths, history nodes + 1, n) and covers [t - d, t],
+newest node last, on the simulator's grid (the step grid here, the segment
+grid in `lift.simulate_mild`). The control returns shape (paths, p) and is
+deterministic. So every control is a stationary feedback of the window,
+and `OpenLoopControl` is the constant special case.
 """
 
 from __future__ import annotations
@@ -67,36 +75,15 @@ def coarsen_increments(dw: np.ndarray, factor: int) -> np.ndarray:
 
 
 class OpenLoopControl:
-    """Piecewise-constant control: one value, or one value per step."""
+    """Constant control: the same value at every window."""
 
     def __init__(self, values):
         self.values = np.atleast_1d(np.asarray(values, dtype=float))
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("control values must be finite")
+        if self.values.ndim != 1 or not np.all(np.isfinite(self.values)):
+            raise ValidationError("control values must be one finite vector")
 
-    def resolve(self, k: int, t: float, window: np.ndarray) -> np.ndarray:
-        n_paths = window.shape[0]
-        if self.values.ndim == 1:
-            return np.broadcast_to(self.values, (n_paths, self.values.shape[0]))
-        return np.broadcast_to(self.values[k], (n_paths, self.values.shape[1]))
-
-
-class FeedbackControl:
-    """Stationary feedback: a map from the current history window to a control.
-
-    The callback receives (step index, time, window) where window has shape
-    (paths, history nodes + 1, n) and covers [t - d, t]; it must return
-    controls of shape (paths, p). Evaluation is deterministic by contract.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def resolve(self, k: int, t: float, window: np.ndarray) -> np.ndarray:
-        u = np.asarray(self.fn(k, t, window), dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
-        return u
+    def __call__(self, window: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.values, (window.shape[0], self.values.shape[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +171,7 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
     for k in range(n_steps):
         window = states[:, k : k + n_hist + 1]
         y = states[:, k + n_hist]
-        u = ctrl.resolve(k, k * delta, window)
+        u = ctrl(window)
         controls[:, k] = u
         cost += disc[k] * np.asarray(spec.cost(y, u), dtype=float)
         y_next = _euler_head(spec, wk, y, window, u, increments[:, k], delta)
@@ -209,6 +196,20 @@ def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
                     segment_grid=spec.grid)
 
 
+def _mean_stderr(samples) -> tuple[float, float]:
+    """(mean, standard error) of per-path samples by compensated summation.
+
+    One path has no standard error, so fewer than 2 samples are refused.
+    """
+    xs = np.asarray(samples, dtype=float).ravel().tolist()
+    n = len(xs)
+    if n < 2:
+        raise ValidationError(f"a Monte Carlo estimate needs at least 2 paths, got {n}")
+    mean = math.fsum(xs) / n
+    var = math.fsum((c - mean) ** 2 for c in xs) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
 MC_CHUNK = 256  # paths per batch; bounds the stored (paths, steps, n) state array
 
 
@@ -220,8 +221,6 @@ def mc_cost(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
     deterministic in the seed and each path's cost is the one simulate_sdde
     gives for that path's driver.
     """
-    if n_paths < 2:
-        raise ValidationError("mc_cost needs at least 2 paths")
     spec.validate()
     n_steps = _steps_of(T, delta, "T")
     costs: list[float] = []
@@ -229,7 +228,5 @@ def mc_cost(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
         idx = np.arange(start, min(start + MC_CHUNK, n_paths))
         dw = batch_increments(seed, idx, delta, spec.q, n_steps)
         costs.extend(_simulate_batch(spec, x, ctrl, T, delta, dw)[3].tolist())
-    mean = math.fsum(costs) / n_paths
-    var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
-    return mean, math.sqrt(var / n_paths)
+    return _mean_stderr(costs)
 

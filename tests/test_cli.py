@@ -3,6 +3,7 @@ import importlib
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import delayopt
-from delayopt.cli import main
+from delayopt.cli import COMMANDS, build_parser, main
 
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -21,6 +22,17 @@ SPEC = str(SPECS / "advertising.json")
 
 def run(argv):
     return main(argv)
+
+
+def test_readme_commands_parse():
+    # every line of README's command block parses (none is run), and the
+    # block shows every subcommand, so a renamed flag cannot leave it stale
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("delayopt ")]
+    parser = build_parser()
+    commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
+    assert sorted(commands) == sorted(COMMANDS)
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -156,12 +168,16 @@ def bad_policies(policy_file):
 
 @pytest.fixture(scope="module")
 def bad_specs(tmp_path_factory):
-    """merton_nodelay.json with an unknown parameter, a text resolution, a text
-    utility exponent, and wrapped in a list."""
+    """merton_nodelay.json with an unknown parameter, a text, fractional,
+    boolean or quoted resolution, a text utility exponent, and wrapped in a
+    list."""
     doc = json.loads((SPECS / "merton_nodelay.json").read_text())
     variants = {
         "unknown_param": {**doc, "params": {**doc["params"], "alpha": 1.0}},
         "m_text": {**doc, "m": "abc"},
+        "m_fraction": {**doc, "m": 20.7},
+        "m_bool": {**doc, "m": True},
+        "m_quoted": {**doc, "m": "20"},
         "gamma_text": {**doc, "params": {**doc["params"], "gamma": "x"}},
         "top_list": [doc],
     }
@@ -224,6 +240,20 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["operators", "--spec", "{m_text}"],
     ["operators", "--spec", "{gamma_text}"],
     ["operators", "--spec", "{top_list}"],
+    ["operators", "--spec", "{m_fraction}"],
+    ["operators", "--spec", "{m_bool}"],
+    ["operators", "--spec", "{m_quoted}"],
+    ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
+     "--grid", "z:log:0.005:100:41", "--box", "z:1:1"],
+    ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
+     "--grid", "z:log:0.005:100:41", "--box", "z:2:0.5"],
+    ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
+     "--grid", "z:log:0.005:100:41", "--box", "z:0.5:inf"],
+    ["solve", "--spec", str(SPECS / "merton_nodelay.json"), "--grid", "z:log:-1:2:5"],
+    ["solve", "--spec", str(SPECS / "merton_nodelay.json"), "--grid", "z:log:0:2:5"],
+    ["solve", "--spec", SPEC, "--grid", "y:0:inf:5"],
+    ["solve", "--spec", SPEC, "--grid", "y:-1e308:1e308:5"],
+    ["probe-bcontinuity", "--spec", SPEC, "--T", "0"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -233,7 +263,10 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "residual-samples-zero", "bcontinuity-pairs-zero", "bcontinuity-pairs-one", "bcontinuity-paths-one",
         "dpp-paths-one", "dpp-paths-zero", "dpp-tau-zero", "merton-check-advertising",
         "merton-check-sloped-coefficients", "grid-repeated-axis", "box-repeated-axis",
-        "spec-unknown-param", "spec-m-text", "spec-gamma-text", "spec-top-level-list"])
+        "spec-unknown-param", "spec-m-text", "spec-gamma-text", "spec-top-level-list",
+        "spec-m-fraction", "spec-m-bool", "spec-m-quoted", "box-empty-range",
+        "box-reversed-range", "box-infinite", "grid-log-negative", "grid-log-zero",
+        "grid-infinite", "grid-width-overflow", "bcontinuity-T-zero"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
                                    capsys):
     argv = ([a.format(policy_file, **bad_policies, **bad_specs) for a in argv]

@@ -893,6 +893,36 @@ def test_b_continuity_head_pairs_scale_like_lipschitz(advert_spec):
     assert max(ratios) < 10.0
 
 
+def test_paired_estimate_is_the_fsum_statistic_of_its_differences(advert_spec):
+    # (mean, stderr) are the compensated-sum statistic of the per-path
+    # differences on common random numbers (np.mean and np.std miss the
+    # last bits of both at this seed)
+    from delayopt.sdde import _simulate_batch, batch_increments
+    spec = advert_spec
+    x = models.initial_state(spec)
+    y = LiftedState(x.head + 0.1, Segment(spec.grid, x.tail.values - 0.05))
+    ctrl = OpenLoopControl([0.5])
+    est = paired_cost_estimator(spec, ctrl, T=1.0, delta=0.05, n_paths=64, seed=3)
+    dw = batch_increments(3, np.arange(64), 0.05, spec.q, 20)
+    d = (_simulate_batch(spec, x, ctrl, 1.0, 0.05, dw)[3]
+         - _simulate_batch(spec, y, ctrl, 1.0, 0.05, dw)[3]).tolist()
+    mean = math.fsum(d) / 64
+    var = math.fsum((v - mean) ** 2 for v in d) / 63
+    assert est(x, y) == (mean, math.sqrt(var / 64))
+
+
+def test_paired_estimate_refuses_a_zero_horizon_and_one_path(advert_spec):
+    spec = advert_spec
+    x = models.initial_state(spec)
+    with pytest.raises(ValidationError, match="positive horizon"):
+        paired_cost_estimator(spec, OpenLoopControl([0.5]), T=0.0, delta=0.05,
+                              n_paths=16, seed=0)
+    est = paired_cost_estimator(spec, OpenLoopControl([0.5]), T=1.0, delta=0.05,
+                                n_paths=1, seed=0)
+    with pytest.raises(ValidationError, match="at least 2 paths"):
+        est(x, x)
+
+
 def test_envelope_helper():
     from delayopt.hjb import ContinuityTable
     t = ContinuityTable(np.array([0.01, 0.1, 0.5, 1.0]),

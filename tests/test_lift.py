@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delayopt import models
-from delayopt.core import LiftedState, Segment, kernel_convolve
+from delayopt.core import LiftedState, Segment, ValidationError, kernel_convolve
 from delayopt.lift import (
     contraction_probe,
     equivalence_report,
@@ -176,6 +176,16 @@ def test_contraction_deterministic_affine():
                             n_paths=4, delta=0.01, seed=0)
     assert rep.stderr <= 1e-12
     assert rep.lhs <= rep.rhs
+
+
+def test_contraction_probe_refuses_one_path():
+    # one path has no standard error
+    spec = build_advertising(AdvertisingParams(), 40)
+    x = models.initial_state(spec)
+    y = LiftedState(x.head + 0.3, x.tail)
+    with pytest.raises(ValidationError, match="at least 2 paths"):
+        contraction_probe(spec, x, y, OpenLoopControl([0.5]), r=0.5,
+                          n_paths=1, delta=0.01, seed=0)
 
 
 def test_contraction_advertising_monte_carlo():

@@ -129,6 +129,44 @@ def test_nan_abort_names_step():
 
 
 # ---------------------------------------------------------------------------
+# controls
+
+
+def test_plain_function_control_matches_open_loop():
+    # a control is any callable of the window; the window covers [t - d, t]
+    # on the step grid with the current state as its newest node
+    spec = build_advertising(AdvertisingParams(), 20)
+    x = models.initial_state(spec)
+    dw = batch_increments(5, np.arange(8), 0.05, 1, 40)
+    windows = []
+    from delayopt.sdde import _simulate_batch
+
+    def control(window):
+        windows.append(window.copy())
+        return np.full((window.shape[0], 1), 0.5)
+
+    _, states, controls, cost = _simulate_batch(spec, x, control, 2.0, 0.05, dw)
+    _, ref, ref_controls, ref_cost = _simulate_batch(spec, x, OpenLoopControl([0.5]),
+                                                     2.0, 0.05, dw)
+    np.testing.assert_array_equal(states, ref)
+    np.testing.assert_array_equal(controls, ref_controls)
+    np.testing.assert_array_equal(cost, ref_cost)
+    n_hist = spec_hist(spec, 0.05)
+    assert len(windows) == 40
+    for k, window in enumerate(windows):
+        np.testing.assert_array_equal(window, states[:, k:k + n_hist + 1])
+
+
+def test_open_loop_control_is_one_finite_vector():
+    u = OpenLoopControl([0.5, 1.0])
+    assert u(np.zeros((3, 5, 1))).shape == (3, 2)
+    with pytest.raises(ValidationError):
+        OpenLoopControl([[0.5], [1.0]])
+    with pytest.raises(ValidationError):
+        OpenLoopControl([np.nan])
+
+
+# ---------------------------------------------------------------------------
 # costs
 
 
@@ -198,6 +236,19 @@ def test_mc_deterministic_given_seed_and_chunk_free():
     var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
     got = mc_cost(spec, x, OpenLoopControl([0.5]), 1.0, 0.05, n_paths, seed=3)
     assert got == (mean, math.sqrt(var / n_paths))
+
+
+def test_mean_stderr_is_compensated_and_needs_two_samples():
+    # the one Monte Carlo statistic: fsum mean and standard error
+    from delayopt.sdde import _mean_stderr
+    assert _mean_stderr([1e16, 1.0, -1e16, 1.0])[0] == 0.5
+    assert _mean_stderr(np.array([1.0, 3.0])) == (2.0, 1.0)
+    for samples in ([], [1.0]):
+        with pytest.raises(ValidationError, match="at least 2 paths"):
+            _mean_stderr(samples)
+    spec = pure_noise_spec()
+    with pytest.raises(ValidationError, match="at least 2 paths"):
+        mc_cost(spec, models.initial_state(spec), OpenLoopControl([0.0]), 1.0, 0.1, 1, seed=0)
 
 
 def test_mc_zero_noise_zero_stderr():
