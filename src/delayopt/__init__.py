@@ -63,6 +63,7 @@ from .hjb import (
     reduce_to_lag_chain,
     regularity_probe,
     truncation_horizon,
+    truncation_tail_bound,
     value_iteration,
 )
 from .models import (

@@ -188,23 +188,39 @@ def _write_dpp(run: Run, chain, result, tau: float):
     return report, grid_tol, ok
 
 
+def _record_tail_bound(run: Run) -> None:
+    """Manifest: the discounted cost beyond --T, bounded with its moment
+    prefactor taken as 1 (hjb.truncation_tail_bound); null when the discount
+    does not clear its admissibility floor."""
+    try:
+        bound = hjb.truncation_tail_bound(run.spec, float(np.linalg.norm(run.x.head)),
+                                          run.args.T)
+    except ValidationError:
+        bound = None
+    run.extra["truncation_tail_bound"] = bound
+
+
 def cmd_simulate(run: Run):
     a, spec, x = run.args, run.spec, run.x
+    if a.emit_paths < 0:
+        raise ValidationError(f"--emit-paths must be nonnegative, got {a.emit_paths}")
     ctrl = _control(spec, a.control, a.dt)
-    mean, stderr = sdde.mc_cost(spec, x, ctrl, a.T, a.dt, a.paths, a.seed)
+    # the emitted paths are paths 0.. of the estimate, kept from its own pass
+    batch = sdde._simulate_batch(spec, x, ctrl, a.T, a.dt, (a.seed, a.paths),
+                                 keep=min(a.paths, a.emit_paths))
+    mean, stderr = sdde._mean_stderr(batch.costs)
     try:
         t_trunc = hjb.truncation_horizon(spec, float(np.linalg.norm(x.head)), tol=0.01)
     except ValidationError:
         t_trunc = float("nan")
+    _record_tail_bound(run)
     run.csv("summary.csv", ["mean", "stderr", "T_trunc"], [[mean, stderr, t_trunc]])
-    # the emitted paths are paths 0.. of the estimate: same streams, one batch
-    dw = sdde.batch_increments(a.seed, range(min(a.paths, a.emit_paths)), a.dt,
-                               spec.q, sdde._steps_of(a.T, a.dt, "T"))
-    times, states, controls, _ = sdde._simulate_batch(spec, x, ctrl, a.T, a.dt, dw)
-    steps = slice(-controls.shape[1] - 1, -1)  # step times 0 .. T - dt
+    states, controls = batch.states, batch.controls
+    times = a.dt * np.arange(controls.shape[1])  # step times 0 .. T - dt
+    steps = slice(-controls.shape[1] - 1, -1)
     rows = [[pidx, float(t)] + y.tolist() + u.tolist()
-            for pidx in range(len(dw))
-            for t, y, u in zip(times[steps], states[pidx, steps], controls[pidx])]
+            for pidx in range(len(states))
+            for t, y, u in zip(times, states[pidx, steps], controls[pidx])]
     run.csv("paths.csv", ["path", "t"] + [f"y{i}" for i in range(spec.n)]
             + [f"u{i}" for i in range(spec.control_set.shape[1])], rows)
     if a.svg and rows:  # skips collecting path 0 when no plot is drawn
@@ -309,6 +325,7 @@ def cmd_value(run: Run):
     a = run.args
     ctrl = _control(run.spec, a.control, a.dt)
     mean, stderr = sdde.mc_cost(run.spec, run.x, ctrl, a.T, a.dt, a.paths, a.seed)
+    _record_tail_bound(run)
     run.csv("value.csv", ["mean", "stderr"], [[mean, stderr]])
     return [f"value: mean={mean:.6g} stderr={stderr:.3g}"], 0
 
@@ -424,6 +441,7 @@ def cmd_merton_check(run: Run):
     du = float(spec.control_set[1, 0] - spec.control_set[0, 0])
     mc_mean, mc_err = hjb.policy_mc_value(chain, result.policy, run.x, a.T,
                                           a.dt, a.paths, a.seed)
+    _record_tail_bound(run)
     rows = [[check, observed, target, tol, int(abs(observed - target) <= tol)]
             for check, observed, target, tol in (
                 ("value_iteration_vs_oracle", v_solver, v_oracle, 0.03 * abs(v_oracle)),

@@ -78,24 +78,35 @@ def lipschitz_discount_threshold(c: float, gram_norm: float) -> float:
     return c + 0.5 * c * c * gram_norm
 
 
-def truncation_horizon(spec: ProblemSpec, x_norm: float, tol: float) -> float:
-    """Horizon beyond which the discounted tail is below tol.
-
-    Uses the moment bound with rate midway between the discount and its
-    admissibility floor; requires the discount to clear the floor. The
-    moment-bound prefactor has no closed form and is taken to be 1.
-    """
+def _tail_gap(spec: ProblemSpec) -> float:
+    """Decay rate of the discounted moment bound: the discount minus the
+    rate midway between it and its admissibility floor, which it must clear."""
     rho0 = discount_floor(spec.growth_const, spec.cost_growth_exponent)
     if spec.rho <= rho0:
         raise ValidationError(
             f"discount {spec.rho} does not exceed the admissibility floor {rho0:g}"
         )
     lam = (spec.rho + rho0) / 2.0
-    gap = spec.rho - lam
-    bound0 = (1.0 + x_norm ** spec.cost_growth_exponent) / gap
+    return spec.rho - lam
+
+
+def truncation_tail_bound(spec: ProblemSpec, x_norm: float, T: float) -> float:
+    """Bound on the discounted cost beyond T: (1 + |x0|^m) / gap * exp(-gap T).
+
+    An estimate: the moment-bound prefactor has no closed form and is taken
+    to be 1.
+    """
+    gap = _tail_gap(spec)
+    return (1.0 + x_norm ** spec.cost_growth_exponent) / gap * math.exp(-gap * T)
+
+
+def truncation_horizon(spec: ProblemSpec, x_norm: float, tol: float) -> float:
+    """Horizon beyond which the discounted tail is below tol: the T at which
+    truncation_tail_bound equals tol, 0 when it is below tol already."""
+    bound0 = truncation_tail_bound(spec, x_norm, 0.0)
     if bound0 <= tol:
         return 0.0
-    return math.log(bound0 / tol) / gap
+    return math.log(bound0 / tol) / _tail_gap(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +550,10 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     dw = batch_increments(seed, range(n_paths), chain.delta, spec.q, k_tau)
     best = (math.inf, 0.0)
     for u in spec.control_set:
-        _, states, _, cost = _simulate_batch(spec, x_reg, OpenLoopControl(u), tau,
-                                             chain.delta, dw)
-        regs = states[:, :-chain.m_lag - 2:-1]  # newest node first
-        cost += math.exp(-spec.rho * tau) * value.interp(chain.flatten(regs))
-        stat = _mean_stderr(cost)
+        batch = _simulate_batch(spec, x_reg, OpenLoopControl(u), tau, chain.delta, dw)
+        regs = batch.window[:, ::-1]  # the final register, newest node first
+        stat = _mean_stderr(batch.costs
+                            + math.exp(-spec.rho * tau) * value.interp(chain.flatten(regs)))
         if stat[0] < best[0]:
             best = stat
     return DppReport(gap=v_x - best[0], stderr=best[1], value_at_x=v_x, tau=tau)
@@ -791,8 +801,8 @@ def paired_cost_estimator(spec: ProblemSpec, ctrl, T: float, delta: float,
     dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
 
     def estimate(x: LiftedState, y: LiftedState) -> tuple[float, float]:
-        return _mean_stderr(_simulate_batch(spec, x, ctrl, T, delta, dw)[3]
-                            - _simulate_batch(spec, y, ctrl, T, delta, dw)[3])
+        return _mean_stderr(_simulate_batch(spec, x, ctrl, T, delta, dw).costs
+                            - _simulate_batch(spec, y, ctrl, T, delta, dw).costs)
 
     return estimate
 

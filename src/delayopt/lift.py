@@ -36,7 +36,6 @@ from .sdde import (
     _mean_stderr,
     _simulate_batch,
     _steps_of,
-    batch_increments,
     coarsen_increments,
     simulate_sdde,
 )
@@ -207,12 +206,12 @@ def contraction_probe(spec: ProblemSpec, x: LiftedState, y: LiftedState, ctrl,
     rhs = math.exp(rate * r) * d0 * d0
 
     n_steps = _steps_of(r, delta, "r")
-    dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
-    times, sx, _, _ = _simulate_batch(spec, x, ctrl, r, delta, dw)
-    _, sy, _, _ = _simulate_batch(spec, y, ctrl, r, delta, dw)
+    # matched noise: both batches draw path i from the stream keyed on (seed, i)
+    wx = _simulate_batch(spec, x, ctrl, r, delta, (seed, n_paths)).window
+    wy = _simulate_batch(spec, y, ctrl, r, delta, (seed, n_paths)).window
+    times = delta * np.arange(n_steps + 1 - wx.shape[1], n_steps + 1)
     lhs, stderr = _mean_stderr([
-        minus_one_norm(_lift_at(r, times, sx[i], spec.grid)
-                       - _lift_at(r, times, sy[i], spec.grid)) ** 2
-        for i in range(n_paths)])
+        minus_one_norm(_lift_at(r, times, a, spec.grid) - _lift_at(r, times, b, spec.grid)) ** 2
+        for a, b in zip(wx, wy)])
     return ContractionReport(lhs=lhs, stderr=stderr, rhs=rhs, rate=rate)
 

@@ -4,10 +4,15 @@ Explicit Euler-Maruyama on a step grid that divides the delay horizon, so
 the history window always aligns with stored nodes and the kernel
 quadrature needs no interpolation. Brownian increments come from
 counter-based generators keyed on (seed, path index), which makes every
-path bit-reproducible and independent across indices. The step loop also
-accumulates each path's discounted running cost, so a Monte Carlo estimate
-walks the paths once, and every estimate reduces its per-path samples with
-the one compensated-sum statistic `_mean_stderr`.
+path bit-reproducible and independent across indices. One streaming pass,
+`_simulate_batch`, steps every path of an estimate at once: it draws the
+increments block by block from each path's stream, keeps a rolling buffer
+of the last history window plus one block, and accumulates each path's
+discounted running cost as it steps. It keeps every path's cost and final
+window, and the whole trajectory only of the paths a caller asks to keep,
+so memory is O(paths (history nodes + BLOCK) n) plus the kept paths and
+does not grow with T. Every estimate reduces its per-path samples with the
+one compensated-sum statistic `_mean_stderr`.
 
 A control is any callable from a batch of history windows to controls.
 The window has shape (paths, history nodes + 1, n) and covers [t - d, t],
@@ -140,60 +145,108 @@ def _euler_head(spec: ProblemSpec, wk: tuple[np.ndarray, np.ndarray], y: np.ndar
     return y + b * delta + np.einsum("pnq,pq->pn", sig, dw)
 
 
+BLOCK = 256  # steps per increment block: the window buffer holds n_hist + 1 + BLOCK nodes
+
+
+def _increment_blocks(seed: int, n_paths: int, delta: float, q: int, n_steps: int):
+    """Increments of paths 0 .. n_paths - 1, BLOCK steps at a time, shape
+    (n_paths, b, q): each path continues its own stream, so the blocks
+    concatenate to batch_increments(seed, range(n_paths), ...) bit for bit."""
+    rngs = [_philox(seed, i) for i in range(n_paths)]
+    scale = math.sqrt(delta)
+    for k0 in range(0, n_steps, BLOCK):
+        block = np.empty((n_paths, min(BLOCK, n_steps - k0), q))
+        for out, rng in zip(block, rngs):
+            rng.standard_normal(out.shape, out=out)
+        block *= scale
+        yield block
+
+
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """What one pass over a batch of P paths keeps."""
+
+    costs: np.ndarray      # (P,) discounted costs
+    window: np.ndarray     # (P, n_hist + 1, n) every path's final window [T - d, T]
+    states: np.ndarray     # (keep, n_hist + 1 + K, n) paths 0 .. keep - 1 on [-d, T]
+    controls: np.ndarray   # (keep, K, p) their controls
+
+
 def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
-                    increments: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    noise, keep: int = 0) -> _Batch:
     """Euler-Maruyama over a batch of paths sharing spec, state, and control.
 
-    Returns (times, states (P, K+1+hist, n), controls (P, n_steps, p),
-    discounted costs (P,)). The cost is the left Riemann sum of the
-    discounted running cost, accumulated as the paths are stepped.
+    noise is either explicit increments (P, >= K, q), used as one block, or
+    a pair (seed, P): paths 0 .. P - 1 drawn from their own streams, BLOCK
+    steps at a time (_increment_blocks). The paths advance in a rolling
+    buffer of n_hist + 1 + B nodes, B the block length; at each block
+    boundary the last n_hist + 1 nodes move to the front, so every window is
+    a contiguous [t - d, t] slice. Drawn from streams, the pass needs
+    O(P (n_hist + BLOCK) n) memory plus the kept paths, independent of T.
+    The cost is the left Riemann sum of the discounted running cost,
+    accumulated as the paths are stepped.
     """
+    spec.validate()
     n_hist = _steps_of(spec.d, delta, "d")
     n_steps = _steps_of(T, delta, "T")
-    P = increments.shape[0]
-    if n_steps and increments.shape[1] < n_steps:
-        raise ValidationError(
-            f"need {n_steps} increments, driver provided {increments.shape[1]}"
-        )
+    if isinstance(noise, np.ndarray):
+        P, width = noise.shape[0], n_steps
+        if n_steps and noise.shape[1] < n_steps:
+            raise ValidationError(
+                f"need {n_steps} increments, driver provided {noise.shape[1]}"
+            )
+        blocks = [noise[:, :n_steps]] if n_steps else []
+    else:
+        seed, P = noise
+        if P < 0:
+            raise ValidationError(f"path count must be nonnegative, got {P}")
+        width = min(BLOCK, n_steps)
+        blocks = _increment_blocks(seed, P, delta, spec.q, n_steps)
     step_grid = SegmentGrid(spec.d, n_hist)
     wk = weighted_kernels(spec, step_grid)
 
-    times = delta * np.arange(-n_hist, n_steps + 1)
-    states = np.empty((P, n_hist + n_steps + 1, spec.n))
-    init_tail = resample_segment(x.tail, step_grid).values
-    states[:, : n_hist + 1] = init_tail[None, :, :]
-    states[:, n_hist] = x.head[None, :]
-    controls = np.empty((P, n_steps, spec.control_set.shape[1]))
-    disc = np.exp(-spec.rho * (delta * np.arange(n_steps)))
+    buf = np.empty((P, n_hist + 1 + width, spec.n))
+    buf[:, : n_hist + 1] = resample_segment(x.tail, step_grid).values[None, :, :]
+    buf[:, n_hist] = x.head[None, :]
+    states = np.empty((keep, n_hist + 1 + n_steps, spec.n))
+    states[:, : n_hist + 1] = buf[:keep, : n_hist + 1]
+    controls = np.empty((keep, n_steps, spec.control_set.shape[1]))
     cost = np.zeros(P)
 
-    for k in range(n_steps):
-        window = states[:, k : k + n_hist + 1]
-        y = states[:, k + n_hist]
-        u = ctrl(window)
-        controls[:, k] = u
-        cost += disc[k] * np.asarray(spec.cost(y, u), dtype=float)
-        y_next = _euler_head(spec, wk, y, window, u, increments[:, k], delta)
-        if not np.all(np.isfinite(y_next)):
-            raise NumericalError(f"non-finite state at step {k + 1} (t={ (k + 1) * delta:g})")
-        states[:, k + n_hist + 1] = y_next
-    return times, states, controls, cost * delta
+    k0 = 0
+    for dw in blocks:
+        b = dw.shape[1]
+        disc = np.exp(-spec.rho * (delta * np.arange(k0, k0 + b)))
+        for j in range(b):
+            window = buf[:, j : j + n_hist + 1]
+            y = buf[:, j + n_hist]
+            u = ctrl(window)
+            controls[:, k0 + j] = u[:keep]
+            cost += disc[j] * np.asarray(spec.cost(y, u), dtype=float)
+            y_next = _euler_head(spec, wk, y, window, u, dw[:, j], delta)
+            if not np.all(np.isfinite(y_next)):
+                k = k0 + j + 1
+                raise NumericalError(f"non-finite state at step {k} (t={k * delta:g})")
+            buf[:, j + n_hist + 1] = y_next
+        states[:, n_hist + 1 + k0 : n_hist + 1 + k0 + b] = buf[:keep, n_hist + 1 : n_hist + 1 + b]
+        buf[:, : n_hist + 1] = buf[:, b : b + n_hist + 1]
+        k0 += b
+    return _Batch(costs=cost * delta, window=buf[:, : n_hist + 1], states=states,
+                  controls=controls)
 
 
 def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
                   delta: float, driver: BrownianDriver,
                   increments: np.ndarray | None = None) -> SddePath:
     """Simulate one strong path of the delayed state equation."""
-    spec.validate()
+    n_hist, n_steps = _steps_of(spec.d, delta, "d"), _steps_of(T, delta, "T")
     if increments is None:
-        increments = driver.increments(_steps_of(T, delta, "T"))
-    times, states, controls, cost = _simulate_batch(
-        spec, x, ctrl, T, delta, np.asarray(increments, dtype=float)[None, :, :])
-    return SddePath(times=times, states=states[0], controls=controls[0],
-                    discounted_cost=float(cost[0]), delta=delta,
-                    n_history=_steps_of(spec.d, delta, "d"),
-                    segment_grid=spec.grid)
+        increments = driver.increments(n_steps)
+    batch = _simulate_batch(spec, x, ctrl, T, delta,
+                            np.asarray(increments, dtype=float)[None, :, :], keep=1)
+    return SddePath(times=delta * np.arange(-n_hist, n_steps + 1), states=batch.states[0],
+                    controls=batch.controls[0], discounted_cost=float(batch.costs[0]),
+                    delta=delta, n_history=n_hist, segment_grid=spec.grid)
 
 
 def _mean_stderr(samples) -> tuple[float, float]:
@@ -210,23 +263,14 @@ def _mean_stderr(samples) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-MC_CHUNK = 256  # paths per batch; bounds the stored (paths, steps, n) state array
-
-
 def mc_cost(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
             n_paths: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the discounted cost: (mean, standard error).
 
-    Paths use independent counter-based streams, so the result is
-    deterministic in the seed and each path's cost is the one simulate_sdde
-    gives for that path's driver.
+    All paths step together in one streaming pass (_simulate_batch), each
+    drawing from its own counter-based stream, so the result is
+    deterministic in the seed, each path's cost is the one simulate_sdde
+    gives for that path's driver, and no batching or block size changes a
+    bit of it. Memory does not grow with T.
     """
-    spec.validate()
-    n_steps = _steps_of(T, delta, "T")
-    costs: list[float] = []
-    for start in range(0, n_paths, MC_CHUNK):
-        idx = np.arange(start, min(start + MC_CHUNK, n_paths))
-        dw = batch_increments(seed, idx, delta, spec.q, n_steps)
-        costs.extend(_simulate_batch(spec, x, ctrl, T, delta, dw)[3].tolist())
-    return _mean_stderr(costs)
-
+    return _mean_stderr(_simulate_batch(spec, x, ctrl, T, delta, (seed, n_paths)).costs)

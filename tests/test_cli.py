@@ -254,6 +254,11 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["solve", "--spec", SPEC, "--grid", "y:0:inf:5"],
     ["solve", "--spec", SPEC, "--grid", "y:-1e308:1e308:5"],
     ["probe-bcontinuity", "--spec", SPEC, "--T", "0"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--paths", "10",
+     "--emit-paths", "-1"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--paths", "0"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--paths", "-3"],
+    ["value", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--paths", "1"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -266,7 +271,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "spec-unknown-param", "spec-m-text", "spec-gamma-text", "spec-top-level-list",
         "spec-m-fraction", "spec-m-bool", "spec-m-quoted", "box-empty-range",
         "box-reversed-range", "box-infinite", "grid-log-negative", "grid-log-zero",
-        "grid-infinite", "grid-width-overflow", "bcontinuity-T-zero"])
+        "grid-infinite", "grid-width-overflow", "bcontinuity-T-zero", "simulate-emit-negative",
+        "simulate-paths-zero", "simulate-paths-negative", "value-paths-one"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
                                    capsys):
     argv = ([a.format(policy_file, **bad_policies, **bad_specs) for a in argv]
@@ -355,6 +361,40 @@ def test_bench_traced_names_resolve():
         if not ok:
             missing.append(name)
     assert not missing, missing
+
+
+def test_bench_simulate_digests_match_the_pins(tmp_path, monkeypatch):
+    # the benchmark's bit-reproducibility gate, run here too: the bench's own
+    # simulate call at seed 0 reproduces the pinned paths.csv and summary.csv
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    workloads = types.ModuleType("workloads")  # executed from source: writes no bytecode
+    workloads.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses look it up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), workloads.__dict__)
+    pinned = workloads.load_pinned()["trajectories"]["0"]
+    assert workloads.simulate_digests(0, tmp_path) == {
+        name: pinned[name] for name in ("paths.csv", "summary.csv")}
+
+
+def test_monte_carlo_manifests_record_the_tail_bound(tmp_path):
+    # simulate, value and merton-check record the discounted tail beyond --T
+    # next to the standard error; null where the discount does not clear its
+    # admissibility floor (the portfolio problems)
+    from delayopt import hjb, models
+
+    spec = models.load_spec_file(SPEC)
+    bound = hjb.truncation_tail_bound(
+        spec, float(np.linalg.norm(models.initial_state(spec).head)), 2.0)
+    merton = ["merton-check", "--spec", str(SPECS / "merton_nodelay.json"),
+              "--grid", "z:log:0.005:100:41", "--tol", "1e-5", "--dt", "0.05", "--paths", "20"]
+    simulate = ["simulate", "--spec", SPEC, "--paths", "4", "--emit-paths", "1"]
+    value = ["value", "--spec", SPEC, "--paths", "4"]
+    for argv, want in ((simulate, bound), (value, bound), (merton, None)):
+        out = tmp_path / argv[0]
+        assert run([*argv, "--T", "2", "--dt", "0.05", "--out", str(out)]) in (0, 2)
+        resolved = json.loads((out / "run_manifest.json").read_text())["resolved"]
+        assert resolved["truncation_tail_bound"] == want
+    assert bound > 0
 
 
 def test_solve_grid_validation(tmp_path):

@@ -229,8 +229,8 @@ def test_chain_matches_direct_simulation_stepwise():
     n_steps = 7
     from delayopt.sdde import _simulate_batch, batch_increments
     dw = batch_increments(9, [0], delta, 1, n_steps)
-    _, states, _, _ = _simulate_batch(spec, x, OpenLoopControl([0.4]), n_steps * delta,
-                                      delta, dw)
+    states = _simulate_batch(spec, x, OpenLoopControl([0.4]), n_steps * delta,
+                             delta, dw, keep=1).states
     reg = register_from_state(chain, x)[None, :, :]
     for k in range(n_steps):
         reg = chain.step(reg, np.array([[0.4]]), dw[:, k] / math.sqrt(delta))
@@ -904,8 +904,8 @@ def test_paired_estimate_is_the_fsum_statistic_of_its_differences(advert_spec):
     ctrl = OpenLoopControl([0.5])
     est = paired_cost_estimator(spec, ctrl, T=1.0, delta=0.05, n_paths=64, seed=3)
     dw = batch_increments(3, np.arange(64), 0.05, spec.q, 20)
-    d = (_simulate_batch(spec, x, ctrl, 1.0, 0.05, dw)[3]
-         - _simulate_batch(spec, y, ctrl, 1.0, 0.05, dw)[3]).tolist()
+    d = (_simulate_batch(spec, x, ctrl, 1.0, 0.05, dw).costs
+         - _simulate_batch(spec, y, ctrl, 1.0, 0.05, dw).costs).tolist()
     mean = math.fsum(d) / 64
     var = math.fsum((v - mean) ** 2 for v in d) / 63
     assert est(x, y) == (mean, math.sqrt(var / 64))

@@ -7,7 +7,7 @@ from delayopt import models
 from delayopt.core import LiftedState, NumericalError, ProblemSpec, Segment, SegmentGrid, ValidationError
 from delayopt.models import AdvertisingParams, AffineTestParams, build_advertising, build_affine_test
 from delayopt.sdde import (
-    MC_CHUNK,
+    BLOCK,
     BrownianDriver,
     OpenLoopControl,
     batch_increments,
@@ -15,7 +15,8 @@ from delayopt.sdde import (
     mc_cost,
     simulate_sdde,
 )
-from delayopt.hjb import truncation_horizon
+from delayopt.hjb import truncation_horizon, truncation_tail_bound
+from delayopt import sdde
 
 
 def pure_noise_spec(sigma=1.0, m=10):
@@ -57,6 +58,20 @@ def test_driver_variance_scales_with_step():
     assert np.var(dw) == pytest.approx(0.25, rel=0.1)
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("block", [7, BLOCK])
+def test_block_draws_equal_one_full_draw(q, block, monkeypatch):
+    # each path continues its own stream across blocks, so the blocks
+    # concatenate to the one full draw bit for bit, remainder block included
+    monkeypatch.setattr(sdde, "BLOCK", block)
+    n_steps = 2 * block + 5
+    blocks = list(sdde._increment_blocks(11, 3, 0.01, q, n_steps))
+    assert [b.shape for b in blocks] == [(3, block, q)] * 2 + [(3, 5, q)]
+    full = batch_increments(11, range(3), 0.01, q, n_steps)
+    np.testing.assert_array_equal(np.concatenate(blocks, axis=1), full)
+    np.testing.assert_array_equal(full[2], BrownianDriver(11, 2, 0.01, q).increments(n_steps))
+
+
 def test_coarsen_increments_pairwise_sums():
     dw = np.arange(12.0).reshape(6, 2)
     out = coarsen_increments(dw, 2)
@@ -72,8 +87,7 @@ def test_driftless_unit_noise_terminal_moments():
     x = models.initial_state(spec)
     dw = batch_increments(17, np.arange(10000), 0.05, 1, 20)
     from delayopt.sdde import _simulate_batch
-    _, states, _, _ = _simulate_batch(spec, x, OpenLoopControl([0.0]), 1.0, 0.05, dw)
-    yT = states[:, -1, 0]
+    yT = _simulate_batch(spec, x, OpenLoopControl([0.0]), 1.0, 0.05, dw).window[:, -1, 0]
     stderr = yT.std(ddof=1) / math.sqrt(len(yT))
     assert abs(yT.mean()) <= 3 * stderr
     assert yT.var(ddof=1) == pytest.approx(1.0, rel=0.05)
@@ -123,9 +137,35 @@ def test_nan_abort_names_step():
         control_set=np.array([[0.0]]), growth_const=1.0, lipschitz_const=1.0,
         cost_growth_const=1.0, cost_growth_exponent=0.0)
     x = LiftedState([1.0], Segment.constant(g, 1.0))
-    with pytest.raises(NumericalError, match="step"):
+    with pytest.raises(NumericalError, match=r"step 2 \(t=0\.5\)"):
         simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.25,
                       BrownianDriver(0, 0, 0.25, 1))
+
+
+@pytest.mark.parametrize("how", ["simulate_sdde", "mc_cost"])
+def test_nan_abort_names_step_after_the_first_block(how):
+    # unit drift until y passes the node of step k_nan - 1, then NaN: the
+    # first non-finite state is at step k_nan, inside the second block, so
+    # a block-local step index would be wrong
+    g = SegmentGrid(1.0, 4)
+    kern = models.build_kernel({"preset": "zero"}, g, 1)
+    delta, k_nan = 0.01, BLOCK + 45
+    edge = 1.0 + delta * (k_nan - 1.5)
+    spec = ProblemSpec(
+        n=1, q=1, p=1, grid=g, kernel_drift=kern, kernel_noise=kern,
+        drift=lambda y, z, u: np.where(y > edge, np.nan, 1.0),
+        noise=lambda y, z, u: y[..., None] * 0.0,
+        cost=lambda y, u: np.zeros(y.shape[:-1]), rho=1.0,
+        control_set=np.array([[0.0]]), growth_const=1.0, lipschitz_const=1.0,
+        cost_growth_const=1.0, cost_growth_exponent=0.0)
+    x = LiftedState([1.0], Segment.constant(g, 1.0))
+    T = 2 * BLOCK * delta
+    with pytest.raises(NumericalError, match=rf"step {k_nan} \(t={k_nan * delta:g}\)"):
+        if how == "mc_cost":
+            mc_cost(spec, x, OpenLoopControl([0.0]), T, delta, 3, seed=0)
+        else:
+            simulate_sdde(spec, x, OpenLoopControl([0.0]), T, delta,
+                          BrownianDriver(0, 0, delta, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +185,12 @@ def test_plain_function_control_matches_open_loop():
         windows.append(window.copy())
         return np.full((window.shape[0], 1), 0.5)
 
-    _, states, controls, cost = _simulate_batch(spec, x, control, 2.0, 0.05, dw)
-    _, ref, ref_controls, ref_cost = _simulate_batch(spec, x, OpenLoopControl([0.5]),
-                                                     2.0, 0.05, dw)
-    np.testing.assert_array_equal(states, ref)
-    np.testing.assert_array_equal(controls, ref_controls)
-    np.testing.assert_array_equal(cost, ref_cost)
+    got = _simulate_batch(spec, x, control, 2.0, 0.05, dw, keep=8)
+    ref = _simulate_batch(spec, x, OpenLoopControl([0.5]), 2.0, 0.05, dw, keep=8)
+    states = got.states
+    np.testing.assert_array_equal(states, ref.states)
+    np.testing.assert_array_equal(got.controls, ref.controls)
+    np.testing.assert_array_equal(got.costs, ref.costs)
     n_hist = spec_hist(spec, 0.05)
     assert len(windows) == 40
     for k, window in enumerate(windows):
@@ -224,18 +264,42 @@ def test_constant_path_linear_cost():
 
 
 def test_mc_deterministic_given_seed_and_chunk_free():
-    # every path's cost in the batched estimate is the single-path cost of
-    # its own driver, across a chunk boundary too
+    # every path's cost in the one-batch estimate is the single-path cost of
+    # its own driver, across two block boundaries and a remainder block too
     spec = pure_noise_spec()
     x = models.initial_state(spec)
-    n_paths = MC_CHUNK + 9
-    costs = [simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.05,
-                           BrownianDriver(3, i, 0.05, 1)).discounted_cost
+    n_paths, delta = 9, 0.05
+    T = (2 * BLOCK + 9) * delta
+    costs = [simulate_sdde(spec, x, OpenLoopControl([0.5]), T, delta,
+                           BrownianDriver(3, i, delta, 1)).discounted_cost
              for i in range(n_paths)]
     mean = math.fsum(costs) / n_paths
     var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
-    got = mc_cost(spec, x, OpenLoopControl([0.5]), 1.0, 0.05, n_paths, seed=3)
+    got = mc_cost(spec, x, OpenLoopControl([0.5]), T, delta, n_paths, seed=3)
     assert got == (mean, math.sqrt(var / n_paths))
+
+
+def test_mc_cost_memory_does_not_grow_with_horizon():
+    # one streaming pass keeps a window buffer and one increment block per
+    # path, so four times the horizon needs no more memory
+    import tracemalloc
+
+    spec = pure_noise_spec()
+    x = models.initial_state(spec)
+    u = OpenLoopControl([0.5])
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            mc_cost(spec, x, u, T, 0.05, 64, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1.0)  # first-call allocations
+    short = min(peak(20.0) for _ in range(2))  # 400 steps, more than one block
+    long = min(peak(80.0) for _ in range(2))
+    assert long <= 1.25 * short, (short, long)
 
 
 def test_mean_stderr_is_compensated_and_needs_two_samples():
@@ -285,6 +349,17 @@ def test_truncation_horizon_formula():
     assert T == pytest.approx(165.9, abs=0.5)
 
 
+@pytest.mark.parametrize("x_norm, tol", [(1.0, 0.01), (2.5, 1e-4)])
+def test_tail_bound_at_the_truncation_horizon_is_the_tolerance(x_norm, tol):
+    # truncation_horizon inverts truncation_tail_bound
+    for spec in (build_affine_test(AffineTestParams(rho=0.1, cost_clip=1.0,
+                                                    x0=(1.0,), x1=(1.0,)), 10),
+                 build_advertising(AdvertisingParams(), 20)):
+        T = truncation_horizon(spec, x_norm, tol)
+        assert T > 0
+        assert truncation_tail_bound(spec, x_norm, T) == pytest.approx(tol, rel=1e-12)
+
+
 def test_truncation_horizon_tol_halving():
     p = AffineTestParams(rho=0.1, cost_clip=1.0, x0=(1.0,), x1=(1.0,))
     spec = build_affine_test(p, 10)
@@ -328,11 +403,11 @@ def test_strong_convergence_rate_additive_noise():
     deltas = [0.02, 0.01]
     from delayopt.sdde import _simulate_batch
     dw_fine = batch_increments(23, np.arange(64), fine_delta, 1, n_fine)
-    _, ref, _, _ = _simulate_batch(spec, x, u, T, fine_delta, dw_fine)
+    ref = _simulate_batch(spec, x, u, T, fine_delta, dw_fine).window
     for delta in deltas:
         factor = int(delta / fine_delta)
         dw = coarsen_increments(dw_fine, factor)
-        _, states, _, _ = _simulate_batch(spec, x, u, T, delta, dw)
+        states = _simulate_batch(spec, x, u, T, delta, dw).window
         errs.append(np.abs(states[:, -1, 0] - ref[:, -1, 0]).mean())
     rate = math.log2(errs[0] / errs[1])
     assert 0.4 <= rate <= 1.1
@@ -352,7 +427,7 @@ def test_moment_growth_envelope():
     for delta, seed in ((0.02, 31), (0.01, 31)):
         n = int(2.0 / delta)
         dw = batch_increments(seed, np.arange(256), delta, 1, n)
-        _, states, _, _ = _simulate_batch(spec, x, u, 2.0, delta, dw)
+        states = _simulate_batch(spec, x, u, 2.0, delta, dw, keep=256).states
         t = delta * np.arange(n + 1)
         moments = np.abs(states[:, spec_hist(spec, delta):, 0]).mean(axis=0)
         fits.append(float(np.max(moments / (x_norm * np.exp(lam * t)))))
