@@ -166,7 +166,8 @@ def _solve(run: Run):
     result = hjb.value_iteration(chain, axes, tol=a.tol, max_iter=a.max_iter, gh_points=a.gh)
     run.extra.update(iterations=result.iterations, residual=result.residual,
                      value_error_bound=result.value_error_bound,
-                     evaluation_sweeps=result.evaluation_sweeps, clamp_rate=result.clamp_rate)
+                     evaluation_sweeps=result.evaluation_sweeps, clamp_rate=result.clamp_rate,
+                     transition_entries=result.transition_entries)
     return chain, result, z0
 
 

@@ -39,8 +39,8 @@ class SegmentGrid:
     m: int
 
     def __post_init__(self):
-        if not self.d > 0:
-            raise ValidationError(f"delay horizon must be positive, got d={self.d}")
+        if not (np.isfinite(self.d) and self.d > 0):
+            raise ValidationError(f"delay horizon must be finite and positive, got d={self.d}")
         if self.m < 1:
             raise ValidationError(f"interval count must be >= 1, got m={self.m}")
 
@@ -63,7 +63,7 @@ class SegmentGrid:
         return w
 
     def matches(self, other: "SegmentGrid") -> bool:
-        return self.m == other.m and np.isclose(self.d, other.d, rtol=0, atol=1e-12)
+        return self.m == other.m and abs(self.d - other.d) <= 1e-12
 
 
 def _check_same_grid(a: SegmentGrid, b: SegmentGrid, what: str) -> None:
@@ -274,17 +274,21 @@ def resample_kernel(a: Kernel, new_grid: SegmentGrid) -> Kernel:
 
 def weighted_kernels(spec: ProblemSpec, grid: SegmentGrid) -> tuple[np.ndarray, np.ndarray]:
     """Drift and noise kernel tables on grid, each node scaled by its quadrature
-    weight, as _delay_integrals takes them."""
+    weight, as _delay_integrals takes them. An all-zero table keeps none of
+    its nodes (shape (0, h, n)), so its integrals cost no contraction."""
     w = grid.weights[:, None, None]
-    return (w * resample_kernel(spec.kernel_drift, grid).values,
-            w * resample_kernel(spec.kernel_noise, grid).values)
+    tables = (w * resample_kernel(spec.kernel_drift, grid).values,
+              w * resample_kernel(spec.kernel_noise, grid).values)
+    return tuple(table if table.any() else table[:0] for table in tables)
 
 
 def _delay_integrals(wk: tuple[np.ndarray, np.ndarray],
                      window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drift and noise delay integrals of windows (..., J, n), oldest node
-    first, on the J-node grid of the weighted tables wk."""
-    return tuple(np.einsum("jhn,...jn->...h", table, window) for table in wk)
+    first, on the J-node grid of the weighted tables wk; zeros for a table
+    without nodes."""
+    return tuple(np.einsum("jhn,...jn->...h", table, window) if len(table)
+                 else np.zeros(window.shape[:-2] + table.shape[1:2]) for table in wk)
 
 
 @dataclass(frozen=True, eq=False)

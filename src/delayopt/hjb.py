@@ -267,19 +267,32 @@ def _brackets(axes: tuple[np.ndarray, ...], pts: np.ndarray,
 
 def _interp_plan(axes: tuple[np.ndarray, ...], pts: np.ndarray,
                  stats: ClampStats | None = None):
-    """Multilinear interpolation plan: corner flat indices and weights.
+    """Multilinear interpolation plan: corner flat indices and weights, one
+    row per point.
 
-    Axes with a single node are collapsed: they contribute index 0.
+    Axes with a single node are collapsed: they contribute index 0. So is a
+    bracketed axis on which every point sits exactly on a node (fraction 0
+    or 1, by float equality), as a lag register does when it copies an axis
+    with the same nodes: its node i0 + (fraction == 1) goes into every
+    corner's index with weight 1. A row holds 2^k corners, k the bracketed
+    axes that are not collapsed.
     """
     n_pts = pts.shape[0]
     strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]], dtype=np.int64)[::-1]
-    brackets = [(a, i0, (xc - axes[a][i0]) / (axes[a][i0 + 1] - axes[a][i0]))
-                for a, i0, xc in _brackets(axes, pts, stats)]
+    base = np.zeros(n_pts, dtype=np.int64)
+    brackets = []
+    for a, i0, xc in _brackets(axes, pts, stats):
+        th = (xc - axes[a][i0]) / (axes[a][i0 + 1] - axes[a][i0])
+        upper = th == 1.0
+        if np.all(upper | (th == 0.0)):
+            base += (i0 + upper) * strides[a]
+        else:
+            brackets.append((a, i0, th))
     n_corners = 2 ** len(brackets)
     idx = np.empty((n_pts, n_corners), dtype=np.int64)
     wts = np.empty((n_pts, n_corners))
     for c, bits in enumerate(itertools.product((0, 1), repeat=len(brackets))):
-        flat = np.zeros(n_pts, dtype=np.int64)
+        flat = base.copy()
         weight = np.ones(n_pts)
         for (a, i0, th), bit in zip(brackets, bits):
             flat += (i0 + bit) * strides[a]
@@ -287,6 +300,11 @@ def _interp_plan(axes: tuple[np.ndarray, ...], pts: np.ndarray,
         idx[:, c] = flat
         wts[:, c] = weight
     return idx, wts
+
+
+def _plan_dot(v: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Row contraction of a plan against flat values: sum_j v[idx[i, j]] wts[i, j]."""
+    return np.einsum("ij,ij->i", v[idx], wts)
 
 
 def _tensor_nodes(axes) -> np.ndarray:
@@ -328,7 +346,7 @@ class ValueField:
     def interp(self, pts: np.ndarray, stats: ClampStats | None = None) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         idx, wts = _interp_plan(self.axes, pts, stats)
-        return np.sum(self.values.ravel()[idx] * wts, axis=1)
+        return _plan_dot(self.values.ravel(), idx, wts)
 
     def interp_one(self, pt) -> float:
         return float(self.interp(np.asarray(pt, dtype=float)[None, :])[0])
@@ -391,6 +409,7 @@ class ValueIterationResult:
     residual_history: np.ndarray  # residual of every improvement sweep
     value_error_bound: float    # g / (1 - g) * residual >= |value - fixed point|_inf
     evaluation_sweeps: int      # fixed-policy sweeps, in total
+    transition_entries: int     # index/weight pairs stored in the plans of all controls
 
 
 def bellman_bound(step_discount: float, residual: float) -> float:
@@ -416,8 +435,11 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
     exactly one Bellman sweep from v0; max_iter caps the improvement sweeps.
 
     The noise expectation uses a fixed Gauss-Hermite rule, transitions are
-    precomputed as interpolation plans, and out-of-box transitions clamp to
-    the boundary (rate above 20 percent sets the warning flag).
+    precomputed as one interpolation plan per control (_interp_plan per
+    Gauss-Hermite node, side by side; a lag register that lands on the nodes
+    of its axis takes no upper corner), transition_entries counts what the
+    plans store, and out-of-box transitions clamp to the boundary (rate above
+    20 percent sets the warning flag).
     """
     spec = chain.spec
     if spec.rho <= 0:
@@ -448,11 +470,14 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
             zz = np.broadcast_to(zeta[ig], (n_nodes, spec.q))
             nxt = chain.flatten(chain.step(regs, u, zz))
             idx, wts = _interp_plan(axes, nxt, stats)
+            wts *= zw[ig]
             idx_list.append(idx)
-            wts_list.append(wts * zw[ig])
+            wts_list.append(wts)
         plans.append((np.concatenate(idx_list, axis=1),
                       np.concatenate(wts_list, axis=1)))
 
+    width = max(idx.shape[1] for idx, _ in plans)
+    entries = sum(idx.size for idx, _ in plans)
     v = (v0.values.ravel().copy() if v0 is not None else np.zeros(n_nodes))
     rows = np.arange(n_nodes)
     history = []
@@ -460,7 +485,7 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
         totals = np.empty((n_u, n_nodes))
         for iu in range(n_u):
             idx, wts = plans[iu]
-            totals[iu] = stage[iu] + disc * np.sum(v[idx] * wts, axis=1)
+            totals[iu] = stage[iu] + disc * _plan_dot(v, idx, wts)
         best_u = np.argmin(totals, axis=0)
         v_new = totals[best_u, rows]
         residual = float(np.max(np.abs(v_new - v)))
@@ -474,17 +499,18 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
                 iterations=it, residual=residual, clamp_rate=stats.rate,
                 clamp_warning=stats.rate > 0.20,
                 residual_history=np.asarray(history), value_error_bound=bound,
-                evaluation_sweeps=(it - 1) * EVAL_SWEEPS)
-        # partial evaluation of the greedy policy on its rows of the plans
-        idx_pi = np.empty_like(plans[0][0])
-        wts_pi = np.empty_like(plans[0][1])
-        for iu in range(n_u):
+                evaluation_sweeps=(it - 1) * EVAL_SWEEPS, transition_entries=entries)
+        # partial evaluation of the greedy policy on its rows of the plans;
+        # a narrower plan pads its rows with weight 0 on node 0
+        idx_pi = np.zeros((n_nodes, width), dtype=np.int64)
+        wts_pi = np.zeros((n_nodes, width))
+        for iu, (idx, wts) in enumerate(plans):
             on = best_u == iu
-            idx_pi[on] = plans[iu][0][on]
-            wts_pi[on] = plans[iu][1][on]
+            idx_pi[on, : idx.shape[1]] = idx[on]
+            wts_pi[on, : idx.shape[1]] = wts[on]
         cost_pi = stage[best_u, rows]
         for _ in range(EVAL_SWEEPS):
-            v = cost_pi + disc * np.sum(v[idx_pi] * wts_pi, axis=1)
+            v = cost_pi + disc * _plan_dot(v, idx_pi, wts_pi)
     raise NumericalError(
         f"value iteration did not bound the value error by tol {tol:g} in {max_iter} "
         f"improvement sweeps (residual {history[-1]:g}, bound {bound:g})"

@@ -169,8 +169,8 @@ def bad_policies(policy_file):
 @pytest.fixture(scope="module")
 def bad_specs(tmp_path_factory):
     """merton_nodelay.json with an unknown parameter, a text, fractional,
-    boolean or quoted resolution, a text utility exponent, and wrapped in a
-    list."""
+    boolean or quoted resolution, a text utility exponent, an infinite delay
+    horizon, and wrapped in a list."""
     doc = json.loads((SPECS / "merton_nodelay.json").read_text())
     variants = {
         "unknown_param": {**doc, "params": {**doc["params"], "alpha": 1.0}},
@@ -180,6 +180,7 @@ def bad_specs(tmp_path_factory):
         "m_quoted": {**doc, "m": "20"},
         "gamma_text": {**doc, "params": {**doc["params"], "gamma": "x"}},
         "top_list": [doc],
+        "d_infinite": {**doc, "params": {**doc["params"], "d": float("inf")}},
     }
     root = tmp_path_factory.mktemp("bad_specs")
     paths = {}
@@ -243,6 +244,7 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["operators", "--spec", "{m_fraction}"],
     ["operators", "--spec", "{m_bool}"],
     ["operators", "--spec", "{m_quoted}"],
+    ["operators", "--spec", "{d_infinite}"],
     ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
      "--grid", "z:log:0.005:100:41", "--box", "z:1:1"],
     ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
@@ -269,8 +271,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "dpp-paths-one", "dpp-paths-zero", "dpp-tau-zero", "merton-check-advertising",
         "merton-check-sloped-coefficients", "grid-repeated-axis", "box-repeated-axis",
         "spec-unknown-param", "spec-m-text", "spec-gamma-text", "spec-top-level-list",
-        "spec-m-fraction", "spec-m-bool", "spec-m-quoted", "box-empty-range",
-        "box-reversed-range", "box-infinite", "grid-log-negative", "grid-log-zero",
+        "spec-m-fraction", "spec-m-bool", "spec-m-quoted", "spec-d-infinite",
+        "box-empty-range", "box-reversed-range", "box-infinite", "grid-log-negative", "grid-log-zero",
         "grid-infinite", "grid-width-overflow", "bcontinuity-T-zero", "simulate-emit-negative",
         "simulate-paths-zero", "simulate-paths-negative", "value-paths-one"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
@@ -486,6 +488,9 @@ def test_dpp_manifest_records_solver_convergence(tmp_path, capsys):
     assert resolved["iterations"] >= 1 and resolved["evaluation_sweeps"] >= 0
     assert 0 <= resolved["value_error_bound"] <= resolved["tol"]
     assert resolved["residual"] >= 0 and 0 <= resolved["clamp_rate"] <= 1
+    # 11 controls x 9 x 5 nodes x 5 Gauss-Hermite nodes x 2^2 corners: y_lag1
+    # copies y onto other nodes, so both axes keep both corners
+    assert resolved["transition_entries"] == 11 * 9 * 5 * 5 * 4
     assert "growth_fit" not in resolved
 
 

@@ -10,11 +10,14 @@ from delayopt.core import (
     Segment,
     SegmentGrid,
     ValidationError,
+    _delay_integrals,
     kernel_convolve,
     lifted_inner,
     lifted_norm,
+    resample_kernel,
     resample_segment,
     validate_kernel,
+    weighted_kernels,
 )
 
 
@@ -40,6 +43,20 @@ def test_grid_rejects_bad_inputs():
         SegmentGrid(0.0, 5)
     with pytest.raises(ValidationError):
         SegmentGrid(1.0, 0)
+
+
+@pytest.mark.parametrize("d", [np.inf, -np.inf, np.nan])
+def test_grid_rejects_a_nonfinite_horizon(d):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        SegmentGrid(d, 5)
+
+
+def test_grids_match_within_a_fixed_horizon_tolerance():
+    g = SegmentGrid(0.3, 6)
+    assert g.matches(SegmentGrid(0.1 + 0.2, 6))  # one ulp apart
+    assert g.matches(SegmentGrid(0.3 + 1e-12, 6))
+    assert not g.matches(SegmentGrid(0.3 + 2e-12, 6))
+    assert not g.matches(SegmentGrid(0.3, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +150,22 @@ def test_convolve_zero_kernel():
     rng = np.random.default_rng(1)
     s = Segment(g, rng.normal(size=(11, 1)))
     assert kernel_convolve(zero, s)[0] == 0.0
+
+
+def test_zero_kernel_tables_keep_no_nodes(merton_nodelay_spec, merton_delay_spec):
+    # an all-zero weighted table is stored without nodes; its delay integrals
+    # are the zeros the full contraction gives, and other tables contract
+    rng = np.random.default_rng(0)
+    for spec, empty in ((merton_nodelay_spec, True), (merton_delay_spec, False)):
+        grid = SegmentGrid(spec.grid.d, 8)
+        wk = weighted_kernels(spec, grid)
+        window = rng.standard_normal((3, grid.m + 1, spec.n))
+        for table, kernel, z in zip(wk, (spec.kernel_drift, spec.kernel_noise),
+                                    _delay_integrals(wk, window)):
+            full = grid.weights[:, None, None] * resample_kernel(kernel, grid).values
+            assert (len(table) == 0) == empty
+            assert z.shape == (3, kernel.h_dim)
+            np.testing.assert_array_equal(z, np.einsum("jhn,...jn->...h", full, window))
 
 
 def test_convolve_ramp_against_ramp_second_order():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from delayopt.hjb import (
     ClampStats,
     PolicyField,
     ValueField,
+    _brackets,
     _interp_plan,
+    _plan_dot,
     _tensor_nodes,
     b_continuity_probe,
     bellman_bound,
@@ -312,6 +315,85 @@ def test_policy_lookup_is_brute_force_nearest_node(case):
     np.testing.assert_array_equal(field.interp(field.nodes()), field.values.ravel())
 
 
+def _full_corner_plan(axes, pts):
+    """The interpolation plan with both corners on every bracketed axis, on
+    nodes or not: the oracle for _interp_plan's on-node collapse."""
+    n_pts = pts.shape[0]
+    strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]], dtype=np.int64)[::-1]
+    brackets = [(a, i0, (xc - axes[a][i0]) / (axes[a][i0 + 1] - axes[a][i0]))
+                for a, i0, xc in _brackets(axes, pts)]
+    n_corners = 2 ** len(brackets)
+    idx = np.empty((n_pts, n_corners), dtype=np.int64)
+    wts = np.empty((n_pts, n_corners))
+    for c, bits in enumerate(itertools.product((0, 1), repeat=len(brackets))):
+        flat = np.zeros(n_pts, dtype=np.int64)
+        weight = np.ones(n_pts)
+        for (a, i0, th), bit in zip(brackets, bits):
+            flat += (i0 + bit) * strides[a]
+            weight *= th if bit else (1.0 - th)
+        idx[:, c] = flat
+        wts[:, c] = weight
+    return idx, wts
+
+
+def _assert_plans_interpolate_alike(axes, pts, v):
+    idx, wts = _interp_plan(axes, pts)
+    full_idx, full_wts = _full_corner_plan(axes, pts)
+    np.testing.assert_allclose(_plan_dot(v, idx, wts), np.sum(v[full_idx] * full_wts, axis=1),
+                               rtol=0, atol=1e-14 * np.max(np.abs(v)))
+    return idx.shape[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_points())
+def test_interp_plan_matches_the_full_corner_plan(case):
+    axes, pts = case
+    v = np.cos(np.arange(math.prod(len(ax) for ax in axes), dtype=float))
+    _assert_plans_interpolate_alike(axes, pts, v)
+
+
+def test_interp_plan_drops_the_upper_corner_only_on_node_axes():
+    # axis 1 copies axis 0 (the same linspace arguments, so bitwise equal
+    # nodes) and its points are axis 0's nodes or clamp onto an end, like a
+    # lag register; axes 0 and 2 are off the nodes, axis 3 has one node
+    rng = np.random.default_rng(7)
+    head = np.linspace(-1.0, 2.5, 9)
+    axes = (head, np.linspace(-1.0, 2.5, 9), np.linspace(0.0, 1.0, 4), np.array([0.5]))
+    pts = np.column_stack([rng.uniform(-1.5, 3.0, 200),
+                           rng.choice(np.concatenate([head, [-7.0, 9.0]]), 200),
+                           rng.uniform(0.0, 1.0, 200), np.full(200, 0.5)])
+    v = rng.standard_normal(9 * 9 * 4)
+    assert _assert_plans_interpolate_alike(axes, pts, v) == 2 ** 2
+    # every bracketed axis on its nodes: one corner, the node's value exactly
+    nodes = _tensor_nodes(axes)
+    assert _assert_plans_interpolate_alike(axes, nodes, v) == 1
+    np.testing.assert_array_equal(ValueField(axes, v.reshape(9, 9, 4, 1)).interp(nodes), v)
+    # one point one ulp off a node keeps both corners of that axis
+    off = pts.copy()
+    off[0, 1] = np.nextafter(head[3], np.inf)
+    assert _assert_plans_interpolate_alike(axes, off, v) == 2 ** 3
+
+
+def test_advertising_plans_at_lag_count_four_are_twenty_wide(advertising_spec):
+    # the lag axes 2..4 copy the 5-node axis before them and land on its
+    # nodes; y_new and y_lag1 (a copy of the 25-node head axis) do not: 2^2
+    # corners times 5 Gauss-Hermite nodes, where every corner would take 160
+    chain = reduce_to_lag_chain(advertising_spec, 4)
+    axes = (np.linspace(-1.0, 2.5, 25),) + (np.linspace(-1.0, 2.5, 5),) * 4
+    one = value_iteration(chain, axes, tol=math.inf, max_iter=1)
+    n_nodes, n_u = 25 * 5 ** 4, advertising_spec.control_set.shape[0]
+    assert one.transition_entries == n_u * n_nodes * 20
+
+
+def test_plan_dot_is_the_row_sum_to_a_few_ulp():
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(500)
+    idx, wts = rng.integers(0, 500, (300, 40)), rng.uniform(-1.0, 1.0, (300, 40))
+    scale = np.sum(np.abs(v[idx] * wts), axis=1)
+    gap = np.abs(_plan_dot(v, idx, wts) - np.sum(v[idx] * wts, axis=1))
+    assert np.all(gap <= 4 * np.finfo(float).eps * scale)
+
+
 @pytest.mark.parametrize("axis", [np.array([1.0, 0.5, 0.0]), np.array([0.0, np.nan, 1.0]),
                                   np.array([np.nan])], ids=["decreasing", "nan", "nan-single"])
 def test_fields_refuse_unordered_or_nan_axes(axis):
@@ -447,7 +529,7 @@ def _reference_plans(chain, axes, gh_points=5):
 
 def _reference_sweep(chain, stage, plans, v):
     """One plain Bellman sweep: (Tv, greedy control index per node)."""
-    totals = np.stack([c + chain.step_discount * np.sum(v[i] * w, axis=1)
+    totals = np.stack([c + chain.step_discount * np.einsum("ij,ij->i", v[i], w)
                        for c, (i, w) in zip(stage, plans)])
     best = np.argmin(totals, axis=0)
     return totals[best, np.arange(v.size)], best
@@ -498,6 +580,28 @@ def test_value_iteration_one_sweep_is_the_reference_sweep(oracle_cases):
         np.testing.assert_array_equal(one.policy.indices.ravel(), policy_ref)
         assert one.residual == np.max(np.abs(v_ref - v))
         assert (one.iterations, one.evaluation_sweeps) == (1, 0)
+
+
+def test_value_iteration_pads_the_greedy_rows_of_narrower_plans():
+    # control 0 (u = -1) drives every state below the axes, where it clamps
+    # onto node 0 (one corner); control 1 (u = 0) only diffuses, and its
+    # zeta = 0 node stays on the nodes: plans 5 and 9 wide, and the greedy
+    # policy takes rows of both
+    p = AffineTestParams(drift_state=((0.0,),), drift_delay=((0.0,),),
+                         drift_control=((50.0,),), noise_const=((0.1,),),
+                         kernel_scale=0.0, control_lo=-1.0, control_hi=0.0, n_controls=2)
+    chain = reduce_to_lag_chain(build_affine_test(p, 4), 1)
+    axes = (np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5))
+    res = value_iteration(chain, axes, tol=1e-10, max_iter=20000)
+    assert [w.shape[1] for _, w in _reference_plans(chain, axes)[1]] == [5, 9]
+    assert res.transition_entries == 25 * (5 + 9)
+    assert set(res.policy.indices.ravel()) == {0, 1}
+    v_ref, policy_ref, residual_ref = _reference_value_iteration(chain, axes, tol=1e-10)
+    np.testing.assert_array_equal(res.policy.indices.ravel(), policy_ref)
+    # both runs reach a float fixed point (bound 0), so allow their rounding
+    gap = np.max(np.abs(res.value.values.ravel() - v_ref))
+    assert gap <= (res.value_error_bound + bellman_bound(chain.step_discount, residual_ref)
+                   + 4 * np.finfo(float).eps * np.max(np.abs(v_ref)))
 
 
 def test_value_iteration_nonconvergence_raises():
