@@ -138,6 +138,20 @@ class LiftedState:
     def grid(self) -> SegmentGrid:
         return self.tail.grid
 
+    @property
+    def heads(self) -> np.ndarray:
+        """The head as a batch of one, shape (1, n)."""
+        return self.head[None]
+
+    @property
+    def tails(self) -> np.ndarray:
+        """The tail values as a batch of one, shape (1, m+1, n)."""
+        return self.tail.values[None]
+
+    def like(self, heads: np.ndarray, tails: np.ndarray) -> "LiftedState":
+        """The state of a batch of one on this grid: heads (1, n), tails (1, m+1, n)."""
+        return LiftedState(heads[0], Segment(self.grid, tails[0]))
+
     def in_generator_domain(self, tol: float = 1e-9) -> bool:
         """Discrete domain predicate: tail value at 0 equals the head."""
         return bool(np.max(np.abs(self.tail.values[-1] - self.head)) <= tol)
@@ -159,17 +173,63 @@ class LiftedState:
     __rmul__ = __mul__
 
 
-def lifted_inner(x: LiftedState, y: LiftedState) -> float:
-    """Inner product: head dot product plus quadrature pairing of the tails."""
+@dataclass(frozen=True, eq=False)
+class LiftedBatch:
+    """S elements of R^n x L2([-d,0]; R^n) on one grid: heads (S, n) and
+    tails (S, m+1, n), row j of a tail at node xi_j.
+
+    The arrays are held as given, neither copied nor checked for finiteness,
+    so a batch costs no pass over its samples. The operators take a batch or
+    a LiftedState, which is a batch of one (its heads and tails).
+    """
+
+    grid: SegmentGrid
+    heads: np.ndarray
+    tails: np.ndarray
+
+    def __post_init__(self):
+        s, n = self.heads.shape
+        if self.tails.shape != (s, self.grid.m + 1, n):
+            raise GridMismatchError(
+                f"tails of shape {self.tails.shape} do not fit {s} heads of dimension {n} "
+                f"on {self.grid.m + 1} nodes"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.heads.shape[1]
+
+    def like(self, heads: np.ndarray, tails: np.ndarray) -> "LiftedBatch":
+        return LiftedBatch(self.grid, heads, tails)
+
+    def __sub__(self, other: "LiftedBatch") -> "LiftedBatch":
+        _check_same_grid(self.grid, other.grid, "batch subtraction")
+        return self.like(self.heads - other.heads, self.tails - other.tails)
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products of (S, n) arrays, each bitwise equal to a[i] @ b[i]."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def lifted_inner(x: LiftedState | LiftedBatch, y: LiftedState | LiftedBatch):
+    """Inner product: head dot product plus quadrature pairing of the tails.
+
+    A float for two states; for a batch, one value per sample (shape (S,)).
+    The sums follow memory order, so a sample whose tail keeps the memory
+    order of its LiftedState gets that state's value bitwise.
+    """
     _check_same_grid(x.grid, y.grid, "lifted_inner")
     if x.n != y.n:
         raise GridMismatchError(f"dimension mismatch {x.n} != {y.n}")
     w = x.grid.weights
-    return float(x.head @ y.head + np.sum(w[:, None] * x.tail.values * y.tail.values))
+    v = _dot_rows(x.heads, y.heads) + np.sum(w[:, None] * x.tails * y.tails, axis=(1, 2))
+    return float(v[0]) if isinstance(x, LiftedState) and isinstance(y, LiftedState) else v
 
 
-def lifted_norm(x: LiftedState) -> float:
-    return float(np.sqrt(lifted_inner(x, x)))
+def lifted_norm(x: LiftedState | LiftedBatch):
+    v = np.sqrt(lifted_inner(x, x))
+    return float(v) if isinstance(x, LiftedState) else v
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    LiftedBatch,
     LiftedState,
     NumericalError,
     ProblemSpec,
@@ -93,10 +94,16 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
 
 
 def _lift_at(t: float, times: np.ndarray, states: np.ndarray,
-             grid: SegmentGrid) -> LiftedState:
-    """(value at t, window over [t - d, t] on grid) of a path tabulated at times."""
-    vals = interp_columns(np.concatenate([[t], t + grid.nodes]), times, states)
-    return LiftedState(vals[0], Segment(grid, vals[1:]))
+             grid: SegmentGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(values at t (..., n), windows over [t - d, t] on grid (..., m+1, n))
+    of paths states (..., J, n) tabulated at times."""
+    shape = states.shape[:-2] + states.shape[-1:]
+    cols = np.moveaxis(states, -2, 0).reshape(len(times), -1)
+    vals = interp_columns(np.concatenate([[t], t + grid.nodes]), times, cols)
+    # each path's lift contiguous, as for one path: quadrature sums follow
+    # memory order, so a batch sums each sample as its LiftedState would
+    vals = np.ascontiguousarray(np.moveaxis(vals.reshape((grid.m + 2,) + shape), 0, -2))
+    return vals[..., 0, :], vals[..., 1:, :]
 
 
 def lift_history(path: SddePath, t: float) -> LiftedState:
@@ -108,7 +115,8 @@ def lift_history(path: SddePath, t: float) -> LiftedState:
     t_lo, t_hi = float(path.times[path.n_history]), float(path.times[-1])
     if t < t_lo - 1e-12 or t > t_hi + 1e-12:
         raise ValueError(f"time {t} outside simulated range [{t_lo}, {t_hi}]")
-    return _lift_at(t, path.times, path.states, path.segment_grid)
+    head, tail = _lift_at(t, path.times, path.states, path.segment_grid)
+    return LiftedState(head, Segment(path.segment_grid, tail))
 
 
 @dataclass(frozen=True)
@@ -210,8 +218,7 @@ def contraction_probe(spec: ProblemSpec, x: LiftedState, y: LiftedState, ctrl,
     wx = _simulate_batch(spec, x, ctrl, r, delta, (seed, n_paths)).window
     wy = _simulate_batch(spec, y, ctrl, r, delta, (seed, n_paths)).window
     times = delta * np.arange(n_steps + 1 - wx.shape[1], n_steps + 1)
-    lhs, stderr = _mean_stderr([
-        minus_one_norm(_lift_at(r, times, a, spec.grid) - _lift_at(r, times, b, spec.grid)) ** 2
-        for a, b in zip(wx, wy)])
+    (hx, tx), (hy, ty) = _lift_at(r, times, wx, spec.grid), _lift_at(r, times, wy, spec.grid)
+    lhs, stderr = _mean_stderr(minus_one_norm(LiftedBatch(spec.grid, hx - hy, tx - ty)) ** 2)
     return ContractionReport(lhs=lhs, stderr=stderr, rhs=rhs, rate=rate)
 

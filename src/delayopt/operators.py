@@ -15,6 +15,10 @@ the inverse's range satisfies the nodal domain constraint tail(0) = head,
 the scalar inverse matrix is rank deficient by one, and the Gram operator
 carries one machine-zero eigenvalue per component, whose eigenvector is the
 alternating (Nyquist) tail mode. The spectral decomposition strips it.
+
+The functional operators, the forms and the norms act on a LiftedBatch
+(heads (S, n), tails (S, m+1, n)) in one pass and give one value per
+sample; a LiftedState is a batch of one and gives a state or a float.
 """
 
 from __future__ import annotations
@@ -25,16 +29,25 @@ import numpy as np
 
 from .core import (
     DomainError,
+    LiftedBatch,
     LiftedState,
     NumericalError,
     Segment,
     SegmentGrid,
+    _dot_rows,
     interp_columns,
     lifted_inner,
     lifted_norm,
 )
 
 GHOST_RELATIVE_TOL = 1e-13
+# samples per batch in sample_audit: at n = 2, m = 400 a tail array of 128
+# samples holds 0.8 MB, and the audit keeps a few alive at once
+BLOCK = 128
+# coefficients per component of a smooth state: cubic plus two trig modes
+SMOOTH_MODES = 6
+
+Lifted = LiftedState | LiftedBatch
 
 
 def weight_vector(grid: SegmentGrid, n: int) -> np.ndarray:
@@ -50,18 +63,20 @@ def unflatten(vec: np.ndarray, grid: SegmentGrid, n: int) -> LiftedState:
     return LiftedState(vec[:n], Segment(grid, vec[n:].reshape(grid.m + 1, n)))
 
 
-def apply_shift_semigroup(t: float, x: LiftedState) -> LiftedState:
+def apply_shift_semigroup(t, x: Lifted) -> Lifted:
     """Transport the history left by t; entries shifted past 0 read the head.
 
-    The head is unchanged. Node values between old nodes are linearly
-    interpolated. The weighted norm never grows by more than sqrt(2(1+d)).
+    t is one time, or one per sample of a batch (S,). The head is unchanged.
+    Node values between old nodes are linearly interpolated. The weighted
+    norm never grows by more than sqrt(2(1+d)).
     """
-    if t < 0:
-        raise DomainError(f"semigroup time must be nonnegative, got {t}")
-    if t == 0.0:
-        return x
-    return LiftedState(x.head, Segment(x.grid, _shift_tail(t, x.grid.nodes, x.tail.values,
-                                                           x.head)))
+    ts = np.broadcast_to(np.asarray(t, dtype=float), (len(x.heads),))
+    if np.any(ts < 0):
+        raise DomainError(f"semigroup time must be nonnegative, got {float(np.min(ts))}")
+    nodes = x.grid.nodes
+    tails = np.stack([tail if s == 0.0 else _shift_tail(s, nodes, tail, head)
+                      for s, tail, head in zip(ts, x.tails, x.heads)])
+    return x.like(x.heads, tails)
 
 
 def _shift_tail(t: float, nodes: np.ndarray, tail: np.ndarray,
@@ -72,46 +87,47 @@ def _shift_tail(t: float, nodes: np.ndarray, tail: np.ndarray,
     return np.where((pos < 0.0)[:, None], interp_columns(pos, nodes, tail), head[None, :])
 
 
-def apply_generator(x: LiftedState, domain_tol: float = 1e-9) -> LiftedState:
+def apply_generator(x: Lifted, domain_tol: float = 1e-9) -> Lifted:
     """Dissipative generator: negate the head, differentiate the tail.
 
     Finite differences: central in the interior, second-order one-sided at
     both ends, so the derivative is uniformly second order.
-    The state must satisfy the nodal domain constraint tail(0) = head.
+    Every sample must satisfy the nodal domain constraint tail(0) = head.
     """
-    gap = float(np.max(np.abs(x.tail.values[-1] - x.head)))
+    v = x.tails
+    gap = float(np.max(np.abs(v[:, -1] - x.heads)))
     if gap > domain_tol:
         raise DomainError(
             f"state outside generator domain: |tail(0) - head| = {gap:g} > {domain_tol:g}"
         )
     h = x.grid.h
-    v = x.tail.values
     dv = np.empty_like(v)
-    dv[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+    dv[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
     if x.grid.m >= 2:
-        dv[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-        dv[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+        dv[:, 0] = (-3 * v[:, 0] + 4 * v[:, 1] - v[:, 2]) / (2 * h)
+        dv[:, -1] = (3 * v[:, -1] - 4 * v[:, -2] + v[:, -3]) / (2 * h)
     else:
-        dv[0] = dv[-1] = (v[-1] - v[0]) / h
-    return LiftedState(-x.head, Segment(x.grid, dv))
+        dv[:, 0] = dv[:, -1] = (v[:, -1] - v[:, 0]) / h
+    return x.like(-x.heads, dv)
 
 
-def apply_generator_inverse(x: LiftedState) -> LiftedState:
+def apply_generator_inverse(x: Lifted) -> Lifted:
     """Explicit inverse: head -> -head, tail -> -head - integral of tail to 0.
 
     The integral is the cumulative trapezoid rule from each node to 0, so the
     output satisfies the domain constraint exactly (its tail at 0 is -head).
     """
-    v = x.tail.values
+    v = x.tails
     h = x.grid.h
-    increments = h * (v[:-1] + v[1:]) / 2.0
-    tail_int = np.zeros_like(v)
-    tail_int[:-1] = np.cumsum(increments[::-1], axis=0)[::-1]
-    tail_new = -x.head[None, :] - tail_int
-    return LiftedState(-x.head, Segment(x.grid, tail_new))
+    increments = h * (v[:, :-1] + v[:, 1:]) / 2.0
+    # the integral from each node to 0, summed from 0 outward, in place
+    tail = np.zeros_like(v)
+    np.cumsum(increments[:, ::-1], axis=1, out=tail[:, -2::-1])
+    np.subtract(-x.heads[:, None, :], tail, out=tail)
+    return x.like(-x.heads, tail)
 
 
-def minus_one_norm(x: LiftedState) -> float:
+def minus_one_norm(x: Lifted):
     """Weak norm: the lifted norm of the inverse-generator image.
 
     Dominates the head: |head| <= minus_one_norm(x).
@@ -119,7 +135,7 @@ def minus_one_norm(x: LiftedState) -> float:
     return lifted_norm(apply_generator_inverse(x))
 
 
-def dissipativity_form(x: LiftedState, domain_tol: float = 1e-9) -> float:
+def dissipativity_form(x: Lifted, domain_tol: float = 1e-9):
     """Quadratic form of the generator; nonpositive on its domain.
 
     The discrete value telescopes to -|head|^2/2 - |tail(-d)|^2/2 with an
@@ -128,7 +144,7 @@ def dissipativity_form(x: LiftedState, domain_tol: float = 1e-9) -> float:
     return lifted_inner(apply_generator(x, domain_tol), x)
 
 
-def generator_inverse_form(x: LiftedState) -> float:
+def generator_inverse_form(x: Lifted):
     """Pairing of the inverse-generator image with the state; nonpositive."""
     return lifted_inner(apply_generator_inverse(x), x)
 
@@ -249,8 +265,26 @@ def g_operator_norm(mat: np.ndarray, grid: SegmentGrid) -> float:
     return float(np.linalg.norm((s[:, None] * mat) / s[None, :], 2))
 
 
-def lifted_norm_sq(x: LiftedState) -> float:
+def lifted_norm_sq(x: Lifted):
     return lifted_inner(x, x)
+
+
+def smooth_states(grid: SegmentGrid, coeffs: np.ndarray) -> LiftedBatch:
+    """Generator-domain states with smooth tails, coeffs (S, n, SMOOTH_MODES)
+    on the basis 1, xi, xi^2, xi^3, cos(pi xi), sin(pi xi) in xi = node/d.
+
+    Each head is its tail's value at 0.
+    """
+    xi = grid.nodes / grid.d
+    basis = np.stack([
+        np.ones_like(xi), xi, xi ** 2, xi ** 3,
+        np.cos(np.pi * xi), np.sin(np.pi * xi),
+    ])
+    # the tails keep the product's layout, component by component, which is
+    # random_smooth_state's too: quadrature sums follow memory order, so each
+    # sample sums bitwise as that state would
+    tails = (coeffs @ basis).swapaxes(1, 2)
+    return LiftedBatch(grid, tails[:, -1].copy(), tails)
 
 
 def random_smooth_state(grid: SegmentGrid, n: int, rng: np.random.Generator,
@@ -258,14 +292,35 @@ def random_smooth_state(grid: SegmentGrid, n: int, rng: np.random.Generator,
     """Random state with a smooth tail: low-order polynomial plus two trig modes.
 
     With domain=True the head is set to the tail value at 0, so the state
-    lies in the generator domain.
+    lies in the generator domain; otherwise it is drawn after the tail.
     """
-    xi = grid.nodes / grid.d
-    basis = np.stack([
-        np.ones_like(xi), xi, xi ** 2, xi ** 3,
-        np.cos(np.pi * xi), np.sin(np.pi * xi),
-    ])
-    coeffs = rng.normal(size=(n, basis.shape[0]))
-    tail = (coeffs @ basis).T
-    head = tail[-1].copy() if domain else rng.normal(size=n)
-    return LiftedState(head, Segment(grid, tail))
+    x = smooth_states(grid, rng.normal(size=(1, n, SMOOTH_MODES)))
+    head = x.heads[0] if domain else rng.normal(size=n)
+    return LiftedState(head, Segment(grid, x.tails[0]))
+
+
+def sample_audit(grid: SegmentGrid, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Structural audit of the smooth states coeffs (S, n, SMOOTH_MODES),
+    BLOCK samples per batch; one row per sample.
+
+    Columns: the dissipativity and inverse-pairing forms over the squared
+    norm, |head|, the weak norm, the generator round trip's relative error,
+    and the norm growth of the shift semigroup at the sample's time in
+    times (S,).
+    """
+    rows = np.empty((len(coeffs), 6))
+    for lo in range(0, len(coeffs), BLOCK):
+        x = smooth_states(grid, coeffs[lo:lo + BLOCK])
+        nx = lifted_norm(x)
+        nx_floor, sq_floor = np.maximum(nx, 1e-300), np.maximum(nx * nx, 1e-300)
+        back = apply_generator(apply_generator_inverse(x))
+        shifted = apply_shift_semigroup(times[lo:lo + BLOCK], x)
+        rows[lo:lo + BLOCK] = np.column_stack([
+            dissipativity_form(x) / sq_floor,
+            generator_inverse_form(x) / sq_floor,
+            np.sqrt(_dot_rows(x.heads, x.heads)),
+            minus_one_norm(x),
+            lifted_norm(back - x) / nx_floor,
+            lifted_norm(shifted) / nx_floor,
+        ])
+    return rows

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -343,12 +344,20 @@ def test_no_function_imports():
     assert not found, found
 
 
-def test_bench_traced_names_resolve():
+def bench_module(name, monkeypatch):
+    """bench/<name>.py executed from source, so it writes no bytecode."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_bench_traced_names_resolve(monkeypatch):
     # the benchmark's tracer wraps functions and methods by name; each must
     # exist where the tracer looks, or only a traced benchmark run would fail
-    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-    spans = types.ModuleType("spans")  # executed from source: writes no bytecode
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
+    spans = bench_module("spans", monkeypatch)
     callbacks = {f"models.{cb}" for cb in spans.CALLBACKS}
     names = (set(spans.KEYS) - callbacks) | {".".join(m) for m in spans.METHODS}
     missing = []
@@ -368,14 +377,45 @@ def test_bench_traced_names_resolve():
 def test_bench_simulate_digests_match_the_pins(tmp_path, monkeypatch):
     # the benchmark's bit-reproducibility gate, run here too: the bench's own
     # simulate call at seed 0 reproduces the pinned paths.csv and summary.csv
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    workloads = types.ModuleType("workloads")  # executed from source: writes no bytecode
-    workloads.__file__ = str(path)
-    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses look it up
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), workloads.__dict__)
+    workloads = bench_module("workloads", monkeypatch)
     pinned = workloads.load_pinned()["trajectories"]["0"]
     assert workloads.simulate_digests(0, tmp_path) == {
         name: pinned[name] for name in ("paths.csv", "summary.csv")}
+
+
+def test_bench_tracer_records_every_expected_operators_span(tmp_path, monkeypatch):
+    # a traced benchmark run fails when an expected span key records no call;
+    # the same check on one small operators call, with the bench's own tracer
+    spans = bench_module("spans", monkeypatch)
+    expected = bench_module("workloads", monkeypatch).PARTS["operators"].expected
+    tracer = spans.Tracer()
+    tracer.install(delayopt)
+    try:
+        code = delayopt.cli.main(["operators", "--spec", str(SPECS / "affine.json"),
+                                  "--samples", "5", "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = tracer.summarize()[1]
+    assert "core.lifted_inner" in expected and "operators.forms" in expected
+    assert not [key for key in expected if calls[key] == 0]
+
+
+def test_operators_sample_pass_stays_within_its_memory_bound(tmp_path, monkeypatch):
+    # the bench's operators problem (n = 2, m = 400, 1000 samples) traced by
+    # tracemalloc: about 8 MB, set by the dense spectral matrices, with
+    # samples in blocks of operators.BLOCK; one batch of all 1000 samples
+    # peaks at about 35 MB
+    spec = tmp_path / "affine_n2_m400.json"
+    spec.write_text(json.dumps(bench_module("workloads", monkeypatch).affine_spec_doc()))
+    tracemalloc.start()
+    try:
+        code = main(["operators", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12e6, f"operators peaked at {peak / 1e6:.1f} MB"
 
 
 def test_monte_carlo_manifests_record_the_tail_bound(tmp_path):

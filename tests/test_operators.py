@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayopt.core import DomainError, LiftedState, NumericalError, Segment, SegmentGrid
+from delayopt.core import (DomainError, LiftedBatch, LiftedState, NumericalError, Segment,
+                           SegmentGrid)
 from delayopt.operators import (
+    BLOCK,
+    SMOOTH_MODES,
     OperatorMatrix,
     apply_generator,
     apply_generator_inverse,
@@ -16,6 +21,8 @@ from delayopt.operators import (
     lifted_norm_sq,
     minus_one_norm,
     random_smooth_state,
+    sample_audit,
+    smooth_states,
     spectral_decomposition,
     unflatten,
     weight_vector,
@@ -463,3 +470,104 @@ def test_inverse_matrix_matches_functional_form():
     x = random_smooth_state(g, 2, rng, domain=False)
     np.testing.assert_allclose(M @ flatten(x), flatten(apply_generator_inverse(x)),
                                atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# batches: one pass over S states against the loop over their LiftedStates
+
+EPS = np.finfo(float).eps
+ULPS = 4
+
+
+def states_of(x):
+    """The samples of a batch as LiftedStates (C-ordered copies)."""
+    return [LiftedState(h, Segment(x.grid, t)) for h, t in zip(x.heads, x.tails)]
+
+
+def assert_ulps(batch, loop, scale):
+    """batch equals loop to a few ulp of each sample's scale (S,)."""
+    loop = np.asarray(loop, dtype=float)
+    scale = np.reshape(scale, (-1,) + (1,) * (loop.ndim - 1))
+    assert np.all(np.abs(np.asarray(batch) - loop) <= ULPS * EPS * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([1, 2]) | st.integers(3, 40), n=st.sampled_from([1, 2, 3]),
+       size=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_matches_the_per_state_loop(m, n, size, seed):
+    # m = 1 and m >= 2 take the two branches of the generator's end stencil;
+    # sizes around BLOCK cross sample_audit's block boundary
+    g = SegmentGrid(1.0 + seed % 3, m)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(size, n, SMOOTH_MODES))
+    times = rng.uniform(0, 2 * g.d, size)
+    times[::5] = 0.0  # the identity, per sample
+    x = smooth_states(g, coeffs)
+    xs = states_of(x)
+    norms = np.array([lifted_norm(s) for s in xs])
+    images = {}
+    for op in (apply_generator, apply_generator_inverse):
+        out, ref = op(x), [op(s) for s in xs]
+        scale = [max(np.max(np.abs(r.head)), np.max(np.abs(r.tail.values))) for r in ref]
+        assert_ulps(out.heads, [r.head for r in ref], scale)
+        assert_ulps(out.tails, [r.tail.values for r in ref], scale)
+        images[op] = np.array([lifted_norm(r) for r in ref])
+    out = apply_shift_semigroup(times, x)
+    ref = [apply_shift_semigroup(t, s) for t, s in zip(times, xs)]
+    np.testing.assert_array_equal(out.heads, [r.head for r in ref])
+    np.testing.assert_array_equal(out.tails, [r.tail.values for r in ref])
+    # a pairing is at most the product of the norms (Cauchy-Schwarz)
+    for form, op in ((dissipativity_form, apply_generator),
+                     (generator_inverse_form, apply_generator_inverse)):
+        assert_ulps(form(x), [form(s) for s in xs], images[op] * norms)
+    assert_ulps(lifted_norm_sq(x), [lifted_norm_sq(s) for s in xs], norms ** 2)
+    assert_ulps(minus_one_norm(x), [minus_one_norm(s) for s in xs],
+                images[apply_generator_inverse])
+    # the audit's rows, BLOCK samples at a time
+    rows = sample_audit(g, coeffs, times)
+    ref = np.array([[dissipativity_form(s) / r ** 2, generator_inverse_form(s) / r ** 2,
+                     np.linalg.norm(s.head), minus_one_norm(s),
+                     lifted_norm(apply_generator(apply_generator_inverse(s)) - s) / r,
+                     lifted_norm(apply_shift_semigroup(t, s)) / r]
+                    for s, t, r in zip(xs, times, norms)])
+    scale = np.column_stack([images[apply_generator] / norms,
+                             images[apply_generator_inverse] / norms, np.abs(ref[:, 2:])])
+    assert np.all(np.abs(rows - ref) <= ULPS * EPS * scale)
+
+
+def test_batch_with_one_sample_outside_the_domain_is_refused():
+    g = SegmentGrid(1.0, 10)
+    x = smooth_states(g, np.random.default_rng(0).normal(size=(5, 2, SMOOTH_MODES)))
+    heads = x.heads.copy()
+    heads[3, 1] += 1e-6
+    off = LiftedBatch(g, heads, x.tails)
+    with pytest.raises(DomainError):
+        apply_generator(off)
+    with pytest.raises(DomainError):
+        dissipativity_form(off)
+    with pytest.raises(DomainError):
+        apply_shift_semigroup(np.array([0.1, 0.2, -0.1, 0.0, 0.3]), x)
+
+
+def test_a_state_is_a_batch_of_one():
+    # a LiftedState argument gives a LiftedState or a Python float, as before
+    g = SegmentGrid(1.0, 12)
+    x = random_smooth_state(g, 2, np.random.default_rng(1))
+    for op in (apply_generator, apply_generator_inverse,
+               lambda s: apply_shift_semigroup(0.3, s)):
+        assert type(op(x)) is LiftedState
+    for form in (dissipativity_form, generator_inverse_form, minus_one_norm, lifted_norm_sq,
+                 lifted_norm, lambda s: lifted_inner(s, s)):
+        assert type(form(x)) is float
+    batch = LiftedBatch(g, x.heads, x.tails)
+    assert type(minus_one_norm(batch)) is np.ndarray
+    assert minus_one_norm(batch)[0] == minus_one_norm(x)
+
+
+def test_random_smooth_state_draws_as_the_batch():
+    # one state's coefficients are drawn as the batch draws a sample's
+    g = SegmentGrid(1.0, 9)
+    x = random_smooth_state(g, 3, np.random.default_rng(4))
+    batch = smooth_states(g, np.random.default_rng(4).normal(size=(1, 3, SMOOTH_MODES)))
+    np.testing.assert_array_equal(x.tail.values, batch.tails[0])
+    np.testing.assert_array_equal(x.head, batch.heads[0])
