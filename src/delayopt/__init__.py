@@ -35,7 +35,6 @@ from .operators import (
     spectral_decomposition,
 )
 from .sdde import (
-    BrownianDriver,
     OpenLoopControl,
     mc_cost,
     simulate_sdde,

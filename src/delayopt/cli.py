@@ -456,8 +456,7 @@ def cmd_merton_check(run: Run):
 
 def cmd_advertising_demo(run: Run):
     a, spec = run.args, run.spec
-    driver = sdde.BrownianDriver(a.seed, 0, a.dt, spec.q)
-    path = sdde.simulate_sdde(spec, run.x, _control(spec), a.T, a.dt, driver)
+    path = sdde.simulate_sdde(spec, run.x, _control(spec), a.T, a.dt, (a.seed, 1))
     rows = [[float(t)] + [float(v) for v in y] for t, y in zip(path.times, path.states)]
     run.csv("path.csv", ["t"] + [f"y{i}" for i in range(spec.n)], rows)
     chain, result, z0 = _solve(run)

@@ -31,12 +31,12 @@ from .core import (
 from .operators import (_shift_tail, assemble_gram_operator, minus_one_norm,
                         spectral_decomposition)
 from .sdde import (
-    BrownianDriver,
     SddePath,
     _euler_head,
     _mean_stderr,
     _simulate_batch,
     _steps_of,
+    batch_increments,
     coarsen_increments,
     simulate_sdde,
 )
@@ -62,9 +62,9 @@ class LiftedPath:
 
 
 def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
-                  driver: BrownianDriver,
-                  increments: np.ndarray | None = None) -> LiftedPath:
-    """One-step mild Euler for the lifted equation.
+                  increments: np.ndarray) -> LiftedPath:
+    """One-step mild Euler for the lifted equation on one path's increments
+    (>= K, q), the array its direct counterpart simulate_sdde is given.
 
     Per step the drift and noise enter the head only; the shift semigroup
     then transports the combined state, which folds the new head value into
@@ -73,8 +73,8 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
     spec.validate()
     n_steps = _steps_of(T, delta, "T")
     _steps_of(spec.d, delta, "d")
-    if increments is None:
-        increments = driver.increments(n_steps)
+    if len(increments) < n_steps:
+        raise ValidationError(f"need {n_steps} increments, got {len(increments)}")
     grid = spec.grid
     wk = weighted_kernels(spec, grid)
     heads = np.empty((n_steps + 1, spec.n))
@@ -163,19 +163,17 @@ def equivalence_report(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
     n_steps = _steps_of(T, delta, "T")
     if n_steps == 0:
         raise ValidationError("the agreement report needs a positive horizon T")
-    fine = BrownianDriver(seed, 0, delta / 2, spec.q).increments(2 * n_steps)
+    fine = batch_increments(seed, [0], delta / 2, spec.q, 2 * n_steps)[0]
     coarse = coarsen_increments(fine, 2)
 
-    driver = BrownianDriver(seed, 0, delta, spec.q)
-    path = simulate_sdde(spec, x, ctrl, T, delta, driver, increments=coarse)
-    lifted = simulate_mild(spec, x, ctrl, T, delta, driver, increments=coarse)
+    path = simulate_sdde(spec, x, ctrl, T, delta, coarse)
+    lifted = simulate_mild(spec, x, ctrl, T, delta, coarse)
     base = _mismatch(spec, path, lifted)
 
     spec_f = with_resolution(spec, 2 * spec.grid.m)
     x_f = LiftedState(x.head, resample_segment(x.tail, spec_f.grid))
-    driver_f = BrownianDriver(seed, 0, delta / 2, spec.q)
-    path_f = simulate_sdde(spec_f, x_f, ctrl, T, delta / 2, driver_f, increments=fine)
-    lifted_f = simulate_mild(spec_f, x_f, ctrl, T, delta / 2, driver_f, increments=fine)
+    path_f = simulate_sdde(spec_f, x_f, ctrl, T, delta / 2, fine)
+    lifted_f = simulate_mild(spec_f, x_f, ctrl, T, delta / 2, fine)
     refined = _mismatch(spec_f, path_f, lifted_f)
 
     ratio = (base.head_mismatch / refined.head_mismatch if refined.head_mismatch > 0

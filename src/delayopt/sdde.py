@@ -2,9 +2,11 @@
 
 Explicit Euler-Maruyama on a step grid that divides the delay horizon, so
 the history window always aligns with stored nodes and the kernel
-quadrature needs no interpolation. Brownian increments come from
-counter-based generators keyed on (seed, path index), which makes every
-path bit-reproducible and independent across indices. One streaming pass,
+quadrature needs no interpolation. Path i's Brownian increments come from
+the counter-based stream keyed on (seed, i), drawn by `_increment_blocks`
+alone, so every path is bit-reproducible and independent of the others.
+A simulator takes noise as (seed, P), paths 0 .. P - 1, or as an explicit
+increment array that callers share or coarsen. One streaming pass,
 `_simulate_batch`, steps every path of an estimate at once: it draws the
 increments block by block from each path's stream, keeps a rolling buffer
 of the last history window plus one block, and accumulates each path's
@@ -46,9 +48,35 @@ def _philox(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+BLOCK = 256  # steps per increment block: the window buffer holds n_hist + 1 + BLOCK nodes
+
+
+def _increment_blocks(seed: int, path_indices, delta: float, q: int, n_steps: int):
+    """Increments of the given paths, BLOCK steps at a time, shape (P, b, q).
+    The one draw from the Philox streams: each path continues its own stream
+    from block to block, so no block split changes a bit of its increments."""
+    rngs = [_philox(seed, i) for i in path_indices]
+    scale = math.sqrt(delta)
+    for k0 in range(0, n_steps, BLOCK):
+        block = np.empty((len(rngs), min(BLOCK, n_steps - k0), q))
+        for out, rng in zip(block, rngs):
+            rng.standard_normal(out.shape, out=out)
+        block *= scale
+        yield block
+
+
+def batch_increments(seed: int, path_indices, delta: float, q: int,
+                     n_steps: int) -> np.ndarray:
+    """Increments of the given paths, shape (P, n_steps, q): the blocks of
+    _increment_blocks joined, so a path's row is the same in every batch."""
+    blocks = _increment_blocks(seed, path_indices, delta, q, n_steps)
+    return np.concatenate([np.empty((len(path_indices), 0, q)), *blocks], axis=1)
+
+
 @dataclass(frozen=True)
 class BrownianDriver:
-    """Counter-based Wiener increment source for one path."""
+    """One path's increments; no caller in the package. The benchmark's tracer
+    wraps this method by name until ROADMAP item 5 re-keys it and deletes this."""
 
     seed: int
     path_index: int
@@ -56,18 +84,7 @@ class BrownianDriver:
     q: int
 
     def increments(self, n_steps: int) -> np.ndarray:
-        """Increment stream, shape (n_steps, q); identical on every call."""
-        rng = _philox(self.seed, self.path_index)
-        return rng.standard_normal((n_steps, self.q)) * math.sqrt(self.delta)
-
-
-def batch_increments(seed: int, path_indices, delta: float, q: int,
-                     n_steps: int) -> np.ndarray:
-    """Stacked increments for several paths, shape (P, n_steps, q)."""
-    out = np.empty((len(path_indices), n_steps, q))
-    for i, idx in enumerate(path_indices):
-        out[i] = BrownianDriver(seed, int(idx), delta, q).increments(n_steps)
-    return out
+        return batch_increments(self.seed, [self.path_index], self.delta, self.q, n_steps)[0]
 
 
 def coarsen_increments(dw: np.ndarray, factor: int) -> np.ndarray:
@@ -145,23 +162,6 @@ def _euler_head(spec: ProblemSpec, wk: tuple[np.ndarray, np.ndarray], y: np.ndar
     return y + b * delta + np.einsum("pnq,pq->pn", sig, dw)
 
 
-BLOCK = 256  # steps per increment block: the window buffer holds n_hist + 1 + BLOCK nodes
-
-
-def _increment_blocks(seed: int, n_paths: int, delta: float, q: int, n_steps: int):
-    """Increments of paths 0 .. n_paths - 1, BLOCK steps at a time, shape
-    (n_paths, b, q): each path continues its own stream, so the blocks
-    concatenate to batch_increments(seed, range(n_paths), ...) bit for bit."""
-    rngs = [_philox(seed, i) for i in range(n_paths)]
-    scale = math.sqrt(delta)
-    for k0 in range(0, n_steps, BLOCK):
-        block = np.empty((n_paths, min(BLOCK, n_steps - k0), q))
-        for out, rng in zip(block, rngs):
-            rng.standard_normal(out.shape, out=out)
-        block *= scale
-        yield block
-
-
 @dataclass(frozen=True, eq=False)
 class _Batch:
     """What one pass over a batch of P paths keeps."""
@@ -192,16 +192,14 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
     if isinstance(noise, np.ndarray):
         P, width = noise.shape[0], n_steps
         if n_steps and noise.shape[1] < n_steps:
-            raise ValidationError(
-                f"need {n_steps} increments, driver provided {noise.shape[1]}"
-            )
+            raise ValidationError(f"need {n_steps} increments, got {noise.shape[1]}")
         blocks = [noise[:, :n_steps]] if n_steps else []
     else:
         seed, P = noise
         if P < 0:
             raise ValidationError(f"path count must be nonnegative, got {P}")
         width = min(BLOCK, n_steps)
-        blocks = _increment_blocks(seed, P, delta, spec.q, n_steps)
+        blocks = _increment_blocks(seed, range(P), delta, spec.q, n_steps)
     step_grid = SegmentGrid(spec.d, n_hist)
     wk = weighted_kernels(spec, step_grid)
 
@@ -236,14 +234,15 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
 
 
 def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
-                  delta: float, driver: BrownianDriver,
-                  increments: np.ndarray | None = None) -> SddePath:
-    """Simulate one strong path of the delayed state equation."""
+                  delta: float, noise) -> SddePath:
+    """One strong path of the delayed state equation, on noise given as the
+    path's increments (>= K, q) or as (seed, 1): path 0 of seed's streams."""
     n_hist, n_steps = _steps_of(spec.d, delta, "d"), _steps_of(T, delta, "T")
-    if increments is None:
-        increments = driver.increments(n_steps)
-    batch = _simulate_batch(spec, x, ctrl, T, delta,
-                            np.asarray(increments, dtype=float)[None, :, :], keep=1)
+    if isinstance(noise, np.ndarray):
+        noise = np.asarray(noise, dtype=float)[None, :, :]
+    elif noise[1] != 1:
+        raise ValidationError(f"one path takes (seed, 1), got {noise}")
+    batch = _simulate_batch(spec, x, ctrl, T, delta, noise, keep=1)
     return SddePath(times=delta * np.arange(-n_hist, n_steps + 1), states=batch.states[0],
                     controls=batch.controls[0], discounted_cost=float(batch.costs[0]),
                     delta=delta, n_history=n_hist, segment_grid=spec.grid)
@@ -269,8 +268,8 @@ def mc_cost(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
 
     All paths step together in one streaming pass (_simulate_batch), each
     drawing from its own counter-based stream, so the result is
-    deterministic in the seed, each path's cost is the one simulate_sdde
-    gives for that path's driver, and no batching or block size changes a
-    bit of it. Memory does not grow with T.
+    deterministic in the seed, path i's cost is the one simulate_sdde gives
+    on path i's increments, and no batching or block size changes a bit of
+    it. Memory does not grow with T.
     """
     return _mean_stderr(_simulate_batch(spec, x, ctrl, T, delta, (seed, n_paths)).costs)

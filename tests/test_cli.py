@@ -109,7 +109,7 @@ def test_simulate_paths_are_single_path_simulations(tmp_path, policy_file):
     ctrl = _control(spec, f"policy:{policy_file}", 0.05)
     for i in range(3):
         path = sdde.simulate_sdde(spec, models.initial_state(spec), ctrl, 0.5, 0.05,
-                                  sdde.BrownianDriver(4, i, 0.05, spec.q))
+                                  sdde.batch_increments(4, [i], 0.05, spec.q, 10)[0])
         mine = rows[rows[:, 0] == i]
         np.testing.assert_array_equal(mine[:, 1], path.step_times[:-1])
         np.testing.assert_array_equal(mine[:, 2:2 + spec.n], path.step_states[:-1])

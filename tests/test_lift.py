@@ -20,7 +20,7 @@ from delayopt.operators import (
     minus_one_norm,
     spectral_decomposition,
 )
-from delayopt.sdde import BrownianDriver, OpenLoopControl, simulate_sdde
+from delayopt.sdde import OpenLoopControl, batch_increments, simulate_sdde
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -40,9 +40,7 @@ def test_pure_transport_matches_semigroup_orbit():
     g = spec.grid
     x = LiftedState([0.5], Segment(g, np.sin(np.pi * g.nodes)[:, None]))
     delta = g.h
-    driver = BrownianDriver(0, 0, delta, 1)
-    lp = simulate_mild(spec, x, OpenLoopControl([0.0]), 1.0, delta, driver,
-                       increments=np.zeros((10, 1)))
+    lp = simulate_mild(spec, x, OpenLoopControl([0.0]), 1.0, delta, np.zeros((10, 1)))
     for k in range(11):
         orbit = apply_shift_semigroup(k * delta, x)
         np.testing.assert_allclose(lp.tails[k], orbit.tail.values, atol=1e-12)
@@ -56,17 +54,17 @@ def test_constant_drift_head():
                          rho=1.0, x0=(0.0,), x1=(0.0,))
     spec = build_affine_test(p, 10)
     x = models.initial_state(spec)
-    lp = simulate_mild(spec, x, OpenLoopControl([0.0]), 2.0, 0.05,
-                       BrownianDriver(0, 0, 0.05, 1),
-                       increments=np.zeros((40, 1)))
+    lp = simulate_mild(spec, x, OpenLoopControl([0.0]), 2.0, 0.05, np.zeros((40, 1)))
     assert lp.heads[-1, 0] == pytest.approx(1.4, abs=1e-12)
+    # the increments are given, never drawn, so too few of them are refused
+    with pytest.raises(ValidationError, match="need 40 increments, got 39"):
+        simulate_mild(spec, x, OpenLoopControl([0.0]), 2.0, 0.05, np.zeros((39, 1)))
 
 
 def test_lift_history_at_time_zero():
     spec = build_advertising(AdvertisingParams(), 50)
     x = models.initial_state(spec)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.02,
-                         BrownianDriver(1, 0, 0.02, 1))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.02, (1, 1))
     lifted = lift_history(path, 0.0)
     np.testing.assert_allclose(lifted.head, x.head, atol=1e-12)
     np.testing.assert_allclose(lifted.tail.values[:-1], x.tail.values[:-1],
@@ -79,9 +77,7 @@ def test_lift_history_constant_path():
     spec = zero_dynamics_spec()
     g = spec.grid
     x = LiftedState([0.5], Segment.constant(g, 0.5))
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1,
-                         BrownianDriver(0, 0, 0.1, 1),
-                         increments=np.zeros((10, 1)))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1, np.zeros((10, 1)))
     lifted = lift_history(path, 0.7)
     np.testing.assert_allclose(lifted.head, [0.5], atol=1e-14)
     np.testing.assert_allclose(lifted.tail.values, 0.5, atol=1e-14)
@@ -97,9 +93,7 @@ def test_lift_history_linear_path():
     spec = build_affine_test(p, 10)
     g = spec.grid
     x = LiftedState([0.0], Segment(g, g.nodes[:, None]))
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1,
-                         BrownianDriver(0, 0, 0.1, 1),
-                         increments=np.zeros((20, 1)))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, np.zeros((20, 1)))
     lifted = lift_history(path, 1.0)
     np.testing.assert_allclose(lifted.head, [1.0], atol=1e-12)
     np.testing.assert_allclose(lifted.tail.values[:, 0], 1.0 + g.nodes, atol=1e-12)
@@ -108,9 +102,7 @@ def test_lift_history_linear_path():
 def test_lift_history_out_of_range():
     spec = zero_dynamics_spec()
     x = models.initial_state(spec)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1,
-                         BrownianDriver(0, 0, 0.1, 1),
-                         increments=np.zeros((10, 1)))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1, np.zeros((10, 1)))
     with pytest.raises(ValueError):
         lift_history(path, 1.5)
 
@@ -233,8 +225,9 @@ def test_coefficient_lipschitz_on_simulated_pairs():
     x = models.initial_state(spec)
     u_arr = np.array([0.5])
     ctrl = OpenLoopControl(u_arr)
-    pa = simulate_sdde(spec, x, ctrl, 2.0, 0.01, BrownianDriver(41, 0, 0.01, 1))
-    pb = simulate_sdde(spec, x, ctrl, 2.0, 0.01, BrownianDriver(41, 1, 0.01, 1))
+    dw = batch_increments(41, [0, 1], 0.01, 1, 200)
+    pa = simulate_sdde(spec, x, ctrl, 2.0, 0.01, dw[0])
+    pb = simulate_sdde(spec, x, ctrl, 2.0, 0.01, dw[1])
     worst = 0.0
     for t in np.linspace(0.2, 2.0, 10):
         sx = lift_history(pa, float(t))

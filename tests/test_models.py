@@ -20,7 +20,7 @@ from delayopt.models import (
     merton_classical_oracle,
     power_utility,
 )
-from delayopt.sdde import BrownianDriver, OpenLoopControl, mc_cost, simulate_sdde
+from delayopt.sdde import OpenLoopControl, batch_increments, mc_cost, simulate_sdde
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +55,7 @@ def test_power_utility_floor_concave_and_linear_below():
 def test_merton_kernels_off_reduces_to_deterministic_bond():
     spec = build_merton(MertonParams(), m=4)
     x = models.initial_state(spec)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.01,
-                         BrownianDriver(0, 0, 0.01, 1),
-                         increments=np.zeros((200, 1)))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.01, np.zeros((200, 1)))
     z = path.step_states[:, 1]
     np.testing.assert_allclose(z, (1 + 0.01 * 0.01) ** np.arange(201), rtol=1e-12)
     # wealth compounds at the bond rate up to Euler discretization
@@ -67,9 +65,8 @@ def test_merton_kernels_off_reduces_to_deterministic_bond():
 def test_merton_stock_is_geometric_under_constant_coefficients():
     spec = build_merton(MertonParams(), m=4)
     x = models.initial_state(spec)
-    dw = BrownianDriver(3, 0, 0.01, 1).increments(100)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.01,
-                         BrownianDriver(3, 0, 0.01, 1), increments=dw)
+    dw = batch_increments(3, [0], 0.01, 1, 100)[0]
+    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.01, dw)
     s = path.step_states[:, 0]
     # one-step Euler of geometric Brownian motion, reproduced directly
     ref = np.empty(101)

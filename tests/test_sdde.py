@@ -36,26 +36,32 @@ def drift_only_spec(c, m=10):
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# drivers: the seed-keyed increment streams of the paths
 
 
 def test_driver_bit_reproducible():
-    d1 = BrownianDriver(seed=123, path_index=7, delta=0.01, q=2)
-    d2 = BrownianDriver(seed=123, path_index=7, delta=0.01, q=2)
-    np.testing.assert_array_equal(d1.increments(50), d2.increments(50))
+    # a path's increments depend on (seed, path index) only, not on the
+    # call or on the other paths of the batch
+    a = batch_increments(123, [7], 0.01, 2, 50)
+    np.testing.assert_array_equal(a, batch_increments(123, [7], 0.01, 2, 50))
+    np.testing.assert_array_equal(a[0], batch_increments(123, [3, 7], 0.01, 2, 50)[1])
 
 
 def test_driver_streams_differ_across_paths():
-    a = BrownianDriver(1, 0, 0.01, 1).increments(1000)[:, 0]
-    b = BrownianDriver(1, 1, 0.01, 1).increments(1000)[:, 0]
+    a, b = batch_increments(1, [0, 1], 0.01, 1, 1000)[:, :, 0]
     assert not np.array_equal(a, b)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.1
 
 
 def test_driver_variance_scales_with_step():
-    dw = BrownianDriver(5, 0, 0.25, 1).increments(4000)[:, 0]
+    dw = batch_increments(5, [0], 0.25, 1, 4000)[0, :, 0]
     assert np.var(dw) == pytest.approx(0.25, rel=0.1)
+
+
+def test_zero_steps_draw_an_empty_batch():
+    assert batch_increments(5, range(3), 0.25, 2, 0).shape == (3, 0, 2)
+    assert list(sdde._increment_blocks(5, range(3), 0.25, 2, 0)) == []
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -65,10 +71,14 @@ def test_block_draws_equal_one_full_draw(q, block, monkeypatch):
     # concatenate to the one full draw bit for bit, remainder block included
     monkeypatch.setattr(sdde, "BLOCK", block)
     n_steps = 2 * block + 5
-    blocks = list(sdde._increment_blocks(11, 3, 0.01, q, n_steps))
+    blocks = list(sdde._increment_blocks(11, range(3), 0.01, q, n_steps))
     assert [b.shape for b in blocks] == [(3, block, q)] * 2 + [(3, 5, q)]
+    one_draw = np.stack([sdde._philox(11, i).standard_normal((n_steps, q)) * math.sqrt(0.01)
+                         for i in range(3)])
     full = batch_increments(11, range(3), 0.01, q, n_steps)
-    np.testing.assert_array_equal(np.concatenate(blocks, axis=1), full)
+    np.testing.assert_array_equal(np.concatenate(blocks, axis=1), one_draw)
+    np.testing.assert_array_equal(full, one_draw)
+    # the benchmark's shim draws a batch_increments row
     np.testing.assert_array_equal(full[2], BrownianDriver(11, 2, 0.01, q).increments(n_steps))
 
 
@@ -96,8 +106,7 @@ def test_driftless_unit_noise_terminal_moments():
 def test_constant_drift_exact():
     spec = drift_only_spec(1.7)
     x = models.initial_state(spec)
-    driver = BrownianDriver(0, 0, 0.1, 1)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, driver)
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, (0, 1))
     np.testing.assert_allclose(path.step_states[:, 0], 1.7 * path.step_times,
                                atol=1e-12)
 
@@ -110,20 +119,45 @@ def test_advertising_delay_ode_against_fine_reference():
     spec = build_advertising(p, 100)
     x = models.initial_state(spec)
     u = OpenLoopControl([0.0])
-    coarse = simulate_sdde(spec, x, u, 1.0, 0.01, BrownianDriver(0, 0, 0.01, 1),
-                           increments=np.zeros((100, 1)))
-    fine = simulate_sdde(spec, x, u, 1.0, 0.001, BrownianDriver(0, 0, 0.001, 1),
-                         increments=np.zeros((1000, 1)))
+    coarse = simulate_sdde(spec, x, u, 1.0, 0.01, np.zeros((100, 1)))
+    fine = simulate_sdde(spec, x, u, 1.0, 0.001, np.zeros((1000, 1)))
     yc, yf = coarse.step_states[-1, 0], fine.step_states[-1, 0]
     assert abs(yc - yf) <= 0.01 * abs(yf)
+
+
+@pytest.mark.parametrize("P", [1, 3])
+def test_single_path_seed_noise_is_path_zero_of_the_batch(P):
+    # (seed, 1) streams path 0 block by block, across a block boundary: its
+    # states, controls and cost are bitwise those of path 0 in a batch of P
+    # and those of one explicit draw of path 0's increments
+    from delayopt.sdde import _simulate_batch
+    spec = build_advertising(AdvertisingParams(), 20)
+    x = models.initial_state(spec)
+    K, delta = BLOCK + 5, 0.05
+
+    def ctrl(window):
+        return 0.5 + 0.25 * np.tanh(window[:, -1, :1] - window[:, 0, :1])
+
+    path = simulate_sdde(spec, x, ctrl, K * delta, delta, (7, 1))
+    batch = _simulate_batch(spec, x, ctrl, K * delta, delta, (7, P), keep=1)
+    drawn = simulate_sdde(spec, x, ctrl, K * delta, delta,
+                          batch_increments(7, [0], delta, spec.q, K)[0])
+    assert path.states.shape[0] == spec_hist(spec, delta) + 1 + K
+    for other in (batch.states[0], drawn.states):
+        np.testing.assert_array_equal(path.states, other)
+    for other in (batch.controls[0], drawn.controls):
+        np.testing.assert_array_equal(path.controls, other)
+    assert path.discounted_cost == batch.costs[0] == drawn.discounted_cost
+    assert np.ptp(path.controls) > 0  # the feedback saw the noise
+    with pytest.raises(ValidationError, match=r"\(seed, 1\)"):
+        simulate_sdde(spec, x, ctrl, K * delta, delta, (7, P + 1))
 
 
 def test_step_must_divide_horizons():
     spec = pure_noise_spec()
     x = models.initial_state(spec)
     with pytest.raises(ValidationError):
-        simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.3,
-                      BrownianDriver(0, 0, 0.3, 1))
+        simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.3, (0, 1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -138,8 +172,7 @@ def test_nan_abort_names_step():
         cost_growth_const=1.0, cost_growth_exponent=0.0)
     x = LiftedState([1.0], Segment.constant(g, 1.0))
     with pytest.raises(NumericalError, match=r"step 2 \(t=0\.5\)"):
-        simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.25,
-                      BrownianDriver(0, 0, 0.25, 1))
+        simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.25, (0, 1))
 
 
 @pytest.mark.parametrize("how", ["simulate_sdde", "mc_cost"])
@@ -164,8 +197,7 @@ def test_nan_abort_names_step_after_the_first_block(how):
         if how == "mc_cost":
             mc_cost(spec, x, OpenLoopControl([0.0]), T, delta, 3, seed=0)
         else:
-            simulate_sdde(spec, x, OpenLoopControl([0.0]), T, delta,
-                          BrownianDriver(0, 0, delta, 1))
+            simulate_sdde(spec, x, OpenLoopControl([0.0]), T, delta, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +255,7 @@ def test_unit_cost_discounted_integral():
     delta = 0.01
     for T in (2.0, 5.0, 10.0):
         path = simulate_sdde(spec, x, OpenLoopControl([1.0]), T, delta,
-                             BrownianDriver(0, 0, delta, 1),
-                             increments=np.zeros((int(T / delta), 1)))
+                             np.zeros((int(T / delta), 1)))
         val = path.discounted_cost
         # left Riemann sum of exp(-t) over [0, T)
         exact = float(np.sum(np.exp(-delta * np.arange(int(T / delta)))) * delta)
@@ -237,8 +268,7 @@ def test_zero_cost():
                          x0=(1.0,), x1=(1.0,))
     spec = build_affine_test(p, 10)
     x = models.initial_state(spec)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.1,
-                         BrownianDriver(0, 0, 0.1, 1))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.1, (0, 1))
     assert path.discounted_cost == 0.0
 
 
@@ -252,9 +282,7 @@ def test_constant_path_linear_cost():
     spec = build_affine_test(p, 10)
     x = models.initial_state(spec)
     delta = 0.01
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 10.0, delta,
-                         BrownianDriver(0, 0, delta, 1),
-                         increments=np.zeros((1000, 1)))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 10.0, delta, np.zeros((1000, 1)))
     val = path.discounted_cost
     assert val == pytest.approx(2.0 * (1 - math.exp(-10.0)), abs=4 * delta)
 
@@ -264,14 +292,15 @@ def test_constant_path_linear_cost():
 
 
 def test_mc_deterministic_given_seed_and_chunk_free():
-    # every path's cost in the one-batch estimate is the single-path cost of
-    # its own driver, across two block boundaries and a remainder block too
+    # every path's cost in the one-batch estimate is the single-path cost on
+    # its own increments, across two block boundaries and a remainder block too
     spec = pure_noise_spec()
     x = models.initial_state(spec)
     n_paths, delta = 9, 0.05
-    T = (2 * BLOCK + 9) * delta
+    K = 2 * BLOCK + 9
+    T = K * delta
     costs = [simulate_sdde(spec, x, OpenLoopControl([0.5]), T, delta,
-                           BrownianDriver(3, i, delta, 1)).discounted_cost
+                           batch_increments(3, [i], delta, 1, K)[0]).discounted_cost
              for i in range(n_paths)]
     mean = math.fsum(costs) / n_paths
     var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
