@@ -15,6 +15,7 @@ the lines, and maps errors to exit codes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -219,14 +220,18 @@ def cmd_simulate(run: Run):
     states, controls = batch.states, batch.controls
     times = a.dt * np.arange(controls.shape[1])  # step times 0 .. T - dt
     steps = slice(-controls.shape[1] - 1, -1)
-    rows = [[pidx, float(t)] + y.tolist() + u.tolist()
-            for pidx in range(len(states))
-            for t, y, u in zip(times, states[pidx, steps], controls[pidx])]
+    # one row per (path, step), zipped from column lists; every row of a
+    # path or a step shares its formatted index or time
+    t_cells = [str(t) for t in times.tolist()]
+    rows = []
+    for pidx in range(len(states)):
+        columns = [*states[pidx, steps].T.tolist(), *controls[pidx].T.tolist()]
+        rows.extend(zip(itertools.repeat(str(pidx)), t_cells, *columns))
     run.csv("paths.csv", ["path", "t"] + [f"y{i}" for i in range(spec.n)]
             + [f"u{i}" for i in range(spec.control_set.shape[1])], rows)
-    if a.svg and rows:  # skips collecting path 0 when no plot is drawn
-        arr = np.asarray([[r[1], r[2]] for r in rows if r[0] == 0])
-        run.svg("paths.svg", {"y0(path 0)": (arr[:, 0], arr[:, 1])}, title="simulated state")
+    if a.svg and rows:
+        run.svg("paths.svg", {"y0(path 0)": (times, states[0, steps, 0])},
+                title="simulated state")
     return [f"simulate: mean={mean:.6g} stderr={stderr:.3g} paths={a.paths}"], 0
 
 

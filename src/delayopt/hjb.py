@@ -256,8 +256,9 @@ def _brackets(axes: tuple[np.ndarray, ...], pts: np.ndarray,
         x = pts[:, a]
         if stats is not None:
             clamped |= (x < ax[0]) | (x > ax[-1])
-        xc = np.clip(x, ax[0], ax[-1])
-        i0 = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, len(ax) - 2)
+        xc = np.minimum(ax[-1], np.maximum(ax[0], x))  # np.clip, bound first: ties keep x
+        # xc >= ax[0] or NaN, which sorts last, so i0 needs no lower clamp
+        i0 = np.minimum(np.searchsorted(ax, xc, side="right") - 1, len(ax) - 2)
         out.append((a, i0, xc))
     if stats is not None:
         stats.lookups += pts.shape[0]
@@ -355,7 +356,12 @@ class ValueField:
 @dataclass(eq=False)
 class PolicyField:
     """Control index per grid node, with nearest-node lookup (ties to the
-    lower node, points outside the grid clamped to it)."""
+    lower node, points outside the grid clamped to it).
+
+    index_at brackets each point on the axes with more than one node
+    (_brackets) and reads the nearest node's index at its flat position in
+    the C-ordered indices; single-node axes add nothing to that position.
+    """
 
     axes: tuple[np.ndarray, ...]
     indices: np.ndarray
@@ -369,11 +375,12 @@ class PolicyField:
 
     def index_at(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        node = [np.zeros(pts.shape[0], dtype=np.int64)] * len(self.axes)
+        flat = np.zeros(len(pts), dtype=np.intp)
         for a, i0, xc in _brackets(self.axes, pts):
             ax = self.axes[a]
-            node[a] = i0 + (xc - ax[i0] > ax[i0 + 1] - xc)
-        return self.indices[tuple(node)]
+            node = i0 + (xc - ax[i0] > ax[i0 + 1] - xc)
+            flat += node * math.prod(self.indices.shape[a + 1:])
+        return self.indices.ravel()[flat]
 
     def control_at(self, pts: np.ndarray) -> np.ndarray:
         return self.control_set[self.index_at(pts)]
@@ -529,7 +536,7 @@ def feedback_from_policy(chain: LagChainSpec, policy: PolicyField, delta: float)
     offsets = np.array([-1 - j * stride_i for j in range(chain.m_lag + 1)])
 
     def control(window):
-        return policy.control_at(chain.flatten(window[:, offsets, :]))
+        return policy.control_at(chain.flatten(window.take(offsets, axis=1)))
 
     return control
 

@@ -87,8 +87,9 @@ class ClampedAffine:
             raise ValidationError("a sloped coefficient map must be clamped on both sides")
 
     def __call__(self, v):
-        return np.clip(self.base + self.slope * np.asarray(v, dtype=float),
-                       self.lo, self.hi)
+        # np.clip without its Python wrapper, bound first so that ties keep the value
+        return np.minimum(self.hi, np.maximum(self.lo, self.base + self.slope
+                                              * np.asarray(v, dtype=float)))
 
     @property
     def abs_max(self) -> float:

@@ -14,18 +14,16 @@ from pathlib import Path
 from . import __version__
 
 
-def fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path, header: list[str], rows) -> str:
+    """Write header and rows to path line by line, so that no more than one
+    line's text is held at a time; rows is sized. Returns the path.
+
+    A cell is written as its str, the shortest round-trip form of a float,
+    numpy scalars included (their repr names the type under numpy 2)."""
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
     return str(path)
 
 

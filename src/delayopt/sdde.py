@@ -8,13 +8,13 @@ alone, so every path is bit-reproducible and independent of the others.
 A simulator takes noise as (seed, P), paths 0 .. P - 1, or as an explicit
 increment array that callers share or coarsen. One streaming pass,
 `_simulate_batch`, steps every path of an estimate at once: it draws the
-increments block by block from each path's stream, keeps a rolling buffer
-of the last history window plus one block, and accumulates each path's
-discounted running cost as it steps. It keeps every path's cost and final
-window, and the whole trajectory only of the paths a caller asks to keep,
-so memory is O(paths (history nodes + BLOCK) n) plus the kept paths and
-does not grow with T. Every estimate reduces its per-path samples with the
-one compensated-sum statistic `_mean_stderr`.
+increments BLOCK steps at a time from each path's stream, keeps a rolling
+buffer of the last history window plus one block, and accumulates each
+path's discounted running cost, one cost call per block. It keeps every
+path's cost and final window, and the whole trajectory only of the paths
+a caller asks to keep, so memory is O(paths (history nodes + BLOCK) n)
+plus the kept paths and does not grow with T. Every estimate reduces its
+per-path samples with the one compensated-sum statistic `_mean_stderr`.
 
 A control is any callable from a batch of history windows to controls.
 The window has shape (paths, history nodes + 1, n) and covers [t - d, t],
@@ -176,57 +176,64 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
                     noise, keep: int = 0) -> _Batch:
     """Euler-Maruyama over a batch of paths sharing spec, state, and control.
 
-    noise is either explicit increments (P, >= K, q), used as one block, or
-    a pair (seed, P): paths 0 .. P - 1 drawn from their own streams, BLOCK
-    steps at a time (_increment_blocks). The paths advance in a rolling
-    buffer of n_hist + 1 + B nodes, B the block length; at each block
-    boundary the last n_hist + 1 nodes move to the front, so every window is
-    a contiguous [t - d, t] slice. Drawn from streams, the pass needs
+    noise is either explicit increments (P, >= K, q) or a pair (seed, P):
+    paths 0 .. P - 1 drawn from their own streams (_increment_blocks). Both
+    are read BLOCK steps at a time, and each block is transposed once, so a
+    step reads its increments as one contiguous (P, q) slab. The paths
+    advance in a path-major buffer of n_hist + 1 + B nodes, B the block
+    length; at each block boundary the last n_hist + 1 nodes move to the
+    front, so every window is a contiguous [t - d, t] slice. The pass needs
     O(P (n_hist + BLOCK) n) memory plus the kept paths, independent of T.
-    The cost is the left Riemann sum of the discounted running cost,
-    accumulated as the paths are stepped.
+    The cost is the left Riemann sum of the discounted running cost:
+    spec.cost is called once per block on the block's heads and controls,
+    and its terms are added one step at a time.
     """
     spec.validate()
     n_hist = _steps_of(spec.d, delta, "d")
     n_steps = _steps_of(T, delta, "T")
     if isinstance(noise, np.ndarray):
-        P, width = noise.shape[0], n_steps
+        P = noise.shape[0]
         if n_steps and noise.shape[1] < n_steps:
             raise ValidationError(f"need {n_steps} increments, got {noise.shape[1]}")
-        blocks = [noise[:, :n_steps]] if n_steps else []
+        blocks = (noise[:, k0 : min(k0 + BLOCK, n_steps)] for k0 in range(0, n_steps, BLOCK))
     else:
         seed, P = noise
         if P < 0:
             raise ValidationError(f"path count must be nonnegative, got {P}")
-        width = min(BLOCK, n_steps)
         blocks = _increment_blocks(seed, range(P), delta, spec.q, n_steps)
     step_grid = SegmentGrid(spec.d, n_hist)
     wk = weighted_kernels(spec, step_grid)
+    width = min(BLOCK, n_steps)
 
     buf = np.empty((P, n_hist + 1 + width, spec.n))
     buf[:, : n_hist + 1] = resample_segment(x.tail, step_grid).values[None, :, :]
     buf[:, n_hist] = x.head[None, :]
+    y = buf[:, n_hist].copy()
     states = np.empty((keep, n_hist + 1 + n_steps, spec.n))
     states[:, : n_hist + 1] = buf[:keep, : n_hist + 1]
     controls = np.empty((keep, n_steps, spec.control_set.shape[1]))
+    us = np.empty((width, P, spec.control_set.shape[1]))
     cost = np.zeros(P)
 
     k0 = 0
     for dw in blocks:
         b = dw.shape[1]
-        disc = np.exp(-spec.rho * (delta * np.arange(k0, k0 + b)))
+        dw = np.ascontiguousarray(dw.transpose(1, 0, 2))
         for j in range(b):
             window = buf[:, j : j + n_hist + 1]
-            y = buf[:, j + n_hist]
-            u = ctrl(window)
-            controls[:, k0 + j] = u[:keep]
-            cost += disc[j] * np.asarray(spec.cost(y, u), dtype=float)
-            y_next = _euler_head(spec, wk, y, window, u, dw[:, j], delta)
-            if not np.all(np.isfinite(y_next)):
+            u = us[j] = ctrl(window)
+            y = _euler_head(spec, wk, y, window, u, dw[j], delta)
+            if not np.isfinite(y).all():
                 k = k0 + j + 1
                 raise NumericalError(f"non-finite state at step {k} (t={k * delta:g})")
-            buf[:, j + n_hist + 1] = y_next
+            buf[:, j + n_hist + 1] = y
+        c = np.asarray(spec.cost(buf[:, n_hist : n_hist + b], us[:b].transpose(1, 0, 2)),
+                       dtype=float)
+        disc = np.exp(-spec.rho * (delta * np.arange(k0, k0 + b)))
+        for j in range(b):
+            cost += disc[j] * c[:, j]
         states[:, n_hist + 1 + k0 : n_hist + 1 + k0 + b] = buf[:keep, n_hist + 1 : n_hist + 1 + b]
+        controls[:, k0 : k0 + b] = us[:b, :keep].transpose(1, 0, 2)
         buf[:, : n_hist + 1] = buf[:, b : b + n_hist + 1]
         k0 += b
     return _Batch(costs=cost * delta, window=buf[:, : n_hist + 1], states=states,

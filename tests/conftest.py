@@ -4,6 +4,19 @@ import pytest
 from delayopt import hjb, models
 
 
+def node_tuple_index(pol, pts):
+    """PolicyField.index_at as it read the indices before the flat lookup:
+    one node index array per axis (zeros on single-node axes), clamped by
+    np.clip. The oracle of the flat lookup in test_hjb and test_sdde."""
+    node = [np.zeros(len(pts), dtype=np.int64)] * len(pol.axes)
+    for a, ax in enumerate(pol.axes):
+        if len(ax) > 1:
+            xc = np.clip(pts[:, a], ax[0], ax[-1])
+            i0 = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, len(ax) - 2)
+            node[a] = i0 + (xc - ax[i0] > ax[i0 + 1] - xc)
+    return pol.indices[tuple(node)]
+
+
 @pytest.fixture(scope="session")
 def merton_nodelay_spec():
     return models.build_merton(models.MertonParams(), m=4)

@@ -94,6 +94,18 @@ def test_simulate_and_value(tmp_path):
                 "--paths", "16", "--out", str(out2)]) == 0
 
 
+def test_zero_horizon_value_and_simulate_exit_zero(tmp_path, capsys):
+    # T = 0 takes no step: zero cost, a header-only paths.csv, exit 0
+    assert run(["value", "--spec", SPEC, "--T", "0", "--dt", "0.01", "--paths", "4",
+                "--out", str(tmp_path / "val")]) == 0
+    assert "value: mean=0 stderr=0" in capsys.readouterr().out
+    out = tmp_path / "sim"
+    assert run(["simulate", "--spec", SPEC, "--T", "0", "--dt", "0.01", "--paths", "4",
+                "--emit-paths", "2", "--out", str(out)]) == 0
+    assert "simulate: mean=0 stderr=0 paths=4" in capsys.readouterr().out
+    assert (out / "paths.csv").read_text() == "path,t,y0,u0\n"
+
+
 def test_simulate_paths_are_single_path_simulations(tmp_path, policy_file):
     # paths.csv is emitted from one batch; each path must equal its own
     # single-path simulation on the same stream
@@ -416,6 +428,37 @@ def test_operators_sample_pass_stays_within_its_memory_bound(tmp_path, monkeypat
         tracemalloc.stop()
     assert code == 0
     assert peak < 12e6, f"operators peaked at {peak / 1e6:.1f} MB"
+
+
+def test_paths_csv_stays_within_its_memory_bound(tmp_path):
+    # simulate writing paths.csv for 200 paths x 500 steps (100k rows),
+    # traced by tracemalloc: about 15 MB, mostly the sized row list; the
+    # lines are streamed to the file. Joining every line first peaked at 35 MB
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--spec", SPEC, "--T", "5", "--dt", "0.01", "--paths", "200",
+                     "--emit-paths", "200", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len((tmp_path / "paths.csv").read_text().splitlines()) == 1 + 200 * 500
+    assert peak < 20e6, f"simulate peaked at {peak / 1e6:.1f} MB"
+
+
+def test_csv_cells_of_numpy_scalars_match_python_types(tmp_path):
+    # a numpy scalar cell is written as its value, not as its numpy 2 repr
+    # ("np.float64(0.1)"): the bytes equal those of the row in Python types
+    from delayopt import output
+
+    numpy_row = [np.float64(0.1), np.int64(3), np.float64(1e16), np.float64(-0.0),
+                 np.float64("nan"), np.str_("x"), np.bool_(True)]
+    python_row = [0.1, 3, 1e16, -0.0, float("nan"), "x", True]
+    header = [f"c{i}" for i in range(len(python_row))]
+    got = output.write_csv(tmp_path / "numpy.csv", header, [numpy_row])
+    want = output.write_csv(tmp_path / "python.csv", header, [python_row])
+    assert Path(got).read_bytes() == Path(want).read_bytes()
+    assert Path(want).read_text().splitlines()[1] == "0.1,3,1e+16,-0.0,nan,x,True"
 
 
 def test_monte_carlo_manifests_record_the_tail_bound(tmp_path):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import node_tuple_index
+
 from delayopt import models
 from delayopt.core import DomainError, LiftedState, Segment, ValidationError, kernel_convolve
 from delayopt.hjb import (
@@ -286,13 +288,16 @@ def test_policy_field_nearest_node():
 
 
 @st.composite
-def grids_and_points(draw):
-    """Strictly increasing axes of 1-5 nodes and points on, between, around them."""
+def grids_and_points(draw, max_axes=3, extremes=False):
+    """Strictly increasing axes of 1-5 nodes and points on, between, around
+    them; with extremes, also infinite and NaN coordinates."""
     axes = tuple(np.cumsum(draw(st.lists(st.floats(0.01, 2.0), min_size=k, max_size=k))) - 1.0
-                 for k in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+                 for k in draw(st.lists(st.integers(1, 5), min_size=1, max_size=max_axes)))
 
     def coordinate(ax):
         marks = list(ax) + list((ax[:-1] + ax[1:]) / 2)  # nodes and midpoints
+        if extremes:
+            marks += [-np.inf, np.inf, np.nan]
         return st.one_of(st.floats(ax[0] - 1.0, ax[-1] + 1.0), st.sampled_from(marks))
 
     pts = draw(st.lists(st.tuples(*map(coordinate, axes)), min_size=1, max_size=8))
@@ -313,6 +318,21 @@ def test_policy_lookup_is_brute_force_nearest_node(case):
     np.testing.assert_array_equal(pol.index_at(pts), np.ravel_multi_index(nearest, shape))
     field = ValueField(axes, np.sin(np.arange(size, dtype=float)).reshape(shape))
     np.testing.assert_array_equal(field.interp(field.nodes()), field.values.ravel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_and_points(max_axes=4, extremes=True), st.integers(0, 2 ** 32 - 1))
+def test_flat_policy_lookup_matches_the_node_tuple_lookup(case, seed):
+    # one flat index over the bracketed axes reads the same index as one node
+    # per axis: clamped, infinite and NaN points, exact midpoints, single-node
+    # axes (all of them single-node included), 1 to 4 axes
+    axes, pts = case
+    shape = tuple(len(ax) for ax in axes)
+    indices = np.random.default_rng(seed).integers(0, 7, size=shape)
+    pol = PolicyField(axes, indices, np.zeros((7, 1)))
+    got = pol.index_at(pts)
+    assert got.shape == (len(pts),) and got.dtype == indices.dtype
+    np.testing.assert_array_equal(got, node_tuple_index(pol, pts))
 
 
 def _full_corner_plan(axes, pts):

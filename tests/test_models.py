@@ -35,6 +35,19 @@ def test_clamped_affine_requires_bounds_with_slope():
     assert m.lipschitz == 2.0
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0),
+                                     (0.0, 0.0)])
+def test_clamped_affine_clamps_as_np_clip(lo, hi):
+    # the clamp is np.clip's, bit for bit: a value tied with a bound keeps its
+    # sign of zero, NaN and infinities pass as np.clip passes them
+    v = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, -2.0, 0.5, 2.0])
+    m = ClampedAffine(base=0.0, slope=1.0, lo=lo, hi=hi)
+    want = np.clip(m.base + m.slope * v, lo, hi)
+    for got, ref in ((m(v), want), (m(v[::3]), want[::3]), (m(v[0]), want[0])):
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
 def test_power_utility_floor_concave_and_linear_below():
     g = 0.5
     zf = 0.05

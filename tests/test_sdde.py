@@ -18,6 +18,8 @@ from delayopt.sdde import (
 from delayopt.hjb import truncation_horizon, truncation_tail_bound
 from delayopt import sdde
 
+from conftest import node_tuple_index
+
 
 def pure_noise_spec(sigma=1.0, m=10):
     p = AffineTestParams(drift_const=(0.0,), drift_state=((0.0,),),
@@ -175,14 +177,12 @@ def test_nan_abort_names_step():
         simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.25, (0, 1))
 
 
-@pytest.mark.parametrize("how", ["simulate_sdde", "mc_cost"])
-def test_nan_abort_names_step_after_the_first_block(how):
-    # unit drift until y passes the node of step k_nan - 1, then NaN: the
-    # first non-finite state is at step k_nan, inside the second block, so
-    # a block-local step index would be wrong
+def nan_at_step_spec(delta, k_nan):
+    """A 1-d problem on d = 1 with unit drift from y = 1 until y passes the
+    node of step k_nan - 1, then NaN: its first non-finite state is at step
+    k_nan. Returns (spec, initial state)."""
     g = SegmentGrid(1.0, 4)
     kern = models.build_kernel({"preset": "zero"}, g, 1)
-    delta, k_nan = 0.01, BLOCK + 45
     edge = 1.0 + delta * (k_nan - 1.5)
     spec = ProblemSpec(
         n=1, q=1, p=1, grid=g, kernel_drift=kern, kernel_noise=kern,
@@ -191,13 +191,138 @@ def test_nan_abort_names_step_after_the_first_block(how):
         cost=lambda y, u: np.zeros(y.shape[:-1]), rho=1.0,
         control_set=np.array([[0.0]]), growth_const=1.0, lipschitz_const=1.0,
         cost_growth_const=1.0, cost_growth_exponent=0.0)
-    x = LiftedState([1.0], Segment.constant(g, 1.0))
+    return spec, LiftedState([1.0], Segment.constant(g, 1.0))
+
+
+@pytest.mark.parametrize("how", ["simulate_sdde", "mc_cost"])
+def test_nan_abort_names_step_after_the_first_block(how):
+    # the first non-finite state is at step k_nan, inside the second block,
+    # so a block-local step index would be wrong
+    delta, k_nan = 0.01, BLOCK + 45
+    spec, x = nan_at_step_spec(delta, k_nan)
     T = 2 * BLOCK * delta
     with pytest.raises(NumericalError, match=rf"step {k_nan} \(t={k_nan * delta:g}\)"):
         if how == "mc_cost":
             mc_cost(spec, x, OpenLoopControl([0.0]), T, delta, 3, seed=0)
         else:
             simulate_sdde(spec, x, OpenLoopControl([0.0]), T, delta, (0, 1))
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.1])
+@pytest.mark.parametrize("how", ["simulate_sdde", "mc_cost"])
+def test_nan_abort_names_the_first_step_of_a_block(how, delta):
+    # the first non-finite state is made by the first step of the third
+    # block, with a history window of 101 (delta = 0.01) and 11 nodes: the
+    # blocks before it are complete, and the step index is the global one
+    k_nan = 2 * BLOCK + 1
+    spec, x = nan_at_step_spec(delta, k_nan)
+    T = (3 * BLOCK + 5) * delta
+    with pytest.raises(NumericalError, match=rf"step {k_nan} \(t={k_nan * delta:g}\)"):
+        if how == "mc_cost":
+            mc_cost(spec, x, OpenLoopControl([0.0]), T, delta, 3, seed=0)
+        else:
+            simulate_sdde(spec, x, OpenLoopControl([0.0]), T, delta, (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the streaming pass against a block-buffer oracle
+
+
+def _oracle_batch(spec, x, ctrl, T, delta, noise, keep=0):
+    """The pass as it stepped before the per-block cost: a path-major buffer
+    of n_hist + 1 + BLOCK nodes (an explicit array as one full-width block),
+    each block's increments read strided, spec.cost called at every step.
+    Returns (costs, window, states, controls)."""
+    from delayopt.core import resample_segment, weighted_kernels
+
+    n_hist = sdde._steps_of(spec.d, delta, "d")
+    n_steps = sdde._steps_of(T, delta, "T")
+    if isinstance(noise, np.ndarray):
+        P, width = noise.shape[0], n_steps
+        blocks = [noise[:, :n_steps]] if n_steps else []
+    else:
+        seed, P = noise
+        width = min(BLOCK, n_steps)
+        blocks = sdde._increment_blocks(seed, range(P), delta, spec.q, n_steps)
+    step_grid = SegmentGrid(spec.d, n_hist)
+    wk = weighted_kernels(spec, step_grid)
+    buf = np.empty((P, n_hist + 1 + width, spec.n))
+    buf[:, : n_hist + 1] = resample_segment(x.tail, step_grid).values[None, :, :]
+    buf[:, n_hist] = x.head[None, :]
+    states = np.empty((keep, n_hist + 1 + n_steps, spec.n))
+    states[:, : n_hist + 1] = buf[:keep, : n_hist + 1]
+    controls = np.empty((keep, n_steps, spec.control_set.shape[1]))
+    cost = np.zeros(P)
+    k0 = 0
+    for dw in blocks:
+        b = dw.shape[1]
+        disc = np.exp(-spec.rho * (delta * np.arange(k0, k0 + b)))
+        for j in range(b):
+            window = buf[:, j : j + n_hist + 1]
+            y = buf[:, j + n_hist]
+            u = ctrl(window)
+            controls[:, k0 + j] = u[:keep]
+            cost += disc[j] * np.asarray(spec.cost(y, u), dtype=float)
+            buf[:, j + n_hist + 1] = sdde._euler_head(spec, wk, y, window, u, dw[:, j], delta)
+        states[:, n_hist + 1 + k0 : n_hist + 1 + k0 + b] = buf[:keep, n_hist + 1 : n_hist + 1 + b]
+        buf[:, : n_hist + 1] = buf[:, b : b + n_hist + 1]
+        k0 += b
+    return cost * delta, buf[:, : n_hist + 1], states, controls
+
+
+def _node_tuple_control(chain, policy, delta):
+    """feedback_from_policy as it read the policy before the flat lookup: a
+    fancy-indexed register and the node-tuple lookup."""
+    stride = sdde._steps_of(chain.delta, delta, "the lag step")
+    offsets = np.array([-1 - j * stride for j in range(chain.m_lag + 1)])
+
+    def control(window):
+        pts = chain.flatten(window[:, offsets, :])
+        return policy.control_set[node_tuple_index(policy, pts)]
+
+    return control
+
+
+@pytest.mark.parametrize("keep", [0, 3])
+@pytest.mark.parametrize("noise", ["seed", "array"])
+@pytest.mark.parametrize("case", ["advertising", "merton_closed_loop"])
+def test_streaming_pass_matches_the_block_buffer_oracle(case, noise, keep, advertising_spec,
+                                                        merton_nodelay_spec):
+    # costs, final windows, kept states and controls are bitwise those of the
+    # per-step oracle across two increment blocks and a remainder, with
+    # history windows of 101 (advertising) and 11 (merton) nodes
+    from delayopt.hjb import PolicyField, feedback_from_policy, reduce_to_lag_chain
+    from delayopt.sdde import _simulate_batch
+
+    K, delta, P = 2 * BLOCK + 9, 0.01, 5
+    if case == "advertising":
+        spec = advertising_spec
+        assert np.any(spec.kernel_drift.values) and spec_hist(spec, delta) == 100
+
+        def ctrl(window):
+            return 0.5 + 0.25 * np.tanh(window[:, -1, :1] - window[:, 0, :1])
+
+        oracle_ctrl = ctrl
+    else:
+        # the solved Merton policy is the clamp u = 1 near z = 1, so a policy
+        # that changes from node to node on the solver's wealth axis
+        spec = merton_nodelay_spec
+        chain = reduce_to_lag_chain(spec, 1)
+        axes = (np.array([1.0]), np.geomspace(0.005, 100.0, 281), np.array([1.0]),
+                np.array([1.0]))
+        indices = ((7 * np.arange(281)) % len(spec.control_set)).reshape(1, 281, 1, 1)
+        policy = PolicyField(axes, indices, spec.control_set)
+        ctrl = feedback_from_policy(chain, policy, delta)
+        oracle_ctrl = _node_tuple_control(chain, policy, delta)
+    x = models.initial_state(spec)
+    dw = (7, P) if noise == "seed" else batch_increments(7, range(P), delta, spec.q, K + 4)
+    got = _simulate_batch(spec, x, ctrl, K * delta, delta, dw, keep=keep)
+    want = _oracle_batch(spec, x, oracle_ctrl, K * delta, delta, dw, keep=keep)
+    for field, ref in zip(("costs", "window", "states", "controls"), want):
+        np.testing.assert_array_equal(getattr(got, field), ref, err_msg=field)
+    assert np.ptp(want[0]) > 0
+    if keep:
+        assert np.ptp(want[3]) > 0  # the feedback saw the noise
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +395,23 @@ def test_zero_cost():
     x = models.initial_state(spec)
     path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.1, (0, 1))
     assert path.discounted_cost == 0.0
+
+
+@pytest.mark.parametrize("noise", ["seed", "array"])
+def test_zero_horizon_costs_nothing(noise):
+    # T = 0 takes no step: zero costs, the initial window, empty kept paths
+    spec = pure_noise_spec()
+    x = models.initial_state(spec)
+    u = OpenLoopControl([0.5])
+    dw = (3, 4) if noise == "seed" else batch_increments(3, range(4), 0.1, spec.q, 0)
+    batch = sdde._simulate_batch(spec, x, u, 0.0, 0.1, dw, keep=2)
+    np.testing.assert_array_equal(batch.costs, np.zeros(4))
+    assert batch.window.shape == (4, spec_hist(spec, 0.1) + 1, spec.n)
+    assert np.all(batch.window[:, -1] == x.head)
+    assert batch.controls.shape == (2, 0, 1)
+    assert mc_cost(spec, x, u, 0.0, 0.1, 4, seed=3) == (0.0, 0.0)
+    path = simulate_sdde(spec, x, u, 0.0, 0.1, (3, 1))
+    assert path.discounted_cost == 0.0 and path.controls.shape == (0, 1)
 
 
 def test_constant_path_linear_cost():
