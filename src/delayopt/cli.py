@@ -157,19 +157,22 @@ def _parse_box(text: str, names: list[str]) -> dict[int, tuple[float, float]]:
     return dict(sorted(box.items()))
 
 
-def _solve(run: Run):
-    """Lag chain, solver result and flat start register of a solve; the
-    solver's convergence goes into the manifest."""
-    a = run.args
-    chain = hjb.reduce_to_lag_chain(run.spec, a.mlag)
+def _lag_grid(run: Run):
+    """Lag chain, grid axes (--mlag, --grid) and flat start register of a solve."""
+    chain = hjb.reduce_to_lag_chain(run.spec, run.args.mlag)
     z0 = chain.flatten(hjb.register_from_state(chain, run.x))
-    axes = _parse_grid(a.grid, chain.axis_names(), z0)
+    return chain, _parse_grid(run.args.grid, chain.axis_names(), z0), z0
+
+
+def _solve(run: Run, chain, axes):
+    """Solver result on the grid; its convergence goes into the manifest."""
+    a = run.args
     result = hjb.value_iteration(chain, axes, tol=a.tol, max_iter=a.max_iter, gh_points=a.gh)
     run.extra.update(iterations=result.iterations, residual=result.residual,
                      value_error_bound=result.value_error_bound,
                      evaluation_sweeps=result.evaluation_sweeps, clamp_rate=result.clamp_rate,
                      transition_entries=result.transition_entries)
-    return chain, result, z0
+    return result
 
 
 def _write_value_policy(run: Run, chain, result) -> None:
@@ -336,7 +339,8 @@ def cmd_value(run: Run):
 
 
 def cmd_solve(run: Run):
-    chain, result, z0 = _solve(run)
+    chain, axes, z0 = _lag_grid(run)
+    result = _solve(run, chain, axes)
     growth = hjb.growth_fit(result.value, chain, run.spec.cost_growth_exponent)
     _write_value_policy(run, chain, result)
     policy, path = result.policy, run.out / "policy.json"
@@ -358,7 +362,11 @@ def cmd_solve(run: Run):
 
 def cmd_residual(run: Run):
     samples = _count(run, "samples")
-    chain, result, _ = _solve(run)
+    chain, axes, _ = _lag_grid(run)
+    two = [name for name, ax in zip(chain.axis_names(), axes) if len(ax) == 2]
+    if two:  # no point keeps a one-node margin on them
+        raise ValidationError(f"residual needs 1 or at least 3 nodes per axis; {two} have 2")
+    result = _solve(run, chain, axes)
     rng = np.random.default_rng(run.args.seed)
     rows, residuals = [], []
     for _ in range(samples):
@@ -374,7 +382,8 @@ def cmd_residual(run: Run):
 
 def cmd_dpp(run: Run):
     tau_steps = _count(run, "tau_steps")
-    chain, result, _ = _solve(run)
+    chain, axes, _ = _lag_grid(run)
+    result = _solve(run, chain, axes)
     report, grid_tol, ok = _write_dpp(run, chain, result, tau_steps * chain.delta)
     return [f"dpp: gap={report.gap:.6g} stderr={report.stderr:.3g} "
             f"tol={2 * report.stderr + grid_tol:.3g} pass={ok}"], 0 if ok else 2
@@ -383,7 +392,8 @@ def cmd_dpp(run: Run):
 def cmd_probe_regularity(run: Run):
     spec = run.spec
     box = _parse_box(run.args.box, list(spec.head_names))
-    chain, result, z0 = _solve(run)
+    chain, axes, z0 = _lag_grid(run)
+    result = _solve(run, chain, axes)
 
     def estimator(pts):
         # the boxed head columns move; every other coordinate stays at z0
@@ -438,7 +448,8 @@ def cmd_merton_check(run: Run):
     # a slope-0 map evaluates to clip(base, lo, hi) = min_value, not to base
     oracle = models.merton_classical_oracle(p.r, p.mu.min_value, p.nu.min_value, p.gamma,
                                             spec.rho)
-    chain, result, z0 = _solve(run)
+    chain, axes, z0 = _lag_grid(run)
+    result = _solve(run, chain, axes)
     v_solver = -result.value.interp_one(z0)  # cost sign flip back to utility
     v_oracle = oracle.value(p.z0)
     policy = hjb.extract_feedback(chain, result.value)
@@ -464,7 +475,8 @@ def cmd_advertising_demo(run: Run):
     path = sdde.simulate_sdde(spec, run.x, _control(spec), a.T, a.dt, (a.seed, 1))
     rows = [[float(t)] + [float(v) for v in y] for t, y in zip(path.times, path.states)]
     run.csv("path.csv", ["t"] + [f"y{i}" for i in range(spec.n)], rows)
-    chain, result, z0 = _solve(run)
+    chain, axes, z0 = _lag_grid(run)
+    result = _solve(run, chain, axes)
     _write_value_policy(run, chain, result)
     report, _, _ = _write_dpp(run, chain, result, 2 * chain.delta)
     arr = np.asarray(rows)

@@ -364,6 +364,10 @@ class ProblemSpec:
     parameter object the problem was built from (models.MertonParams,
     AdvertisingParams or AffineTestParams), or None for a problem assembled
     by hand. The delay horizon d is the segment grid's.
+
+    A problem is valid by construction (dataclasses.replace included): a
+    positive discount, a nonempty (points, p) control set, and kernels on
+    dimension n that pass validate_kernel. Anything else raises ValidationError.
     """
 
     n: int
@@ -390,27 +394,17 @@ class ProblemSpec:
     initial_history: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        cs = np.atleast_2d(np.asarray(self.control_set, dtype=float))
-        if cs.shape[0] == 1 and cs.shape[1] > 1 and self.p == 1:
-            cs = cs.T
-        object.__setattr__(self, "control_set", _freeze(cs))
+        cs = _freeze(np.atleast_2d(np.asarray(self.control_set, dtype=float)))
+        object.__setattr__(self, "control_set", cs)
         if not self.head_names:
             object.__setattr__(self, "head_names", tuple(f"y{i}" for i in range(self.n)))
-
-    @property
-    def d(self) -> float:
-        return self.grid.d
-
-    def validate(self) -> None:
         if not self.rho > 0:
             raise ValidationError(f"discount must be positive, got {self.rho}")
-        if self.control_set.shape[0] == 0:
+        if cs.shape[0] == 0:
             raise ValidationError("control set must be nonempty")
-        if self.control_set.shape[1] != self.p:
-            raise ValidationError(
-                f"control points have dimension {self.control_set.shape[1]}, "
-                f"declared p={self.p}"
-            )
+        if cs.shape[1] != self.p:
+            raise ValidationError(f"control points have dimension {cs.shape[1]}, "
+                                  f"declared p={self.p}")
         for name, k in (("drift kernel", self.kernel_drift),
                         ("noise kernel", self.kernel_noise)):
             rep = validate_kernel(k)
@@ -418,6 +412,10 @@ class ProblemSpec:
                 raise ValidationError(f"{name} rejected: {'; '.join(rep.failures)}")
             if k.n != self.n:
                 raise ValidationError(f"{name} dimension {k.n} != state dimension {self.n}")
+
+    @property
+    def d(self) -> float:
+        return self.grid.d
 
     def delay_integrals(self, tail: Segment) -> tuple[np.ndarray, np.ndarray]:
         """Both kernel integrals of a history segment."""

@@ -23,6 +23,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from .core import (
     DomainError,
+    LiftedBatch,
     LiftedState,
     NumericalError,
     ProblemSpec,
@@ -31,6 +32,7 @@ from .core import (
     ValidationError,
     _delay_integrals,
     interp_columns,
+    lifted_norm,
     weighted_kernels,
 )
 from .operators import minus_one_norm
@@ -199,9 +201,6 @@ class LagChainSpec:
                             reg[:, ::-1, :], u, zeta * math.sqrt(self.delta), self.delta)
         return np.concatenate([y_new[:, None, :], reg[:, :-1, :]], axis=1)
 
-    def running_cost(self, reg: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.spec.cost(reg[..., 0, :], u)) * self.delta
-
     def flatten(self, reg: np.ndarray) -> np.ndarray:
         return reg.reshape(reg.shape[:-2] + (self.state_dim,))
 
@@ -231,59 +230,44 @@ def register_from_state(chain: LagChainSpec, x: LiftedState) -> np.ndarray:
 # tensor fields
 
 
-@dataclass
-class ClampStats:
-    lookups: int = 0
-    clamped: int = 0
-
-    @property
-    def rate(self) -> float:
-        return self.clamped / self.lookups if self.lookups else 0.0
-
-
-def _brackets(axes: tuple[np.ndarray, ...], pts: np.ndarray,
-              stats: ClampStats | None = None) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def _brackets(axes: tuple[np.ndarray, ...],
+              pts: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Bracket of every point on every axis with more than one node.
 
     Returns (axis, lower node index, coordinate clipped to the axis) per such
-    axis. Single-node axes are skipped and take no part in clamp accounting;
-    a point counts as clamped when it leaves any other axis.
+    axis; single-node axes are skipped.
     """
-    out, clamped = [], np.zeros(pts.shape[0], dtype=bool)
+    out = []
     for a, ax in enumerate(axes):
         if len(ax) == 1:
             continue
-        x = pts[:, a]
-        if stats is not None:
-            clamped |= (x < ax[0]) | (x > ax[-1])
-        xc = np.minimum(ax[-1], np.maximum(ax[0], x))  # np.clip, bound first: ties keep x
+        xc = np.minimum(ax[-1], np.maximum(ax[0], pts[:, a]))  # np.clip, bound first: ties keep x
         # xc >= ax[0] or NaN, which sorts last, so i0 needs no lower clamp
         i0 = np.minimum(np.searchsorted(ax, xc, side="right") - 1, len(ax) - 2)
         out.append((a, i0, xc))
-    if stats is not None:
-        stats.lookups += pts.shape[0]
-        stats.clamped += int(np.sum(clamped))
     return out
 
 
-def _interp_plan(axes: tuple[np.ndarray, ...], pts: np.ndarray,
-                 stats: ClampStats | None = None):
+def _interp_plan(axes: tuple[np.ndarray, ...], pts: np.ndarray):
     """Multilinear interpolation plan: corner flat indices and weights, one
-    row per point.
+    row per point, and the number of points clamped onto the grid.
 
     Axes with a single node are collapsed: they contribute index 0. So is a
     bracketed axis on which every point sits exactly on a node (fraction 0
     or 1, by float equality), as a lag register does when it copies an axis
     with the same nodes: its node i0 + (fraction == 1) goes into every
     corner's index with weight 1. A row holds 2^k corners, k the bracketed
-    axes that are not collapsed.
+    axes that are not collapsed. A point counts as clamped once when it leaves
+    any axis with more than one node; a NaN coordinate leaves no axis.
     """
     n_pts = pts.shape[0]
     strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]], dtype=np.int64)[::-1]
     base = np.zeros(n_pts, dtype=np.int64)
-    brackets = []
-    for a, i0, xc in _brackets(axes, pts, stats):
-        th = (xc - axes[a][i0]) / (axes[a][i0 + 1] - axes[a][i0])
+    brackets, clamped = [], np.zeros(n_pts, dtype=bool)
+    for a, i0, xc in _brackets(axes, pts):
+        ax = axes[a]
+        clamped |= (pts[:, a] < ax[0]) | (pts[:, a] > ax[-1])
+        th = (xc - ax[i0]) / (ax[i0 + 1] - ax[i0])
         upper = th == 1.0
         if np.all(upper | (th == 0.0)):
             base += (i0 + upper) * strides[a]
@@ -300,7 +284,7 @@ def _interp_plan(axes: tuple[np.ndarray, ...], pts: np.ndarray,
             weight *= th if bit else (1.0 - th)
         idx[:, c] = flat
         wts[:, c] = weight
-    return idx, wts
+    return idx, wts, int(np.sum(clamped))
 
 
 def _plan_dot(v: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -344,9 +328,9 @@ class ValueField:
     def nodes(self) -> np.ndarray:
         return _tensor_nodes(self.axes)
 
-    def interp(self, pts: np.ndarray, stats: ClampStats | None = None) -> np.ndarray:
+    def interp(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx, wts = _interp_plan(self.axes, pts, stats)
+        idx, wts, _ = _interp_plan(self.axes, pts)
         return _plan_dot(self.values.ravel(), idx, wts)
 
     def interp_one(self, pt) -> float:
@@ -409,14 +393,26 @@ EVAL_SWEEPS = 100
 class ValueIterationResult:
     value: ValueField
     policy: PolicyField
-    iterations: int             # improvement (full Bellman) sweeps
-    residual: float             # |Tv - v|_inf of the last improvement sweep
-    clamp_rate: float
-    clamp_warning: bool
-    residual_history: np.ndarray  # residual of every improvement sweep
+    residual_history: np.ndarray  # |Tv - v|_inf of every improvement sweep
     value_error_bound: float    # g / (1 - g) * residual >= |value - fixed point|_inf
-    evaluation_sweeps: int      # fixed-policy sweeps, in total
+    clamp_rate: float           # share of plan points clamped onto the grid
     transition_entries: int     # index/weight pairs stored in the plans of all controls
+
+    @property
+    def iterations(self) -> int:  # improvement (full Bellman) sweeps
+        return len(self.residual_history)
+
+    @property
+    def residual(self) -> float:  # |Tv - v|_inf of the last improvement sweep
+        return float(self.residual_history[-1])
+
+    @property
+    def clamp_warning(self) -> bool:
+        return self.clamp_rate > 0.20
+
+    @property
+    def evaluation_sweeps(self) -> int:  # fixed-policy sweeps, in total
+        return (self.iterations - 1) * EVAL_SWEEPS
 
 
 def bellman_bound(step_discount: float, residual: float) -> float:
@@ -449,8 +445,6 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
     20 percent sets the warning flag).
     """
     spec = chain.spec
-    if spec.rho <= 0:
-        raise ValidationError("value iteration needs a positive discount")
     if not tol >= 0:  # also refuses nan
         raise ValidationError(f"tol must be nonnegative, got {tol}")
     if max_iter < 1:
@@ -466,17 +460,18 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
     n_u = spec.control_set.shape[0]
     disc = chain.step_discount
 
-    stats = ClampStats()
+    clamped = 0
     plans = []
     stage = np.empty((n_u, n_nodes))
     for iu in range(n_u):
         u = np.broadcast_to(spec.control_set[iu], (n_nodes, spec.p))
-        stage[iu] = chain.running_cost(regs, u)
+        stage[iu] = np.asarray(spec.cost(regs[:, 0, :], u)) * chain.delta
         idx_list, wts_list = [], []
         for ig in range(zeta.shape[0]):
             zz = np.broadcast_to(zeta[ig], (n_nodes, spec.q))
             nxt = chain.flatten(chain.step(regs, u, zz))
-            idx, wts = _interp_plan(axes, nxt, stats)
+            idx, wts, n_out = _interp_plan(axes, nxt)
+            clamped += n_out
             wts *= zw[ig]
             idx_list.append(idx)
             wts_list.append(wts)
@@ -488,7 +483,7 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
     v = (v0.values.ravel().copy() if v0 is not None else np.zeros(n_nodes))
     rows = np.arange(n_nodes)
     history = []
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         totals = np.empty((n_u, n_nodes))
         for iu in range(n_u):
             idx, wts = plans[iu]
@@ -503,10 +498,8 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
             return ValueIterationResult(
                 value=ValueField(axes, v.reshape(shape)),
                 policy=PolicyField(axes, best_u.reshape(shape), spec.control_set),
-                iterations=it, residual=residual, clamp_rate=stats.rate,
-                clamp_warning=stats.rate > 0.20,
                 residual_history=np.asarray(history), value_error_bound=bound,
-                evaluation_sweeps=(it - 1) * EVAL_SWEEPS, transition_entries=entries)
+                clamp_rate=clamped / (n_u * len(zw) * n_nodes), transition_entries=entries)
         # partial evaluation of the greedy policy on its rows of the plans;
         # a narrower plan pads its rows with weight 0 on node 0
         idx_pi = np.zeros((n_nodes, width), dtype=np.int64)
@@ -843,10 +836,6 @@ def paired_cost_estimator(spec: ProblemSpec, ctrl, T: float, delta: float,
 def growth_fit(value: ValueField, chain: LagChainSpec,
                exponent: float) -> float:
     """Smallest constant with |V| <= c (1 + |state|^m) at all grid nodes."""
-    pts = value.nodes()
-    regs = chain.unflatten(pts)
-    w = chain.coarse_grid.weights
-    window = regs[..., ::-1, :]
-    tail_sq = np.einsum("j,kjn,kjn->k", w, window, window)
-    norms = np.sqrt(np.einsum("kn,kn->k", regs[:, 0, :], regs[:, 0, :]) + tail_sq)
+    regs = chain.unflatten(value.nodes())
+    norms = lifted_norm(LiftedBatch(chain.coarse_grid, regs[:, 0, :], regs[:, ::-1, :]))
     return float(np.max(np.abs(value.values.ravel()) / (1.0 + norms ** exponent)))

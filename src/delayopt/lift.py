@@ -70,7 +70,6 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
     then transports the combined state, which folds the new head value into
     the most recent stretch of history.
     """
-    spec.validate()
     n_steps = _steps_of(T, delta, "T")
     _steps_of(spec.d, delta, "d")
     if len(increments) < n_steps:
@@ -204,7 +203,6 @@ def contraction_probe(spec: ProblemSpec, x: LiftedState, y: LiftedState, ctrl,
     distance, with C the declared coefficient constant and |B| the largest
     Gram eigenvalue.
     """
-    spec.validate()
     decomp = spectral_decomposition(assemble_gram_operator(spec.grid))
     c = spec.growth_const
     rate = 2.0 * c + c * c * decomp.operator_norm

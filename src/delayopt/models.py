@@ -163,7 +163,7 @@ class MertonParams:
     n_controls: int = 11
     audit_radius: float = 10.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.r < 0:
             raise ValidationError(f"bond rate must be nonnegative, got {self.r}")
         if not 0 < self.gamma < 1:
@@ -184,7 +184,6 @@ class MertonParams:
 
 def build_merton(p: MertonParams, m: int) -> ProblemSpec:
     """Two-dimensional state (stock, wealth), scalar noise, fractions in [0,1]."""
-    p.validate()
     grid = SegmentGrid(p.d, m)
     # kernels read the stock component of the history only
     embed = [[1.0, 0.0]]
@@ -219,7 +218,7 @@ def build_merton(p: MertonParams, m: int) -> ProblemSpec:
                  + p.audit_radius * (mu.lipschitz + nu.lipschitz)) * math.sqrt(2.0)
     cost_k = max(1.0, z_floor ** (gamma - 1.0), abs(power_utility(0.0, gamma, z_floor)))
 
-    spec = ProblemSpec(
+    return ProblemSpec(
         n=2, q=1, p=1, grid=grid,
         kernel_drift=kernel_drift, kernel_noise=kernel_noise,
         drift=drift, noise=noise, cost=cost, rho=p.rho,
@@ -232,8 +231,6 @@ def build_merton(p: MertonParams, m: int) -> ProblemSpec:
         initial_head=(p.s0, p.z0),
         initial_history=(p.s1, p.z0),
     )
-    spec.validate()
-    return spec
 
 
 @dataclass(frozen=True)
@@ -293,7 +290,7 @@ class AdvertisingParams:
     x1: float = 1.0
     n_controls: int = 11
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.a0 > 0:
             raise ValidationError("image deterioration factor must be nonpositive")
         if self.c0 < 0:
@@ -315,7 +312,6 @@ def build_advertising(p: AdvertisingParams, m: int) -> ProblemSpec:
 
     Running cost is quadratic spending minus linear goodwill utility.
     """
-    p.validate()
     grid = SegmentGrid(p.d, m)
     kspec = {"preset": "affine_ramp", "scale": p.kernel_scale}
     kernel_drift = build_kernel(kspec, grid, 1)
@@ -332,7 +328,7 @@ def build_advertising(p: AdvertisingParams, m: int) -> ProblemSpec:
         return spend * u[..., 0] ** 2 - y[..., 0]
 
     growth_c = max(abs(a0), 1.0, c0 * p.u_max + sigma)
-    spec = ProblemSpec(
+    return ProblemSpec(
         n=1, q=1, p=1, grid=grid,
         kernel_drift=kernel_drift, kernel_noise=kernel_noise,
         drift=drift, noise=noise, cost=cost, rho=p.rho,
@@ -345,8 +341,6 @@ def build_advertising(p: AdvertisingParams, m: int) -> ProblemSpec:
         initial_head=(p.x0,),
         initial_history=(p.x1,),
     )
-    spec.validate()
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +422,7 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
     lam_floor = float(np.linalg.eigvalsh(gram)[0]) * (1.0 - abs(s_scale)) ** 2
     cost_k = (qs * (clip ** mexp if np.isfinite(clip) else 1.0) + rs * umax ** 2
               if np.isfinite(clip) else max(qs, rs * umax ** 2 + qs))
-    spec = ProblemSpec(
+    return ProblemSpec(
         n=n, q=q, p=1, grid=grid,
         kernel_drift=kernel, kernel_noise=kernel,
         drift=drift, noise=noise, cost=cost, rho=p.rho,
@@ -442,8 +436,6 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
         initial_head=tuple(np.ravel(p.x0)),
         initial_history=tuple(np.ravel(p.x1)),
     )
-    spec.validate()
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +482,17 @@ def build_problem(doc: dict) -> ProblemSpec:
         raise ValidationError(f"malformed {model} spec: {exc!r}") from exc
 
 
+def _finite_number(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValidationError(f"problem files take finite numbers only, got {text}")
+    return value
+
+
 def load_spec_file(path) -> ProblemSpec:
-    """Load a JSON problem description from disk."""
+    """Load a JSON problem description from disk; NaN, Infinity and numbers
+    that overflow a float (1e999) raise ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     return build_problem(doc)
 
 

@@ -188,7 +188,6 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
     spec.cost is called once per block on the block's heads and controls,
     and its terms are added one step at a time.
     """
-    spec.validate()
     n_hist = _steps_of(spec.d, delta, "d")
     n_steps = _steps_of(T, delta, "T")
     if isinstance(noise, np.ndarray):
@@ -258,12 +257,16 @@ def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
 def _mean_stderr(samples) -> tuple[float, float]:
     """(mean, standard error) of per-path samples by compensated summation.
 
-    One path has no standard error, so fewer than 2 samples are refused.
+    One path has no standard error, so fewer than 2 samples are refused. A
+    non-finite sample raises NumericalError, as a non-finite state does.
     """
-    xs = np.asarray(samples, dtype=float).ravel().tolist()
+    xs = np.asarray(samples, dtype=float).ravel()
     n = len(xs)
     if n < 2:
         raise ValidationError(f"a Monte Carlo estimate needs at least 2 paths, got {n}")
+    if bad := n - int(np.count_nonzero(np.isfinite(xs))):
+        raise NumericalError(f"{bad} of {n} Monte Carlo samples are not finite")
+    xs = xs.tolist()
     mean = math.fsum(xs) / n
     var = math.fsum((c - mean) ** 2 for c in xs) / (n - 1)
     return mean, math.sqrt(var / n)

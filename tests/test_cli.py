@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +184,8 @@ def bad_policies(policy_file):
 def bad_specs(tmp_path_factory):
     """merton_nodelay.json with an unknown parameter, a text, fractional,
     boolean or quoted resolution, a text utility exponent, an infinite delay
-    horizon, and wrapped in a list."""
+    horizon, a NaN utility floor and one that overflows (1e999), and wrapped
+    in a list."""
     doc = json.loads((SPECS / "merton_nodelay.json").read_text())
     variants = {
         "unknown_param": {**doc, "params": {**doc["params"], "alpha": 1.0}},
@@ -194,12 +196,15 @@ def bad_specs(tmp_path_factory):
         "gamma_text": {**doc, "params": {**doc["params"], "gamma": "x"}},
         "top_list": [doc],
         "d_infinite": {**doc, "params": {**doc["params"], "d": float("inf")}},
+        "z_floor_nan": {**doc, "params": {**doc["params"], "z_floor": float("nan")}},
+        "z_floor_overflow": {**doc, "params": {**doc["params"], "z_floor": float("inf")}},
     }
     root = tmp_path_factory.mktemp("bad_specs")
     paths = {}
     for name, variant in variants.items():
         paths[name] = root / f"{name}.json"
-        paths[name].write_text(json.dumps(variant))
+        text = json.dumps(variant)  # writes inf as Infinity, spelled here as a number
+        paths[name].write_text(text.replace("Infinity", "1e999") if "overflow" in name else text)
     return paths
 
 
@@ -274,6 +279,9 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--paths", "0"],
     ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--paths", "-3"],
     ["value", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--paths", "1"],
+    ["simulate", "--spec", "{z_floor_nan}", "--T", "1", "--dt", "0.01", "--paths", "10"],
+    ["simulate", "--spec", "{z_floor_overflow}", "--T", "1", "--dt", "0.01", "--paths", "10"],
+    ["residual", "--spec", SPEC, "--grid", "y:-1:2.5:2,y_lag1:-1:2.5:3"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -287,7 +295,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "spec-m-fraction", "spec-m-bool", "spec-m-quoted", "spec-d-infinite",
         "box-empty-range", "box-reversed-range", "box-infinite", "grid-log-negative", "grid-log-zero",
         "grid-infinite", "grid-width-overflow", "bcontinuity-T-zero", "simulate-emit-negative",
-        "simulate-paths-zero", "simulate-paths-negative", "value-paths-one"])
+        "simulate-paths-zero", "simulate-paths-negative", "value-paths-one", "spec-nan-number",
+        "spec-overflowing-number", "residual-two-node-axis"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
                                    capsys):
     argv = ([a.format(policy_file, **bad_policies, **bad_specs) for a in argv]
@@ -384,6 +393,22 @@ def test_bench_traced_names_resolve(monkeypatch):
         if not ok:
             missing.append(name)
     assert not missing, missing
+
+
+def test_bench_solve_observer_reads_the_solver_result(monkeypatch):
+    # a traced run counts sweeps and the clamp rate from the result of
+    # value_iteration; a field it reads that went missing would only break
+    # a traced benchmark run
+    spans = bench_module("spans", monkeypatch)
+    chain = delayopt.hjb.reduce_to_lag_chain(delayopt.models.load_spec_file(SPEC), 1)
+    axes = (np.linspace(0.0, 1.5, 9), np.linspace(0.0, 1.5, 5))  # about 17% clamp
+    result = delayopt.hjb.value_iteration(chain, axes)
+    counters = Counter()
+    for _ in range(2):
+        spans._observe_solve(counters, (chain, axes), {}, result)
+    assert result.iterations == len(result.residual_history) > 1
+    assert counters["hjb.sweeps"] == 2 * result.iterations
+    assert counters["hjb.clamp_rate"] == result.clamp_rate > 0
 
 
 def test_bench_simulate_digests_match_the_pins(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from delayopt.core import (
     GridMismatchError,
     Kernel,
     LiftedState,
+    ProblemSpec,
     Segment,
     SegmentGrid,
     ValidationError,
@@ -275,3 +278,44 @@ def test_domain_predicate():
     assert x.in_generator_domain()
     y = LiftedState([2.0], Segment.constant(g, 1.0))
     assert not y.in_generator_domain()
+
+
+# ---------------------------------------------------------------------------
+# problem data
+
+
+_G = SegmentGrid(1.0, 4)
+
+
+def _problem(**changes):
+    """A valid one-dimensional problem on _G, with the given fields changed."""
+    zero = Kernel(_G, np.zeros((5, 1, 1)))
+    fields = dict(n=1, q=1, p=1, grid=_G, kernel_drift=zero, kernel_noise=ramp_kernel(_G),
+                  drift=lambda y, z, u: -y, noise=lambda y, z, u: np.ones(y.shape + (1,)),
+                  cost=lambda y, u: y[..., 0] ** 2, rho=1.0,
+                  control_set=np.array([[0.0], [0.5], [1.0]]), growth_const=1.0,
+                  lipschitz_const=1.0, cost_growth_const=1.0, cost_growth_exponent=2.0)
+    return ProblemSpec(**{**fields, **changes})
+
+
+BAD_PROBLEM_FIELDS = {
+    "control-row": {"control_set": np.array([[0.0, 0.5, 1.0]])},
+    "no-controls": {"control_set": np.empty((0, 1))},
+    "rho-zero": {"rho": 0.0},
+    "rho-negative": {"rho": -1.0},
+    "rho-nan": {"rho": float("nan")},
+    "kernel-endpoint": {"kernel_drift": Kernel(_G, np.ones((5, 1, 1)))},
+    "kernel-dimension": {"kernel_noise": ramp_kernel(_G, n=2)},
+}
+
+
+@pytest.mark.parametrize("change", BAD_PROBLEM_FIELDS.values(), ids=BAD_PROBLEM_FIELDS)
+def test_problem_is_valid_by_construction(change):
+    # a (1, k) row of controls is not transposed for p = 1; every refusal
+    # also holds for a copy made by dataclasses.replace
+    valid = _problem()
+    assert valid.control_set.shape == (3, 1) and valid.head_names == ("y0",)
+    with pytest.raises(ValidationError):
+        _problem(**change)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(valid, **change)

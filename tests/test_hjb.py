@@ -13,7 +13,6 @@ from delayopt import models
 from delayopt.core import DomainError, LiftedState, Segment, ValidationError, kernel_convolve
 from delayopt.hjb import (
     EVAL_SWEEPS,
-    ClampStats,
     PolicyField,
     ValueField,
     _brackets,
@@ -273,11 +272,28 @@ def test_value_field_exact_at_nodes_and_clamps():
     vals = np.arange(5.0).reshape(5, 1)
     f = ValueField(axes, vals)
     pts = np.array([[0.25, 2.0], [1.5, 2.0]])
-    stats = ClampStats()
-    out = f.interp(pts, stats)
+    out = f.interp(pts)
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(4.0)  # clamped to the right edge
-    assert stats.lookups == 2 and stats.clamped == 1
+    assert _interp_plan(axes, pts)[2] == 1
+
+
+def test_interp_plan_counts_each_clamped_point_once():
+    # a point counts when it leaves an axis with more than one node, once
+    # however many it leaves; a single-node axis, a NaN coordinate and a
+    # point on the box's edge count nothing
+    axes = (np.linspace(0.0, 1.0, 3), np.linspace(0.0, 2.0, 5), np.array([0.5]))
+    pts = np.array([[0.5, 1.0, 0.5],       # inside
+                    [1.5, 1.0, 0.5],       # above axis 0
+                    [-1.0, 3.0, 0.5],      # off axes 0 and 1
+                    [0.5, 1.0, 9.0],       # off the single-node axis only
+                    [np.nan, 1.0, 0.5],    # NaN
+                    [np.nan, -1.0, 0.5],   # NaN, and below axis 1
+                    [np.inf, 1.0, 0.5],    # infinite
+                    [0.0, 2.0, 0.5]])      # on the edge
+    per_point = [_interp_plan(axes, pts[[i]])[2] for i in range(len(pts))]
+    assert per_point == [0, 1, 1, 0, 0, 1, 1, 0]
+    assert _interp_plan(axes, pts)[2] == 4
 
 
 def test_policy_field_nearest_node():
@@ -357,7 +373,7 @@ def _full_corner_plan(axes, pts):
 
 
 def _assert_plans_interpolate_alike(axes, pts, v):
-    idx, wts = _interp_plan(axes, pts)
+    idx, wts, _ = _interp_plan(axes, pts)
     full_idx, full_wts = _full_corner_plan(axes, pts)
     np.testing.assert_allclose(_plan_dot(v, idx, wts), np.sum(v[full_idx] * full_wts, axis=1),
                                rtol=0, atol=1e-14 * np.max(np.abs(v)))
@@ -539,11 +555,11 @@ def _reference_plans(chain, axes, gh_points=5):
     stage, plans = [], []
     for u in spec.control_set:
         uu = np.broadcast_to(u, (pts.shape[0], spec.p))
-        stage.append(chain.running_cost(regs, uu))
+        stage.append(np.asarray(spec.cost(regs[:, 0, :], uu)) * chain.delta)
         blocks = [_interp_plan(axes, chain.flatten(chain.step(
             regs, uu, np.broadcast_to(z, (pts.shape[0], spec.q))))) for z in zeta]
-        plans.append((np.concatenate([i for i, _ in blocks], axis=1),
-                      np.concatenate([w * g for (_, w), g in zip(blocks, zw)], axis=1)))
+        plans.append((np.concatenate([i for i, _, _ in blocks], axis=1),
+                      np.concatenate([w * g for (_, w, _), g in zip(blocks, zw)], axis=1)))
     return stage, plans
 
 
@@ -588,6 +604,27 @@ def test_value_iteration_agrees_with_plain_value_iteration(oracle_cases):
         assert gap <= res.value_error_bound + bellman_bound(chain.step_discount, residual_ref)
         assert res.value_error_bound == bellman_bound(chain.step_discount, res.residual)
         assert res.evaluation_sweeps == (res.iterations - 1) * EVAL_SWEEPS
+
+
+def test_clamp_rate_is_the_share_of_out_of_box_next_states(oracle_cases):
+    # the next states _reference_plans plans, one per control, Gauss-Hermite
+    # node and grid node, counted here: out of the box on any axis with more
+    # than one node (merton_nodelay's stock leaves its single-node axis at
+    # every step, and does not count)
+    for chain, res in oracle_cases:
+        spec, axes = chain.spec, res.value.axes
+        pts = _tensor_nodes(axes)
+        regs, (zeta, _) = chain.unflatten(pts), noise_rule(spec.q, 5)
+        out = []
+        for u in spec.control_set:
+            for z in zeta:
+                nxt = chain.flatten(chain.step(regs, np.broadcast_to(u, (len(pts), spec.p)),
+                                               np.broadcast_to(z, (len(pts), spec.q))))
+                out.append(np.any([(nxt[:, a] < ax[0]) | (nxt[:, a] > ax[-1])
+                                   for a, ax in enumerate(axes) if len(ax) > 1], axis=0))
+        assert 0 < np.sum(out) < np.size(out)
+        assert res.clamp_rate == np.sum(out) / np.size(out)
+        assert res.clamp_warning == (res.clamp_rate > 0.20)
 
 
 def test_value_iteration_one_sweep_is_the_reference_sweep(oracle_cases):

@@ -102,11 +102,11 @@ def test_merton_spec_passes_audits(merton_delay_spec):
 
 def test_merton_invalid_params():
     with pytest.raises(ValidationError):
-        MertonParams(gamma=1.5).validate()
+        MertonParams(gamma=1.5)
     with pytest.raises(ValidationError):
-        MertonParams(nu=ClampedAffine.constant(0.0)).validate()
+        MertonParams(nu=ClampedAffine.constant(0.0))
     with pytest.raises(ValidationError):
-        MertonParams(r=-0.1).validate()
+        MertonParams(r=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +219,11 @@ def test_advertising_spec_passes_audits(advertising_spec):
 
 def test_advertising_invalid_params():
     with pytest.raises(ValidationError):
-        AdvertisingParams(a0=0.5).validate()
+        AdvertisingParams(a0=0.5)
     with pytest.raises(ValidationError):
-        AdvertisingParams(kernel_scale=0.5).validate()
+        AdvertisingParams(kernel_scale=0.5)
     with pytest.raises(ValidationError):
-        AdvertisingParams(sigma=-1.0).validate()
+        AdvertisingParams(sigma=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def test_spec_files_load(tmp_path):
     for name in ("merton_nodelay", "merton_delay", "advertising", "affine"):
         spec = models.load_spec_file(
             Path(__file__).resolve().parent.parent / "specs" / f"{name}.json")
-        spec.validate()
+        dataclasses.replace(spec)  # construction re-runs every check
 
 
 def test_every_preset_kernel_validates():

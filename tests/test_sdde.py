@@ -194,6 +194,26 @@ def nan_at_step_spec(delta, k_nan):
     return spec, LiftedState([1.0], Segment.constant(g, 1.0))
 
 
+def test_mc_cost_refuses_nonfinite_samples():
+    # the states stay finite, but the cost is NaN above the start value, so
+    # a path's discounted cost is NaN once its head passes 1 at steps 1..3;
+    # the estimate is refused with the number of such paths
+    g = SegmentGrid(1.0, 4)
+    kern = models.build_kernel({"preset": "zero"}, g, 1)
+    spec = ProblemSpec(
+        n=1, q=1, p=1, grid=g, kernel_drift=kern, kernel_noise=kern,
+        drift=lambda y, z, u: 0.0 * y, noise=lambda y, z, u: np.ones(y.shape + (1,)),
+        cost=lambda y, u: np.where(y[..., 0] > 1.0, np.nan, 0.0), rho=1.0,
+        control_set=np.array([[0.0]]), growth_const=1.0, lipschitz_const=1.0,
+        cost_growth_const=1.0, cost_growth_exponent=0.0)
+    x = LiftedState([1.0], Segment.constant(g, 1.0))
+    dw = batch_increments(0, range(10), 0.25, 1, 4)
+    bad = int(np.sum(np.any(np.cumsum(dw[:, :3, 0], axis=1) > 0.0, axis=1)))
+    assert 0 < bad < 10
+    with pytest.raises(NumericalError, match=f"^{bad} of 10 Monte Carlo samples are not finite"):
+        mc_cost(spec, x, OpenLoopControl([0.0]), 1.0, 0.25, 10, 0)
+
+
 @pytest.mark.parametrize("how", ["simulate_sdde", "mc_cost"])
 def test_nan_abort_names_step_after_the_first_block(how):
     # the first non-finite state is at step k_nan, inside the second block,
