@@ -82,11 +82,16 @@ def _control(spec: ProblemSpec, text: str | None = None, dt: float | None = None
                 "this subcommand takes const: controls only; a policy feedback reads "
                 "step-grid windows, not the segment-grid windows of the lifted simulation")
         doc = json.loads(Path(text[len("policy:"):]).read_text(encoding="utf-8"))
-        chain = hjb.reduce_to_lag_chain(spec, int(doc["m_lag"]))
-        axes = tuple(np.asarray(a, dtype=float) for a in doc["axes"])
-        shape = [len(a) for a in axes]
-        indices = np.asarray(doc["indices"], dtype=np.int64)
-        control_set = np.asarray(doc["control_set"], dtype=float)
+        try:
+            m_lag, indices = doc["m_lag"], np.asarray(doc["indices"])
+            axes = tuple(np.asarray(a, dtype=float) for a in doc["axes"])
+            shape = [len(a) for a in axes]
+            control_set = np.asarray(doc["control_set"], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed policy file: {exc!r}") from exc
+        if isinstance(m_lag, bool) or not isinstance(m_lag, int) or indices.dtype.kind != "i":
+            raise ValidationError("policy m_lag and indices must be JSON integers")
+        chain = hjb.reduce_to_lag_chain(spec, m_lag)
         if len(axes) != chain.state_dim or control_set.shape[1:] != (spec.p,):
             raise ValidationError(
                 f"policy has {len(axes)} axes and controls of shape {control_set.shape[1:]}; "
@@ -393,6 +398,9 @@ def cmd_probe_regularity(run: Run):
     spec = run.spec
     box = _parse_box(run.args.box, list(spec.head_names))
     chain, axes, z0 = _lag_grid(run)
+    single = [spec.head_names[i] for i in box if len(axes[i]) == 1]
+    if single:  # a box axis needs grid nodes to probe between
+        raise ValidationError(f"box axes {single} have one grid node; give them --grid nodes")
     result = _solve(run, chain, axes)
 
     def estimator(pts):
@@ -426,7 +434,7 @@ def cmd_probe_bcontinuity(run: Run):
         bump = scale * np.sin(math.pi * freq * (nodes + spec.d) / spec.d)
         pert = Segment(spec.grid, x.tail.values + bump[:, None])
         pairs.append((x, LiftedState(x.head, pert)))
-    table = hjb.b_continuity_probe(spec, pairs, estimator)
+    table = hjb.b_continuity_probe(pairs, estimator)
     monotone, vanishing = hjb.envelope_is_monotone(table, abs_tol=1e-6)
     run.csv("bcontinuity.csv", ["weak_distance", "difference", "stderr"],
             [[float(d), float(v), float(s)] for d, v, s in
@@ -442,12 +450,10 @@ def cmd_merton_check(run: Run):
     p = spec.params
     if not isinstance(p, models.MertonParams):
         raise ValidationError("merton-check needs a portfolio problem file")
-    if not all(c.slope == 0.0 and c.lo == c.hi for c in (p.mu, p.nu)):
+    if p.mu.slope or p.nu.slope:
         raise ValidationError("merton-check compares against the constant-coefficient closed "
                               "form; use const mu and nu presets with zero kernels")
-    # a slope-0 map evaluates to clip(base, lo, hi) = min_value, not to base
-    oracle = models.merton_classical_oracle(p.r, p.mu.min_value, p.nu.min_value, p.gamma,
-                                            spec.rho)
+    oracle = models.merton_classical_oracle(p.r, p.mu.base, p.nu.base, p.gamma, spec.rho)
     chain, axes, z0 = _lag_grid(run)
     result = _solve(run, chain, axes)
     v_solver = -result.value.interp_one(z0)  # cost sign flip back to utility
@@ -556,7 +562,7 @@ def main(argv=None) -> int:
                     if k not in ("command", "func") and v is not None}
         output.write_manifest(run.out, args.spec, {**resolved, **run.extra},
                               run.artifacts, started)
-    except (ValidationError, GridMismatchError, DomainError, FileNotFoundError,
+    except (ValidationError, GridMismatchError, DomainError, OSError,
             json.JSONDecodeError, KeyError) as exc:
         _err("validation", exc)
         return 1

@@ -152,9 +152,9 @@ class LiftedState:
         """The state of a batch of one on this grid: heads (1, n), tails (1, m+1, n)."""
         return LiftedState(heads[0], Segment(self.grid, tails[0]))
 
-    def in_generator_domain(self, tol: float = 1e-9) -> bool:
-        """Discrete domain predicate: tail value at 0 equals the head."""
-        return bool(np.max(np.abs(self.tail.values[-1] - self.head)) <= tol)
+    def in_generator_domain(self) -> bool:
+        """Discrete domain predicate: tail value at 0 equals the head to 1e-9."""
+        return bool(np.max(np.abs(self.tail.values[-1] - self.head)) <= 1e-9)
 
     def __add__(self, other: "LiftedState") -> "LiftedState":
         _check_same_grid(self.grid, other.grid, "state addition")
@@ -366,7 +366,7 @@ class ProblemSpec:
     by hand. The delay horizon d is the segment grid's.
 
     A problem is valid by construction (dataclasses.replace included): a
-    positive discount, a nonempty (points, p) control set, and kernels on
+    finite positive discount, a nonempty (points, p) control set, and kernels on
     dimension n that pass validate_kernel. Anything else raises ValidationError.
     """
 
@@ -398,8 +398,8 @@ class ProblemSpec:
         object.__setattr__(self, "control_set", cs)
         if not self.head_names:
             object.__setattr__(self, "head_names", tuple(f"y{i}" for i in range(self.n)))
-        if not self.rho > 0:
-            raise ValidationError(f"discount must be positive, got {self.rho}")
+        if not 0 < self.rho < np.inf:
+            raise ValidationError(f"discount must be finite and positive, got {self.rho}")
         if cs.shape[0] == 0:
             raise ValidationError("control set must be nonempty")
         if cs.shape[1] != self.p:

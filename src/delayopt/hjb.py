@@ -321,10 +321,6 @@ class ValueField:
     def __post_init__(self):
         self.axes = _grid_axes(self.axes, self.values.shape, "value")
 
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
     def nodes(self) -> np.ndarray:
         return _tensor_nodes(self.axes)
 
@@ -356,6 +352,8 @@ class PolicyField:
         if self.indices.size and (self.indices.min() < 0
                                   or self.indices.max() >= self.control_set.shape[0]):
             raise ValidationError("policy indices outside the control set")
+        if not np.all(np.isfinite(self.control_set)):
+            raise ValidationError("policy controls must be finite")
 
     def index_at(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -370,7 +368,7 @@ class PolicyField:
         return self.control_set[self.index_at(pts)]
 
 
-def noise_rule(q: int, points: int = 5) -> tuple[np.ndarray, np.ndarray]:
+def noise_rule(q: int, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Hermite quadrature for a standard normal draw in q
     dimensions (points = 2 is the antithetic rule: nodes -1, 1, weights 1/2)."""
     if points < 1:
@@ -774,7 +772,7 @@ class ContinuityTable:
                                self.stderrs[order])
 
 
-def b_continuity_probe(spec: ProblemSpec, pairs, estimator) -> ContinuityTable:
+def b_continuity_probe(pairs, estimator) -> ContinuityTable:
     """Evaluate a paired value estimator over state pairs against weak distance.
 
     estimator(x, y) must return (difference estimate, standard error); pairs
@@ -790,12 +788,12 @@ def b_continuity_probe(spec: ProblemSpec, pairs, estimator) -> ContinuityTable:
 
 
 def envelope_is_monotone(table: ContinuityTable, abs_tol: float = 0.0,
-                         rel_tol: float = 0.05, buckets: int = 5) -> tuple[bool, bool]:
+                         buckets: int = 5) -> tuple[bool, bool]:
     """(monotone within error bars, vanishing at zero).
 
     Buckets the sorted rows by distance. Monotone means bucket means do not
     decrease beyond their pooled error bars; vanishing means the smallest
-    bucket sits within its error bars plus rel_tol of the table's largest
+    bucket sits within its error bars plus 5% of the table's largest
     bucket mean. Fewer than 2 rows are refused: one bucket is monotone
     vacuously.
     """
@@ -811,7 +809,7 @@ def envelope_is_monotone(table: ContinuityTable, abs_tol: float = 0.0,
         errs.append(float(np.sqrt(np.mean(t.stderrs[sl] ** 2) / max(1, edges[b + 1] - edges[b]))))
     monotone = all(means[b] <= means[b + 1] + 2 * (errs[b] + errs[b + 1]) + abs_tol
                    for b in range(len(means) - 1))
-    vanishing = means[0] <= 2 * errs[0] + rel_tol * max(means) + abs_tol
+    vanishing = means[0] <= 2 * errs[0] + 0.05 * max(means) + abs_tol
     return monotone, vanishing
 
 

@@ -73,7 +73,11 @@ def build_kernel(spec: dict, grid: SegmentGrid, n: int) -> Kernel:
 
 @dataclass(frozen=True)
 class ClampedAffine:
-    """Globally Lipschitz scalar map v -> clip(base + slope * v, lo, hi)."""
+    """Globally Lipschitz scalar map v -> clip(base + slope * v, lo, hi).
+
+    A slope-0 map is its constant clip(base, lo, hi): base, lo and hi all
+    hold that value.
+    """
 
     base: float
     slope: float = 0.0
@@ -81,27 +85,29 @@ class ClampedAffine:
     hi: float = np.inf
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValidationError(f"clamp interval empty: [{self.lo}, {self.hi}]")
-        if self.slope != 0.0 and not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        # each check is written so that NaN fails it
+        if not (math.isfinite(self.base) and math.isfinite(self.slope)):
+            raise ValidationError(f"coefficient map needs a finite base and slope, "
+                                  f"got {self.base}, {self.slope}")
+        if not (self.lo <= self.hi and self.lo < np.inf and self.hi > -np.inf):
+            raise ValidationError(f"clamp interval [{self.lo}, {self.hi}] holds no real number")
+        if self.slope == 0.0:
+            value = float(np.clip(self.base, self.lo, self.hi))
+            for name in ("base", "lo", "hi"):
+                object.__setattr__(self, name, value)
+        elif not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ValidationError("a sloped coefficient map must be clamped on both sides")
 
     def __call__(self, v):
+        if self.slope == 0.0:
+            return self.base
         # np.clip without its Python wrapper, bound first so that ties keep the value
         return np.minimum(self.hi, np.maximum(self.lo, self.base + self.slope
                                               * np.asarray(v, dtype=float)))
 
     @property
     def abs_max(self) -> float:
-        if self.slope == 0.0:
-            return abs(float(np.clip(self.base, self.lo, self.hi)))
         return max(abs(self.lo), abs(self.hi))
-
-    @property
-    def min_value(self) -> float:
-        if self.slope == 0.0:
-            return float(np.clip(self.base, self.lo, self.hi))
-        return self.lo
 
     @property
     def lipschitz(self) -> float:
@@ -109,12 +115,10 @@ class ClampedAffine:
 
     @classmethod
     def constant(cls, value: float) -> "ClampedAffine":
-        return cls(base=value, slope=0.0, lo=value, hi=value)
+        return cls(value)
 
     @classmethod
     def from_dict(cls, d) -> "ClampedAffine":
-        if isinstance(d, (int, float)):
-            return cls.constant(float(d))
         if "const" in d:
             return cls.constant(float(d["const"]))
         return cls(base=float(d["base"]), slope=float(d.get("slope", 0.0)),
@@ -164,13 +168,13 @@ class MertonParams:
     audit_radius: float = 10.0
 
     def __post_init__(self):
-        if self.r < 0:
+        if not self.r >= 0:
             raise ValidationError(f"bond rate must be nonnegative, got {self.r}")
         if not 0 < self.gamma < 1:
             raise ValidationError(f"utility exponent must lie in (0,1), got {self.gamma}")
-        if self.nu.min_value <= 0:
+        if not self.nu.lo > 0:
             raise ValidationError("volatility map must be bounded below by a positive value")
-        if self.z_floor <= 0:
+        if not self.z_floor > 0:
             raise ValidationError("utility floor must be positive")
 
     @classmethod
@@ -291,15 +295,15 @@ class AdvertisingParams:
     n_controls: int = 11
 
     def __post_init__(self):
-        if self.a0 > 0:
+        if not self.a0 <= 0:
             raise ValidationError("image deterioration factor must be nonpositive")
-        if self.c0 < 0:
+        if not self.c0 >= 0:
             raise ValidationError("advertising effectiveness must be nonnegative")
-        if self.kernel_scale > 0:
+        if not self.kernel_scale <= 0:
             raise ValidationError("forgetting kernel must be nonpositive")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValidationError("noise level must be nonnegative")
-        if self.u_max <= 0:
+        if not self.u_max > 0:
             raise ValidationError("control bound must be positive")
 
     @classmethod
@@ -371,7 +375,6 @@ class AffineTestParams:
     n_controls: int = 5
     x0: tuple = (1.0,)
     x1: tuple = (1.0,)
-    audit_radius: float = 10.0
 
     @classmethod
     def from_dict(cls, d: dict) -> "AffineTestParams":
@@ -420,8 +423,8 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
     growth_c = max(const_part + sig_norm * (1.0 + abs(s_scale)), op, oz)
     gram = s0 @ s0.T
     lam_floor = float(np.linalg.eigvalsh(gram)[0]) * (1.0 - abs(s_scale)) ** 2
-    cost_k = (qs * (clip ** mexp if np.isfinite(clip) else 1.0) + rs * umax ** 2
-              if np.isfinite(clip) else max(qs, rs * umax ** 2 + qs))
+    cost_k = (qs * clip ** mexp + rs * umax ** 2 if np.isfinite(clip)
+              else max(qs, rs * umax ** 2 + qs))
     return ProblemSpec(
         n=n, q=q, p=1, grid=grid,
         kernel_drift=kernel, kernel_noise=kernel,
@@ -514,11 +517,11 @@ class AuditReport:
         return self.observed >= self.declared * (1.0 - 1e-9)
 
 
-def audit_constants(spec: ProblemSpec, radius: float = 5.0, n_samples: int = 2000,
+def audit_constants(spec: ProblemSpec, radius: float = 5.0,
                     seed: int = 0) -> list[AuditReport]:
     """Sampled checks of every declared constant on a ball of the given radius.
 
-    Each sample draws two points (y, z_drift, z_noise), each delay integral
+    Each of 2000 samples draws two points (y, z_drift, z_noise), each delay integral
     at its own kernel's width, and one control from the control set.
     Reports, in order: the growth |f| / (1 + |y| + |z|) against growth_const
     and the Lipschitz ratio |f(2) - f(1)| / (|y2 - y1| + |z2 - z1|) against
@@ -529,12 +532,12 @@ def audit_constants(spec: ProblemSpec, radius: float = 5.0, n_samples: int = 200
     """
     rng = np.random.default_rng(seed)
     widths = (spec.n, spec.kernel_drift.h_dim, spec.kernel_noise.h_dim)
-    y, zb, zs = (rng.uniform(-radius, radius, size=(n_samples, w)) for w in widths)
-    y2, zb2, zs2 = (rng.uniform(-radius, radius, size=(n_samples, w)) for w in widths)
-    u = spec.control_set[rng.integers(0, spec.control_set.shape[0], size=n_samples)]
+    y, zb, zs = (rng.uniform(-radius, radius, size=(2000, w)) for w in widths)
+    y2, zb2, zs2 = (rng.uniform(-radius, radius, size=(2000, w)) for w in widths)
+    u = spec.control_set[rng.integers(0, spec.control_set.shape[0], size=2000)]
 
     def norm(a):
-        return np.linalg.norm(np.reshape(a, (n_samples, -1)), axis=1)
+        return np.linalg.norm(np.reshape(a, (len(a), -1)), axis=1)
 
     def worst(num, denom):
         return float(np.max(num / denom))

@@ -87,19 +87,18 @@ def _shift_tail(t: float, nodes: np.ndarray, tail: np.ndarray,
     return np.where((pos < 0.0)[:, None], interp_columns(pos, nodes, tail), head[None, :])
 
 
-def apply_generator(x: Lifted, domain_tol: float = 1e-9) -> Lifted:
+def apply_generator(x: Lifted) -> Lifted:
     """Dissipative generator: negate the head, differentiate the tail.
 
     Finite differences: central in the interior, second-order one-sided at
     both ends, so the derivative is uniformly second order.
-    Every sample must satisfy the nodal domain constraint tail(0) = head.
+    Every sample must satisfy the nodal domain constraint tail(0) = head
+    to 1e-9.
     """
     v = x.tails
     gap = float(np.max(np.abs(v[:, -1] - x.heads)))
-    if gap > domain_tol:
-        raise DomainError(
-            f"state outside generator domain: |tail(0) - head| = {gap:g} > {domain_tol:g}"
-        )
+    if gap > 1e-9:
+        raise DomainError(f"state outside generator domain: |tail(0) - head| = {gap:g} > 1e-09")
     h = x.grid.h
     dv = np.empty_like(v)
     dv[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
@@ -135,13 +134,13 @@ def minus_one_norm(x: Lifted):
     return lifted_norm(apply_generator_inverse(x))
 
 
-def dissipativity_form(x: Lifted, domain_tol: float = 1e-9):
+def dissipativity_form(x: Lifted):
     """Quadratic form of the generator; nonpositive on its domain.
 
     The discrete value telescopes to -|head|^2/2 - |tail(-d)|^2/2 with an
     end correction of order h^2 times the local curvature.
     """
-    return lifted_inner(apply_generator(x, domain_tol), x)
+    return lifted_inner(apply_generator(x), x)
 
 
 def generator_inverse_form(x: Lifted):
@@ -172,11 +171,11 @@ class OperatorMatrix:
     matrix: np.ndarray
     grid: SegmentGrid
 
-    def check_g_selfadjoint(self, tol: float = 1e-10) -> bool:
+    def check_g_selfadjoint(self) -> bool:
         w = weight_vector(self.grid, 1)
         gm = w[:, None] * self.matrix
         scale = np.max(np.abs(gm))
-        return bool(np.max(np.abs(gm - gm.T)) <= tol * max(scale, 1.0))
+        return bool(np.max(np.abs(gm - gm.T)) <= 1e-10 * max(scale, 1.0))
 
 
 def assemble_gram_operator(grid: SegmentGrid) -> OperatorMatrix:

@@ -47,8 +47,8 @@ def write_manifest(out_dir, spec_path, resolved: dict, artifacts: list[str],
 
 
 def write_svg_lines(path, series: dict[str, tuple], title: str = "",
-                    width: int = 640, height: int = 420, scatter: bool = False) -> str:
-    """Minimal line or scatter plot; series maps label -> (x array, y array)."""
+                    scatter: bool = False) -> str:
+    """Minimal 640 x 420 line or scatter plot; series maps label -> (x array, y array)."""
     path = Path(path)
     xs = [float(x) for _, (xv, _) in series.items() for x in xv]
     ys = [float(y) for _, (_, yv) in series.items() for y in yv]
@@ -60,7 +60,7 @@ def write_svg_lines(path, series: dict[str, tuple], title: str = "",
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
-    pad = 50
+    width, height, pad = 640, 420, 50
 
     def px(x):
         return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)

@@ -239,7 +239,7 @@ def test_criterion_8_growth_and_continuity(advertising_solution):
         pairs.append((x, LiftedState(x.head,
                                      Segment(spec.grid,
                                              x.tail.values + bump[:, None]))))
-    table = b_continuity_probe(spec, pairs, est)
+    table = b_continuity_probe(pairs, est)
     monotone, vanishing = envelope_is_monotone(table, abs_tol=1e-6)
     ok = growth_ok and monotone and vanishing
     report(8, "value growth and weak continuity", ok,

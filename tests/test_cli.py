@@ -165,18 +165,28 @@ def policy_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def bad_policies(policy_file):
     """The advertising policy with one index dropped, with two-component controls,
-    with decreasing axes, and with a NaN node on every axis."""
+    with decreasing axes, with a NaN node on every axis, with a text or
+    fractional m_lag, with text, overflowing or fractional indices, with NaN
+    controls, and wrapped in a list."""
     doc = json.loads(policy_file.read_text())
     variants = {
         "short": {"indices": doc["indices"][:-1]},
         "wide": {"control_set": [[c[0], c[0]] for c in doc["control_set"]]},
         "reversed": {"axes": [ax[::-1] for ax in doc["axes"]]},
         "nan_axis": {"axes": [[float("nan")] + ax[1:] for ax in doc["axes"]]},
+        "m_lag_text": {"m_lag": "abc"},
+        "m_lag_fraction": {"m_lag": 1.7},
+        "indices_text": {"indices": [str(i) for i in doc["indices"]]},
+        "indices_overflow": {"indices": [1e30] * len(doc["indices"])},
+        "indices_fraction": {"indices": [0.7] * len(doc["indices"])},
+        "nan_controls": {"control_set": [[float("nan")] for _ in doc["control_set"]]},
     }
     paths = {}
     for name, change in variants.items():
         paths[name] = policy_file.with_name(f"{name}.json")
         paths[name].write_text(json.dumps({**doc, **change}))
+    paths["policy_list"] = policy_file.with_name("policy_list.json")
+    paths["policy_list"].write_text(json.dumps([doc]))
     return paths
 
 
@@ -282,6 +292,13 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["simulate", "--spec", "{z_floor_nan}", "--T", "1", "--dt", "0.01", "--paths", "10"],
     ["simulate", "--spec", "{z_floor_overflow}", "--T", "1", "--dt", "0.01", "--paths", "10"],
     ["residual", "--spec", SPEC, "--grid", "y:-1:2.5:2,y_lag1:-1:2.5:3"],
+    *[["simulate", "--spec", SPEC, "--T", "0.1", "--dt", "0.01", "--paths", "4",
+       "--control", f"policy:{{{name}}}"]
+      for name in ("m_lag_text", "policy_list", "indices_text", "indices_overflow",
+                   "m_lag_fraction", "indices_fraction", "nan_controls")],
+    ["simulate", "--spec", str(SPECS), "--T", "1", "--dt", "0.01"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--out", SPEC],
+    ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"), "--box", "z:0.5:2"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -296,11 +313,15 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "box-empty-range", "box-reversed-range", "box-infinite", "grid-log-negative", "grid-log-zero",
         "grid-infinite", "grid-width-overflow", "bcontinuity-T-zero", "simulate-emit-negative",
         "simulate-paths-zero", "simulate-paths-negative", "value-paths-one", "spec-nan-number",
-        "spec-overflowing-number", "residual-two-node-axis"])
+        "spec-overflowing-number", "residual-two-node-axis", "policy-m-lag-text",
+        "policy-top-level-list", "policy-indices-text", "policy-indices-overflow",
+        "policy-m-lag-fraction", "policy-indices-fraction", "policy-nan-controls",
+        "spec-directory", "out-existing-file", "regularity-one-node-box-axis"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
                                    capsys):
-    argv = ([a.format(policy_file, **bad_policies, **bad_specs) for a in argv]
-            + ["--out", str(tmp_path / "o")])
+    # the default --out goes first, so a row's own --out is the one parsed
+    argv = [argv[0], "--out", str(tmp_path / "o"),
+            *(a.format(policy_file, **bad_policies, **bad_specs) for a in argv[1:])]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert json.loads(err.splitlines()[-1])["error"] == "validation"
@@ -373,6 +394,19 @@ def bench_module(name, monkeypatch):
     monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+def test_bench_invocations_parse(monkeypatch):
+    # every command line the benchmark's parts run parses (none is run), so
+    # a flag the bench passes cannot go missing unseen by tier-1
+    workloads = bench_module("workloads", monkeypatch)
+    parser = build_parser()
+    argvs = [argv for part in workloads.PARTS.values()
+             for argv in part.argv("spec.json", Path("out"), 0)]
+    assert len(argvs) == 5
+    for argv in argvs:
+        assert argv[0] in COMMANDS
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_bench_traced_names_resolve(monkeypatch):
@@ -576,6 +610,42 @@ def test_merton_check_reads_the_constant_through_the_map(tmp_path, capsys):
                     "--out", str(tmp_path / name)])
         tables.append((code, (tmp_path / name / "merton_check.csv").read_bytes()))
     assert tables[0] == tables[1]
+
+
+def test_merton_check_accepts_every_constant_map(tmp_path, capsys):
+    # a slope-0 map with lo < hi is the constant clip(base, lo, hi): it runs
+    # and writes the bytes of the const form
+    doc = json.loads((SPECS / "merton_nodelay.json").read_text())
+    tables = []
+    for name, mu in (("const", {"const": 0.07}),
+                     ("flat", {"base": 0.07, "slope": 0, "lo": 0, "hi": 1})):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({**doc, "params": {**doc["params"], "mu": mu}}))
+        assert run(["merton-check", "--spec", str(spec), "--grid", "z:log:0.005:100:281",
+                    "--T", "60", "--dt", "0.05", "--paths", "200",
+                    "--out", str(tmp_path / name)]) == 0
+        tables.append((tmp_path / name / "merton_check.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_advertising_demo_subcommand(tmp_path, capsys):
+    # the README's advertising-demo: a path, a solve and a dpp check, the
+    # same bytes on a second run
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["advertising-demo", "--spec", SPEC, *SMALL, "--T", "1", "--paths", "200",
+                    "--svg", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].startswith("advertising-demo: V(x0)=") and " dpp_gap=" in lines[0]
+    names = ("path.csv", "value_policy.csv", "dpp.csv")
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(
+        [*names, "path.svg", "run_manifest.json"])
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    header = (outs[0] / "value_policy.csv").read_text().splitlines()[0]
+    assert header == "y,y_lag1,value,control_index,u0"
+    assert (outs[0] / "path.csv").read_text().splitlines()[0] == "t,y0"
 
 
 def test_probe_bcontinuity_subcommand(tmp_path):

@@ -304,6 +304,7 @@ BAD_PROBLEM_FIELDS = {
     "rho-zero": {"rho": 0.0},
     "rho-negative": {"rho": -1.0},
     "rho-nan": {"rho": float("nan")},
+    "rho-infinite": {"rho": float("inf")},
     "kernel-endpoint": {"kernel_drift": Kernel(_G, np.ones((5, 1, 1)))},
     "kernel-dimension": {"kernel_noise": ramp_kernel(_G, n=2)},
 }

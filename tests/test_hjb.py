@@ -789,6 +789,33 @@ def test_residual_boundary_margin_enforced():
         hjb_residual(chain, f, np.array([-1.0, 0.0]))
 
 
+def test_residual_mixed_derivative_of_a_bilinear_field(merton_delay_spec):
+    # v = -s z on a 2-head chain: multilinear interpolation reproduces it, so
+    # the residual is the one of its exact gradient -(z, s, 0, 0) and head
+    # Hessian -[[0, 1], [1, 0]]; the best control is u = 1, where the
+    # off-diagonal entry meets the noise's
+    spec = merton_delay_spec
+    chain = reduce_to_lag_chain(spec, 1)
+    axes = (np.linspace(0.5, 2.0, 7), np.geomspace(0.2, 5.0, 9),
+            np.linspace(0.5, 2.0, 5), np.linspace(0.2, 5.0, 6))
+    field = ValueField(axes, np.multiply.outer(np.multiply.outer(-axes[0], axes[1]),
+                                               np.ones((5, 6))))
+    pt = np.array([1.1, 1.7, 0.9, 1.3])
+    reg = chain.unflatten(pt)
+    grad = -np.array([pt[1], pt[0], 0.0, 0.0])
+    hess = -np.array([[0.0, 1.0], [1.0, 0.0]])
+    z1, z2 = (z[0] for z in chain.delay_integrals(reg[None]))
+    scores = []
+    for u in spec.control_set:
+        b, sig = spec.drift(reg[0], z1, u), spec.noise(reg[0], z2, u)
+        scores.append(-b @ grad[:2] - 0.5 * np.trace(sig @ sig.T @ hess)
+                      - spec.cost(reg[0], u))
+    transport = np.concatenate([-reg[0], (reg[0] - reg[1]) / chain.delta])
+    assert int(np.argmax(scores)) == len(scores) - 1
+    want = -spec.rho * pt[0] * pt[1] - transport @ grad - reg[0] @ grad[:2] + max(scores)
+    assert hjb_residual(chain, field, pt) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
 def test_residual_median_decreases_under_lag_refinement(advertising_spec):
     spec = advertising_spec
     rng_pts = np.random.default_rng(1)
@@ -1012,7 +1039,7 @@ def test_b_continuity_trivial_pairs(advert_spec):
     x = models.initial_state(spec)
     est = paired_cost_estimator(spec, OpenLoopControl([0.5]), T=1.0, delta=0.05,
                                 n_paths=16, seed=0)
-    table = b_continuity_probe(spec, [(x, x)], est)
+    table = b_continuity_probe([(x, x)], est)
     assert table.differences[0] == 0.0 and table.distances[0] == 0.0
 
 
@@ -1029,7 +1056,7 @@ def test_b_continuity_oscillatory_pairs(advert_spec):
         bump = 0.5 * np.sin(math.pi * freq * (g.nodes + 1.0))
         pairs.append((x, LiftedState(x.head, Segment(g, x.tail.values
                                                      + bump[:, None]))))
-    table = b_continuity_probe(spec, pairs, est)
+    table = b_continuity_probe(pairs, est)
     # weak distances decrease with frequency, and so do the differences
     assert np.all(np.diff(table.distances) > 0)
     order = np.argsort(table.distances)

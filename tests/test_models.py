@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delayopt import models
-from delayopt.core import ValidationError, validate_kernel
+from delayopt.core import SegmentGrid, ValidationError, validate_kernel, weighted_kernels
 from delayopt.models import (
     AdvertisingParams,
     AffineTestParams,
@@ -46,6 +46,51 @@ def test_clamped_affine_clamps_as_np_clip(lo, hi):
     for got, ref in ((m(v), want), (m(v[::3]), want[::3]), (m(v[0]), want[0])):
         np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_slope_zero_map_is_its_constant():
+    # a slope-0 map keeps only clip(base, lo, hi) and returns it as a float
+    for m, value in ((ClampedAffine(0.2, 0, 0, 1), 0.2),
+                     (ClampedAffine(0.2, 0.0, 0.07, 0.07), 0.07),
+                     (ClampedAffine(-3.0, 0.0, -1.0, 2.0), -1.0), (ClampedAffine(0.5), 0.5)):
+        assert m == ClampedAffine.constant(value)
+        assert (m.base, m.lo, m.hi, m.abs_max, m.lipschitz) == (value, value, value,
+                                                                abs(value), 0.0)
+        assert type(m(np.linspace(-5.0, 5.0, 7))) is float and m(3.0) == value
+    flat = ClampedAffine.from_dict({"base": 0.07, "slope": 0, "lo": 0, "hi": 1})
+    assert flat == ClampedAffine.from_dict({"const": 0.07})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ClampedAffine.constant(math.nan),
+    lambda: ClampedAffine.constant(math.inf),
+    lambda: ClampedAffine(0.1, slope=math.nan, lo=0.0, hi=1.0),
+    lambda: ClampedAffine(0.1, slope=math.inf, lo=0.0, hi=1.0),
+    lambda: ClampedAffine(0.1, lo=math.nan, hi=1.0),
+    lambda: ClampedAffine(0.1, lo=0.0, hi=math.nan),
+    lambda: ClampedAffine(0.1, lo=math.inf, hi=math.inf),
+    lambda: build_problem({"model": "merton", "m": 4, "params": {"mu": 0.07}}),
+    lambda: MertonParams(r=math.nan),
+    lambda: MertonParams(z_floor=math.nan),
+    lambda: build_merton(MertonParams(r=math.nan, z_floor=math.nan), 4),
+    lambda: build_merton(MertonParams(rho=math.inf), 4),
+    lambda: AdvertisingParams(a0=math.nan),
+    lambda: AdvertisingParams(c0=math.nan),
+    lambda: AdvertisingParams(kernel_scale=math.nan),
+    lambda: AdvertisingParams(sigma=math.nan),
+    lambda: AdvertisingParams(u_max=math.nan),
+    lambda: build_advertising(AdvertisingParams(rho=math.inf), 10),
+    lambda: build_advertising(AdvertisingParams(sigma=math.nan, rho=math.inf), 10),
+], ids=["const-nan", "const-inf", "slope-nan", "slope-inf", "lo-nan", "hi-nan", "bounds-inf",
+        "bare-number", "merton-r-nan", "merton-z-floor-nan", "merton-build-nan",
+        "merton-rho-inf", "advertising-a0-nan", "advertising-c0-nan",
+        "advertising-kernel-nan", "advertising-sigma-nan", "advertising-u-max-nan",
+        "advertising-rho-inf", "advertising-build-nan-inf"])
+def test_parameters_refuse_nan_and_infinity(make):
+    # every check is written so that NaN fails it, and a problem refuses an
+    # infinite discount; the bare-number map form is gone
+    with pytest.raises(ValidationError):
+        make()
 
 
 def test_power_utility_floor_concave_and_linear_below():
@@ -313,3 +358,25 @@ def test_kernel_preset_resampling_exact():
     g2 = SegmentGrid(1.0, 17)
     np.testing.assert_allclose(k2.values[:, 0, 0], -0.5 * (g2.nodes + 1.0),
                                atol=1e-14)
+
+
+def test_table_kernel_matches_its_preset(advertising_spec, merton_delay_spec):
+    # the affine_ramp preset given as a table in each of its shapes: at the
+    # preset's m its weighted tables are the preset's; on other grids the
+    # table is interpolated, which reproduces the linear ramp up to rounding
+    for spec in (advertising_spec, merton_delay_spec):
+        ramp = spec.kernel_drift.values  # (m+1, h, n)
+        ref = dataclasses.replace(spec, kernel_noise=spec.kernel_drift)
+        tables = [ramp, ramp[:, 0, :]] + ([ramp[:, 0, 0]] if spec.n == 1 else [])
+        for table in tables:
+            kernel = models.build_kernel({"table": table.tolist()}, spec.grid, spec.n)
+            assert kernel.preset is None and kernel.values.shape == ramp.shape
+            tabled = dataclasses.replace(spec, kernel_drift=kernel, kernel_noise=kernel)
+            for got, want in zip(weighted_kernels(tabled, spec.grid),
+                                 weighted_kernels(ref, spec.grid)):
+                np.testing.assert_array_equal(got, want)
+            for m in (3, 7 * spec.grid.m // 3):
+                grid = SegmentGrid(spec.d, m)
+                for got, want in zip(weighted_kernels(tabled, grid), weighted_kernels(ref, grid)):
+                    assert got.shape == want.shape == (m + 1,) + ramp.shape[1:]
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
