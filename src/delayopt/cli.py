@@ -118,9 +118,9 @@ def _parse_grid(text: str, names: list[str], z0: np.ndarray):
     if text:
         for token in text.split(","):
             parts = token.split(":")
-            spacing = "lin"
-            if len(parts) == 5 and parts[1] in ("lin", "log"):
-                spacing = parts.pop(1)
+            log = len(parts) == 5 and parts[1] == "log"
+            if log:
+                del parts[1]
             try:
                 name, lo, hi, count = parts
                 lo, hi, count = float(lo), float(hi), int(count)
@@ -129,7 +129,7 @@ def _parse_grid(text: str, names: list[str], z0: np.ndarray):
                     f"bad grid token {token!r}, want name[:log]:lo:hi:count") from None
             if not math.isfinite(hi - lo):  # also refuses a width that overflows
                 raise ValidationError(f"grid axis {name!r} needs finite bounds, got {lo}:{hi}")
-            if spacing == "log" and not (lo > 0 and hi > 0):
+            if log and not (lo > 0 and hi > 0):
                 raise ValidationError(
                     f"log grid axis {name!r} needs positive bounds, got {lo}:{hi}")
             if count < 1:
@@ -138,8 +138,7 @@ def _parse_grid(text: str, names: list[str], z0: np.ndarray):
                 raise ValidationError(f"unknown axis {name!r}; axes are {names}")
             if name in given:
                 raise ValidationError(f"grid axis {name!r} is given twice")
-            given[name] = (np.geomspace(lo, hi, count) if spacing == "log"
-                           else np.linspace(lo, hi, count))
+            given[name] = np.geomspace(lo, hi, count) if log else np.linspace(lo, hi, count)
     return tuple(given.get(name, np.array([z0[i]])) for i, name in enumerate(names))
 
 
@@ -194,7 +193,7 @@ def _write_dpp(run: Run, chain, result, tau: float):
     grid_tol = 0.03 * (1.0 + abs(report.value_at_x))
     ok = report.ok(grid_tol)
     run.csv("dpp.csv", ["tau", "gap", "stderr", "value_at_x", "grid_tol", "pass"],
-            [[report.tau, report.gap, report.stderr, report.value_at_x, grid_tol, int(ok)]])
+            [[tau, report.gap, report.stderr, report.value_at_x, grid_tol, int(ok)]])
     return report, grid_tol, ok
 
 
@@ -453,6 +452,8 @@ def cmd_merton_check(run: Run):
     if p.mu.slope or p.nu.slope:
         raise ValidationError("merton-check compares against the constant-coefficient closed "
                               "form; use const mu and nu presets with zero kernels")
+    if spec.control_set.shape[0] < 2:  # the feedback check's tolerance is the control spacing
+        raise ValidationError("merton-check needs at least 2 controls")
     oracle = models.merton_classical_oracle(p.r, p.mu.base, p.nu.base, p.gamma, spec.rho)
     chain, axes, z0 = _lag_grid(run)
     result = _solve(run, chain, axes)

@@ -90,12 +90,10 @@ class Segment:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape[0] != self.grid.m + 1:
+        vals = np.asarray(self.values, dtype=float)
+        if vals.ndim != 2 or vals.shape[0] != self.grid.m + 1:
             raise ValidationError(
-                f"segment needs {self.grid.m + 1} node values, got {vals.shape[0]}"
+                f"segment values must have shape ({self.grid.m + 1}, n), got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValidationError("segment values must be finite")
@@ -151,10 +149,6 @@ class LiftedState:
     def like(self, heads: np.ndarray, tails: np.ndarray) -> "LiftedState":
         """The state of a batch of one on this grid: heads (1, n), tails (1, m+1, n)."""
         return LiftedState(heads[0], Segment(self.grid, tails[0]))
-
-    def in_generator_domain(self) -> bool:
-        """Discrete domain predicate: tail value at 0 equals the head to 1e-9."""
-        return bool(np.max(np.abs(self.tail.values[-1] - self.head)) <= 1e-9)
 
     def __add__(self, other: "LiftedState") -> "LiftedState":
         _check_same_grid(self.grid, other.grid, "state addition")
@@ -275,8 +269,6 @@ class Kernel:
 class KernelReport:
     ok: bool
     failures: tuple[str, ...]
-    endpoint_magnitude: float
-    seminorm: float
 
 
 def validate_kernel(a: Kernel) -> KernelReport:
@@ -291,8 +283,7 @@ def validate_kernel(a: Kernel) -> KernelReport:
     semi = a.seminorm()
     if not np.isfinite(semi):
         failures.append(f"seminorm: derivative seminorm is not finite ({semi})")
-    return KernelReport(ok=not failures, failures=tuple(failures),
-                        endpoint_magnitude=endpoint, seminorm=semi)
+    return KernelReport(ok=not failures, failures=tuple(failures))
 
 
 def kernel_convolve(a: Kernel, s: Segment) -> np.ndarray:
@@ -315,8 +306,6 @@ def resample_segment(s: Segment, new_grid: SegmentGrid) -> Segment:
         raise GridMismatchError(
             f"resample requires equal horizons, got {s.grid.d} and {new_grid.d}"
         )
-    if new_grid.m == s.grid.m:
-        return Segment(new_grid, s.values)
     return Segment(new_grid, interp_columns(new_grid.nodes, s.grid.nodes, s.values))
 
 
@@ -326,8 +315,6 @@ def resample_kernel(a: Kernel, new_grid: SegmentGrid) -> Kernel:
         return a.preset(new_grid)
     if not np.isclose(a.grid.d, new_grid.d, rtol=0, atol=1e-12):
         raise GridMismatchError("resample requires equal horizons")
-    if new_grid.m == a.grid.m:
-        return Kernel(new_grid, a.values)
     out = interp_columns(new_grid.nodes, a.grid.nodes, a.values.reshape(a.grid.m + 1, -1))
     return Kernel(new_grid, out.reshape(new_grid.m + 1, a.h_dim, a.n))
 
@@ -366,8 +353,10 @@ class ProblemSpec:
     by hand. The delay horizon d is the segment grid's.
 
     A problem is valid by construction (dataclasses.replace included): a
-    finite positive discount, a nonempty (points, p) control set, and kernels on
-    dimension n that pass validate_kernel. Anything else raises ValidationError.
+    finite positive discount, finite nonnegative declared constants, an
+    ellipticity floor that is None or finite and positive, a nonempty
+    (points, p) control set, and kernels on dimension n that pass
+    validate_kernel. Anything else raises ValidationError.
     """
 
     n: int
@@ -400,6 +389,15 @@ class ProblemSpec:
             object.__setattr__(self, "head_names", tuple(f"y{i}" for i in range(self.n)))
         if not 0 < self.rho < np.inf:
             raise ValidationError(f"discount must be finite and positive, got {self.rho}")
+        for name in ("growth_const", "lipschitz_const", "cost_growth_const",
+                     "cost_growth_exponent"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and nonnegative, "
+                                      f"got {getattr(self, name)}")
+        floor = self.ellipticity_floor
+        if floor is not None and not 0 < floor < np.inf:
+            raise ValidationError(f"ellipticity floor must be None or finite and positive, "
+                                  f"got {floor}")
         if cs.shape[0] == 0:
             raise ValidationError("control set must be nonempty")
         if cs.shape[1] != self.p:

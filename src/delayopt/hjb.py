@@ -544,7 +544,6 @@ class DppReport:
     gap: float
     stderr: float
     value_at_x: float
-    tau: float
 
     def ok(self, grid_tol: float) -> bool:
         return self.gap <= 2.0 * self.stderr + grid_tol
@@ -567,7 +566,7 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     z0 = chain.flatten(register_from_state(chain, x))
     v_x = value.interp_one(z0)
     if k_tau == 0:
-        return DppReport(gap=0.0, stderr=0.0, value_at_x=v_x, tau=tau)
+        return DppReport(gap=0.0, stderr=0.0, value_at_x=v_x)
     # the register as a state on the lag grid, so the rollout starts from z0
     reg0 = chain.unflatten(z0)
     x_reg = LiftedState(reg0[0], Segment(chain.coarse_grid, reg0[::-1]))
@@ -580,7 +579,7 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
                             + math.exp(-spec.rho * tau) * value.interp(chain.flatten(regs)))
         if stat[0] < best[0]:
             best = stat
-    return DppReport(gap=v_x - best[0], stderr=best[1], value_at_x=v_x, tau=tau)
+    return DppReport(gap=v_x - best[0], stderr=best[1], value_at_x=v_x)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,6 @@ class ContractionReport:
     lhs: float
     stderr: float
     rhs: float
-    rate: float
 
     @property
     def ok(self) -> bool:
@@ -216,5 +215,5 @@ def contraction_probe(spec: ProblemSpec, x: LiftedState, y: LiftedState, ctrl,
     times = delta * np.arange(n_steps + 1 - wx.shape[1], n_steps + 1)
     (hx, tx), (hy, ty) = _lift_at(r, times, wx, spec.grid), _lift_at(r, times, wy, spec.grid)
     lhs, stderr = _mean_stderr(minus_one_norm(LiftedBatch(spec.grid, hx - hy, tx - ty)) ** 2)
-    return ContractionReport(lhs=lhs, stderr=stderr, rhs=rhs, rate=rate)
+    return ContractionReport(lhs=lhs, stderr=stderr, rhs=rhs)
 

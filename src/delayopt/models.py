@@ -114,13 +114,9 @@ class ClampedAffine:
         return abs(self.slope)
 
     @classmethod
-    def constant(cls, value: float) -> "ClampedAffine":
-        return cls(value)
-
-    @classmethod
     def from_dict(cls, d) -> "ClampedAffine":
         if "const" in d:
-            return cls.constant(float(d["const"]))
+            return cls(float(d["const"]))
         return cls(base=float(d["base"]), slope=float(d.get("slope", 0.0)),
                    lo=float(d["lo"]), hi=float(d["hi"]))
 
@@ -153,8 +149,8 @@ class MertonParams:
     """Portfolio problem datum: bond rate, stock coefficient maps, utility."""
 
     r: float = 0.01
-    mu: ClampedAffine = field(default_factory=lambda: ClampedAffine.constant(0.07))
-    nu: ClampedAffine = field(default_factory=lambda: ClampedAffine.constant(0.3))
+    mu: ClampedAffine = field(default_factory=lambda: ClampedAffine(0.07))
+    nu: ClampedAffine = field(default_factory=lambda: ClampedAffine(0.3))
     gamma: float = 0.5
     rho: float = 0.1
     d: float = 0.1
@@ -165,7 +161,6 @@ class MertonParams:
     s1: float = 1.0
     z_floor: float = 0.05
     n_controls: int = 11
-    audit_radius: float = 10.0
 
     def __post_init__(self):
         if not self.r >= 0:
@@ -219,7 +214,7 @@ def build_merton(p: MertonParams, m: int) -> ProblemSpec:
     mu_abs, nu_abs = mu.abs_max, nu.abs_max
     growth_c = math.sqrt(2.0) * max(mu_abs, mu_abs + 2 * r, nu_abs)
     lipschitz = (max(mu_abs, mu_abs + 2 * r, nu_abs)
-                 + p.audit_radius * (mu.lipschitz + nu.lipschitz)) * math.sqrt(2.0)
+                 + 10.0 * (mu.lipschitz + nu.lipschitz)) * math.sqrt(2.0)
     cost_k = max(1.0, z_floor ** (gamma - 1.0), abs(power_utility(0.0, gamma, z_floor)))
 
     return ProblemSpec(
@@ -362,7 +357,6 @@ class AffineTestParams:
     drift_delay: tuple = ((0.3,),)      # (n, h) with h = 1
     drift_control: tuple = ((0.5,),)    # (n, p)
     noise_const: tuple = ((0.4,),)      # (n, q)
-    noise_state_scale: float = 0.0      # bounded state feedback into the noise
     rho: float = 1.0
     d: float = 1.0
     kernel_scale: float = 0.3
@@ -376,6 +370,14 @@ class AffineTestParams:
     x0: tuple = (1.0,)
     x1: tuple = (1.0,)
 
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        if not self.cost_clip > 0:
+            raise ValidationError(f"cost clip must be positive or inf, got {self.cost_clip}")
+        if not self.control_lo <= self.control_hi:
+            raise ValidationError(f"control interval [{self.control_lo}, {self.control_hi}] "
+                                  "is empty")
+
     @classmethod
     def from_dict(cls, d: dict) -> "AffineTestParams":
         kw = dict(d)
@@ -387,7 +389,7 @@ class AffineTestParams:
 
 
 def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
-    """Affine drift, affine-bounded noise with an ellipticity floor, clipped cost."""
+    """Affine drift, constant noise with an ellipticity floor, clipped cost."""
     n, q = p.n, p.q
     grid = SegmentGrid(p.d, m)
     kernel = build_kernel({"preset": "affine_ramp", "scale": p.kernel_scale,
@@ -397,7 +399,6 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
     bz = np.asarray(p.drift_delay, dtype=float)
     bu = np.asarray(p.drift_control, dtype=float)
     s0 = np.asarray(p.noise_const, dtype=float)
-    s_scale = float(p.noise_state_scale)
     mexp, clip = p.cost_exponent, p.cost_clip
     qs, rs = p.cost_state_scale, p.cost_control_scale
 
@@ -405,11 +406,7 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
         return (bc + y @ bx.T + z @ bz.T + u @ bu.T)
 
     def noise(y, z, u):
-        base = np.broadcast_to(s0, y.shape[:-1] + (n, q)).copy()
-        if s_scale:
-            # bounded state feedback keeps global Lipschitz bounds exact
-            base = base * (1.0 + s_scale * np.tanh(y[..., :1, None]))
-        return base
+        return np.broadcast_to(s0, y.shape[:-1] + (n, q)).copy()
 
     def cost(y, u):
         r = np.minimum(np.linalg.norm(y, axis=-1), clip)
@@ -419,10 +416,8 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
     oz = float(np.linalg.norm(bz, 2))
     umax = max(abs(p.control_lo), abs(p.control_hi))
     const_part = float(np.linalg.norm(bc)) + float(np.linalg.norm(bu, 2)) * umax
-    sig_norm = float(np.linalg.norm(s0))
-    growth_c = max(const_part + sig_norm * (1.0 + abs(s_scale)), op, oz)
-    gram = s0 @ s0.T
-    lam_floor = float(np.linalg.eigvalsh(gram)[0]) * (1.0 - abs(s_scale)) ** 2
+    growth_c = max(const_part + float(np.linalg.norm(s0)), op, oz)
+    lam_floor = float(np.linalg.eigvalsh(s0 @ s0.T)[0])
     cost_k = (qs * clip ** mexp + rs * umax ** 2 if np.isfinite(clip)
               else max(qs, rs * umax ** 2 + qs))
     return ProblemSpec(
@@ -431,7 +426,7 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
         drift=drift, noise=noise, cost=cost, rho=p.rho,
         control_set=control_grid(p.control_lo, p.control_hi, p.n_controls),
         growth_const=growth_c,
-        lipschitz_const=max(op, oz, sig_norm * abs(s_scale)),
+        lipschitz_const=max(op, oz),
         cost_growth_const=cost_k,
         cost_growth_exponent=(0.0 if np.isfinite(clip) else mexp),
         ellipticity_floor=(lam_floor if lam_floor > 0 else None),

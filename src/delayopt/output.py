@@ -27,16 +27,12 @@ def write_csv(path, header: list[str], rows) -> str:
     return str(path)
 
 
-def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def write_manifest(out_dir, spec_path, resolved: dict, artifacts: list[str],
                    started: float) -> str:
     out = Path(out_dir) / "run_manifest.json"
     doc = {
-        "spec_file": str(spec_path) if spec_path else None,
-        "spec_digest": file_digest(spec_path) if spec_path else None,
+        "spec_file": str(spec_path),
+        "spec_digest": hashlib.sha256(Path(spec_path).read_bytes()).hexdigest(),
         "resolved": resolved,
         "artifacts": sorted(str(a) for a in artifacts),
         "wall_clock_s": round(time.monotonic() - started, 3),

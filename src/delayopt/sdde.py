@@ -112,8 +112,9 @@ class OpenLoopControl:
 class SddePath:
     """One realized trajectory on [-d, T] with the applied control path.
 
-    discounted_cost is the left Riemann sum of the discounted running cost
-    over [0, T).
+    The first n_history rows of times and states are the history before 0;
+    the rest are the steps from 0 to T. discounted_cost is the left Riemann
+    sum of the discounted running cost over [0, T).
     """
 
     times: np.ndarray
@@ -123,15 +124,6 @@ class SddePath:
     delta: float
     n_history: int
     segment_grid: SegmentGrid
-
-    @property
-    def step_times(self) -> np.ndarray:
-        """Times from 0 to T."""
-        return self.times[self.n_history:]
-
-    @property
-    def step_states(self) -> np.ndarray:
-        return self.states[self.n_history:]
 
 
 def _steps_of(span: float, delta: float, what: str) -> int:

@@ -86,13 +86,20 @@ def test_reproducible_csv_bytes(tmp_path):
 def test_simulate_and_value(tmp_path):
     out = tmp_path / "sim"
     assert run(["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01",
-                "--paths", "16", "--out", str(out), "--control", "const:0.5"]) == 0
+                "--paths", "16", "--out", str(out), "--control", "const:0.5", "--svg"]) == 0
     rows = (out / "summary.csv").read_text().splitlines()
     assert rows[0] == "mean,stderr,T_trunc"
     assert (out / "paths.csv").exists()
+    assert (out / "paths.svg").read_text().count("<polyline ") == 1
     out2 = tmp_path / "val"
     assert run(["value", "--spec", SPEC, "--T", "1", "--dt", "0.01",
                 "--paths", "16", "--out", str(out2)]) == 0
+    # the portfolio's discount does not clear its floor, so no horizon
+    # truncates its cost to a tolerance
+    out3 = tmp_path / "merton"
+    assert run(["simulate", "--spec", str(SPECS / "merton_nodelay.json"), "--T", "1",
+                "--dt", "0.01", "--paths", "4", "--out", str(out3)]) == 0
+    assert (out3 / "summary.csv").read_text().splitlines()[1].endswith(",nan")
 
 
 def test_zero_horizon_value_and_simulate_exit_zero(tmp_path, capsys):
@@ -124,8 +131,9 @@ def test_simulate_paths_are_single_path_simulations(tmp_path, policy_file):
         path = sdde.simulate_sdde(spec, models.initial_state(spec), ctrl, 0.5, 0.05,
                                   sdde.batch_increments(4, [i], 0.05, spec.q, 10)[0])
         mine = rows[rows[:, 0] == i]
-        np.testing.assert_array_equal(mine[:, 1], path.step_times[:-1])
-        np.testing.assert_array_equal(mine[:, 2:2 + spec.n], path.step_states[:-1])
+        steps = slice(path.n_history, -1)
+        np.testing.assert_array_equal(mine[:, 1], path.times[steps])
+        np.testing.assert_array_equal(mine[:, 2:2 + spec.n], path.states[steps])
         np.testing.assert_array_equal(mine[:, 2 + spec.n:], path.controls)
     assert len(rows) == 3 * 10
 
@@ -194,8 +202,8 @@ def bad_policies(policy_file):
 def bad_specs(tmp_path_factory):
     """merton_nodelay.json with an unknown parameter, a text, fractional,
     boolean or quoted resolution, a text utility exponent, an infinite delay
-    horizon, a NaN utility floor and one that overflows (1e999), and wrapped
-    in a list."""
+    horizon, a NaN utility floor and one that overflows (1e999), a single
+    control, and wrapped in a list."""
     doc = json.loads((SPECS / "merton_nodelay.json").read_text())
     variants = {
         "unknown_param": {**doc, "params": {**doc["params"], "alpha": 1.0}},
@@ -208,6 +216,7 @@ def bad_specs(tmp_path_factory):
         "d_infinite": {**doc, "params": {**doc["params"], "d": float("inf")}},
         "z_floor_nan": {**doc, "params": {**doc["params"], "z_floor": float("nan")}},
         "z_floor_overflow": {**doc, "params": {**doc["params"], "z_floor": float("inf")}},
+        "one_control": {**doc, "params": {**doc["params"], "n_controls": 1}},
     }
     root = tmp_path_factory.mktemp("bad_specs")
     paths = {}
@@ -299,6 +308,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["simulate", "--spec", str(SPECS), "--T", "1", "--dt", "0.01"],
     ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--out", SPEC],
     ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"), "--box", "z:0.5:2"],
+    ["solve", "--spec", SPEC, "--grid", "y:lin:-1:2.5:9"],
+    ["merton-check", "--spec", "{one_control}", "--grid", "z:log:0.005:100:41"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -316,7 +327,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "spec-overflowing-number", "residual-two-node-axis", "policy-m-lag-text",
         "policy-top-level-list", "policy-indices-text", "policy-indices-overflow",
         "policy-m-lag-fraction", "policy-indices-fraction", "policy-nan-controls",
-        "spec-directory", "out-existing-file", "regularity-one-node-box-axis"])
+        "spec-directory", "out-existing-file", "regularity-one-node-box-axis", "grid-lin-tag",
+        "merton-check-one-control"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
                                    capsys):
     # the default --out goes first, so a row's own --out is the one parsed
@@ -325,6 +337,14 @@ def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, t
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert json.loads(err.splitlines()[-1])["error"] == "validation"
+
+
+def test_non_convergence_exits_two_with_a_numerical_record(tmp_path, capsys):
+    # a solve that cannot bound its value error by --tol within --max-iter
+    # improvement sweeps is a numerical failure, not a validation one
+    assert run(["solve", "--spec", SPEC, *SMALL, "--tol", "1e-12", "--max-iter", "2",
+                "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "numerical"
 
 
 def test_count_flag_refusal_names_the_flag_as_typed(tmp_path, capsys):
@@ -454,22 +474,36 @@ def test_bench_simulate_digests_match_the_pins(tmp_path, monkeypatch):
         name: pinned[name] for name in ("paths.csv", "summary.csv")}
 
 
-def test_bench_tracer_records_every_expected_operators_span(tmp_path, monkeypatch):
-    # a traced benchmark run fails when an expected span key records no call;
-    # the same check on one small operators call, with the bench's own tracer
+# the benchmark parts' command lines, shrunk by appending flags (the last
+# one given wins): a smaller solve grid, fewer samples, paths and steps
+SHRINK = {
+    "solve": ["--grid", "s:log:0.4:2.5:5,z:log:0.01:50:21,s_lag1:log:0.4:2.5:5"],
+    "operators": ["--samples", "5"],
+    "merton-check": ["--dt", "0.05", "--paths", "20"],
+    "simulate": ["--T", "0.5", "--paths", "10", "--emit-paths", "2"],
+    "lift-check": ["--T", "0.1"],
+}
+
+
+@pytest.mark.parametrize("workload", ["solver", "simulation"])
+def test_bench_tracer_records_every_expected_span(workload, tmp_path, monkeypatch):
+    # a traced benchmark run fails when a span key that any part of the
+    # workload expects records no call anywhere in the workload; the same
+    # check on the workload's own calls at small sizes, with the bench's tracer
     spans = bench_module("spans", monkeypatch)
-    expected = bench_module("workloads", monkeypatch).PARTS["operators"].expected
+    parts = bench_module("workloads", monkeypatch).WORKLOADS[workload]
+    root = Path(__file__).resolve().parent.parent
     tracer = spans.Tracer()
     tracer.install(delayopt)
     try:
-        code = delayopt.cli.main(["operators", "--spec", str(SPECS / "affine.json"),
-                                  "--samples", "5", "--out", str(tmp_path)])
+        codes = [delayopt.cli.main([*argv, *SHRINK[argv[0]]]) for part in parts
+                 for argv in part.argv(str(part.spec_path(root, tmp_path)),
+                                       tmp_path / part.name, 0)]
     finally:
         tracer.uninstall()
-    assert code == 0
+    assert codes == [0] * len(codes)
     calls = tracer.summarize()[1]
-    assert "core.lifted_inner" in expected and "operators.forms" in expected
-    assert not [key for key in expected if calls[key] == 0]
+    assert not [key for part in parts for key in part.expected if calls[key] == 0]
 
 
 def test_operators_sample_pass_stays_within_its_memory_bound(tmp_path, monkeypatch):
@@ -572,6 +606,14 @@ def test_residual_subcommand(tmp_path):
                 "y:-1:2.5:17,y_lag1:-1:2.5:7", "--samples", "10",
                 "--out", str(out)]) == 0
     assert (out / "residual.csv").exists()
+    # axes left off --grid keep one node: the points sit at the start state
+    # there, and no derivative is taken along them
+    out = tmp_path / "one-node"
+    assert run(["residual", "--spec", str(SPECS / "merton_delay.json"), "--mlag", "1",
+                "--grid", "s:0.5:2:9", "--samples", "3", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "residual.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (3, 5) and np.all(np.isfinite(rows))
+    assert np.all(rows[:, 1:4] == rows[0, 1:4])
 
 
 def test_probe_regularity_subcommand(tmp_path):
@@ -651,10 +693,11 @@ def test_advertising_demo_subcommand(tmp_path, capsys):
 def test_probe_bcontinuity_subcommand(tmp_path):
     out = tmp_path / "bc"
     assert run(["probe-bcontinuity", "--spec", SPEC, "--T", "2", "--dt", "0.02",
-                "--paths", "48", "--pairs", "10", "--out", str(out)]) == 0
+                "--paths", "48", "--pairs", "10", "--svg", "--out", str(out)]) == 0
     rows = (out / "bcontinuity.csv").read_text().splitlines()
     assert rows[0] == "weak_distance,difference,stderr"
     assert len(rows) == 11
+    assert (out / "bcontinuity.svg").read_text().count("<circle ") == 10
 
 
 def test_dpp_manifest_records_solver_convergence(tmp_path, capsys):

@@ -210,6 +210,14 @@ def test_validate_kernel_rejects_flat_one():
     assert any("endpoint" in f for f in rep.failures)
 
 
+def test_validate_kernel_rejects_infinite_seminorm():
+    g = SegmentGrid(1.0, 10)
+    table = np.zeros((11, 1, 1))
+    table[5] = np.inf
+    rep = validate_kernel(Kernel(g, table))
+    assert rep.failures == ("seminorm: derivative seminorm is not finite (inf)",)
+
+
 # ---------------------------------------------------------------------------
 # resampling
 
@@ -272,14 +280,6 @@ def test_segment_rejects_nonfinite():
         Segment(g, vals)
 
 
-def test_domain_predicate():
-    g = SegmentGrid(1.0, 4)
-    x = LiftedState([2.0], Segment.constant(g, 2.0))
-    assert x.in_generator_domain()
-    y = LiftedState([2.0], Segment.constant(g, 1.0))
-    assert not y.in_generator_domain()
-
-
 # ---------------------------------------------------------------------------
 # problem data
 
@@ -307,6 +307,13 @@ BAD_PROBLEM_FIELDS = {
     "rho-infinite": {"rho": float("inf")},
     "kernel-endpoint": {"kernel_drift": Kernel(_G, np.ones((5, 1, 1)))},
     "kernel-dimension": {"kernel_noise": ramp_kernel(_G, n=2)},
+    "growth-infinite": {"growth_const": float("inf")},
+    "lipschitz-nan": {"lipschitz_const": float("nan")},
+    "cost-growth-negative": {"cost_growth_const": -1.0},
+    "cost-exponent-nan": {"cost_growth_exponent": float("nan")},
+    "ellipticity-zero": {"ellipticity_floor": 0.0},
+    "ellipticity-infinite": {"ellipticity_floor": float("inf")},
+    "ellipticity-nan": {"ellipticity_floor": float("nan")},
 }
 
 

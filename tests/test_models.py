@@ -53,7 +53,7 @@ def test_slope_zero_map_is_its_constant():
     for m, value in ((ClampedAffine(0.2, 0, 0, 1), 0.2),
                      (ClampedAffine(0.2, 0.0, 0.07, 0.07), 0.07),
                      (ClampedAffine(-3.0, 0.0, -1.0, 2.0), -1.0), (ClampedAffine(0.5), 0.5)):
-        assert m == ClampedAffine.constant(value)
+        assert m == ClampedAffine(value)
         assert (m.base, m.lo, m.hi, m.abs_max, m.lipschitz) == (value, value, value,
                                                                 abs(value), 0.0)
         assert type(m(np.linspace(-5.0, 5.0, 7))) is float and m(3.0) == value
@@ -62,8 +62,8 @@ def test_slope_zero_map_is_its_constant():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: ClampedAffine.constant(math.nan),
-    lambda: ClampedAffine.constant(math.inf),
+    lambda: ClampedAffine(math.nan),
+    lambda: ClampedAffine(math.inf),
     lambda: ClampedAffine(0.1, slope=math.nan, lo=0.0, hi=1.0),
     lambda: ClampedAffine(0.1, slope=math.inf, lo=0.0, hi=1.0),
     lambda: ClampedAffine(0.1, lo=math.nan, hi=1.0),
@@ -81,14 +81,22 @@ def test_slope_zero_map_is_its_constant():
     lambda: AdvertisingParams(u_max=math.nan),
     lambda: build_advertising(AdvertisingParams(rho=math.inf), 10),
     lambda: build_advertising(AdvertisingParams(sigma=math.nan, rho=math.inf), 10),
+    lambda: build_advertising(AdvertisingParams(a0=-math.inf), 10),
+    lambda: build_affine_test(AffineTestParams(cost_exponent=math.nan), 10),
+    lambda: AffineTestParams(cost_clip=math.nan),
+    lambda: AffineTestParams(cost_clip=0.0),
+    lambda: AffineTestParams(control_lo=1.0, control_hi=0.0),
+    lambda: AffineTestParams(control_lo=math.nan),
 ], ids=["const-nan", "const-inf", "slope-nan", "slope-inf", "lo-nan", "hi-nan", "bounds-inf",
         "bare-number", "merton-r-nan", "merton-z-floor-nan", "merton-build-nan",
         "merton-rho-inf", "advertising-a0-nan", "advertising-c0-nan",
         "advertising-kernel-nan", "advertising-sigma-nan", "advertising-u-max-nan",
-        "advertising-rho-inf", "advertising-build-nan-inf"])
+        "advertising-rho-inf", "advertising-build-nan-inf", "advertising-a0-inf",
+        "affine-exponent-nan", "affine-clip-nan", "affine-clip-zero",
+        "affine-controls-reversed", "affine-control-lo-nan"])
 def test_parameters_refuse_nan_and_infinity(make):
     # every check is written so that NaN fails it, and a problem refuses an
-    # infinite discount; the bare-number map form is gone
+    # infinite discount or declared constant; the bare-number map form is gone
     with pytest.raises(ValidationError):
         make()
 
@@ -114,7 +122,7 @@ def test_merton_kernels_off_reduces_to_deterministic_bond():
     spec = build_merton(MertonParams(), m=4)
     x = models.initial_state(spec)
     path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.01, np.zeros((200, 1)))
-    z = path.step_states[:, 1]
+    z = path.states[path.n_history:, 1]
     np.testing.assert_allclose(z, (1 + 0.01 * 0.01) ** np.arange(201), rtol=1e-12)
     # wealth compounds at the bond rate up to Euler discretization
     assert z[-1] == pytest.approx(math.exp(0.01 * 2.0), rel=1e-3)
@@ -125,7 +133,7 @@ def test_merton_stock_is_geometric_under_constant_coefficients():
     x = models.initial_state(spec)
     dw = batch_increments(3, [0], 0.01, 1, 100)[0]
     path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.01, dw)
-    s = path.step_states[:, 0]
+    s = path.states[path.n_history:, 0]
     # one-step Euler of geometric Brownian motion, reproduced directly
     ref = np.empty(101)
     ref[0] = 1.0
@@ -149,7 +157,7 @@ def test_merton_invalid_params():
     with pytest.raises(ValidationError):
         MertonParams(gamma=1.5)
     with pytest.raises(ValidationError):
-        MertonParams(nu=ClampedAffine.constant(0.0))
+        MertonParams(nu=ClampedAffine(0.0))
     with pytest.raises(ValidationError):
         MertonParams(r=-0.1)
 

@@ -140,6 +140,14 @@ def test_generator_domain_gate():
         apply_generator(x)
 
 
+def test_generator_domain_gate_boundary():
+    # tail(0) may miss the head by up to 1e-9
+    g = SegmentGrid(1.0, 10)
+    apply_generator(state(g, 1.0, np.full((11, 1), 1.0 + 0.5e-9)))
+    with pytest.raises(DomainError):
+        apply_generator(state(g, 1.0, np.full((11, 1), 1.0 + 2e-9)))
+
+
 def test_generator_second_order_on_exponential():
     errs = []
     for m in (100, 200):

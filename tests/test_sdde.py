@@ -109,8 +109,8 @@ def test_constant_drift_exact():
     spec = drift_only_spec(1.7)
     x = models.initial_state(spec)
     path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, (0, 1))
-    np.testing.assert_allclose(path.step_states[:, 0], 1.7 * path.step_times,
-                               atol=1e-12)
+    k = path.n_history
+    np.testing.assert_allclose(path.states[k:, 0], 1.7 * path.times[k:], atol=1e-12)
 
 
 def test_advertising_delay_ode_against_fine_reference():
@@ -123,7 +123,7 @@ def test_advertising_delay_ode_against_fine_reference():
     u = OpenLoopControl([0.0])
     coarse = simulate_sdde(spec, x, u, 1.0, 0.01, np.zeros((100, 1)))
     fine = simulate_sdde(spec, x, u, 1.0, 0.001, np.zeros((1000, 1)))
-    yc, yf = coarse.step_states[-1, 0], fine.step_states[-1, 0]
+    yc, yf = coarse.states[-1, 0], fine.states[-1, 0]
     assert abs(yc - yf) <= 0.01 * abs(yf)
 
 
