@@ -8,8 +8,9 @@ A subcommand is one handler plus one entry in COMMANDS. A handler takes the
 Run context of the invocation (parsed args, problem, initial state, output
 directory), writes its artifacts through the context (Run.csv, Run.svg) and
 may add manifest fields to Run.extra; it returns (stdout lines, exit code).
-main builds the context, calls the handler, writes run_manifest.json, prints
-the lines, and maps errors to exit codes.
+main builds the context, calls the handler, writes run_manifest.json (with
+the error record when the handler fails numerically), prints the lines, and
+maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DomainError, GridMismatchError, Kernel, LiftedState, NumericalError,
-                   ProblemSpec, Segment, ValidationError, kernel_convolve, validate_kernel)
+from .core import (Kernel, LiftedState, NumericalError, ProblemSpec, Segment, ValidationError,
+                   kernel_convolve, validate_kernel)
 from . import hjb, lift, models, operators, output, sdde
 
 
@@ -37,8 +38,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _err(kind: str, exc: Exception) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
+def _err(kind: str, exc: Exception) -> dict:
+    """Write the error record to stderr and return it."""
+    record = {"error": kind, "message": str(exc)}
+    sys.stderr.write(json.dumps(record) + "\n")
+    return record
 
 
 @dataclass(eq=False)
@@ -55,10 +59,10 @@ class Run:
     def csv(self, name: str, header: list[str], rows) -> None:
         self.artifacts.append(output.write_csv(self.out / name, header, rows))
 
-    def svg(self, name: str, series: dict, **kw) -> None:
-        """Write a plot when --svg is given."""
+    def svg(self, name: str, label: str, x, y, **kw) -> None:
+        """Write a plot of y(x) when --svg is given."""
         if self.args.svg:
-            self.artifacts.append(output.write_svg_lines(self.out / name, series, **kw))
+            self.artifacts.append(output.write_svg_lines(self.out / name, label, x, y, **kw))
 
 
 def _control(spec: ProblemSpec, text: str | None = None, dt: float | None = None):
@@ -81,14 +85,17 @@ def _control(spec: ProblemSpec, text: str | None = None, dt: float | None = None
             raise ValidationError(
                 "this subcommand takes const: controls only; a policy feedback reads "
                 "step-grid windows, not the segment-grid windows of the lifted simulation")
-        doc = json.loads(Path(text[len("policy:"):]).read_text(encoding="utf-8"))
+        path = text[len("policy:"):]
         try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
             m_lag, indices = doc["m_lag"], np.asarray(doc["indices"])
             axes = tuple(np.asarray(a, dtype=float) for a in doc["axes"])
             shape = [len(a) for a in axes]
             control_set = np.asarray(doc["control_set"], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed policy file: {exc!r}") from exc
+        except KeyError as exc:
+            raise ValidationError(f"policy file {path} has no field {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:  # JSON syntax errors too
+            raise ValidationError(f"malformed policy file {path}: {exc!r}") from exc
         if isinstance(m_lag, bool) or not isinstance(m_lag, int) or indices.dtype.kind != "i":
             raise ValidationError("policy m_lag and indices must be JSON integers")
         chain = hjb.reduce_to_lag_chain(spec, m_lag)
@@ -236,9 +243,8 @@ def cmd_simulate(run: Run):
         rows.extend(zip(itertools.repeat(str(pidx)), t_cells, *columns))
     run.csv("paths.csv", ["path", "t"] + [f"y{i}" for i in range(spec.n)]
             + [f"u{i}" for i in range(spec.control_set.shape[1])], rows)
-    if a.svg and rows:
-        run.svg("paths.svg", {"y0(path 0)": (times, states[0, steps, 0])},
-                title="simulated state")
+    if rows:
+        run.svg("paths.svg", "y0(path 0)", times, states[0, steps, 0], title="simulated state")
     return [f"simulate: mean={mean:.6g} stderr={stderr:.3g} paths={a.paths}"], 0
 
 
@@ -311,7 +317,7 @@ def cmd_operators(run: Run):
         ["exponent_check_r1_c1", hjb.max_growth_exponent(1.0, 1.0)[0]],
         ["exponent_check_r10_c1", hjb.max_growth_exponent(10.0, 1.0)[0]],
     ])
-    run.svg("spectrum.svg", {"eigenvalue": (np.arange(spectrum.size), np.log10(spectrum))},
+    run.svg("spectrum.svg", "eigenvalue", np.arange(spectrum.size), np.log10(spectrum),
             title="gram spectrum (log10)")
     dominated = all(r[0] <= r[1] + 1e-9 for r in norm_rows)
     worst_round = max(r[2] for r in norm_rows)
@@ -423,22 +429,20 @@ def cmd_probe_regularity(run: Run):
 
 def cmd_probe_bcontinuity(run: Run):
     a, spec, x = run.args, run.spec, run.x
-    estimator = hjb.paired_cost_estimator(spec, _control(spec), a.T, a.dt, a.paths, a.seed)
-    pairs = []
+    ys = []
     rng = np.random.default_rng(a.seed)
     nodes = spec.grid.nodes
     for _ in range(a.pairs):
         scale = 10 ** rng.uniform(-3.0, 0.0)
         freq = rng.integers(1, 5)
         bump = scale * np.sin(math.pi * freq * (nodes + spec.d) / spec.d)
-        pert = Segment(spec.grid, x.tail.values + bump[:, None])
-        pairs.append((x, LiftedState(x.head, pert)))
-    table = hjb.b_continuity_probe(pairs, estimator)
+        ys.append(LiftedState(x.head, Segment(spec.grid, x.tail.values + bump[:, None])))
+    table = hjb.b_continuity_probe(spec, _control(spec), x, ys, a.T, a.dt, a.paths, a.seed)
     monotone, vanishing = hjb.envelope_is_monotone(table, abs_tol=1e-6)
     run.csv("bcontinuity.csv", ["weak_distance", "difference", "stderr"],
             [[float(d), float(v), float(s)] for d, v, s in
              zip(table.distances, table.differences, table.stderrs)])
-    run.svg("bcontinuity.svg", {"diff": (table.distances, table.differences)},
+    run.svg("bcontinuity.svg", "diff", table.distances, table.differences,
             title="value difference vs weak distance", scatter=True)
     return [f"probe-bcontinuity: monotone={monotone} vanishing={vanishing} "
             f"pairs={a.pairs}"], 0
@@ -487,7 +491,7 @@ def cmd_advertising_demo(run: Run):
     _write_value_policy(run, chain, result)
     report, _, _ = _write_dpp(run, chain, result, 2 * chain.delta)
     arr = np.asarray(rows)
-    run.svg("path.svg", {"goodwill": (arr[:, 0], arr[:, 1])}, title="goodwill path")
+    run.svg("path.svg", "goodwill", arr[:, 0], arr[:, 1], title="goodwill path")
     return [f"advertising-demo: V(x0)={result.value.interp_one(z0):.6g} "
             f"dpp_gap={report.gap:.4g}"], 0
 
@@ -507,6 +511,7 @@ def _horizon(T=None, dt=None, paths=None):
 
 
 CONTROL = _flag("--control", default=None)
+SVG = _flag("--svg", action="store_true", help="also render SVG plots")
 SOLVE = [
     _flag("--mlag", type=int, default=1),
     _flag("--grid", default=""),
@@ -516,9 +521,9 @@ SOLVE = [
 ]
 
 COMMANDS = {
-    "simulate": (cmd_simulate, [*_horizon(paths=100), CONTROL,
+    "simulate": (cmd_simulate, [*_horizon(paths=100), CONTROL, SVG,
                                 _flag("--emit-paths", type=int, default=20, dest="emit_paths")]),
-    "operators": (cmd_operators, [_flag("--samples", type=int, default=1000)]),
+    "operators": (cmd_operators, [_flag("--samples", type=int, default=1000), SVG]),
     "lift-check": (cmd_lift_check, [*_horizon(1.0, 1e-3), CONTROL]),
     "value": (cmd_value, [*_horizon(paths=200), CONTROL]),
     "solve": (cmd_solve, SOLVE),
@@ -529,8 +534,8 @@ COMMANDS = {
         *SOLVE, _flag("--box", required=True, help="head box, e.g. s:0.6:1.4,z:0.5:2"),
         _flag("--samples", type=int, default=7)]),
     "merton-check": (cmd_merton_check, [*SOLVE, *_horizon(60.0, 0.01, 1000)]),
-    "advertising-demo": (cmd_advertising_demo, [*SOLVE, *_horizon(5.0, 0.01, 2000)]),
-    "probe-bcontinuity": (cmd_probe_bcontinuity, [*_horizon(5.0, 0.01, 200),
+    "advertising-demo": (cmd_advertising_demo, [*SOLVE, *_horizon(5.0, 0.01, 2000), SVG]),
+    "probe-bcontinuity": (cmd_probe_bcontinuity, [*_horizon(5.0, 0.01, 200), SVG,
                                                   _flag("--pairs", type=int, default=24)]),
 }
 
@@ -544,7 +549,6 @@ def build_parser() -> _Parser:
         s.add_argument("--spec", required=True, help="problem JSON file")
         s.add_argument("--out", default="out", help="artifact directory")
         s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--svg", action="store_true", help="also render SVG plots")
         for names, kw in flags:
             s.add_argument(*names, **kw)
         s.set_defaults(func=handler)
@@ -554,22 +558,23 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
+    resolved = {k: v for k, v in sorted(vars(args).items())
+                if k not in ("command", "func") and v is not None}
     try:
         spec = models.load_spec_file(args.spec)
         run = Run(args, spec, models.initial_state(spec), Path(args.out))
         run.out.mkdir(parents=True, exist_ok=True)
-        lines, code = args.func(run)
-        resolved = {k: v for k, v in sorted(vars(args).items())
-                    if k not in ("command", "func") and v is not None}
+        error = None
+        try:
+            lines, code = args.func(run)
+        except NumericalError as exc:
+            # the manifest keeps the arguments and what the run wrote before it failed
+            error, lines, code = _err("numerical", exc), [], 2
         output.write_manifest(run.out, args.spec, {**resolved, **run.extra},
-                              run.artifacts, started)
-    except (ValidationError, GridMismatchError, DomainError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+                              run.artifacts, started, error)
+    except (ValidationError, OSError) as exc:
         _err("validation", exc)
         return 1
-    except NumericalError as exc:
-        _err("numerical", exc)
-        return 2
     for line in lines:
         print(line)
     return code

@@ -15,15 +15,15 @@ from typing import Callable
 import numpy as np
 
 
-class GridMismatchError(ValueError):
-    """Raised when two objects do not share a grid or dimension."""
-
-
 class ValidationError(ValueError):
     """Raised when problem data violates a declared invariant."""
 
 
-class DomainError(ValueError):
+class GridMismatchError(ValidationError):
+    """Raised when two objects do not share a grid or dimension."""
+
+
+class DomainError(ValidationError):
     """Raised when a state is outside an operator's domain."""
 
 
@@ -355,8 +355,9 @@ class ProblemSpec:
     A problem is valid by construction (dataclasses.replace included): a
     finite positive discount, finite nonnegative declared constants, an
     ellipticity floor that is None or finite and positive, a nonempty
-    (points, p) control set, and kernels on dimension n that pass
-    validate_kernel. Anything else raises ValidationError.
+    (points, p) control set, kernels on dimension n that pass
+    validate_kernel, n head names, and an initial head and history value
+    that are each None or n numbers. Anything else raises ValidationError.
     """
 
     n: int
@@ -387,6 +388,19 @@ class ProblemSpec:
         object.__setattr__(self, "control_set", cs)
         if not self.head_names:
             object.__setattr__(self, "head_names", tuple(f"y{i}" for i in range(self.n)))
+        if len(self.head_names) != self.n:
+            raise ValidationError(f"{len(self.head_names)} head names for state dimension "
+                                  f"{self.n}")
+        for name in ("initial_head", "initial_history"):
+            if (value := getattr(self, name)) is None:
+                continue
+            try:
+                arr = np.asarray(value)
+                ok = arr.dtype.kind in "biuf" and arr.shape == (self.n,)
+            except ValueError:  # a ragged sequence
+                ok = False
+            if not ok:
+                raise ValidationError(f"{name} must be {self.n} numbers, got {value!r}")
         if not 0 < self.rho < np.inf:
             raise ValidationError(f"discount must be finite and positive, got {self.rho}")
         for name in ("growth_const", "lipschitz_const", "cost_growth_const",

@@ -771,18 +771,27 @@ class ContinuityTable:
                                self.stderrs[order])
 
 
-def b_continuity_probe(pairs, estimator) -> ContinuityTable:
-    """Evaluate a paired value estimator over state pairs against weak distance.
+def b_continuity_probe(spec: ProblemSpec, ctrl, x: LiftedState, ys, T: float,
+                       delta: float, n_paths: int, seed: int) -> ContinuityTable:
+    """Paired Monte Carlo value differences from x to each state of ys,
+    against their weak distance.
 
-    estimator(x, y) must return (difference estimate, standard error); pairs
-    are (LiftedState, LiftedState) tuples.
+    One increment array serves x and every y (common random numbers), so x
+    is simulated once. A row is the weak distance |x - y|_{-1} with the
+    absolute mean and the standard error of the per-path cost differences.
+    A zero horizon is refused: every difference would be 0 by construction.
     """
+    n_steps = _steps_of(T, delta, "T")
+    if n_steps == 0:
+        raise ValidationError("a paired estimate needs a positive horizon T")
+    dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
+    base = _simulate_batch(spec, x, ctrl, T, delta, dw).costs
     dist, diff, err = [], [], []
-    for x, y in pairs:
-        d, s = estimator(x, y)
+    for y in ys:
+        d, s = _mean_stderr(base - _simulate_batch(spec, y, ctrl, T, delta, dw).costs)
         dist.append(minus_one_norm(x - y))
-        diff.append(abs(float(d)))
-        err.append(float(s))
+        diff.append(abs(d))
+        err.append(s)
     return ContinuityTable(np.asarray(dist), np.asarray(diff), np.asarray(err)).sorted()
 
 
@@ -810,24 +819,6 @@ def envelope_is_monotone(table: ContinuityTable, abs_tol: float = 0.0,
                    for b in range(len(means) - 1))
     vanishing = means[0] <= 2 * errs[0] + 0.05 * max(means) + abs_tol
     return monotone, vanishing
-
-
-def paired_cost_estimator(spec: ProblemSpec, ctrl, T: float, delta: float,
-                          n_paths: int, seed: int):
-    """Difference estimator with common random numbers across the pair.
-
-    A zero horizon is refused: every difference would be 0 by construction.
-    """
-    n_steps = _steps_of(T, delta, "T")
-    if n_steps == 0:
-        raise ValidationError("a paired estimate needs a positive horizon T")
-    dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
-
-    def estimate(x: LiftedState, y: LiftedState) -> tuple[float, float]:
-        return _mean_stderr(_simulate_batch(spec, x, ctrl, T, delta, dw).costs
-                            - _simulate_batch(spec, y, ctrl, T, delta, dw).costs)
-
-    return estimate
 
 
 def growth_fit(value: ValueField, chain: LagChainSpec,

@@ -53,18 +53,11 @@ def with_resolution(spec: ProblemSpec, m: int) -> ProblemSpec:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LiftedPath:
-    """Lifted trajectory: head and tail tabulated at every step time."""
-
-    heads: np.ndarray            # (K+1, n)
-    tails: np.ndarray            # (K+1, m+1, n)
-
-
 def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
-                  increments: np.ndarray) -> LiftedPath:
+                  increments: np.ndarray) -> LiftedBatch:
     """One-step mild Euler for the lifted equation on one path's increments
-    (>= K, q), the array its direct counterpart simulate_sdde is given.
+    (>= K, q), the array its direct counterpart simulate_sdde is given. The
+    path is the batch of its states at the K + 1 step times.
 
     Per step the drift and noise enter the head only; the shift semigroup
     then transports the combined state, which folds the new head value into
@@ -89,7 +82,7 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
             raise NumericalError(f"non-finite lifted head at step {k + 1}")
         tails[k + 1] = _shift_tail(delta, grid.nodes, tail, head_new)
         heads[k + 1] = head_new
-    return LiftedPath(heads=heads, tails=tails)
+    return LiftedBatch(grid, heads, tails)
 
 
 def _lift_at(t: float, times: np.ndarray, states: np.ndarray,
@@ -136,7 +129,7 @@ class EquivalenceReport:
     head_ratio: float
 
 
-def _mismatch(spec: ProblemSpec, path: SddePath, lifted: LiftedPath) -> EquivalenceLevel:
+def _mismatch(spec: ProblemSpec, path: SddePath, lifted: LiftedBatch) -> EquivalenceLevel:
     grid = spec.grid
     y = path.states[path.n_history:]
     head_mis = float(np.max(np.linalg.norm(lifted.heads - y, axis=1)))

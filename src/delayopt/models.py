@@ -196,17 +196,27 @@ def build_merton(p: MertonParams, m: int) -> ProblemSpec:
     r, gamma, z_floor = p.r, p.gamma, p.z_floor
     mu, nu = p.mu, p.nu
 
+    # outputs are filled column by column: an np.stack per Euler step cost
+    # 0.1 s of a merton-check run
     def drift(y, z, u):
         s, w = y[..., 0], y[..., 1]
         mu_v = mu(z[..., 0])
         du = u[..., 0]
-        return np.stack([mu_v * s, r * w + (mu_v - r) * du * w], axis=-1)
+        wealth = r * w + (mu_v - r) * du * w
+        out = np.empty(wealth.shape + (2,))
+        out[..., 0] = mu_v * s
+        out[..., 1] = wealth
+        return out
 
     def noise(y, z, u):
         s, w = y[..., 0], y[..., 1]
         nu_v = nu(z[..., 0])
         du = u[..., 0]
-        return np.stack([nu_v * s, nu_v * du * w], axis=-1)[..., None]
+        wealth = nu_v * du * w
+        out = np.empty(wealth.shape + (2, 1))
+        out[..., 0, 0] = nu_v * s
+        out[..., 1, 0] = wealth
+        return out
 
     def cost(y, u):
         return -power_utility(y[..., 1], gamma, z_floor)
@@ -371,6 +381,13 @@ class AffineTestParams:
     x1: tuple = (1.0,)
 
     def __post_init__(self):
+        n, q = self.n, self.q
+        for name, shape in (("drift_const", (n,)), ("drift_state", (n, n)),
+                            ("drift_delay", (n, 1)), ("drift_control", (n, 1)),
+                            ("noise_const", (n, q)), ("x0", (n,)), ("x1", (n,))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValidationError(f"{name} must have shape {shape} at n={n}, q={q}, "
+                                      f"got {np.shape(getattr(self, name))}")
         # each check is written so that NaN fails it
         if not self.cost_clip > 0:
             raise ValidationError(f"cost clip must be positive or inf, got {self.cost_clip}")
@@ -487,10 +504,13 @@ def _finite_number(text: str) -> float:
 
 
 def load_spec_file(path) -> ProblemSpec:
-    """Load a JSON problem description from disk; NaN, Infinity and numbers
-    that overflow a float (1e999) raise ValidationError."""
+    """Load a JSON problem description from disk; text that is not JSON, NaN,
+    Infinity and numbers that overflow a float (1e999) raise ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+        try:
+            doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"problem file {path} is not JSON text: {exc}") from None
     return build_problem(doc)
 
 

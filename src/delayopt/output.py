@@ -28,7 +28,8 @@ def write_csv(path, header: list[str], rows) -> str:
 
 
 def write_manifest(out_dir, spec_path, resolved: dict, artifacts: list[str],
-                   started: float) -> str:
+                   started: float, error: dict | None = None) -> str:
+    """Write run_manifest.json; a run that failed records its error record."""
     out = Path(out_dir) / "run_manifest.json"
     doc = {
         "spec_file": str(spec_path),
@@ -38,33 +39,37 @@ def write_manifest(out_dir, spec_path, resolved: dict, artifacts: list[str],
         "wall_clock_s": round(time.monotonic() - started, 3),
         "version": __version__,
     }
+    if error is not None:
+        doc["error"] = error
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return str(out)
 
 
-def write_svg_lines(path, series: dict[str, tuple], title: str = "",
+def write_svg_lines(path, label: str, x, y, title: str = "",
                     scatter: bool = False) -> str:
-    """Minimal 640 x 420 line or scatter plot; series maps label -> (x array, y array)."""
+    """Minimal 640 x 420 line or scatter plot of one nonempty series y(x)."""
     path = Path(path)
-    xs = [float(x) for _, (xv, _) in series.items() for x in xv]
-    ys = [float(y) for _, (_, yv) in series.items() for y in yv]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = float(min(x)), float(max(x))
+    y0, y1 = float(min(y)), float(max(y))
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
     width, height, pad = 640, 420, 50
 
-    def px(x):
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+    def px(v):
+        return pad + (v - x0) / (x1 - x0) * (width - 2 * pad)
 
-    def py(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+    def py(v):
+        return height - pad - (v - y0) / (y1 - y0) * (height - 2 * pad)
 
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+    color = "#1f77b4"
+    pts = [(px(float(a)), py(float(b))) for a, b in zip(x, y)]
+    if scatter:
+        marks = [f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="{color}"/>' for a, b in pts]
+    else:
+        poly = " ".join(f"{a:.2f},{b:.2f}" for a, b in pts)
+        marks = [f'<polyline points="{poly}" fill="none" stroke="{color}" stroke-width="1.5"/>']
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -81,24 +86,10 @@ def write_svg_lines(path, series: dict[str, tuple], title: str = "",
         f'font-family="monospace" font-size="10">{y0:.4g}</text>',
         f'<text x="{pad - 4}" y="{pad + 4}" text-anchor="end" '
         f'font-family="monospace" font-size="10">{y1:.4g}</text>',
+        *marks,
+        f'<text x="{width - pad}" y="{pad + 4}" text-anchor="end" '
+        f'fill="{color}" font-family="monospace" font-size="11">{label}</text>',
+        "</svg>",
     ]
-    for i, (label, (xv, yv)) in enumerate(series.items()):
-        color = colors[i % len(colors)]
-        pts = [(px(float(x)), py(float(y))) for x, y in zip(xv, yv)]
-        if scatter:
-            parts.extend(
-                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>'
-                for x, y in pts
-            )
-        else:
-            poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-            parts.append(
-                f'<polyline points="{poly}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
-        parts.append(
-            f'<text x="{width - pad}" y="{pad + 14 * i + 4}" text-anchor="end" '
-            f'fill="{color}" font-family="monospace" font-size="11">{label}</text>'
-        )
-    parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
     return str(path)

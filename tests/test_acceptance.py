@@ -22,7 +22,6 @@ from delayopt.hjb import (
     growth_fit,
     lipschitz_discount_threshold,
     max_growth_exponent,
-    paired_cost_estimator,
     policy_mc_value,
     register_from_state,
     regularity_probe,
@@ -228,18 +227,15 @@ def test_criterion_8_growth_and_continuity(advertising_solution):
     growth_ok = 0.7 <= c_base / c_fine <= 1.4
 
     x = models.initial_state(spec)
-    est = paired_cost_estimator(spec, OpenLoopControl([0.5]), T=4.0,
-                                delta=0.01, n_paths=200, seed=13)
     rng = np.random.default_rng(2)
-    pairs = []
+    ys = []
     for _ in range(18):
         scale = 10 ** rng.uniform(-3.0, 0.0)
         freq = int(rng.integers(1, 5))
         bump = scale * np.sin(math.pi * freq * (spec.grid.nodes + 1.0))
-        pairs.append((x, LiftedState(x.head,
-                                     Segment(spec.grid,
-                                             x.tail.values + bump[:, None]))))
-    table = b_continuity_probe(pairs, est)
+        ys.append(LiftedState(x.head, Segment(spec.grid, x.tail.values + bump[:, None])))
+    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, ys, T=4.0, delta=0.01,
+                               n_paths=200, seed=13)
     monotone, vanishing = envelope_is_monotone(table, abs_tol=1e-6)
     ok = growth_ok and monotone and vanishing
     report(8, "value growth and weak continuity", ok,

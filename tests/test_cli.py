@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -175,7 +176,8 @@ def bad_policies(policy_file):
     """The advertising policy with one index dropped, with two-component controls,
     with decreasing axes, with a NaN node on every axis, with a text or
     fractional m_lag, with text, overflowing or fractional indices, with NaN
-    controls, and wrapped in a list."""
+    controls, wrapped in a list, without axes, and cut short of its closing
+    brace."""
     doc = json.loads(policy_file.read_text())
     variants = {
         "short": {"indices": doc["indices"][:-1]},
@@ -195,6 +197,10 @@ def bad_policies(policy_file):
         paths[name].write_text(json.dumps({**doc, **change}))
     paths["policy_list"] = policy_file.with_name("policy_list.json")
     paths["policy_list"].write_text(json.dumps([doc]))
+    paths["no_axes"] = policy_file.with_name("no_axes.json")
+    paths["no_axes"].write_text(json.dumps({k: v for k, v in doc.items() if k != "axes"}))
+    paths["policy_syntax"] = policy_file.with_name("policy_syntax.json")
+    paths["policy_syntax"].write_text(json.dumps(doc)[:-1])
     return paths
 
 
@@ -203,7 +209,8 @@ def bad_specs(tmp_path_factory):
     """merton_nodelay.json with an unknown parameter, a text, fractional,
     boolean or quoted resolution, a text utility exponent, an infinite delay
     horizon, a NaN utility floor and one that overflows (1e999), a single
-    control, and wrapped in a list."""
+    control, wrapped in a list, cut short of its closing brace, and not
+    UTF-8 text."""
     doc = json.loads((SPECS / "merton_nodelay.json").read_text())
     variants = {
         "unknown_param": {**doc, "params": {**doc["params"], "alpha": 1.0}},
@@ -224,6 +231,10 @@ def bad_specs(tmp_path_factory):
         paths[name] = root / f"{name}.json"
         text = json.dumps(variant)  # writes inf as Infinity, spelled here as a number
         paths[name].write_text(text.replace("Infinity", "1e999") if "overflow" in name else text)
+    paths["spec_syntax"] = root / "spec_syntax.json"
+    paths["spec_syntax"].write_text(json.dumps(doc)[:-1])
+    paths["spec_not_utf8"] = root / "spec_not_utf8.json"
+    paths["spec_not_utf8"].write_bytes(b"\xff" + json.dumps(doc).encode())
     return paths
 
 
@@ -310,6 +321,14 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"), "--box", "z:0.5:2"],
     ["solve", "--spec", SPEC, "--grid", "y:lin:-1:2.5:9"],
     ["merton-check", "--spec", "{one_control}", "--grid", "z:log:0.005:100:41"],
+    ["simulate", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--control", "bang:1"],
+    ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
+     "--grid", "z:log:0.005:100:41", "--box", "z_lag1:0.5:2"],
+    ["simulate", "--spec", SPEC, "--T", "0.1", "--dt", "0.01", "--control", "policy:{no_axes}"],
+    ["simulate", "--spec", SPEC, "--T", "0.1", "--dt", "0.01",
+     "--control", "policy:{policy_syntax}"],
+    ["operators", "--spec", "{spec_syntax}"],
+    ["operators", "--spec", "{spec_not_utf8}"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -328,15 +347,55 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "policy-top-level-list", "policy-indices-text", "policy-indices-overflow",
         "policy-m-lag-fraction", "policy-indices-fraction", "policy-nan-controls",
         "spec-directory", "out-existing-file", "regularity-one-node-box-axis", "grid-lin-tag",
-        "merton-check-one-control"])
+        "merton-check-one-control", "control-unknown-form", "box-lag-axis",
+        "policy-no-axes", "policy-json-syntax", "spec-json-syntax", "spec-not-utf8"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
-                                   capsys):
+                                   capsys, request):
     # the default --out goes first, so a row's own --out is the one parsed
     argv = [argv[0], "--out", str(tmp_path / "o"),
             *(a.format(policy_file, **bad_policies, **bad_specs) for a in argv[1:])]
     assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert json.loads(err.splitlines()[-1])["error"] == "validation"
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "validation"
+    # a refused file is named, and so is the field it lacks
+    for word in NAMED_IN_REFUSAL.get(request.node.callspec.id, ()):
+        assert word.format(**bad_policies, **bad_specs) in record["message"]
+
+
+NAMED_IN_REFUSAL = {"policy-no-axes": ("{no_axes}", "'axes'"),
+                    "policy-json-syntax": ("{policy_syntax}",),
+                    "spec-json-syntax": ("{spec_syntax}",),
+                    "spec-not-utf8": ("{spec_not_utf8}",)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--spec", SPEC, "--svg"],
+    ["value", "--spec", SPEC, "--T", "1", "--dt", "0.01", "--svg"],
+], ids=["solve", "value"])
+def test_svg_on_a_subcommand_that_draws_nothing_exits_one(argv, capsys):
+    # --svg is a flag of simulate, operators, probe-bcontinuity and
+    # advertising-demo only
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    assert "--svg" in capsys.readouterr().err
+
+
+def test_numerical_failure_keeps_its_manifest(tmp_path, capsys):
+    # a run that exits 2 still writes run_manifest.json: its arguments, what
+    # it wrote before the failure, and the error record it printed
+    out = tmp_path / "o"
+    assert run(["solve", "--spec", SPEC, *SMALL, "--tol", "1e-12", "--max-iter", "2",
+                "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    doc = json.loads((out / "run_manifest.json").read_text())
+    assert doc["error"] == record and record["error"] == "numerical"
+    assert doc["artifacts"] == [] and sorted(p.name for p in out.iterdir()) == [
+        "run_manifest.json"]
+    assert doc["resolved"]["max_iter"] == 2 and doc["resolved"]["tol"] == 1e-12
+    # a run that succeeds records no error key
+    assert run(["solve", "--spec", SPEC, *SMALL, "--out", str(out)]) == 0
+    assert "error" not in json.loads((out / "run_manifest.json").read_text())
 
 
 def test_non_convergence_exits_two_with_a_numerical_record(tmp_path, capsys):
@@ -698,6 +757,33 @@ def test_probe_bcontinuity_subcommand(tmp_path):
     assert rows[0] == "weak_distance,difference,stderr"
     assert len(rows) == 11
     assert (out / "bcontinuity.svg").read_text().count("<circle ") == 10
+
+
+def test_probe_bcontinuity_simulates_the_base_state_once(tmp_path, monkeypatch):
+    # common random numbers: the base state's costs serve every pair, so
+    # --pairs 5 takes 6 simulation passes, not 10
+    from delayopt import hjb
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return simulate_batch(*args, **kwargs)
+
+    simulate_batch = hjb._simulate_batch
+    monkeypatch.setattr(hjb, "_simulate_batch", counting)
+    assert run(["probe-bcontinuity", "--spec", SPEC, "--T", "0.5", "--dt", "0.05",
+                "--paths", "8", "--pairs", "5", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 6 and len({id(x) for x in calls}) == 6
+
+
+def test_one_step_simulate_plot_pins_its_bytes(tmp_path):
+    # one step plots one point, so both plot ranges are one-point ranges,
+    # widened to unit width
+    assert run(["simulate", "--spec", SPEC, "--T", "0.01", "--dt", "0.01", "--svg",
+                "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "paths.svg").read_bytes()).hexdigest() == (
+        "9c11617b3c1e0cba5e8cb32da59395e9a739ee77134b30af5e5ae6409e71add3")
 
 
 def test_dpp_manifest_records_solver_convergence(tmp_path, capsys):

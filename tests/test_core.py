@@ -266,6 +266,14 @@ def test_resample_horizon_mismatch():
 # state validation
 
 
+def test_shape_and_domain_errors_are_validation_errors():
+    # the command line maps ValidationError to exit 1 and catches nothing
+    # narrower, so a shape or domain refusal must be one
+    from delayopt.core import DomainError
+    assert issubclass(GridMismatchError, ValidationError)
+    assert issubclass(DomainError, ValidationError)
+
+
 def test_state_dimension_mismatch():
     g = SegmentGrid(1.0, 4)
     with pytest.raises(GridMismatchError):
@@ -314,6 +322,10 @@ BAD_PROBLEM_FIELDS = {
     "ellipticity-zero": {"ellipticity_floor": 0.0},
     "ellipticity-infinite": {"ellipticity_floor": float("inf")},
     "ellipticity-nan": {"ellipticity_floor": float("nan")},
+    "head-names-count": {"head_names": ("a", "b")},
+    "initial-head-length": {"initial_head": (1.0, 2.0)},
+    "initial-head-nested": {"initial_head": ([1.0, 2.0],)},
+    "initial-history-text": {"initial_history": ("1",)},
 }
 
 

@@ -31,7 +31,6 @@ from delayopt.hjb import (
     lipschitz_discount_threshold,
     max_growth_exponent,
     noise_rule,
-    paired_cost_estimator,
     policy_mc_value,
     reduce_to_lag_chain,
     register_from_state,
@@ -1037,9 +1036,8 @@ def test_regularity_probe_reports_only_without_ellipticity(advert_spec):
 def test_b_continuity_trivial_pairs(advert_spec):
     spec = advert_spec
     x = models.initial_state(spec)
-    est = paired_cost_estimator(spec, OpenLoopControl([0.5]), T=1.0, delta=0.05,
-                                n_paths=16, seed=0)
-    table = b_continuity_probe([(x, x)], est)
+    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, [x], T=1.0, delta=0.05,
+                               n_paths=16, seed=0)
     assert table.differences[0] == 0.0 and table.distances[0] == 0.0
 
 
@@ -1048,15 +1046,13 @@ def test_b_continuity_oscillatory_pairs(advert_spec):
     # weak norm; the paired value difference must shrink along with them
     spec = advert_spec
     x = models.initial_state(spec)
-    est = paired_cost_estimator(spec, OpenLoopControl([0.5]), T=2.0, delta=0.025,
-                                n_paths=64, seed=1)
     g = spec.grid
-    pairs = []
+    ys = []
     for freq in (1, 2, 4, 8):
         bump = 0.5 * np.sin(math.pi * freq * (g.nodes + 1.0))
-        pairs.append((x, LiftedState(x.head, Segment(g, x.tail.values
-                                                     + bump[:, None]))))
-    table = b_continuity_probe(pairs, est)
+        ys.append(LiftedState(x.head, Segment(g, x.tail.values + bump[:, None])))
+    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, ys, T=2.0, delta=0.025,
+                               n_paths=64, seed=1)
     # weak distances decrease with frequency, and so do the differences
     assert np.all(np.diff(table.distances) > 0)
     order = np.argsort(table.distances)
@@ -1070,13 +1066,13 @@ def test_b_continuity_head_pairs_scale_like_lipschitz(advert_spec):
     # at most proportionally with the head gap, with a stable ratio
     spec = advert_spec
     x = models.initial_state(spec)
-    est = paired_cost_estimator(spec, OpenLoopControl([0.5]), T=2.0, delta=0.025,
-                                n_paths=64, seed=9)
-    ratios = []
-    for eps in (0.05, 0.1, 0.2, 0.4):
-        y = LiftedState(x.head + eps, x.tail)
-        d, s = est(x, y)
-        ratios.append(abs(d) / eps)
+    eps = np.array([0.05, 0.1, 0.2, 0.4])
+    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x,
+                               [LiftedState(x.head + e, x.tail) for e in eps],
+                               T=2.0, delta=0.025, n_paths=64, seed=9)
+    # a head gap's weak distance is proportional to it, so the rows keep eps's order
+    np.testing.assert_allclose(table.distances / eps, table.distances[0] / eps[0])
+    ratios = table.differences / eps
     assert max(ratios) / min(ratios) <= 2.0
     assert max(ratios) < 10.0
 
@@ -1090,25 +1086,24 @@ def test_paired_estimate_is_the_fsum_statistic_of_its_differences(advert_spec):
     x = models.initial_state(spec)
     y = LiftedState(x.head + 0.1, Segment(spec.grid, x.tail.values - 0.05))
     ctrl = OpenLoopControl([0.5])
-    est = paired_cost_estimator(spec, ctrl, T=1.0, delta=0.05, n_paths=64, seed=3)
+    table = b_continuity_probe(spec, ctrl, x, [y], T=1.0, delta=0.05, n_paths=64, seed=3)
     dw = batch_increments(3, np.arange(64), 0.05, spec.q, 20)
     d = (_simulate_batch(spec, x, ctrl, 1.0, 0.05, dw).costs
          - _simulate_batch(spec, y, ctrl, 1.0, 0.05, dw).costs).tolist()
     mean = math.fsum(d) / 64
     var = math.fsum((v - mean) ** 2 for v in d) / 63
-    assert est(x, y) == (mean, math.sqrt(var / 64))
+    assert (table.differences[0], table.stderrs[0]) == (abs(mean), math.sqrt(var / 64))
 
 
 def test_paired_estimate_refuses_a_zero_horizon_and_one_path(advert_spec):
     spec = advert_spec
     x = models.initial_state(spec)
     with pytest.raises(ValidationError, match="positive horizon"):
-        paired_cost_estimator(spec, OpenLoopControl([0.5]), T=0.0, delta=0.05,
-                              n_paths=16, seed=0)
-    est = paired_cost_estimator(spec, OpenLoopControl([0.5]), T=1.0, delta=0.05,
-                                n_paths=1, seed=0)
+        b_continuity_probe(spec, OpenLoopControl([0.5]), x, [x], T=0.0, delta=0.05,
+                           n_paths=16, seed=0)
     with pytest.raises(ValidationError, match="at least 2 paths"):
-        est(x, x)
+        b_continuity_probe(spec, OpenLoopControl([0.5]), x, [x], T=1.0, delta=0.05,
+                           n_paths=1, seed=0)
 
 
 def test_envelope_helper():

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delayopt import models
-from delayopt.core import SegmentGrid, ValidationError, validate_kernel, weighted_kernels
+from delayopt.core import (NumericalError, SegmentGrid, ValidationError, validate_kernel,
+                           weighted_kernels)
 from delayopt.models import (
     AdvertisingParams,
     AffineTestParams,
@@ -126,6 +129,23 @@ def test_merton_kernels_off_reduces_to_deterministic_bond():
     np.testing.assert_allclose(z, (1 + 0.01 * 0.01) ** np.arange(201), rtol=1e-12)
     # wealth compounds at the bond rate up to Euler discretization
     assert z[-1] == pytest.approx(math.exp(0.01 * 2.0), rel=1e-3)
+
+
+@pytest.mark.parametrize("fixture", ["merton_nodelay_spec", "merton_delay_spec"])
+def test_merton_coefficients_are_the_stacked_columns(fixture, request):
+    # drift and noise are filled column by column; the reference stacks the
+    # same arithmetic, bit for bit, over a batch and over a single point
+    spec = request.getfixturevalue(fixture)
+    p, rng = spec.params, np.random.default_rng(0)
+    for shape in ((7,), ()):
+        y, z, u = (rng.uniform(0.1, 2.0, size=shape + (k,)) for k in (2, 1, 1))
+        mu_v, nu_v = p.mu(z[..., 0]), p.nu(z[..., 0])
+        s, w, du = y[..., 0], y[..., 1], u[..., 0]
+        drift = np.stack([mu_v * s, p.r * w + (mu_v - p.r) * du * w], axis=-1)
+        noise = np.stack([nu_v * s, nu_v * du * w], axis=-1)[..., None]
+        np.testing.assert_array_equal(spec.drift(y, z, u), drift)
+        np.testing.assert_array_equal(spec.noise(y, z, u), noise)
+        assert spec.drift(y, z, u).shape == shape + (2,)
 
 
 def test_merton_stock_is_geometric_under_constant_coefficients():
@@ -341,6 +361,122 @@ def test_build_problem_dispatch_and_errors():
         build_problem({"model": "unknown", "m": 4})
     with pytest.raises(ValidationError):
         build_problem({"m": 4})
+
+
+AFFINE_N2 = {"n": 2, "q": 2, "drift_const": [0.0, 0.0],
+             "drift_state": [[-0.5, 0.0], [0.0, -0.5]], "drift_delay": [[0.3], [0.3]],
+             "drift_control": [[0.5], [0.5]], "noise_const": [[0.4, 0.0], [0.0, 0.4]]}
+
+
+@pytest.mark.parametrize("params", [
+    {"n": 2},
+    AFFINE_N2,
+    {**AFFINE_N2, "x0": [1.0, 1.0]},
+    {**AFFINE_N2, "x0": [1.0, 1.0], "x1": [1.0, 1.0], "q": 1},
+], ids=["default-matrices", "default-initial-state", "default-history-value",
+        "noise-wider-than-q"])
+def test_affine_shapes_must_fit_n_and_q(params):
+    # the 1 x 1 defaults do not fit n = 2: a problem built from them fails in
+    # a matmul at the first simulation step, or broadcasts a 1-component
+    # initial state over both components; the document that gives every
+    # array at n = 2 builds
+    with pytest.raises(ValidationError, match="must have shape"):
+        build_problem({"model": "affine_test", "m": 10, "params": params})
+    spec = build_problem({"model": "affine_test", "m": 10,
+                          "params": {**AFFINE_N2, "x0": [1.0, 2.0], "x1": [3.0, 4.0]}})
+    x = models.initial_state(spec)
+    assert x.head.tolist() == [1.0, 2.0] and x.tail.values[0].tolist() == [3.0, 4.0]
+
+
+def _vector(n):
+    return st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+
+
+def _matrix(rows, cols):
+    return st.lists(_vector(cols), min_size=rows, max_size=rows)
+
+
+def _wrong(value):
+    """The value in a shape its field does not take."""
+    if isinstance(value, list):
+        return [value[0]] + value if value else [0.0]
+    if isinstance(value, dict):
+        return {key: [v, v] for key, v in value.items()}
+    return [value, value]
+
+
+MERTON_MAPS = [{"const": 0.07}, {"base": 0.05, "slope": 0.4, "lo": 0.02, "hi": 0.12}]
+KERNELS = [{"preset": "zero"}, {"preset": "affine_ramp", "scale": 0.5}]
+
+
+def _model_fields(model, n, q):
+    """Strategies of a valid value for each documented parameter of a model,
+    the affine family's shapes taken at n and q."""
+    positive, unit = st.floats(0.1, 2.0), st.floats(0.0, 1.0)
+    counts = st.integers(1, 4)
+    if model == "merton":
+        return {"r": st.floats(0.0, 0.05), "mu": st.sampled_from(MERTON_MAPS),
+                "nu": st.sampled_from([{"const": 0.3},
+                                       {"base": 0.25, "slope": 0.5, "lo": 0.15, "hi": 0.45}]),
+                "gamma": st.floats(0.1, 0.9), "rho": positive, "d": positive,
+                "kernel_drift": st.sampled_from(KERNELS),
+                "kernel_noise": st.sampled_from(KERNELS), "z0": positive, "s0": positive,
+                "s1": positive, "z_floor": st.floats(0.01, 0.1), "n_controls": counts}
+    if model == "advertising":
+        return {"a0": st.floats(-1.0, 0.0), "c0": unit, "sigma": unit, "rho": positive,
+                "d": positive, "kernel_scale": st.floats(-1.0, 0.0), "u_max": positive,
+                "spend_cost": positive, "x0": unit, "x1": unit, "n_controls": counts}
+    return {"n": st.just(n), "q": st.just(q), "drift_const": _vector(n),
+            "drift_state": _matrix(n, n), "drift_delay": _matrix(n, 1),
+            "drift_control": _matrix(n, 1), "noise_const": _matrix(n, q), "rho": positive,
+            "d": positive, "kernel_scale": unit, "cost_exponent": st.floats(1.0, 2.0),
+            "cost_state_scale": unit, "cost_control_scale": unit,
+            "cost_clip": st.sampled_from([1.0, 5.0]), "control_lo": st.floats(-1.0, 0.0),
+            "control_hi": unit, "n_controls": counts, "x0": _vector(n), "x1": _vector(n)}
+
+
+@st.composite
+def problem_documents(draw):
+    """A problem document whose every field, m included, is omitted or valid,
+    and whose at most two corrupted fields are mistyped or of the wrong shape."""
+    model = draw(st.sampled_from(["merton", "advertising", "affine_test"]))
+    fields = {"m": st.integers(2, 6),
+              **_model_fields(model, draw(st.integers(1, 3)), draw(st.integers(1, 2)))}
+    corrupt = draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))
+    doc, params = {"model": model}, {}
+    for name, valid in fields.items():
+        target = doc if name == "m" else params
+        if name in corrupt:
+            if draw(st.booleans()):
+                target[name] = draw(st.sampled_from(["x", None, {"a": 1}, True]))
+            else:
+                target[name] = _wrong(draw(valid))
+        elif name == "m" or draw(st.booleans()):
+            target[name] = draw(valid)
+    doc["params"] = params
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problem_documents())
+@example({"model": "affine_test", "m": 10, "params": {"n": 2}})
+@example({"model": "advertising", "m": 4, "params": {"x0": "x"}})
+@example({"model": "merton", "m": 4, "params": {"s0": [1.0, 1.0]}})
+def test_problem_documents_build_consistent_problems_or_are_refused(doc):
+    # a document is refused by ValidationError, or it builds a problem whose
+    # initial state and two-step path have the problem's state dimension
+    try:
+        spec = build_problem(doc)
+    except ValidationError:
+        return
+    x = models.initial_state(spec)
+    assert x.head.shape == (spec.n,) and x.tail.values.shape == (spec.grid.m + 1, spec.n)
+    try:
+        path = simulate_sdde(spec, x, OpenLoopControl(spec.control_set[0]), spec.d,
+                             spec.d / 2, (0, 1))
+    except NumericalError:
+        return
+    assert path.states.shape == (5, spec.n)
 
 
 def test_spec_files_load(tmp_path):
