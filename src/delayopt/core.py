@@ -355,7 +355,7 @@ class ProblemSpec:
     A problem is valid by construction (dataclasses.replace included): a
     finite positive discount, finite nonnegative declared constants, an
     ellipticity floor that is None or finite and positive, a nonempty
-    (points, p) control set, kernels on dimension n that pass
+    (points, p) control set of finite points, kernels on dimension n that pass
     validate_kernel, n head names, and an initial head and history value
     that are each None or n numbers. Anything else raises ValidationError.
     """
@@ -414,6 +414,8 @@ class ProblemSpec:
                                   f"got {floor}")
         if cs.shape[0] == 0:
             raise ValidationError("control set must be nonempty")
+        if not np.all(np.isfinite(cs)):
+            raise ValidationError("control points must be finite")
         if cs.shape[1] != self.p:
             raise ValidationError(f"control points have dimension {cs.shape[1]}, "
                                   f"declared p={self.p}")

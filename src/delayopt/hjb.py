@@ -62,9 +62,14 @@ def max_growth_exponent(rho: float, c: float) -> tuple[float, str]:
 
     Below the two-case switch the bound is rho / (c + c^2/2); above it, the
     positive root of c k + c^2 k (k - 1) / 2 = rho. The bound is exclusive.
+    At c = 0 every exponent is admissible: (inf, "quadratic-bound"), the
+    limit as c -> 0+.
     """
-    if rho <= 0 or c <= 0:
-        raise ValidationError(f"need rho > 0 and c > 0, got rho={rho}, c={c}")
+    # written so that NaN fails it
+    if not (rho > 0 and c >= 0):
+        raise ValidationError(f"need rho > 0 and c >= 0, got rho={rho}, c={c}")
+    if c == 0:
+        return math.inf, "quadratic-bound"
     ratio = rho / (c + 0.5 * c * c)
     if ratio <= 2.0:
         return ratio, "linear-bound"

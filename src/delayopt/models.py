@@ -135,8 +135,6 @@ def power_utility(z, gamma: float, z_floor: float):
 
 
 def control_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    if count < 1:
-        raise ValidationError("control grid needs at least one point")
     return np.linspace(lo, hi, count)[:, None]
 
 
@@ -474,8 +472,8 @@ _BUILDERS = {
 
 def build_problem(doc: dict) -> ProblemSpec:
     """Build a ProblemSpec from a parsed spec document; a malformed document
-    (not an object, a missing or unknown field, a mistyped value) raises
-    ValidationError."""
+    (not an object, a missing or unknown field, a mistyped value, a value
+    whose arithmetic overflows) raises ValidationError."""
     if not isinstance(doc, dict):
         raise ValidationError(f"spec document must be a JSON object, got {type(doc).__name__}")
     try:
@@ -493,7 +491,7 @@ def build_problem(doc: dict) -> ProblemSpec:
         return build(params_type.from_dict(doc.get("params", {})), m)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"malformed {model} spec: {exc!r}") from exc
 
 

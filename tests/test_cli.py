@@ -75,6 +75,19 @@ def test_operators_artifacts(tmp_path, capsys):
     assert all(abs(float(r[2]) - 1.0) < 0.2 for r in ce)
 
 
+def test_operators_on_a_problem_without_growth(tmp_path):
+    # every coefficient of the affine problem is zero, so its growth
+    # constant is 0: every growth exponent is admissible, the limit as c -> 0+
+    doc = json.loads((SPECS / "affine.json").read_text())
+    doc["params"].update(drift_state=[[0.0]], drift_delay=[[0.0]], drift_control=[[0.0]],
+                         noise_const=[[0.0]])
+    spec, out = tmp_path / "still.json", tmp_path / "ops"
+    spec.write_text(json.dumps(doc))
+    assert run(["operators", "--spec", str(spec), "--out", str(out), "--samples", "16"]) == 0
+    gates = (out / "gates.csv").read_text().splitlines()
+    assert "max_growth_exponent,inf" in gates and "growth_case_quadratic,1" in gates
+
+
 def test_reproducible_csv_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -175,9 +188,9 @@ def policy_file(tmp_path_factory):
 def bad_policies(policy_file):
     """The advertising policy with one index dropped, with two-component controls,
     with decreasing axes, with a NaN node on every axis, with a text or
-    fractional m_lag, with text, overflowing or fractional indices, with NaN
-    controls, wrapped in a list, without axes, and cut short of its closing
-    brace."""
+    fractional m_lag, with text, overflowing or fractional indices, with an
+    index past its control set, with NaN controls, wrapped in a list, without
+    axes, and cut short of its closing brace."""
     doc = json.loads(policy_file.read_text())
     variants = {
         "short": {"indices": doc["indices"][:-1]},
@@ -189,6 +202,7 @@ def bad_policies(policy_file):
         "indices_text": {"indices": [str(i) for i in doc["indices"]]},
         "indices_overflow": {"indices": [1e30] * len(doc["indices"])},
         "indices_fraction": {"indices": [0.7] * len(doc["indices"])},
+        "index_outside": {"indices": [len(doc["control_set"])] * len(doc["indices"])},
         "nan_controls": {"control_set": [[float("nan")] for _ in doc["control_set"]]},
     }
     paths = {}
@@ -209,8 +223,9 @@ def bad_specs(tmp_path_factory):
     """merton_nodelay.json with an unknown parameter, a text, fractional,
     boolean or quoted resolution, a text utility exponent, an infinite delay
     horizon, a NaN utility floor and one that overflows (1e999), a single
-    control, wrapped in a list, cut short of its closing brace, and not
-    UTF-8 text."""
+    control, an unknown kernel preset, a kernel embed of the wrong shape,
+    wrapped in a list, cut short of its closing brace, and not UTF-8 text;
+    and affine.json with a control interval whose arithmetic overflows."""
     doc = json.loads((SPECS / "merton_nodelay.json").read_text())
     variants = {
         "unknown_param": {**doc, "params": {**doc["params"], "alpha": 1.0}},
@@ -224,7 +239,15 @@ def bad_specs(tmp_path_factory):
         "z_floor_nan": {**doc, "params": {**doc["params"], "z_floor": float("nan")}},
         "z_floor_overflow": {**doc, "params": {**doc["params"], "z_floor": float("inf")}},
         "one_control": {**doc, "params": {**doc["params"], "n_controls": 1}},
+        "kernel_unknown": {**doc, "params": {**doc["params"],
+                                             "kernel_drift": {"preset": "nope"}}},
+        "embed_shape": {**doc, "params": {**doc["params"],
+                                          "kernel_drift": {"preset": "zero",
+                                                           "embed": [[1.0]]}}},
     }
+    affine = json.loads((SPECS / "affine.json").read_text())
+    variants["control_overflow"] = {**affine, "params": {
+        **affine["params"], "control_lo": -1e308, "control_hi": 1e308}}
     root = tmp_path_factory.mktemp("bad_specs")
     paths = {}
     for name, variant in variants.items():
@@ -329,6 +352,12 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
      "--control", "policy:{policy_syntax}"],
     ["operators", "--spec", "{spec_syntax}"],
     ["operators", "--spec", "{spec_not_utf8}"],
+    ["operators", "--spec", "{control_overflow}"],
+    ["operators", "--spec", "{kernel_unknown}"],
+    ["operators", "--spec", "{embed_shape}"],
+    ["solve", "--spec", SPEC, "--mlag", "0", "--grid", "y:-1:2.5:9"],
+    ["simulate", "--spec", SPEC, "--T", "0.1", "--dt", "0.01",
+     "--control", "policy:{index_outside}"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -348,7 +377,9 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "policy-m-lag-fraction", "policy-indices-fraction", "policy-nan-controls",
         "spec-directory", "out-existing-file", "regularity-one-node-box-axis", "grid-lin-tag",
         "merton-check-one-control", "control-unknown-form", "box-lag-axis",
-        "policy-no-axes", "policy-json-syntax", "spec-json-syntax", "spec-not-utf8"])
+        "policy-no-axes", "policy-json-syntax", "spec-json-syntax", "spec-not-utf8",
+        "spec-control-overflow", "spec-kernel-unknown", "spec-embed-shape", "mlag-zero",
+        "policy-index-outside"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
                                    capsys, request):
     # the default --out goes first, so a row's own --out is the one parsed
@@ -357,7 +388,8 @@ def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, t
     assert run(argv) == 1
     record = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert record["error"] == "validation"
-    # a refused file is named, and so is the field it lacks
+    # a refused file is named, and so is the field it lacks; a row aimed at
+    # one check gets that check's message
     for word in NAMED_IN_REFUSAL.get(request.node.callspec.id, ()):
         assert word.format(**bad_policies, **bad_specs) in record["message"]
 
@@ -365,7 +397,12 @@ def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, t
 NAMED_IN_REFUSAL = {"policy-no-axes": ("{no_axes}", "'axes'"),
                     "policy-json-syntax": ("{policy_syntax}",),
                     "spec-json-syntax": ("{spec_syntax}",),
-                    "spec-not-utf8": ("{spec_not_utf8}",)}
+                    "spec-not-utf8": ("{spec_not_utf8}",),
+                    "spec-control-overflow": ("OverflowError",),
+                    "spec-kernel-unknown": ("unknown kernel preset 'nope'",),
+                    "spec-embed-shape": ("kernel embed must be (h, 2)",),
+                    "mlag-zero": ("lag count must be >= 1",),
+                    "policy-index-outside": ("policy indices outside the control set",)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,6 +510,28 @@ def bench_module(name, monkeypatch):
     monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+def test_setup_loads_only_the_modules_it_uses(monkeypatch):
+    # the bench's set-up code (import delayopt.models, load the specs) needs
+    # core and models only; the package re-exports nothing, so importing one
+    # module runs no other
+    setup = bench_module("run", monkeypatch).SETUP_CODE
+    probe = ("\nimport json, types\n"
+             "pkg = sys.modules['delayopt']\n"
+             "print(json.dumps([sorted(sys.modules), pkg.__version__, sorted(\n"
+             "    k for k, v in vars(pkg).items()\n"
+             "    if not k.startswith('_') and not isinstance(v, types.ModuleType))]))\n")
+    src = str(Path(delayopt.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", setup + probe, src,
+                           *map(str, sorted(SPECS.glob("*.json")))],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded, version, public = json.loads(done.stdout.splitlines()[-1])
+    assert version == delayopt.__version__ and public == []
+    assert {"delayopt.core", "delayopt.models"} <= set(loaded)
+    unused = {f"delayopt.{m}" for m in ("hjb", "lift", "operators", "sdde", "cli")}
+    assert not unused & set(loaded), sorted(unused & set(loaded))
 
 
 def test_bench_invocations_parse(monkeypatch):

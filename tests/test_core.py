@@ -309,6 +309,7 @@ def _problem(**changes):
 BAD_PROBLEM_FIELDS = {
     "control-row": {"control_set": np.array([[0.0, 0.5, 1.0]])},
     "no-controls": {"control_set": np.empty((0, 1))},
+    "control-nan": {"control_set": np.array([[0.0], [float("nan")]])},
     "rho-zero": {"rho": 0.0},
     "rho-negative": {"rho": -1.0},
     "rho-nan": {"rho": float("nan")},

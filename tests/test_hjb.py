@@ -65,6 +65,13 @@ def test_max_growth_exponent_cases():
     assert case == "quadratic-bound" and k == pytest.approx(4.0)
     # the bound is the positive root of k^2/2 + k/2 = rho
     assert 1.0 * 4 + 0.5 * 4 * 3 == pytest.approx(10.0)
+    # without growth every exponent is admissible: the limit as c -> 0+
+    assert max_growth_exponent(1.0, 0.0) == (math.inf, "quadratic-bound")
+    k, case = max_growth_exponent(1.0, 1e-9)
+    assert case == "quadratic-bound" and k > 1e8
+    for rho, c in ((0.0, 1.0), (1.0, -1e-9), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValidationError):
+            max_growth_exponent(rho, c)
 
 
 def test_max_growth_exponent_monotone_in_discount():

@@ -435,10 +435,16 @@ def _model_fields(model, n, q):
             "control_hi": unit, "n_controls": counts, "x0": _vector(n), "x1": _vector(n)}
 
 
+# finite floats whose arithmetic overflows or underflows; drawn for float
+# fields only, never for the counts (m, n, q, n_controls) that size arrays
+EXTREMES = [1e308, -1e308, 1e200, 1e-308]
+
+
 @st.composite
 def problem_documents(draw):
     """A problem document whose every field, m included, is omitted or valid,
-    and whose at most two corrupted fields are mistyped or of the wrong shape."""
+    and whose at most two corrupted fields are mistyped, of the wrong shape
+    or, for a float field, an extreme finite float."""
     model = draw(st.sampled_from(["merton", "advertising", "affine_test"]))
     fields = {"m": st.integers(2, 6),
               **_model_fields(model, draw(st.integers(1, 3)), draw(st.integers(1, 2)))}
@@ -447,21 +453,32 @@ def problem_documents(draw):
     for name, valid in fields.items():
         target = doc if name == "m" else params
         if name in corrupt:
-            if draw(st.booleans()):
+            value = draw(valid)
+            kinds = ["mistyped", "shape"] + (["extreme"] if isinstance(value, float) else [])
+            kind = draw(st.sampled_from(kinds))
+            if kind == "mistyped":
                 target[name] = draw(st.sampled_from(["x", None, {"a": 1}, True]))
+            elif kind == "shape":
+                target[name] = _wrong(value)
             else:
-                target[name] = _wrong(draw(valid))
+                target[name] = draw(st.sampled_from(EXTREMES))
         elif name == "m" or draw(st.booleans()):
             target[name] = draw(valid)
     doc["params"] = params
     return doc
 
 
+# an extreme float may overflow numpy arithmetic to inf, which is what the
+# checks then see: a constant is refused by the problem's checks, a state by
+# the simulation's non-finite abort; the outcome is checked, not the warning
+@pytest.mark.filterwarnings("ignore:overflow")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(problem_documents())
 @example({"model": "affine_test", "m": 10, "params": {"n": 2}})
 @example({"model": "advertising", "m": 4, "params": {"x0": "x"}})
 @example({"model": "merton", "m": 4, "params": {"s0": [1.0, 1.0]}})
+@example({"model": "advertising", "m": 4, "params": {"u_max": 1e200}})
+@example({"model": "affine_test", "m": 4, "params": {"cost_clip": 1e300}})
 def test_problem_documents_build_consistent_problems_or_are_refused(doc):
     # a document is refused by ValidationError, or it builds a problem whose
     # initial state and two-step path have the problem's state dimension

@@ -261,8 +261,10 @@ def test_gram_quadratic_form_is_weak_norm(gram_50):
 
 
 def test_gram_selfadjoint_and_positive(gram_50):
-    _, op, dec = gram_50
-    assert op.check_g_selfadjoint()
+    g, op, dec = gram_50
+    # W B is symmetric, W the quadrature weights: B is self-adjoint in their metric
+    wb = weight_vector(g, 1)[:, None] * op.matrix
+    assert np.max(np.abs(wb - wb.T)) <= 1e-10 * max(np.max(np.abs(wb)), 1.0)
     assert np.all(dec.eigenvalues > 0)
     assert np.all(np.diff(dec.eigenvalues) <= 0)
 
@@ -468,6 +470,16 @@ def test_spectral_decomposition_refuses_a_second_ghost():
     deflated = op.matrix - dec.operator_norm * f @ (w[:, None] * f).T
     with pytest.raises(NumericalError, match="exactly 1 ghost"):
         spectral_decomposition(OperatorMatrix(deflated, g))
+
+
+def test_spectral_refuses_an_operator_that_is_not_selfadjoint(gram_50):
+    # eigh reads one triangle only, so an asymmetric rescaled matrix would
+    # give eigenpairs of some other operator
+    g, op, _ = gram_50
+    skew = op.matrix.copy()
+    skew[0, 1] += 1e-3 * np.max(np.abs(op.matrix))
+    with pytest.raises(NumericalError, match="symmetrization failure"):
+        spectral_decomposition(OperatorMatrix(skew, g))
 
 
 def test_inverse_matrix_matches_functional_form():
