@@ -7,10 +7,10 @@ on numerical failure, with a machine-readable error record on stderr.
 A subcommand is one handler plus one entry in COMMANDS. A handler takes the
 Run context of the invocation (parsed args, problem, initial state, output
 directory), writes its artifacts through the context (Run.csv, Run.svg) and
-may add manifest fields to Run.extra; it returns (stdout lines, exit code).
-main builds the context, calls the handler, writes run_manifest.json (with
-the error record when the handler fails numerically), prints the lines, and
-maps errors to exit codes.
+may add manifest fields to Run.extra; it returns its stdout lines, or raises
+CheckFailed with them when a check it ran fails. main builds the context,
+calls the handler, writes run_manifest.json (with the error record when the
+handler fails numerically), prints the lines, and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
+
+
+class CheckFailed(NumericalError):
+    """A check the handler ran failed: exit 2, its stdout lines still printed."""
+
+    def __init__(self, lines: list[str], failed: list[str]):
+        super().__init__(f"failed checks: {', '.join(failed)}")
+        self.lines = lines
 
 
 def _err(kind: str, exc: Exception) -> dict:
@@ -245,7 +253,7 @@ def cmd_simulate(run: Run):
             + [f"u{i}" for i in range(spec.control_set.shape[1])], rows)
     if rows:
         run.svg("paths.svg", "y0(path 0)", times, states[0, steps, 0], title="simulated state")
-    return [f"simulate: mean={mean:.6g} stderr={stderr:.3g} paths={a.paths}"], 0
+    return [f"simulate: mean={mean:.6g} stderr={stderr:.3g} paths={a.paths}"]
 
 
 def cmd_operators(run: Run):
@@ -281,7 +289,7 @@ def cmd_operators(run: Run):
     sig = np.asarray(spec.noise(run.x.head, z2, spec.control_set[0]))
     tail_rows, trace_rows = [], []
     for k in sorted({1, decomp.dim // 4, decomp.dim // 2, decomp.dim} - {0}):
-        bq = op.matrix @ decomp.projection_matrix(k, "Q")
+        bq = op.matrix @ decomp.tail_projector(k)
         nxt = float(decomp.eigenvalues[k]) if k < decomp.dim else 0.0
         tail_rows.append([n * k, operators.g_operator_norm(bq, grid), nxt])
         trace_rows.append([n * k, float(np.sum(sig * sig) * bq[0, 0])])
@@ -323,7 +331,7 @@ def cmd_operators(run: Run):
     worst_round = max(r[2] for r in norm_rows)
     return [f"operators: modes={spectrum.size} lambda_max={decomp.operator_norm:.6g} "
             f"forms_ok={int(forms_ok)} head_dominated={int(dominated)} "
-            f"roundtrip={worst_round:.2e} flat_kernel_rejected={int(flat_rejected)}"], 0
+            f"roundtrip={worst_round:.2e} flat_kernel_rejected={int(flat_rejected)}"]
 
 
 def cmd_lift_check(run: Run):
@@ -336,7 +344,7 @@ def cmd_lift_check(run: Run):
                                 (report.refined, float("nan")))])
     rel = report.base.head_mismatch / report.base.head_scale
     return [f"lift-check: head_mismatch={report.base.head_mismatch:.6g} "
-            f"(relative {rel:.3%}) ratio={report.head_ratio:.3g}"], 0
+            f"(relative {rel:.3%}) ratio={report.head_ratio:.3g}"]
 
 
 def cmd_value(run: Run):
@@ -345,7 +353,7 @@ def cmd_value(run: Run):
     mean, stderr = sdde.mc_cost(run.spec, run.x, ctrl, a.T, a.dt, a.paths, a.seed)
     _record_tail_bound(run)
     run.csv("value.csv", ["mean", "stderr"], [[mean, stderr]])
-    return [f"value: mean={mean:.6g} stderr={stderr:.3g}"], 0
+    return [f"value: mean={mean:.6g} stderr={stderr:.3g}"]
 
 
 def cmd_solve(run: Run):
@@ -367,7 +375,7 @@ def cmd_solve(run: Run):
     warn = " clamp_warning" if result.clamp_warning else ""
     return [f"solve: V(x0)={result.value.interp_one(z0):.6g} iters={result.iterations} "
             f"residual={result.residual:.3g} bound={result.value_error_bound:.3g} "
-            f"clamp_rate={result.clamp_rate:.2%} growth_fit={growth:.4g}{warn}"], 0
+            f"clamp_rate={result.clamp_rate:.2%} growth_fit={growth:.4g}{warn}"]
 
 
 def cmd_residual(run: Run):
@@ -387,7 +395,7 @@ def cmd_residual(run: Run):
         rows.append([float(v) for v in pt] + [r])
     run.csv("residual.csv", chain.axis_names() + ["residual"], rows)
     return [f"residual: median|r|={float(np.median(residuals)):.6g} "
-            f"over {run.args.samples} points"], 0
+            f"over {run.args.samples} points"]
 
 
 def cmd_dpp(run: Run):
@@ -395,8 +403,11 @@ def cmd_dpp(run: Run):
     chain, axes, _ = _lag_grid(run)
     result = _solve(run, chain, axes)
     report, grid_tol, ok = _write_dpp(run, chain, result, tau_steps * chain.delta)
-    return [f"dpp: gap={report.gap:.6g} stderr={report.stderr:.3g} "
-            f"tol={2 * report.stderr + grid_tol:.3g} pass={ok}"], 0 if ok else 2
+    lines = [f"dpp: gap={report.gap:.6g} stderr={report.stderr:.3g} "
+             f"tol={2 * report.stderr + grid_tol:.3g} pass={ok}"]
+    if not ok:
+        raise CheckFailed(lines, ["dpp_gap"])
+    return lines
 
 
 def cmd_probe_regularity(run: Run):
@@ -424,7 +435,7 @@ def cmd_probe_regularity(run: Run):
               report.alpha_hat if report.alpha_hat is not None else float("nan"),
               band[0], band[1], ";".join(report.flags) or "none"]])
     return [f"probe-regularity: lipschitz={report.lipschitz:.6g} "
-            f"alpha={report.alpha_hat} flags={list(report.flags)}"], 0
+            f"alpha={report.alpha_hat} flags={list(report.flags)}"]
 
 
 def cmd_probe_bcontinuity(run: Run):
@@ -438,14 +449,14 @@ def cmd_probe_bcontinuity(run: Run):
         bump = scale * np.sin(math.pi * freq * (nodes + spec.d) / spec.d)
         ys.append(LiftedState(x.head, Segment(spec.grid, x.tail.values + bump[:, None])))
     table = hjb.b_continuity_probe(spec, _control(spec), x, ys, a.T, a.dt, a.paths, a.seed)
-    monotone, vanishing = hjb.envelope_is_monotone(table, abs_tol=1e-6)
+    monotone, vanishing = hjb.envelope_is_monotone(table)
     run.csv("bcontinuity.csv", ["weak_distance", "difference", "stderr"],
             [[float(d), float(v), float(s)] for d, v, s in
              zip(table.distances, table.differences, table.stderrs)])
     run.svg("bcontinuity.svg", "diff", table.distances, table.differences,
             title="value difference vs weak distance", scatter=True)
     return [f"probe-bcontinuity: monotone={monotone} vanishing={vanishing} "
-            f"pairs={a.pairs}"], 0
+            f"pairs={a.pairs}"]
 
 
 def cmd_merton_check(run: Run):
@@ -476,9 +487,12 @@ def cmd_merton_check(run: Run):
                 ("closed_loop_vs_solver", -mc_mean, v_solver,
                  0.03 * abs(v_solver) + 2 * mc_err))]
     run.csv("merton_check.csv", ["check", "observed", "target", "tol", "pass"], rows)
-    return [f"merton-check: {r[0]}: observed={r[1]:.6g} target={r[2]:.6g} "
-            f"tol={r[3]:.3g} {'PASS' if r[-1] else 'FAIL'}"
-            for r in rows], 0 if all(r[-1] for r in rows) else 2
+    lines = [f"merton-check: {r[0]}: observed={r[1]:.6g} target={r[2]:.6g} "
+             f"tol={r[3]:.3g} {'PASS' if r[-1] else 'FAIL'}" for r in rows]
+    failed = [r[0] for r in rows if not r[-1]]
+    if failed:
+        raise CheckFailed(lines, failed)
+    return lines
 
 
 def cmd_advertising_demo(run: Run):
@@ -493,7 +507,7 @@ def cmd_advertising_demo(run: Run):
     arr = np.asarray(rows)
     run.svg("path.svg", "goodwill", arr[:, 0], arr[:, 1], title="goodwill path")
     return [f"advertising-demo: V(x0)={result.value.interp_one(z0):.6g} "
-            f"dpp_gap={report.gap:.4g}"], 0
+            f"dpp_gap={report.gap:.4g}"]
 
 
 def _flag(*names, **kw):
@@ -564,15 +578,18 @@ def main(argv=None) -> int:
         spec = models.load_spec_file(args.spec)
         run = Run(args, spec, models.initial_state(spec), Path(args.out))
         run.out.mkdir(parents=True, exist_ok=True)
-        error = None
+        error, code = None, 0
         try:
-            lines, code = args.func(run)
+            lines = args.func(run)
         except NumericalError as exc:
             # the manifest keeps the arguments and what the run wrote before it failed
-            error, lines, code = _err("numerical", exc), [], 2
+            error, code = _err("numerical", exc), 2
+            lines = exc.lines if isinstance(exc, CheckFailed) else []
         output.write_manifest(run.out, args.spec, {**resolved, **run.extra},
                               run.artifacts, started, error)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
+        # a MemoryError is an array sized by the input (m, a grid, a path
+        # count) beyond memory, refused like any other out-of-range input
         _err("validation", exc)
         return 1
     for line in lines:

@@ -241,10 +241,6 @@ class Kernel:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None, None]
-        elif vals.ndim == 2:
-            vals = vals[:, None, :]
         if vals.ndim != 3 or vals.shape[0] != self.grid.m + 1:
             raise ValidationError(
                 f"kernel table must have shape (m+1, h, n), got {vals.shape}"

@@ -692,18 +692,16 @@ class RegularityReport:
         return (self.alpha_hat - 2 * self.alpha_se, self.alpha_hat + 2 * self.alpha_se)
 
 
-def regularity_probe(spec: ProblemSpec | None, estimator, box,
-                     samples: int = 7, gradient_spacing: float | None = None,
-                     noise: float = 0.0) -> RegularityReport:
+def regularity_probe(spec: ProblemSpec, estimator, box, samples: int,
+                     gradient_spacing: float) -> RegularityReport:
     """Lipschitz and gradient-smoothness estimates of a head-section map.
 
     estimator maps a batch of head points (k, n) to values (k,). The
-    Lipschitz estimate is the largest difference quotient on a lattice over
-    the box. Gradients are central differences at a spacing at least the
-    square root of the estimator noise; their pairwise log-log fit gives
-    the smoothness exponent with its standard error. Returns flags instead
-    of asserting when the signal is dominated by noise, when the gradient
-    jumps, or when no ellipticity floor is declared.
+    Lipschitz estimate is the largest difference quotient on a lattice of
+    samples points per axis over the box. Gradients are central differences
+    at gradient_spacing; their pairwise log-log fit gives the smoothness
+    exponent with its standard error. Returns flags instead of asserting
+    when the gradient jumps, or when spec declares no ellipticity floor.
     """
     if samples < 2:
         raise ValidationError(f"the lattice needs at least 2 samples per axis, got {samples}")
@@ -718,15 +716,7 @@ def regularity_probe(spec: ProblemSpec | None, estimator, box,
     mask = dist > 1e-12
     lipschitz = float(np.max(dv[mask] / dist[mask]))
 
-    if noise > 0 and float(np.median(dv[mask])) < 3.0 * noise:
-        flags.append("inconclusive: estimator noise dominates the sampled spread")
-        return RegularityReport(lipschitz=lipschitz, alpha_hat=None,
-                                alpha_se=None, flags=tuple(flags))
-
-    span = max(hi - lo for lo, hi in box)
-    h = gradient_spacing if gradient_spacing is not None else span / (2 * (samples - 1))
-    if noise > 0:
-        h = max(h, math.sqrt(noise))
+    h = gradient_spacing
     g_pts = _tensor_nodes([np.linspace(lo + h, hi - h, max(3, samples - 2)) for lo, hi in box])
     grads = np.empty_like(g_pts)
     for a, e in enumerate(h * np.eye(len(box))):
@@ -756,7 +746,7 @@ def regularity_probe(spec: ProblemSpec | None, estimator, box,
     alpha_se = math.sqrt(sigma2 / sxx) if sxx > 0 else math.inf
     if alpha < 0.15:
         flags.append("gradient-jump: smoothness exponent indistinguishable from zero")
-    if spec is not None and spec.ellipticity_floor is None:
+    if spec.ellipticity_floor is None:
         flags.append("ellipticity-not-declared: smoothness exponent reported, not asserted")
     return RegularityReport(lipschitz=lipschitz, alpha_hat=alpha,
                             alpha_se=alpha_se, flags=tuple(flags))
@@ -764,16 +754,17 @@ def regularity_probe(spec: ProblemSpec | None, estimator, box,
 
 @dataclass(frozen=True, eq=False)
 class ContinuityTable:
-    """Scatter rows (weak distance, value difference, standard error)."""
+    """Scatter rows (weak distance, value difference, standard error),
+    sorted by distance when the table is built."""
 
     distances: np.ndarray
     differences: np.ndarray
     stderrs: np.ndarray
 
-    def sorted(self) -> "ContinuityTable":
+    def __post_init__(self):
         order = np.argsort(self.distances)
-        return ContinuityTable(self.distances[order], self.differences[order],
-                               self.stderrs[order])
+        for name in ("distances", "differences", "stderrs"):
+            object.__setattr__(self, name, getattr(self, name)[order])
 
 
 def b_continuity_probe(spec: ProblemSpec, ctrl, x: LiftedState, ys, T: float,
@@ -797,32 +788,32 @@ def b_continuity_probe(spec: ProblemSpec, ctrl, x: LiftedState, ys, T: float,
         dist.append(minus_one_norm(x - y))
         diff.append(abs(d))
         err.append(s)
-    return ContinuityTable(np.asarray(dist), np.asarray(diff), np.asarray(err)).sorted()
+    return ContinuityTable(np.asarray(dist), np.asarray(diff), np.asarray(err))
 
 
-def envelope_is_monotone(table: ContinuityTable, abs_tol: float = 0.0,
-                         buckets: int = 5) -> tuple[bool, bool]:
+def envelope_is_monotone(table: ContinuityTable) -> tuple[bool, bool]:
     """(monotone within error bars, vanishing at zero).
 
-    Buckets the sorted rows by distance. Monotone means bucket means do not
-    decrease beyond their pooled error bars; vanishing means the smallest
-    bucket sits within its error bars plus 5% of the table's largest
-    bucket mean. Fewer than 2 rows are refused: one bucket is monotone
+    Splits the rows, in distance order, into five buckets (one per row when
+    there are fewer). Monotone means bucket means do not decrease beyond
+    their pooled error bars plus 1e-6; vanishing means the smallest bucket
+    sits within its error bars plus 5% of the table's largest bucket mean
+    plus 1e-6. Fewer than 2 rows are refused: one bucket is monotone
     vacuously.
     """
-    t = table.sorted()
-    n = len(t.distances)
+    n = len(table.distances)
     if n < 2:
         raise ValidationError(f"an envelope needs at least 2 rows, got {n}")
-    edges = np.linspace(0, n, min(buckets, n) + 1).astype(int)
+    edges = np.linspace(0, n, min(5, n) + 1).astype(int)
     means, errs = [], []
     for b in range(len(edges) - 1):
         sl = slice(edges[b], edges[b + 1])
-        means.append(float(np.mean(t.differences[sl])))
-        errs.append(float(np.sqrt(np.mean(t.stderrs[sl] ** 2) / max(1, edges[b + 1] - edges[b]))))
-    monotone = all(means[b] <= means[b + 1] + 2 * (errs[b] + errs[b + 1]) + abs_tol
+        means.append(float(np.mean(table.differences[sl])))
+        errs.append(float(np.sqrt(np.mean(table.stderrs[sl] ** 2)
+                                  / max(1, edges[b + 1] - edges[b]))))
+    monotone = all(means[b] <= means[b + 1] + 2 * (errs[b] + errs[b + 1]) + 1e-6
                    for b in range(len(means) - 1))
-    vanishing = means[0] <= 2 * errs[0] + 0.05 * max(means) + abs_tol
+    vanishing = means[0] <= 2 * errs[0] + 0.05 * max(means) + 1e-6
     return monotone, vanishing
 
 

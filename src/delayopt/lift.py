@@ -122,7 +122,11 @@ class EquivalenceLevel:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Pathwise lift agreement at a base resolution and after joint halving."""
+    """Pathwise lift agreement at a base resolution and after joint halving.
+
+    head_ratio is the base head mismatch over the refined one: inf when
+    only the refined level agrees exactly, nan when both do.
+    """
 
     base: EquivalenceLevel
     refined: EquivalenceLevel
@@ -168,8 +172,10 @@ def equivalence_report(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
     lifted_f = simulate_mild(spec_f, x_f, ctrl, T, delta / 2, fine)
     refined = _mismatch(spec_f, path_f, lifted_f)
 
-    ratio = (base.head_mismatch / refined.head_mismatch if refined.head_mismatch > 0
-             else math.inf)
+    if refined.head_mismatch > 0:
+        ratio = base.head_mismatch / refined.head_mismatch
+    else:  # 0/0 when both levels agree exactly: no halving to report
+        ratio = math.nan if base.head_mismatch == 0 else math.inf
     return EquivalenceReport(base=base, refined=refined, head_ratio=ratio)
 
 

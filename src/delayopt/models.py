@@ -46,7 +46,7 @@ def build_kernel(spec: dict, grid: SegmentGrid, n: int) -> Kernel:
 
     Preset form: {"preset": name, "scale": s, "embed": [[...]]} where embed
     is the (h, n) placement matrix (defaults to a single row of ones).
-    Table form: {"table": [...]} with shape (m+1,), (m+1, n) or (m+1, h, n).
+    Table form: {"table": [...]} with shape (m+1, h, n).
     A preset kernel carries its own tabulation, so it resamples exactly.
     """
     if "table" in spec:
@@ -130,8 +130,11 @@ def power_utility(z, gamma: float, z_floor: float):
     z = np.asarray(z, dtype=float)
     gf = z_floor ** gamma / gamma
     slope = z_floor ** (gamma - 1.0)
+    # neither branch is evaluated past the floor, so a huge z cannot
+    # overflow in the branch np.where discards
     zc = np.maximum(z, z_floor)
-    return np.where(z >= z_floor, zc ** gamma / gamma, gf + slope * (z - z_floor))
+    return np.where(z >= z_floor, zc ** gamma / gamma,
+                    gf + slope * (np.minimum(z, z_floor) - z_floor))
 
 
 def control_grid(lo: float, hi: float, count: int) -> np.ndarray:

@@ -208,17 +208,15 @@ class SpectralDecomposition:
         """Largest eigenvalue = squared operator norm of the inverse generator."""
         return float(self.eigenvalues[0])
 
-    def projection_matrix(self, n_modes: int, which: str = "P") -> np.ndarray:
+    def tail_projector(self, n_modes: int) -> np.ndarray:
+        """Q = I - P, with P the weighted-orthogonal projector onto the
+        leading n_modes eigenvectors."""
         if not 1 <= n_modes <= self.dim:
             raise ValueError(f"mode count must be in [1, {self.dim}], got {n_modes}")
         F = self.vectors[:, :n_modes]
         w = weight_vector(self.grid, 1)
         P = F @ (w[:, None] * F).T
-        if which == "P":
-            return P
-        if which == "Q":
-            return np.eye(P.shape[0]) - P
-        raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
+        return np.eye(P.shape[0]) - P
 
 
 def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:

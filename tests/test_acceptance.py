@@ -107,7 +107,7 @@ def test_criterion_3_spectrum_and_trace():
     positive = bool(np.all(dec.eigenvalues > 0))
     tail_ok, prev = True, np.inf
     for n_modes in (1, 10, 25, 50, dec.dim):
-        q = dec.projection_matrix(n_modes, "Q")
+        q = dec.tail_projector(n_modes)
         norm = g_operator_norm(op.matrix @ q, g)
         expected = dec.eigenvalues[n_modes] if n_modes < dec.dim else 0.0
         tail_ok &= abs(norm - expected) <= 1e-7 * dec.operator_norm
@@ -120,7 +120,7 @@ def test_criterion_3_spectrum_and_trace():
     N = op.matrix.shape[0]
     gram_flat = np.zeros((N, N))
     gram_flat[:1, :1] = sig @ sig.T
-    traces = [float(np.trace(gram_flat @ op.matrix @ dec.projection_matrix(k, "Q")))
+    traces = [float(np.trace(gram_flat @ op.matrix @ dec.tail_projector(k)))
               for k in (1, 5, 20, 60, dec.dim)]
     trace_ok = all(a >= b - 1e-12 for a, b in zip(traces, traces[1:])) \
         and traces[-1] <= 1e-12 and traces[0] > 0
@@ -236,7 +236,7 @@ def test_criterion_8_growth_and_continuity(advertising_solution):
         ys.append(LiftedState(x.head, Segment(spec.grid, x.tail.values + bump[:, None])))
     table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, ys, T=4.0, delta=0.01,
                                n_paths=200, seed=13)
-    monotone, vanishing = envelope_is_monotone(table, abs_tol=1e-6)
+    monotone, vanishing = envelope_is_monotone(table)
     ok = growth_ok and monotone and vanishing
     report(8, "value growth and weak continuity", ok,
            f"growth constant {c_base:.3f} vs refined {c_fine:.3f} "
@@ -244,7 +244,7 @@ def test_criterion_8_growth_and_continuity(advertising_solution):
            f"{monotone}, vanishing at 0: {vanishing}")
 
 
-def test_criterion_9_partial_regularity(merton_delay_solution):
+def test_criterion_9_partial_regularity(merton_delay_solution, advertising_spec):
     chain, res = merton_delay_solution
     spec = chain.spec
     x = models.initial_state(spec)
@@ -262,11 +262,11 @@ def test_criterion_9_partial_regularity(merton_delay_solution):
     field_ok = (np.isfinite(rep.lipschitz) and rep.alpha_hat is not None
                 and rep.alpha_hat >= 0.3 and rep.alpha_band is not None)
 
-    smooth = regularity_probe(None, lambda p: 0.5 * np.sum(p ** 2, axis=1),
+    smooth = regularity_probe(advertising_spec, lambda p: 0.5 * np.sum(p ** 2, axis=1),
                               [(-1.0, 1.0), (-1.0, 1.0)], samples=7,
                               gradient_spacing=0.05)
     smooth_ok = abs(smooth.alpha_hat - 1.0) <= 0.05 and not smooth.flags
-    kink = regularity_probe(None, lambda p: np.abs(p[:, 0]), [(-1.0, 1.0)],
+    kink = regularity_probe(advertising_spec, lambda p: np.abs(p[:, 0]), [(-1.0, 1.0)],
                             samples=9, gradient_spacing=0.02)
     kink_ok = (abs(kink.lipschitz - 1.0) <= 0.05
                and any("gradient-jump" in f for f in kink.flags))

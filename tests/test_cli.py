@@ -224,8 +224,11 @@ def bad_specs(tmp_path_factory):
     boolean or quoted resolution, a text utility exponent, an infinite delay
     horizon, a NaN utility floor and one that overflows (1e999), a single
     control, an unknown kernel preset, a kernel embed of the wrong shape,
-    wrapped in a list, cut short of its closing brace, and not UTF-8 text;
-    and affine.json with a control interval whose arithmetic overflows."""
+    a kernel table of shape (m+1, n), wrapped in a list, cut short of its
+    closing brace, and not UTF-8 text; affine.json with a control interval
+    whose arithmetic overflows; and advertising.json with a resolution of
+    10**15, whose grid (7.11 PiB) is far beyond a 47-bit user address space
+    (128 TiB), so its allocation fails at once."""
     doc = json.loads((SPECS / "merton_nodelay.json").read_text())
     variants = {
         "unknown_param": {**doc, "params": {**doc["params"], "alpha": 1.0}},
@@ -244,10 +247,13 @@ def bad_specs(tmp_path_factory):
         "embed_shape": {**doc, "params": {**doc["params"],
                                           "kernel_drift": {"preset": "zero",
                                                            "embed": [[1.0]]}}},
+        "kernel_table_2d": {**doc, "params": {**doc["params"],
+                                              "kernel_drift": {"table": [[0.0, 0.0]] * 5}}},
     }
     affine = json.loads((SPECS / "affine.json").read_text())
     variants["control_overflow"] = {**affine, "params": {
         **affine["params"], "control_lo": -1e308, "control_hi": 1e308}}
+    variants["m_huge"] = {**json.loads((SPECS / "advertising.json").read_text()), "m": 10**15}
     root = tmp_path_factory.mktemp("bad_specs")
     paths = {}
     for name, variant in variants.items():
@@ -358,6 +364,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["solve", "--spec", SPEC, "--mlag", "0", "--grid", "y:-1:2.5:9"],
     ["simulate", "--spec", SPEC, "--T", "0.1", "--dt", "0.01",
      "--control", "policy:{index_outside}"],
+    ["operators", "--spec", "{kernel_table_2d}"],
+    ["operators", "--spec", "{m_huge}"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -379,7 +387,7 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "merton-check-one-control", "control-unknown-form", "box-lag-axis",
         "policy-no-axes", "policy-json-syntax", "spec-json-syntax", "spec-not-utf8",
         "spec-control-overflow", "spec-kernel-unknown", "spec-embed-shape", "mlag-zero",
-        "policy-index-outside"])
+        "policy-index-outside", "spec-kernel-table-2d", "spec-m-beyond-memory"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
                                    capsys, request):
     # the default --out goes first, so a row's own --out is the one parsed
@@ -402,7 +410,8 @@ NAMED_IN_REFUSAL = {"policy-no-axes": ("{no_axes}", "'axes'"),
                     "spec-kernel-unknown": ("unknown kernel preset 'nope'",),
                     "spec-embed-shape": ("kernel embed must be (h, 2)",),
                     "mlag-zero": ("lag count must be >= 1",),
-                    "policy-index-outside": ("policy indices outside the control set",)}
+                    "policy-index-outside": ("policy indices outside the control set",),
+                    "spec-kernel-table-2d": ("kernel table must have shape (m+1, h, n)",)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,6 +442,29 @@ def test_numerical_failure_keeps_its_manifest(tmp_path, capsys):
     # a run that succeeds records no error key
     assert run(["solve", "--spec", SPEC, *SMALL, "--out", str(out)]) == 0
     assert "error" not in json.loads((out / "run_manifest.json").read_text())
+
+
+@pytest.mark.parametrize("argv, failed", [
+    (["merton-check", "--grid", "z:log:0.5:2:3", "--T", "1", "--paths", "50"],
+     ["value_iteration_vs_oracle", "closed_loop_vs_solver"]),
+    (["dpp", "--grid", "z:log:0.005:100:5", "--tau-steps", "20", "--paths", "200"],
+     ["dpp_gap"]),
+], ids=["merton-check", "dpp"])
+def test_a_failed_check_exits_two_with_its_record(argv, failed, tmp_path, capsys):
+    # on grids this coarse the checks fail: stdout keeps the check lines,
+    # and the numerical record naming the failed checks is on stderr and in
+    # the manifest
+    out = tmp_path / "o"
+    assert run([argv[0], "--spec", str(SPECS / "merton_nodelay.json"), *argv[1:],
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.splitlines()[-1])
+    assert record == {"error": "numerical", "message": f"failed checks: {', '.join(failed)}"}
+    assert json.loads((out / "run_manifest.json").read_text())["error"] == record
+    lines = captured.out.splitlines()
+    assert len(lines) == (3 if argv[0] == "merton-check" else 1)
+    assert all(line.startswith(f"{argv[0]}: ") for line in lines)
+    assert sum(line.endswith(("FAIL", "pass=False")) for line in lines) == len(failed)
 
 
 def test_non_convergence_exits_two_with_a_numerical_record(tmp_path, capsys):
@@ -707,6 +739,17 @@ def test_lift_check(tmp_path):
     rows = (out / "lift_report.csv").read_text().splitlines()
     assert rows[0].startswith("delta,m,head_mismatch")
     assert len(rows) == 3
+
+
+def test_lift_check_ratio_is_nan_when_both_levels_agree(tmp_path, capsys):
+    # over one step both simulators agree exactly at both levels, so the
+    # halving ratio is 0/0
+    out = tmp_path / "lift"
+    assert run(["lift-check", "--spec", SPEC, "--T", "0.01", "--dt", "0.01",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith(" ratio=nan")
+    rows = (out / "lift_report.csv").read_text().splitlines()
+    assert [row.split(",")[2:] for row in rows[1:]] == [["0.0", "0.0", "nan"]] * 2
 
 
 def test_dpp_subcommand(tmp_path):

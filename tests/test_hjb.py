@@ -186,7 +186,7 @@ def test_hamiltonian_bq_block_perturbation_vanishes(advert_spec):
     lam = 2.0
     devs = []
     for n_modes in (1, 5, 20, dec.dim):
-        bq = op.matrix @ dec.projection_matrix(n_modes, "Q")
+        bq = op.matrix @ dec.tail_projector(n_modes)
         block = lam * bq[:1, :1]
         v1, _ = hamiltonian(spec, x, p0, z)
         v2, _ = hamiltonian(spec, x, p0, z + (block + block.T) / 2)
@@ -997,36 +997,25 @@ def test_closed_loop_beats_or_matches_constants(advertising_solution):
 # probes
 
 
-def test_regularity_probe_quadratic_field():
+def test_regularity_probe_quadratic_field(advertising_spec):
     def estimator(pts):
         return 0.5 * np.sum(pts ** 2, axis=1) + pts[:, 0]
 
-    rep = regularity_probe(None, estimator, [(-1.0, 1.0), (-1.0, 1.0)],
+    rep = regularity_probe(advertising_spec, estimator, [(-1.0, 1.0), (-1.0, 1.0)],
                            samples=7, gradient_spacing=0.05)
     assert rep.alpha_hat == pytest.approx(1.0, abs=0.05)
     assert rep.flags == ()
     assert rep.alpha_band[0] <= 1.0 <= rep.alpha_band[1]
 
 
-def test_regularity_probe_kink_flagged():
+def test_regularity_probe_kink_flagged(advertising_spec):
     def estimator(pts):
         return np.abs(pts[:, 0])
 
-    rep = regularity_probe(None, estimator, [(-1.0, 1.0)], samples=9,
+    rep = regularity_probe(advertising_spec, estimator, [(-1.0, 1.0)], samples=9,
                            gradient_spacing=0.02)
     assert rep.lipschitz == pytest.approx(1.0, abs=0.05)
     assert any("gradient-jump" in f for f in rep.flags)
-
-
-def test_regularity_probe_noise_inconclusive():
-    rng = np.random.default_rng(5)
-
-    def estimator(pts):
-        return 1e-6 * pts[:, 0] + rng.normal(scale=0.5, size=pts.shape[0])
-
-    rep = regularity_probe(None, estimator, [(-1.0, 1.0)], samples=7, noise=0.5)
-    assert any("inconclusive" in f for f in rep.flags)
-    assert rep.alpha_hat is None
 
 
 def test_regularity_probe_reports_only_without_ellipticity(advert_spec):
@@ -1118,12 +1107,12 @@ def test_envelope_helper():
     t = ContinuityTable(np.array([0.01, 0.1, 0.5, 1.0]),
                         np.array([0.001, 0.01, 0.05, 0.1]),
                         np.array([0.0005] * 4))
-    mono, vanish = envelope_is_monotone(t, buckets=4)
+    mono, vanish = envelope_is_monotone(t)
     assert mono and vanish
     bad = ContinuityTable(np.array([0.01, 0.1, 0.5, 1.0]),
                           np.array([0.2, 0.01, 0.05, 0.1]),
                           np.array([0.0001] * 4))
-    mono, vanish = envelope_is_monotone(bad, buckets=4)
+    mono, vanish = envelope_is_monotone(bad)
     assert not mono and not vanish
 
 

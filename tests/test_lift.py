@@ -272,7 +272,7 @@ def test_noise_trace_term_vanishes_spectrally():
     gram_flat[:1, :1] = sig @ sig.T
     traces = []
     for n_modes in (1, 5, 10, 20, 30, dec.dim):
-        q = dec.projection_matrix(n_modes, "Q")
+        q = dec.tail_projector(n_modes)
         traces.append(float(np.trace(gram_flat @ op.matrix @ q)))
     assert all(a >= b - 1e-12 for a, b in zip(traces, traces[1:]))
     assert traces[-1] <= 1e-12

@@ -117,6 +117,17 @@ def test_power_utility_floor_concave_and_linear_below():
         power_utility(zf, g, zf) + zf ** (g - 1) * (np.array([-1.0, 0.0]) - zf))
 
 
+def test_power_utility_evaluates_each_branch_on_its_side_of_the_floor():
+    # the linear branch sees min(z, z_floor), so a huge wealth overflows in
+    # neither branch (tier-1 makes a RuntimeWarning an error), and every
+    # value is bitwise the one of the expression that extended every point
+    g, zf = 0.5, 0.05
+    assert power_utility(np.array([1e308]), g, zf)[0] == 1e308 ** g / g
+    z = np.array([-1.0, 0.0, 0.01, zf, 0.06, 1.0, 3.0])
+    old = np.where(z >= zf, np.maximum(z, zf) ** g / g, zf ** g / g + zf ** (g - 1) * (z - zf))
+    np.testing.assert_array_equal(power_utility(z, g, zf), old)
+
+
 # ---------------------------------------------------------------------------
 # portfolio model
 
@@ -522,22 +533,20 @@ def test_kernel_preset_resampling_exact():
 
 
 def test_table_kernel_matches_its_preset(advertising_spec, merton_delay_spec):
-    # the affine_ramp preset given as a table in each of its shapes: at the
-    # preset's m its weighted tables are the preset's; on other grids the
-    # table is interpolated, which reproduces the linear ramp up to rounding
+    # the affine_ramp preset given as a table: at the preset's m its
+    # weighted tables are the preset's; on other grids the table is
+    # interpolated, which reproduces the linear ramp up to rounding
     for spec in (advertising_spec, merton_delay_spec):
         ramp = spec.kernel_drift.values  # (m+1, h, n)
         ref = dataclasses.replace(spec, kernel_noise=spec.kernel_drift)
-        tables = [ramp, ramp[:, 0, :]] + ([ramp[:, 0, 0]] if spec.n == 1 else [])
-        for table in tables:
-            kernel = models.build_kernel({"table": table.tolist()}, spec.grid, spec.n)
-            assert kernel.preset is None and kernel.values.shape == ramp.shape
-            tabled = dataclasses.replace(spec, kernel_drift=kernel, kernel_noise=kernel)
-            for got, want in zip(weighted_kernels(tabled, spec.grid),
-                                 weighted_kernels(ref, spec.grid)):
-                np.testing.assert_array_equal(got, want)
-            for m in (3, 7 * spec.grid.m // 3):
-                grid = SegmentGrid(spec.d, m)
-                for got, want in zip(weighted_kernels(tabled, grid), weighted_kernels(ref, grid)):
-                    assert got.shape == want.shape == (m + 1,) + ramp.shape[1:]
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        kernel = models.build_kernel({"table": ramp.tolist()}, spec.grid, spec.n)
+        assert kernel.preset is None and kernel.values.shape == ramp.shape
+        tabled = dataclasses.replace(spec, kernel_drift=kernel, kernel_noise=kernel)
+        for got, want in zip(weighted_kernels(tabled, spec.grid),
+                             weighted_kernels(ref, spec.grid)):
+            np.testing.assert_array_equal(got, want)
+        for m in (3, 7 * spec.grid.m // 3):
+            grid = SegmentGrid(spec.d, m)
+            for got, want in zip(weighted_kernels(tabled, grid), weighted_kernels(ref, grid)):
+                assert got.shape == want.shape == (m + 1,) + ramp.shape[1:]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)

@@ -321,8 +321,14 @@ def test_spectral_ghost_mode_is_alternating(gram_50):
 
 
 def project(dec, x, n_modes, which):
-    """Spectral projection of a state through the decomposition's projection matrix."""
-    return unflatten(dec.projection_matrix(n_modes, which) @ flatten(x), dec.grid, 1)
+    """Spectral projection of a state: "P" sums the leading eigenvectors
+    times their weighted coefficients, the oracle of the tail projector
+    "Q"."""
+    if which == "Q":
+        return unflatten(dec.tail_projector(n_modes) @ flatten(x), dec.grid, 1)
+    F = dec.vectors[:, :n_modes]
+    coeffs = F.T @ (weight_vector(dec.grid, 1) * flatten(x))
+    return unflatten(F @ coeffs, dec.grid, 1)
 
 
 def test_projection_identities(gram_50):
@@ -362,7 +368,7 @@ def test_tail_projector_norm_is_next_eigenvalue(gram_50):
     w = weight_vector(g, 1)
     prev = np.inf
     for n_modes in (1, 5, 10, 25, dec.dim):
-        q = dec.projection_matrix(n_modes, "Q")
+        q = dec.tail_projector(n_modes)
         norm = g_operator_norm(op.matrix @ q, g)
         expected = dec.eigenvalues[n_modes] if n_modes < dec.dim else 0.0
         assert norm == pytest.approx(expected, rel=1e-7, abs=1e-12)
