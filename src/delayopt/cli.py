@@ -10,7 +10,8 @@ directory), writes its artifacts through the context (Run.csv, Run.svg) and
 may add manifest fields to Run.extra; it returns its stdout lines, or raises
 CheckFailed with them when a check it ran fails. main builds the context,
 calls the handler, writes run_manifest.json (with the error record when the
-handler fails numerically), prints the lines, and maps errors to exit codes.
+handler fails, numerically or on its input), prints the lines, and maps
+errors to exit codes.
 """
 
 from __future__ import annotations
@@ -217,8 +218,7 @@ def _record_tail_bound(run: Run) -> None:
     prefactor taken as 1 (hjb.truncation_tail_bound); null when the discount
     does not clear its admissibility floor."""
     try:
-        bound = hjb.truncation_tail_bound(run.spec, float(np.linalg.norm(run.x.head)),
-                                          run.args.T)
+        bound = hjb.truncation_tail_bound(run.spec, math.hypot(*run.x.head), run.args.T)
     except ValidationError:
         bound = None
     run.extra["truncation_tail_bound"] = bound
@@ -234,7 +234,7 @@ def cmd_simulate(run: Run):
                                  keep=min(a.paths, a.emit_paths))
     mean, stderr = sdde._mean_stderr(batch.costs)
     try:
-        t_trunc = hjb.truncation_horizon(spec, float(np.linalg.norm(x.head)), tol=0.01)
+        t_trunc = hjb.truncation_horizon(spec, math.hypot(*x.head), tol=0.01)
     except ValidationError:
         t_trunc = float("nan")
     _record_tail_bound(run)
@@ -578,13 +578,15 @@ def main(argv=None) -> int:
         spec = models.load_spec_file(args.spec)
         run = Run(args, spec, models.initial_state(spec), Path(args.out))
         run.out.mkdir(parents=True, exist_ok=True)
-        error, code = None, 0
+        error, code, lines = None, 0, []
+        # the manifest keeps the arguments and what the run wrote before it failed
         try:
             lines = args.func(run)
         except NumericalError as exc:
-            # the manifest keeps the arguments and what the run wrote before it failed
             error, code = _err("numerical", exc), 2
             lines = exc.lines if isinstance(exc, CheckFailed) else []
+        except (ValidationError, MemoryError) as exc:
+            error, code = _err("validation", exc), 1
         output.write_manifest(run.out, args.spec, {**resolved, **run.extra},
                               run.artifacts, started, error)
     except (ValidationError, OSError, MemoryError) as exc:

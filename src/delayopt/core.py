@@ -150,21 +150,10 @@ class LiftedState:
         """The state of a batch of one on this grid: heads (1, n), tails (1, m+1, n)."""
         return LiftedState(heads[0], Segment(self.grid, tails[0]))
 
-    def __add__(self, other: "LiftedState") -> "LiftedState":
-        _check_same_grid(self.grid, other.grid, "state addition")
-        return LiftedState(self.head + other.head,
-                           Segment(self.grid, self.tail.values + other.tail.values))
-
     def __sub__(self, other: "LiftedState") -> "LiftedState":
         _check_same_grid(self.grid, other.grid, "state subtraction")
         return LiftedState(self.head - other.head,
                            Segment(self.grid, self.tail.values - other.tail.values))
-
-    def __mul__(self, scalar: float) -> "LiftedState":
-        return LiftedState(self.head * scalar,
-                           Segment(self.grid, self.tail.values * scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,30 +120,15 @@ def truncation_horizon(spec: ProblemSpec, x_norm: float, tol: float) -> float:
 # Hamiltonian
 
 
-def hamiltonian(spec: ProblemSpec, x: LiftedState, p0: np.ndarray,
-                z00: np.ndarray) -> tuple[float, np.ndarray]:
-    """Reduced Hamiltonian at a lifted state with head gradient and Hessian.
-
-    Value is -head . p0 plus the best control score
-    -drift . p0 - Tr(noise noise^T z00)/2 - cost; ties break to the lowest
-    control index. z00 must be symmetric.
-    """
-    p0, z00 = np.asarray(p0, dtype=float), np.asarray(z00, dtype=float)
-    if z00.shape != (spec.n, spec.n):
-        raise ValidationError(f"hessian block must be {(spec.n, spec.n)}, got {z00.shape}")
-    if not np.allclose(z00, z00.T, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(z00)))):
-        raise ValidationError("hessian block must be symmetric")
-    z1, z2 = spec.delay_integrals(x.tail)
-    value, best = _best_score(spec, x.head[None], z1[None], z2[None], p0[None], z00[None])
-    return float(value[0]), spec.control_set[best[0]]
-
-
 def _best_score(spec: ProblemSpec, y: np.ndarray, z1: np.ndarray, z2: np.ndarray,
                 p0: np.ndarray, z00: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """-y . p0 plus the best control score at each of k points, and the index
-    of that control.
+    """Reduced Hamiltonian at each of k points, and the index of its best
+    control: -y . p0 plus the best control score
+    -drift . p0 - Tr(noise noise^T z00)/2 - cost, ties broken to the lowest
+    control index.
 
-    y, z1, z2, p0 hold one row per point and z00 one (n, n) block per point.
+    y, z1, z2, p0 hold one row per point (head, delay integrals, head
+    gradient) and z00 one symmetric (n, n) head Hessian block per point.
     Drift, noise and cost are evaluated once over control-major rows: row
     iu * k + i is control iu at point i.
     """

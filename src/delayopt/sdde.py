@@ -110,17 +110,17 @@ class OpenLoopControl:
 
 @dataclass(frozen=True, eq=False)
 class SddePath:
-    """One realized trajectory on [-d, T] with the applied control path.
+    """One realized trajectory on [-d, T], tabulated at its step times.
 
     The first n_history rows of times and states are the history before 0;
-    the rest are the steps from 0 to T. discounted_cost is the left Riemann
-    sum of the discounted running cost over [0, T).
+    the rest are the steps from 0 to T. segment_grid is the grid of the
+    problem it was simulated from, on which lift.history_lift lays its
+    windows. The controls and the discounted cost of the pass stay with
+    _simulate_batch.
     """
 
     times: np.ndarray
     states: np.ndarray
-    controls: np.ndarray
-    discounted_cost: float
     delta: float
     n_history: int
     segment_grid: SegmentGrid
@@ -242,7 +242,6 @@ def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
         raise ValidationError(f"one path takes (seed, 1), got {noise}")
     batch = _simulate_batch(spec, x, ctrl, T, delta, noise, keep=1)
     return SddePath(times=delta * np.arange(-n_hist, n_steps + 1), states=batch.states[0],
-                    controls=batch.controls[0], discounted_cost=float(batch.costs[0]),
                     delta=delta, n_history=n_hist, segment_grid=spec.grid)
 
 

@@ -142,13 +142,15 @@ def test_simulate_paths_are_single_path_simulations(tmp_path, policy_file):
     spec = models.load_spec_file(SPEC)
     ctrl = _control(spec, f"policy:{policy_file}", 0.05)
     for i in range(3):
-        path = sdde.simulate_sdde(spec, models.initial_state(spec), ctrl, 0.5, 0.05,
-                                  sdde.batch_increments(4, [i], 0.05, spec.q, 10)[0])
+        dw = sdde.batch_increments(4, [i], 0.05, spec.q, 10)
+        path = sdde.simulate_sdde(spec, models.initial_state(spec), ctrl, 0.5, 0.05, dw[0])
+        controls = sdde._simulate_batch(spec, models.initial_state(spec), ctrl, 0.5, 0.05,
+                                        dw, keep=1).controls[0]
         mine = rows[rows[:, 0] == i]
         steps = slice(path.n_history, -1)
         np.testing.assert_array_equal(mine[:, 1], path.times[steps])
         np.testing.assert_array_equal(mine[:, 2:2 + spec.n], path.states[steps])
-        np.testing.assert_array_equal(mine[:, 2 + spec.n:], path.controls)
+        np.testing.assert_array_equal(mine[:, 2 + spec.n:], controls)
     assert len(rows) == 3 * 10
 
 
@@ -444,6 +446,36 @@ def test_numerical_failure_keeps_its_manifest(tmp_path, capsys):
     assert "error" not in json.loads((out / "run_manifest.json").read_text())
 
 
+@pytest.mark.parametrize("samples", ["0", "1000000000000000"],
+                         ids=["samples-zero", "samples-beyond-memory"])
+def test_refused_input_inside_a_handler_keeps_its_manifest(samples, tmp_path, capsys):
+    # operators refuses its sample count after writing spectrum.csv: zero by
+    # its count check, 10**15 by the MemoryError of its 42.6 PiB coefficient
+    # array, which fails at once; both exit 1 and keep the manifest, with
+    # the validation record it printed
+    out = tmp_path / "o"
+    assert run(["operators", "--spec", str(SPECS / "affine.json"), "--samples", samples,
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.splitlines()[-1])
+    doc = json.loads((out / "run_manifest.json").read_text())
+    assert doc["error"] == record and record["error"] == "validation"
+    assert doc["artifacts"] == [str(out / "spectrum.csv")]
+    assert captured.out == ""
+
+
+def test_simulate_takes_a_huge_initial_norm_without_overflow(tmp_path, capsys):
+    # |x0| of the portfolio head (s, z) with z0 = 1e308 is finite, though its
+    # square is not; tier-1 turns an overflow warning into an error
+    doc = json.loads((SPECS / "merton_nodelay.json").read_text())
+    doc["params"]["z0"] = 1e308
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(doc))
+    assert run(["simulate", "--spec", str(spec), "--T", "0.1", "--dt", "0.01", "--paths", "10",
+                "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv, failed", [
     (["merton-check", "--grid", "z:log:0.5:2:3", "--T", "1", "--paths", "50"],
      ["value_iteration_vs_oracle", "closed_loop_vs_solver"]),
@@ -532,6 +564,47 @@ def test_no_function_imports():
                 found += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, found
+
+
+# public definitions that nothing in src/ names, each kept for one reader
+UNREFERENCED_IN_SRC = {
+    "models.audit_constants": "the reference check of the constructors' declared constants "
+                              "(ROADMAP item 10)",
+    "operators.lifted_norm_sq": "bench/spans.py wraps it by name (ROADMAP item 7)",
+    "operators.random_smooth_state": "bench/spans.py wraps it by name (ROADMAP item 7)",
+    "sdde.BrownianDriver": "bench/spans.py wraps its increments method by name "
+                           "(ROADMAP item 7)",
+}
+
+
+def test_every_public_definition_is_named_in_src():
+    # a public top-level function or class, or a public method, whose name
+    # appears nowhere in src/ outside its own definition (as a name or an
+    # attribute) is code that only tests reach; the allowlist names each
+    # exception, and an entry that is referenced or gone is stale
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(delayopt.__file__).resolve().parent.glob("*.py"))}
+
+    def names(tree):
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute)))
+
+    everywhere = sum((names(tree) for tree in trees.values()), Counter())
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    unreferenced = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, kinds) or top.name.startswith("_"):
+                continue
+            defs = [(f"{module}.{top.name}", top)]
+            if isinstance(top, ast.ClassDef):
+                defs += [(f"{module}.{top.name}.{d.name}", d) for d in top.body
+                         if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")]
+            unreferenced += [qual for qual, d in defs
+                             if everywhere[d.name] == names(d)[d.name]]
+    assert not set(unreferenced) - set(UNREFERENCED_IN_SRC), unreferenced
+    assert not set(UNREFERENCED_IN_SRC) - set(unreferenced), "stale allowlist entries"
 
 
 def bench_module(name, monkeypatch):

@@ -111,7 +111,8 @@ def test_inner_linear_in_second_argument(a, b):
     x = LiftedState(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
     y = LiftedState(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
     z = LiftedState(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
-    combo = (a * y) + (b * z)
+    combo = LiftedState(a * y.head + b * z.head,
+                        Segment(g, a * y.tail.values + b * z.tail.values))
     lhs = lifted_inner(x, combo)
     rhs = a * lifted_inner(x, y) + b * lifted_inner(x, z)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)

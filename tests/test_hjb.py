@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from conftest import node_tuple_index
 
 from delayopt import models
-from delayopt.core import DomainError, LiftedState, Segment, ValidationError, kernel_convolve
+from delayopt.core import (DomainError, LiftedState, Segment, ValidationError, _delay_integrals,
+                           kernel_convolve, weighted_kernels)
 from delayopt.hjb import (
     EVAL_SWEEPS,
     PolicyField,
     ValueField,
+    _best_score,
     _brackets,
     _interp_plan,
     _plan_dot,
@@ -26,7 +28,6 @@ from delayopt.hjb import (
     envelope_is_monotone,
     extract_feedback,
     feedback_from_policy,
-    hamiltonian,
     hjb_residual,
     lipschitz_discount_threshold,
     max_growth_exponent,
@@ -39,7 +40,7 @@ from delayopt.hjb import (
     growth_fit,
 )
 from delayopt.models import AdvertisingParams, AffineTestParams, build_advertising, build_affine_test
-from delayopt.operators import random_smooth_state
+from delayopt.operators import SMOOTH_MODES, random_smooth_state, smooth_states
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 from delayopt.sdde import OpenLoopControl, mc_cost
@@ -96,49 +97,62 @@ def advert_spec():
     return build_advertising(AdvertisingParams(), 40)
 
 
+def hamiltonian_at(spec, x, p0, z00):
+    """(value, best control index) of the reduced Hamiltonian at each state
+    of the batch x, with head gradients p0 (k, n) and Hessian blocks z00
+    (k, n, n); the delay integrals are the simulators' quadrature."""
+    z1, z2 = _delay_integrals(weighted_kernels(spec, spec.grid), x.tails)
+    return _best_score(spec, x.heads, z1, z2, p0, z00)
+
+
+def off_domain_states(grid, n, rng, k):
+    """k states with smooth tails and heads drawn after them, off the
+    generator domain."""
+    x = smooth_states(grid, rng.normal(size=(k, n, SMOOTH_MODES)))
+    return x.like(rng.normal(size=(k, n)), x.tails)
+
+
 def test_hamiltonian_singleton_formula(advert_spec):
     spec = build_advertising(AdvertisingParams(n_controls=1, u_max=1e-9), 40)
     rng = np.random.default_rng(0)
     x = random_smooth_state(spec.grid, 1, rng)
     p0 = rng.normal(size=1)
     z00 = np.array([[0.7]])
-    val, u = hamiltonian(spec, x, p0, z00)
+    val, best = hamiltonian_at(spec, x, p0[None], z00[None])
+    u = spec.control_set[best[0]]
     z1 = kernel_convolve(spec.kernel_drift, x.tail)
     b = np.asarray(spec.drift(x.head, z1, u))
     sig = np.asarray(spec.noise(x.head, kernel_convolve(spec.kernel_noise, x.tail), u))
     expected = (-x.head @ p0 - b @ p0 - 0.5 * (sig @ sig.T * z00).item()
                 - float(spec.cost(x.head, u)))
-    assert val == pytest.approx(float(expected), rel=1e-12)
+    assert val[0] == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_hamiltonian_monotone_in_hessian(advert_spec):
     # adding a positive semidefinite block cannot increase the value
     spec = advert_spec
     rng = np.random.default_rng(1)
-    for _ in range(1000):
-        x = random_smooth_state(spec.grid, 1, rng, domain=False)
-        p0 = rng.normal(size=1)
-        z = rng.normal(size=(1, 1))
-        z = (z + z.T) / 2
-        bump = rng.uniform(0, 2, size=(1, 1))  # psd in one dimension
-        v1, _ = hamiltonian(spec, x, p0, z)
-        v2, _ = hamiltonian(spec, x, p0, z + bump)
-        assert v2 <= v1 + 1e-12
+    x = off_domain_states(spec.grid, 1, rng, 1000)
+    p0 = rng.normal(size=(1000, 1))
+    z = rng.normal(size=(1000, 1, 1))
+    bump = rng.uniform(0, 2, size=(1000, 1, 1))  # psd in one dimension
+    v1, _ = hamiltonian_at(spec, x, p0, z)
+    v2, _ = hamiltonian_at(spec, x, p0, z + bump)
+    assert np.all(v2 <= v1 + 1e-12)
 
 
 def test_hamiltonian_monotone_in_hessian_2d():
     spec = models.load_spec_file(SPECS / "merton_delay.json")
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        x = random_smooth_state(spec.grid, 2, rng, domain=False)
-        p0 = rng.normal(size=2)
-        a = rng.normal(size=(2, 2))
-        z = (a + a.T) / 2
-        c = rng.normal(size=(2, 2))
-        bump = c @ c.T
-        v1, _ = hamiltonian(spec, x, p0, z)
-        v2, _ = hamiltonian(spec, x, p0, z + bump)
-        assert v2 <= v1 + 1e-10
+    x = off_domain_states(spec.grid, 2, rng, 1000)
+    p0 = rng.normal(size=(1000, 2))
+    a = rng.normal(size=(1000, 2, 2))
+    z = (a + a.transpose(0, 2, 1)) / 2
+    c = rng.normal(size=(1000, 2, 2))
+    bump = c @ c.transpose(0, 2, 1)
+    v1, _ = hamiltonian_at(spec, x, p0, z)
+    v2, _ = hamiltonian_at(spec, x, p0, z + bump)
+    assert np.all(v2 <= v1 + 1e-10)
 
 
 def test_hamiltonian_perturbation_bound(advert_spec):
@@ -149,27 +163,27 @@ def test_hamiltonian_perturbation_bound(advert_spec):
                        * spec.grid.h))
     c_eff = (spec.growth_const * (1.0 + kn) + 1.0) * 2.0
     rng = np.random.default_rng(3)
-    for _ in range(300):
-        x = random_smooth_state(spec.grid, 1, rng, domain=False)
-        nx = math.sqrt(max(np.sum(x.head ** 2)
-                           + np.sum(spec.grid.weights[:, None] * x.tail.values ** 2), 0))
-        p0, q0 = rng.normal(size=1), rng.normal(size=1)
-        za, zb = rng.normal(size=(1, 1)), rng.normal(size=(1, 1))
-        v1, _ = hamiltonian(spec, x, p0, za)
-        v2, _ = hamiltonian(spec, x, p0 + q0, za + zb)
-        bound = (c_eff * (1 + nx) * abs(q0[0])
-                 + 0.5 * c_eff ** 2 * (1 + nx) ** 2 * abs(zb[0, 0]))
-        assert abs(v2 - v1) <= bound + 1e-10
+    x = off_domain_states(spec.grid, 1, rng, 1000)
+    nx = np.sqrt(np.maximum(np.sum(x.heads ** 2, axis=1) + np.sum(
+        spec.grid.weights[:, None] * x.tails ** 2, axis=(1, 2)), 0))
+    p0, q0 = rng.normal(size=(1000, 1)), rng.normal(size=(1000, 1))
+    za, zb = rng.normal(size=(1000, 1, 1)), rng.normal(size=(1000, 1, 1))
+    v1, _ = hamiltonian_at(spec, x, p0, za)
+    v2, _ = hamiltonian_at(spec, x, p0 + q0, za + zb)
+    bound = (c_eff * (1 + nx) * np.abs(q0[:, 0])
+             + 0.5 * c_eff ** 2 * (1 + nx) ** 2 * np.abs(zb[:, 0, 0]))
+    assert np.all(np.abs(v2 - v1) <= bound + 1e-10)
 
 
 def test_hamiltonian_tie_breaks_to_lowest_index():
-    # duplicate control points force a tie; argmax must pick the first
+    # without control in drift or cost every control ties; argmax must pick
+    # the first
     p = AdvertisingParams(c0=0.0, spend_cost=0.0)
     spec = build_advertising(p, 20)
     rng = np.random.default_rng(4)
-    x = random_smooth_state(spec.grid, 1, rng)
-    _, u = hamiltonian(spec, x, np.array([0.3]), np.array([[0.1]]))
-    assert u[0] == spec.control_set[0, 0]
+    x = off_domain_states(spec.grid, 1, rng, 1000)
+    _, best = hamiltonian_at(spec, x, np.full((1000, 1), 0.3), np.full((1000, 1, 1), 0.1))
+    assert np.all(best == 0)
 
 
 def test_hamiltonian_bq_block_perturbation_vanishes(advert_spec):
@@ -181,25 +195,18 @@ def test_hamiltonian_bq_block_perturbation_vanishes(advert_spec):
     dec = spectral_decomposition(op)
     rng = np.random.default_rng(5)
     x = random_smooth_state(spec.grid, 1, rng)
-    p0 = rng.normal(size=1)
-    z = np.array([[0.4]])
+    p0 = rng.normal(size=(1, 1))
+    z = np.array([[[0.4]]])
     lam = 2.0
     devs = []
     for n_modes in (1, 5, 20, dec.dim):
         bq = op.matrix @ dec.tail_projector(n_modes)
         block = lam * bq[:1, :1]
-        v1, _ = hamiltonian(spec, x, p0, z)
-        v2, _ = hamiltonian(spec, x, p0, z + (block + block.T) / 2)
-        devs.append(abs(v2 - v1))
+        v1, _ = hamiltonian_at(spec, x, p0, z)
+        v2, _ = hamiltonian_at(spec, x, p0, z + (block + block.T) / 2)
+        devs.append(abs(v2[0] - v1[0]))
     assert all(a >= b - 1e-14 for a, b in zip(devs, devs[1:]))
     assert devs[-1] <= 1e-12
-
-
-def test_hamiltonian_validates_hessian(advert_spec):
-    rng = np.random.default_rng(6)
-    x = random_smooth_state(advert_spec.grid, 1, rng)
-    with pytest.raises(ValidationError):
-        hamiltonian(advert_spec, x, np.zeros(1), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from delayopt import models
-from delayopt.core import LiftedState, Segment, ValidationError, kernel_convolve
+from delayopt.core import LiftedState, Segment, ValidationError, interp_columns, kernel_convolve
 from delayopt.lift import (
-    contraction_probe,
     equivalence_report,
-    lift_history,
+    history_lift,
     simulate_mild,
     with_resolution,
 )
@@ -20,7 +20,8 @@ from delayopt.operators import (
     minus_one_norm,
     spectral_decomposition,
 )
-from delayopt.sdde import OpenLoopControl, batch_increments, simulate_sdde
+from delayopt.sdde import (OpenLoopControl, _mean_stderr, _steps_of, batch_increments,
+                           simulate_sdde)
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -65,12 +66,12 @@ def test_lift_history_at_time_zero():
     spec = build_advertising(AdvertisingParams(), 50)
     x = models.initial_state(spec)
     path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.02, (1, 1))
-    lifted = lift_history(path, 0.0)
-    np.testing.assert_allclose(lifted.head, x.head, atol=1e-12)
-    np.testing.assert_allclose(lifted.tail.values[:-1], x.tail.values[:-1],
+    lifted = history_lift(path, np.array([0.0]))
+    np.testing.assert_allclose(lifted.heads[0], x.head, atol=1e-12)
+    np.testing.assert_allclose(lifted.tails[0, :-1], x.tail.values[:-1],
                                atol=1e-12)
     # the node at 0 reads the head, not the stored segment value
-    np.testing.assert_allclose(lifted.tail.values[-1], x.head, atol=1e-12)
+    np.testing.assert_allclose(lifted.tails[0, -1], x.head, atol=1e-12)
 
 
 def test_lift_history_constant_path():
@@ -78,9 +79,9 @@ def test_lift_history_constant_path():
     g = spec.grid
     x = LiftedState([0.5], Segment.constant(g, 0.5))
     path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1, np.zeros((10, 1)))
-    lifted = lift_history(path, 0.7)
-    np.testing.assert_allclose(lifted.head, [0.5], atol=1e-14)
-    np.testing.assert_allclose(lifted.tail.values, 0.5, atol=1e-14)
+    lifted = history_lift(path, np.array([0.7]))
+    np.testing.assert_allclose(lifted.heads[0], [0.5], atol=1e-14)
+    np.testing.assert_allclose(lifted.tails[0], 0.5, atol=1e-14)
 
 
 def test_lift_history_linear_path():
@@ -94,17 +95,23 @@ def test_lift_history_linear_path():
     g = spec.grid
     x = LiftedState([0.0], Segment(g, g.nodes[:, None]))
     path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, np.zeros((20, 1)))
-    lifted = lift_history(path, 1.0)
-    np.testing.assert_allclose(lifted.head, [1.0], atol=1e-12)
-    np.testing.assert_allclose(lifted.tail.values[:, 0], 1.0 + g.nodes, atol=1e-12)
+    lifted = history_lift(path, np.array([1.0]))
+    np.testing.assert_allclose(lifted.heads[0], [1.0], atol=1e-12)
+    np.testing.assert_allclose(lifted.tails[0, :, 0], 1.0 + g.nodes, atol=1e-12)
 
 
-def test_lift_history_out_of_range():
-    spec = zero_dynamics_spec()
-    x = models.initial_state(spec)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1, np.zeros((10, 1)))
-    with pytest.raises(ValueError):
-        lift_history(path, 1.5)
+@pytest.mark.parametrize("spec_file", ["advertising.json", "merton_delay.json"])
+def test_history_lift_at_step_times_is_the_path_and_its_interpolated_window(spec_file):
+    # at the path's own step times the heads are its states, and the tails
+    # are the window interpolation lift-check computed inline, bit for bit
+    spec = models.load_spec_file(SPECS / spec_file)
+    path = simulate_sdde(spec, models.initial_state(spec), OpenLoopControl(spec.control_set[1]),
+                         0.5, 0.01, (3, 1))
+    t = path.times[path.n_history:]
+    lifted = history_lift(path, t)
+    np.testing.assert_array_equal(lifted.heads, path.states[path.n_history:])
+    windows = interp_columns((t[:, None] + spec.grid.nodes).ravel(), path.times, path.states)
+    np.testing.assert_array_equal(lifted.tails, windows.reshape(lifted.tails.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +156,40 @@ def test_equivalence_merton_constant_control():
 
 # ---------------------------------------------------------------------------
 # two-point spread bound
+
+
+@dataclass(frozen=True)
+class ContractionReport:
+    """Monte Carlo two-point spread in the weak norm against its growth bound."""
+
+    lhs: float
+    stderr: float
+    rhs: float
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs <= self.rhs + 2.0 * self.stderr
+
+
+def contraction_probe(spec, x, y, ctrl, r, n_paths, delta, seed):
+    """Mean squared weak-norm spread at time r of solution pairs from x and y
+    on matched noise (path i of both from the stream keyed on (seed, i)).
+
+    The bound is exp((2C + C^2 |B|) r) times the initial squared weak
+    distance, with C the declared coefficient constant and |B| the largest
+    Gram eigenvalue.
+    """
+    decomp = spectral_decomposition(assemble_gram_operator(spec.grid))
+    c = spec.growth_const
+    rate = 2.0 * c + c * c * decomp.operator_norm
+    d0 = minus_one_norm(x - y)
+    rhs = math.exp(rate * r) * d0 * d0
+    spreads, at_r = [], np.array([r])
+    for dw in batch_increments(seed, range(n_paths), delta, spec.q, _steps_of(r, delta, "r")):
+        lx, ly = (history_lift(simulate_sdde(spec, s, ctrl, r, delta, dw), at_r) for s in (x, y))
+        spreads.append(minus_one_norm(lx - ly)[0] ** 2)
+    lhs, stderr = _mean_stderr(spreads)
+    return ContractionReport(lhs=lhs, stderr=stderr, rhs=rhs)
 
 
 def test_contraction_identical_states():
@@ -228,13 +269,15 @@ def test_coefficient_lipschitz_on_simulated_pairs():
     dw = batch_increments(41, [0, 1], 0.01, 1, 200)
     pa = simulate_sdde(spec, x, ctrl, 2.0, 0.01, dw[0])
     pb = simulate_sdde(spec, x, ctrl, 2.0, 0.01, dw[1])
+    times = np.linspace(0.2, 2.0, 10)
+    la, lb = history_lift(pa, times), history_lift(pb, times)
     worst = 0.0
-    for t in np.linspace(0.2, 2.0, 10):
-        sx = lift_history(pa, float(t))
-        sy = lift_history(pb, float(t))
-        dist = minus_one_norm(sx - sy)
+    for dist, ha, ta, hb, tb in zip(minus_one_norm(la - lb), la.heads, la.tails,
+                                    lb.heads, lb.tails):
         if dist < 1e-12:
             continue
+        sx = LiftedState(ha, Segment(spec.grid, ta))
+        sy = LiftedState(hb, Segment(spec.grid, tb))
         db = np.linalg.norm(head_drift_lifted(spec, sx, u_arr)
                             - head_drift_lifted(spec, sy, u_arr))
         worst = max(worst, db / dist)

@@ -140,17 +140,20 @@ def test_single_path_seed_noise_is_path_zero_of_the_batch(P):
     def ctrl(window):
         return 0.5 + 0.25 * np.tanh(window[:, -1, :1] - window[:, 0, :1])
 
+    drawn_dw = batch_increments(7, [0], delta, spec.q, K)
     path = simulate_sdde(spec, x, ctrl, K * delta, delta, (7, 1))
     batch = _simulate_batch(spec, x, ctrl, K * delta, delta, (7, P), keep=1)
-    drawn = simulate_sdde(spec, x, ctrl, K * delta, delta,
-                          batch_increments(7, [0], delta, spec.q, K)[0])
+    drawn = simulate_sdde(spec, x, ctrl, K * delta, delta, drawn_dw[0])
     assert path.states.shape[0] == spec_hist(spec, delta) + 1 + K
     for other in (batch.states[0], drawn.states):
         np.testing.assert_array_equal(path.states, other)
-    for other in (batch.controls[0], drawn.controls):
-        np.testing.assert_array_equal(path.controls, other)
-    assert path.discounted_cost == batch.costs[0] == drawn.discounted_cost
-    assert np.ptp(path.controls) > 0  # the feedback saw the noise
+    # simulate_sdde's pass, whose controls and cost it does not keep
+    one = _simulate_batch(spec, x, ctrl, K * delta, delta, (7, 1), keep=1)
+    one_drawn = _simulate_batch(spec, x, ctrl, K * delta, delta, drawn_dw, keep=1)
+    for other in (batch.controls[0], one_drawn.controls[0]):
+        np.testing.assert_array_equal(one.controls[0], other)
+    assert one.costs[0] == batch.costs[0] == one_drawn.costs[0]
+    assert np.ptp(one.controls[0]) > 0  # the feedback saw the noise
     with pytest.raises(ValidationError, match=r"\(seed, 1\)"):
         simulate_sdde(spec, x, ctrl, K * delta, delta, (7, P + 1))
 
@@ -399,9 +402,8 @@ def test_unit_cost_discounted_integral():
     x = models.initial_state(spec)
     delta = 0.01
     for T in (2.0, 5.0, 10.0):
-        path = simulate_sdde(spec, x, OpenLoopControl([1.0]), T, delta,
-                             np.zeros((int(T / delta), 1)))
-        val = path.discounted_cost
+        val = sdde._simulate_batch(spec, x, OpenLoopControl([1.0]), T, delta,
+                                   np.zeros((1, int(T / delta), 1)), keep=1).costs[0]
         # left Riemann sum of exp(-t) over [0, T)
         exact = float(np.sum(np.exp(-delta * np.arange(int(T / delta)))) * delta)
         assert val == pytest.approx(exact, rel=1e-12)
@@ -413,8 +415,8 @@ def test_zero_cost():
                          x0=(1.0,), x1=(1.0,))
     spec = build_affine_test(p, 10)
     x = models.initial_state(spec)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.1, (0, 1))
-    assert path.discounted_cost == 0.0
+    batch = sdde._simulate_batch(spec, x, OpenLoopControl([0.5]), 1.0, 0.1, (0, 1), keep=1)
+    assert batch.costs[0] == 0.0
 
 
 @pytest.mark.parametrize("noise", ["seed", "array"])
@@ -430,8 +432,10 @@ def test_zero_horizon_costs_nothing(noise):
     assert np.all(batch.window[:, -1] == x.head)
     assert batch.controls.shape == (2, 0, 1)
     assert mc_cost(spec, x, u, 0.0, 0.1, 4, seed=3) == (0.0, 0.0)
-    path = simulate_sdde(spec, x, u, 0.0, 0.1, (3, 1))
-    assert path.discounted_cost == 0.0 and path.controls.shape == (0, 1)
+    one = sdde._simulate_batch(spec, x, u, 0.0, 0.1, (3, 1), keep=1)
+    assert one.costs[0] == 0.0 and one.controls[0].shape == (0, 1)
+    assert simulate_sdde(spec, x, u, 0.0, 0.1, (3, 1)).states.shape == (
+        spec_hist(spec, 0.1) + 1, spec.n)
 
 
 def test_constant_path_linear_cost():
@@ -444,8 +448,8 @@ def test_constant_path_linear_cost():
     spec = build_affine_test(p, 10)
     x = models.initial_state(spec)
     delta = 0.01
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 10.0, delta, np.zeros((1000, 1)))
-    val = path.discounted_cost
+    val = sdde._simulate_batch(spec, x, OpenLoopControl([0.0]), 10.0, delta,
+                               np.zeros((1, 1000, 1)), keep=1).costs[0]
     assert val == pytest.approx(2.0 * (1 - math.exp(-10.0)), abs=4 * delta)
 
 
@@ -461,8 +465,8 @@ def test_mc_deterministic_given_seed_and_chunk_free():
     n_paths, delta = 9, 0.05
     K = 2 * BLOCK + 9
     T = K * delta
-    costs = [simulate_sdde(spec, x, OpenLoopControl([0.5]), T, delta,
-                           batch_increments(3, [i], delta, 1, K)[0]).discounted_cost
+    costs = [sdde._simulate_batch(spec, x, OpenLoopControl([0.5]), T, delta,
+                                  batch_increments(3, [i], delta, 1, K), keep=1).costs[0]
              for i in range(n_paths)]
     mean = math.fsum(costs) / n_paths
     var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
