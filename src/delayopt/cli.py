@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (Kernel, LiftedState, NumericalError, ProblemSpec, Segment, ValidationError,
-                   kernel_convolve, validate_kernel)
+from .core import (Kernel, LiftedBatch, LiftedState, NumericalError, ProblemSpec, Segment,
+                   ValidationError, kernel_convolve, validate_kernel)
 from . import hjb, lift, models, operators, output, sdde
 
 
@@ -299,16 +299,15 @@ def cmd_operators(run: Run):
     # keep the flat-kernel functional alive while the weak norm collapses
     flat_kernel = Kernel(grid, np.ones((grid.m + 1, 1, n)))
     flat_rejected = not validate_kernel(flat_kernel).ok
-    ce_rows = []
     # the indicator needs a few cells of support or its quadrature mass
     # overshoots by 1/(2 cells)
-    for cells in (max(grid.m // 4, 5), max(grid.m // 10, 4), max(grid.m // 40, 3)):
-        width = cells * grid.h
-        vals = np.where(grid.nodes <= -grid.d + width + 1e-12,
-                        1.0 / width, 0.0)[:, None] * np.ones((1, n))
-        state = LiftedState(np.zeros(n), Segment(grid, vals))
-        ce_rows.append([cells, operators.minus_one_norm(state),
-                        float(kernel_convolve(flat_kernel, state.tail)[0])])
+    support = (max(grid.m // 4, 5), max(grid.m // 10, 4), max(grid.m // 40, 3))
+    tails = np.stack([np.where(grid.nodes <= -grid.d + cells * grid.h + 1e-12,
+                               1.0 / (cells * grid.h), 0.0)[:, None] * np.ones((1, n))
+                      for cells in support])
+    weak = operators.minus_one_norm(LiftedBatch(grid, np.zeros((len(support), n)), tails))
+    ce_rows = [[cells, w, float(kernel_convolve(flat_kernel, Segment(grid, t))[0])]
+               for cells, w, t in zip(support, weak, tails)]
     run.csv("counterexample.csv", ["support_cells", "weak_norm", "flat_kernel_functional"],
             ce_rows)
     # discount and growth arithmetic from the declared constants

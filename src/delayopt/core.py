@@ -111,7 +111,8 @@ class Segment:
 
 @dataclass(frozen=True, eq=False)
 class LiftedState:
-    """Element (head, tail) of R^n x L2([-d,0]; R^n)."""
+    """Element (head, tail) of R^n x L2([-d,0]; R^n), validated: the initial
+    state the simulators take. The operators take a LiftedBatch."""
 
     head: np.ndarray
     tail: Segment
@@ -136,25 +137,6 @@ class LiftedState:
     def grid(self) -> SegmentGrid:
         return self.tail.grid
 
-    @property
-    def heads(self) -> np.ndarray:
-        """The head as a batch of one, shape (1, n)."""
-        return self.head[None]
-
-    @property
-    def tails(self) -> np.ndarray:
-        """The tail values as a batch of one, shape (1, m+1, n)."""
-        return self.tail.values[None]
-
-    def like(self, heads: np.ndarray, tails: np.ndarray) -> "LiftedState":
-        """The state of a batch of one on this grid: heads (1, n), tails (1, m+1, n)."""
-        return LiftedState(heads[0], Segment(self.grid, tails[0]))
-
-    def __sub__(self, other: "LiftedState") -> "LiftedState":
-        _check_same_grid(self.grid, other.grid, "state subtraction")
-        return LiftedState(self.head - other.head,
-                           Segment(self.grid, self.tail.values - other.tail.values))
-
 
 @dataclass(frozen=True, eq=False)
 class LiftedBatch:
@@ -162,8 +144,9 @@ class LiftedBatch:
     tails (S, m+1, n), row j of a tail at node xi_j.
 
     The arrays are held as given, neither copied nor checked for finiteness,
-    so a batch costs no pass over its samples. The operators take a batch or
-    a LiftedState, which is a batch of one (its heads and tails).
+    so a batch costs no pass over its samples. The operators, forms and
+    norms take a batch and give a batch or one value per sample; a single
+    state is a batch of one.
     """
 
     grid: SegmentGrid
@@ -182,12 +165,9 @@ class LiftedBatch:
     def n(self) -> int:
         return self.heads.shape[1]
 
-    def like(self, heads: np.ndarray, tails: np.ndarray) -> "LiftedBatch":
-        return LiftedBatch(self.grid, heads, tails)
-
     def __sub__(self, other: "LiftedBatch") -> "LiftedBatch":
         _check_same_grid(self.grid, other.grid, "batch subtraction")
-        return self.like(self.heads - other.heads, self.tails - other.tails)
+        return LiftedBatch(self.grid, self.heads - other.heads, self.tails - other.tails)
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,24 +175,22 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def lifted_inner(x: LiftedState | LiftedBatch, y: LiftedState | LiftedBatch):
-    """Inner product: head dot product plus quadrature pairing of the tails.
+def lifted_inner(x: LiftedBatch, y: LiftedBatch) -> np.ndarray:
+    """Inner product: head dot product plus quadrature pairing of the tails,
+    one value per sample (shape (S,)).
 
-    A float for two states; for a batch, one value per sample (shape (S,)).
-    The sums follow memory order, so a sample whose tail keeps the memory
-    order of its LiftedState gets that state's value bitwise.
+    The sums follow memory order, so a sample gets the value of its
+    one-sample batch bitwise when its tail keeps that batch's memory order.
     """
     _check_same_grid(x.grid, y.grid, "lifted_inner")
     if x.n != y.n:
         raise GridMismatchError(f"dimension mismatch {x.n} != {y.n}")
     w = x.grid.weights
-    v = _dot_rows(x.heads, y.heads) + np.sum(w[:, None] * x.tails * y.tails, axis=(1, 2))
-    return float(v[0]) if isinstance(x, LiftedState) and isinstance(y, LiftedState) else v
+    return _dot_rows(x.heads, y.heads) + np.sum(w[:, None] * x.tails * y.tails, axis=(1, 2))
 
 
-def lifted_norm(x: LiftedState | LiftedBatch):
-    v = np.sqrt(lifted_inner(x, x))
-    return float(v) if isinstance(x, LiftedState) else v
+def lifted_norm(x: LiftedBatch) -> np.ndarray:
+    return np.sqrt(lifted_inner(x, x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -687,10 +687,16 @@ def regularity_probe(spec: ProblemSpec, estimator, box, samples: int,
     at gradient_spacing; their pairwise log-log fit gives the smoothness
     exponent with its standard error. Returns flags instead of asserting
     when the gradient jumps, or when spec declares no ellipticity floor.
+    A box axis no wider than two gradient spacings is refused: the
+    gradient lattice keeps its stencil one spacing inside the box.
     """
     if samples < 2:
         raise ValidationError(f"the lattice needs at least 2 samples per axis, got {samples}")
     box = [(float(lo), float(hi)) for lo, hi in box]
+    narrow = [(lo, hi) for lo, hi in box if hi - lo <= 2 * gradient_spacing]
+    if narrow:
+        raise ValidationError(f"box ranges {narrow} are no wider than two gradient "
+                              f"spacings ({2 * gradient_spacing:g})")
     pts = _tensor_nodes([np.linspace(lo, hi, samples) for lo, hi in box])
     vals = np.asarray(estimator(pts), dtype=float)
 
@@ -767,13 +773,16 @@ def b_continuity_probe(spec: ProblemSpec, ctrl, x: LiftedState, ys, T: float,
         raise ValidationError("a paired estimate needs a positive horizon T")
     dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
     base = _simulate_batch(spec, x, ctrl, T, delta, dw).costs
-    dist, diff, err = [], [], []
+    diff, err = [], []
     for y in ys:
         d, s = _mean_stderr(base - _simulate_batch(spec, y, ctrl, T, delta, dw).costs)
-        dist.append(minus_one_norm(x - y))
         diff.append(abs(d))
         err.append(s)
-    return ContinuityTable(np.asarray(dist), np.asarray(diff), np.asarray(err))
+    # explicit shapes, so that no states still stack to an empty batch
+    heads = np.reshape([y.head for y in ys], (len(ys), x.n))
+    tails = np.reshape([y.tail.values for y in ys], (len(ys), x.grid.m + 1, x.n))
+    dist = minus_one_norm(LiftedBatch(x.grid, x.head - heads, x.tail.values - tails))
+    return ContinuityTable(dist, np.asarray(diff), np.asarray(err))
 
 
 def envelope_is_monotone(table: ContinuityTable) -> tuple[bool, bool]:

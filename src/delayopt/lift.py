@@ -87,7 +87,8 @@ def history_lift(path: SddePath, times: np.ndarray) -> LiftedBatch:
     """Lift of the direct path at each of times (T,): its window over
     [t - d, t] on path.segment_grid, interpolated between step times, and
     its value there, the window's node at 0. Each sample's tail is
-    contiguous, as its LiftedState lays it out."""
+    C-contiguous, so its forms and norms are bitwise those of its
+    one-sample slice."""
     grid = path.segment_grid
     tails = interp_columns((times[:, None] + grid.nodes).ravel(), path.times, path.states)
     tails = tails.reshape(len(times), grid.m + 1, -1)

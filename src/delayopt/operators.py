@@ -17,8 +17,8 @@ carries one machine-zero eigenvalue per component, whose eigenvector is the
 alternating (Nyquist) tail mode. The spectral decomposition strips it.
 
 The functional operators, the forms and the norms act on a LiftedBatch
-(heads (S, n), tails (S, m+1, n)) in one pass and give one value per
-sample; a LiftedState is a batch of one and gives a state or a float.
+(heads (S, n), tails (S, m+1, n)) in one pass: an operator gives a batch,
+a form or norm one value per sample (S,).
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ import numpy as np
 from .core import (
     DomainError,
     LiftedBatch,
-    LiftedState,
     NumericalError,
-    Segment,
     SegmentGrid,
     _dot_rows,
     interp_columns,
@@ -47,26 +45,16 @@ BLOCK = 128
 # coefficients per component of a smooth state: cubic plus two trig modes
 SMOOTH_MODES = 6
 
-Lifted = LiftedState | LiftedBatch
+
+def weight_vector(grid: SegmentGrid) -> np.ndarray:
+    """Diagonal of the scalar quadrature weight matrix, ordered [head; nodes]."""
+    return np.concatenate([[1.0], grid.weights])
 
 
-def weight_vector(grid: SegmentGrid, n: int) -> np.ndarray:
-    """Diagonal of the flat quadrature weight matrix, ordered [head; nodes]."""
-    return np.concatenate([np.ones(n), np.repeat(grid.weights, n)])
-
-
-def flatten(x: LiftedState) -> np.ndarray:
-    return np.concatenate([x.head, x.tail.values.ravel()])
-
-
-def unflatten(vec: np.ndarray, grid: SegmentGrid, n: int) -> LiftedState:
-    return LiftedState(vec[:n], Segment(grid, vec[n:].reshape(grid.m + 1, n)))
-
-
-def apply_shift_semigroup(t, x: Lifted) -> Lifted:
+def apply_shift_semigroup(t, x: LiftedBatch) -> LiftedBatch:
     """Transport the history left by t; entries shifted past 0 read the head.
 
-    t is one time, or one per sample of a batch (S,). The head is unchanged.
+    t is one time, or one per sample (S,). The head is unchanged.
     Node values between old nodes are linearly interpolated. The weighted
     norm never grows by more than sqrt(2(1+d)).
     """
@@ -76,7 +64,7 @@ def apply_shift_semigroup(t, x: Lifted) -> Lifted:
     nodes = x.grid.nodes
     tails = np.stack([tail if s == 0.0 else _shift_tail(s, nodes, tail, head)
                       for s, tail, head in zip(ts, x.tails, x.heads)])
-    return x.like(x.heads, tails)
+    return LiftedBatch(x.grid, x.heads, tails)
 
 
 def _shift_tail(t: float, nodes: np.ndarray, tail: np.ndarray,
@@ -87,7 +75,7 @@ def _shift_tail(t: float, nodes: np.ndarray, tail: np.ndarray,
     return np.where((pos < 0.0)[:, None], interp_columns(pos, nodes, tail), head[None, :])
 
 
-def apply_generator(x: Lifted) -> Lifted:
+def apply_generator(x: LiftedBatch) -> LiftedBatch:
     """Dissipative generator: negate the head, differentiate the tail.
 
     Finite differences: central in the interior, second-order one-sided at
@@ -107,10 +95,10 @@ def apply_generator(x: Lifted) -> Lifted:
         dv[:, -1] = (3 * v[:, -1] - 4 * v[:, -2] + v[:, -3]) / (2 * h)
     else:
         dv[:, 0] = dv[:, -1] = (v[:, -1] - v[:, 0]) / h
-    return x.like(-x.heads, dv)
+    return LiftedBatch(x.grid, -x.heads, dv)
 
 
-def apply_generator_inverse(x: Lifted) -> Lifted:
+def apply_generator_inverse(x: LiftedBatch) -> LiftedBatch:
     """Explicit inverse: head -> -head, tail -> -head - integral of tail to 0.
 
     The integral is the cumulative trapezoid rule from each node to 0, so the
@@ -123,10 +111,10 @@ def apply_generator_inverse(x: Lifted) -> Lifted:
     tail = np.zeros_like(v)
     np.cumsum(increments[:, ::-1], axis=1, out=tail[:, -2::-1])
     np.subtract(-x.heads[:, None, :], tail, out=tail)
-    return x.like(-x.heads, tail)
+    return LiftedBatch(x.grid, -x.heads, tail)
 
 
-def minus_one_norm(x: Lifted):
+def minus_one_norm(x: LiftedBatch) -> np.ndarray:
     """Weak norm: the lifted norm of the inverse-generator image.
 
     Dominates the head: |head| <= minus_one_norm(x).
@@ -134,7 +122,7 @@ def minus_one_norm(x: Lifted):
     return lifted_norm(apply_generator_inverse(x))
 
 
-def dissipativity_form(x: Lifted):
+def dissipativity_form(x: LiftedBatch) -> np.ndarray:
     """Quadratic form of the generator; nonpositive on its domain.
 
     The discrete value telescopes to -|head|^2/2 - |tail(-d)|^2/2 with an
@@ -143,7 +131,7 @@ def dissipativity_form(x: Lifted):
     return lifted_inner(apply_generator(x), x)
 
 
-def generator_inverse_form(x: Lifted):
+def generator_inverse_form(x: LiftedBatch) -> np.ndarray:
     """Pairing of the inverse-generator image with the state; nonpositive."""
     return lifted_inner(apply_generator_inverse(x), x)
 
@@ -179,7 +167,7 @@ def assemble_gram_operator(grid: SegmentGrid) -> OperatorMatrix:
     form of the result equals the squared weak norm exactly.
     """
     M = inverse_generator_matrix(grid)
-    w = weight_vector(grid, 1)
+    w = weight_vector(grid)
     B = (M.T * w[None, :]) @ M / w[:, None]
     return OperatorMatrix(B, grid)
 
@@ -214,7 +202,7 @@ class SpectralDecomposition:
         if not 1 <= n_modes <= self.dim:
             raise ValueError(f"mode count must be in [1, {self.dim}], got {n_modes}")
         F = self.vectors[:, :n_modes]
-        w = weight_vector(self.grid, 1)
+        w = weight_vector(self.grid)
         P = F @ (w[:, None] * F).T
         return np.eye(P.shape[0]) - P
 
@@ -222,7 +210,7 @@ class SpectralDecomposition:
 def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
     """Eigendecomposition in the weighted metric via symmetric rescaling; an
     operator not self-adjoint in that metric raises NumericalError."""
-    s = np.sqrt(weight_vector(op.grid, 1))
+    s = np.sqrt(weight_vector(op.grid))
     S = (s[:, None] * op.matrix) / s[None, :]
     asym = np.max(np.abs(S - S.T))
     if asym > 1e-10 * max(np.max(np.abs(S)), 1.0):
@@ -250,11 +238,11 @@ def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
 
 def g_operator_norm(mat: np.ndarray, grid: SegmentGrid) -> float:
     """Operator norm in the weighted metric; mat times I_n has the same norm."""
-    s = np.sqrt(weight_vector(grid, 1))
+    s = np.sqrt(weight_vector(grid))
     return float(np.linalg.norm((s[:, None] * mat) / s[None, :], 2))
 
 
-def lifted_norm_sq(x: Lifted):
+def lifted_norm_sq(x: LiftedBatch) -> np.ndarray:
     return lifted_inner(x, x)
 
 
@@ -269,23 +257,23 @@ def smooth_states(grid: SegmentGrid, coeffs: np.ndarray) -> LiftedBatch:
         np.ones_like(xi), xi, xi ** 2, xi ** 3,
         np.cos(np.pi * xi), np.sin(np.pi * xi),
     ])
-    # the tails keep the product's layout, component by component, which is
-    # random_smooth_state's too: quadrature sums follow memory order, so each
-    # sample sums bitwise as that state would
+    # the tails keep the product's layout, component by component, and a
+    # slice of one sample keeps it too: quadrature sums follow memory order,
+    # so each sample sums bitwise as its one-sample batch would
     tails = (coeffs @ basis).swapaxes(1, 2)
     return LiftedBatch(grid, tails[:, -1].copy(), tails)
 
 
 def random_smooth_state(grid: SegmentGrid, n: int, rng: np.random.Generator,
-                        domain: bool = True) -> LiftedState:
-    """Random state with a smooth tail: low-order polynomial plus two trig modes.
+                        domain: bool = True) -> LiftedBatch:
+    """One random state with a smooth tail, as a batch of one: low-order
+    polynomial plus two trig modes.
 
     With domain=True the head is set to the tail value at 0, so the state
     lies in the generator domain; otherwise it is drawn after the tail.
     """
     x = smooth_states(grid, rng.normal(size=(1, n, SMOOTH_MODES)))
-    head = x.heads[0] if domain else rng.normal(size=n)
-    return LiftedState(head, Segment(grid, x.tails[0]))
+    return x if domain else LiftedBatch(grid, rng.normal(size=(1, n)), x.tails)
 
 
 def sample_audit(grid: SegmentGrid, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:

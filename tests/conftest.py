@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from delayopt import hjb, models
+from delayopt.core import LiftedBatch
+
+
+def batch_of(*states):
+    """LiftedStates, the simulators' argument, as one LiftedBatch, the
+    operators' argument; each sample's tail is a C-ordered copy."""
+    return LiftedBatch(states[0].grid, np.stack([s.head for s in states]),
+                       np.stack([s.tail.values for s in states]))
 
 
 def node_tuple_index(pol, pts):

@@ -12,7 +12,8 @@ import pytest
 
 from delayopt import models
 from delayopt.cli import main as cli_main
-from delayopt.core import Kernel, LiftedState, Segment, SegmentGrid, kernel_convolve, validate_kernel
+from delayopt.core import (Kernel, LiftedBatch, LiftedState, Segment, SegmentGrid, kernel_convolve,
+                           validate_kernel)
 from delayopt.hjb import (
     b_continuity_probe,
     discount_floor,
@@ -65,13 +66,13 @@ def test_criterion_1_operator_identities():
     for _ in range(1000):
         x = random_smooth_state(g, 1, rng)
         inv = apply_generator_inverse(x)
-        domain_exact &= bool(np.array_equal(inv.tail.values[-1], inv.head))
+        domain_exact &= bool(np.array_equal(inv.tails[0, -1], inv.heads[0]))
         back = apply_generator(inv)
-        nx = math.sqrt(lifted_norm_sq(x))
-        worst_round = max(worst_round, math.sqrt(lifted_norm_sq(back - x)) / nx)
-        worst_dom = max(worst_dom, float(np.linalg.norm(x.head)) - minus_one_norm(x))
+        nx = math.sqrt(lifted_norm_sq(x)[0])
+        worst_round = max(worst_round, math.sqrt(lifted_norm_sq(back - x)[0]) / nx)
+        worst_dom = max(worst_dom, float(np.linalg.norm(x.heads[0])) - minus_one_norm(x)[0])
         t = float(rng.uniform(0.0, 2.0))
-        grow = math.sqrt(lifted_norm_sq(apply_shift_semigroup(t, x))) / nx
+        grow = math.sqrt(lifted_norm_sq(apply_shift_semigroup(t, x))[0]) / nx
         worst_semi = max(worst_semi, grow)
     ok = (worst_round <= 1e-3 and domain_exact and worst_dom <= 1e-9
           and worst_semi <= bound)
@@ -87,12 +88,12 @@ def test_criterion_2_dissipativity_and_weak_form():
     worst_diss, worst_weak, worst_closed = -np.inf, -np.inf, 0.0
     for _ in range(1000):
         x = random_smooth_state(g, 1, rng)
-        nx2 = lifted_norm_sq(x)
-        d = dissipativity_form(x)
+        nx2 = lifted_norm_sq(x)[0]
+        d = dissipativity_form(x)[0]
         worst_diss = max(worst_diss, d / nx2)
-        worst_weak = max(worst_weak, generator_inverse_form(x) / nx2)
-        closed = -0.5 * float(x.head @ x.head) \
-            - 0.5 * float(x.tail.values[0] @ x.tail.values[0])
+        worst_weak = max(worst_weak, generator_inverse_form(x)[0] / nx2)
+        closed = -0.5 * float(x.heads[0] @ x.heads[0]) \
+            - 0.5 * float(x.tails[0, 0] @ x.tails[0, 0])
         worst_closed = max(worst_closed, abs(d - closed) / (1.0 + nx2))
     ok = worst_diss <= 1e-8 and worst_weak <= 1e-8 and worst_closed <= 0.5 * g.h
     report(2, "dissipativity and weak form", ok,
@@ -150,9 +151,8 @@ def test_criterion_5_concentrated_mass():
     for n_cells in (50, 20, 10, 5):
         width = n_cells * g.h
         vals = np.where(g.nodes <= -1.0 + width + 1e-12, 1.0 / width, 0.0)[:, None]
-        x = LiftedState([0.0], Segment(g, vals))
-        norms.append(minus_one_norm(x))
-        functionals.append(float(kernel_convolve(flat, x.tail)[0]))
+        norms.append(minus_one_norm(LiftedBatch(g, np.zeros((1, 1)), vals[None]))[0])
+        functionals.append(float(kernel_convolve(flat, Segment(g, vals))[0]))
     ok = (rejected and all(a > b for a, b in zip(norms, norms[1:]))
           and norms[-1] <= 0.15
           and all(abs(f - 1.0) <= 0.15 for f in functionals))

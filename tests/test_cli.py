@@ -75,6 +75,26 @@ def test_operators_artifacts(tmp_path, capsys):
     assert all(abs(float(r[2]) - 1.0) < 0.2 for r in ce)
 
 
+@pytest.mark.parametrize("spec_file", ["affine.json", "merton_delay.json"])
+def test_counterexample_weak_norms_are_the_per_cell_norms(spec_file, tmp_path):
+    # operators takes the rows' weak norms in one batch; each is bitwise the
+    # weak norm of its indicator tail alone, a batch of one
+    from delayopt import models, operators
+    from delayopt.core import LiftedBatch
+    out = tmp_path / "ops"
+    assert run(["operators", "--spec", str(SPECS / spec_file), "--samples", "2",
+                "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "counterexample.csv", delimiter=",", skiprows=1, ndmin=2)
+    spec = models.load_spec_file(SPECS / spec_file)
+    g, n = spec.grid, spec.n
+    assert rows.shape[0] == 3
+    for cells, weak in rows[:, :2]:
+        width = int(cells) * g.h
+        vals = np.where(g.nodes <= -g.d + width + 1e-12, 1.0 / width, 0.0)[:, None] \
+            * np.ones((1, n))
+        assert weak == operators.minus_one_norm(LiftedBatch(g, np.zeros((1, n)), vals[None]))[0]
+
+
 def test_operators_on_a_problem_without_growth(tmp_path):
     # every coefficient of the affine problem is zero, so its growth
     # constant is 0: every growth exponent is admissible, the limit as c -> 0+
@@ -368,6 +388,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
      "--control", "policy:{index_outside}"],
     ["operators", "--spec", "{kernel_table_2d}"],
     ["operators", "--spec", "{m_huge}"],
+    ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"), "--mlag", "1",
+     "--grid", "z:log:0.005:100:41", "--box", "z:0.5:0.501"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -389,7 +411,8 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "merton-check-one-control", "control-unknown-form", "box-lag-axis",
         "policy-no-axes", "policy-json-syntax", "spec-json-syntax", "spec-not-utf8",
         "spec-control-overflow", "spec-kernel-unknown", "spec-embed-shape", "mlag-zero",
-        "policy-index-outside", "spec-kernel-table-2d", "spec-m-beyond-memory"])
+        "policy-index-outside", "spec-kernel-table-2d", "spec-m-beyond-memory",
+        "box-narrower-than-stencil"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
                                    capsys, request):
     # the default --out goes first, so a row's own --out is the one parsed
@@ -413,7 +436,8 @@ NAMED_IN_REFUSAL = {"policy-no-axes": ("{no_axes}", "'axes'"),
                     "spec-embed-shape": ("kernel embed must be (h, 2)",),
                     "mlag-zero": ("lag count must be >= 1",),
                     "policy-index-outside": ("policy indices outside the control set",),
-                    "spec-kernel-table-2d": ("kernel table must have shape (m+1, h, n)",)}
+                    "spec-kernel-table-2d": ("kernel table must have shape (m+1, h, n)",),
+                    "box-narrower-than-stencil": ("no wider than two gradient spacings",)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -578,10 +602,13 @@ UNREFERENCED_IN_SRC = {
 
 
 def test_every_public_definition_is_named_in_src():
-    # a public top-level function or class, or a public method, whose name
-    # appears nowhere in src/ outside its own definition (as a name or an
-    # attribute) is code that only tests reach; the allowlist names each
-    # exception, and an entry that is referenced or gone is stale
+    # a public top-level function or class is used where it is bound: by its
+    # bare name in its own module or in a module that imports it with
+    # `from .<module> import <name>`, or as `<module>.<name>`; a public method
+    # is used where its name appears in src/ (as a name or an attribute). A
+    # definition with no use outside its own body is code that only tests
+    # reach; the allowlist names each exception, and an entry that is used
+    # or gone is stale
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(delayopt.__file__).resolve().parent.glob("*.py"))}
 
@@ -590,6 +617,23 @@ def test_every_public_definition_is_named_in_src():
                        for node in ast.walk(tree)
                        if isinstance(node, (ast.Name, ast.Attribute)))
 
+    def bare(tree):
+        return Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+
+    bare_in = {module: bare(tree) for module, tree in trees.items()}
+    imported_in = {module: {(node.module, a.name) for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) and node.level == 1
+                            for a in node.names}
+                   for module, tree in trees.items()}
+    qualified = Counter((node.value.id, node.attr) for tree in trees.values()
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name))
+
+    def bound_uses(module, name):
+        return qualified[module, name] + sum(
+            bare_in[other][name] for other in trees
+            if other == module or (module, name) in imported_in[other])
+
     everywhere = sum((names(tree) for tree in trees.values()), Counter())
     kinds = (ast.FunctionDef, ast.ClassDef)
     unreferenced = []
@@ -597,12 +641,12 @@ def test_every_public_definition_is_named_in_src():
         for top in tree.body:
             if not isinstance(top, kinds) or top.name.startswith("_"):
                 continue
-            defs = [(f"{module}.{top.name}", top)]
+            if bound_uses(module, top.name) == bare(top)[top.name]:
+                unreferenced.append(f"{module}.{top.name}")
             if isinstance(top, ast.ClassDef):
-                defs += [(f"{module}.{top.name}.{d.name}", d) for d in top.body
-                         if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")]
-            unreferenced += [qual for qual, d in defs
-                             if everywhere[d.name] == names(d)[d.name]]
+                unreferenced += [f"{module}.{top.name}.{d.name}" for d in top.body
+                                 if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")
+                                 and everywhere[d.name] == names(d)[d.name]]
     assert not set(unreferenced) - set(UNREFERENCED_IN_SRC), unreferenced
     assert not set(UNREFERENCED_IN_SRC) - set(unreferenced), "stale allowlist entries"
 
@@ -861,12 +905,13 @@ def test_probe_regularity_subcommand(tmp_path):
 
 def test_probe_regularity_box_names_its_axes(tmp_path):
     # each range goes into the head column it names, so the token order of
-    # --box does not matter
+    # --box does not matter; 15 nodes on s keep its box range wider than two
+    # gradient spacings (0.6 < 0.8)
     tables = []
     for box in ("s:0.6:1.4,z:0.5:2", "z:0.5:2,s:0.6:1.4"):
         out = tmp_path / box.replace(":", "_").replace(",", "-")
         assert run(["probe-regularity", "--spec", str(SPECS / "merton_delay.json"),
-                    "--grid", "s:0.4:2.5:5,z:log:0.05:20:21", "--tol", "1e-5",
+                    "--grid", "s:0.4:2.5:15,z:log:0.05:20:21", "--tol", "1e-5",
                     "--box", box, "--out", str(out)]) == 0
         tables.append((out / "regularity.csv").read_bytes())
     assert tables[0] == tables[1]
@@ -997,7 +1042,7 @@ def test_operators_n2_matches_dense_kronecker_oracle(tmp_path):
     spec = models.load_spec_file(spec_file)
     g = spec.grid
     B = np.kron(operators.assemble_gram_operator(g).matrix, np.eye(2))
-    s = np.sqrt(operators.weight_vector(g, 2))
+    s = np.sqrt(np.repeat(operators.weight_vector(g), 2))
     lam, V = np.linalg.eigh((s[:, None] * B) / s[None, :])
     lam, V = lam[::-1], V[:, ::-1] / s[:, None]
     angle = np.random.default_rng(0).uniform(0.0, 2 * np.pi, lam.size // 2)

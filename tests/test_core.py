@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from delayopt.core import (
     GridMismatchError,
     Kernel,
+    LiftedBatch,
     LiftedState,
     ProblemSpec,
     Segment,
@@ -66,41 +67,47 @@ def test_grids_match_within_a_fixed_horizon_tolerance():
 # inner product and norm
 
 
+def one(head, tail):
+    """The state (head, tail Segment) as a batch of one."""
+    return LiftedBatch(tail.grid, np.atleast_1d(np.asarray(head, float))[None],
+                       tail.values[None])
+
+
 def test_inner_head_only():
     g = SegmentGrid(1.0, 10)
-    x = LiftedState([1.0], Segment.constant(g, 0.0))
-    assert lifted_inner(x, x) == pytest.approx(1.0, abs=1e-15)
+    x = one([1.0], Segment.constant(g, 0.0))
+    assert lifted_inner(x, x)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_inner_constant_tail_exact():
     # trapezoid is exact for constants: integral of 1 over [-1, 0] is 1
     g = SegmentGrid(1.0, 9)
-    x = LiftedState([0.0], Segment.constant(g, 1.0))
-    assert lifted_inner(x, x) == pytest.approx(1.0, rel=1e-14)
+    x = one([0.0], Segment.constant(g, 1.0))
+    assert lifted_inner(x, x)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_inner_bilinear_on_constants():
     g = SegmentGrid(1.0, 6)
-    x = LiftedState([1.0], Segment.constant(g, 1.0))
-    y = LiftedState([2.0], Segment.constant(g, -1.0))
-    assert lifted_inner(x, y) == pytest.approx(1.0, rel=1e-14)
-    assert lifted_inner(y, x) == pytest.approx(1.0, rel=1e-14)
+    x = one([1.0], Segment.constant(g, 1.0))
+    y = one([2.0], Segment.constant(g, -1.0))
+    assert lifted_inner(x, y)[0] == pytest.approx(1.0, rel=1e-14)
+    assert lifted_inner(y, x)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_norm_pythagorean():
     g = SegmentGrid(1.0, 12)
-    assert lifted_norm(LiftedState([1.0], Segment.constant(g, 0.0))) == pytest.approx(1.0)
-    assert lifted_norm(LiftedState([0.0], Segment.constant(g, 1.0))) == pytest.approx(1.0)
-    assert lifted_norm(LiftedState([3.0], Segment.constant(g, 4.0))) == pytest.approx(5.0)
+    assert lifted_norm(one([1.0], Segment.constant(g, 0.0)))[0] == pytest.approx(1.0)
+    assert lifted_norm(one([0.0], Segment.constant(g, 1.0)))[0] == pytest.approx(1.0)
+    assert lifted_norm(one([3.0], Segment.constant(g, 4.0)))[0] == pytest.approx(5.0)
 
 
 def test_cauchy_schwarz_random_states():
     g = SegmentGrid(1.0, 20)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        x = LiftedState(rng.normal(size=2), Segment(g, rng.normal(size=(21, 2))))
-        y = LiftedState(rng.normal(size=2), Segment(g, rng.normal(size=(21, 2))))
-        assert abs(lifted_inner(x, y)) <= lifted_norm(x) * lifted_norm(y) + 1e-12
+        x = one(rng.normal(size=2), Segment(g, rng.normal(size=(21, 2))))
+        y = one(rng.normal(size=2), Segment(g, rng.normal(size=(21, 2))))
+        assert abs(lifted_inner(x, y)[0]) <= lifted_norm(x)[0] * lifted_norm(y)[0] + 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -108,13 +115,12 @@ def test_cauchy_schwarz_random_states():
 def test_inner_linear_in_second_argument(a, b):
     g = SegmentGrid(1.0, 8)
     rng = np.random.default_rng(7)
-    x = LiftedState(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
-    y = LiftedState(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
-    z = LiftedState(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
-    combo = LiftedState(a * y.head + b * z.head,
-                        Segment(g, a * y.tail.values + b * z.tail.values))
-    lhs = lifted_inner(x, combo)
-    rhs = a * lifted_inner(x, y) + b * lifted_inner(x, z)
+    x = one(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
+    y = one(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
+    z = one(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
+    combo = one(a * y.heads[0] + b * z.heads[0], Segment(g, a * y.tails[0] + b * z.tails[0]))
+    lhs = lifted_inner(x, combo)[0]
+    rhs = a * lifted_inner(x, y)[0] + b * lifted_inner(x, z)[0]
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -122,17 +128,17 @@ def test_inner_exact_for_degree_one_integrands():
     # trapezoid quadrature integrates degree-one integrands exactly: pair an
     # affine tail with a constant one
     g = SegmentGrid(1.0, 7)
-    affine = LiftedState([0.0], Segment(g, (2.0 * g.nodes + 1.0)[:, None]))
-    const = LiftedState([0.0], Segment.constant(g, 3.0))
+    affine = one([0.0], Segment(g, (2.0 * g.nodes + 1.0)[:, None]))
+    const = one([0.0], Segment.constant(g, 3.0))
     # integral of 3 (2 xi + 1) over [-1, 0] = 3 (1 - 1) = 0
-    assert lifted_inner(affine, const) == pytest.approx(0.0, abs=1e-14)
-    shifted = LiftedState([0.0], Segment(g, (2.0 * g.nodes + 2.0)[:, None]))
-    assert lifted_inner(shifted, const) == pytest.approx(3.0, rel=1e-14)
+    assert lifted_inner(affine, const)[0] == pytest.approx(0.0, abs=1e-14)
+    shifted = one([0.0], Segment(g, (2.0 * g.nodes + 2.0)[:, None]))
+    assert lifted_inner(shifted, const)[0] == pytest.approx(3.0, rel=1e-14)
 
 
 def test_inner_grid_mismatch_raises():
-    x = LiftedState([1.0], Segment.constant(SegmentGrid(1.0, 4), 0.0))
-    y = LiftedState([1.0], Segment.constant(SegmentGrid(1.0, 5), 0.0))
+    x = one([1.0], Segment.constant(SegmentGrid(1.0, 4), 0.0))
+    y = one([1.0], Segment.constant(SegmentGrid(1.0, 5), 0.0))
     with pytest.raises(GridMismatchError):
         lifted_inner(x, y)
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import node_tuple_index
+from conftest import batch_of, node_tuple_index
 
 from delayopt import models
-from delayopt.core import (DomainError, LiftedState, Segment, ValidationError, _delay_integrals,
-                           kernel_convolve, weighted_kernels)
+from delayopt.core import (DomainError, LiftedBatch, LiftedState, Segment, ValidationError,
+                           _delay_integrals, kernel_convolve, weighted_kernels)
 from delayopt.hjb import (
     EVAL_SWEEPS,
     PolicyField,
@@ -40,7 +40,7 @@ from delayopt.hjb import (
     growth_fit,
 )
 from delayopt.models import AdvertisingParams, AffineTestParams, build_advertising, build_affine_test
-from delayopt.operators import SMOOTH_MODES, random_smooth_state, smooth_states
+from delayopt.operators import SMOOTH_MODES, minus_one_norm, random_smooth_state, smooth_states
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 from delayopt.sdde import OpenLoopControl, mc_cost
@@ -109,7 +109,7 @@ def off_domain_states(grid, n, rng, k):
     """k states with smooth tails and heads drawn after them, off the
     generator domain."""
     x = smooth_states(grid, rng.normal(size=(k, n, SMOOTH_MODES)))
-    return x.like(rng.normal(size=(k, n)), x.tails)
+    return LiftedBatch(grid, rng.normal(size=(k, n)), x.tails)
 
 
 def test_hamiltonian_singleton_formula(advert_spec):
@@ -120,11 +120,12 @@ def test_hamiltonian_singleton_formula(advert_spec):
     z00 = np.array([[0.7]])
     val, best = hamiltonian_at(spec, x, p0[None], z00[None])
     u = spec.control_set[best[0]]
-    z1 = kernel_convolve(spec.kernel_drift, x.tail)
-    b = np.asarray(spec.drift(x.head, z1, u))
-    sig = np.asarray(spec.noise(x.head, kernel_convolve(spec.kernel_noise, x.tail), u))
-    expected = (-x.head @ p0 - b @ p0 - 0.5 * (sig @ sig.T * z00).item()
-                - float(spec.cost(x.head, u)))
+    head, tail = x.heads[0], Segment(spec.grid, x.tails[0])
+    z1 = kernel_convolve(spec.kernel_drift, tail)
+    b = np.asarray(spec.drift(head, z1, u))
+    sig = np.asarray(spec.noise(head, kernel_convolve(spec.kernel_noise, tail), u))
+    expected = (-head @ p0 - b @ p0 - 0.5 * (sig @ sig.T * z00).item()
+                - float(spec.cost(head, u)))
     assert val[0] == pytest.approx(float(expected), rel=1e-12)
 
 
@@ -1078,6 +1079,26 @@ def test_b_continuity_head_pairs_scale_like_lipschitz(advert_spec):
     ratios = table.differences / eps
     assert max(ratios) / min(ratios) <= 2.0
     assert max(ratios) < 10.0
+
+
+@pytest.mark.parametrize("spec_file", ["advertising.json", "merton_delay.json"])
+def test_b_continuity_distances_are_the_per_pair_weak_norms(spec_file):
+    # the probe takes every weak distance in one batch; each is bitwise the
+    # weak norm of its pair's difference alone, a batch of one
+    spec = models.load_spec_file(SPECS / spec_file)
+    x = models.initial_state(spec)
+    rng = np.random.default_rng(6)
+    ys = []
+    for _ in range(12):
+        freq = rng.integers(1, 5)
+        bump = 10 ** rng.uniform(-3.0, 0.0) * np.sin(math.pi * freq * (spec.grid.nodes + spec.d)
+                                                      / spec.d)
+        ys.append(LiftedState(x.head + rng.uniform(0.0, 0.1, size=spec.n),
+                              Segment(spec.grid, x.tail.values + bump[:, None])))
+    table = b_continuity_probe(spec, OpenLoopControl(spec.control_set[0]), x, ys, T=0.1,
+                               delta=0.05, n_paths=4, seed=0)
+    ref = [minus_one_norm(batch_of(x) - batch_of(y))[0] for y in ys]
+    np.testing.assert_array_equal(table.distances, np.sort(ref))
 
 
 def test_paired_estimate_is_the_fsum_statistic_of_its_differences(advert_spec):

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import batch_of
+
 from delayopt import models
 from delayopt.core import LiftedState, Segment, ValidationError, interp_columns, kernel_convolve
 from delayopt.lift import (
@@ -43,9 +45,9 @@ def test_pure_transport_matches_semigroup_orbit():
     delta = g.h
     lp = simulate_mild(spec, x, OpenLoopControl([0.0]), 1.0, delta, np.zeros((10, 1)))
     for k in range(11):
-        orbit = apply_shift_semigroup(k * delta, x)
-        np.testing.assert_allclose(lp.tails[k], orbit.tail.values, atol=1e-12)
-        np.testing.assert_allclose(lp.heads[k], orbit.head, atol=1e-12)
+        orbit = apply_shift_semigroup(k * delta, batch_of(x))
+        np.testing.assert_allclose(lp.tails[k], orbit.tails[0], atol=1e-12)
+        np.testing.assert_allclose(lp.heads[k], orbit.heads[0], atol=1e-12)
 
 
 def test_constant_drift_head():
@@ -182,7 +184,7 @@ def contraction_probe(spec, x, y, ctrl, r, n_paths, delta, seed):
     decomp = spectral_decomposition(assemble_gram_operator(spec.grid))
     c = spec.growth_const
     rate = 2.0 * c + c * c * decomp.operator_norm
-    d0 = minus_one_norm(x - y)
+    d0 = minus_one_norm(batch_of(x) - batch_of(y))[0]
     rhs = math.exp(rate * r) * d0 * d0
     spreads, at_r = [], np.array([r])
     for dw in batch_increments(seed, range(n_paths), delta, spec.q, _steps_of(r, delta, "r")):
@@ -234,10 +236,10 @@ def test_contraction_advertising_monte_carlo():
 # coefficient continuity in the weak norm, measured on simulated pairs
 
 
-def head_drift_lifted(spec, x, u):
-    z1 = kernel_convolve(spec.kernel_drift, x.tail)
-    b0 = np.asarray(spec.drift(x.head, z1, u))
-    return b0 + x.head  # drift of the rewritten equation acts on the head
+def head_drift_lifted(spec, head, tail, u):
+    z1 = kernel_convolve(spec.kernel_drift, Segment(spec.grid, tail))
+    b0 = np.asarray(spec.drift(head, z1, u))
+    return b0 + head  # drift of the rewritten equation acts on the head
 
 
 def test_coefficient_lipschitz_in_weak_norm_stable_under_refinement():
@@ -252,9 +254,9 @@ def test_coefficient_lipschitz_in_weak_norm_stable_under_refinement():
         for _ in range(60):
             x = random_smooth_state(g, 1, rng, domain=False)
             y = random_smooth_state(g, 1, rng, domain=False)
-            db = np.linalg.norm(head_drift_lifted(spec, x, u)
-                                - head_drift_lifted(spec, y, u))
-            dist = minus_one_norm(x - y)
+            db = np.linalg.norm(head_drift_lifted(spec, x.heads[0], x.tails[0], u)
+                                - head_drift_lifted(spec, y.heads[0], y.tails[0], u))
+            dist = minus_one_norm(x - y)[0]
             worst = max(worst, db / dist)
         fits.append(worst)
     assert fits[0] / fits[1] == pytest.approx(1.0, abs=0.5)
@@ -276,10 +278,8 @@ def test_coefficient_lipschitz_on_simulated_pairs():
                                     lb.heads, lb.tails):
         if dist < 1e-12:
             continue
-        sx = LiftedState(ha, Segment(spec.grid, ta))
-        sy = LiftedState(hb, Segment(spec.grid, tb))
-        db = np.linalg.norm(head_drift_lifted(spec, sx, u_arr)
-                            - head_drift_lifted(spec, sy, u_arr))
+        db = np.linalg.norm(head_drift_lifted(spec, ha, ta, u_arr)
+                            - head_drift_lifted(spec, hb, tb, u_arr))
         worst = max(worst, db / dist)
     assert np.isfinite(worst) and worst < 20.0
 
@@ -294,11 +294,11 @@ def test_noise_coefficient_lipschitz_in_weak_norm():
     for _ in range(60):
         x = random_smooth_state(g, 2, rng, domain=False)
         y = random_smooth_state(g, 2, rng, domain=False)
-        z2x = kernel_convolve(spec.kernel_noise, x.tail)
-        z2y = kernel_convolve(spec.kernel_noise, y.tail)
-        ds = np.linalg.norm(np.asarray(spec.noise(x.head, z2x, u))
-                            - np.asarray(spec.noise(y.head, z2y, u)))
-        worst = max(worst, ds / minus_one_norm(x - y))
+        z2x = kernel_convolve(spec.kernel_noise, Segment(g, x.tails[0]))
+        z2y = kernel_convolve(spec.kernel_noise, Segment(g, y.tails[0]))
+        ds = np.linalg.norm(np.asarray(spec.noise(x.heads[0], z2x, u))
+                            - np.asarray(spec.noise(y.heads[0], z2y, u)))
+        worst = max(worst, ds / minus_one_norm(x - y)[0])
     assert np.isfinite(worst) and worst > 0
 
 

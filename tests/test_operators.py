@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayopt.core import (DomainError, LiftedBatch, LiftedState, NumericalError, Segment,
-                           SegmentGrid)
+from delayopt.core import DomainError, LiftedBatch, NumericalError, Segment, SegmentGrid
 from delayopt.operators import (
     BLOCK,
     SMOOTH_MODES,
@@ -14,7 +13,6 @@ from delayopt.operators import (
     apply_shift_semigroup,
     assemble_gram_operator,
     dissipativity_form,
-    flatten,
     g_operator_norm,
     generator_inverse_form,
     inverse_generator_matrix,
@@ -24,18 +22,28 @@ from delayopt.operators import (
     sample_audit,
     smooth_states,
     spectral_decomposition,
-    unflatten,
     weight_vector,
 )
 from delayopt.core import lifted_inner, lifted_norm
 
 
 def state(grid, head, tail):
-    return LiftedState(np.atleast_1d(head), Segment(grid, np.asarray(tail, float)))
+    """One state (head, tail values (m+1, n)) as a batch of one."""
+    return LiftedBatch(grid, np.atleast_1d(np.asarray(head, float))[None],
+                       np.asarray(tail, float)[None])
 
 
 # ---------------------------------------------------------------------------
-# flat carrier
+# flat carrier: a one-sample batch as the [head; nodes] vector, component
+# index fastest, on which each scalar matrix acts times I_n
+
+
+def flatten(x):
+    return np.concatenate([x.heads[0], x.tails[0].ravel()])
+
+
+def unflatten(vec, grid, n):
+    return LiftedBatch(grid, vec[None, :n], vec[n:].reshape(1, grid.m + 1, n))
 
 
 def test_flat_roundtrip_and_weighted_inner():
@@ -45,10 +53,10 @@ def test_flat_roundtrip_and_weighted_inner():
     y = random_smooth_state(g, 2, rng, domain=False)
     fx, fy = flatten(x), flatten(y)
     back = unflatten(fx, g, 2)
-    np.testing.assert_array_equal(back.head, x.head)
-    np.testing.assert_array_equal(back.tail.values, x.tail.values)
-    weighted_inner = float(np.sum(weight_vector(g, 2) * fx * fy))
-    assert weighted_inner == pytest.approx(lifted_inner(x, y), rel=1e-13)
+    np.testing.assert_array_equal(back.heads, x.heads)
+    np.testing.assert_array_equal(back.tails, x.tails)
+    weighted_inner = float(np.sum(np.repeat(weight_vector(g), 2) * fx * fy))
+    assert weighted_inner == pytest.approx(lifted_inner(x, y)[0], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +68,7 @@ def test_semigroup_identity_at_zero():
     rng = np.random.default_rng(1)
     x = random_smooth_state(g, 1, rng)
     out = apply_shift_semigroup(0.0, x)
-    np.testing.assert_array_equal(out.tail.values, x.tail.values)
+    np.testing.assert_array_equal(out.tails, x.tails)
 
 
 def test_semigroup_flushes_history_past_horizon():
@@ -69,8 +77,8 @@ def test_semigroup_flushes_history_past_horizon():
     x = random_smooth_state(g, 1, rng, domain=False)
     for t in (1.0, 1.5, 4.0):
         out = apply_shift_semigroup(t, x)
-        np.testing.assert_allclose(out.tail.values, np.full((9, 1), x.head[0]))
-        np.testing.assert_array_equal(out.head, x.head)
+        np.testing.assert_allclose(out.tails[0], np.full((9, 1), x.heads[0, 0]))
+        np.testing.assert_array_equal(out.heads, x.heads)
 
 
 def test_semigroup_worked_example():
@@ -80,11 +88,11 @@ def test_semigroup_worked_example():
     g = SegmentGrid(1.0, 2)
     x = state(g, 5.0, [[0.0], [1.0], [2.0]])
     out = apply_shift_semigroup(0.5, x)
-    np.testing.assert_allclose(out.tail.values[:, 0], [1.0, 5.0, 5.0], atol=1e-14)
+    np.testing.assert_allclose(out.tails[0, :, 0], [1.0, 5.0, 5.0], atol=1e-14)
     # on generator-domain states the boundary convention is invisible
     y = state(g, 2.0, [[0.0], [1.0], [2.0]])
     out_y = apply_shift_semigroup(0.5, y)
-    np.testing.assert_allclose(out_y.tail.values[:, 0], [1.0, 2.0, 2.0], atol=1e-14)
+    np.testing.assert_allclose(out_y.tails[0, :, 0], [1.0, 2.0, 2.0], atol=1e-14)
 
 
 def test_semigroup_law_at_node_multiples():
@@ -94,7 +102,7 @@ def test_semigroup_law_at_node_multiples():
     for t, s in [(1 / 8, 3 / 8), (2 / 8, 2 / 8), (5 / 8, 4 / 8)]:
         ab = apply_shift_semigroup(t, apply_shift_semigroup(s, x))
         once = apply_shift_semigroup(t + s, x)
-        np.testing.assert_allclose(ab.tail.values, once.tail.values, atol=1e-13)
+        np.testing.assert_allclose(ab.tails, once.tails, atol=1e-13)
 
 
 def test_semigroup_norm_bound():
@@ -104,7 +112,7 @@ def test_semigroup_norm_bound():
     for _ in range(100):
         x = random_smooth_state(g, 1, rng, domain=False)
         t = float(rng.uniform(0, 3))
-        assert lifted_norm(apply_shift_semigroup(t, x)) <= bound * lifted_norm(x) + 1e-12
+        assert lifted_norm(apply_shift_semigroup(t, x))[0] <= bound * lifted_norm(x)[0] + 1e-12
 
 
 def test_semigroup_rejects_negative_time():
@@ -121,16 +129,16 @@ def test_generator_on_constants():
     g = SegmentGrid(1.0, 10)
     for c in (0.5, -2.0):
         out = apply_generator(state(g, c, np.full((11, 1), c)))
-        np.testing.assert_allclose(out.head, [-c], atol=1e-15)
-        np.testing.assert_allclose(out.tail.values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.heads[0], [-c], atol=1e-15)
+        np.testing.assert_allclose(out.tails[0], 0.0, atol=1e-12)
 
 
 def test_generator_on_affine_tail_exact():
     g = SegmentGrid(1.0, 10)
     x = state(g, 0.0, g.nodes[:, None])
     out = apply_generator(x)
-    np.testing.assert_allclose(out.head, [0.0], atol=1e-15)
-    np.testing.assert_allclose(out.tail.values, 1.0, atol=1e-12)
+    np.testing.assert_allclose(out.heads[0], [0.0], atol=1e-15)
+    np.testing.assert_allclose(out.tails[0], 1.0, atol=1e-12)
 
 
 def test_generator_domain_gate():
@@ -153,22 +161,22 @@ def test_generator_second_order_on_exponential():
     for m in (100, 200):
         g = SegmentGrid(1.0, m)
         tail = np.exp(g.nodes)[:, None]
-        out = apply_generator(LiftedState([1.0], Segment(g, tail)))
-        errs.append(np.max(np.abs(out.tail.values[:, 0] - np.exp(g.nodes))))
+        out = apply_generator(state(g, 1.0, tail))
+        errs.append(np.max(np.abs(out.tails[0, :, 0] - np.exp(g.nodes))))
     assert errs[0] / errs[1] >= 3.0  # second order: factor ~4 under halving
 
 
 def test_inverse_zero_tail():
     g = SegmentGrid(1.0, 10)
     out = apply_generator_inverse(state(g, 1.0, np.zeros((11, 1))))
-    np.testing.assert_allclose(out.head, [-1.0], atol=1e-15)
-    np.testing.assert_allclose(out.tail.values, -1.0, atol=1e-14)
+    np.testing.assert_allclose(out.heads[0], [-1.0], atol=1e-15)
+    np.testing.assert_allclose(out.tails[0], -1.0, atol=1e-14)
 
 
 def test_inverse_constant_tail_gives_linear():
     g = SegmentGrid(1.0, 10)
     out = apply_generator_inverse(state(g, 0.0, np.ones((11, 1))))
-    np.testing.assert_allclose(out.tail.values[:, 0], g.nodes, atol=1e-14)
+    np.testing.assert_allclose(out.tails[0, :, 0], g.nodes, atol=1e-14)
 
 
 def test_inverse_output_in_domain_exactly():
@@ -177,7 +185,7 @@ def test_inverse_output_in_domain_exactly():
     for _ in range(50):
         x = random_smooth_state(g, 2, rng, domain=False)
         out = apply_generator_inverse(x)
-        np.testing.assert_array_equal(out.tail.values[-1], out.head)
+        np.testing.assert_array_equal(out.tails[0, -1], out.heads[0])
 
 
 def test_roundtrip_converges_under_refinement():
@@ -190,7 +198,7 @@ def test_roundtrip_converges_under_refinement():
         for _ in range(50):
             x = random_smooth_state(g, 1, rng)
             back = apply_generator(apply_generator_inverse(x))
-            worst = max(worst, lifted_norm(back - x) / lifted_norm(x))
+            worst = max(worst, lifted_norm(back - x)[0] / lifted_norm(x)[0])
         errs.append(worst)
     assert errs[0] / errs[1] >= 1.5
 
@@ -202,14 +210,14 @@ def test_roundtrip_converges_under_refinement():
 def test_minus_one_norm_head_only():
     g = SegmentGrid(1.0, 20)
     x = state(g, 1.0, np.zeros((21, 1)))
-    assert minus_one_norm(x) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert minus_one_norm(x)[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_minus_one_norm_constant_tail():
     # inverse of (0, 1) has tail xi, and the integral of xi^2 is 1/3
     g = SegmentGrid(1.0, 100)
     x = state(g, 0.0, np.ones((101, 1)))
-    assert minus_one_norm(x) == pytest.approx(1 / np.sqrt(3.0), rel=1e-4)
+    assert minus_one_norm(x)[0] == pytest.approx(1 / np.sqrt(3.0), rel=1e-4)
 
 
 def test_head_dominated_by_weak_norm():
@@ -217,7 +225,7 @@ def test_head_dominated_by_weak_norm():
     rng = np.random.default_rng(7)
     for _ in range(200):
         x = random_smooth_state(g, 1, rng, domain=False)
-        assert np.linalg.norm(x.head) <= minus_one_norm(x) + 1e-9
+        assert np.linalg.norm(x.heads[0]) <= minus_one_norm(x)[0] + 1e-9
 
 
 def test_weak_norm_vanishes_on_concentrating_mass():
@@ -230,9 +238,8 @@ def test_weak_norm_vanishes_on_concentrating_mass():
     for n_cells in (50, 20, 10, 5):
         width = n_cells * g.h
         vals = np.where(g.nodes <= -1.0 + width + 1e-12, 1.0 / width, 0.0)[:, None]
-        x = LiftedState([0.0], Segment(g, vals))
-        norms.append(minus_one_norm(x))
-        functionals.append(float(kernel_convolve(flat, x.tail)[0]))
+        norms.append(minus_one_norm(state(g, 0.0, vals))[0])
+        functionals.append(float(kernel_convolve(flat, Segment(g, vals))[0]))
     assert all(a > b for a, b in zip(norms, norms[1:]))
     assert norms[-1] <= 0.15
     assert all(abs(f - 1.0) <= 0.15 for f in functionals)
@@ -252,18 +259,18 @@ def gram_50():
 def test_gram_quadratic_form_is_weak_norm(gram_50):
     g, op, _ = gram_50
     rng = np.random.default_rng(8)
-    w = weight_vector(g, 1)
+    w = weight_vector(g)
     for _ in range(100):
         x = random_smooth_state(g, 1, rng, domain=False)
         fx = flatten(x)
         quad = float(np.sum(w * fx * (op.matrix @ fx)))
-        assert quad == pytest.approx(minus_one_norm(x) ** 2, rel=1e-10)
+        assert quad == pytest.approx(minus_one_norm(x)[0] ** 2, rel=1e-10)
 
 
 def test_gram_selfadjoint_and_positive(gram_50):
     g, op, dec = gram_50
     # W B is symmetric, W the quadrature weights: B is self-adjoint in their metric
-    wb = weight_vector(g, 1)[:, None] * op.matrix
+    wb = weight_vector(g)[:, None] * op.matrix
     assert np.max(np.abs(wb - wb.T)) <= 1e-10 * max(np.max(np.abs(wb)), 1.0)
     assert np.all(dec.eigenvalues > 0)
     assert np.all(np.diff(dec.eigenvalues) <= 0)
@@ -279,7 +286,7 @@ def test_spectral_matches_power_iteration(gram_50):
     g, op, dec = gram_50
     # independent check of the top eigenvalue: plain power iteration in the
     # weighted metric
-    w = weight_vector(g, 1)
+    w = weight_vector(g)
     rng = np.random.default_rng(9)
     v = rng.normal(size=op.matrix.shape[0])
     for _ in range(500):
@@ -291,7 +298,7 @@ def test_spectral_matches_power_iteration(gram_50):
 
 def test_spectral_orthonormal_eigenpairs(gram_50):
     g, op, dec = gram_50
-    w = weight_vector(g, 1)
+    w = weight_vector(g)
     gram_matrix = (w[:, None] * dec.vectors).T @ dec.vectors
     assert np.max(np.abs(gram_matrix - np.eye(dec.dim))) <= 1e-8
     resid = op.matrix @ dec.vectors - dec.vectors * dec.eigenvalues[None, :]
@@ -306,7 +313,7 @@ def test_spectral_trace_identity(gram_50):
 
 def test_spectral_reconstruction(gram_50):
     g, op, dec = gram_50
-    w = weight_vector(g, 1)
+    w = weight_vector(g)
     recon = dec.vectors @ (dec.eigenvalues[:, None] * (w[:, None] * dec.vectors).T)
     assert np.max(np.abs(recon - op.matrix)) <= 1e-8 * np.max(np.abs(op.matrix))
 
@@ -327,7 +334,7 @@ def project(dec, x, n_modes, which):
     if which == "Q":
         return unflatten(dec.tail_projector(n_modes) @ flatten(x), dec.grid, 1)
     F = dec.vectors[:, :n_modes]
-    coeffs = F.T @ (weight_vector(dec.grid, 1) * flatten(x))
+    coeffs = F.T @ (weight_vector(dec.grid) * flatten(x))
     return unflatten(F @ coeffs, dec.grid, 1)
 
 
@@ -338,14 +345,14 @@ def test_projection_identities(gram_50):
     # full projection recovers the state up to its ghost component
     p_full = project(dec, x, dec.dim, "P")
     q_full = project(dec, x, dec.dim, "Q")
-    w = weight_vector(g, 1)
+    w = weight_vector(g)
     ghost_coeff = (w[:, None] * dec.ghost_vectors).T @ flatten(x)
     ghost_vec = unflatten(dec.ghost_vectors @ ghost_coeff, g, 1)
     np.testing.assert_allclose(flatten(p_full) + flatten(ghost_vec), flatten(x),
                                atol=1e-10)
-    assert lifted_norm(q_full) == pytest.approx(lifted_norm(ghost_vec), rel=1e-8)
+    assert lifted_norm(q_full)[0] == pytest.approx(lifted_norm(ghost_vec)[0], rel=1e-8)
     # smooth states carry only a small ghost component
-    assert lifted_norm(q_full) <= 0.1 * lifted_norm(x)
+    assert lifted_norm(q_full)[0] <= 0.1 * lifted_norm(x)[0]
     # idempotence and complementarity at a middling mode count
     p = project(dec, x, 10, "P")
     q = project(dec, x, 10, "Q")
@@ -360,12 +367,12 @@ def test_projection_of_leading_mode(gram_50):
     p1 = project(dec, f1, 1, "P")
     q1 = project(dec, f1, 1, "Q")
     np.testing.assert_allclose(flatten(p1), flatten(f1), atol=1e-10)
-    assert lifted_norm(q1) <= 1e-10
+    assert lifted_norm(q1)[0] <= 1e-10
 
 
 def test_tail_projector_norm_is_next_eigenvalue(gram_50):
     g, op, dec = gram_50
-    w = weight_vector(g, 1)
+    w = weight_vector(g)
     prev = np.inf
     for n_modes in (1, 5, 10, 25, dec.dim):
         q = dec.tail_projector(n_modes)
@@ -386,7 +393,7 @@ def test_dissipativity_on_constants():
     for c in (1.0, -0.7, 3.0):
         x = state(g, c, np.full((21, 1), c))
         # closed form: -(head^2 + tail(-d)^2)/2 = -c^2
-        assert dissipativity_form(x) == pytest.approx(-c * c, rel=1e-12)
+        assert dissipativity_form(x)[0] == pytest.approx(-c * c, rel=1e-12)
 
 
 def test_dissipativity_domain_gate():
@@ -403,7 +410,7 @@ def test_dissipativity_random_sample_nonpositive():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         x = random_smooth_state(g, 1, rng)
-        assert dissipativity_form(x) <= 1e-8 * lifted_norm_sq(x)
+        assert dissipativity_form(x)[0] <= 1e-8 * lifted_norm_sq(x)[0]
 
 
 def test_dissipativity_matches_closed_form():
@@ -412,22 +419,22 @@ def test_dissipativity_matches_closed_form():
         rng = np.random.default_rng(12)
         for _ in range(100):
             x = random_smooth_state(g, 1, rng)
-            closed = -0.5 * float(x.head @ x.head) \
-                - 0.5 * float(x.tail.values[0] @ x.tail.values[0])
-            dev = abs(dissipativity_form(x) - closed)
-            assert dev <= 0.5 * g.h * (1.0 + lifted_norm_sq(x))
+            closed = -0.5 * float(x.heads[0] @ x.heads[0]) \
+                - 0.5 * float(x.tails[0, 0] @ x.tails[0, 0])
+            dev = abs(dissipativity_form(x)[0] - closed)
+            assert dev <= 0.5 * g.h * (1.0 + lifted_norm_sq(x)[0])
 
 
 def test_inverse_form_zero_tail():
     g = SegmentGrid(1.0, 20)
     x = state(g, 1.0, np.zeros((21, 1)))
-    assert generator_inverse_form(x) == pytest.approx(-1.0, rel=1e-12)
+    assert generator_inverse_form(x)[0] == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_inverse_form_zero_state():
     g = SegmentGrid(1.0, 20)
     x = state(g, 0.0, np.zeros((21, 1)))
-    assert generator_inverse_form(x) == 0.0
+    assert generator_inverse_form(x)[0] == 0.0
 
 
 def test_inverse_form_random_sample_nonpositive():
@@ -435,7 +442,7 @@ def test_inverse_form_random_sample_nonpositive():
     rng = np.random.default_rng(13)
     for _ in range(1000):
         x = random_smooth_state(g, 1, rng, domain=False)
-        assert generator_inverse_form(x) <= 1e-8 * lifted_norm_sq(x)
+        assert generator_inverse_form(x)[0] <= 1e-8 * lifted_norm_sq(x)[0]
 
 
 def test_weak_norm_dominated_by_operator_norm(gram_50):
@@ -444,7 +451,7 @@ def test_weak_norm_dominated_by_operator_norm(gram_50):
     bound = np.sqrt(dec.operator_norm)
     for _ in range(100):
         x = random_smooth_state(g, 1, rng, domain=False)
-        assert minus_one_norm(x) <= bound * lifted_norm(x) + 1e-10
+        assert minus_one_norm(x)[0] <= bound * lifted_norm(x)[0] + 1e-10
 
 
 def test_spectral_ghost_count_matches_dimension():
@@ -457,7 +464,7 @@ def test_spectral_ghost_count_matches_dimension():
     assert dec.dim == 21
     assert np.all(dec.eigenvalues > 0)
     for n in (1, 2, 3):
-        s = np.sqrt(weight_vector(g, n))
+        s = np.sqrt(np.repeat(weight_vector(g), n))
         A = (s[:, None] * np.kron(inverse_generator_matrix(g), np.eye(n))) / s[None, :]
         lam = np.linalg.eigvalsh(A.T @ A)[::-1]
         assert lam.size == n * 22
@@ -472,7 +479,7 @@ def test_spectral_decomposition_refuses_a_second_ghost():
     dec = spectral_decomposition(op)
     # remove the leading mode from the operator: a second zero eigenvalue
     f = dec.vectors[:, :1]
-    w = weight_vector(g, 1)
+    w = weight_vector(g)
     deflated = op.matrix - dec.operator_norm * f @ (w[:, None] * f).T
     with pytest.raises(NumericalError, match="exactly 1 ghost"):
         spectral_decomposition(OperatorMatrix(deflated, g))
@@ -499,15 +506,17 @@ def test_inverse_matrix_matches_functional_form():
 
 
 # ---------------------------------------------------------------------------
-# batches: one pass over S states against the loop over their LiftedStates
+# batches: one pass over S states against the loop over their one-sample
+# batches
 
 EPS = np.finfo(float).eps
 ULPS = 4
 
 
-def states_of(x):
-    """The samples of a batch as LiftedStates (C-ordered copies)."""
-    return [LiftedState(h, Segment(x.grid, t)) for h, t in zip(x.heads, x.tails)]
+def samples_of(x):
+    """The samples of a batch, each a batch of one in its own layout."""
+    return [LiftedBatch(x.grid, x.heads[i:i + 1], x.tails[i:i + 1])
+            for i in range(len(x.heads))]
 
 
 def assert_ulps(batch, loop, scale):
@@ -529,32 +538,32 @@ def test_batch_matches_the_per_state_loop(m, n, size, seed):
     times = rng.uniform(0, 2 * g.d, size)
     times[::5] = 0.0  # the identity, per sample
     x = smooth_states(g, coeffs)
-    xs = states_of(x)
-    norms = np.array([lifted_norm(s) for s in xs])
+    xs = samples_of(x)
+    norms = np.array([lifted_norm(s)[0] for s in xs])
     images = {}
     for op in (apply_generator, apply_generator_inverse):
         out, ref = op(x), [op(s) for s in xs]
-        scale = [max(np.max(np.abs(r.head)), np.max(np.abs(r.tail.values))) for r in ref]
-        assert_ulps(out.heads, [r.head for r in ref], scale)
-        assert_ulps(out.tails, [r.tail.values for r in ref], scale)
-        images[op] = np.array([lifted_norm(r) for r in ref])
+        scale = [max(np.max(np.abs(r.heads)), np.max(np.abs(r.tails))) for r in ref]
+        assert_ulps(out.heads, [r.heads[0] for r in ref], scale)
+        assert_ulps(out.tails, [r.tails[0] for r in ref], scale)
+        images[op] = np.array([lifted_norm(r)[0] for r in ref])
     out = apply_shift_semigroup(times, x)
     ref = [apply_shift_semigroup(t, s) for t, s in zip(times, xs)]
-    np.testing.assert_array_equal(out.heads, [r.head for r in ref])
-    np.testing.assert_array_equal(out.tails, [r.tail.values for r in ref])
+    np.testing.assert_array_equal(out.heads, [r.heads[0] for r in ref])
+    np.testing.assert_array_equal(out.tails, [r.tails[0] for r in ref])
     # a pairing is at most the product of the norms (Cauchy-Schwarz)
     for form, op in ((dissipativity_form, apply_generator),
                      (generator_inverse_form, apply_generator_inverse)):
-        assert_ulps(form(x), [form(s) for s in xs], images[op] * norms)
-    assert_ulps(lifted_norm_sq(x), [lifted_norm_sq(s) for s in xs], norms ** 2)
-    assert_ulps(minus_one_norm(x), [minus_one_norm(s) for s in xs],
+        assert_ulps(form(x), [form(s)[0] for s in xs], images[op] * norms)
+    assert_ulps(lifted_norm_sq(x), [lifted_norm_sq(s)[0] for s in xs], norms ** 2)
+    assert_ulps(minus_one_norm(x), [minus_one_norm(s)[0] for s in xs],
                 images[apply_generator_inverse])
     # the audit's rows, BLOCK samples at a time
     rows = sample_audit(g, coeffs, times)
-    ref = np.array([[dissipativity_form(s) / r ** 2, generator_inverse_form(s) / r ** 2,
-                     np.linalg.norm(s.head), minus_one_norm(s),
-                     lifted_norm(apply_generator(apply_generator_inverse(s)) - s) / r,
-                     lifted_norm(apply_shift_semigroup(t, s)) / r]
+    ref = np.array([[dissipativity_form(s)[0] / r ** 2, generator_inverse_form(s)[0] / r ** 2,
+                     np.linalg.norm(s.heads[0]), minus_one_norm(s)[0],
+                     lifted_norm(apply_generator(apply_generator_inverse(s)) - s)[0] / r,
+                     lifted_norm(apply_shift_semigroup(t, s))[0] / r]
                     for s, t, r in zip(xs, times, norms)])
     scale = np.column_stack([images[apply_generator] / norms,
                              images[apply_generator_inverse] / norms, np.abs(ref[:, 2:])])
@@ -576,18 +585,23 @@ def test_batch_with_one_sample_outside_the_domain_is_refused():
 
 
 def test_a_state_is_a_batch_of_one():
-    # a LiftedState argument gives a LiftedState or a Python float, as before
+    # one state goes in as a batch of one: an operator gives a batch of one,
+    # a form or norm an array of one value, that sample's value in a larger
+    # batch bit for bit
     g = SegmentGrid(1.0, 12)
-    x = random_smooth_state(g, 2, np.random.default_rng(1))
+    batch = smooth_states(g, np.random.default_rng(1).normal(size=(3, 2, SMOOTH_MODES)))
+    x = LiftedBatch(g, batch.heads[1:2], batch.tails[1:2])
     for op in (apply_generator, apply_generator_inverse,
                lambda s: apply_shift_semigroup(0.3, s)):
-        assert type(op(x)) is LiftedState
+        out = op(x)
+        assert type(out) is LiftedBatch
+        assert out.heads.shape == (1, 2) and out.tails.shape == (1, 13, 2)
+        np.testing.assert_array_equal(out.tails[0], op(batch).tails[1])
     for form in (dissipativity_form, generator_inverse_form, minus_one_norm, lifted_norm_sq,
                  lifted_norm, lambda s: lifted_inner(s, s)):
-        assert type(form(x)) is float
-    batch = LiftedBatch(g, x.heads, x.tails)
-    assert type(minus_one_norm(batch)) is np.ndarray
-    assert minus_one_norm(batch)[0] == minus_one_norm(x)
+        value = form(x)
+        assert type(value) is np.ndarray and value.shape == (1,)
+        assert value[0] == form(batch)[1]
 
 
 def test_random_smooth_state_draws_as_the_batch():
@@ -595,5 +609,5 @@ def test_random_smooth_state_draws_as_the_batch():
     g = SegmentGrid(1.0, 9)
     x = random_smooth_state(g, 3, np.random.default_rng(4))
     batch = smooth_states(g, np.random.default_rng(4).normal(size=(1, 3, SMOOTH_MODES)))
-    np.testing.assert_array_equal(x.tail.values, batch.tails[0])
-    np.testing.assert_array_equal(x.head, batch.heads[0])
+    np.testing.assert_array_equal(x.tails, batch.tails)
+    np.testing.assert_array_equal(x.heads, batch.heads)
