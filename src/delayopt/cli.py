@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -285,7 +284,7 @@ def cmd_operators(run: Run):
     # after k whole eigenspaces (n k flat modes): tail projector norm against
     # the next eigenvalue, and the noise trace at the recorded initial state,
     # trace((e0 e0^T x sig sig^T)(B Q x I_n)) = (B Q)[0, 0] trace(sig sig^T)
-    z2 = np.asarray(spec.delay_integrals(run.x.tail)[1])
+    z2 = np.asarray(kernel_convolve(spec.kernel_noise, run.x.tail))
     sig = np.asarray(spec.noise(run.x.head, z2, spec.control_set[0]))
     tail_rows, trace_rows = [], []
     for k in sorted({1, decomp.dim // 4, decomp.dim // 2, decomp.dim} - {0}):
@@ -424,8 +423,8 @@ def cmd_probe_regularity(run: Run):
         full[:, list(box)] = pts
         return result.value.interp(full)
 
-    spacing = 2.0 * max(float(np.min(np.diff(ax))) for ax in result.value.axes[: spec.n]
-                        if len(ax) > 1)
+    # the gradient stencil spans the boxed axes only
+    spacing = 2.0 * max(float(np.min(np.diff(result.value.axes[i]))) for i in box)
     report = hjb.regularity_probe(spec, estimator, list(box.values()),
                                   samples=run.args.samples, gradient_spacing=spacing)
     band = report.alpha_band or (float("nan"), float("nan"))
@@ -570,7 +569,6 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.monotonic()
     resolved = {k: v for k, v in sorted(vars(args).items())
                 if k not in ("command", "func") and v is not None}
     try:
@@ -587,7 +585,7 @@ def main(argv=None) -> int:
         except (ValidationError, MemoryError) as exc:
             error, code = _err("validation", exc), 1
         output.write_manifest(run.out, args.spec, {**resolved, **run.extra},
-                              run.artifacts, started, error)
+                              run.artifacts, error)
     except (ValidationError, OSError, MemoryError) as exc:
         # a MemoryError is an array sized by the input (m, a grid, a path
         # count) beyond memory, refused like any other out-of-range input

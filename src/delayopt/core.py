@@ -393,7 +393,3 @@ class ProblemSpec:
     @property
     def d(self) -> float:
         return self.grid.d
-
-    def delay_integrals(self, tail: Segment) -> tuple[np.ndarray, np.ndarray]:
-        """Both kernel integrals of a history segment."""
-        return kernel_convolve(self.kernel_drift, tail), kernel_convolve(self.kernel_noise, tail)

@@ -25,6 +25,7 @@ from .core import (
     SegmentGrid,
     ValidationError,
     interp_columns,
+    lifted_norm,
     resample_kernel,
     resample_segment,
     weighted_kernels,
@@ -123,9 +124,8 @@ def _mismatch(path: SddePath, lifted: LiftedBatch) -> EquivalenceLevel:
     direct = history_lift(path, path.times[path.n_history:])
     grid = direct.grid
     head_mis = float(np.max(np.linalg.norm(lifted.heads - direct.heads, axis=1)))
-    diff = lifted.tails - direct.tails
-    tail_sq = np.sum(grid.weights[:, None] * diff * diff, axis=(1, 2))
-    tail_mis = math.sqrt(float(np.max(tail_sq)))
+    tail_diff = LiftedBatch(grid, np.zeros_like(direct.heads), lifted.tails - direct.tails)
+    tail_mis = float(np.max(lifted_norm(tail_diff)))
     return EquivalenceLevel(delta=path.delta, m=grid.m, head_mismatch=head_mis,
                             tail_mismatch=tail_mis,
                             head_scale=1.0 + float(np.max(np.linalg.norm(direct.heads, axis=1))))

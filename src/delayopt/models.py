@@ -248,7 +248,6 @@ class MertonOracle:
     """Closed form for the no-delay constant-coefficient portfolio problem."""
 
     u_star: float
-    beta_star: float
     coefficient: float
     gamma: float
 
@@ -276,8 +275,7 @@ def merton_classical_oracle(r: float, mu: float, nu: float, gamma: float,
         raise ValidationError(
             f"discount {rho} does not dominate the utility growth rate {beta_star:g}"
         )
-    return MertonOracle(u_star=u_star, beta_star=beta_star,
-                        coefficient=1.0 / (rho - beta_star), gamma=gamma)
+    return MertonOracle(u_star=u_star, coefficient=1.0 / (rho - beta_star), gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The module provides the left-shift semigroup, the dissipative generator
 (head damping plus tail derivative), its explicit inverse, the weak norm
 induced by that inverse, the weighted Gram operator of the inverse with its
 spectral decomposition, and the two structural quadratic forms (dissipativity
-and the inverse pairing) that every state must keep nonpositive.
+and the inverse pairing) that every state must keep nonpositive. The inverse
+has one implementation, apply_generator_inverse: the Gram operator is
+assembled from its image of the unit states.
 
 All adjoints are taken in the quadrature-weighted inner product so matrix
 identities mirror the continuous ones. Every matrix here is a scalar
@@ -136,22 +138,6 @@ def generator_inverse_form(x: LiftedBatch) -> np.ndarray:
     return lifted_inner(apply_generator_inverse(x), x)
 
 
-def inverse_generator_matrix(grid: SegmentGrid) -> np.ndarray:
-    """Scalar matrix of the inverse generator on [head; tail nodes]."""
-    m, h = grid.m, grid.h
-    # cumulative trapezoid coefficients: row j integrates from node j to 0
-    C = np.zeros((m + 1, m + 1))
-    for j in range(m):
-        C[j, j] = h / 2.0
-        C[j, m] = h / 2.0
-        C[j, j + 1 : m] = h
-    # 0.0 - C keeps the zeros positive
-    S = np.zeros((m + 2, m + 2))
-    S[:, 0] = -1.0
-    S[1:, 1:] = 0.0 - C
-    return S
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense scalar operator with its grid."""
@@ -163,10 +149,14 @@ class OperatorMatrix:
 def assemble_gram_operator(grid: SegmentGrid) -> OperatorMatrix:
     """Weighted Gram operator of the inverse generator: (adjoint of M) M.
 
+    M is the scalar matrix of apply_generator_inverse, assembled column by
+    column as its image of the m+2 unit [head; nodes] states in one batch.
     The adjoint is taken in the quadrature inner product, so the quadratic
     form of the result equals the squared weak norm exactly.
     """
-    M = inverse_generator_matrix(grid)
+    basis = np.eye(grid.m + 2)[:, :, None]
+    image = apply_generator_inverse(LiftedBatch(grid, basis[:, 0], basis[:, 1:]))
+    M = np.concatenate([image.heads, image.tails[..., 0]], axis=1).T
     w = weight_vector(grid)
     B = (M.T * w[None, :]) @ M / w[:, None]
     return OperatorMatrix(B, grid)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +27,7 @@ def write_csv(path, header: list[str], rows) -> str:
 
 
 def write_manifest(out_dir, spec_path, resolved: dict, artifacts: list[str],
-                   started: float, error: dict | None = None) -> str:
+                   error: dict | None = None) -> str:
     """Write run_manifest.json; a run that failed records its error record."""
     out = Path(out_dir) / "run_manifest.json"
     doc = {
@@ -36,7 +35,6 @@ def write_manifest(out_dir, spec_path, resolved: dict, artifacts: list[str],
         "spec_digest": hashlib.sha256(Path(spec_path).read_bytes()).hexdigest(),
         "resolved": resolved,
         "artifacts": sorted(str(a) for a in artifacts),
-        "wall_clock_s": round(time.monotonic() - started, 3),
         "version": __version__,
     }
     if error is not None:

@@ -651,6 +651,39 @@ def test_every_public_definition_is_named_in_src():
     assert not set(UNREFERENCED_IN_SRC) - set(unreferenced), "stale allowlist entries"
 
 
+# dataclass fields that nothing in src/ reads as an attribute, each kept for
+# one reader
+UNREAD_IN_SRC = {
+    "models.AuditReport.name": "its class serves the allowlisted models.audit_constants",
+    "operators.SpectralDecomposition.ghost_vectors": "tests check the docstring's ghost mode "
+                                                     "on it without recomputing the spectrum",
+}
+
+
+def test_every_dataclass_field_is_read_in_src():
+    # an annotated field of a src/ dataclass is read somewhere in src/ as an
+    # attribute (by name, in load context); a field nothing reads is data
+    # that only tests reach; the allowlist names each exception, and an
+    # entry that is read or gone is stale
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(delayopt.__file__).resolve().parent.glob("*.py"))}
+    reads = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+    def is_dataclass(cls):
+        return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                   for d in cls.decorator_list)
+
+    unread = [f"{module}.{cls.name}.{field.target.id}"
+              for module, tree in trees.items() for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+              for field in cls.body
+              if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+              and not reads[field.target.id]]
+    assert not set(unread) - set(UNREAD_IN_SRC), unread
+    assert not set(UNREAD_IN_SRC) - set(unread), "stale allowlist entries"
+
+
 def bench_module(name, monkeypatch):
     """bench/<name>.py executed from source, so it writes no bytecode."""
     path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
@@ -917,6 +950,28 @@ def test_probe_regularity_box_names_its_axes(tmp_path):
     assert tables[0] == tables[1]
 
 
+def test_probe_regularity_spacing_reads_the_boxed_axes_only(tmp_path, monkeypatch):
+    # a coarse grid on s, outside the box, does not widen the stencil on the
+    # boxed z: the spacing is twice z's smallest step, and the probe runs
+    from delayopt import hjb
+
+    spacings = []
+    probe = hjb.regularity_probe
+
+    def recording(*args, gradient_spacing, **kw):
+        spacings.append(gradient_spacing)
+        return probe(*args, gradient_spacing=gradient_spacing, **kw)
+
+    monkeypatch.setattr(hjb, "regularity_probe", recording)
+    out = tmp_path / "reg"
+    assert run(["probe-regularity", "--spec", str(SPECS / "merton_delay.json"),
+                "--grid", "s:0.4:2.5:5,z:log:0.05:20:21", "--tol", "1e-5",
+                "--box", "z:0.5:2", "--out", str(out)]) == 0
+    assert spacings == [2.0 * float(np.min(np.diff(np.geomspace(0.05, 20, 21))))]
+    alpha = np.loadtxt(out / "regularity.csv", delimiter=",", skiprows=1, usecols=1)
+    assert np.isfinite(alpha)
+
+
 def test_merton_check_reads_the_constant_through_the_map(tmp_path, capsys):
     # a slope-0 map evaluates to clip(base, lo, hi): base 0.2 clamped to
     # [0.07, 0.07] is the constant 0.07
@@ -1026,6 +1081,7 @@ def test_operators_n2_matches_dense_kronecker_oracle(tmp_path):
     # dense flat B x I_2 with its own weighted eigh, in a basis rotated at
     # random inside each double eigenspace
     from delayopt import models, operators
+    from delayopt.core import kernel_convolve
 
     spec_file = tmp_path / "affine_n2.json"
     spec_file.write_text(json.dumps({"model": "affine_test", "m": 20, "params": {
@@ -1050,7 +1106,7 @@ def test_operators_n2_matches_dense_kronecker_oracle(tmp_path):
     a, b = V[:, 0::2].copy(), V[:, 1::2].copy()
     V[:, 0::2], V[:, 1::2] = c * a + sn * b, c * b - sn * a
     x = models.initial_state(spec)
-    sig = np.asarray(spec.noise(x.head, np.asarray(spec.delay_integrals(x.tail)[1]),
+    sig = np.asarray(spec.noise(x.head, np.asarray(kernel_convolve(spec.kernel_noise, x.tail)),
                                 spec.control_set[0]))
     gram_flat = np.zeros_like(B)
     gram_flat[:2, :2] = sig @ sig.T
@@ -1074,3 +1130,17 @@ def test_manifest_records_spec_digest(tmp_path):
     doc = json.loads((out / "run_manifest.json").read_text())
     assert doc["spec_digest"] and doc["version"] == delayopt.__version__
     assert any(a.endswith("spectrum.csv") for a in doc["artifacts"])
+
+
+def test_manifest_is_byte_reproducible(tmp_path):
+    # a manifest holds no wall time: the same run twice writes the same bytes
+    out = tmp_path / "solve"
+    argv = ["solve", "--spec", str(SPECS / "merton_nodelay.json"), "--mlag", "1",
+            "--grid", "z:log:0.005:100:41", "--tol", "1e-6", "--out", str(out)]
+    manifests = []
+    for _ in range(2):
+        assert run(argv) == 0
+        manifests.append((out / "run_manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert sorted(json.loads(manifests[0])) == ["artifacts", "resolved", "spec_digest",
+                                                "spec_file", "version"]

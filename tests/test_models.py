@@ -206,7 +206,8 @@ def test_oracle_no_excess_return():
 def test_oracle_frozen_acceptance_instance():
     o = merton_classical_oracle(r=0.01, mu=0.07, nu=0.3, gamma=0.5, rho=0.1)
     assert o.u_star == 1.0
-    assert o.beta_star == pytest.approx(0.02375, rel=1e-12)
+    # the coefficient is 1/(rho - beta(u*)), at the growth rate beta(1) = 0.02375
+    assert 0.1 - 1.0 / o.coefficient == pytest.approx(0.02375, rel=1e-12)
     assert o.value(1.0) == pytest.approx(26.2295, abs=5e-4)
 
 
@@ -226,8 +227,9 @@ def test_oracle_small_exponent_scaling():
     # value blows up like one over the exponent
     o1 = merton_classical_oracle(r=0.01, mu=0.07, nu=0.3, gamma=1e-3, rho=0.1)
     assert o1.u_star == pytest.approx(0.06 / 0.09, rel=1e-2)
-    assert o1.value(1.0) * 1e-3 == pytest.approx(1.0 / (0.1 - o1.beta_star),
-                                                 rel=1e-9)
+    u = o1.u_star
+    beta = 1e-3 * (0.01 + 0.06 * u) - 0.5 * 1e-3 * (1 - 1e-3) * 0.09 * u ** 2
+    assert o1.value(1.0) * 1e-3 == pytest.approx(1.0 / (0.1 - beta), rel=1e-9)
 
 
 def test_oracle_confirmed_by_mc_policy_search():

@@ -15,7 +15,6 @@ from delayopt.operators import (
     dissipativity_form,
     g_operator_norm,
     generator_inverse_form,
-    inverse_generator_matrix,
     lifted_norm_sq,
     minus_one_norm,
     random_smooth_state,
@@ -44,6 +43,23 @@ def flatten(x):
 
 def unflatten(vec, grid, n):
     return LiftedBatch(grid, vec[None, :n], vec[n:].reshape(1, grid.m + 1, n))
+
+
+def inverse_generator_table(grid):
+    """Scalar matrix of the inverse generator on [head; tail nodes], written
+    out as the cumulative trapezoid table: the oracle of the assembled one."""
+    m, h = grid.m, grid.h
+    # row j integrates from node j to 0
+    C = np.zeros((m + 1, m + 1))
+    for j in range(m):
+        C[j, j] = h / 2.0
+        C[j, m] = h / 2.0
+        C[j, j + 1 : m] = h
+    # 0.0 - C keeps the zeros positive
+    S = np.zeros((m + 2, m + 2))
+    S[:, 0] = -1.0
+    S[1:, 1:] = 0.0 - C
+    return S
 
 
 def test_flat_roundtrip_and_weighted_inner():
@@ -465,7 +481,7 @@ def test_spectral_ghost_count_matches_dimension():
     assert np.all(dec.eigenvalues > 0)
     for n in (1, 2, 3):
         s = np.sqrt(np.repeat(weight_vector(g), n))
-        A = (s[:, None] * np.kron(inverse_generator_matrix(g), np.eye(n))) / s[None, :]
+        A = (s[:, None] * np.kron(inverse_generator_table(g), np.eye(n))) / s[None, :]
         lam = np.linalg.eigvalsh(A.T @ A)[::-1]
         assert lam.size == n * 22
         assert int(np.sum(lam <= 1e-13 * lam[0])) == n
@@ -498,11 +514,23 @@ def test_spectral_refuses_an_operator_that_is_not_selfadjoint(gram_50):
 def test_inverse_matrix_matches_functional_form():
     # the flat inverse of an n = 2 state is the scalar matrix times I_2
     g = SegmentGrid(1.0, 12)
-    M = np.kron(inverse_generator_matrix(g), np.eye(2))
+    M = np.kron(inverse_generator_table(g), np.eye(2))
     rng = np.random.default_rng(15)
     x = random_smooth_state(g, 2, rng, domain=False)
     np.testing.assert_allclose(M @ flatten(x), flatten(apply_generator_inverse(x)),
                                atol=1e-13)
+
+
+@pytest.mark.parametrize("d,m", [(1.0, 1), (1.0, 2), (0.1, 4), (0.2, 20), (1.0, 50),
+                                 (1.0, 400)])
+def test_gram_operator_is_the_table_gram_bitwise(d, m):
+    # assembled from the functional inverse, the Gram operator is the table's
+    # weighted Gram matrix bit for bit, the signs of its zeros included
+    g = SegmentGrid(d, m)
+    C, w = inverse_generator_table(g), weight_vector(g)
+    expected = (C.T * w[None, :]) @ C / w[:, None]
+    got = assemble_gram_operator(g).matrix
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
