@@ -1144,3 +1144,42 @@ def test_manifest_is_byte_reproducible(tmp_path):
     assert manifests[0] == manifests[1]
     assert sorted(json.loads(manifests[0])) == ["artifacts", "resolved", "spec_digest",
                                                 "spec_file", "version"]
+
+
+# the README advertising lag grid at --mlag 2 and the artifacts of the
+# subcommands that solve on it, with their sha256 digests
+LAG_GRID = ["--mlag", "2", "--grid", "y:-1:2.5:25,y_lag1:-1:2.5:9,y_lag2:-1:2.5:9"]
+LAG_CHAIN_DIGESTS = {
+    "solve": {
+        "value_policy.csv": "1955712a3a4ee76d7b608bf28e6b84e24dbd444ea97e85cef6508df9b1bef0f9",
+        "policy.json": "1fd4a8aff02d78bed5f0f0bb35bd41b38db6ee3603415e8e9f8a98a2f4f814fc",
+        "convergence.csv": "b2cccf3b8b1a6116260fc4259d3bf5617e219e02659c3ca2245d86a949422fd3",
+    },
+    "residual": {
+        "residual.csv": "922a47739ca64b58e5798fb4f586593a59dbf6a680b68d74fa579f489d6b61d9",
+    },
+    "dpp": {"dpp.csv": "aa683204d8cd1245e2e690e9bae32794a6f3b90f4c1843a96c04883482eb098f"},
+    "simulate": {
+        "paths.csv": "2c1390d8790a1cbcdda219a0b887a7bf1c03acba1afc0acd9c3b3315b7a8dd14",
+        "summary.csv": "de3ee6fd5e53f498c069f6c64310c62f3b7089ff3dd4e102a90676cd4cb730a9",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(LAG_CHAIN_DIGESTS))
+def test_lag_chain_outputs_match_the_pinned_digests(command, tmp_path, capsys):
+    # the solver's bytes: the grid, the value and policy tables, the sweep
+    # residuals, the residual points, the gap's rollout and the closed loop
+    # of the solved policy, at the README's lag grid
+    out = tmp_path / command
+    if command == "simulate":
+        assert run(["solve", "--spec", SPEC, *LAG_GRID, "--out", str(tmp_path / "solve")]) == 0
+        argv = ["simulate", "--spec", SPEC, "--T", "2", "--dt", "0.01", "--paths", "200",
+                "--control", f"policy:{tmp_path / 'solve' / 'policy.json'}"]
+    else:
+        argv = [command, "--spec", SPEC, *LAG_GRID]
+        if command == "dpp":
+            argv += ["--paths", "2000"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in LAG_CHAIN_DIGESTS[command]} == LAG_CHAIN_DIGESTS[command]
