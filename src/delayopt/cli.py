@@ -179,7 +179,7 @@ def _parse_box(text: str, names: list[str]) -> dict[int, tuple[float, float]]:
 def _lag_grid(run: Run):
     """Lag chain, grid axes (--mlag, --grid) and flat start register of a solve."""
     chain = hjb.reduce_to_lag_chain(run.spec, run.args.mlag)
-    z0 = chain.flatten(hjb.register_from_state(chain, run.x))
+    z0 = chain.flatten(sdde._start_window(run.x, chain.coarse_grid))
     return chain, _parse_grid(run.args.grid, chain.axis_names(), z0), z0
 
 

@@ -27,17 +27,15 @@ from .core import (
     LiftedState,
     NumericalError,
     ProblemSpec,
-    Segment,
     SegmentGrid,
     ValidationError,
     _delay_integrals,
-    interp_columns,
     lifted_norm,
     weighted_kernels,
 )
 from .operators import minus_one_norm
-from .sdde import (OpenLoopControl, _euler_head, _mean_stderr, _simulate_batch, _steps_of,
-                   batch_increments, mc_cost)
+from .sdde import (OpenLoopControl, _euler_head, _mean_stderr, _simulate_batch,
+                   _start_window, _steps_of, batch_increments, mc_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +150,28 @@ def _best_score(spec: ProblemSpec, y: np.ndarray, z1: np.ndarray, z2: np.ndarray
 class LagChainSpec:
     """Shift-register Markov approximation with lag step delta = d / m_lag.
 
-    A register [y(t), y(t - delta), ..., y(t - d)] advances by one Euler
-    head update (kernel quadrature over the register) followed by a shift.
-    One chain step is the direct Euler step of sdde at step delta: the
-    register reversed is that scheme's history window, and a standard
-    normal draw zeta is the increment zeta * sqrt(delta). Per-step discount
-    is exp(-rho delta).
+    A register is the history window of sdde's Euler scheme at step delta,
+    on the lag grid coarse_grid: shape (..., m_lag + 1, n), oldest node
+    first, so the last row holds the head y(t). One chain step is that
+    scheme's step: an Euler head update (sdde._euler_head, the kernel
+    quadrature over the register) and a shift, with a standard normal draw
+    zeta as the increment zeta * sqrt(delta). Per-step discount is
+    exp(-rho delta). A flat state (grid axes, value_policy.csv columns,
+    policy.json axes) lists the nodes head first, [y(t), y(t - delta), ...,
+    y(t - d)]; flatten and unflatten alone know that order.
     """
 
     spec: ProblemSpec
-    m_lag: int
-    delta: float
     coarse_grid: SegmentGrid
     wk: tuple[np.ndarray, np.ndarray]  # weighted drift and noise tables on coarse_grid
+
+    @property
+    def m_lag(self) -> int:
+        return self.coarse_grid.m
+
+    @property
+    def delta(self) -> float:
+        return self.coarse_grid.h
 
     @property
     def state_dim(self) -> int:
@@ -181,21 +188,21 @@ class LagChainSpec:
             names.extend(f"{h}_lag{j}" for h in heads)
         return names
 
-    def delay_integrals(self, reg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _delay_integrals(self.wk, reg[..., ::-1, :])
-
     def step(self, reg: np.ndarray, u: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """Advance registers (P, m_lag + 1, n) one lag step; zeta (P, q) is a
         standard normal draw."""
-        y_new = _euler_head(self.spec, self.wk, reg[:, 0, :],
-                            reg[:, ::-1, :], u, zeta * math.sqrt(self.delta), self.delta)
-        return np.concatenate([y_new[:, None, :], reg[:, :-1, :]], axis=1)
+        y_new = _euler_head(self.spec, self.wk, reg[:, -1, :], reg, u,
+                            zeta * math.sqrt(self.delta), self.delta)
+        return np.concatenate([reg[:, 1:, :], y_new[:, None, :]], axis=1)
 
     def flatten(self, reg: np.ndarray) -> np.ndarray:
-        return reg.reshape(reg.shape[:-2] + (self.state_dim,))
+        """Registers (..., m_lag + 1, n) to flat states, head first."""
+        return reg.take(np.arange(self.m_lag, -1, -1), axis=-2).reshape(
+            reg.shape[:-2] + (self.state_dim,))
 
     def unflatten(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(flat.shape[:-1] + (self.m_lag + 1, self.spec.n))
+        """Flat states to registers: a view, oldest node first."""
+        return flat.reshape(flat.shape[:-1] + (self.m_lag + 1, self.spec.n))[..., ::-1, :]
 
 
 def reduce_to_lag_chain(spec: ProblemSpec, m_lag: int) -> LagChainSpec:
@@ -203,17 +210,7 @@ def reduce_to_lag_chain(spec: ProblemSpec, m_lag: int) -> LagChainSpec:
     if m_lag < 1:
         raise ValidationError(f"lag count must be >= 1, got {m_lag}")
     coarse = SegmentGrid(spec.d, m_lag)
-    return LagChainSpec(spec=spec, m_lag=m_lag, delta=spec.d / m_lag,
-                        coarse_grid=coarse, wk=weighted_kernels(spec, coarse))
-
-
-def register_from_state(chain: LagChainSpec, x: LiftedState) -> np.ndarray:
-    """Sample a lifted state onto the register: head, then lagged tail values."""
-    reg = np.empty((chain.m_lag + 1, chain.spec.n))
-    reg[0] = x.head
-    lags = -chain.delta * np.arange(1, chain.m_lag + 1)
-    reg[1:] = interp_columns(lags, x.grid.nodes, x.tail.values)
-    return reg
+    return LagChainSpec(spec=spec, coarse_grid=coarse, wk=weighted_kernels(spec, coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +450,7 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
     stage = np.empty((n_u, n_nodes))
     for iu in range(n_u):
         u = np.broadcast_to(spec.control_set[iu], (n_nodes, spec.p))
-        stage[iu] = np.asarray(spec.cost(regs[:, 0, :], u)) * chain.delta
+        stage[iu] = np.asarray(spec.cost(regs[:, -1, :], u)) * chain.delta
         idx_list, wts_list = [], []
         for ig in range(zeta.shape[0]):
             zz = np.broadcast_to(zeta[ig], (n_nodes, spec.q))
@@ -513,11 +510,11 @@ def feedback_from_policy(chain: LagChainSpec, policy: PolicyField, delta: float)
     """Control reading the policy at the register sampled from a step-grid
     window (step delta, a divisor of the lag step): window (paths, nodes, n)
     to controls (paths, p)."""
-    stride_i = _steps_of(chain.delta, delta, "the lag step")
-    offsets = np.array([-1 - j * stride_i for j in range(chain.m_lag + 1)])
+    stride = _steps_of(chain.delta, delta, "the lag step")
+    nodes = np.arange(0, chain.m_lag * stride + 1, stride)
 
     def control(window):
-        return policy.control_at(chain.flatten(window.take(offsets, axis=1)))
+        return policy.control_at(chain.flatten(window.take(nodes, axis=1)))
 
     return control
 
@@ -553,20 +550,15 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     """
     spec = chain.spec
     k_tau = _steps_of(tau, chain.delta, "tau")
-    z0 = chain.flatten(register_from_state(chain, x))
-    v_x = value.interp_one(z0)
+    v_x = value.interp_one(chain.flatten(_start_window(x, chain.coarse_grid)))
     if k_tau == 0:
         return DppReport(gap=0.0, stderr=0.0, value_at_x=v_x)
-    # the register as a state on the lag grid, so the rollout starts from z0
-    reg0 = chain.unflatten(z0)
-    x_reg = LiftedState(reg0[0], Segment(chain.coarse_grid, reg0[::-1]))
     dw = batch_increments(seed, range(n_paths), chain.delta, spec.q, k_tau)
     best = (math.inf, 0.0)
     for u in spec.control_set:
-        batch = _simulate_batch(spec, x_reg, OpenLoopControl(u), tau, chain.delta, dw)
-        regs = batch.window[:, ::-1]  # the final register, newest node first
-        stat = _mean_stderr(batch.costs
-                            + math.exp(-spec.rho * tau) * value.interp(chain.flatten(regs)))
+        batch = _simulate_batch(spec, x, OpenLoopControl(u), tau, chain.delta, dw)
+        stat = _mean_stderr(batch.costs + math.exp(-spec.rho * tau)
+                            * value.interp(chain.flatten(batch.window)))
         if stat[0] < best[0]:
             best = stat
     return DppReport(gap=v_x - best[0], stderr=best[1], value_at_x=v_x)
@@ -617,9 +609,9 @@ def hjb_residual(chain: LagChainSpec, value: ValueField, z) -> float:
             ) / (4 * steps[i] * steps[j])
 
     reg = chain.unflatten(z)
-    transport = np.concatenate([-reg[0], ((reg[:-1] - reg[1:]) / chain.delta).ravel()])
-    ham, _ = _best_score(spec, reg[:1], *chain.delay_integrals(reg[None]), grad[None, :n],
-                         hess[None])
+    transport = chain.flatten(np.concatenate([np.diff(reg, axis=0) / chain.delta, -reg[-1:]]))
+    ham, _ = _best_score(spec, reg[-1:], *_delay_integrals(chain.wk, reg[None]),
+                         grad[None, :n], hess[None])
     return float(spec.rho * v_at(z) - transport @ grad + ham[0])
 
 
@@ -655,7 +647,7 @@ def extract_feedback(chain: LagChainSpec, value: ValueField) -> PolicyField:
     spec = chain.spec
     p0, z00 = _field_gradients(value, spec.n)
     regs = chain.unflatten(value.nodes())
-    _, best = _best_score(spec, regs[:, 0, :], *chain.delay_integrals(regs), p0, z00)
+    _, best = _best_score(spec, regs[:, -1, :], *_delay_integrals(chain.wk, regs), p0, z00)
     return PolicyField(value.axes, best.reshape(value.values.shape), spec.control_set)
 
 
@@ -815,5 +807,5 @@ def growth_fit(value: ValueField, chain: LagChainSpec,
                exponent: float) -> float:
     """Smallest constant with |V| <= c (1 + |state|^m) at all grid nodes."""
     regs = chain.unflatten(value.nodes())
-    norms = lifted_norm(LiftedBatch(chain.coarse_grid, regs[:, 0, :], regs[:, ::-1, :]))
+    norms = lifted_norm(LiftedBatch(chain.coarse_grid, regs[:, -1, :], regs))
     return float(np.max(np.abs(value.values.ravel()) / (1.0 + norms ** exponent)))

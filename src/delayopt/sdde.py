@@ -76,7 +76,7 @@ def batch_increments(seed: int, path_indices, delta: float, q: int,
 @dataclass(frozen=True)
 class BrownianDriver:
     """One path's increments; no caller in the package. The benchmark's tracer
-    wraps this method by name until ROADMAP item 5 re-keys it and deletes this."""
+    wraps this method by name until ROADMAP item 7 re-keys it and deletes this."""
 
     seed: int
     path_index: int
@@ -154,6 +154,12 @@ def _euler_head(spec: ProblemSpec, wk: tuple[np.ndarray, np.ndarray], y: np.ndar
     return y + b * delta + np.einsum("pnq,pq->pn", sig, dw)
 
 
+def _start_window(x: LiftedState, grid: SegmentGrid) -> np.ndarray:
+    """The history window of a state on grid, (m + 1, n) oldest node first:
+    the tail resampled onto grid, with the last node (time 0) set to the head."""
+    return np.concatenate([resample_segment(x.tail, grid).values[:-1], x.head[None, :]])
+
+
 @dataclass(frozen=True, eq=False)
 class _Batch:
     """What one pass over a batch of P paths keeps."""
@@ -197,8 +203,7 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
     width = min(BLOCK, n_steps)
 
     buf = np.empty((P, n_hist + 1 + width, spec.n))
-    buf[:, : n_hist + 1] = resample_segment(x.tail, step_grid).values[None, :, :]
-    buf[:, n_hist] = x.head[None, :]
+    buf[:, : n_hist + 1] = _start_window(x, step_grid)[None, :, :]
     y = buf[:, n_hist].copy()
     states = np.empty((keep, n_hist + 1 + n_steps, spec.n))
     states[:, : n_hist + 1] = buf[:keep, : n_hist + 1]

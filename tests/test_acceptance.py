@@ -24,7 +24,6 @@ from delayopt.hjb import (
     lipschitz_discount_threshold,
     max_growth_exponent,
     policy_mc_value,
-    register_from_state,
     regularity_probe,
     value_iteration,
 )
@@ -43,7 +42,7 @@ from delayopt.operators import (
     random_smooth_state,
     spectral_decomposition,
 )
-from delayopt.sdde import OpenLoopControl, mc_cost
+from delayopt.sdde import OpenLoopControl, _start_window, mc_cost
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -179,7 +178,7 @@ def test_criterion_6_portfolio_oracle(merton_nodelay_solution):
     confirmed = (best_u == pytest.approx(oracle.u_star)
                  and abs(v_best - target) <= 3 * e_best + 0.03 * target)
 
-    z0 = chain.flatten(register_from_state(chain, x))
+    z0 = chain.flatten(_start_window(x, chain.coarse_grid))
     v_solver = -res.value.interp_one(z0)
     value_ok = abs(v_solver - target) <= 0.03 * target
 
@@ -248,7 +247,7 @@ def test_criterion_9_partial_regularity(merton_delay_solution, advertising_spec)
     chain, res = merton_delay_solution
     spec = chain.spec
     x = models.initial_state(spec)
-    z0 = chain.flatten(register_from_state(chain, x))
+    z0 = chain.flatten(_start_window(x, chain.coarse_grid))
 
     def estimator(pts):
         full = np.tile(z0, (pts.shape[0], 1))

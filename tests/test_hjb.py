@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import math
 from pathlib import Path
@@ -34,7 +35,6 @@ from delayopt.hjb import (
     noise_rule,
     policy_mc_value,
     reduce_to_lag_chain,
-    register_from_state,
     regularity_probe,
     value_iteration,
     growth_fit,
@@ -43,7 +43,12 @@ from delayopt.models import AdvertisingParams, AffineTestParams, build_advertisi
 from delayopt.operators import SMOOTH_MODES, minus_one_norm, random_smooth_state, smooth_states
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
-from delayopt.sdde import OpenLoopControl, mc_cost
+from delayopt.sdde import OpenLoopControl, _start_window, mc_cost
+
+
+def start_point(chain, x):
+    """The flat start register of x: its history window on the lag grid."""
+    return chain.flatten(_start_window(x, chain.coarse_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +227,9 @@ def test_chain_kernel_consistent_with_convolution(advert_spec):
     coarse_kernel = resample_kernel(spec.kernel_drift, chain.coarse_grid)
     rng = np.random.default_rng(7)
     reg = rng.normal(size=(3, 5, 1))
-    z1, _ = chain.delay_integrals(reg)
+    z1, _ = _delay_integrals(chain.wk, reg)
     for i in range(3):
-        seg = Segment(chain.coarse_grid, reg[i, ::-1, :])
+        seg = Segment(chain.coarse_grid, reg[i])
         np.testing.assert_allclose(z1[i], kernel_convolve(coarse_kernel, seg),
                                    rtol=1e-12)
 
@@ -234,47 +239,58 @@ def test_chain_single_lag_degenerate_quadrature():
     # the kernel vanishes at -d
     spec = build_advertising(AdvertisingParams(kernel_scale=-1.0), 10)
     chain = reduce_to_lag_chain(spec, 1)
-    reg = np.array([[[2.0], [5.0]]])
-    z1, _ = chain.delay_integrals(reg)
+    reg = np.array([[[5.0], [2.0]]])  # y(t - d), y(t)
+    z1, _ = _delay_integrals(chain.wk, reg)
     assert z1[0, 0] == pytest.approx(0.5 * 1.0 * (-1.0) * 2.0, rel=1e-12)
 
 
 def test_chain_matches_direct_simulation_stepwise():
+    # from a non-constant history, the register after k chain steps is the
+    # direct simulator's window after k steps of size delta, bit for bit
+    from delayopt import cli
+    from delayopt.sdde import _simulate_batch
+
     spec = build_advertising(AdvertisingParams(sigma=0.3), 10)
-    x = models.initial_state(spec)
-    chain = reduce_to_lag_chain(spec, 10)
-    delta = chain.delta
-    n_steps = 7
-    from delayopt.sdde import _simulate_batch, batch_increments
-    dw = batch_increments(9, [0], delta, 1, n_steps)
-    states = _simulate_batch(spec, x, OpenLoopControl([0.4]), n_steps * delta,
-                             delta, dw, keep=1).states
-    reg = register_from_state(chain, x)[None, :, :]
-    for k in range(n_steps):
-        reg = chain.step(reg, np.array([[0.4]]), dw[:, k] / math.sqrt(delta))
-        assert reg[0, 0, 0] == states[0, chain.m_lag + 1 + k, 0]
+    g = spec.grid
+    x = LiftedState([0.7], Segment(g, (np.cos(3.0 * g.nodes) - 0.2)[:, None]))
+    ctrl = OpenLoopControl([0.4])
+    zeta = np.random.default_rng(9).standard_normal((1, 7, 1))
+    for m_lag in (1, 2, 4):
+        chain = reduce_to_lag_chain(spec, m_lag)
+        delta = chain.delta
+        dw = zeta * math.sqrt(delta)
+        reg = _start_window(x, chain.coarse_grid)[None, :, :]
+        for k in range(8):
+            window = _simulate_batch(spec, x, ctrl, k * delta, delta, dw).window
+            np.testing.assert_array_equal(reg, window)
+            if k < 7:
+                reg = chain.step(reg, np.array([[0.4]]), zeta[:, k])
+        # the solver's flat start point is the simulator's start window
+        run = cli.Run(argparse.Namespace(mlag=m_lag, grid=""), spec, x, Path())
+        start = _simulate_batch(spec, x, ctrl, 0.0, delta, (0, 2)).window[0]
+        np.testing.assert_array_equal(chain.flatten(start), cli._lag_grid(run)[2])
 
 
 def test_chain_deterministic_recursion():
     spec = build_advertising(AdvertisingParams(sigma=0.0), 4)
     chain = reduce_to_lag_chain(spec, 2)
-    reg = np.array([[[1.0], [0.5], [0.2]]])
+    reg = np.array([[[0.2], [0.5], [1.0]]])
     u = np.array([[0.3]])
-    z1, _ = chain.delay_integrals(reg)
-    b = spec.drift(reg[:, 0, :], z1, u)
+    z1, _ = _delay_integrals(chain.wk, reg)
+    b = spec.drift(reg[:, -1, :], z1, u)
     nxt = chain.step(reg, u, np.zeros((1, 1)))
-    assert nxt[0, 0, 0] == pytest.approx(1.0 + float(b[0, 0]) * chain.delta)
-    np.testing.assert_array_equal(nxt[0, 1:, 0], [1.0, 0.5])
+    assert nxt[0, -1, 0] == pytest.approx(1.0 + float(b[0, 0]) * chain.delta)
+    np.testing.assert_array_equal(nxt[0, :-1, 0], [0.5, 1.0])
 
 
-def test_register_from_state_samples_lags(advert_spec):
+def test_start_window_samples_lags(advert_spec):
     chain = reduce_to_lag_chain(advert_spec, 4)
     g = advert_spec.grid
     x = LiftedState([2.0], Segment(g, (g.nodes ** 2)[:, None]))
-    reg = register_from_state(chain, x)
-    assert reg[0, 0] == 2.0
+    reg = chain.unflatten(start_point(chain, x))
+    assert reg[-1, 0] == 2.0
     for j in range(1, 5):
-        assert reg[j, 0] == pytest.approx((j * chain.delta) ** 2, abs=1e-4)
+        assert reg[-1 - j, 0] == pytest.approx((j * chain.delta) ** 2, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +520,7 @@ def test_value_iteration_merton_quick(merton_nodelay_solution):
     chain, res = merton_nodelay_solution
     oracle = models.merton_classical_oracle(0.01, 0.07, 0.3, 0.5, 0.1)
     x = models.initial_state(chain.spec)
-    z0 = chain.flatten(register_from_state(chain, x))
+    z0 = start_point(chain, x)
     v = -res.value.interp_one(z0)
     assert v == pytest.approx(oracle.value(1.0), rel=0.03)
 
@@ -533,7 +549,7 @@ def test_value_iteration_matches_affine_oracle():
         scores = p_ad.spend_cost * us ** 2 * delta + beta * p[0] * delta * p_ad.c0 * us
         kappa = float(np.min(scores)) / (1 - beta)
         x = models.initial_state(spec)
-        z0 = chain.flatten(register_from_state(chain, x))
+        z0 = start_point(chain, x)
         v_oracle = kappa + p @ z0
 
         axes = tuple([np.linspace(-2.0, 4.0, 41)]
@@ -569,7 +585,7 @@ def _reference_plans(chain, axes, gh_points=5):
     stage, plans = [], []
     for u in spec.control_set:
         uu = np.broadcast_to(u, (pts.shape[0], spec.p))
-        stage.append(np.asarray(spec.cost(regs[:, 0, :], uu)) * chain.delta)
+        stage.append(np.asarray(spec.cost(regs[:, -1, :], uu)) * chain.delta)
         blocks = [_interp_plan(axes, chain.flatten(chain.step(
             regs, uu, np.broadcast_to(z, (pts.shape[0], spec.q))))) for z in zeta]
         plans.append((np.concatenate([i for i, _, _ in blocks], axis=1),
@@ -732,21 +748,21 @@ def _register_rollout_gap(chain, value, x, tau, n_paths, seed):
 
     spec, delta = chain.spec, chain.delta
     k_tau = round(tau / delta)
-    z0 = chain.flatten(register_from_state(chain, x))
+    z0 = start_point(chain, x)
     zeta = np.stack([_philox(seed, i).standard_normal((k_tau, spec.q))
                      for i in range(n_paths)], axis=1)
     best = (math.inf, 0.0)
     for c in spec.control_set:
         u = np.broadcast_to(c, (n_paths, spec.p))
-        regs = np.repeat(chain.unflatten(z0)[None, :, :], n_paths, axis=0)
+        regs = np.repeat(_start_window(x, chain.coarse_grid)[None, :, :], n_paths, axis=0)
         cost = np.zeros(n_paths)
         for k in range(k_tau):
-            y = regs[:, 0, :]
+            y = regs[:, -1, :]
             cost += math.exp(-spec.rho * k * delta) * np.asarray(spec.cost(y, u)) * delta
-            z1, z2 = chain.delay_integrals(regs)
+            z1, z2 = _delay_integrals(chain.wk, regs)
             y_new = (y + np.asarray(spec.drift(y, z1, u)) * delta
                      + np.einsum("pnq,pq->pn", spec.noise(y, z2, u), zeta[k]) * math.sqrt(delta))
-            regs = np.concatenate([y_new[:, None, :], regs[:, :-1, :]], axis=1)
+            regs = np.concatenate([regs[:, 1:, :], y_new[:, None, :]], axis=1)
         cost += math.exp(-spec.rho * tau) * value.interp(chain.flatten(regs))
         if np.mean(cost) < best[0]:
             best = (float(np.mean(cost)), float(np.std(cost, ddof=1) / math.sqrt(n_paths)))
@@ -761,7 +777,7 @@ def test_dpp_gap_matches_register_rollout(merton_delay_spec):
     g = spec.grid
     tail = np.stack([1.0 + 0.8 * g.nodes, 1.0 - 1.5 * g.nodes], axis=-1)
     x = LiftedState(tail[-1], Segment(g, tail))
-    z0 = chain.flatten(register_from_state(chain, x))
+    z0 = start_point(chain, x)
     axes = tuple(np.linspace(0.5 * v, 1.5 * v, 4) for v in z0)
     rng = np.random.default_rng(5)
     value = ValueField(axes, rng.normal(size=(4,) * len(axes)))
@@ -818,15 +834,15 @@ def test_residual_mixed_derivative_of_a_bilinear_field(merton_delay_spec):
     reg = chain.unflatten(pt)
     grad = -np.array([pt[1], pt[0], 0.0, 0.0])
     hess = -np.array([[0.0, 1.0], [1.0, 0.0]])
-    z1, z2 = (z[0] for z in chain.delay_integrals(reg[None]))
+    z1, z2 = (z[0] for z in _delay_integrals(chain.wk, reg[None]))
     scores = []
     for u in spec.control_set:
-        b, sig = spec.drift(reg[0], z1, u), spec.noise(reg[0], z2, u)
+        b, sig = spec.drift(reg[-1], z1, u), spec.noise(reg[-1], z2, u)
         scores.append(-b @ grad[:2] - 0.5 * np.trace(sig @ sig.T @ hess)
-                      - spec.cost(reg[0], u))
-    transport = np.concatenate([-reg[0], (reg[0] - reg[1]) / chain.delta])
+                      - spec.cost(reg[-1], u))
+    transport = np.concatenate([-reg[-1], (reg[-1] - reg[0]) / chain.delta])
     assert int(np.argmax(scores)) == len(scores) - 1
-    want = -spec.rho * pt[0] * pt[1] - transport @ grad - reg[0] @ grad[:2] + max(scores)
+    want = -spec.rho * pt[0] * pt[1] - transport @ grad - reg[-1] @ grad[:2] + max(scores)
     assert hjb_residual(chain, field, pt) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -880,7 +896,7 @@ def test_extract_feedback_uses_diffusion_when_control_dependent(
     chain, res = merton_nodelay_solution
     pol = extract_feedback(chain, res.value)
     x = models.initial_state(chain.spec)
-    z0 = chain.flatten(register_from_state(chain, x))
+    z0 = start_point(chain, x)
     assert float(pol.control_at(z0[None, :])[0][0]) == pytest.approx(1.0)
 
 
@@ -892,8 +908,8 @@ def _drift_cost_argmin(chain, value):
                    else np.zeros(value.values.size)
                    for a, ax in enumerate(value.axes[:spec.n])], axis=-1)
     regs = chain.unflatten(value.nodes())
-    y = regs[..., 0, :]
-    z1, _ = chain.delay_integrals(regs)
+    y = regs[..., -1, :]
+    z1, _ = _delay_integrals(chain.wk, regs)
     scores = []
     for u in spec.control_set:
         uu = np.broadcast_to(u, (y.shape[0], spec.p))
@@ -961,8 +977,7 @@ def test_constant_policy_equals_open_loop(advertising_solution):
     chain, _ = advertising_solution
     spec = chain.spec
     x = models.initial_state(spec)
-    axes = tuple(np.array([v]) for v in
-                 chain.flatten(register_from_state(chain, x)))
+    axes = tuple(np.array([v]) for v in start_point(chain, x))
     pol = PolicyField(axes, np.full((1,) * chain.state_dim, 4, dtype=np.int64),
                       spec.control_set)
     a = policy_mc_value(chain, pol, x, T=2.0, delta=0.01, n_paths=32, seed=7)
@@ -1150,8 +1165,7 @@ def test_growth_fit_bounds_field(advertising_solution):
     pts = res.value.nodes()
     regs = chain.unflatten(pts)
     w = chain.coarse_grid.weights
-    window = regs[..., ::-1, :]
-    tail_sq = np.einsum("j,kjn,kjn->k", w, window, window)
-    norms = np.sqrt(np.einsum("kn,kn->k", regs[:, 0, :], regs[:, 0, :]) + tail_sq)
+    tail_sq = np.einsum("j,kjn,kjn->k", w, regs, regs)
+    norms = np.sqrt(np.einsum("kn,kn->k", regs[:, -1, :], regs[:, -1, :]) + tail_sq)
     lhs = np.abs(res.value.values.ravel())
     assert np.all(lhs <= c * (1 + norms) + 1e-12)

@@ -297,10 +297,10 @@ def _node_tuple_control(chain, policy, delta):
     """feedback_from_policy as it read the policy before the flat lookup: a
     fancy-indexed register and the node-tuple lookup."""
     stride = sdde._steps_of(chain.delta, delta, "the lag step")
-    offsets = np.array([-1 - j * stride for j in range(chain.m_lag + 1)])
+    nodes = np.arange(0, chain.m_lag * stride + 1, stride)
 
     def control(window):
-        pts = chain.flatten(window[:, offsets, :])
+        pts = chain.flatten(window[:, nodes, :])
         return policy.control_set[node_tuple_index(policy, pts)]
 
     return control
