@@ -9,7 +9,7 @@ Modules:
     models     portfolio and advertising constructors, affine test family
     cli        command line entry point
 
-Names are imported from their modules (from delayopt.core import Segment).
+Names are imported from their modules (from delayopt.core import LiftedState).
 """
 
 __version__ = "0.1.0"

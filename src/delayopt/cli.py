@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (Kernel, LiftedBatch, LiftedState, NumericalError, ProblemSpec, Segment,
+from .core import (Kernel, LiftedBatch, LiftedState, NumericalError, ProblemSpec,
                    ValidationError, kernel_convolve, validate_kernel)
 from . import hjb, lift, models, operators, output, sdde
 
@@ -305,7 +305,7 @@ def cmd_operators(run: Run):
                                1.0 / (cells * grid.h), 0.0)[:, None] * np.ones((1, n))
                       for cells in support])
     weak = operators.minus_one_norm(LiftedBatch(grid, np.zeros((len(support), n)), tails))
-    ce_rows = [[cells, w, float(kernel_convolve(flat_kernel, Segment(grid, t))[0])]
+    ce_rows = [[cells, w, float(kernel_convolve(flat_kernel, t)[0])]
                for cells, w, t in zip(support, weak, tails)]
     run.csv("counterexample.csv", ["support_cells", "weak_norm", "flat_kernel_functional"],
             ce_rows)
@@ -445,7 +445,7 @@ def cmd_probe_bcontinuity(run: Run):
         scale = 10 ** rng.uniform(-3.0, 0.0)
         freq = rng.integers(1, 5)
         bump = scale * np.sin(math.pi * freq * (nodes + spec.d) / spec.d)
-        ys.append(LiftedState(x.head, Segment(spec.grid, x.tail.values + bump[:, None])))
+        ys.append(LiftedState(spec.grid, x.head, x.tail + bump[:, None]))
     table = hjb.b_continuity_probe(spec, _control(spec), x, ys, a.T, a.dt, a.paths, a.seed)
     monotone, vanishing = hjb.envelope_is_monotone(table)
     run.csv("bcontinuity.csv", ["weak_distance", "difference", "stderr"],
@@ -578,6 +578,9 @@ def main(argv=None) -> int:
         error, code, lines = None, 0, []
         # the manifest keeps the arguments and what the run wrote before it failed
         try:
+            # a seed keys numpy's generators and a 64-bit Philox key
+            if not 0 <= args.seed < 2 ** 64:
+                raise ValidationError(f"--seed must be in [0, 2^64), got {args.seed}")
             lines = args.func(run)
         except NumericalError as exc:
             error, code = _err("numerical", exc), 2

@@ -1,9 +1,9 @@
-"""Grids, history segments, lifted states, delay kernels, and problem data.
+"""Grids, lifted states, delay kernels, and problem data.
 
 Everything downstream works on one vocabulary: a uniform grid on [-d, 0]
-with trapezoid quadrature weights, vector-valued segments tabulated on that
-grid, lifted states (head value, history segment), and kernels acting on
-segments through the same quadrature.
+with trapezoid quadrature weights, lifted states (a head vector and a tail
+(m+1, n) tabulated at the grid nodes), and kernels acting on tails through
+the same quadrature.
 """
 
 from __future__ import annotations
@@ -80,62 +80,42 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Segment:
-    """Vector-valued function on [-d, 0], tabulated at grid nodes.
-
-    values has shape (m+1, n) and row j holds the value at node xi_j.
-    """
-
-    grid: SegmentGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != self.grid.m + 1:
-            raise ValidationError(
-                f"segment values must have shape ({self.grid.m + 1}, n), got {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("segment values must be finite")
-        object.__setattr__(self, "values", _freeze(vals))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def constant(cls, grid: SegmentGrid, value) -> "Segment":
-        v = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(grid, np.tile(v, (grid.m + 1, 1)))
-
-
-@dataclass(frozen=True, eq=False)
 class LiftedState:
     """Element (head, tail) of R^n x L2([-d,0]; R^n), validated: the initial
-    state the simulators take. The operators take a LiftedBatch."""
+    state the simulators take, laid out as one sample of a LiftedBatch, the
+    head (n,) and the tail (m+1, n) with row j at node xi_j. The operators
+    take a LiftedBatch."""
 
+    grid: SegmentGrid
     head: np.ndarray
-    tail: Segment
+    tail: np.ndarray
 
     def __post_init__(self):
         head = np.atleast_1d(np.asarray(self.head, dtype=float))
-        if head.ndim != 1:
-            raise ValidationError("head must be a vector")
-        if head.shape[0] != self.tail.n:
+        tail = np.asarray(self.tail, dtype=float)
+        if head.ndim != 1 or tail.ndim != 2 or tail.shape[0] != self.grid.m + 1:
+            raise ValidationError(f"a state is a head (n,) and a tail ({self.grid.m + 1}, n), "
+                                  f"got {head.shape} and {tail.shape}")
+        if head.shape[0] != tail.shape[1]:
             raise GridMismatchError(
-                f"head dimension {head.shape[0]} != tail dimension {self.tail.n}"
-            )
-        if not np.all(np.isfinite(head)):
-            raise ValidationError("head must be finite")
+                f"head dimension {head.shape[0]} != tail dimension {tail.shape[1]}")
+        if not (np.all(np.isfinite(head)) and np.all(np.isfinite(tail))):
+            raise ValidationError("head and tail must be finite")
         object.__setattr__(self, "head", _freeze(head))
+        object.__setattr__(self, "tail", _freeze(tail))
 
     @property
     def n(self) -> int:
         return self.head.shape[0]
 
-    @property
-    def grid(self) -> SegmentGrid:
-        return self.tail.grid
+    def resampled(self, grid: SegmentGrid) -> "LiftedState":
+        """The state with its tail resampled piecewise linearly onto a grid
+        with the same horizon."""
+        if not np.isclose(self.grid.d, grid.d, rtol=0, atol=1e-12):
+            raise GridMismatchError(f"resample requires equal horizons, got {self.grid.d} "
+                                    f"and {grid.d}")
+        return LiftedState(grid, self.head,
+                           interp_columns(grid.nodes, self.grid.nodes, self.tail))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,27 +229,19 @@ def validate_kernel(a: Kernel) -> KernelReport:
     return KernelReport(ok=not failures, failures=tuple(failures))
 
 
-def kernel_convolve(a: Kernel, s: Segment) -> np.ndarray:
-    """Quadrature of a(xi) s(xi) over [-d, 0]; returns a vector of length h."""
-    _check_same_grid(a.grid, s.grid, "kernel_convolve")
-    if a.n != s.n:
-        raise GridMismatchError(f"kernel acts on dimension {a.n}, segment has {s.n}")
-    w = a.grid.weights
-    return np.einsum("j,jhn,jn->h", w, a.values, s.values)
+def kernel_convolve(a: Kernel, tail: np.ndarray) -> np.ndarray:
+    """Quadrature of a(xi) tail(xi) over [-d, 0] for a tail (m+1, n) on the
+    kernel's grid; returns a vector of length h."""
+    if np.shape(tail) != (a.grid.m + 1, a.n):
+        raise GridMismatchError(
+            f"kernel acts on tails of shape ({a.grid.m + 1}, {a.n}), got {np.shape(tail)}"
+        )
+    return np.einsum("j,jhn,jn->h", a.grid.weights, a.values, tail)
 
 
 def interp_columns(x, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """np.interp(x, xp, column) for every column of fp, stacked on the last axis."""
     return np.stack([np.interp(x, xp, fp[:, i]) for i in range(fp.shape[1])], axis=-1)
-
-
-def resample_segment(s: Segment, new_grid: SegmentGrid) -> Segment:
-    """Piecewise-linear resampling onto another grid with the same horizon."""
-    if not np.isclose(s.grid.d, new_grid.d, rtol=0, atol=1e-12):
-        raise GridMismatchError(
-            f"resample requires equal horizons, got {s.grid.d} and {new_grid.d}"
-        )
-    return Segment(new_grid, interp_columns(new_grid.nodes, s.grid.nodes, s.values))
 
 
 def resample_kernel(a: Kernel, new_grid: SegmentGrid) -> Kernel:

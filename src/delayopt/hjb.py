@@ -772,8 +772,8 @@ def b_continuity_probe(spec: ProblemSpec, ctrl, x: LiftedState, ys, T: float,
         err.append(s)
     # explicit shapes, so that no states still stack to an empty batch
     heads = np.reshape([y.head for y in ys], (len(ys), x.n))
-    tails = np.reshape([y.tail.values for y in ys], (len(ys), x.grid.m + 1, x.n))
-    dist = minus_one_norm(LiftedBatch(x.grid, x.head - heads, x.tail.values - tails))
+    tails = np.reshape([y.tail for y in ys], (len(ys), x.grid.m + 1, x.n))
+    dist = minus_one_norm(LiftedBatch(x.grid, x.head - heads, x.tail - tails))
     return ContinuityTable(dist, np.asarray(diff), np.asarray(err))
 
 

@@ -27,7 +27,6 @@ from .core import (
     interp_columns,
     lifted_norm,
     resample_kernel,
-    resample_segment,
     weighted_kernels,
 )
 from .operators import _shift_tail
@@ -71,7 +70,7 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
     heads = np.empty((n_steps + 1, spec.n))
     tails = np.empty((n_steps + 1, grid.m + 1, spec.n))
     heads[0] = x.head
-    tails[0] = x.tail.values
+    tails[0] = x.tail
     for k in range(n_steps):
         head, tail = heads[k], tails[k]
         u = ctrl(tail[None])
@@ -150,7 +149,7 @@ def equivalence_report(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
     base = _mismatch(path, lifted)
 
     spec_f = with_resolution(spec, 2 * spec.grid.m)
-    x_f = LiftedState(x.head, resample_segment(x.tail, spec_f.grid))
+    x_f = x.resampled(spec_f.grid)
     path_f = simulate_sdde(spec_f, x_f, ctrl, T, delta / 2, fine)
     lifted_f = simulate_mild(spec_f, x_f, ctrl, T, delta / 2, fine)
     refined = _mismatch(path_f, lifted_f)

@@ -18,7 +18,6 @@ from .core import (
     Kernel,
     LiftedState,
     ProblemSpec,
-    Segment,
     SegmentGrid,
     ValidationError,
 )
@@ -408,8 +407,7 @@ def build_affine_test(p: AffineTestParams, m: int) -> ProblemSpec:
     """Affine drift, constant noise with an ellipticity floor, clipped cost."""
     n, q = p.n, p.q
     grid = SegmentGrid(p.d, m)
-    kernel = build_kernel({"preset": "affine_ramp", "scale": p.kernel_scale,
-                           "embed": [[1.0] * n]}, grid, n)
+    kernel = build_kernel({"preset": "affine_ramp", "scale": p.kernel_scale}, grid, n)
     bc = np.asarray(p.drift_const, dtype=float)
     bx = np.asarray(p.drift_state, dtype=float)
     bz = np.asarray(p.drift_delay, dtype=float)
@@ -460,8 +458,8 @@ def initial_state(spec: ProblemSpec) -> LiftedState:
     """Initial lifted state recorded on the problem by its constructor."""
     if spec.initial_head is None or spec.initial_history is None:
         raise ValidationError("no initial state recorded on the problem")
-    return LiftedState(np.asarray(spec.initial_head, dtype=float),
-                       Segment.constant(spec.grid, spec.initial_history))
+    return LiftedState(spec.grid, spec.initial_head,
+                       np.tile(spec.initial_history, (spec.grid.m + 1, 1)))
 
 
 _BUILDERS = {

@@ -38,7 +38,6 @@ from .core import (
     SegmentGrid,
     ValidationError,
     _delay_integrals,
-    resample_segment,
     weighted_kernels,
 )
 
@@ -157,7 +156,7 @@ def _euler_head(spec: ProblemSpec, wk: tuple[np.ndarray, np.ndarray], y: np.ndar
 def _start_window(x: LiftedState, grid: SegmentGrid) -> np.ndarray:
     """The history window of a state on grid, (m + 1, n) oldest node first:
     the tail resampled onto grid, with the last node (time 0) set to the head."""
-    return np.concatenate([resample_segment(x.tail, grid).values[:-1], x.head[None, :]])
+    return np.concatenate([x.resampled(grid).tail[:-1], x.head[None, :]])
 
 
 @dataclass(frozen=True, eq=False)

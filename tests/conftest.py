@@ -9,7 +9,7 @@ def batch_of(*states):
     """LiftedStates, the simulators' argument, as one LiftedBatch, the
     operators' argument; each sample's tail is a C-ordered copy."""
     return LiftedBatch(states[0].grid, np.stack([s.head for s in states]),
-                       np.stack([s.tail.values for s in states]))
+                       np.stack([s.tail for s in states]))
 
 
 def node_tuple_index(pol, pts):

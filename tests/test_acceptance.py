@@ -12,7 +12,7 @@ import pytest
 
 from delayopt import models
 from delayopt.cli import main as cli_main
-from delayopt.core import (Kernel, LiftedBatch, LiftedState, Segment, SegmentGrid, kernel_convolve,
+from delayopt.core import (Kernel, LiftedBatch, LiftedState, SegmentGrid, kernel_convolve,
                            validate_kernel)
 from delayopt.hjb import (
     b_continuity_probe,
@@ -151,7 +151,7 @@ def test_criterion_5_concentrated_mass():
         width = n_cells * g.h
         vals = np.where(g.nodes <= -1.0 + width + 1e-12, 1.0 / width, 0.0)[:, None]
         norms.append(minus_one_norm(LiftedBatch(g, np.zeros((1, 1)), vals[None]))[0])
-        functionals.append(float(kernel_convolve(flat, Segment(g, vals))[0]))
+        functionals.append(float(kernel_convolve(flat, vals)[0]))
     ok = (rejected and all(a > b for a, b in zip(norms, norms[1:]))
           and norms[-1] <= 0.15
           and all(abs(f - 1.0) <= 0.15 for f in functionals))
@@ -232,7 +232,7 @@ def test_criterion_8_growth_and_continuity(advertising_solution):
         scale = 10 ** rng.uniform(-3.0, 0.0)
         freq = int(rng.integers(1, 5))
         bump = scale * np.sin(math.pi * freq * (spec.grid.nodes + 1.0))
-        ys.append(LiftedState(x.head, Segment(spec.grid, x.tail.values + bump[:, None])))
+        ys.append(LiftedState(spec.grid, x.head, x.tail + bump[:, None]))
     table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, ys, T=4.0, delta=0.01,
                                n_paths=200, seed=13)
     monotone, vanishing = envelope_is_monotone(table)

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -36,6 +37,25 @@ def test_readme_commands_parse():
     parser = build_parser()
     commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
     assert sorted(commands) == sorted(COMMANDS)
+
+
+def test_readme_library_names_resolve():
+    # every backticked module.name[.attr] of the package (with or without
+    # delayopt.) and every `from delayopt.<module> import <name>` in README
+    # names something that exists, so a deleted or renamed name cannot stay
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    modules = "|".join(p.stem for p in Path(delayopt.__file__).parent.glob("*.py")
+                       if p.stem != "__init__")
+    named = re.findall(rf"`(?:delayopt\.)?((?:{modules})(?:\.\w+)+)`", readme)
+    named += [f"{mod}.{name}"
+              for mod, name in re.findall(r"from delayopt\.(\w+) import (\w+)", readme)]
+    assert len(named) >= 20
+    for dotted in named:
+        mod, *attrs = dotted.split(".")
+        obj = importlib.import_module(f"delayopt.{mod}")
+        for attr in attrs:
+            assert hasattr(obj, attr), f"README names {dotted}, which does not resolve"
+            obj = getattr(obj, attr)
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -390,6 +410,9 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
     ["operators", "--spec", "{m_huge}"],
     ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"), "--mlag", "1",
      "--grid", "z:log:0.005:100:41", "--box", "z:0.5:0.501"],
+    ["operators", "--spec", str(SPECS / "affine.json"), "--samples", "5", "--seed", "-1"],
+    ["simulate", "--spec", SPEC, "--T", "0.1", "--dt", "0.01", "--paths", "5",
+     "--seed", "18446744073709551616"],
 ], ids=["grid-number", "box-token", "const-number", "const-length", "lift-policy",
         "simulate-dt-zero", "value-dt-zero", "lift-dt-zero", "lift-T-zero", "dt-nan",
         "T-inf", "T-nan", "T-negative", "policy-dt-zero", "policy-other-problem",
@@ -412,7 +435,7 @@ SMALL = ["--grid", "y:-1:2.5:9,y_lag1:-1:2.5:5"]
         "policy-no-axes", "policy-json-syntax", "spec-json-syntax", "spec-not-utf8",
         "spec-control-overflow", "spec-kernel-unknown", "spec-embed-shape", "mlag-zero",
         "policy-index-outside", "spec-kernel-table-2d", "spec-m-beyond-memory",
-        "box-narrower-than-stencil"])
+        "box-narrower-than-stencil", "seed-negative", "seed-beyond-64-bits"])
 def test_malformed_input_exits_one(argv, policy_file, bad_policies, bad_specs, tmp_path,
                                    capsys, request):
     # the default --out goes first, so a row's own --out is the one parsed
@@ -437,7 +460,9 @@ NAMED_IN_REFUSAL = {"policy-no-axes": ("{no_axes}", "'axes'"),
                     "mlag-zero": ("lag count must be >= 1",),
                     "policy-index-outside": ("policy indices outside the control set",),
                     "spec-kernel-table-2d": ("kernel table must have shape (m+1, h, n)",),
-                    "box-narrower-than-stencil": ("no wider than two gradient spacings",)}
+                    "box-narrower-than-stencil": ("no wider than two gradient spacings",),
+                    "seed-negative": ("--seed must be in [0, 2^64)",),
+                    "seed-beyond-64-bits": ("--seed must be in [0, 2^64)",)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -1147,7 +1172,8 @@ def test_manifest_is_byte_reproducible(tmp_path):
 
 
 # the README advertising lag grid at --mlag 2 and the artifacts of the
-# subcommands that solve on it, with their sha256 digests
+# subcommands that solve on it, then the artifacts of the runs that read a
+# lifted state's tail, with their sha256 digests
 LAG_GRID = ["--mlag", "2", "--grid", "y:-1:2.5:25,y_lag1:-1:2.5:9,y_lag2:-1:2.5:9"]
 LAG_CHAIN_DIGESTS = {
     "solve": {
@@ -1163,6 +1189,31 @@ LAG_CHAIN_DIGESTS = {
         "paths.csv": "2c1390d8790a1cbcdda219a0b887a7bf1c03acba1afc0acd9c3b3315b7a8dd14",
         "summary.csv": "de3ee6fd5e53f498c069f6c64310c62f3b7089ff3dd4e102a90676cd4cb730a9",
     },
+    "operators": {
+        "counterexample.csv": "8c7bb907e3ed1179ea2dbc2227298c53571170fc8c9159b809192097ea1b1923",
+    },
+    "lift-check": {
+        "lift_report.csv": "b4d3bdcb8e2d1b08496adb4ed8468a7227af0f584600a0f4c9c7b340dae0a129",
+    },
+    "probe-bcontinuity": {
+        "bcontinuity.csv": "6a7843adf1b45abcfa270650b42cbe956b2ef7f76798a3d533ab03315e0ffc1d",
+    },
+    "probe-bcontinuity-fine": {
+        "bcontinuity.csv": "4f34535c1458c14f68e4e547835563c92078ff203e053fcb86b09e9acee942ff",
+    },
+    "value": {"value.csv": "d57e6d17b19f1944ad9e33860be6ca4986e0d5b49bc78dda07ddf0c898962af9"},
+}
+# the runs off the lag grid; probe-bcontinuity-fine is the one that resamples
+# a non-constant tail (the perturbed states) onto a finer step grid
+LIFTED_STATE_ARGV = {
+    "operators": ["operators", "--spec", str(SPECS / "affine.json")],
+    "lift-check": ["lift-check", "--spec", SPEC, "--T", "1", "--dt", "0.001"],
+    "probe-bcontinuity": ["probe-bcontinuity", "--spec", SPEC, "--pairs", "24",
+                          "--paths", "200"],
+    "probe-bcontinuity-fine": ["probe-bcontinuity", "--spec", SPEC, "--pairs", "6",
+                               "--paths", "50", "--T", "1", "--dt", "0.005"],
+    "value": ["value", "--spec", SPEC, "--T", "2", "--dt", "0.01", "--paths", "200",
+              "--control", "const:0.5"],
 }
 
 
@@ -1170,9 +1221,13 @@ LAG_CHAIN_DIGESTS = {
 def test_lag_chain_outputs_match_the_pinned_digests(command, tmp_path, capsys):
     # the solver's bytes: the grid, the value and policy tables, the sweep
     # residuals, the residual points, the gap's rollout and the closed loop
-    # of the solved policy, at the README's lag grid
+    # of the solved policy, at the README's lag grid; and the bytes of the
+    # counterexample, the lift report, the B-continuity pairs and an
+    # open-loop value, which read a lifted state's tail
     out = tmp_path / command
-    if command == "simulate":
+    if command in LIFTED_STATE_ARGV:
+        argv = LIFTED_STATE_ARGV[command]
+    elif command == "simulate":
         assert run(["solve", "--spec", SPEC, *LAG_GRID, "--out", str(tmp_path / "solve")]) == 0
         argv = ["simulate", "--spec", SPEC, "--T", "2", "--dt", "0.01", "--paths", "200",
                 "--control", f"policy:{tmp_path / 'solve' / 'policy.json'}"]

@@ -11,7 +11,6 @@ from delayopt.core import (
     LiftedBatch,
     LiftedState,
     ProblemSpec,
-    Segment,
     SegmentGrid,
     ValidationError,
     _delay_integrals,
@@ -19,7 +18,6 @@ from delayopt.core import (
     lifted_inner,
     lifted_norm,
     resample_kernel,
-    resample_segment,
     validate_kernel,
     weighted_kernels,
 )
@@ -67,46 +65,51 @@ def test_grids_match_within_a_fixed_horizon_tolerance():
 # inner product and norm
 
 
-def one(head, tail):
-    """The state (head, tail Segment) as a batch of one."""
-    return LiftedBatch(tail.grid, np.atleast_1d(np.asarray(head, float))[None],
-                       tail.values[None])
+def one(g, head, tail):
+    """The state (head, tail (m+1, n)) on g as a batch of one."""
+    return LiftedBatch(g, np.atleast_1d(np.asarray(head, float))[None],
+                       np.asarray(tail, float)[None])
+
+
+def constant(g, value):
+    """The tail (m+1, n) that holds value at every node of g."""
+    return np.tile(np.atleast_1d(np.asarray(value, float)), (g.m + 1, 1))
 
 
 def test_inner_head_only():
     g = SegmentGrid(1.0, 10)
-    x = one([1.0], Segment.constant(g, 0.0))
+    x = one(g, [1.0], constant(g, 0.0))
     assert lifted_inner(x, x)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_inner_constant_tail_exact():
     # trapezoid is exact for constants: integral of 1 over [-1, 0] is 1
     g = SegmentGrid(1.0, 9)
-    x = one([0.0], Segment.constant(g, 1.0))
+    x = one(g, [0.0], constant(g, 1.0))
     assert lifted_inner(x, x)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_inner_bilinear_on_constants():
     g = SegmentGrid(1.0, 6)
-    x = one([1.0], Segment.constant(g, 1.0))
-    y = one([2.0], Segment.constant(g, -1.0))
+    x = one(g, [1.0], constant(g, 1.0))
+    y = one(g, [2.0], constant(g, -1.0))
     assert lifted_inner(x, y)[0] == pytest.approx(1.0, rel=1e-14)
     assert lifted_inner(y, x)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_norm_pythagorean():
     g = SegmentGrid(1.0, 12)
-    assert lifted_norm(one([1.0], Segment.constant(g, 0.0)))[0] == pytest.approx(1.0)
-    assert lifted_norm(one([0.0], Segment.constant(g, 1.0)))[0] == pytest.approx(1.0)
-    assert lifted_norm(one([3.0], Segment.constant(g, 4.0)))[0] == pytest.approx(5.0)
+    assert lifted_norm(one(g, [1.0], constant(g, 0.0)))[0] == pytest.approx(1.0)
+    assert lifted_norm(one(g, [0.0], constant(g, 1.0)))[0] == pytest.approx(1.0)
+    assert lifted_norm(one(g, [3.0], constant(g, 4.0)))[0] == pytest.approx(5.0)
 
 
 def test_cauchy_schwarz_random_states():
     g = SegmentGrid(1.0, 20)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        x = one(rng.normal(size=2), Segment(g, rng.normal(size=(21, 2))))
-        y = one(rng.normal(size=2), Segment(g, rng.normal(size=(21, 2))))
+        x = one(g, rng.normal(size=2), rng.normal(size=(21, 2)))
+        y = one(g, rng.normal(size=2), rng.normal(size=(21, 2)))
         assert abs(lifted_inner(x, y)[0]) <= lifted_norm(x)[0] * lifted_norm(y)[0] + 1e-12
 
 
@@ -115,10 +118,10 @@ def test_cauchy_schwarz_random_states():
 def test_inner_linear_in_second_argument(a, b):
     g = SegmentGrid(1.0, 8)
     rng = np.random.default_rng(7)
-    x = one(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
-    y = one(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
-    z = one(rng.normal(size=1), Segment(g, rng.normal(size=(9, 1))))
-    combo = one(a * y.heads[0] + b * z.heads[0], Segment(g, a * y.tails[0] + b * z.tails[0]))
+    x = one(g, rng.normal(size=1), rng.normal(size=(9, 1)))
+    y = one(g, rng.normal(size=1), rng.normal(size=(9, 1)))
+    z = one(g, rng.normal(size=1), rng.normal(size=(9, 1)))
+    combo = one(g, a * y.heads[0] + b * z.heads[0], a * y.tails[0] + b * z.tails[0])
     lhs = lifted_inner(x, combo)[0]
     rhs = a * lifted_inner(x, y)[0] + b * lifted_inner(x, z)[0]
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
@@ -128,17 +131,18 @@ def test_inner_exact_for_degree_one_integrands():
     # trapezoid quadrature integrates degree-one integrands exactly: pair an
     # affine tail with a constant one
     g = SegmentGrid(1.0, 7)
-    affine = one([0.0], Segment(g, (2.0 * g.nodes + 1.0)[:, None]))
-    const = one([0.0], Segment.constant(g, 3.0))
+    affine = one(g, [0.0], (2.0 * g.nodes + 1.0)[:, None])
+    const = one(g, [0.0], constant(g, 3.0))
     # integral of 3 (2 xi + 1) over [-1, 0] = 3 (1 - 1) = 0
     assert lifted_inner(affine, const)[0] == pytest.approx(0.0, abs=1e-14)
-    shifted = one([0.0], Segment(g, (2.0 * g.nodes + 2.0)[:, None]))
+    shifted = one(g, [0.0], (2.0 * g.nodes + 2.0)[:, None])
     assert lifted_inner(shifted, const)[0] == pytest.approx(3.0, rel=1e-14)
 
 
 def test_inner_grid_mismatch_raises():
-    x = one([1.0], Segment.constant(SegmentGrid(1.0, 4), 0.0))
-    y = one([1.0], Segment.constant(SegmentGrid(1.0, 5), 0.0))
+    g4, g5 = SegmentGrid(1.0, 4), SegmentGrid(1.0, 5)
+    x = one(g4, [1.0], constant(g4, 0.0))
+    y = one(g5, [1.0], constant(g5, 0.0))
     with pytest.raises(GridMismatchError):
         lifted_inner(x, y)
 
@@ -150,7 +154,7 @@ def test_inner_grid_mismatch_raises():
 def test_convolve_ramp_against_constant():
     # integrand (xi+1) * 1 is piecewise linear, trapezoid is exact: 1/2
     g = SegmentGrid(1.0, 10)
-    out = kernel_convolve(ramp_kernel(g), Segment.constant(g, 1.0))
+    out = kernel_convolve(ramp_kernel(g), constant(g, 1.0))
     assert out[0] == pytest.approx(0.5, rel=1e-14)
 
 
@@ -158,7 +162,7 @@ def test_convolve_zero_kernel():
     g = SegmentGrid(1.0, 10)
     zero = Kernel(g, np.zeros((11, 1, 1)))
     rng = np.random.default_rng(1)
-    s = Segment(g, rng.normal(size=(11, 1)))
+    s = rng.normal(size=(11, 1))
     assert kernel_convolve(zero, s)[0] == 0.0
 
 
@@ -183,7 +187,7 @@ def test_convolve_ramp_against_ramp_second_order():
     errs = []
     for m in (10, 20, 40):
         g = SegmentGrid(1.0, m)
-        s = Segment(g, (g.nodes + 1.0)[:, None])
+        s = (g.nodes + 1.0)[:, None]
         errs.append(abs(kernel_convolve(ramp_kernel(g), s)[0] - 1.0 / 3.0))
         assert errs[-1] <= g.h ** 2 / 2
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
@@ -195,13 +199,22 @@ def test_convolve_linear_in_segment():
     a = ramp_kernel(g)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        s1 = Segment(g, rng.normal(size=(16, 1)))
-        s2 = Segment(g, rng.normal(size=(16, 1)))
+        s1 = rng.normal(size=(16, 1))
+        s2 = rng.normal(size=(16, 1))
         c1, c2 = rng.normal(size=2)
-        combo = Segment(g, c1 * s1.values + c2 * s2.values)
+        combo = c1 * s1 + c2 * s2
         lhs = kernel_convolve(a, combo)
         rhs = c1 * kernel_convolve(a, s1) + c2 * kernel_convolve(a, s2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def test_convolve_refuses_a_tail_off_the_kernel_grid():
+    # a tail is (m+1, n) on the kernel's grid: a row more or a column more
+    # is refused, not broadcast
+    g = SegmentGrid(1.0, 10)
+    for shape in ((12, 1), (11, 2), (11,)):
+        with pytest.raises(GridMismatchError):
+            kernel_convolve(ramp_kernel(g), np.ones(shape))
 
 
 def test_validate_kernel_accepts_ramp_and_zero():
@@ -231,27 +244,27 @@ def test_validate_kernel_rejects_infinite_seminorm():
 
 def test_resample_constant_any_grid():
     g = SegmentGrid(1.0, 7)
-    s = Segment.constant(g, [2.5, -1.0])
-    out = resample_segment(s, SegmentGrid(1.0, 23))
-    np.testing.assert_allclose(out.values, np.tile([2.5, -1.0], (24, 1)))
+    x = LiftedState(g, [0.0, 0.0], constant(g, [2.5, -1.0]))
+    out = x.resampled(SegmentGrid(1.0, 23))
+    np.testing.assert_allclose(out.tail, np.tile([2.5, -1.0], (24, 1)))
 
 
 def test_resample_affine_exact_on_refinement():
     g = SegmentGrid(1.0, 5)
-    s = Segment(g, (2.0 * g.nodes + 0.3)[:, None])
+    x = LiftedState(g, [0.0], (2.0 * g.nodes + 0.3)[:, None])
     g2 = SegmentGrid(1.0, 10)
-    out = resample_segment(s, g2)
-    np.testing.assert_allclose(out.values[:, 0], 2.0 * g2.nodes + 0.3, atol=1e-14)
+    out = x.resampled(g2)
+    np.testing.assert_allclose(out.tail[:, 0], 2.0 * g2.nodes + 0.3, atol=1e-14)
 
 
 def test_resample_quadratic_interpolation_error():
     # s(xi) = xi^2 from 10 to 100 intervals: the standard piecewise-linear
     # bound is (h^2/8) max|s''| = 2.5e-3 and is attained at cell midpoints
     g = SegmentGrid(1.0, 10)
-    s = Segment(g, (g.nodes ** 2)[:, None])
+    x = LiftedState(g, [0.0], (g.nodes ** 2)[:, None])
     g2 = SegmentGrid(1.0, 100)
-    out = resample_segment(s, g2)
-    err = np.max(np.abs(out.values[:, 0] - g2.nodes ** 2))
+    out = x.resampled(g2)
+    err = np.max(np.abs(out.tail[:, 0] - g2.nodes ** 2))
     assert err <= 2.5e-3 + 1e-15
     assert err >= 2.0e-3
 
@@ -259,14 +272,16 @@ def test_resample_quadratic_interpolation_error():
 def test_resample_idempotent_same_grid():
     g = SegmentGrid(1.0, 8)
     rng = np.random.default_rng(3)
-    s = Segment(g, rng.normal(size=(9, 1)))
-    np.testing.assert_array_equal(resample_segment(s, g).values, s.values)
+    x = LiftedState(g, [0.0], rng.normal(size=(9, 1)))
+    out = x.resampled(g)
+    np.testing.assert_array_equal(out.tail, x.tail)
+    np.testing.assert_array_equal(out.head, x.head)
 
 
 def test_resample_horizon_mismatch():
-    s = Segment.constant(SegmentGrid(1.0, 4), 0.0)
+    g = SegmentGrid(1.0, 4)
     with pytest.raises(GridMismatchError):
-        resample_segment(s, SegmentGrid(2.0, 4))
+        LiftedState(g, [0.0], constant(g, 0.0)).resampled(SegmentGrid(2.0, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +299,22 @@ def test_shape_and_domain_errors_are_validation_errors():
 def test_state_dimension_mismatch():
     g = SegmentGrid(1.0, 4)
     with pytest.raises(GridMismatchError):
-        LiftedState([1.0, 2.0], Segment.constant(g, 0.0))
+        LiftedState(g, [1.0, 2.0], constant(g, 0.0))
 
 
-def test_segment_rejects_nonfinite():
+def test_state_rejects_nonfinite_tail():
     g = SegmentGrid(1.0, 4)
     vals = np.zeros((5, 1))
     vals[2] = np.nan
     with pytest.raises(ValidationError):
-        Segment(g, vals)
+        LiftedState(g, [0.0], vals)
+
+
+def test_state_rejects_a_one_dimensional_tail():
+    # a tail is (m+1, n) even for n = 1: a vector of m+1 node values is refused
+    g = SegmentGrid(1.0, 4)
+    with pytest.raises(ValidationError, match=r"a tail \(5, n\)"):
+        LiftedState(g, [0.0], np.zeros(5))
 
 
 # ---------------------------------------------------------------------------

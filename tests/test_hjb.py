@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import batch_of, node_tuple_index
 
 from delayopt import models
-from delayopt.core import (DomainError, LiftedBatch, LiftedState, Segment, ValidationError,
+from delayopt.core import (DomainError, LiftedBatch, LiftedState, ValidationError,
                            _delay_integrals, kernel_convolve, weighted_kernels)
 from delayopt.hjb import (
     EVAL_SWEEPS,
@@ -125,7 +125,7 @@ def test_hamiltonian_singleton_formula(advert_spec):
     z00 = np.array([[0.7]])
     val, best = hamiltonian_at(spec, x, p0[None], z00[None])
     u = spec.control_set[best[0]]
-    head, tail = x.heads[0], Segment(spec.grid, x.tails[0])
+    head, tail = x.heads[0], x.tails[0]
     z1 = kernel_convolve(spec.kernel_drift, tail)
     b = np.asarray(spec.drift(head, z1, u))
     sig = np.asarray(spec.noise(head, kernel_convolve(spec.kernel_noise, tail), u))
@@ -229,8 +229,7 @@ def test_chain_kernel_consistent_with_convolution(advert_spec):
     reg = rng.normal(size=(3, 5, 1))
     z1, _ = _delay_integrals(chain.wk, reg)
     for i in range(3):
-        seg = Segment(chain.coarse_grid, reg[i])
-        np.testing.assert_allclose(z1[i], kernel_convolve(coarse_kernel, seg),
+        np.testing.assert_allclose(z1[i], kernel_convolve(coarse_kernel, reg[i]),
                                    rtol=1e-12)
 
 
@@ -252,7 +251,7 @@ def test_chain_matches_direct_simulation_stepwise():
 
     spec = build_advertising(AdvertisingParams(sigma=0.3), 10)
     g = spec.grid
-    x = LiftedState([0.7], Segment(g, (np.cos(3.0 * g.nodes) - 0.2)[:, None]))
+    x = LiftedState(g, [0.7], (np.cos(3.0 * g.nodes) - 0.2)[:, None])
     ctrl = OpenLoopControl([0.4])
     zeta = np.random.default_rng(9).standard_normal((1, 7, 1))
     for m_lag in (1, 2, 4):
@@ -286,7 +285,7 @@ def test_chain_deterministic_recursion():
 def test_start_window_samples_lags(advert_spec):
     chain = reduce_to_lag_chain(advert_spec, 4)
     g = advert_spec.grid
-    x = LiftedState([2.0], Segment(g, (g.nodes ** 2)[:, None]))
+    x = LiftedState(g, [2.0], (g.nodes ** 2)[:, None])
     reg = chain.unflatten(start_point(chain, x))
     assert reg[-1, 0] == 2.0
     for j in range(1, 5):
@@ -776,7 +775,7 @@ def test_dpp_gap_matches_register_rollout(merton_delay_spec):
     chain = reduce_to_lag_chain(spec, 2)
     g = spec.grid
     tail = np.stack([1.0 + 0.8 * g.nodes, 1.0 - 1.5 * g.nodes], axis=-1)
-    x = LiftedState(tail[-1], Segment(g, tail))
+    x = LiftedState(g, tail[-1], tail)
     z0 = start_point(chain, x)
     axes = tuple(np.linspace(0.5 * v, 1.5 * v, 4) for v in z0)
     rng = np.random.default_rng(5)
@@ -1069,7 +1068,7 @@ def test_b_continuity_oscillatory_pairs(advert_spec):
     ys = []
     for freq in (1, 2, 4, 8):
         bump = 0.5 * np.sin(math.pi * freq * (g.nodes + 1.0))
-        ys.append(LiftedState(x.head, Segment(g, x.tail.values + bump[:, None])))
+        ys.append(LiftedState(g, x.head, x.tail + bump[:, None]))
     table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, ys, T=2.0, delta=0.025,
                                n_paths=64, seed=1)
     # weak distances decrease with frequency, and so do the differences
@@ -1087,7 +1086,7 @@ def test_b_continuity_head_pairs_scale_like_lipschitz(advert_spec):
     x = models.initial_state(spec)
     eps = np.array([0.05, 0.1, 0.2, 0.4])
     table = b_continuity_probe(spec, OpenLoopControl([0.5]), x,
-                               [LiftedState(x.head + e, x.tail) for e in eps],
+                               [LiftedState(spec.grid, x.head + e, x.tail) for e in eps],
                                T=2.0, delta=0.025, n_paths=64, seed=9)
     # a head gap's weak distance is proportional to it, so the rows keep eps's order
     np.testing.assert_allclose(table.distances / eps, table.distances[0] / eps[0])
@@ -1108,8 +1107,8 @@ def test_b_continuity_distances_are_the_per_pair_weak_norms(spec_file):
         freq = rng.integers(1, 5)
         bump = 10 ** rng.uniform(-3.0, 0.0) * np.sin(math.pi * freq * (spec.grid.nodes + spec.d)
                                                       / spec.d)
-        ys.append(LiftedState(x.head + rng.uniform(0.0, 0.1, size=spec.n),
-                              Segment(spec.grid, x.tail.values + bump[:, None])))
+        ys.append(LiftedState(spec.grid, x.head + rng.uniform(0.0, 0.1, size=spec.n),
+                              x.tail + bump[:, None]))
     table = b_continuity_probe(spec, OpenLoopControl(spec.control_set[0]), x, ys, T=0.1,
                                delta=0.05, n_paths=4, seed=0)
     ref = [minus_one_norm(batch_of(x) - batch_of(y))[0] for y in ys]
@@ -1123,7 +1122,7 @@ def test_paired_estimate_is_the_fsum_statistic_of_its_differences(advert_spec):
     from delayopt.sdde import _simulate_batch, batch_increments
     spec = advert_spec
     x = models.initial_state(spec)
-    y = LiftedState(x.head + 0.1, Segment(spec.grid, x.tail.values - 0.05))
+    y = LiftedState(spec.grid, x.head + 0.1, x.tail - 0.05)
     ctrl = OpenLoopControl([0.5])
     table = b_continuity_probe(spec, ctrl, x, [y], T=1.0, delta=0.05, n_paths=64, seed=3)
     dw = batch_increments(3, np.arange(64), 0.05, spec.q, 20)

@@ -8,7 +8,7 @@ import pytest
 from conftest import batch_of
 
 from delayopt import models
-from delayopt.core import LiftedState, Segment, ValidationError, interp_columns, kernel_convolve
+from delayopt.core import LiftedState, ValidationError, interp_columns, kernel_convolve
 from delayopt.lift import (
     equivalence_report,
     history_lift,
@@ -41,7 +41,7 @@ def test_pure_transport_matches_semigroup_orbit():
     # the exact shift orbit
     spec = zero_dynamics_spec(m=10)
     g = spec.grid
-    x = LiftedState([0.5], Segment(g, np.sin(np.pi * g.nodes)[:, None]))
+    x = LiftedState(g, [0.5], np.sin(np.pi * g.nodes)[:, None])
     delta = g.h
     lp = simulate_mild(spec, x, OpenLoopControl([0.0]), 1.0, delta, np.zeros((10, 1)))
     for k in range(11):
@@ -70,7 +70,7 @@ def test_lift_history_at_time_zero():
     path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.02, (1, 1))
     lifted = history_lift(path, np.array([0.0]))
     np.testing.assert_allclose(lifted.heads[0], x.head, atol=1e-12)
-    np.testing.assert_allclose(lifted.tails[0, :-1], x.tail.values[:-1],
+    np.testing.assert_allclose(lifted.tails[0, :-1], x.tail[:-1],
                                atol=1e-12)
     # the node at 0 reads the head, not the stored segment value
     np.testing.assert_allclose(lifted.tails[0, -1], x.head, atol=1e-12)
@@ -79,7 +79,7 @@ def test_lift_history_at_time_zero():
 def test_lift_history_constant_path():
     spec = zero_dynamics_spec()
     g = spec.grid
-    x = LiftedState([0.5], Segment.constant(g, 0.5))
+    x = LiftedState(g, [0.5], np.full((g.m + 1, 1), 0.5))
     path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1, np.zeros((10, 1)))
     lifted = history_lift(path, np.array([0.7]))
     np.testing.assert_allclose(lifted.heads[0], [0.5], atol=1e-14)
@@ -95,7 +95,7 @@ def test_lift_history_linear_path():
                          rho=1.0, d=1.0, x0=(0.0,), x1=(0.0,))
     spec = build_affine_test(p, 10)
     g = spec.grid
-    x = LiftedState([0.0], Segment(g, g.nodes[:, None]))
+    x = LiftedState(g, [0.0], g.nodes[:, None])
     path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, np.zeros((20, 1)))
     lifted = history_lift(path, np.array([1.0]))
     np.testing.assert_allclose(lifted.heads[0], [1.0], atol=1e-12)
@@ -125,7 +125,7 @@ def test_equivalence_zero_dynamics_interp_error_only():
     g = spec.grid
     # continuous initial state sampled on the nodes: the shift lands on
     # nodes at every step, so both metrics vanish to rounding
-    smooth = LiftedState([0.5], Segment(g, (0.5 * np.cos(np.pi * g.nodes))[:, None]))
+    smooth = LiftedState(g, [0.5], (0.5 * np.cos(np.pi * g.nodes))[:, None])
     rep = equivalence_report(spec, smooth, OpenLoopControl([0.0]), T=1.0,
                              delta=0.1, seed=0)
     assert rep.base.head_mismatch <= 1e-12
@@ -206,7 +206,7 @@ def test_contraction_deterministic_affine():
     p = AffineTestParams(noise_const=((0.0,),), x0=(1.0,), x1=(1.0,))
     spec = build_affine_test(p, 40)
     x = models.initial_state(spec)
-    y = LiftedState(x.head + 0.5, Segment(spec.grid, x.tail.values - 0.3))
+    y = LiftedState(spec.grid, x.head + 0.5, x.tail - 0.3)
     rep = contraction_probe(spec, x, y, OpenLoopControl([0.5]), r=0.5,
                             n_paths=4, delta=0.01, seed=0)
     assert rep.stderr <= 1e-12
@@ -217,7 +217,7 @@ def test_contraction_probe_refuses_one_path():
     # one path has no standard error
     spec = build_advertising(AdvertisingParams(), 40)
     x = models.initial_state(spec)
-    y = LiftedState(x.head + 0.3, x.tail)
+    y = LiftedState(spec.grid, x.head + 0.3, x.tail)
     with pytest.raises(ValidationError, match="at least 2 paths"):
         contraction_probe(spec, x, y, OpenLoopControl([0.5]), r=0.5,
                           n_paths=1, delta=0.01, seed=0)
@@ -226,7 +226,7 @@ def test_contraction_probe_refuses_one_path():
 def test_contraction_advertising_monte_carlo():
     spec = build_advertising(AdvertisingParams(), 50)
     x = models.initial_state(spec)
-    y = LiftedState(x.head + 0.3, Segment(spec.grid, x.tail.values - 0.2))
+    y = LiftedState(spec.grid, x.head + 0.3, x.tail - 0.2)
     rep = contraction_probe(spec, x, y, OpenLoopControl([0.5]), r=0.5,
                             n_paths=100, delta=0.01, seed=3)
     assert rep.ok
@@ -237,7 +237,7 @@ def test_contraction_advertising_monte_carlo():
 
 
 def head_drift_lifted(spec, head, tail, u):
-    z1 = kernel_convolve(spec.kernel_drift, Segment(spec.grid, tail))
+    z1 = kernel_convolve(spec.kernel_drift, tail)
     b0 = np.asarray(spec.drift(head, z1, u))
     return b0 + head  # drift of the rewritten equation acts on the head
 
@@ -294,8 +294,8 @@ def test_noise_coefficient_lipschitz_in_weak_norm():
     for _ in range(60):
         x = random_smooth_state(g, 2, rng, domain=False)
         y = random_smooth_state(g, 2, rng, domain=False)
-        z2x = kernel_convolve(spec.kernel_noise, Segment(g, x.tails[0]))
-        z2y = kernel_convolve(spec.kernel_noise, Segment(g, y.tails[0]))
+        z2x = kernel_convolve(spec.kernel_noise, x.tails[0])
+        z2y = kernel_convolve(spec.kernel_noise, y.tails[0])
         ds = np.linalg.norm(np.asarray(spec.noise(x.heads[0], z2x, u))
                             - np.asarray(spec.noise(y.heads[0], z2y, u)))
         worst = max(worst, ds / minus_one_norm(x - y)[0])

@@ -398,7 +398,7 @@ def test_affine_shapes_must_fit_n_and_q(params):
     spec = build_problem({"model": "affine_test", "m": 10,
                           "params": {**AFFINE_N2, "x0": [1.0, 2.0], "x1": [3.0, 4.0]}})
     x = models.initial_state(spec)
-    assert x.head.tolist() == [1.0, 2.0] and x.tail.values[0].tolist() == [3.0, 4.0]
+    assert x.head.tolist() == [1.0, 2.0] and x.tail[0].tolist() == [3.0, 4.0]
 
 
 def _vector(n):
@@ -500,7 +500,7 @@ def test_problem_documents_build_consistent_problems_or_are_refused(doc):
     except ValidationError:
         return
     x = models.initial_state(spec)
-    assert x.head.shape == (spec.n,) and x.tail.values.shape == (spec.grid.m + 1, spec.n)
+    assert x.head.shape == (spec.n,) and x.tail.shape == (spec.grid.m + 1, spec.n)
     try:
         path = simulate_sdde(spec, x, OpenLoopControl(spec.control_set[0]), spec.d,
                              spec.d / 2, (0, 1))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayopt.core import DomainError, LiftedBatch, NumericalError, Segment, SegmentGrid
+from delayopt.core import DomainError, LiftedBatch, NumericalError, SegmentGrid
 from delayopt.operators import (
     BLOCK,
     SMOOTH_MODES,
@@ -255,7 +255,7 @@ def test_weak_norm_vanishes_on_concentrating_mass():
         width = n_cells * g.h
         vals = np.where(g.nodes <= -1.0 + width + 1e-12, 1.0 / width, 0.0)[:, None]
         norms.append(minus_one_norm(state(g, 0.0, vals))[0])
-        functionals.append(float(kernel_convolve(flat, Segment(g, vals))[0]))
+        functionals.append(float(kernel_convolve(flat, vals)[0]))
     assert all(a > b for a, b in zip(norms, norms[1:]))
     assert norms[-1] <= 0.15
     assert all(abs(f - 1.0) <= 0.15 for f in functionals)

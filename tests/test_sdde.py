@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delayopt import models
-from delayopt.core import LiftedState, NumericalError, ProblemSpec, Segment, SegmentGrid, ValidationError
+from delayopt.core import LiftedState, NumericalError, ProblemSpec, SegmentGrid, ValidationError
 from delayopt.models import AdvertisingParams, AffineTestParams, build_advertising, build_affine_test
 from delayopt.sdde import (
     BLOCK,
@@ -175,7 +175,7 @@ def test_nan_abort_names_step():
         cost=lambda y, u: np.zeros(y.shape[:-1]), rho=1.0,
         control_set=np.array([[0.0]]), growth_const=1.0, lipschitz_const=1.0,
         cost_growth_const=1.0, cost_growth_exponent=0.0)
-    x = LiftedState([1.0], Segment.constant(g, 1.0))
+    x = LiftedState(g, [1.0], np.full((g.m + 1, 1), 1.0))
     with pytest.raises(NumericalError, match=r"step 2 \(t=0\.5\)"):
         simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.25, (0, 1))
 
@@ -194,7 +194,7 @@ def nan_at_step_spec(delta, k_nan):
         cost=lambda y, u: np.zeros(y.shape[:-1]), rho=1.0,
         control_set=np.array([[0.0]]), growth_const=1.0, lipschitz_const=1.0,
         cost_growth_const=1.0, cost_growth_exponent=0.0)
-    return spec, LiftedState([1.0], Segment.constant(g, 1.0))
+    return spec, LiftedState(g, [1.0], np.full((g.m + 1, 1), 1.0))
 
 
 def test_mc_cost_refuses_nonfinite_samples():
@@ -209,7 +209,7 @@ def test_mc_cost_refuses_nonfinite_samples():
         cost=lambda y, u: np.where(y[..., 0] > 1.0, np.nan, 0.0), rho=1.0,
         control_set=np.array([[0.0]]), growth_const=1.0, lipschitz_const=1.0,
         cost_growth_const=1.0, cost_growth_exponent=0.0)
-    x = LiftedState([1.0], Segment.constant(g, 1.0))
+    x = LiftedState(g, [1.0], np.full((g.m + 1, 1), 1.0))
     dw = batch_increments(0, range(10), 0.25, 1, 4)
     bad = int(np.sum(np.any(np.cumsum(dw[:, :3, 0], axis=1) > 0.0, axis=1)))
     assert 0 < bad < 10
@@ -256,7 +256,7 @@ def _oracle_batch(spec, x, ctrl, T, delta, noise, keep=0):
     of n_hist + 1 + BLOCK nodes (an explicit array as one full-width block),
     each block's increments read strided, spec.cost called at every step.
     Returns (costs, window, states, controls)."""
-    from delayopt.core import resample_segment, weighted_kernels
+    from delayopt.core import weighted_kernels
 
     n_hist = sdde._steps_of(spec.d, delta, "d")
     n_steps = sdde._steps_of(T, delta, "T")
@@ -270,7 +270,7 @@ def _oracle_batch(spec, x, ctrl, T, delta, noise, keep=0):
     step_grid = SegmentGrid(spec.d, n_hist)
     wk = weighted_kernels(spec, step_grid)
     buf = np.empty((P, n_hist + 1 + width, spec.n))
-    buf[:, : n_hist + 1] = resample_segment(x.tail, step_grid).values[None, :, :]
+    buf[:, : n_hist + 1] = x.resampled(step_grid).tail[None, :, :]
     buf[:, n_hist] = x.head[None, :]
     states = np.empty((keep, n_hist + 1 + n_steps, spec.n))
     states[:, : n_hist + 1] = buf[:keep, : n_hist + 1]
