@@ -367,8 +367,8 @@ def cmd_solve(run: Run):
                     encoding="utf-8")
     run.artifacts.append(str(path))
     run.csv("convergence.csv", ["sweep", "residual", "bound"],
-            [[i, r, hjb.bellman_bound(chain.step_discount, r)]
-             for i, r in enumerate(result.residual_history.tolist(), start=1)])
+            [[i, r, b] for i, (r, b) in enumerate(zip(result.residual_history.tolist(),
+                                                       result.bound_history.tolist()), start=1)])
     run.extra.update(growth_fit=growth)
     warn = " clamp_warning" if result.clamp_warning else ""
     return [f"solve: V(x0)={result.value.interp_one(z0):.6g} iters={result.iterations} "

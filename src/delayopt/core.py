@@ -73,6 +73,12 @@ def _check_same_grid(a: SegmentGrid, b: SegmentGrid, what: str) -> None:
         )
 
 
+def _check_same_horizon(a: SegmentGrid, b: SegmentGrid) -> None:
+    """Resampling onto another grid keeps the horizon: refuse grids whose d differ."""
+    if not np.isclose(a.d, b.d, rtol=0, atol=1e-12):
+        raise GridMismatchError(f"resample requires equal horizons, got {a.d} and {b.d}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
@@ -111,9 +117,7 @@ class LiftedState:
     def resampled(self, grid: SegmentGrid) -> "LiftedState":
         """The state with its tail resampled piecewise linearly onto a grid
         with the same horizon."""
-        if not np.isclose(self.grid.d, grid.d, rtol=0, atol=1e-12):
-            raise GridMismatchError(f"resample requires equal horizons, got {self.grid.d} "
-                                    f"and {grid.d}")
+        _check_same_horizon(self.grid, grid)
         return LiftedState(grid, self.head,
                            interp_columns(grid.nodes, self.grid.nodes, self.tail))
 
@@ -248,8 +252,7 @@ def resample_kernel(a: Kernel, new_grid: SegmentGrid) -> Kernel:
     """Resample a kernel table; an analytic preset re-tabulates itself exactly."""
     if a.preset is not None:
         return a.preset(new_grid)
-    if not np.isclose(a.grid.d, new_grid.d, rtol=0, atol=1e-12):
-        raise GridMismatchError("resample requires equal horizons")
+    _check_same_horizon(a.grid, new_grid)
     out = interp_columns(new_grid.nodes, a.grid.nodes, a.values.reshape(a.grid.m + 1, -1))
     return Kernel(new_grid, out.reshape(new_grid.m + 1, a.h_dim, a.n))
 

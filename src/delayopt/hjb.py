@@ -5,10 +5,11 @@ a shift register of past node values with lag step Delta = d / m_lag. The
 register head is advanced by Euler with the kernel quadrature evaluated on
 the register, then the register shifts. Modified policy iteration on a
 tensor grid (full Bellman sweeps that fix the greedy policy, each followed
-by cheaper fixed-policy sweeps) solves the reduced problem and stops once
-the a-posteriori bound g / (1 - g) * |Tv - v|_inf on the value error, with
-the step discount g, is within tol. The dynamic-programming gap, the
-reduced equation residual, the growth and continuity probes, and candidate
+by a BiCGSTAB solve for that policy's value) solves the reduced problem and
+stops once the a-posteriori bound on the value error (bellman_bound: the
+residual |Tv - v|_inf and one sweep's rounding, over 1 - g with the step
+discount g) is within tol. The dynamic-programming gap, the reduced
+equation residual, the growth and continuity probes, and candidate
 feedback extraction all operate on that fixed point.
 """
 
@@ -368,20 +369,29 @@ def noise_rule(q: int, points: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # value iteration
 
-# Fixed-policy sweeps after each improvement sweep of value_iteration. One
-# costs about 1/n_controls of a Bellman sweep; at step discounts near 0.98 a
-# round of 100 shrinks the residual about 7-fold.
-EVAL_SWEEPS = 100
+# Each policy evaluation stops once its residual max-norm is within EVAL_RTOL
+# times the residual of the improvement sweep before it.
+EVAL_RTOL = 1e-3
 
 
 @dataclass(eq=False)
 class ValueIterationResult:
+    """value_iteration's value and greedy policy after its last improvement
+    sweep, with the sweeps' convergence and the work they did.
+
+    value_error_bound, the last sweep's bellman_bound, bounds the distance
+    from value to the fixed point. evaluation_sweeps counts the plan
+    contractions of the policy evaluations, each about 1 / n_controls of an
+    improvement sweep.
+    """
+
     value: ValueField
     policy: PolicyField
     residual_history: np.ndarray  # |Tv - v|_inf of every improvement sweep
-    value_error_bound: float    # g / (1 - g) * residual >= |value - fixed point|_inf
+    bound_history: np.ndarray     # bellman_bound of every improvement sweep
     clamp_rate: float           # share of plan points clamped onto the grid
     transition_entries: int     # index/weight pairs stored in the plans of all controls
+    evaluation_sweeps: int      # plan contractions of the policy evaluations, in total
 
     @property
     def iterations(self) -> int:  # improvement (full Bellman) sweeps
@@ -392,59 +402,95 @@ class ValueIterationResult:
         return float(self.residual_history[-1])
 
     @property
+    def value_error_bound(self) -> float:  # >= |value - fixed point|_inf
+        return float(self.bound_history[-1])
+
+    @property
     def clamp_warning(self) -> bool:
         return self.clamp_rate > 0.20
 
-    @property
-    def evaluation_sweeps(self) -> int:  # fixed-policy sweeps, in total
-        return (self.iterations - 1) * EVAL_SWEEPS
 
+def bellman_bound(step_discount: float, residual: float, width: int, scale: float) -> float:
+    """A-posteriori value error of a computed sweep v' = Tv with the step
+    discount g: (g |v' - v|_inf + e) / (1 - g), inf when g rounds to 1.
 
-def bellman_bound(step_discount: float, residual: float) -> float:
-    """A-posteriori value error of Tv for a sweep residual |Tv - v|_inf:
-    g / (1 - g) * residual with the step discount g (inf when g rounds to 1)."""
-    if not residual:
+    e = (width + 2) eps scale bounds the rounding of one sweep of plan rows
+    at most width wide, with scale = |v'|_inf: the row sum, the discount
+    and the stage cost. 1 / (1 - g) amplifies it once the sweeps sit on a
+    float fixed point, where the residual alone reads 0.
+    """
+    slack = step_discount * residual + (width + 2) * np.finfo(float).eps * scale
+    if not slack:
         return 0.0
-    return step_discount / (1.0 - step_discount) * residual if step_discount < 1.0 else math.inf
+    return slack / (1.0 - step_discount) if step_discount < 1.0 else math.inf
 
 
-def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
-                    max_iter: int = 5000, gh_points: int = 5,
-                    v0: ValueField | None = None) -> ValueIterationResult:
-    """Discounted fixed point of the reduced Bellman operator T, by modified
-    policy iteration (Puterman, Markov Decision Processes, section 6.5).
+class _Breakdown(ArithmeticError):
+    """A zero or non-finite inner product in _bicgstab."""
 
-    Each round is one improvement sweep v <- Tv over every control, which
-    also fixes the greedy policy pi, then EVAL_SWEEPS fixed-policy sweeps
-    v <- c_pi + g P_pi v with the step discount g. The loop stops right after
-    an improvement sweep once g / (1 - g) * |Tv - v|_inf <= tol: that bound on
-    the distance from the returned Tv to the fixed point is value_error_bound,
-    so tol bounds the value error, not just the last change. tol = inf returns
-    exactly one Bellman sweep from v0; max_iter caps the improvement sweeps.
 
-    The noise expectation uses a fixed Gauss-Hermite rule, transitions are
-    precomputed as one interpolation plan per control (_interp_plan per
-    Gauss-Hermite node, side by side; a lag register that lands on the nodes
-    of its axis takes no upper corner), transition_entries counts what the
-    plans store, and out-of-box transitions clamp to the boundary (rate above
-    20 percent sets the warning flag).
+def _bicgstab(apply, b: np.ndarray, x: np.ndarray, target: float,
+              cap: int) -> tuple[np.ndarray | None, int]:
+    """Solve apply(x) = b by BiCGSTAB from x (H. A. van der Vorst, SIAM J.
+    Sci. Stat. Comput. 13, 1992; Y. Saad, Iterative Methods for Sparse
+    Linear Systems, 2nd ed., 2003, section 7.4).
+
+    Returns (solution, applications of the operator). The solution is the
+    first iterate whose recurrence residual has max-norm <= target, and None
+    on a breakdown (a zero or non-finite inner product) or when cap
+    applications do not reach the target. The dots are einsum, not BLAS.
+    """
+    def dot(a, c):
+        value = float(np.einsum("i,i->", a, c))
+        if value == 0.0 or not math.isfinite(value):
+            raise _Breakdown
+        return value
+
+    r = b - apply(x)
+    used = 1
+    shadow, rho, alpha, omega = r, 1.0, 1.0, 1.0
+    p = u = np.zeros_like(r)
+    try:
+        while np.max(np.abs(r)) > target:
+            if used >= cap:
+                return None, used
+            rho_next = dot(shadow, r)
+            p = r + (rho_next / rho) * (alpha / omega) * (p - omega * u)
+            rho = rho_next
+            u = apply(p)
+            used += 1
+            alpha = rho / dot(shadow, u)
+            x = x + alpha * p
+            s = r - alpha * u
+            if np.max(np.abs(s)) <= target:
+                return x, used
+            if used >= cap:
+                return None, used
+            t = apply(s)
+            used += 1
+            omega = dot(t, s) / dot(t, t)
+            x = x + omega * s
+            r = s - omega * t
+    except _Breakdown:
+        return None, used
+    return x, used
+
+
+def _build_plans(chain: LagChainSpec, axes: tuple[np.ndarray, ...], gh_points: int):
+    """Stage costs and transition plans of every control on the tensor grid
+    over axes.
+
+    Returns the stage costs (n_u, nodes), one (idx, wts) plan per control
+    (_interp_plan per Gauss-Hermite node, side by side, each block's weights
+    scaled by its node's weight), the number of planned next states clamped
+    onto the grid, and the index/weight pairs the plans store.
     """
     spec = chain.spec
-    if not tol >= 0:  # also refuses nan
-        raise ValidationError(f"tol must be nonnegative, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    shape = tuple(len(ax) for ax in axes)
-    axes = _grid_axes(axes, shape, "value")  # bad axes are refused before the sweeps
-    if len(axes) != chain.state_dim:
-        raise ValidationError(f"need {chain.state_dim} axes, got {len(axes)}")
     pts = _tensor_nodes(axes)
     n_nodes = pts.shape[0]
     regs = chain.unflatten(pts)
     zeta, zw = noise_rule(spec.q, gh_points)
     n_u = spec.control_set.shape[0]
-    disc = chain.step_discount
-
     clamped = 0
     plans = []
     stage = np.empty((n_u, n_nodes))
@@ -462,12 +508,54 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
             wts_list.append(wts)
         plans.append((np.concatenate(idx_list, axis=1),
                       np.concatenate(wts_list, axis=1)))
+    return stage, plans, clamped, sum(idx.size for idx, _ in plans)
 
+
+def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
+                    max_iter: int = 5000, gh_points: int = 5,
+                    v0: ValueField | None = None) -> ValueIterationResult:
+    """Discounted fixed point of the reduced Bellman operator T, by modified
+    policy iteration (Puterman, Markov Decision Processes, section 6.5).
+
+    Each round is one improvement sweep v <- Tv over every control, which
+    also fixes the greedy policy pi, then an evaluation of pi: a BiCGSTAB
+    solve of (I - g P_pi) v = c_pi from v, with the step discount g, until
+    its residual max-norm is within EVAL_RTOL times the sweep's residual.
+    A solve that breaks down, or misses that target within the
+    ceil(ln EVAL_RTOL / ln g) contractions that fixed-policy sweeps would
+    need for the same reduction, leaves v at Tv: that round is a plain
+    Bellman step. evaluation_sweeps counts the solves' contractions. The
+    loop stops right after an improvement sweep whose bellman_bound is
+    within tol: that bound on the distance from the returned Tv to the
+    fixed point is value_error_bound, so tol bounds the value error, not
+    just the last change. tol = inf returns exactly one Bellman sweep from
+    v0; max_iter caps the improvement sweeps.
+
+    The noise expectation uses a fixed Gauss-Hermite rule, transitions are
+    precomputed as one interpolation plan per control (_build_plans; a lag
+    register that lands on the nodes of its axis takes no upper corner),
+    transition_entries counts what the plans store, and out-of-box
+    transitions clamp to the boundary (rate above 20 percent sets the
+    warning flag).
+    """
+    spec = chain.spec
+    if not tol >= 0:  # also refuses nan
+        raise ValidationError(f"tol must be nonnegative, got {tol}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    shape = tuple(len(ax) for ax in axes)
+    axes = _grid_axes(axes, shape, "value")  # bad axes are refused before the sweeps
+    if len(axes) != chain.state_dim:
+        raise ValidationError(f"need {chain.state_dim} axes, got {len(axes)}")
+    stage, plans, clamped, entries = _build_plans(chain, axes, gh_points)
+    n_u, n_nodes = stage.shape
+    disc = chain.step_discount
     width = max(idx.shape[1] for idx, _ in plans)
-    entries = sum(idx.size for idx, _ in plans)
+    cap = math.ceil(math.log(EVAL_RTOL) / math.log(disc)) if 0.0 < disc < 1.0 else 0
+    eps_row = (width + 2) * np.finfo(float).eps
     v = (v0.values.ravel().copy() if v0 is not None else np.zeros(n_nodes))
     rows = np.arange(n_nodes)
-    history = []
+    history, bounds, evaluations = [], [], 0
     for _ in range(max_iter):
         totals = np.empty((n_u, n_nodes))
         for iu in range(n_u):
@@ -476,26 +564,34 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
         best_u = np.argmin(totals, axis=0)
         v_new = totals[best_u, rows]
         residual = float(np.max(np.abs(v_new - v)))
+        scale = float(np.max(np.abs(v_new)))
+        bound = bellman_bound(disc, residual, width, scale)
         history.append(residual)
+        bounds.append(bound)
         v = v_new
-        bound = bellman_bound(disc, residual)
         if bound <= tol:
             return ValueIterationResult(
                 value=ValueField(axes, v.reshape(shape)),
                 policy=PolicyField(axes, best_u.reshape(shape), spec.control_set),
-                residual_history=np.asarray(history), value_error_bound=bound,
-                clamp_rate=clamped / (n_u * len(zw) * n_nodes), transition_entries=entries)
-        # partial evaluation of the greedy policy on its rows of the plans;
-        # a narrower plan pads its rows with weight 0 on node 0
+                residual_history=np.asarray(history), bound_history=np.asarray(bounds),
+                clamp_rate=clamped / (n_u * gh_points ** spec.q * n_nodes),
+                transition_entries=entries, evaluation_sweeps=evaluations)
+        # the greedy policy's rows of the plans; a narrower plan pads its
+        # rows with weight 0 on node 0
         idx_pi = np.zeros((n_nodes, width), dtype=np.int64)
         wts_pi = np.zeros((n_nodes, width))
         for iu, (idx, wts) in enumerate(plans):
             on = best_u == iu
             idx_pi[on, : idx.shape[1]] = idx[on]
             wts_pi[on, : idx.shape[1]] = wts[on]
-        cost_pi = stage[best_u, rows]
-        for _ in range(EVAL_SWEEPS):
-            v = cost_pi + disc * _plan_dot(v, idx_pi, wts_pi)
+        # (I - g P_pi) v = c_pi, to no target below the rounding of one
+        # contraction, which no solve resolves
+        target = max(EVAL_RTOL * residual, eps_row * scale)
+        v_pi, used = _bicgstab(lambda y: y - disc * _plan_dot(y, idx_pi, wts_pi),
+                               stage[best_u, rows], v, target, cap)
+        evaluations += used
+        if v_pi is not None:
+            v = v_pi
     raise NumericalError(
         f"value iteration did not bound the value error by tol {tol:g} in {max_iter} "
         f"improvement sweeps (residual {history[-1]:g}, bound {bound:g})"

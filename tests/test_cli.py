@@ -563,11 +563,21 @@ def test_count_flag_refusal_names_the_flag_as_typed(tmp_path, capsys):
     assert message.startswith("--tau-steps must be at least 1")
 
 
-def test_solve_reports_value_error_bound(tmp_path, capsys):
+def test_solve_reports_value_error_bound(tmp_path, capsys, monkeypatch):
     # stdout, manifest and convergence.csv carry the a-posteriori bound of
     # every improvement sweep; the last one is within --tol
     from delayopt import hjb, models
 
+    # contractions over all 281 grid nodes, in both solves; the start-state
+    # lookup contracts one row
+    contractions = []
+
+    def spy(v, idx, wts):
+        contractions.append(len(idx) == 281)
+        return plan_dot(v, idx, wts)
+
+    plan_dot = hjb._plan_dot
+    monkeypatch.setattr(hjb, "_plan_dot", spy)
     spec = str(SPECS / "merton_nodelay.json")
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -576,14 +586,23 @@ def test_solve_reports_value_error_bound(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     resolved = json.loads((outs[0] / "run_manifest.json").read_text())["resolved"]
     assert f"bound={resolved['value_error_bound']:.3g} " in line
-    assert resolved["evaluation_sweeps"] == (resolved["iterations"] - 1) * hjb.EVAL_SWEEPS
+    chain = hjb.reduce_to_lag_chain(models.load_spec_file(spec), 1)
+    n_u = chain.spec.control_set.shape[0]
+    assert 2 * (resolved["iterations"] * n_u + resolved["evaluation_sweeps"]) == sum(contractions)
     text = (outs[0] / "convergence.csv").read_text()
     assert text == (outs[1] / "convergence.csv").read_text()
     rows = np.loadtxt(outs[0] / "convergence.csv", delimiter=",", skiprows=1, ndmin=2)
     assert text.splitlines()[0] == "sweep,residual,bound"
     np.testing.assert_array_equal(rows[:, 0], np.arange(1, resolved["iterations"] + 1))
-    gamma = hjb.reduce_to_lag_chain(models.load_spec_file(spec), 1).step_discount
-    np.testing.assert_allclose(rows[:, 2], gamma / (1 - gamma) * rows[:, 1], rtol=1e-12)
+    # each bound is g / (1 - g) times its residual plus the rounding
+    # allowance; the last one's is that of the written value table
+    gamma = chain.step_discount
+    assert np.all(rows[:, 2] >= gamma / (1 - gamma) * rows[:, 1])
+    table = np.loadtxt(outs[0] / "value_policy.csv", delimiter=",", skiprows=1, ndmin=2)
+    axes = tuple(np.unique(table[:, a]) for a in range(chain.state_dim))
+    width = max(idx.shape[1] for idx, _ in hjb._build_plans(chain, axes, 5)[1])
+    value = table[:, chain.state_dim]
+    assert rows[-1, 2] == hjb.bellman_bound(gamma, rows[-1, 1], width, np.max(np.abs(value)))
     assert rows[-1, 1:].tolist() == [resolved["residual"], resolved["value_error_bound"]]
     assert 0 < resolved["value_error_bound"] <= 1e-7 < rows[-2, 2]
 
@@ -1177,14 +1196,14 @@ def test_manifest_is_byte_reproducible(tmp_path):
 LAG_GRID = ["--mlag", "2", "--grid", "y:-1:2.5:25,y_lag1:-1:2.5:9,y_lag2:-1:2.5:9"]
 LAG_CHAIN_DIGESTS = {
     "solve": {
-        "value_policy.csv": "1955712a3a4ee76d7b608bf28e6b84e24dbd444ea97e85cef6508df9b1bef0f9",
+        "value_policy.csv": "ddc555811f96b3961058029ebc75a7b7fbf8335a5bd2721ba25fd7624529f9a5",
         "policy.json": "1fd4a8aff02d78bed5f0f0bb35bd41b38db6ee3603415e8e9f8a98a2f4f814fc",
-        "convergence.csv": "b2cccf3b8b1a6116260fc4259d3bf5617e219e02659c3ca2245d86a949422fd3",
+        "convergence.csv": "46d83ed959924e2263193aa6b8f5e0a658713b1cc1a3bfc89b89ec123cc5646d",
     },
     "residual": {
-        "residual.csv": "922a47739ca64b58e5798fb4f586593a59dbf6a680b68d74fa579f489d6b61d9",
+        "residual.csv": "95f42a343801f74a4c2b54b2fe85c46b59516c50b0d8da5690a3806e9626691b",
     },
-    "dpp": {"dpp.csv": "aa683204d8cd1245e2e690e9bae32794a6f3b90f4c1843a96c04883482eb098f"},
+    "dpp": {"dpp.csv": "29d6e995463d6c941ff5c7981c8f12af3408345eba928ed04a3cf1c42ed9502b"},
     "simulate": {
         "paths.csv": "2c1390d8790a1cbcdda219a0b887a7bf1c03acba1afc0acd9c3b3315b7a8dd14",
         "summary.csv": "de3ee6fd5e53f498c069f6c64310c62f3b7089ff3dd4e102a90676cd4cb730a9",

@@ -279,9 +279,13 @@ def test_resample_idempotent_same_grid():
 
 
 def test_resample_horizon_mismatch():
+    # a tail and a tabulated kernel share one rule, whose message names both horizons
     g = SegmentGrid(1.0, 4)
-    with pytest.raises(GridMismatchError):
+    message = "resample requires equal horizons, got 1.0 and 2.0"
+    with pytest.raises(GridMismatchError, match=f"^{message}$"):
         LiftedState(g, [0.0], constant(g, 0.0)).resampled(SegmentGrid(2.0, 4))
+    with pytest.raises(GridMismatchError, match=f"^{message}$"):
+        resample_kernel(ramp_kernel(g), SegmentGrid(2.0, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from conftest import batch_of, node_tuple_index
 
-from delayopt import models
+from delayopt import cli, hjb, models
 from delayopt.core import (DomainError, LiftedBatch, LiftedState, ValidationError,
                            _delay_integrals, kernel_convolve, weighted_kernels)
 from delayopt.hjb import (
-    EVAL_SWEEPS,
     PolicyField,
     ValueField,
     _best_score,
+    _bicgstab,
     _brackets,
+    _build_plans,
     _interp_plan,
     _plan_dot,
     _tensor_nodes,
@@ -600,15 +601,50 @@ def _reference_sweep(chain, stage, plans, v):
     return totals[best, np.arange(v.size)], best
 
 
+def _reference_bound(chain, plans, v, v_new):
+    """bellman_bound of the sweep v -> v_new on the widest of the plans."""
+    return bellman_bound(chain.step_discount, float(np.max(np.abs(v_new - v))),
+                         max(w.shape[1] for _, w in plans), float(np.max(np.abs(v_new))))
+
+
 def _reference_value_iteration(chain, axes, tol):
-    """Plain value iteration from zero until |Tv - v| <= tol: (Tv, policy, residual)."""
+    """Plain value iteration from zero until |Tv - v| <= tol: (Tv, policy,
+    bellman_bound of the last sweep)."""
     stage, plans = _reference_plans(chain, axes)
     v = np.zeros(len(stage[0]))
     while True:
         v_new, best = _reference_sweep(chain, stage, plans, v)
-        residual, v = float(np.max(np.abs(v_new - v))), v_new
+        residual = float(np.max(np.abs(v_new - v)))
+        bound, v = _reference_bound(chain, plans, v, v_new), v_new
         if residual <= tol:
-            return v, best, residual
+            return v, best, bound
+
+
+def _sweep_policy_iteration(chain, axes, tol):
+    """Modified policy iteration with 100 fixed-policy sweeps after each
+    improvement sweep, from zero, until an improvement sweep's bellman_bound
+    is within tol: (Tv, policy, that bound). value_iteration evaluated the
+    greedy policy so before it took a Krylov solve."""
+    stage, plans = _reference_plans(chain, axes)
+    v, g = np.zeros(len(stage[0])), chain.step_discount
+    rows, width = np.arange(v.size), max(w.shape[1] for _, w in plans)
+    while True:
+        v_new, best = _reference_sweep(chain, stage, plans, v)
+        bound, v = _reference_bound(chain, plans, v, v_new), v_new
+        if bound <= tol:
+            return v, best, bound
+        # the greedy rows of the plans, narrower ones padded with weight 0
+        idx_pi, wts_pi = np.zeros((v.size, width), dtype=np.int64), np.zeros((v.size, width))
+        for iu, (idx, wts) in enumerate(plans):
+            idx_pi[best == iu, : idx.shape[1]] = idx[best == iu]
+            wts_pi[best == iu, : idx.shape[1]] = wts[best == iu]
+        cost = np.asarray(stage)[best, rows]
+        for _ in range(100):
+            v = cost + g * np.einsum("ij,ij->i", v[idx_pi], wts_pi)
+
+
+# the tol each of oracle_cases solves at
+ORACLE_TOLS = (1e-8, 1e-8, 1e-7)
 
 
 @pytest.fixture(scope="module")
@@ -626,13 +662,14 @@ def test_value_iteration_agrees_with_plain_value_iteration(oracle_cases):
     # the reference stops on the sweep residual; both values lie within their
     # own a-posteriori bound of the fixed point, so within the sum of each other
     for chain, res in oracle_cases:
-        v_ref, policy_ref, residual_ref = _reference_value_iteration(
+        v_ref, policy_ref, bound_ref = _reference_value_iteration(
             chain, res.value.axes, tol=1e-8)
         np.testing.assert_array_equal(res.policy.indices.ravel(), policy_ref)
         gap = np.max(np.abs(res.value.values.ravel() - v_ref))
-        assert gap <= res.value_error_bound + bellman_bound(chain.step_discount, residual_ref)
-        assert res.value_error_bound == bellman_bound(chain.step_discount, res.residual)
-        assert res.evaluation_sweeps == (res.iterations - 1) * EVAL_SWEEPS
+        assert gap <= res.value_error_bound + bound_ref
+        width = max(w.shape[1] for _, w in _reference_plans(chain, res.value.axes)[1])
+        assert res.value_error_bound == bellman_bound(
+            chain.step_discount, res.residual, width, float(np.max(np.abs(res.value.values))))
 
 
 def test_clamp_rate_is_the_share_of_out_of_box_next_states(oracle_cases):
@@ -682,12 +719,11 @@ def test_value_iteration_pads_the_greedy_rows_of_narrower_plans():
     assert [w.shape[1] for _, w in _reference_plans(chain, axes)[1]] == [5, 9]
     assert res.transition_entries == 25 * (5 + 9)
     assert set(res.policy.indices.ravel()) == {0, 1}
-    v_ref, policy_ref, residual_ref = _reference_value_iteration(chain, axes, tol=1e-10)
+    v_ref, policy_ref, bound_ref = _reference_value_iteration(chain, axes, tol=1e-10)
     np.testing.assert_array_equal(res.policy.indices.ravel(), policy_ref)
-    # both runs reach a float fixed point (bound 0), so allow their rounding
+    # both bounds allow for the rounding of a float fixed point
     gap = np.max(np.abs(res.value.values.ravel() - v_ref))
-    assert gap <= (res.value_error_bound + bellman_bound(chain.step_discount, residual_ref)
-                   + 4 * np.finfo(float).eps * np.max(np.abs(v_ref)))
+    assert gap <= res.value_error_bound + bound_ref
 
 
 def test_value_iteration_nonconvergence_raises():
@@ -704,6 +740,125 @@ def test_value_iteration_infinite_tol_is_one_sweep():
     chain = constant_cost_chain()
     axes = (np.linspace(-1, 1, 3), np.array([0.0]))
     assert value_iteration(chain, axes, tol=math.inf, max_iter=1).iterations == 1
+
+
+def test_value_error_bound_covers_the_rounding_of_a_float_fixed_point():
+    # at rho = 1e-9 the step discount g is 1 - 5e-10: the solve lands
+    # hundreds of units from the exact value delta / (1 - g), g as rounded,
+    # where a sweep moves v by an ulp or nothing; the bound still covers it
+    chain = constant_cost_chain(rho=1e-9)
+    axes = (np.linspace(-1, 1, 3), np.array([0.0]))
+    res = value_iteration(chain, axes, tol=1e4, max_iter=10)
+    gap = np.max(np.abs(res.value.values - chain.delta / (1.0 - chain.step_discount)))
+    assert gap <= res.value_error_bound <= 1e4
+
+
+def test_build_plans_is_the_reference_plan_build(oracle_cases):
+    # stage costs and plans bit for bit, and the clamp and entry counts the
+    # result reports
+    for chain, res in oracle_cases:
+        stage, plans, clamped, entries = _build_plans(chain, res.value.axes, 5)
+        stage_ref, plans_ref = _reference_plans(chain, res.value.axes)
+        assert stage.tobytes() == np.asarray(stage_ref).tobytes()
+        assert len(plans) == len(plans_ref)
+        for (idx, wts), (idx_ref, wts_ref) in zip(plans, plans_ref):
+            assert idx.shape == idx_ref.shape and idx.tobytes() == idx_ref.tobytes()
+            assert wts.shape == wts_ref.shape and wts.tobytes() == wts_ref.tobytes()
+        assert entries == res.transition_entries == sum(i.size for i, _ in plans_ref)
+        assert clamped / (len(plans) * 5 ** chain.spec.q * stage.shape[1]) == res.clamp_rate
+
+
+# the bench's solve-delay grid on specs/merton_delay.json
+BENCH_GRID = "s:log:0.4:2.5:9,z:log:0.01:50:81,s_lag1:log:0.4:2.5:9"
+
+
+@pytest.fixture(scope="module")
+def bench_grid_solution():
+    chain = reduce_to_lag_chain(models.load_spec_file(SPECS / "merton_delay.json"), 1)
+    z0 = start_point(chain, models.initial_state(chain.spec))
+    axes = cli._parse_grid(BENCH_GRID, chain.axis_names(), z0)
+    return chain, value_iteration(chain, axes, tol=1e-6, gh_points=5)
+
+
+@pytest.fixture(scope="module")
+def readme_advertising_solution():
+    """The README's advertising solves: --mlag 2 on y:-1:2.5:25,
+    y_lag1:-1:2.5:9, y_lag2:-1:2.5:9 at the default tol."""
+    chain = reduce_to_lag_chain(models.load_spec_file(SPECS / "advertising.json"), 2)
+    axes = (np.linspace(-1.0, 2.5, 25),) + (np.linspace(-1.0, 2.5, 9),) * 2
+    return chain, value_iteration(chain, axes, tol=1e-6)
+
+
+def test_value_iteration_picks_the_sweep_oracle_policy(oracle_cases, bench_grid_solution,
+                                                       readme_advertising_solution):
+    # the Krylov evaluation and 100 fixed-policy sweeps per round pick the
+    # same control at every node, with values within the sum of both bounds
+    cases = [*oracle_cases, bench_grid_solution, readme_advertising_solution]
+    for (chain, res), tol in zip(cases, ORACLE_TOLS + (1e-6, 1e-6)):
+        v_ref, policy_ref, bound_ref = _sweep_policy_iteration(chain, res.value.axes, tol)
+        np.testing.assert_array_equal(res.policy.indices.ravel(), policy_ref)
+        assert np.max(np.abs(res.value.values.ravel() - v_ref)) <= res.value_error_bound + bound_ref
+
+
+def test_bench_grid_solve_stays_within_400_contractions(bench_grid_solution):
+    # improvement sweeps (one contraction per control) plus the policy
+    # evaluations' contractions; 100 fixed-policy sweeps per round took 1121
+    chain, res = bench_grid_solution
+    n_u = chain.spec.control_set.shape[0]
+    assert res.iterations * n_u + res.evaluation_sweeps <= 400
+
+
+def test_evaluation_sweeps_count_the_evaluation_contractions(oracle_cases, monkeypatch):
+    # every _plan_dot call of a solve is one control's row of an improvement
+    # sweep or a contraction of a policy evaluation
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return _plan_dot(*args)
+
+    monkeypatch.setattr(hjb, "_plan_dot", spy)
+    for (chain, res), tol in zip(oracle_cases, ORACLE_TOLS):
+        calls.clear()
+        again = value_iteration(chain, res.value.axes, tol=tol, max_iter=20000)
+        n_u = chain.spec.control_set.shape[0]
+        assert 0 < again.evaluation_sweeps == len(calls) - again.iterations * n_u
+        assert again.evaluation_sweeps == res.evaluation_sweeps
+
+
+def test_bicgstab_gives_up_on_a_breakdown_or_at_its_cap():
+    # a skew operator is orthogonal to every vector: the shadow residual's
+    # product with the first search direction's image is 0
+    skew = lambda y: np.array([y[1], -y[0]])
+    b = np.array([1.0, 0.0])
+    assert _bicgstab(skew, b, np.zeros(2), 1e-12, 100) == (None, 2)
+    # a nonsymmetric operator solves in two steps; one application short of
+    # that, or with no room beyond the first residual, it gives up
+    a = np.array([[2.0, 1.0], [0.0, 3.0]])
+    apply = lambda y: np.einsum("ij,j->i", a, y)
+    x, used = _bicgstab(apply, b, np.zeros(2), 1e-12, 100)
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-12)
+    assert _bicgstab(apply, b, np.zeros(2), 1e-12, used - 1) == (None, used - 1)
+    assert _bicgstab(apply, b, np.zeros(2), 1e-12, 1) == (None, 1)
+    # a start within the target costs one residual
+    assert _bicgstab(apply, b, x, 1e-12, 100)[1] == 1
+
+
+def test_value_iteration_with_broken_down_evaluations_agrees_with_the_oracle(
+        oracle_cases, monkeypatch):
+    # every evaluation breaks down, as the skew system does, so each round
+    # keeps its improvement sweep: a plain Bellman step that still reaches
+    # the sweep oracle's policy, within both bounds
+    skew = lambda y: np.array([y[1], -y[0]])
+    monkeypatch.setattr(hjb, "_bicgstab", lambda apply, b, x, target, cap: _bicgstab(
+        skew, np.array([1.0, 0.0]), np.zeros(2), target, cap))
+    for (chain, res), tol in zip(oracle_cases, ORACLE_TOLS):
+        broken = value_iteration(chain, res.value.axes, tol=tol, max_iter=20000)
+        v_ref, policy_ref, bound_ref = _sweep_policy_iteration(chain, res.value.axes, tol)
+        assert broken.iterations > res.iterations
+        np.testing.assert_array_equal(broken.policy.indices.ravel(), policy_ref)
+        assert np.max(np.abs(broken.value.values.ravel() - v_ref)) <= (
+            broken.value_error_bound + bound_ref)
 
 
 # ---------------------------------------------------------------------------
