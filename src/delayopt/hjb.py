@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -220,7 +220,8 @@ def reduce_to_lag_chain(spec: ProblemSpec, m_lag: int) -> LagChainSpec:
 
 def _brackets(axes: tuple[np.ndarray, ...],
               pts: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Bracket of every point on every axis with more than one node.
+    """Bracket of every point on every axis with more than one node, for
+    _interp_plan.
 
     Returns (axis, lower node index, coordinate clipped to the axis) per such
     axis; single-node axes are skipped.
@@ -321,36 +322,90 @@ class ValueField:
         return float(self.interp(np.asarray(pt, dtype=float)[None, :])[0])
 
 
-@dataclass(eq=False)
+_SIGN = np.int64(-2 ** 63)
+
+
+def _float_keys(x: np.ndarray) -> np.ndarray:
+    """Floats to int64 keys in the same order (both zeros to key 0)."""
+    bits = x.view(np.int64)
+    return np.where(bits < 0, -(bits & ~_SIGN), bits)
+
+
+def _key_floats(k: np.ndarray) -> np.ndarray:
+    """The inverse of _float_keys (key 0 to +0.0)."""
+    return np.where(k < 0, -k | _SIGN, k).view(np.float64)
+
+
+def _nearest_node_breaks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per interval [lo, hi], the smallest float t with (t - lo) > (hi - t):
+    the point from which the nearest-node rule, ties to the lower node,
+    picks hi. Both sides are monotone in t, so the rule is false up to t and
+    true from it; bisection over the float keys takes at most 64 steps."""
+    below, above = _float_keys(lo), _float_keys(hi)  # rule false, true
+    while True:
+        mid = (below >> 1) + (above >> 1) + (below & above & 1)  # floor, no overflow
+        if np.array_equal(mid, below):
+            return _key_floats(above)
+        t = _key_floats(mid)
+        flip = (t - lo) > (hi - t)
+        above, below = np.where(flip, mid, above), np.where(flip, below, mid)
+
+
+@dataclass(eq=False, frozen=True)
 class PolicyField:
     """Control index per grid node, with nearest-node lookup (ties to the
-    lower node, points outside the grid clamped to it).
+    lower node, points outside the grid clamped to it, a NaN coordinate read
+    as node len - 2 of its axis).
 
-    index_at brackets each point on the axes with more than one node
-    (_brackets) and reads the nearest node's index at its flat position in
-    the C-ordered indices; single-node axes add nothing to that position.
+    The lookup runs on tables built once at construction. Along each axis
+    the nodes whose slices of indices are equal merge into one cell, so a
+    cell boundary is kept only where the control changes. Each kept
+    boundary is the exact float at which the nearest-node rule flips
+    (_nearest_node_breaks), and a NaN break, which sorts last, leads to a
+    copy of node len - 2's cell. index_at then takes one searchsorted per
+    axis that has a boundary: clamping and infinite coordinates fall out of
+    the search, and an axis with a single cell is not searched.
     """
 
     axes: tuple[np.ndarray, ...]
     indices: np.ndarray
     control_set: np.ndarray
+    _cells: np.ndarray = field(init=False, repr=False)  # compressed indices, flat
+    _searches: tuple = field(init=False, repr=False)    # (axis, breaks, stride)
 
     def __post_init__(self):
-        self.axes = _grid_axes(self.axes, self.indices.shape, "policy")
+        axes = _grid_axes(self.axes, self.indices.shape, "policy")
+        if not np.issubdtype(self.indices.dtype, np.integer):
+            raise ValidationError(f"policy indices must be integers, got {self.indices.dtype}")
         if self.indices.size and (self.indices.min() < 0
                                   or self.indices.max() >= self.control_set.shape[0]):
             raise ValidationError("policy indices outside the control set")
         if not np.all(np.isfinite(self.control_set)):
             raise ValidationError("policy controls must be finite")
+        cells, breaks = self.indices, {}
+        for a, ax in enumerate(axes):
+            # the intervals i across which the slice of indices changes
+            step = np.moveaxis(self.indices, a, 0)
+            switch = np.flatnonzero(np.any(step[1:] != step[:-1],
+                                           axis=tuple(range(1, step.ndim))))
+            if len(switch) == 0:
+                cells = cells.take([0], axis=a)
+                continue
+            # cell c starts at node switch[c - 1] + 1; the NaN cell is node len - 2
+            cells = cells.take(np.r_[0, switch + 1, len(ax) - 2], axis=a)
+            breaks[a] = np.r_[_nearest_node_breaks(ax[switch], ax[switch + 1]), np.nan]
+        strides = np.cumprod((1,) + cells.shape[:0:-1])[::-1]
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "_cells", cells.ravel())
+        object.__setattr__(self, "_searches",
+                           tuple((a, t, int(strides[a])) for a, t in breaks.items()))
 
     def index_at(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         flat = np.zeros(len(pts), dtype=np.intp)
-        for a, i0, xc in _brackets(self.axes, pts):
-            ax = self.axes[a]
-            node = i0 + (xc - ax[i0] > ax[i0 + 1] - xc)
-            flat += node * math.prod(self.indices.shape[a + 1:])
-        return self.indices.ravel()[flat]
+        for a, breaks, stride in self._searches:
+            flat += np.searchsorted(breaks, pts[:, a], side="right") * stride
+        return self._cells[flat]
 
     def control_at(self, pts: np.ndarray) -> np.ndarray:
         return self.control_set[self.index_at(pts)]

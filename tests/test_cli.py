@@ -1221,6 +1221,9 @@ LAG_CHAIN_DIGESTS = {
         "bcontinuity.csv": "4f34535c1458c14f68e4e547835563c92078ff203e053fcb86b09e9acee942ff",
     },
     "value": {"value.csv": "d57e6d17b19f1944ad9e33860be6ca4986e0d5b49bc78dda07ddf0c898962af9"},
+    "merton-check": {
+        "merton_check.csv": "661a34183de7c0e8f2c2a369dc697af8f342ee7fb8c26a87ce6cb03121480640",
+    },
 }
 # the runs off the lag grid; probe-bcontinuity-fine is the one that resamples
 # a non-constant tail (the perturbed states) onto a finer step grid
@@ -1234,18 +1237,26 @@ LIFTED_STATE_ARGV = {
     "value": ["value", "--spec", SPEC, "--T", "2", "--dt", "0.01", "--paths", "200",
               "--control", "const:0.5"],
 }
+# the README's merton-check on a shorter closed loop: 200 paths x 1200 steps
+# of the solved policy, every check passing
+MERTON_CHECK_ARGV = ["merton-check", "--spec", str(SPECS / "merton_nodelay.json"), "--mlag", "1",
+                     "--grid", "z:log:0.005:100:281", "--T", "60", "--dt", "0.05",
+                     "--paths", "200"]
 
 
 @pytest.mark.parametrize("command", sorted(LAG_CHAIN_DIGESTS))
 def test_lag_chain_outputs_match_the_pinned_digests(command, tmp_path, capsys):
     # the solver's bytes: the grid, the value and policy tables, the sweep
     # residuals, the residual points, the gap's rollout and the closed loop
-    # of the solved policy, at the README's lag grid; and the bytes of the
-    # counterexample, the lift report, the B-continuity pairs and an
+    # of the solved policy, at the README's lag grid; the portfolio's closed
+    # loop, which searches its policy on the wealth axis; and the bytes of
+    # the counterexample, the lift report, the B-continuity pairs and an
     # open-loop value, which read a lifted state's tail
     out = tmp_path / command
     if command in LIFTED_STATE_ARGV:
         argv = LIFTED_STATE_ARGV[command]
+    elif command == "merton-check":
+        argv = MERTON_CHECK_ARGV
     elif command == "simulate":
         assert run(["solve", "--spec", SPEC, *LAG_GRID, "--out", str(tmp_path / "solve")]) == 0
         argv = ["simulate", "--spec", SPEC, "--T", "2", "--dt", "0.01", "--paths", "200",

@@ -21,6 +21,7 @@ from delayopt.hjb import (
     _brackets,
     _build_plans,
     _interp_plan,
+    _nearest_node_breaks,
     _plan_dot,
     _tensor_nodes,
     b_continuity_probe,
@@ -379,6 +380,77 @@ def test_flat_policy_lookup_matches_the_node_tuple_lookup(case, seed):
     got = pol.index_at(pts)
     assert got.shape == (len(pts),) and got.dtype == indices.dtype
     np.testing.assert_array_equal(got, node_tuple_index(pol, pts))
+
+
+@pytest.mark.parametrize("indices", [np.array([True, False]), np.array([0.0, 1.0])],
+                         ids=["bool", "float"])
+def test_policy_field_refuses_non_integer_indices(indices):
+    # a bool array would index as a mask, a float one fails at lookup
+    with pytest.raises(ValidationError, match="integers"):
+        PolicyField((np.array([0.0, 1.0]),), indices, np.zeros((2, 1)))
+
+
+@st.composite
+def break_axes(draw):
+    """grids_and_points' axes, as drawn (most span zero) or scaled into the
+    subnormals or to 1e+-300."""
+    axes, _ = draw(grids_and_points(max_axes=4))
+    scale = draw(st.sampled_from([1.0, 1e-318, 1e-300, 1e300]))
+    return tuple(np.unique(ax * scale) for ax in axes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(break_axes(), st.integers(0, 2 ** 32 - 1))
+def test_policy_breaks_are_where_the_nearest_node_rule_flips(axes, seed):
+    # on every interval the rule (t - lo) > (hi - t) holds at the break and
+    # fails one float below it; lookups at the breaks and their neighbours
+    # read what the node tuple lookup reads, with every break kept (one
+    # control per node) or only some (a few controls)
+    rng = np.random.default_rng(seed)
+    marks = []
+    for ax in axes:
+        lo, hi = ax[:-1], ax[1:]
+        t = _nearest_node_breaks(lo, hi)
+        below = np.nextafter(t, -np.inf)
+        assert np.all((t - lo) > (hi - t)) and not np.any((below - lo) > (hi - below))
+        marks.append(np.concatenate([t, below, np.nextafter(t, np.inf), ax]))
+    pts = np.column_stack([rng.choice(m, 64) for m in marks])
+    shape = tuple(len(ax) for ax in axes)
+    for indices in (np.arange(math.prod(shape)).reshape(shape),
+                    rng.integers(0, rng.integers(1, 4), size=shape)):
+        pol = PolicyField(axes, indices, np.zeros((max(indices.size, 3), 1)))
+        np.testing.assert_array_equal(pol.index_at(pts), node_tuple_index(pol, pts))
+
+
+@pytest.mark.parametrize("fixture", ["merton_nodelay_solution", "merton_delay_solution",
+                                     "advertising_solution"])
+def test_solved_policies_read_the_nearest_node_and_search_only_their_switches(fixture,
+                                                                              request):
+    _, res = request.getfixturevalue(fixture)
+    pol = res.policy
+    rng = np.random.default_rng(5)
+    pts = np.column_stack([rng.uniform(ax[0] - 0.1 * np.ptp(ax) - 0.1,
+                                       ax[-1] + 0.1 * np.ptp(ax) + 0.1, 10 ** 5)
+                           for ax in pol.axes])
+    np.testing.assert_array_equal(pol.index_at(pts), node_tuple_index(pol, pts))
+    # an axis is searched exactly when some slice of the indices changes along it
+    switching = [a for a in range(len(pol.axes)) if np.any(np.diff(pol.indices, axis=a))]
+    assert [a for a, _, _ in pol._searches] == switching
+    if fixture == "merton_nodelay_solution":
+        # one wealth axis: a break per switch of the control, and the NaN break
+        [(a, breaks, _)] = pol._searches
+        assert a == 1 and np.isnan(breaks[-1])
+        assert len(breaks) == np.count_nonzero(np.diff(pol.indices.ravel())) + 1
+    if fixture == "merton_delay_solution":  # a multi-node axis it never switches on
+        assert any(len(ax) > 1 for a, ax in enumerate(pol.axes) if a not in switching)
+
+
+def test_constant_policy_searches_no_axis():
+    axes = (np.linspace(-1.0, 2.5, 25), np.linspace(-1.0, 2.5, 9), np.array([0.5]))
+    pol = PolicyField(axes, np.full((25, 9, 1), 3), np.zeros((4, 1)))
+    assert pol._searches == ()
+    pts = np.array([[0.0, 1.0, 0.5], [np.nan, -np.inf, np.inf]])
+    np.testing.assert_array_equal(pol.index_at(pts), [3, 3])
 
 
 def _full_corner_plan(axes, pts):
@@ -1168,6 +1240,24 @@ def test_closed_loop_beats_or_matches_constants(advertising_solution):
     best = min(mc_cost(spec, x, OpenLoopControl([u]), 4.0, 0.05, 300, seed=11)[0]
                for u in (0.0, 0.25, 0.5, 0.75, 1.0))
     assert vp <= best + 2 * ep + 0.02
+
+
+def test_closed_loop_looks_the_policy_up_once_per_euler_step(advertising_solution,
+                                                           monkeypatch):
+    # the bench's per-layer hjb.policy_lookup is the span of
+    # PolicyField.index_at, which it wraps by name: the closed loop must
+    # reach the policy through it, once per step for all paths
+    chain, res = advertising_solution
+    calls, lookup = [], PolicyField.index_at
+
+    def spy(self, pts):
+        calls.append(len(pts))
+        return lookup(self, pts)
+
+    monkeypatch.setattr(PolicyField, "index_at", spy)
+    policy_mc_value(chain, res.policy, models.initial_state(chain.spec), T=1.0, delta=0.05,
+                    n_paths=6, seed=2)
+    assert calls == [6] * 20
 
 
 # ---------------------------------------------------------------------------
