@@ -106,16 +106,11 @@ def _control(spec: ProblemSpec, text: str | None = None, dt: float | None = None
             raise ValidationError(f"malformed policy file {path}: {exc!r}") from exc
         if isinstance(m_lag, bool) or not isinstance(m_lag, int) or indices.dtype.kind != "i":
             raise ValidationError("policy m_lag and indices must be JSON integers")
-        chain = hjb.reduce_to_lag_chain(spec, m_lag)
-        if len(axes) != chain.state_dim or control_set.shape[1:] != (spec.p,):
-            raise ValidationError(
-                f"policy has {len(axes)} axes and controls of shape {control_set.shape[1:]}; "
-                f"the problem needs {chain.state_dim} axes and controls of shape ({spec.p},)")
         if indices.size != math.prod(shape):
             raise ValidationError(
                 f"policy has {indices.size} indices for a grid of {math.prod(shape)} nodes")
         policy = hjb.PolicyField(axes, indices.reshape(shape), control_set)
-        return hjb.feedback_from_policy(chain, policy, dt)
+        return hjb.feedback_from_policy(hjb.reduce_to_lag_chain(spec, m_lag), policy, dt)
     raise ValidationError(f"control must be 'const:v[,v...]' or 'policy:FILE', got {text!r}")
 
 
@@ -223,6 +218,26 @@ def _record_tail_bound(run: Run) -> None:
     run.extra["truncation_tail_bound"] = bound
 
 
+@dataclass(frozen=True, eq=False)
+class _PathRows:
+    """The rows of paths.csv, one per (path, step), made one path at a time
+    as they are iterated; sized without being made."""
+
+    t_cells: list[str]     # the formatted step times, shared by every path
+    states: np.ndarray     # (paths, steps, n) the state at each step time
+    controls: np.ndarray   # (paths, steps, p)
+
+    def __len__(self) -> int:
+        return len(self.states) * len(self.t_cells)
+
+    def __iter__(self):
+        # a path's rows are zipped from its column lists, every row sharing
+        # the path's formatted index
+        for pidx in range(len(self.states)):
+            columns = [*self.states[pidx].T.tolist(), *self.controls[pidx].T.tolist()]
+            yield from zip(itertools.repeat(str(pidx)), self.t_cells, *columns)
+
+
 def cmd_simulate(run: Run):
     a, spec, x = run.args, run.spec, run.x
     if a.emit_paths < 0:
@@ -241,13 +256,7 @@ def cmd_simulate(run: Run):
     states, controls = batch.states, batch.controls
     times = a.dt * np.arange(controls.shape[1])  # step times 0 .. T - dt
     steps = slice(-controls.shape[1] - 1, -1)
-    # one row per (path, step), zipped from column lists; every row of a
-    # path or a step shares its formatted index or time
-    t_cells = [str(t) for t in times.tolist()]
-    rows = []
-    for pidx in range(len(states)):
-        columns = [*states[pidx, steps].T.tolist(), *controls[pidx].T.tolist()]
-        rows.extend(zip(itertools.repeat(str(pidx)), t_cells, *columns))
+    rows = _PathRows([str(t) for t in times.tolist()], states[:, steps], controls)
     run.csv("paths.csv", ["path", "t"] + [f"y{i}" for i in range(spec.n)]
             + [f"u{i}" for i in range(spec.control_set.shape[1])], rows)
     if rows:

@@ -79,8 +79,9 @@ def _check_same_horizon(a: SegmentGrid, b: SegmentGrid) -> None:
         raise GridMismatchError(f"resample requires equal horizons, got {a.d} and {b.d}")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
+def _freeze(arr: np.ndarray, dtype=float) -> np.ndarray:
+    """A read-only copy of arr as dtype (None keeps arr's own)."""
+    out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 

@@ -31,6 +31,7 @@ from .core import (
     SegmentGrid,
     ValidationError,
     _delay_integrals,
+    _freeze,
     lifted_norm,
     weighted_kernels,
 )
@@ -355,7 +356,8 @@ def _nearest_node_breaks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 class PolicyField:
     """Control index per grid node, with nearest-node lookup (ties to the
     lower node, points outside the grid clamped to it, a NaN coordinate read
-    as node len - 2 of its axis).
+    as node len - 2 of its axis). The field holds read-only copies of its
+    axes, indices and control set, so the caller's arrays stay its own.
 
     The lookup runs on tables built once at construction. Along each axis
     the nodes whose slices of indices are equal merge into one cell, so a
@@ -374,18 +376,18 @@ class PolicyField:
     _searches: tuple = field(init=False, repr=False)    # (axis, breaks, stride)
 
     def __post_init__(self):
-        axes = _grid_axes(self.axes, self.indices.shape, "policy")
-        if not np.issubdtype(self.indices.dtype, np.integer):
-            raise ValidationError(f"policy indices must be integers, got {self.indices.dtype}")
-        if self.indices.size and (self.indices.min() < 0
-                                  or self.indices.max() >= self.control_set.shape[0]):
+        indices, control_set = _freeze(self.indices, dtype=None), _freeze(self.control_set)
+        axes = _grid_axes([_freeze(ax) for ax in self.axes], indices.shape, "policy")
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValidationError(f"policy indices must be integers, got {indices.dtype}")
+        if control_set.ndim != 2 or not np.all(np.isfinite(control_set)):
+            raise ValidationError("policy controls must be a finite (points, p) table")
+        if indices.size and (indices.min() < 0 or indices.max() >= control_set.shape[0]):
             raise ValidationError("policy indices outside the control set")
-        if not np.all(np.isfinite(self.control_set)):
-            raise ValidationError("policy controls must be finite")
-        cells, breaks = self.indices, {}
+        cells, breaks = indices, {}
         for a, ax in enumerate(axes):
             # the intervals i across which the slice of indices changes
-            step = np.moveaxis(self.indices, a, 0)
+            step = np.moveaxis(indices, a, 0)
             switch = np.flatnonzero(np.any(step[1:] != step[:-1],
                                            axis=tuple(range(1, step.ndim))))
             if len(switch) == 0:
@@ -396,6 +398,8 @@ class PolicyField:
             breaks[a] = np.r_[_nearest_node_breaks(ax[switch], ax[switch + 1]), np.nan]
         strides = np.cumprod((1,) + cells.shape[:0:-1])[::-1]
         object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "control_set", control_set)
         object.__setattr__(self, "_cells", cells.ravel())
         object.__setattr__(self, "_searches",
                            tuple((a, t, int(strides[a])) for a, t in breaks.items()))
@@ -660,12 +664,35 @@ def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
 def feedback_from_policy(chain: LagChainSpec, policy: PolicyField, delta: float):
     """Control reading the policy at the register sampled from a step-grid
     window (step delta, a divisor of the lag step): window (paths, nodes, n)
-    to controls (paths, p)."""
+    to controls (paths, p). A policy needs one axis per register coordinate
+    (chain.state_dim) and controls of the problem's width p.
+
+    Only the window cells of the axes the policy switches on are read. The
+    feedback looks the control up on the policy restricted to those axes (a
+    field of no axis when the policy is constant), whose lookups are the
+    whole policy's, at one gather from the window per step.
+    """
+    p = chain.spec.p
+    if len(policy.axes) != chain.state_dim or policy.control_set.shape[1:] != (p,):
+        raise ValidationError(
+            f"policy has {len(policy.axes)} axes and controls of shape "
+            f"{policy.control_set.shape[1:]}; the problem needs {chain.state_dim} axes "
+            f"and controls of shape ({p},)")
     stride = _steps_of(chain.delta, delta, "the lag step")
-    nodes = np.arange(0, chain.m_lag * stride + 1, stride)
+    switching = [a for a, _, _ in policy._searches]
+    # the register node and component of each switching axis, read off the
+    # flattened register of node and component numbers; register node k is
+    # window node k * stride
+    node, comp = chain.flatten(np.indices((chain.m_lag + 1, chain.spec.n)))[:, switching]
+    node = node * stride
+    restricted = PolicyField(
+        tuple(policy.axes[a] for a in switching),
+        policy.indices[tuple(slice(None) if a in switching else 0
+                             for a in range(chain.state_dim))],
+        policy.control_set)
 
     def control(window):
-        return policy.control_at(chain.flatten(window.take(nodes, axis=1)))
+        return restricted.control_at(window[:, node, comp])
 
     return control
 

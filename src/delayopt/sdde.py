@@ -8,13 +8,14 @@ alone, so every path is bit-reproducible and independent of the others.
 A simulator takes noise as (seed, P), paths 0 .. P - 1, or as an explicit
 increment array that callers share or coarsen. One streaming pass,
 `_simulate_batch`, steps every path of an estimate at once: it draws the
-increments BLOCK steps at a time from each path's stream, keeps a rolling
-buffer of the last history window plus one block, and accumulates each
-path's discounted running cost, one cost call per block. It keeps every
-path's cost and final window, and the whole trajectory only of the paths
-a caller asks to keep, so memory is O(paths (history nodes + BLOCK) n)
-plus the kept paths and does not grow with T. Every estimate reduces its
-per-path samples with the one compensated-sum statistic `_mean_stderr`.
+increments BLOCK steps at a time from each path's stream, holding one
+block at a time, keeps a rolling buffer of the last history window plus
+one block, and charges each path's discounted running cost at every step.
+It keeps every path's cost and final window, and the whole trajectory
+only of the paths a caller asks to keep, so memory is O(paths (history
+nodes + BLOCK) n) plus the kept paths and does not grow with T. Every
+estimate reduces its per-path samples with the one compensated-sum
+statistic `_mean_stderr`.
 
 A control is any callable from a batch of history windows to controls.
 The window has shape (paths, history nodes + 1, n) and covers [t - d, t],
@@ -53,15 +54,21 @@ BLOCK = 256  # steps per increment block: the window buffer holds n_hist + 1 + B
 def _increment_blocks(seed: int, path_indices, delta: float, q: int, n_steps: int):
     """Increments of the given paths, BLOCK steps at a time, shape (P, b, q).
     The one draw from the Philox streams: each path continues its own stream
-    from block to block, so no block split changes a bit of its increments."""
+    from block to block, so no block split changes a bit of its increments.
+    No reference to a yielded block stays here, so a consumer that drops
+    each block before asking for the next holds one block at a time."""
     rngs = [_philox(seed, i) for i in path_indices]
     scale = math.sqrt(delta)
-    for k0 in range(0, n_steps, BLOCK):
-        block = np.empty((len(rngs), min(BLOCK, n_steps - k0), q))
+
+    def draw(b: int) -> np.ndarray:
+        block = np.empty((len(rngs), b, q))
         for out, rng in zip(block, rngs):
             rng.standard_normal(out.shape, out=out)
         block *= scale
-        yield block
+        return block
+
+    for k0 in range(0, n_steps, BLOCK):
+        yield draw(min(BLOCK, n_steps - k0))
 
 
 def batch_increments(seed: int, path_indices, delta: float, q: int,
@@ -175,15 +182,15 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
 
     noise is either explicit increments (P, >= K, q) or a pair (seed, P):
     paths 0 .. P - 1 drawn from their own streams (_increment_blocks). Both
-    are read BLOCK steps at a time, and each block is transposed once, so a
-    step reads its increments as one contiguous (P, q) slab. The paths
+    are read BLOCK steps at a time, a step reading its (P, q) increments in
+    place, and a block is let go before the next is drawn. The paths
     advance in a path-major buffer of n_hist + 1 + B nodes, B the block
     length; at each block boundary the last n_hist + 1 nodes move to the
     front, so every window is a contiguous [t - d, t] slice. The pass needs
     O(P (n_hist + BLOCK) n) memory plus the kept paths, independent of T.
-    The cost is the left Riemann sum of the discounted running cost:
-    spec.cost is called once per block on the block's heads and controls,
-    and its terms are added one step at a time.
+    The cost is the left Riemann sum of the discounted running cost: each
+    step adds spec.cost of the head and the step's control, before the
+    Euler update, in step order.
     """
     n_hist = _steps_of(spec.d, delta, "d")
     n_steps = _steps_of(T, delta, "T")
@@ -207,28 +214,24 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
     states = np.empty((keep, n_hist + 1 + n_steps, spec.n))
     states[:, : n_hist + 1] = buf[:keep, : n_hist + 1]
     controls = np.empty((keep, n_steps, spec.control_set.shape[1]))
-    us = np.empty((width, P, spec.control_set.shape[1]))
     cost = np.zeros(P)
 
     k0 = 0
     for dw in blocks:
         b = dw.shape[1]
-        dw = np.ascontiguousarray(dw.transpose(1, 0, 2))
+        disc = np.exp(-spec.rho * (delta * np.arange(k0, k0 + b)))
         for j in range(b):
             window = buf[:, j : j + n_hist + 1]
-            u = us[j] = ctrl(window)
-            y = _euler_head(spec, wk, y, window, u, dw[j], delta)
+            u = ctrl(window)
+            controls[:, k0 + j] = u[:keep]
+            cost += disc[j] * np.asarray(spec.cost(y, u), dtype=float)
+            y = _euler_head(spec, wk, y, window, u, dw[:, j], delta)
             if not np.isfinite(y).all():
                 k = k0 + j + 1
                 raise NumericalError(f"non-finite state at step {k} (t={k * delta:g})")
             buf[:, j + n_hist + 1] = y
-        c = np.asarray(spec.cost(buf[:, n_hist : n_hist + b], us[:b].transpose(1, 0, 2)),
-                       dtype=float)
-        disc = np.exp(-spec.rho * (delta * np.arange(k0, k0 + b)))
-        for j in range(b):
-            cost += disc[j] * c[:, j]
+        del dw  # the next block is drawn while no other is held
         states[:, n_hist + 1 + k0 : n_hist + 1 + k0 + b] = buf[:keep, n_hist + 1 : n_hist + 1 + b]
-        controls[:, k0 : k0 + b] = us[:b, :keep].transpose(1, 0, 2)
         buf[:, : n_hist + 1] = buf[:, b : b + n_hist + 1]
         k0 += b
     return _Batch(costs=cost * delta, window=buf[:, : n_hist + 1], states=states,

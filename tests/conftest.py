@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delayopt import hjb, models
+from delayopt import hjb, models, sdde
 from delayopt.core import LiftedBatch
 
 
@@ -23,6 +23,19 @@ def node_tuple_index(pol, pts):
             i0 = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, len(ax) - 2)
             node[a] = i0 + (xc - ax[i0] > ax[i0 + 1] - xc)
     return pol.indices[tuple(node)]
+
+
+def node_tuple_control(chain, policy, delta):
+    """feedback_from_policy as it read the policy before the flat lookup: a
+    fancy-indexed register and the node-tuple lookup."""
+    stride = sdde._steps_of(chain.delta, delta, "the lag step")
+    nodes = np.arange(0, chain.m_lag * stride + 1, stride)
+
+    def control(window):
+        pts = chain.flatten(window[:, nodes, :])
+        return policy.control_set[node_tuple_index(policy, pts)]
+
+    return control
 
 
 @pytest.fixture(scope="session")

@@ -883,6 +883,37 @@ def test_paths_csv_stays_within_its_memory_bound(tmp_path):
     assert peak < 20e6, f"simulate peaked at {peak / 1e6:.1f} MB"
 
 
+def test_paths_csv_is_emitted_one_path_at_a_time(tmp_path, monkeypatch):
+    # the bench's simulate call (2000 paths, 200 of them emitted, 500 steps)
+    # traced by tracemalloc: about 13.8 MB up to the end of the pass (29.9 MB
+    # with a block's controls, cost slab and increment copy held), and the
+    # 100k paths.csv rows written afterwards add about 0.13 MB, one path's
+    # rows at a time. Making every row before the write added 12.8 MB
+    from delayopt import sdde
+
+    simulate_batch, traced = sdde._simulate_batch, {}
+
+    def spy(*args, **kwargs):
+        batch = simulate_batch(*args, **kwargs)
+        traced["current"], traced["pass"] = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        return batch
+
+    monkeypatch.setattr(sdde, "_simulate_batch", spy)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--spec", SPEC, "--T", "5", "--dt", "0.01", "--paths", "2000",
+                     "--emit-paths", "200", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len((tmp_path / "paths.csv").read_text().splitlines()) == 1 + 200 * 500
+    assert traced["pass"] < 16e6, f"the pass peaked at {traced['pass'] / 1e6:.1f} MB"
+    emitted = peak - traced["current"]
+    assert emitted < 1e6, f"the emission added {emitted / 1e6:.1f} MB"
+
+
 def test_csv_cells_of_numpy_scalars_match_python_types(tmp_path):
     # a numpy scalar cell is written as its value, not as its numpy 2 repr
     # ("np.float64(0.1)"): the bytes equal those of the row in Python types

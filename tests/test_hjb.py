@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_of, node_tuple_index
+from conftest import batch_of, node_tuple_control, node_tuple_index
 
 from delayopt import cli, hjb, models
 from delayopt.core import (DomainError, LiftedBatch, LiftedState, ValidationError,
@@ -388,6 +388,29 @@ def test_policy_field_refuses_non_integer_indices(indices):
     # a bool array would index as a mask, a float one fails at lookup
     with pytest.raises(ValidationError, match="integers"):
         PolicyField((np.array([0.0, 1.0]),), indices, np.zeros((2, 1)))
+
+
+def test_policy_field_keeps_read_only_copies_of_its_arrays():
+    # a write to the caller's arrays leaves the field and its lookup tables
+    # as built, and the field's own arrays refuse writes
+    ax, ind, controls = np.linspace(0.0, 1.0, 3), np.array([0, 1, 2]), np.zeros((3, 1))
+    pol = PolicyField((ax,), ind, controls)
+    ind[2] = 0
+    assert pol.index_at([[1.0]]).tolist() == [2] and pol.indices.tolist() == [0, 1, 2]
+    ax[1] = 5.0
+    assert np.all(np.diff(pol.axes[0]) > 0)
+    controls[0, 0] = np.nan
+    assert np.all(np.isfinite(pol.control_set))
+    for own in (pol.indices, pol.axes[0], pol.control_set):
+        with pytest.raises(ValueError, match="read-only"):
+            own[0] = 1
+
+
+@pytest.mark.parametrize("controls", [np.zeros(3), np.zeros(()), np.zeros((3, 1, 1))],
+                         ids=["vector", "scalar", "3d"])
+def test_policy_field_refuses_a_control_set_that_is_not_a_table(controls):
+    with pytest.raises(ValidationError, match=r"finite \(points, p\) table"):
+        PolicyField((np.linspace(0.0, 1.0, 3),), np.array([0, 1, 2]), controls)
 
 
 @st.composite
@@ -1258,6 +1281,53 @@ def test_closed_loop_looks_the_policy_up_once_per_euler_step(advertising_solutio
     policy_mc_value(chain, res.policy, models.initial_state(chain.spec), T=1.0, delta=0.05,
                     n_paths=6, seed=2)
     assert calls == [6] * 20
+
+
+def test_feedback_refuses_a_policy_that_does_not_fit_the_chain(merton_nodelay_spec):
+    # merton_nodelay's lag chain at m_lag = 1 has 4 axes and one control; a
+    # 2-axis policy would read the s and z columns of the register
+    chain = reduce_to_lag_chain(merton_nodelay_spec, 1)
+    axes = (np.linspace(0.5, 2.0, 3), np.linspace(0.1, 10.0, 5))
+    two_axes = PolicyField(axes, np.zeros((3, 5), dtype=int), chain.spec.control_set)
+    with pytest.raises(ValidationError, match="policy has 2 axes .* needs 4 axes"):
+        feedback_from_policy(chain, two_axes, 0.01)
+    axes = axes + (np.array([1.0]), np.array([1.0]))
+    wide = PolicyField(axes, np.zeros((3, 5, 1, 1), dtype=int), np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match=r"controls of shape \(2,\).*shape \(1,\)"):
+        feedback_from_policy(chain, wide, 0.01)
+
+
+@pytest.mark.parametrize("substeps", [1, 10])
+@pytest.mark.parametrize("which", ["solved", "lagged"])
+def test_restricted_feedback_reads_the_policy_as_the_node_tuple_oracle(bench_grid_solution,
+                                                                       which, substeps):
+    # the bench grid's merton_delay policy switches on s and z, so the
+    # feedback reads the head; "lagged" shifts its controls where s_lag1 is
+    # below its middle node, so a lag axis switches too. Random windows at
+    # dt = lag step / substeps, with coordinates inside and outside the
+    # grid, infinite and NaN
+    chain, res = bench_grid_solution
+    policy = res.policy
+    if which == "lagged":
+        below = np.arange(len(policy.axes[2]))[None, None, :, None] < len(policy.axes[2]) // 2
+        n_u = len(policy.control_set)
+        policy = PolicyField(policy.axes, np.where(below, (policy.indices + 3) % n_u,
+                                                   policy.indices), policy.control_set)
+    assert [a for a, _, _ in policy._searches] == ([0, 1] if which == "solved" else [0, 1, 2])
+    delta = chain.delta / substeps
+    rng = np.random.default_rng(11)
+    lo = np.array([ax[0] for ax in policy.axes[: chain.spec.n]])
+    hi = np.array([ax[-1] for ax in policy.axes[: chain.spec.n]])
+    span = hi - lo + 1.0
+    window = rng.uniform(lo - 0.3 * span, hi + 0.3 * span,
+                         size=(4000, chain.m_lag * substeps + 1, chain.spec.n))
+    special = rng.random(window.shape)
+    window[special < 0.03] = np.inf
+    window[special > 0.97] = -np.inf
+    window[(special > 0.5) & (special < 0.51)] = np.nan
+    got = feedback_from_policy(chain, policy, delta)(window)
+    np.testing.assert_array_equal(got, node_tuple_control(chain, policy, delta)(window))
+    assert len(np.unique(got)) > 2
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from delayopt.sdde import (
 from delayopt.hjb import truncation_horizon, truncation_tail_bound
 from delayopt import sdde
 
-from conftest import node_tuple_index
+from conftest import node_tuple_control
 
 
 def pure_noise_spec(sigma=1.0, m=10):
@@ -293,27 +293,18 @@ def _oracle_batch(spec, x, ctrl, T, delta, noise, keep=0):
     return cost * delta, buf[:, : n_hist + 1], states, controls
 
 
-def _node_tuple_control(chain, policy, delta):
-    """feedback_from_policy as it read the policy before the flat lookup: a
-    fancy-indexed register and the node-tuple lookup."""
-    stride = sdde._steps_of(chain.delta, delta, "the lag step")
-    nodes = np.arange(0, chain.m_lag * stride + 1, stride)
-
-    def control(window):
-        pts = chain.flatten(window[:, nodes, :])
-        return policy.control_set[node_tuple_index(policy, pts)]
-
-    return control
+def _noisy_control(window):
+    return 0.5 + 0.25 * np.tanh(window[:, -1, :1] - window[:, 0, :1])
 
 
 @pytest.mark.parametrize("keep", [0, 3])
 @pytest.mark.parametrize("noise", ["seed", "array"])
-@pytest.mark.parametrize("case", ["advertising", "merton_closed_loop"])
+@pytest.mark.parametrize("case", ["advertising", "affine", "merton_closed_loop"])
 def test_streaming_pass_matches_the_block_buffer_oracle(case, noise, keep, advertising_spec,
                                                         merton_nodelay_spec):
     # costs, final windows, kept states and controls are bitwise those of the
     # per-step oracle across two increment blocks and a remainder, with
-    # history windows of 101 (advertising) and 11 (merton) nodes
+    # history windows of 101 (advertising, affine) and 11 (merton) nodes
     from delayopt.hjb import PolicyField, feedback_from_policy, reduce_to_lag_chain
     from delayopt.sdde import _simulate_batch
 
@@ -321,11 +312,16 @@ def test_streaming_pass_matches_the_block_buffer_oracle(case, noise, keep, adver
     if case == "advertising":
         spec = advertising_spec
         assert np.any(spec.kernel_drift.values) and spec_hist(spec, delta) == 100
-
-        def ctrl(window):
-            return 0.5 + 0.25 * np.tanh(window[:, -1, :1] - window[:, 0, :1])
-
-        oracle_ctrl = ctrl
+        ctrl = oracle_ctrl = _noisy_control
+    elif case == "affine":
+        # specs/affine.json's model at n = q = 2 with full matrices: each head
+        # component sums two increments and the cost norms two components
+        spec = build_affine_test(AffineTestParams(
+            n=2, q=2, drift_const=(0.0, 0.0), drift_state=((-0.5, 0.1), (0.2, -0.5)),
+            drift_delay=((0.3,), (0.3,)), drift_control=((0.5,), (0.5,)),
+            noise_const=((0.4, 0.1), (-0.2, 0.3)), x0=(1.0, 0.5), x1=(1.0, -0.5)), m=50)
+        assert spec_hist(spec, delta) == 100
+        ctrl = oracle_ctrl = _noisy_control
     else:
         # the solved Merton policy is the clamp u = 1 near z = 1, so a policy
         # that changes from node to node on the solver's wealth axis
@@ -336,7 +332,7 @@ def test_streaming_pass_matches_the_block_buffer_oracle(case, noise, keep, adver
         indices = ((7 * np.arange(281)) % len(spec.control_set)).reshape(1, 281, 1, 1)
         policy = PolicyField(axes, indices, spec.control_set)
         ctrl = feedback_from_policy(chain, policy, delta)
-        oracle_ctrl = _node_tuple_control(chain, policy, delta)
+        oracle_ctrl = node_tuple_control(chain, policy, delta)
     x = models.initial_state(spec)
     dw = (7, P) if noise == "seed" else batch_increments(7, range(P), delta, spec.q, K + 4)
     got = _simulate_batch(spec, x, ctrl, K * delta, delta, dw, keep=keep)
@@ -495,6 +491,29 @@ def test_mc_cost_memory_does_not_grow_with_horizon():
     short = min(peak(20.0) for _ in range(2))  # 400 steps, more than one block
     long = min(peak(80.0) for _ in range(2))
     assert long <= 1.25 * short, (short, long)
+
+
+def test_closed_loop_pass_stays_within_its_memory_bound(merton_nodelay_solution):
+    # merton-check's pass, 1000 paths at dt = 0.01 under the solved policy's
+    # feedback, over two increment blocks and a remainder, traced by
+    # tracemalloc: about 7.1 MB, the window buffer (1000 x 267 x 2 floats,
+    # 4.3 MB), one increment block (2.0 MB) and the Philox generators. With
+    # a block's controls, its cost slab with the cost's temporaries and a
+    # second copy of its increments held as well, it peaked at 21.6 MB
+    import tracemalloc
+    from delayopt.hjb import feedback_from_policy
+
+    chain, res = merton_nodelay_solution
+    spec, delta = chain.spec, 0.01
+    x, ctrl = models.initial_state(spec), feedback_from_policy(chain, res.policy, delta)
+    sdde._simulate_batch(spec, x, ctrl, 1.0, delta, (3, 4))  # first-call allocations
+    tracemalloc.start()
+    try:
+        sdde._simulate_batch(spec, x, ctrl, (2 * BLOCK + 9) * delta, delta, (3, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5e6, f"the pass peaked at {peak / 1e6:.1f} MB"
 
 
 def test_mean_stderr_is_compensated_and_needs_two_samples():
