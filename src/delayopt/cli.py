@@ -190,10 +190,10 @@ def _solve(run: Run, chain, axes):
 
 
 def _write_value_policy(run: Run, chain, result) -> None:
+    # rows zipped from column lists: tolist gives the Python floats and ints
     idx = result.policy.indices.ravel()
-    rows = [[float(v) for v in pt] + [float(value), int(i)] + [float(c) for c in u]
-            for pt, value, i, u in zip(result.value.nodes(), result.value.values.ravel(),
-                                       idx, result.policy.control_set[idx])]
+    rows = list(zip(*result.value.nodes().T.tolist(), result.value.values.ravel().tolist(),
+                    idx.tolist(), *result.policy.control_set[idx].T.tolist()))
     run.csv("value_policy.csv", chain.axis_names() + ["value", "control_index"]
             + [f"u{i}" for i in range(chain.spec.control_set.shape[1])], rows)
 

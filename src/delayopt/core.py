@@ -246,7 +246,10 @@ def kernel_convolve(a: Kernel, tail: np.ndarray) -> np.ndarray:
 
 def interp_columns(x, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """np.interp(x, xp, column) for every column of fp, stacked on the last axis."""
-    return np.stack([np.interp(x, xp, fp[:, i]) for i in range(fp.shape[1])], axis=-1)
+    out = np.empty(np.shape(x) + fp.shape[1:])
+    for i in range(fp.shape[1]):
+        out[..., i] = np.interp(x, xp, fp[:, i])
+    return out
 
 
 def resample_kernel(a: Kernel, new_grid: SegmentGrid) -> Kernel:

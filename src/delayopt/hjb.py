@@ -192,10 +192,14 @@ class LagChainSpec:
 
     def step(self, reg: np.ndarray, u: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """Advance registers (P, m_lag + 1, n) one lag step; zeta (P, q) is a
-        standard normal draw."""
+        standard normal draw. G stacked draws, zeta (G, P, q), give the G
+        next registers (G, P, m_lag + 1, n), each bitwise its own draw's."""
         y_new = _euler_head(self.spec, self.wk, reg[:, -1, :], reg, u,
                             zeta * math.sqrt(self.delta), self.delta)
-        return np.concatenate([reg[:, 1:, :], y_new[:, None, :]], axis=1)
+        nxt = np.empty(y_new.shape[:-1] + reg.shape[-2:])
+        nxt[..., :-1, :] = reg[:, 1:, :]
+        nxt[..., -1, :] = y_new
+        return nxt
 
     def flatten(self, reg: np.ndarray) -> np.ndarray:
         """Registers (..., m_lag + 1, n) to flat states, head first."""
@@ -542,13 +546,16 @@ def _build_plans(chain: LagChainSpec, axes: tuple[np.ndarray, ...], gh_points: i
     Returns the stage costs (n_u, nodes), one (idx, wts) plan per control
     (_interp_plan per Gauss-Hermite node, side by side, each block's weights
     scaled by its node's weight), the number of planned next states clamped
-    onto the grid, and the index/weight pairs the plans store.
+    onto the grid, and the index/weight pairs the plans store. A control
+    steps its registers once, all Gauss-Hermite nodes stacked, so the drift,
+    the noise and the kernel quadrature are evaluated once per control.
     """
     spec = chain.spec
     pts = _tensor_nodes(axes)
     n_nodes = pts.shape[0]
     regs = chain.unflatten(pts)
     zeta, zw = noise_rule(spec.q, gh_points)
+    zz = np.broadcast_to(zeta[:, None, :], (zeta.shape[0], n_nodes, spec.q))
     n_u = spec.control_set.shape[0]
     clamped = 0
     plans = []
@@ -556,11 +563,11 @@ def _build_plans(chain: LagChainSpec, axes: tuple[np.ndarray, ...], gh_points: i
     for iu in range(n_u):
         u = np.broadcast_to(spec.control_set[iu], (n_nodes, spec.p))
         stage[iu] = np.asarray(spec.cost(regs[:, -1, :], u)) * chain.delta
+        nxt = chain.flatten(chain.step(regs, u, zz))
         idx_list, wts_list = [], []
         for ig in range(zeta.shape[0]):
-            zz = np.broadcast_to(zeta[ig], (n_nodes, spec.q))
-            nxt = chain.flatten(chain.step(regs, u, zz))
-            idx, wts, n_out = _interp_plan(axes, nxt)
+            # one plan per node block: its collapse rule sees that block alone
+            idx, wts, n_out = _interp_plan(axes, nxt[ig])
             clamped += n_out
             wts *= zw[ig]
             idx_list.append(idx)

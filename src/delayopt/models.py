@@ -129,11 +129,13 @@ def power_utility(z, gamma: float, z_floor: float):
     z = np.asarray(z, dtype=float)
     gf = z_floor ** gamma / gamma
     slope = z_floor ** (gamma - 1.0)
-    # neither branch is evaluated past the floor, so a huge z cannot
-    # overflow in the branch np.where discards
-    zc = np.maximum(z, z_floor)
-    return np.where(z >= z_floor, zc ** gamma / gamma,
-                    gf + slope * (np.minimum(z, z_floor) - z_floor))
+    # the power sees max(z, z_floor) and only the entries below the floor
+    # take the line, so each entry evaluates one branch and none overflows
+    # in a branch it does not keep; asarray makes a 0-d result assignable
+    out = np.asarray(np.maximum(z, z_floor) ** gamma / gamma)
+    below = z < z_floor
+    out[below] = gf + slope * (z[below] - z_floor)
+    return out
 
 
 def control_grid(lo: float, hi: float, count: int) -> np.ndarray:

@@ -197,15 +197,22 @@ class SpectralDecomposition:
         return np.eye(P.shape[0]) - P
 
 
-def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
-    """Eigendecomposition in the weighted metric via symmetric rescaling; an
-    operator not self-adjoint in that metric raises NumericalError."""
-    s = np.sqrt(weight_vector(op.grid))
-    S = (s[:, None] * op.matrix) / s[None, :]
+def _symmetrized(mat: np.ndarray, grid: SegmentGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric rescaling s mat / s of a scalar operator self-adjoint in
+    the weighted metric (s the square root of the weights), and s; an
+    operator that is not self-adjoint in that metric raises NumericalError."""
+    s = np.sqrt(weight_vector(grid))
+    S = (s[:, None] * mat) / s[None, :]
     asym = np.max(np.abs(S - S.T))
     if asym > 1e-10 * max(np.max(np.abs(S)), 1.0):
         raise NumericalError(f"symmetrization failure: asymmetry {asym:g}")
-    S = (S + S.T) / 2.0
+    return (S + S.T) / 2.0, s
+
+
+def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
+    """Eigendecomposition in the weighted metric via symmetric rescaling; an
+    operator not self-adjoint in that metric raises NumericalError."""
+    S, s = _symmetrized(op.matrix, op.grid)
     lam, V = np.linalg.eigh(S)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
@@ -227,9 +234,10 @@ def spectral_decomposition(op: OperatorMatrix) -> SpectralDecomposition:
 
 
 def g_operator_norm(mat: np.ndarray, grid: SegmentGrid) -> float:
-    """Operator norm in the weighted metric; mat times I_n has the same norm."""
-    s = np.sqrt(weight_vector(grid))
-    return float(np.linalg.norm((s[:, None] * mat) / s[None, :], 2))
+    """Operator norm in the weighted metric of a scalar operator self-adjoint
+    in it, as its largest |eigenvalue| (a symmetric eigensolve, not an SVD);
+    mat times I_n has the same norm. Any other operator raises NumericalError."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(_symmetrized(mat, grid)[0]))))
 
 
 def lifted_norm_sq(x: LiftedBatch) -> np.ndarray:
@@ -280,14 +288,15 @@ def sample_audit(grid: SegmentGrid, coeffs: np.ndarray, times: np.ndarray) -> np
         x = smooth_states(grid, coeffs[lo:lo + BLOCK])
         nx = lifted_norm(x)
         nx_floor, sq_floor = np.maximum(nx, 1e-300), np.maximum(nx * nx, 1e-300)
-        back = apply_generator(apply_generator_inverse(x))
+        # the weak norm (minus_one_norm) and the round trip share one image
+        inv = apply_generator_inverse(x)
         shifted = apply_shift_semigroup(times[lo:lo + BLOCK], x)
         rows[lo:lo + BLOCK] = np.column_stack([
             dissipativity_form(x) / sq_floor,
             generator_inverse_form(x) / sq_floor,
             np.sqrt(_dot_rows(x.heads, x.heads)),
-            minus_one_norm(x),
-            lifted_norm(back - x) / nx_floor,
+            lifted_norm(inv),
+            lifted_norm(apply_generator(inv) - x) / nx_floor,
             lifted_norm(shifted) / nx_floor,
         ])
     return rows

@@ -7,22 +7,35 @@ same resolved parameters reproduces identical bytes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 from . import __version__
 
+# rows formatted per write_csv block: the text of one block is held at a time
+CSV_BLOCK = 512
+
 
 def write_csv(path, header: list[str], rows) -> str:
-    """Write header and rows to path line by line, so that no more than one
-    line's text is held at a time; rows is sized. Returns the path.
+    """Write header and rows to path, CSV_BLOCK rows at a time, so that no
+    more than one block's text is held at once; rows is sized. Returns the
+    path.
 
-    A cell is written as its str, the shortest round-trip form of a float,
-    numpy scalars included (their repr names the type under numpy 2)."""
+    A block is formatted column by column. A cell is written as its str, the
+    shortest round-trip form of a float, numpy scalars included (their repr
+    names the type under numpy 2). A row whose length is not the header's
+    raises ValueError."""
     path = Path(path)
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        while block := list(itertools.islice(rows, CSV_BLOCK)):
+            columns = [list(map(str, column)) for column in zip(*block, strict=True)]
+            if len(columns) != len(header):
+                raise ValueError(f"{path}: rows of {len(columns)} cells under "
+                                 f"{len(header)} columns")
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
     return str(path)
 
 

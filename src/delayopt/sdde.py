@@ -153,11 +153,15 @@ def _euler_head(spec: ProblemSpec, wk: tuple[np.ndarray, np.ndarray], y: np.ndar
                 window: np.ndarray, u: np.ndarray, dw: np.ndarray,
                 delta: float) -> np.ndarray:
     """One Euler-Maruyama head update of a batch: y (P, n), window (P, J, n)
-    on the J-node grid of the tables wk, u (P, p), dw (P, q)."""
+    on the J-node grid of the tables wk, u (P, p), dw (P, q).
+
+    dw may also stack G increments of the batch, (G, P, q), for G updates
+    (G, P, n) from one evaluation of the drift, noise and delay integrals;
+    each is bitwise the update of its own (P, q) slice."""
     z1, z2 = _delay_integrals(wk, window)
     b = np.asarray(spec.drift(y, z1, u), dtype=float)
     sig = np.asarray(spec.noise(y, z2, u), dtype=float)
-    return y + b * delta + np.einsum("pnq,pq->pn", sig, dw)
+    return y + b * delta + np.einsum("pnq,...pq->...pn", sig, dw)
 
 
 def _start_window(x: LiftedState, grid: SegmentGrid) -> np.ndarray:

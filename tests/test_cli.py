@@ -869,8 +869,8 @@ def test_operators_sample_pass_stays_within_its_memory_bound(tmp_path, monkeypat
 
 def test_paths_csv_stays_within_its_memory_bound(tmp_path):
     # simulate writing paths.csv for 200 paths x 500 steps (100k rows),
-    # traced by tracemalloc: about 15 MB, mostly the sized row list; the
-    # lines are streamed to the file. Joining every line first peaked at 35 MB
+    # traced by tracemalloc: about 3.9 MB, the rows made one path at a time
+    # and written a block at a time. Joining every line first peaked at 35 MB
     tracemalloc.start()
     try:
         code = main(["simulate", "--spec", SPEC, "--T", "5", "--dt", "0.01", "--paths", "200",
@@ -880,7 +880,7 @@ def test_paths_csv_stays_within_its_memory_bound(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert len((tmp_path / "paths.csv").read_text().splitlines()) == 1 + 200 * 500
-    assert peak < 20e6, f"simulate peaked at {peak / 1e6:.1f} MB"
+    assert peak < 8e6, f"simulate peaked at {peak / 1e6:.1f} MB"
 
 
 def test_paths_csv_is_emitted_one_path_at_a_time(tmp_path, monkeypatch):
@@ -927,6 +927,31 @@ def test_csv_cells_of_numpy_scalars_match_python_types(tmp_path):
     want = output.write_csv(tmp_path / "python.csv", header, [python_row])
     assert Path(got).read_bytes() == Path(want).read_bytes()
     assert Path(want).read_text().splitlines()[1] == "0.1,3,1e+16,-0.0,nan,x,True"
+
+
+def test_csv_writer_writes_the_row_formatters_bytes(tmp_path):
+    # the block writer formats by column; its bytes are those of the row
+    # formatter it replaced, at row counts around the block size, and a row
+    # of another length than the header's raises instead of being truncated
+    from delayopt import output
+
+    def row_formatter(path, header, rows):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+    cells = [np.float64(0.1), np.int64(-3), 7, True, False, np.float64("nan"), float("inf"),
+             -np.inf, -0.0, np.float64(-0.0), 1e16, 1e-5, np.float64(1e-5), "x", "ab"]
+    header = [f"c{i}" for i in range(len(cells))]
+    block = output.CSV_BLOCK
+    for count in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        rows = [cells[i % 5:] + cells[:i % 5] for i in range(count)]
+        got = Path(output.write_csv(tmp_path / "got.csv", header, rows)).read_bytes()
+        row_formatter(tmp_path / "want.csv", header, rows)
+        assert got == (tmp_path / "want.csv").read_bytes()
+    for ragged in ([cells, cells[:-1]], [cells] * block + [cells[:-1]], [cells + ["y"]]):
+        with pytest.raises(ValueError):
+            output.write_csv(tmp_path / "ragged.csv", header, ragged)
 
 
 def test_monte_carlo_manifests_record_the_tail_bound(tmp_path):

@@ -863,6 +863,19 @@ def test_build_plans_is_the_reference_plan_build(oracle_cases):
         assert clamped / (len(plans) * 5 ** chain.spec.q * stage.shape[1]) == res.clamp_rate
 
 
+def test_build_plans_is_the_reference_plan_build_at_two_noise_dimensions():
+    # the oracle cases all have q = 1; here the stacked increments' sum over
+    # q has two nonzero terms: the benchmark's affine problem (n = 2, q = 2)
+    # with one off-diagonal noise entry, at m = 8 on a 225-node grid
+    p = AffineTestParams(n=2, q=2, drift_const=(0.0, 0.0),
+                         drift_state=((-0.5, 0.0), (0.0, -0.5)),
+                         drift_delay=((0.3,), (0.3,)), drift_control=((0.5,), (0.5,)),
+                         noise_const=((0.4, 0.1), (0.0, 0.4)), x0=(1.0, 1.0), x1=(1.0, 1.0))
+    chain = reduce_to_lag_chain(build_affine_test(p, 8), 1)
+    axes = (np.linspace(-1.0, 2.5, 5),) * 2 + (np.linspace(-1.0, 2.5, 3),) * 2
+    test_build_plans_is_the_reference_plan_build([(chain, value_iteration(chain, axes))])
+
+
 # the bench's solve-delay grid on specs/merton_delay.json
 BENCH_GRID = "s:log:0.4:2.5:9,z:log:0.01:50:81,s_lag1:log:0.4:2.5:9"
 

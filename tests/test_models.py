@@ -128,6 +128,27 @@ def test_power_utility_evaluates_each_branch_on_its_side_of_the_floor():
     np.testing.assert_array_equal(power_utility(z, g, zf), old)
 
 
+def _power_utility_where(z, g, zf):
+    """The np.where form, both branches over every entry: the oracle."""
+    z = np.asarray(z, dtype=float)
+    return np.where(z >= zf, np.maximum(z, zf) ** g / g,
+                    zf ** g / g + zf ** (g - 1.0) * (np.minimum(z, zf) - zf))
+
+
+@pytest.mark.parametrize("g", [0.5, -2.0])
+def test_power_utility_is_the_where_form_bitwise(g):
+    # each entry takes one branch; values, shapes and NaN bits are the
+    # oracle's, on random, below-floor, 0-d, NaN and 1e308 inputs, with no
+    # RuntimeWarning (tier-1 makes one an error)
+    zf = 0.05
+    rng = np.random.default_rng(0)
+    for z in (rng.normal(size=1000), rng.uniform(-3.0, zf, size=50), np.array(0.01),
+              np.array(2.0), 0.01, np.array([np.nan, -np.nan, zf, 1e308, np.inf, -np.inf]),
+              rng.normal(size=(3, 4))):
+        got, want = power_utility(z, g, zf), _power_utility_where(z, g, zf)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # portfolio model
 
