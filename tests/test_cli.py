@@ -1280,6 +1280,9 @@ LAG_CHAIN_DIGESTS = {
     "merton-check": {
         "merton_check.csv": "661a34183de7c0e8f2c2a369dc697af8f342ee7fb8c26a87ce6cb03121480640",
     },
+    "probe-regularity": {
+        "regularity.csv": "b2e57fd18ef2e72896bd6296032075a66636cca3c19a02096d78bdc08d602148",
+    },
 }
 # the runs off the lag grid; probe-bcontinuity-fine is the one that resamples
 # a non-constant tail (the perturbed states) onto a finer step grid
@@ -1293,26 +1296,32 @@ LIFTED_STATE_ARGV = {
     "value": ["value", "--spec", SPEC, "--T", "2", "--dt", "0.01", "--paths", "200",
               "--control", "const:0.5"],
 }
-# the README's merton-check on a shorter closed loop: 200 paths x 1200 steps
-# of the solved policy, every check passing
-MERTON_CHECK_ARGV = ["merton-check", "--spec", str(SPECS / "merton_nodelay.json"), "--mlag", "1",
-                     "--grid", "z:log:0.005:100:281", "--T", "60", "--dt", "0.05",
-                     "--paths", "200"]
+# the portfolio runs: the README's probe-regularity, and its merton-check on
+# a shorter closed loop (200 paths x 1200 steps of the solved policy, every
+# check passing)
+PORTFOLIO_ARGV = {
+    "probe-regularity": ["probe-regularity", "--spec", str(SPECS / "merton_nodelay.json"),
+                         "--mlag", "1", "--grid", "z:log:0.005:100:281", "--box", "z:0.5:2"],
+    "merton-check": ["merton-check", "--spec", str(SPECS / "merton_nodelay.json"),
+                     "--mlag", "1", "--grid", "z:log:0.005:100:281", "--T", "60", "--dt", "0.05",
+                     "--paths", "200"],
+}
 
 
 @pytest.mark.parametrize("command", sorted(LAG_CHAIN_DIGESTS))
 def test_lag_chain_outputs_match_the_pinned_digests(command, tmp_path, capsys):
     # the solver's bytes: the grid, the value and policy tables, the sweep
     # residuals, the residual points, the gap's rollout and the closed loop
-    # of the solved policy, at the README's lag grid; the portfolio's closed
-    # loop, which searches its policy on the wealth axis; and the bytes of
-    # the counterexample, the lift report, the B-continuity pairs and an
-    # open-loop value, which read a lifted state's tail
+    # of the solved policy, at the README's lag grid; the portfolio's
+    # regularity probe and closed loop, which searches its policy on the
+    # wealth axis; and the bytes of the counterexample, the lift report, the
+    # B-continuity pairs and an open-loop value, which read a lifted state's
+    # tail
     out = tmp_path / command
     if command in LIFTED_STATE_ARGV:
         argv = LIFTED_STATE_ARGV[command]
-    elif command == "merton-check":
-        argv = MERTON_CHECK_ARGV
+    elif command in PORTFOLIO_ARGV:
+        argv = PORTFOLIO_ARGV[command]
     elif command == "simulate":
         assert run(["solve", "--spec", SPEC, *LAG_GRID, "--out", str(tmp_path / "solve")]) == 0
         argv = ["simulate", "--spec", SPEC, "--T", "2", "--dt", "0.01", "--paths", "200",
