@@ -223,25 +223,6 @@ def reduce_to_lag_chain(spec: ProblemSpec, m_lag: int) -> LagChainSpec:
 # tensor fields
 
 
-def _brackets(axes: tuple[np.ndarray, ...],
-              pts: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Bracket of every point on every axis with more than one node, for
-    _interp_plan.
-
-    Returns (axis, lower node index, coordinate clipped to the axis) per such
-    axis; single-node axes are skipped.
-    """
-    out = []
-    for a, ax in enumerate(axes):
-        if len(ax) == 1:
-            continue
-        xc = np.minimum(ax[-1], np.maximum(ax[0], pts[:, a]))  # np.clip, bound first: ties keep x
-        # xc >= ax[0] or NaN, which sorts last, so i0 needs no lower clamp
-        i0 = np.minimum(np.searchsorted(ax, xc, side="right") - 1, len(ax) - 2)
-        out.append((a, i0, xc))
-    return out
-
-
 def _interp_plan(axes: tuple[np.ndarray, ...], pts: np.ndarray):
     """Multilinear interpolation plan: corner flat indices and weights, one
     row per point, and the number of points clamped onto the grid.
@@ -258,8 +239,12 @@ def _interp_plan(axes: tuple[np.ndarray, ...], pts: np.ndarray):
     strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]], dtype=np.int64)[::-1]
     base = np.zeros(n_pts, dtype=np.int64)
     brackets, clamped = [], np.zeros(n_pts, dtype=bool)
-    for a, i0, xc in _brackets(axes, pts):
-        ax = axes[a]
+    for a, ax in enumerate(axes):
+        if len(ax) == 1:
+            continue
+        xc = np.minimum(ax[-1], np.maximum(ax[0], pts[:, a]))  # np.clip, bound first: ties keep x
+        # xc >= ax[0] or NaN, which sorts last, so i0 needs no lower clamp
+        i0 = np.minimum(np.searchsorted(ax, xc, side="right") - 1, len(ax) - 2)
         clamped |= (pts[:, a] < ax[0]) | (pts[:, a] > ax[-1])
         th = (xc - ax[i0]) / (ax[i0 + 1] - ax[i0])
         upper = th == 1.0
@@ -322,9 +307,6 @@ class ValueField:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         idx, wts, _ = _interp_plan(self.axes, pts)
         return _plan_dot(self.values.ravel(), idx, wts)
-
-    def interp_one(self, pt) -> float:
-        return float(self.interp(np.asarray(pt, dtype=float)[None, :])[0])
 
 
 _SIGN = np.int64(-2 ** 63)
@@ -674,10 +656,8 @@ def feedback_from_policy(chain: LagChainSpec, policy: PolicyField, delta: float)
     to controls (paths, p). A policy needs one axis per register coordinate
     (chain.state_dim) and controls of the problem's width p.
 
-    Only the window cells of the axes the policy switches on are read. The
-    feedback looks the control up on the policy restricted to those axes (a
-    field of no axis when the policy is constant), whose lookups are the
-    whole policy's, at one gather from the window per step.
+    A step gathers the window cell of every register coordinate, in the
+    policy's axis order, and looks the control up on the policy itself.
     """
     p = chain.spec.p
     if len(policy.axes) != chain.state_dim or policy.control_set.shape[1:] != (p,):
@@ -686,20 +666,14 @@ def feedback_from_policy(chain: LagChainSpec, policy: PolicyField, delta: float)
             f"{policy.control_set.shape[1:]}; the problem needs {chain.state_dim} axes "
             f"and controls of shape ({p},)")
     stride = _steps_of(chain.delta, delta, "the lag step")
-    switching = [a for a, _, _ in policy._searches]
-    # the register node and component of each switching axis, read off the
-    # flattened register of node and component numbers; register node k is
-    # window node k * stride
-    node, comp = chain.flatten(np.indices((chain.m_lag + 1, chain.spec.n)))[:, switching]
+    # the register node and component of each axis, read off the flattened
+    # register of node and component numbers; register node k is window
+    # node k * stride
+    node, comp = chain.flatten(np.indices((chain.m_lag + 1, chain.spec.n)))
     node = node * stride
-    restricted = PolicyField(
-        tuple(policy.axes[a] for a in switching),
-        policy.indices[tuple(slice(None) if a in switching else 0
-                             for a in range(chain.state_dim))],
-        policy.control_set)
 
     def control(window):
-        return restricted.control_at(window[:, node, comp])
+        return policy.control_at(window[:, node, comp])
 
     return control
 
@@ -735,7 +709,7 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     """
     spec = chain.spec
     k_tau = _steps_of(tau, chain.delta, "tau")
-    v_x = value.interp_one(chain.flatten(_start_window(x, chain.coarse_grid)))
+    v_x = value.interp(chain.flatten(_start_window(x, chain.coarse_grid)))[0]
     if k_tau == 0:
         return DppReport(gap=0.0, stderr=0.0, value_at_x=v_x)
     dw = batch_increments(seed, range(n_paths), chain.delta, spec.q, k_tau)
@@ -753,51 +727,66 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
 # reduced-equation residual
 
 
-def hjb_residual(chain: LagChainSpec, value: ValueField, z) -> float:
-    """Residual of the reduced stationary equation at an interior point.
+def _central_differences(f, pts: np.ndarray, steps: np.ndarray, n: int):
+    """Central differences of a batched map f, points (k, dim) to values
+    (k,), at each of S points (S, dim), axis a at spacing steps[a].
+
+    f is called once, on the whole stencil: each point, the point +- steps[a]
+    along every axis, and the four corners +- steps[i] +- steps[j] of every
+    pair i < j of the first n (head) axes. Returns the values (S,), the
+    gradients (S, dim) and the head Hessians (S, n, n). An axis of spacing 0
+    is not stepped: its derivatives are 0.
+    """
+    n_pts, dim = pts.shape
+    live = np.flatnonzero(steps)
+    e, h = np.diag(steps)[live], steps[live]  # row k of e steps along axis live[k]
+    head = np.flatnonzero(live < n)  # head pairs (i, j) index live too
+    i, j = np.array(list(itertools.combinations(head, 2)), dtype=int).reshape(-1, 2).T
+    corners = np.stack([e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]], axis=1)
+    offsets = np.concatenate([np.zeros((1, dim)), e, -e, corners.reshape(-1, dim)])
+    vals = np.asarray(f((pts[:, None, :] + offsets).reshape(-1, dim)), dtype=float)
+    v, up, down, corner = np.split(vals.reshape(n_pts, len(offsets)),
+                                   [1, 1 + len(live), 1 + 2 * len(live)], axis=1)
+    grad = np.zeros((n_pts, dim))
+    grad[:, live] = (up - down) / (2 * h)
+    hess = np.zeros((n_pts, n, n))
+    hess[:, live[head], live[head]] = (up[:, head] - 2 * v + down[:, head]) / h[head] ** 2
+    pp, pm, mp, mm = corner.reshape(n_pts, len(i), 4).transpose(2, 0, 1)
+    hess[:, live[i], live[j]] = hess[:, live[j], live[i]] = (pp - pm - mp + mm) / (4 * h[i] * h[j])
+    return v[:, 0], grad, hess
+
+
+def hjb_residual(chain: LagChainSpec, value: ValueField, pts: np.ndarray) -> np.ndarray:
+    """Residual of the reduced stationary equation at interior points (S,
+    dim), one per point (S,).
 
     Space derivatives are central differences of the interpolant at the
-    local grid spacing; the transport term carries the damped head drift
-    and the register shift velocities, so a constant field with constant
-    cost has residual zero.
+    local grid spacing (_central_differences); the transport term carries
+    the damped head drift and the register shift velocities, so a constant
+    field with constant cost has residual zero.
     """
-    z = np.asarray(z, dtype=float).ravel()
-    axes = value.axes
+    pts = np.asarray(pts, dtype=float)
     spec = chain.spec
-    n = spec.n
-    steps = np.zeros(len(axes))
-    for a, ax in enumerate(axes):
+    steps = np.zeros(len(value.axes))
+    for a, ax in enumerate(value.axes):
         if len(ax) == 1:
             continue
-        if z[a] < ax[1] - 1e-12 or z[a] > ax[-2] + 1e-12:
+        outside = (pts[:, a] < ax[1] - 1e-12) | (pts[:, a] > ax[-2] + 1e-12)
+        if np.any(outside):
             raise DomainError(
                 f"point must keep a one-node margin on axis {a}: "
-                f"{z[a]} not in [{ax[1]}, {ax[-2]}]"
+                f"{pts[np.argmax(outside), a]} not in [{ax[1]}, {ax[-2]}]"
             )
         steps[a] = np.min(np.diff(ax))
-
-    v_at = value.interp_one
-    e = np.diag(steps)  # row a steps along axis a
-    grad = np.array([(v_at(z + e[a]) - v_at(z - e[a])) / (2 * h) if h else 0.0
-                     for a, h in enumerate(steps)])
-    hess = np.zeros((n, n))
-    for i in range(n):
-        if steps[i] == 0.0:
-            continue
-        hess[i, i] = (v_at(z + e[i]) - 2 * v_at(z) + v_at(z - e[i])) / steps[i] ** 2
-        for j in range(i + 1, n):
-            if steps[j] == 0.0:
-                continue
-            hess[i, j] = hess[j, i] = (
-                v_at(z + e[i] + e[j]) - v_at(z + e[i] - e[j])
-                - v_at(z - e[i] + e[j]) + v_at(z - e[i] - e[j])
-            ) / (4 * steps[i] * steps[j])
-
-    reg = chain.unflatten(z)
-    transport = chain.flatten(np.concatenate([np.diff(reg, axis=0) / chain.delta, -reg[-1:]]))
-    ham, _ = _best_score(spec, reg[-1:], *_delay_integrals(chain.wk, reg[None]),
-                         grad[None, :n], hess[None])
-    return float(spec.rho * v_at(z) - transport @ grad + ham[0])
+    v, grad, hess = _central_differences(value.interp, pts, steps, spec.n)
+    regs = chain.unflatten(pts)
+    transport = chain.flatten(np.concatenate([np.diff(regs, axis=-2) / chain.delta,
+                                              -regs[:, -1:]], axis=-2))
+    ham, _ = _best_score(spec, regs[:, -1], *_delay_integrals(chain.wk, regs),
+                         grad[:, :spec.n], hess)
+    # a stacked matmul sums each row as a one-point transport @ grad does;
+    # einsum's order differs in the last bit
+    return spec.rho * v - (transport[:, None] @ grad[:, :, None])[:, 0, 0] + ham
 
 
 # ---------------------------------------------------------------------------
@@ -886,10 +875,7 @@ def regularity_probe(spec: ProblemSpec, estimator, box, samples: int,
 
     h = gradient_spacing
     g_pts = _tensor_nodes([np.linspace(lo + h, hi - h, max(3, samples - 2)) for lo, hi in box])
-    grads = np.empty_like(g_pts)
-    for a, e in enumerate(h * np.eye(len(box))):
-        grads[:, a] = (np.asarray(estimator(g_pts + e)) -
-                       np.asarray(estimator(g_pts - e))) / (2 * h)
+    _, grads, _ = _central_differences(estimator, g_pts, np.full(len(box), h), 0)
 
     gd = np.linalg.norm(grads[:, None, :] - grads[None, :, :], axis=-1)
     gr = np.linalg.norm(g_pts[:, None, :] - g_pts[None, :, :], axis=-1)

@@ -179,7 +179,7 @@ def test_criterion_6_portfolio_oracle(merton_nodelay_solution):
                  and abs(v_best - target) <= 3 * e_best + 0.03 * target)
 
     z0 = chain.flatten(_start_window(x, chain.coarse_grid))
-    v_solver = -res.value.interp_one(z0)
+    v_solver = -res.value.interp(z0)[0]
     value_ok = abs(v_solver - target) <= 0.03 * target
 
     policy = extract_feedback(chain, res.value)

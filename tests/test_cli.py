@@ -738,6 +738,14 @@ def bench_module(name, monkeypatch):
     return module
 
 
+def test_package_version_is_the_pyproject_version():
+    # the manifest's version is delayopt.__version__; the built package's is
+    # pyproject's: one value
+    tomllib = pytest.importorskip("tomllib")
+    with open(SPECS.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == delayopt.__version__
+
+
 def test_setup_loads_only_the_modules_it_uses(monkeypatch):
     # the bench's set-up code (import delayopt.models, load the specs) needs
     # core and models only; the package re-exports nothing, so importing one

@@ -18,7 +18,6 @@ from delayopt.hjb import (
     ValueField,
     _best_score,
     _bicgstab,
-    _brackets,
     _build_plans,
     _interp_plan,
     _nearest_node_breaks,
@@ -481,8 +480,12 @@ def _full_corner_plan(axes, pts):
     nodes or not: the oracle for _interp_plan's on-node collapse."""
     n_pts = pts.shape[0]
     strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]], dtype=np.int64)[::-1]
-    brackets = [(a, i0, (xc - axes[a][i0]) / (axes[a][i0 + 1] - axes[a][i0]))
-                for a, i0, xc in _brackets(axes, pts)]
+    brackets = []
+    for a, ax in enumerate(axes):
+        if len(ax) > 1:
+            xc = np.clip(pts[:, a], ax[0], ax[-1])
+            i0 = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, len(ax) - 2)
+            brackets.append((a, i0, (xc - ax[i0]) / (ax[i0 + 1] - ax[i0])))
     n_corners = 2 ** len(brackets)
     idx = np.empty((n_pts, n_corners), dtype=np.int64)
     wts = np.empty((n_pts, n_corners))
@@ -616,7 +619,7 @@ def test_value_iteration_merton_quick(merton_nodelay_solution):
     oracle = models.merton_classical_oracle(0.01, 0.07, 0.3, 0.5, 0.1)
     x = models.initial_state(chain.spec)
     z0 = start_point(chain, x)
-    v = -res.value.interp_one(z0)
+    v = -res.value.interp(z0)[0]
     assert v == pytest.approx(oracle.value(1.0), rel=0.03)
 
 
@@ -653,7 +656,7 @@ def test_value_iteration_matches_affine_oracle():
         # a handful of extreme corners clamp; their bias dies out long
         # before the evaluation point
         assert res.clamp_rate <= 1e-3
-        assert res.value.interp_one(z0) == pytest.approx(v_oracle, abs=1e-8)
+        assert res.value.interp(z0)[0] == pytest.approx(v_oracle, abs=1e-8)
         u_num = res.policy.control_set[res.policy.index_at(z0[None, :])[0], 0]
         assert u_num == pytest.approx(us[int(np.argmin(scores))])
 
@@ -1028,7 +1031,7 @@ def _register_rollout_gap(chain, value, x, tau, n_paths, seed):
         cost += math.exp(-spec.rho * tau) * value.interp(chain.flatten(regs))
         if np.mean(cost) < best[0]:
             best = (float(np.mean(cost)), float(np.std(cost, ddof=1) / math.sqrt(n_paths)))
-    return value.interp_one(z0) - best[0], best[1]
+    return value.interp(z0)[0] - best[0], best[1]
 
 
 def test_dpp_gap_matches_register_rollout(merton_delay_spec):
@@ -1053,13 +1056,23 @@ def test_dpp_gap_matches_register_rollout(merton_delay_spec):
 # reduced-equation residual
 
 
+def bilinear_merton_field(spec):
+    """v = -s z on merton_delay's lag chain at m_lag = 1, on a grid that
+    steps every axis; multilinear interpolation reproduces it."""
+    chain = reduce_to_lag_chain(spec, 1)
+    axes = (np.linspace(0.5, 2.0, 7), np.geomspace(0.2, 5.0, 9),
+            np.linspace(0.5, 2.0, 5), np.linspace(0.2, 5.0, 6))
+    return chain, ValueField(axes, np.multiply.outer(np.multiply.outer(-axes[0], axes[1]),
+                                                     np.ones((5, 6))))
+
+
 def test_residual_constant_field_zero():
     chain = constant_cost_chain()
     axes = (np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
     rho = chain.spec.rho
     f = ValueField(axes, np.full((9, 9), 1.0 / rho))
-    r = hjb_residual(chain, f, np.array([0.1, -0.2]))
-    assert r == pytest.approx(0.0, abs=1e-10)
+    r = hjb_residual(chain, f, np.array([[0.1, -0.2]]))
+    assert r.shape == (1,) and r[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_residual_shift_adds_discount_times_constant():
@@ -1068,8 +1081,8 @@ def test_residual_shift_adds_discount_times_constant():
     rho = chain.spec.rho
     f1 = ValueField(axes, np.full((9, 9), 1.0 / rho))
     f2 = ValueField(axes, np.full((9, 9), 1.0 / rho + 0.37))
-    z = np.array([0.1, -0.2])
-    assert hjb_residual(chain, f2, z) - hjb_residual(chain, f1, z) == pytest.approx(
+    z = np.array([[0.1, -0.2]])
+    assert hjb_residual(chain, f2, z)[0] - hjb_residual(chain, f1, z)[0] == pytest.approx(
         rho * 0.37, rel=1e-10)
 
 
@@ -1078,7 +1091,7 @@ def test_residual_boundary_margin_enforced():
     axes = (np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
     f = ValueField(axes, np.zeros((9, 9)))
     with pytest.raises(DomainError):
-        hjb_residual(chain, f, np.array([-1.0, 0.0]))
+        hjb_residual(chain, f, np.array([[-1.0, 0.0]]))
 
 
 def test_residual_mixed_derivative_of_a_bilinear_field(merton_delay_spec):
@@ -1087,11 +1100,7 @@ def test_residual_mixed_derivative_of_a_bilinear_field(merton_delay_spec):
     # Hessian -[[0, 1], [1, 0]]; the best control is u = 1, where the
     # off-diagonal entry meets the noise's
     spec = merton_delay_spec
-    chain = reduce_to_lag_chain(spec, 1)
-    axes = (np.linspace(0.5, 2.0, 7), np.geomspace(0.2, 5.0, 9),
-            np.linspace(0.5, 2.0, 5), np.linspace(0.2, 5.0, 6))
-    field = ValueField(axes, np.multiply.outer(np.multiply.outer(-axes[0], axes[1]),
-                                               np.ones((5, 6))))
+    chain, field = bilinear_merton_field(spec)
     pt = np.array([1.1, 1.7, 0.9, 1.3])
     reg = chain.unflatten(pt)
     grad = -np.array([pt[1], pt[0], 0.0, 0.0])
@@ -1105,7 +1114,23 @@ def test_residual_mixed_derivative_of_a_bilinear_field(merton_delay_spec):
     transport = np.concatenate([-reg[-1], (reg[-1] - reg[0]) / chain.delta])
     assert int(np.argmax(scores)) == len(scores) - 1
     want = -spec.rho * pt[0] * pt[1] - transport @ grad - reg[-1] @ grad[:2] + max(scores)
-    assert hjb_residual(chain, field, pt) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert hjb_residual(chain, field, pt[None])[0] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_residual_of_a_batch_is_each_points_own(readme_advertising_solution,
+                                                 merton_delay_spec):
+    # one stencil per batch: S points give, bitwise, the residuals of S
+    # one-point batches, on the README's advertising grid and on the
+    # two-head bilinear field, whose Hessian takes the corner points
+    chain, res = readme_advertising_solution
+    cases = [(chain, res.value), bilinear_merton_field(merton_delay_spec)]
+    rng = np.random.default_rng(8)
+    for chain, value in cases:
+        pts = np.column_stack([rng.uniform(ax[1], ax[-2], 50) for ax in value.axes])
+        r = hjb_residual(chain, value, pts)
+        assert r.shape == (50,) and np.all(np.isfinite(r))
+        np.testing.assert_array_equal(r, [hjb_residual(chain, value, pt[None])[0]
+                                          for pt in pts])
 
 
 def test_residual_median_decreases_under_lag_refinement(advertising_spec):
@@ -1121,7 +1146,7 @@ def test_residual_median_decreases_under_lag_refinement(advertising_spec):
         rng = np.random.default_rng(2)
         for _ in range(40):
             pt = np.array([rng.uniform(ax[1], ax[-2]) for ax in axes])
-            rs.append(abs(hjb_residual(chain, res.value, pt)))
+            rs.append(abs(hjb_residual(chain, res.value, pt[None])[0]))
         medians.append(float(np.median(rs)))
     assert medians[1] <= 0.8 * medians[0]
 
