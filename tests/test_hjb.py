@@ -1119,9 +1119,9 @@ def test_residual_mixed_derivative_of_a_bilinear_field(merton_delay_spec):
 
 def test_residual_of_a_batch_is_each_points_own(readme_advertising_solution,
                                                  merton_delay_spec):
-    # one stencil per batch: S points give, bitwise, the residuals of S
-    # one-point batches, on the README's advertising grid and on the
-    # two-head bilinear field, whose Hessian takes the corner points
+    # one stencil per batch: S random points, off every node, give bitwise
+    # the residuals of S one-point batches, on the README's advertising grid
+    # and on the two-head bilinear field, whose Hessian takes the corners
     chain, res = readme_advertising_solution
     cases = [(chain, res.value), bilinear_merton_field(merton_delay_spec)]
     rng = np.random.default_rng(8)
