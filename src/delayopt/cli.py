@@ -244,8 +244,8 @@ def cmd_simulate(run: Run):
         raise ValidationError(f"--emit-paths must be nonnegative, got {a.emit_paths}")
     ctrl = _control(spec, a.control, a.dt)
     # the emitted paths are paths 0.. of the estimate, kept from its own pass
-    batch = sdde._simulate_batch(spec, x, ctrl, a.T, a.dt, (a.seed, a.paths),
-                                 keep=min(a.paths, a.emit_paths))
+    batch = sdde.simulate_sdde(spec, x, ctrl, a.T, a.dt, (a.seed, a.paths),
+                               keep=min(a.paths, a.emit_paths))
     mean, stderr = sdde._mean_stderr(batch.costs)
     try:
         t_trunc = hjb.truncation_horizon(spec, math.hypot(*x.head), tol=0.01)
@@ -254,8 +254,8 @@ def cmd_simulate(run: Run):
     _record_tail_bound(run)
     run.csv("summary.csv", ["mean", "stderr", "T_trunc"], [[mean, stderr, t_trunc]])
     states, controls = batch.states, batch.controls
-    times = a.dt * np.arange(controls.shape[1])  # step times 0 .. T - dt
-    steps = slice(-controls.shape[1] - 1, -1)
+    steps = slice(-controls.shape[1] - 1, -1)  # the step times 0 .. T - dt
+    times = batch.times[steps]
     rows = _PathRows([str(t) for t in times.tolist()], states[:, steps], controls)
     run.csv("paths.csv", ["path", "t"] + [f"y{i}" for i in range(spec.n)]
             + [f"u{i}" for i in range(spec.control_set.shape[1])], rows)
@@ -504,17 +504,20 @@ def cmd_merton_check(run: Run):
 
 def cmd_advertising_demo(run: Run):
     a, spec = run.args, run.spec
-    path = sdde.simulate_sdde(spec, run.x, _control(spec), a.T, a.dt, (a.seed, 1))
-    rows = [[float(t)] + [float(v) for v in y] for t, y in zip(path.times, path.states)]
+    path = sdde.simulate_sdde(spec, run.x, _control(spec), a.T, a.dt, (a.seed, 1), keep=1)
+    rows = [[float(t)] + [float(v) for v in y] for t, y in zip(path.times, path.states[0])]
     run.csv("path.csv", ["t"] + [f"y{i}" for i in range(spec.n)], rows)
     chain, axes, z0 = _lag_grid(run)
     result = _solve(run, chain, axes)
     _write_value_policy(run, chain, result)
-    report, _, _ = _write_dpp(run, chain, result, 2 * chain.delta)
+    report, _, ok = _write_dpp(run, chain, result, 2 * chain.delta)
     arr = np.asarray(rows)
     run.svg("path.svg", "goodwill", arr[:, 0], arr[:, 1], title="goodwill path")
-    return [f"advertising-demo: V(x0)={result.value.interp(z0)[0]:.6g} "
-            f"dpp_gap={report.gap:.4g}"]
+    lines = [f"advertising-demo: V(x0)={result.value.interp(z0)[0]:.6g} "
+             f"dpp_gap={report.gap:.4g}{'' if ok else ' FAIL'}"]
+    if not ok:
+        raise CheckFailed(lines, ["dpp_gap"])
+    return lines
 
 
 def _flag(*names, **kw):

@@ -156,8 +156,13 @@ class LiftedBatch:
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row dot products of (S, n) arrays, each bitwise equal to a[i] @ b[i]."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Row dot products of (S, n) arrays: each row's products summed in
+    index order by elementwise arithmetic, with no BLAS call, so a row is
+    bitwise its one-row batch on every BLAS kernel."""
+    out = a[:, 0] * b[:, 0]
+    for k in range(1, a.shape[1]):
+        out = out + a[:, k] * b[:, k]
+    return out
 
 
 def lifted_inner(x: LiftedBatch, y: LiftedBatch) -> np.ndarray:

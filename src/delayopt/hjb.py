@@ -31,13 +31,14 @@ from .core import (
     SegmentGrid,
     ValidationError,
     _delay_integrals,
+    _dot_rows,
     _freeze,
     lifted_norm,
     weighted_kernels,
 )
 from .operators import minus_one_norm
-from .sdde import (OpenLoopControl, _euler_head, _mean_stderr, _simulate_batch,
-                   _start_window, _steps_of, batch_increments, mc_cost)
+from .sdde import (OpenLoopControl, _euler_head, _mean_stderr, _start_window, _steps_of,
+                   batch_increments, mc_cost, simulate_sdde)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +560,7 @@ def _build_plans(chain: LagChainSpec, axes: tuple[np.ndarray, ...], gh_points: i
     return stage, plans, clamped, sum(idx.size for idx, _ in plans)
 
 
-def value_iteration(chain: LagChainSpec, axes, tol: float = 1e-6,
-                    max_iter: int = 5000, gh_points: int = 5,
+def value_iteration(chain: LagChainSpec, axes, tol: float, max_iter: int, gh_points: int,
                     v0: ValueField | None = None) -> ValueIterationResult:
     """Discounted fixed point of the reduced Bellman operator T, by modified
     policy iteration (Puterman, Markov Decision Processes, section 6.5).
@@ -715,7 +715,7 @@ def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
     dw = batch_increments(seed, range(n_paths), chain.delta, spec.q, k_tau)
     best = (math.inf, 0.0)
     for u in spec.control_set:
-        batch = _simulate_batch(spec, x, OpenLoopControl(u), tau, chain.delta, dw)
+        batch = simulate_sdde(spec, x, OpenLoopControl(u), tau, chain.delta, dw)
         stat = _mean_stderr(batch.costs + math.exp(-spec.rho * tau)
                             * value.interp(chain.flatten(batch.window)))
         if stat[0] < best[0]:
@@ -784,9 +784,7 @@ def hjb_residual(chain: LagChainSpec, value: ValueField, pts: np.ndarray) -> np.
                                               -regs[:, -1:]], axis=-2))
     ham, _ = _best_score(spec, regs[:, -1], *_delay_integrals(chain.wk, regs),
                          grad[:, :spec.n], hess)
-    # a stacked matmul sums each row as a one-point transport @ grad does;
-    # einsum's order differs in the last bit
-    return spec.rho * v - (transport[:, None] @ grad[:, :, None])[:, 0, 0] + ham
+    return spec.rho * v - _dot_rows(transport, grad) + ham
 
 
 # ---------------------------------------------------------------------------
@@ -935,10 +933,10 @@ def b_continuity_probe(spec: ProblemSpec, ctrl, x: LiftedState, ys, T: float,
     if n_steps == 0:
         raise ValidationError("a paired estimate needs a positive horizon T")
     dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
-    base = _simulate_batch(spec, x, ctrl, T, delta, dw).costs
+    base = simulate_sdde(spec, x, ctrl, T, delta, dw).costs
     diff, err = [], []
     for y in ys:
-        d, s = _mean_stderr(base - _simulate_batch(spec, y, ctrl, T, delta, dw).costs)
+        d, s = _mean_stderr(base - simulate_sdde(spec, y, ctrl, T, delta, dw).costs)
         diff.append(abs(d))
         err.append(s)
     # explicit shapes, so that no states still stack to an empty batch

@@ -31,7 +31,7 @@ from .core import (
 )
 from .operators import _shift_tail
 from .sdde import (
-    SddePath,
+    Simulation,
     _euler_head,
     _steps_of,
     batch_increments,
@@ -54,7 +54,7 @@ def with_resolution(spec: ProblemSpec, m: int) -> ProblemSpec:
 def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
                   increments: np.ndarray) -> LiftedBatch:
     """One-step mild Euler for the lifted equation on one path's increments
-    (>= K, q), the array its direct counterpart simulate_sdde is given. The
+    (>= K, q), the row its direct counterpart simulate_sdde is given. The
     path is the batch of its states at the K + 1 step times.
 
     Per step the drift and noise enter the head only; the shift semigroup
@@ -83,15 +83,15 @@ def simulate_mild(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: floa
     return LiftedBatch(grid, heads, tails)
 
 
-def history_lift(path: SddePath, times: np.ndarray) -> LiftedBatch:
-    """Lift of the direct path at each of times (T,): its window over
-    [t - d, t] on path.segment_grid, interpolated between step times, and
-    its value there, the window's node at 0. Each sample's tail is
-    C-contiguous, so its forms and norms are bitwise those of its
-    one-sample slice."""
-    grid = path.segment_grid
-    tails = interp_columns((times[:, None] + grid.nodes).ravel(), path.times, path.states)
-    tails = tails.reshape(len(times), grid.m + 1, -1)
+def history_lift(grid: SegmentGrid, times: np.ndarray, states: np.ndarray,
+                 at: np.ndarray) -> LiftedBatch:
+    """Lift of a direct path, its states (N, n) at its step times (N,), at
+    each of at (T,): its window over [t - d, t] on grid, interpolated
+    between step times, and its value there, the window's node at 0. Each
+    sample's tail is C-contiguous, so its forms and norms are bitwise those
+    of its one-sample slice."""
+    tails = interp_columns((at[:, None] + grid.nodes).ravel(), times, states)
+    tails = tails.reshape(len(at), grid.m + 1, -1)
     return LiftedBatch(grid, tails[:, -1].copy(), tails)
 
 
@@ -117,15 +117,17 @@ class EquivalenceReport:
     head_ratio: float
 
 
-def _mismatch(path: SddePath, lifted: LiftedBatch) -> EquivalenceLevel:
-    """Head and quadrature tail distances, largest over the step times, between
-    the mild path and the direct path's history lift at the same times."""
-    direct = history_lift(path, path.times[path.n_history:])
-    grid = direct.grid
+def _mismatch(grid: SegmentGrid, delta: float, path: Simulation,
+              lifted: LiftedBatch) -> EquivalenceLevel:
+    """Head and quadrature tail distances, largest over the step times 0 .. T,
+    between the mild path and the kept direct path's history lift on grid at
+    the same times."""
+    direct = history_lift(grid, path.times, path.states[0],
+                          path.times[-len(lifted.heads):])
     head_mis = float(np.max(np.linalg.norm(lifted.heads - direct.heads, axis=1)))
     tail_diff = LiftedBatch(grid, np.zeros_like(direct.heads), lifted.tails - direct.tails)
     tail_mis = float(np.max(lifted_norm(tail_diff)))
-    return EquivalenceLevel(delta=path.delta, m=grid.m, head_mismatch=head_mis,
+    return EquivalenceLevel(delta=delta, m=grid.m, head_mismatch=head_mis,
                             tail_mismatch=tail_mis,
                             head_scale=1.0 + float(np.max(np.linalg.norm(direct.heads, axis=1))))
 
@@ -144,15 +146,15 @@ def equivalence_report(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
     fine = batch_increments(seed, [0], delta / 2, spec.q, 2 * n_steps)[0]
     coarse = coarsen_increments(fine, 2)
 
-    path = simulate_sdde(spec, x, ctrl, T, delta, coarse)
+    path = simulate_sdde(spec, x, ctrl, T, delta, coarse[None], keep=1)
     lifted = simulate_mild(spec, x, ctrl, T, delta, coarse)
-    base = _mismatch(path, lifted)
+    base = _mismatch(spec.grid, delta, path, lifted)
 
     spec_f = with_resolution(spec, 2 * spec.grid.m)
     x_f = x.resampled(spec_f.grid)
-    path_f = simulate_sdde(spec_f, x_f, ctrl, T, delta / 2, fine)
+    path_f = simulate_sdde(spec_f, x_f, ctrl, T, delta / 2, fine[None], keep=1)
     lifted_f = simulate_mild(spec_f, x_f, ctrl, T, delta / 2, fine)
-    refined = _mismatch(path_f, lifted_f)
+    refined = _mismatch(spec_f.grid, delta / 2, path_f, lifted_f)
 
     if refined.head_mismatch > 0:
         ratio = base.head_mismatch / refined.head_mismatch

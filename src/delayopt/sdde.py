@@ -5,17 +5,17 @@ the history window always aligns with stored nodes and the kernel
 quadrature needs no interpolation. Path i's Brownian increments come from
 the counter-based stream keyed on (seed, i), drawn by `_increment_blocks`
 alone, so every path is bit-reproducible and independent of the others.
-A simulator takes noise as (seed, P), paths 0 .. P - 1, or as an explicit
-increment array that callers share or coarsen. One streaming pass,
-`_simulate_batch`, steps every path of an estimate at once: it draws the
-increments BLOCK steps at a time from each path's stream, holding one
-block at a time, keeps a rolling buffer of the last history window plus
+The one simulator, `simulate_sdde`, takes noise as (seed, P), paths
+0 .. P - 1, or as an explicit increment array that callers share or
+coarsen, and steps every path of a batch at once in one streaming pass: it
+draws the increments BLOCK steps at a time from each path's stream, holding
+one block at a time, keeps a rolling buffer of the last history window plus
 one block, and charges each path's discounted running cost at every step.
-It keeps every path's cost and final window, and the whole trajectory
-only of the paths a caller asks to keep, so memory is O(paths (history
-nodes + BLOCK) n) plus the kept paths and does not grow with T. Every
-estimate reduces its per-path samples with the one compensated-sum
-statistic `_mean_stderr`.
+It keeps every path's cost and final window, and the whole trajectory only
+of the paths a caller asks to keep, so memory is O(paths (history nodes +
+BLOCK) n) plus the kept paths and does not grow with T. Every estimate
+reduces its per-path samples with the one compensated-sum statistic
+`_mean_stderr`.
 
 A control is any callable from a batch of history windows to controls.
 The window has shape (paths, history nodes + 1, n) and covers [t - d, t],
@@ -114,24 +114,6 @@ class OpenLoopControl:
         return np.broadcast_to(self.values, (window.shape[0], self.values.shape[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class SddePath:
-    """One realized trajectory on [-d, T], tabulated at its step times.
-
-    The first n_history rows of times and states are the history before 0;
-    the rest are the steps from 0 to T. segment_grid is the grid of the
-    problem it was simulated from, on which lift.history_lift lays its
-    windows. The controls and the discounted cost of the pass stay with
-    _simulate_batch.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    delta: float
-    n_history: int
-    segment_grid: SegmentGrid
-
-
 def _steps_of(span: float, delta: float, what: str) -> int:
     """Number of steps of size delta in span: 0 for a zero span, else at least 1."""
     if not (math.isfinite(delta) and delta > 0):
@@ -171,17 +153,18 @@ def _start_window(x: LiftedState, grid: SegmentGrid) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _Batch:
+class Simulation:
     """What one pass over a batch of P paths keeps."""
 
     costs: np.ndarray      # (P,) discounted costs
     window: np.ndarray     # (P, n_hist + 1, n) every path's final window [T - d, T]
-    states: np.ndarray     # (keep, n_hist + 1 + K, n) paths 0 .. keep - 1 on [-d, T]
-    controls: np.ndarray   # (keep, K, p) their controls
+    times: np.ndarray      # (n_hist + 1 + K,) the step times -d .. T of the kept paths
+    states: np.ndarray     # (keep, n_hist + 1 + K, n) paths 0 .. keep - 1 at those times
+    controls: np.ndarray   # (keep, K, p) their controls at the step times 0 .. T - delta
 
 
-def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
-                    noise, keep: int = 0) -> _Batch:
+def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
+                  noise, keep: int = 0) -> Simulation:
     """Euler-Maruyama over a batch of paths sharing spec, state, and control.
 
     noise is either explicit increments (P, >= K, q) or a pair (seed, P):
@@ -191,10 +174,11 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
     advance in a path-major buffer of n_hist + 1 + B nodes, B the block
     length; at each block boundary the last n_hist + 1 nodes move to the
     front, so every window is a contiguous [t - d, t] slice. The pass needs
-    O(P (n_hist + BLOCK) n) memory plus the kept paths, independent of T.
-    The cost is the left Riemann sum of the discounted running cost: each
-    step adds spec.cost of the head and the step's control, before the
-    Euler update, in step order.
+    O(P (n_hist + BLOCK) n) memory plus the kept paths, independent of T:
+    paths 0 .. keep - 1 (keep <= P) keep their states on [-d, T] and their
+    controls. The cost is the left Riemann sum of the discounted running
+    cost: each step adds spec.cost of the head and the step's control,
+    before the Euler update, in step order.
     """
     n_hist = _steps_of(spec.d, delta, "d")
     n_steps = _steps_of(T, delta, "T")
@@ -238,22 +222,9 @@ def _simulate_batch(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: fl
         states[:, n_hist + 1 + k0 : n_hist + 1 + k0 + b] = buf[:keep, n_hist + 1 : n_hist + 1 + b]
         buf[:, : n_hist + 1] = buf[:, b : b + n_hist + 1]
         k0 += b
-    return _Batch(costs=cost * delta, window=buf[:, : n_hist + 1], states=states,
-                  controls=controls)
-
-
-def simulate_sdde(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
-                  delta: float, noise) -> SddePath:
-    """One strong path of the delayed state equation, on noise given as the
-    path's increments (>= K, q) or as (seed, 1): path 0 of seed's streams."""
-    n_hist, n_steps = _steps_of(spec.d, delta, "d"), _steps_of(T, delta, "T")
-    if isinstance(noise, np.ndarray):
-        noise = np.asarray(noise, dtype=float)[None, :, :]
-    elif noise[1] != 1:
-        raise ValidationError(f"one path takes (seed, 1), got {noise}")
-    batch = _simulate_batch(spec, x, ctrl, T, delta, noise, keep=1)
-    return SddePath(times=delta * np.arange(-n_hist, n_steps + 1), states=batch.states[0],
-                    delta=delta, n_history=n_hist, segment_grid=spec.grid)
+    return Simulation(costs=cost * delta, window=buf[:, : n_hist + 1],
+                      times=delta * np.arange(-n_hist, n_steps + 1), states=states,
+                      controls=controls)
 
 
 def _mean_stderr(samples) -> tuple[float, float]:
@@ -278,10 +249,10 @@ def mc_cost(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
             n_paths: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the discounted cost: (mean, standard error).
 
-    All paths step together in one streaming pass (_simulate_batch), each
+    All paths step together in one streaming pass (simulate_sdde), each
     drawing from its own counter-based stream, so the result is
-    deterministic in the seed, path i's cost is the one simulate_sdde gives
-    on path i's increments, and no batching or block size changes a bit of
-    it. Memory does not grow with T.
+    deterministic in the seed, path i's cost is the one a pass gives on
+    path i's increments alone, and no batching or block size changes a bit
+    of it. Memory does not grow with T.
     """
-    return _mean_stderr(_simulate_batch(spec, x, ctrl, T, delta, (seed, n_paths)).costs)
+    return _mean_stderr(simulate_sdde(spec, x, ctrl, T, delta, (seed, n_paths)).costs)

@@ -50,7 +50,7 @@ def merton_nodelay_solution(merton_nodelay_spec):
     chain = hjb.reduce_to_lag_chain(spec, 1)
     axes = (np.array([1.0]), np.geomspace(0.005, 100.0, 281),
             np.array([1.0]), np.array([1.0]))
-    result = hjb.value_iteration(chain, axes, tol=1e-7, max_iter=30000)
+    result = hjb.value_iteration(chain, axes, tol=1e-7, max_iter=30000, gh_points=5)
     return chain, result
 
 
@@ -72,7 +72,7 @@ def merton_delay_solution(merton_delay_spec):
     chain = hjb.reduce_to_lag_chain(spec, 1)
     axes = (np.geomspace(0.4, 2.5, 9), np.geomspace(0.01, 50.0, 81),
             np.geomspace(0.4, 2.5, 9), np.array([1.0]))
-    result = hjb.value_iteration(chain, axes, tol=1e-6, max_iter=30000)
+    result = hjb.value_iteration(chain, axes, tol=1e-6, max_iter=30000, gh_points=5)
     return chain, result
 
 
@@ -86,5 +86,5 @@ def advertising_solution(advertising_spec):
     chain = hjb.reduce_to_lag_chain(advertising_spec, 2)
     axes = (np.linspace(-1.0, 2.5, 29), np.linspace(-1.0, 2.5, 9),
             np.linspace(-1.0, 2.5, 9))
-    result = hjb.value_iteration(chain, axes, tol=1e-8, max_iter=10000)
+    result = hjb.value_iteration(chain, axes, tol=1e-8, max_iter=10000, gh_points=5)
     return chain, result

@@ -221,7 +221,7 @@ def test_criterion_8_growth_and_continuity(advertising_solution):
     c_base = growth_fit(res.value, chain, m_exp)
     axes_fine = (np.linspace(-1.0, 2.5, 43), np.linspace(-1.0, 2.5, 13),
                  np.linspace(-1.0, 2.5, 13))
-    res_fine = value_iteration(chain, axes_fine, tol=1e-8, max_iter=10000)
+    res_fine = value_iteration(chain, axes_fine, tol=1e-8, max_iter=10000, gh_points=5)
     c_fine = growth_fit(res_fine.value, chain, m_exp)
     growth_ok = 0.7 <= c_base / c_fine <= 1.4
 

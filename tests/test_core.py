@@ -14,6 +14,7 @@ from delayopt.core import (
     SegmentGrid,
     ValidationError,
     _delay_integrals,
+    _dot_rows,
     kernel_convolve,
     lifted_inner,
     lifted_norm,
@@ -74,6 +75,20 @@ def one(g, head, tail):
 def constant(g, value):
     """The tail (m+1, n) that holds value at every node of g."""
     return np.tile(np.atleast_1d(np.asarray(value, float)), (g.m + 1, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_dot_rows_is_each_rows_index_order_sum(n):
+    # a row's dot product sums its products in index order, so it is the
+    # same bits in any batch and on any BLAS kernel
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(2, 40, n))
+    got = _dot_rows(a, b)
+    for i in range(40):
+        want = a[i, 0] * b[i, 0]
+        for k in range(1, n):
+            want = want + a[i, k] * b[i, k]
+        assert got[i] == want == _dot_rows(a[i:i + 1], b[i:i + 1])[0]
 
 
 def test_inner_head_only():

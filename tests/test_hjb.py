@@ -248,7 +248,7 @@ def test_chain_matches_direct_simulation_stepwise():
     # from a non-constant history, the register after k chain steps is the
     # direct simulator's window after k steps of size delta, bit for bit
     from delayopt import cli
-    from delayopt.sdde import _simulate_batch
+    from delayopt.sdde import simulate_sdde
 
     spec = build_advertising(AdvertisingParams(sigma=0.3), 10)
     g = spec.grid
@@ -261,13 +261,13 @@ def test_chain_matches_direct_simulation_stepwise():
         dw = zeta * math.sqrt(delta)
         reg = _start_window(x, chain.coarse_grid)[None, :, :]
         for k in range(8):
-            window = _simulate_batch(spec, x, ctrl, k * delta, delta, dw).window
+            window = simulate_sdde(spec, x, ctrl, k * delta, delta, dw).window
             np.testing.assert_array_equal(reg, window)
             if k < 7:
                 reg = chain.step(reg, np.array([[0.4]]), zeta[:, k])
         # the solver's flat start point is the simulator's start window
         run = cli.Run(argparse.Namespace(mlag=m_lag, grid=""), spec, x, Path())
-        start = _simulate_batch(spec, x, ctrl, 0.0, delta, (0, 2)).window[0]
+        start = simulate_sdde(spec, x, ctrl, 0.0, delta, (0, 2)).window[0]
         np.testing.assert_array_equal(chain.flatten(start), cli._lag_grid(run)[2])
 
 
@@ -544,7 +544,7 @@ def test_advertising_plans_at_lag_count_four_are_twenty_wide(advertising_spec):
     # corners times 5 Gauss-Hermite nodes, where every corner would take 160
     chain = reduce_to_lag_chain(advertising_spec, 4)
     axes = (np.linspace(-1.0, 2.5, 25),) + (np.linspace(-1.0, 2.5, 5),) * 4
-    one = value_iteration(chain, axes, tol=math.inf, max_iter=1)
+    one = value_iteration(chain, axes, tol=math.inf, max_iter=1, gh_points=5)
     n_nodes, n_u = 25 * 5 ** 4, advertising_spec.control_set.shape[0]
     assert one.transition_entries == n_u * n_nodes * 20
 
@@ -595,14 +595,14 @@ def constant_cost_chain(rho=1.0, delta_target=0.5):
 def test_value_iteration_constant_cost_fixed_point():
     chain = constant_cost_chain()
     axes = (np.linspace(-1, 1, 5), np.array([0.0]))
-    res = value_iteration(chain, axes, tol=1e-12, max_iter=10000)
+    res = value_iteration(chain, axes, tol=1e-12, max_iter=10000, gh_points=5)
     delta = chain.delta
     expected = delta / (1 - math.exp(-chain.spec.rho * delta))
     np.testing.assert_allclose(res.value.values, expected, rtol=1e-10)
     # the fixed point approaches 1/rho as the lag step shrinks
     fine = constant_cost_chain(delta_target=0.01)
     res2 = value_iteration(fine, (np.linspace(-1, 1, 3), np.array([0.0])),
-                           tol=1e-12, max_iter=100000)
+                           tol=1e-12, max_iter=100000, gh_points=5)
     assert res2.value.values[0, 0] == pytest.approx(1.0, abs=0.01)
 
 
@@ -652,7 +652,7 @@ def test_value_iteration_matches_affine_oracle():
 
         axes = tuple([np.linspace(-2.0, 4.0, 41)]
                      + [np.linspace(-2.0, 4.0, 11)] * m_lag)
-        res = value_iteration(chain, axes, tol=1e-10, max_iter=20000)
+        res = value_iteration(chain, axes, tol=1e-10, max_iter=20000, gh_points=5)
         # a handful of extreme corners clamp; their bias dies out long
         # before the evaluation point
         assert res.clamp_rate <= 1e-3
@@ -752,7 +752,8 @@ def oracle_cases(advertising_solution, merton_nodelay_solution):
     affine_chain = reduce_to_lag_chain(models.load_spec_file(SPECS / "affine.json"), 1)
     affine_axes = (np.linspace(-1.0, 2.5, 17), np.linspace(-1.0, 2.5, 7))
     return [advertising_solution,
-            (affine_chain, value_iteration(affine_chain, affine_axes, tol=1e-8, max_iter=20000)),
+            (affine_chain, value_iteration(affine_chain, affine_axes, tol=1e-8, max_iter=20000,
+                                           gh_points=5)),
             merton_nodelay_solution]
 
 
@@ -795,7 +796,7 @@ def test_value_iteration_one_sweep_is_the_reference_sweep(oracle_cases):
     # tol = inf, max_iter = 1 from v0 is one plain Bellman sweep, bit for bit
     for chain, res in oracle_cases:
         axes, v = res.value.axes, res.value.values.ravel()
-        one = value_iteration(chain, axes, tol=math.inf, max_iter=1, v0=res.value)
+        one = value_iteration(chain, axes, tol=math.inf, max_iter=1, gh_points=5, v0=res.value)
         v_ref, policy_ref = _reference_sweep(chain, *_reference_plans(chain, axes), v)
         np.testing.assert_array_equal(one.value.values.ravel(), v_ref)
         np.testing.assert_array_equal(one.policy.indices.ravel(), policy_ref)
@@ -813,7 +814,7 @@ def test_value_iteration_pads_the_greedy_rows_of_narrower_plans():
                          kernel_scale=0.0, control_lo=-1.0, control_hi=0.0, n_controls=2)
     chain = reduce_to_lag_chain(build_affine_test(p, 4), 1)
     axes = (np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5))
-    res = value_iteration(chain, axes, tol=1e-10, max_iter=20000)
+    res = value_iteration(chain, axes, tol=1e-10, max_iter=20000, gh_points=5)
     assert [w.shape[1] for _, w in _reference_plans(chain, axes)[1]] == [5, 9]
     assert res.transition_entries == 25 * (5 + 9)
     assert set(res.policy.indices.ravel()) == {0, 1}
@@ -829,7 +830,7 @@ def test_value_iteration_nonconvergence_raises():
     axes = (np.linspace(-1, 1, 3), np.array([0.0]))
     from delayopt.core import NumericalError
     with pytest.raises(NumericalError, match="residual"):
-        value_iteration(chain, axes, tol=1e-12, max_iter=5)
+        value_iteration(chain, axes, tol=1e-12, max_iter=5, gh_points=5)
 
 
 def test_value_iteration_infinite_tol_is_one_sweep():
@@ -837,7 +838,7 @@ def test_value_iteration_infinite_tol_is_one_sweep():
     # (see test_cli.py::test_malformed_input_exits_one)
     chain = constant_cost_chain()
     axes = (np.linspace(-1, 1, 3), np.array([0.0]))
-    assert value_iteration(chain, axes, tol=math.inf, max_iter=1).iterations == 1
+    assert value_iteration(chain, axes, tol=math.inf, max_iter=1, gh_points=5).iterations == 1
 
 
 def test_value_error_bound_covers_the_rounding_of_a_float_fixed_point():
@@ -846,7 +847,7 @@ def test_value_error_bound_covers_the_rounding_of_a_float_fixed_point():
     # where a sweep moves v by an ulp or nothing; the bound still covers it
     chain = constant_cost_chain(rho=1e-9)
     axes = (np.linspace(-1, 1, 3), np.array([0.0]))
-    res = value_iteration(chain, axes, tol=1e4, max_iter=10)
+    res = value_iteration(chain, axes, tol=1e4, max_iter=10, gh_points=5)
     gap = np.max(np.abs(res.value.values - chain.delta / (1.0 - chain.step_discount)))
     assert gap <= res.value_error_bound <= 1e4
 
@@ -876,7 +877,8 @@ def test_build_plans_is_the_reference_plan_build_at_two_noise_dimensions():
                          noise_const=((0.4, 0.1), (0.0, 0.4)), x0=(1.0, 1.0), x1=(1.0, 1.0))
     chain = reduce_to_lag_chain(build_affine_test(p, 8), 1)
     axes = (np.linspace(-1.0, 2.5, 5),) * 2 + (np.linspace(-1.0, 2.5, 3),) * 2
-    test_build_plans_is_the_reference_plan_build([(chain, value_iteration(chain, axes))])
+    res = value_iteration(chain, axes, tol=1e-6, max_iter=5000, gh_points=5)
+    test_build_plans_is_the_reference_plan_build([(chain, res)])
 
 
 # the bench's solve-delay grid on specs/merton_delay.json
@@ -888,7 +890,7 @@ def bench_grid_solution():
     chain = reduce_to_lag_chain(models.load_spec_file(SPECS / "merton_delay.json"), 1)
     z0 = start_point(chain, models.initial_state(chain.spec))
     axes = cli._parse_grid(BENCH_GRID, chain.axis_names(), z0)
-    return chain, value_iteration(chain, axes, tol=1e-6, gh_points=5)
+    return chain, value_iteration(chain, axes, tol=1e-6, max_iter=5000, gh_points=5)
 
 
 @pytest.fixture(scope="module")
@@ -897,7 +899,7 @@ def readme_advertising_solution():
     y_lag1:-1:2.5:9, y_lag2:-1:2.5:9 at the default tol."""
     chain = reduce_to_lag_chain(models.load_spec_file(SPECS / "advertising.json"), 2)
     axes = (np.linspace(-1.0, 2.5, 25),) + (np.linspace(-1.0, 2.5, 9),) * 2
-    return chain, value_iteration(chain, axes, tol=1e-6)
+    return chain, value_iteration(chain, axes, tol=1e-6, max_iter=5000, gh_points=5)
 
 
 def test_value_iteration_picks_the_sweep_oracle_policy(oracle_cases, bench_grid_solution,
@@ -931,7 +933,7 @@ def test_evaluation_sweeps_count_the_evaluation_contractions(oracle_cases, monke
     monkeypatch.setattr(hjb, "_plan_dot", spy)
     for (chain, res), tol in zip(oracle_cases, ORACLE_TOLS):
         calls.clear()
-        again = value_iteration(chain, res.value.axes, tol=tol, max_iter=20000)
+        again = value_iteration(chain, res.value.axes, tol=tol, max_iter=20000, gh_points=5)
         n_u = chain.spec.control_set.shape[0]
         assert 0 < again.evaluation_sweeps == len(calls) - again.iterations * n_u
         assert again.evaluation_sweeps == res.evaluation_sweeps
@@ -964,7 +966,7 @@ def test_value_iteration_with_broken_down_evaluations_agrees_with_the_oracle(
     monkeypatch.setattr(hjb, "_bicgstab", lambda apply, b, x, target, cap: _bicgstab(
         skew, np.array([1.0, 0.0]), np.zeros(2), target, cap))
     for (chain, res), tol in zip(oracle_cases, ORACLE_TOLS):
-        broken = value_iteration(chain, res.value.axes, tol=tol, max_iter=20000)
+        broken = value_iteration(chain, res.value.axes, tol=tol, max_iter=20000, gh_points=5)
         v_ref, policy_ref, bound_ref = _sweep_policy_iteration(chain, res.value.axes, tol)
         assert broken.iterations > res.iterations
         np.testing.assert_array_equal(broken.policy.indices.ravel(), policy_ref)
@@ -990,7 +992,7 @@ def test_dpp_gap_singleton_control_is_bellman_residual():
     spec = build_affine_test(p, 4)
     chain = reduce_to_lag_chain(spec, 1)
     axes = (np.linspace(-2, 3, 41), np.linspace(-2, 3, 11))
-    res = value_iteration(chain, axes, tol=1e-10, max_iter=20000)
+    res = value_iteration(chain, axes, tol=1e-10, max_iter=20000, gh_points=5)
     x = models.initial_state(spec)
     rep = dpp_gap(chain, res.value, x, tau=2 * chain.delta, n_paths=4000, seed=1)
     # single control: the gap is a pure discretization + Monte Carlo residual
@@ -1141,7 +1143,7 @@ def test_residual_median_decreases_under_lag_refinement(advertising_spec):
         chain = reduce_to_lag_chain(spec, m_lag)
         axes = tuple([np.linspace(-1.0, 2.5, 33)]
                      + [np.linspace(-1.0, 2.5, 9)] * m_lag)
-        res = value_iteration(chain, axes, tol=1e-9, max_iter=10000)
+        res = value_iteration(chain, axes, tol=1e-9, max_iter=10000, gh_points=5)
         rs = []
         rng = np.random.default_rng(2)
         for _ in range(40):
@@ -1158,7 +1160,7 @@ def test_residual_median_decreases_under_lag_refinement(advertising_spec):
 def test_extract_feedback_singleton_constant():
     chain = constant_cost_chain()
     axes = (np.linspace(-1, 1, 5), np.array([0.0]))
-    res = value_iteration(chain, axes, tol=1e-10, max_iter=10000)
+    res = value_iteration(chain, axes, tol=1e-10, max_iter=10000, gh_points=5)
     pol = extract_feedback(chain, res.value)
     assert np.all(pol.indices == 0)
 
@@ -1172,7 +1174,7 @@ def test_extract_feedback_bang_bang_for_linear_control():
     spec = build_affine_test(p, 4)
     chain = reduce_to_lag_chain(spec, 1)
     axes = (np.linspace(-3, 3, 31), np.linspace(-3, 3, 7))
-    res = value_iteration(chain, axes, tol=1e-9, max_iter=20000)
+    res = value_iteration(chain, axes, tol=1e-9, max_iter=20000, gh_points=5)
     pol = extract_feedback(chain, res.value)
     counts = np.bincount(pol.indices.ravel(), minlength=5)
     assert counts[0] + counts[-1] >= 0.9 * pol.indices.size
@@ -1211,7 +1213,8 @@ def test_extract_feedback_matches_drift_cost_argmin_for_control_free_noise(
     affine_chain = reduce_to_lag_chain(affine, 1)
     axes = (np.linspace(-1.0, 2.5, 17), np.linspace(-1.0, 2.5, 7))
     cases = [advertising_solution,
-             (affine_chain, value_iteration(affine_chain, axes, tol=1e-8, max_iter=20000))]
+             (affine_chain, value_iteration(affine_chain, axes, tol=1e-8, max_iter=20000,
+                                            gh_points=5))]
     rng = np.random.default_rng(11)
     for chain, res in cases:
         spec = chain.spec
@@ -1236,7 +1239,7 @@ def test_scaled_cost_scales_value_not_policy():
     out = {}
     for tag, p in (("base", base), ("scaled", scaled)):
         chain = reduce_to_lag_chain(build_affine_test(p, 4), 1)
-        out[tag] = value_iteration(chain, axes, tol=1e-11, max_iter=30000)
+        out[tag] = value_iteration(chain, axes, tol=1e-11, max_iter=30000, gh_points=5)
     np.testing.assert_allclose(out["scaled"].value.values,
                                3.0 * out["base"].value.values, rtol=1e-6)
     np.testing.assert_array_equal(out["scaled"].policy.indices,
@@ -1283,7 +1286,7 @@ def test_policy_value_deterministic_zero_stderr():
     spec = build_advertising(AdvertisingParams(sigma=0.0), 10)
     chain = reduce_to_lag_chain(spec, 2)
     axes = tuple([np.linspace(-1.0, 2.5, 9)] * 3)
-    res = value_iteration(chain, axes, tol=1e-9, max_iter=10000)
+    res = value_iteration(chain, axes, tol=1e-9, max_iter=10000, gh_points=5)
     x = models.initial_state(spec)
     mean, stderr = policy_mc_value(chain, res.policy, x, T=2.0, delta=0.05,
                                    n_paths=8, seed=3)
@@ -1472,15 +1475,15 @@ def test_paired_estimate_is_the_fsum_statistic_of_its_differences(advert_spec):
     # (mean, stderr) are the compensated-sum statistic of the per-path
     # differences on common random numbers (np.mean and np.std miss the
     # last bits of both at this seed)
-    from delayopt.sdde import _simulate_batch, batch_increments
+    from delayopt.sdde import batch_increments, simulate_sdde
     spec = advert_spec
     x = models.initial_state(spec)
     y = LiftedState(spec.grid, x.head + 0.1, x.tail - 0.05)
     ctrl = OpenLoopControl([0.5])
     table = b_continuity_probe(spec, ctrl, x, [y], T=1.0, delta=0.05, n_paths=64, seed=3)
     dw = batch_increments(3, np.arange(64), 0.05, spec.q, 20)
-    d = (_simulate_batch(spec, x, ctrl, 1.0, 0.05, dw).costs
-         - _simulate_batch(spec, y, ctrl, 1.0, 0.05, dw).costs).tolist()
+    d = (simulate_sdde(spec, x, ctrl, 1.0, 0.05, dw).costs
+         - simulate_sdde(spec, y, ctrl, 1.0, 0.05, dw).costs).tolist()
     mean = math.fsum(d) / 64
     var = math.fsum((v - mean) ** 2 for v in d) / 63
     assert (table.differences[0], table.stderrs[0]) == (abs(mean), math.sqrt(var / 64))

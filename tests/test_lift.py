@@ -67,8 +67,8 @@ def test_constant_drift_head():
 def test_lift_history_at_time_zero():
     spec = build_advertising(AdvertisingParams(), 50)
     x = models.initial_state(spec)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.02, (1, 1))
-    lifted = history_lift(path, np.array([0.0]))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.02, (1, 1), keep=1)
+    lifted = history_lift(spec.grid, path.times, path.states[0], np.array([0.0]))
     np.testing.assert_allclose(lifted.heads[0], x.head, atol=1e-12)
     np.testing.assert_allclose(lifted.tails[0, :-1], x.tail[:-1],
                                atol=1e-12)
@@ -80,8 +80,8 @@ def test_lift_history_constant_path():
     spec = zero_dynamics_spec()
     g = spec.grid
     x = LiftedState(g, [0.5], np.full((g.m + 1, 1), 0.5))
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1, np.zeros((10, 1)))
-    lifted = history_lift(path, np.array([0.7]))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1, np.zeros((1, 10, 1)), keep=1)
+    lifted = history_lift(g, path.times, path.states[0], np.array([0.7]))
     np.testing.assert_allclose(lifted.heads[0], [0.5], atol=1e-14)
     np.testing.assert_allclose(lifted.tails[0], 0.5, atol=1e-14)
 
@@ -96,8 +96,8 @@ def test_lift_history_linear_path():
     spec = build_affine_test(p, 10)
     g = spec.grid
     x = LiftedState(g, [0.0], g.nodes[:, None])
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, np.zeros((20, 1)))
-    lifted = history_lift(path, np.array([1.0]))
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, np.zeros((1, 20, 1)), keep=1)
+    lifted = history_lift(g, path.times, path.states[0], np.array([1.0]))
     np.testing.assert_allclose(lifted.heads[0], [1.0], atol=1e-12)
     np.testing.assert_allclose(lifted.tails[0, :, 0], 1.0 + g.nodes, atol=1e-12)
 
@@ -108,11 +108,12 @@ def test_history_lift_at_step_times_is_the_path_and_its_interpolated_window(spec
     # are the window interpolation lift-check computed inline, bit for bit
     spec = models.load_spec_file(SPECS / spec_file)
     path = simulate_sdde(spec, models.initial_state(spec), OpenLoopControl(spec.control_set[1]),
-                         0.5, 0.01, (3, 1))
-    t = path.times[path.n_history:]
-    lifted = history_lift(path, t)
-    np.testing.assert_array_equal(lifted.heads, path.states[path.n_history:])
-    windows = interp_columns((t[:, None] + spec.grid.nodes).ravel(), path.times, path.states)
+                         0.5, 0.01, (3, 1), keep=1)
+    steps = path.times >= 0
+    t, states = path.times[steps], path.states[0]
+    lifted = history_lift(spec.grid, path.times, states, t)
+    np.testing.assert_array_equal(lifted.heads, states[steps])
+    windows = interp_columns((t[:, None] + spec.grid.nodes).ravel(), path.times, states)
     np.testing.assert_array_equal(lifted.tails, windows.reshape(lifted.tails.shape))
 
 
@@ -188,7 +189,8 @@ def contraction_probe(spec, x, y, ctrl, r, n_paths, delta, seed):
     rhs = math.exp(rate * r) * d0 * d0
     spreads, at_r = [], np.array([r])
     for dw in batch_increments(seed, range(n_paths), delta, spec.q, _steps_of(r, delta, "r")):
-        lx, ly = (history_lift(simulate_sdde(spec, s, ctrl, r, delta, dw), at_r) for s in (x, y))
+        paths = [simulate_sdde(spec, s, ctrl, r, delta, dw[None], keep=1) for s in (x, y)]
+        lx, ly = (history_lift(spec.grid, p.times, p.states[0], at_r) for p in paths)
         spreads.append(minus_one_norm(lx - ly)[0] ** 2)
     lhs, stderr = _mean_stderr(spreads)
     return ContractionReport(lhs=lhs, stderr=stderr, rhs=rhs)
@@ -269,10 +271,9 @@ def test_coefficient_lipschitz_on_simulated_pairs():
     u_arr = np.array([0.5])
     ctrl = OpenLoopControl(u_arr)
     dw = batch_increments(41, [0, 1], 0.01, 1, 200)
-    pa = simulate_sdde(spec, x, ctrl, 2.0, 0.01, dw[0])
-    pb = simulate_sdde(spec, x, ctrl, 2.0, 0.01, dw[1])
+    pair = simulate_sdde(spec, x, ctrl, 2.0, 0.01, dw, keep=2)
     times = np.linspace(0.2, 2.0, 10)
-    la, lb = history_lift(pa, times), history_lift(pb, times)
+    la, lb = (history_lift(spec.grid, pair.times, states, times) for states in pair.states)
     worst = 0.0
     for dist, ha, ta, hb, tb in zip(minus_one_norm(la - lb), la.heads, la.tails,
                                     lb.heads, lb.tails):

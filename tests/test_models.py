@@ -156,8 +156,9 @@ def test_power_utility_is_the_where_form_bitwise(g):
 def test_merton_kernels_off_reduces_to_deterministic_bond():
     spec = build_merton(MertonParams(), m=4)
     x = models.initial_state(spec)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.01, np.zeros((200, 1)))
-    z = path.states[path.n_history:, 1]
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.01, np.zeros((1, 200, 1)),
+                         keep=1)
+    z = path.states[0, path.times >= 0, 1]
     np.testing.assert_allclose(z, (1 + 0.01 * 0.01) ** np.arange(201), rtol=1e-12)
     # wealth compounds at the bond rate up to Euler discretization
     assert z[-1] == pytest.approx(math.exp(0.01 * 2.0), rel=1e-3)
@@ -183,14 +184,14 @@ def test_merton_coefficients_are_the_stacked_columns(fixture, request):
 def test_merton_stock_is_geometric_under_constant_coefficients():
     spec = build_merton(MertonParams(), m=4)
     x = models.initial_state(spec)
-    dw = batch_increments(3, [0], 0.01, 1, 100)[0]
-    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.01, dw)
-    s = path.states[path.n_history:, 0]
+    dw = batch_increments(3, [0], 0.01, 1, 100)
+    path = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.01, dw, keep=1)
+    s = path.states[0, path.times >= 0, 0]
     # one-step Euler of geometric Brownian motion, reproduced directly
     ref = np.empty(101)
     ref[0] = 1.0
     for k in range(100):
-        ref[k + 1] = ref[k] * (1 + 0.07 * 0.01 + 0.3 * dw[k, 0])
+        ref[k + 1] = ref[k] * (1 + 0.07 * 0.01 + 0.3 * dw[0, k, 0])
     np.testing.assert_allclose(s, ref, rtol=1e-12)
 
 
@@ -524,10 +525,10 @@ def test_problem_documents_build_consistent_problems_or_are_refused(doc):
     assert x.head.shape == (spec.n,) and x.tail.shape == (spec.grid.m + 1, spec.n)
     try:
         path = simulate_sdde(spec, x, OpenLoopControl(spec.control_set[0]), spec.d,
-                             spec.d / 2, (0, 1))
+                             spec.d / 2, (0, 1), keep=1)
     except NumericalError:
         return
-    assert path.states.shape == (5, spec.n)
+    assert path.states.shape == (1, 5, spec.n)
 
 
 def test_spec_files_load(tmp_path):

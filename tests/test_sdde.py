@@ -98,8 +98,7 @@ def test_driftless_unit_noise_terminal_moments():
     spec = pure_noise_spec()
     x = models.initial_state(spec)
     dw = batch_increments(17, np.arange(10000), 0.05, 1, 20)
-    from delayopt.sdde import _simulate_batch
-    yT = _simulate_batch(spec, x, OpenLoopControl([0.0]), 1.0, 0.05, dw).window[:, -1, 0]
+    yT = simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.05, dw).window[:, -1, 0]
     stderr = yT.std(ddof=1) / math.sqrt(len(yT))
     assert abs(yT.mean()) <= 3 * stderr
     assert yT.var(ddof=1) == pytest.approx(1.0, rel=0.05)
@@ -108,9 +107,9 @@ def test_driftless_unit_noise_terminal_moments():
 def test_constant_drift_exact():
     spec = drift_only_spec(1.7)
     x = models.initial_state(spec)
-    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, (0, 1))
-    k = path.n_history
-    np.testing.assert_allclose(path.states[k:, 0], 1.7 * path.times[k:], atol=1e-12)
+    path = simulate_sdde(spec, x, OpenLoopControl([0.0]), 2.0, 0.1, (0, 1), keep=1)
+    k = spec_hist(spec, 0.1)
+    np.testing.assert_allclose(path.states[0, k:, 0], 1.7 * path.times[k:], atol=1e-12)
 
 
 def test_advertising_delay_ode_against_fine_reference():
@@ -121,9 +120,9 @@ def test_advertising_delay_ode_against_fine_reference():
     spec = build_advertising(p, 100)
     x = models.initial_state(spec)
     u = OpenLoopControl([0.0])
-    coarse = simulate_sdde(spec, x, u, 1.0, 0.01, np.zeros((100, 1)))
-    fine = simulate_sdde(spec, x, u, 1.0, 0.001, np.zeros((1000, 1)))
-    yc, yf = coarse.states[-1, 0], fine.states[-1, 0]
+    coarse = simulate_sdde(spec, x, u, 1.0, 0.01, np.zeros((1, 100, 1)))
+    fine = simulate_sdde(spec, x, u, 1.0, 0.001, np.zeros((1, 1000, 1)))
+    yc, yf = coarse.window[0, -1, 0], fine.window[0, -1, 0]
     assert abs(yc - yf) <= 0.01 * abs(yf)
 
 
@@ -132,7 +131,6 @@ def test_single_path_seed_noise_is_path_zero_of_the_batch(P):
     # (seed, 1) streams path 0 block by block, across a block boundary: its
     # states, controls and cost are bitwise those of path 0 in a batch of P
     # and those of one explicit draw of path 0's increments
-    from delayopt.sdde import _simulate_batch
     spec = build_advertising(AdvertisingParams(), 20)
     x = models.initial_state(spec)
     K, delta = BLOCK + 5, 0.05
@@ -141,21 +139,18 @@ def test_single_path_seed_noise_is_path_zero_of_the_batch(P):
         return 0.5 + 0.25 * np.tanh(window[:, -1, :1] - window[:, 0, :1])
 
     drawn_dw = batch_increments(7, [0], delta, spec.q, K)
-    path = simulate_sdde(spec, x, ctrl, K * delta, delta, (7, 1))
-    batch = _simulate_batch(spec, x, ctrl, K * delta, delta, (7, P), keep=1)
-    drawn = simulate_sdde(spec, x, ctrl, K * delta, delta, drawn_dw[0])
-    assert path.states.shape[0] == spec_hist(spec, delta) + 1 + K
-    for other in (batch.states[0], drawn.states):
-        np.testing.assert_array_equal(path.states, other)
-    # simulate_sdde's pass, whose controls and cost it does not keep
-    one = _simulate_batch(spec, x, ctrl, K * delta, delta, (7, 1), keep=1)
-    one_drawn = _simulate_batch(spec, x, ctrl, K * delta, delta, drawn_dw, keep=1)
-    for other in (batch.controls[0], one_drawn.controls[0]):
-        np.testing.assert_array_equal(one.controls[0], other)
+    one = simulate_sdde(spec, x, ctrl, K * delta, delta, (7, 1), keep=1)
+    batch = simulate_sdde(spec, x, ctrl, K * delta, delta, (7, P), keep=1)
+    one_drawn = simulate_sdde(spec, x, ctrl, K * delta, delta, drawn_dw, keep=1)
+    n_hist = spec_hist(spec, delta)
+    assert one.states.shape == (1, n_hist + 1 + K, spec.n)
+    np.testing.assert_array_equal(one.times, delta * np.arange(-n_hist, K + 1))
+    for other in (batch, one_drawn):
+        np.testing.assert_array_equal(one.states, other.states)
+        np.testing.assert_array_equal(one.controls, other.controls)
+        np.testing.assert_array_equal(one.times, other.times)
     assert one.costs[0] == batch.costs[0] == one_drawn.costs[0]
     assert np.ptp(one.controls[0]) > 0  # the feedback saw the noise
-    with pytest.raises(ValidationError, match=r"\(seed, 1\)"):
-        simulate_sdde(spec, x, ctrl, K * delta, delta, (7, P + 1))
 
 
 def test_step_must_divide_horizons():
@@ -306,7 +301,6 @@ def test_streaming_pass_matches_the_block_buffer_oracle(case, noise, keep, adver
     # per-step oracle across two increment blocks and a remainder, with
     # history windows of 101 (advertising, affine) and 11 (merton) nodes
     from delayopt.hjb import PolicyField, feedback_from_policy, reduce_to_lag_chain
-    from delayopt.sdde import _simulate_batch
 
     K, delta, P = 2 * BLOCK + 9, 0.01, 5
     if case == "advertising":
@@ -335,7 +329,7 @@ def test_streaming_pass_matches_the_block_buffer_oracle(case, noise, keep, adver
         oracle_ctrl = node_tuple_control(chain, policy, delta)
     x = models.initial_state(spec)
     dw = (7, P) if noise == "seed" else batch_increments(7, range(P), delta, spec.q, K + 4)
-    got = _simulate_batch(spec, x, ctrl, K * delta, delta, dw, keep=keep)
+    got = simulate_sdde(spec, x, ctrl, K * delta, delta, dw, keep=keep)
     want = _oracle_batch(spec, x, oracle_ctrl, K * delta, delta, dw, keep=keep)
     for field, ref in zip(("costs", "window", "states", "controls"), want):
         np.testing.assert_array_equal(getattr(got, field), ref, err_msg=field)
@@ -355,14 +349,13 @@ def test_plain_function_control_matches_open_loop():
     x = models.initial_state(spec)
     dw = batch_increments(5, np.arange(8), 0.05, 1, 40)
     windows = []
-    from delayopt.sdde import _simulate_batch
 
     def control(window):
         windows.append(window.copy())
         return np.full((window.shape[0], 1), 0.5)
 
-    got = _simulate_batch(spec, x, control, 2.0, 0.05, dw, keep=8)
-    ref = _simulate_batch(spec, x, OpenLoopControl([0.5]), 2.0, 0.05, dw, keep=8)
+    got = simulate_sdde(spec, x, control, 2.0, 0.05, dw, keep=8)
+    ref = simulate_sdde(spec, x, OpenLoopControl([0.5]), 2.0, 0.05, dw, keep=8)
     states = got.states
     np.testing.assert_array_equal(states, ref.states)
     np.testing.assert_array_equal(got.controls, ref.controls)
@@ -398,8 +391,8 @@ def test_unit_cost_discounted_integral():
     x = models.initial_state(spec)
     delta = 0.01
     for T in (2.0, 5.0, 10.0):
-        val = sdde._simulate_batch(spec, x, OpenLoopControl([1.0]), T, delta,
-                                   np.zeros((1, int(T / delta), 1)), keep=1).costs[0]
+        val = sdde.simulate_sdde(spec, x, OpenLoopControl([1.0]), T, delta,
+                                 np.zeros((1, int(T / delta), 1))).costs[0]
         # left Riemann sum of exp(-t) over [0, T)
         exact = float(np.sum(np.exp(-delta * np.arange(int(T / delta)))) * delta)
         assert val == pytest.approx(exact, rel=1e-12)
@@ -411,7 +404,7 @@ def test_zero_cost():
                          x0=(1.0,), x1=(1.0,))
     spec = build_affine_test(p, 10)
     x = models.initial_state(spec)
-    batch = sdde._simulate_batch(spec, x, OpenLoopControl([0.5]), 1.0, 0.1, (0, 1), keep=1)
+    batch = sdde.simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.1, (0, 1))
     assert batch.costs[0] == 0.0
 
 
@@ -422,16 +415,16 @@ def test_zero_horizon_costs_nothing(noise):
     x = models.initial_state(spec)
     u = OpenLoopControl([0.5])
     dw = (3, 4) if noise == "seed" else batch_increments(3, range(4), 0.1, spec.q, 0)
-    batch = sdde._simulate_batch(spec, x, u, 0.0, 0.1, dw, keep=2)
+    batch = sdde.simulate_sdde(spec, x, u, 0.0, 0.1, dw, keep=2)
     np.testing.assert_array_equal(batch.costs, np.zeros(4))
     assert batch.window.shape == (4, spec_hist(spec, 0.1) + 1, spec.n)
     assert np.all(batch.window[:, -1] == x.head)
     assert batch.controls.shape == (2, 0, 1)
     assert mc_cost(spec, x, u, 0.0, 0.1, 4, seed=3) == (0.0, 0.0)
-    one = sdde._simulate_batch(spec, x, u, 0.0, 0.1, (3, 1), keep=1)
+    one = sdde.simulate_sdde(spec, x, u, 0.0, 0.1, (3, 1), keep=1)
     assert one.costs[0] == 0.0 and one.controls[0].shape == (0, 1)
-    assert simulate_sdde(spec, x, u, 0.0, 0.1, (3, 1)).states.shape == (
-        spec_hist(spec, 0.1) + 1, spec.n)
+    assert one.states.shape == (1, spec_hist(spec, 0.1) + 1, spec.n)
+    np.testing.assert_array_equal(one.times, 0.1 * np.arange(-spec_hist(spec, 0.1), 1))
 
 
 def test_constant_path_linear_cost():
@@ -444,8 +437,8 @@ def test_constant_path_linear_cost():
     spec = build_affine_test(p, 10)
     x = models.initial_state(spec)
     delta = 0.01
-    val = sdde._simulate_batch(spec, x, OpenLoopControl([0.0]), 10.0, delta,
-                               np.zeros((1, 1000, 1)), keep=1).costs[0]
+    val = sdde.simulate_sdde(spec, x, OpenLoopControl([0.0]), 10.0, delta,
+                             np.zeros((1, 1000, 1))).costs[0]
     assert val == pytest.approx(2.0 * (1 - math.exp(-10.0)), abs=4 * delta)
 
 
@@ -461,8 +454,8 @@ def test_mc_deterministic_given_seed_and_chunk_free():
     n_paths, delta = 9, 0.05
     K = 2 * BLOCK + 9
     T = K * delta
-    costs = [sdde._simulate_batch(spec, x, OpenLoopControl([0.5]), T, delta,
-                                  batch_increments(3, [i], delta, 1, K), keep=1).costs[0]
+    costs = [sdde.simulate_sdde(spec, x, OpenLoopControl([0.5]), T, delta,
+                                batch_increments(3, [i], delta, 1, K)).costs[0]
              for i in range(n_paths)]
     mean = math.fsum(costs) / n_paths
     var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
@@ -506,10 +499,10 @@ def test_closed_loop_pass_stays_within_its_memory_bound(merton_nodelay_solution)
     chain, res = merton_nodelay_solution
     spec, delta = chain.spec, 0.01
     x, ctrl = models.initial_state(spec), feedback_from_policy(chain, res.policy, delta)
-    sdde._simulate_batch(spec, x, ctrl, 1.0, delta, (3, 4))  # first-call allocations
+    sdde.simulate_sdde(spec, x, ctrl, 1.0, delta, (3, 4))  # first-call allocations
     tracemalloc.start()
     try:
-        sdde._simulate_batch(spec, x, ctrl, (2 * BLOCK + 9) * delta, delta, (3, 1000))
+        sdde.simulate_sdde(spec, x, ctrl, (2 * BLOCK + 9) * delta, delta, (3, 1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -615,13 +608,12 @@ def test_strong_convergence_rate_additive_noise():
     n_fine = int(T / fine_delta)
     errs = []
     deltas = [0.02, 0.01]
-    from delayopt.sdde import _simulate_batch
     dw_fine = batch_increments(23, np.arange(64), fine_delta, 1, n_fine)
-    ref = _simulate_batch(spec, x, u, T, fine_delta, dw_fine).window
+    ref = simulate_sdde(spec, x, u, T, fine_delta, dw_fine).window
     for delta in deltas:
         factor = int(delta / fine_delta)
         dw = coarsen_increments(dw_fine, factor)
-        states = _simulate_batch(spec, x, u, T, delta, dw).window
+        states = simulate_sdde(spec, x, u, T, delta, dw).window
         errs.append(np.abs(states[:, -1, 0] - ref[:, -1, 0]).mean())
     rate = math.log2(errs[0] / errs[1])
     assert 0.4 <= rate <= 1.1
@@ -632,7 +624,6 @@ def test_moment_growth_envelope():
     spec = models.build_advertising(models.AdvertisingParams(), m=20)
     x = models.initial_state(spec)
     u = OpenLoopControl([0.5])
-    from delayopt.sdde import _simulate_batch
     from delayopt.hjb import discount_floor
     rho0 = discount_floor(spec.growth_const, spec.cost_growth_exponent)
     lam = (spec.rho + rho0) / 2
@@ -641,7 +632,7 @@ def test_moment_growth_envelope():
     for delta, seed in ((0.02, 31), (0.01, 31)):
         n = int(2.0 / delta)
         dw = batch_increments(seed, np.arange(256), delta, 1, n)
-        states = _simulate_batch(spec, x, u, 2.0, delta, dw, keep=256).states
+        states = simulate_sdde(spec, x, u, 2.0, delta, dw, keep=256).states
         t = delta * np.arange(n + 1)
         moments = np.abs(states[:, spec_hist(spec, delta):, 0]).mean(axis=0)
         fits.append(float(np.max(moments / (x_norm * np.exp(lam * t)))))
