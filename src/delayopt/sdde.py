@@ -5,7 +5,7 @@ the history window always aligns with stored nodes and the kernel
 quadrature needs no interpolation. Path i's Brownian increments come from
 the counter-based stream keyed on (seed, i), drawn by `_increment_blocks`
 alone, so every path is bit-reproducible and independent of the others.
-The one simulator, `simulate_sdde`, takes noise as (seed, P), paths
+The strong simulator, `simulate_sdde`, takes noise as (seed, P), paths
 0 .. P - 1, or as an explicit increment array that callers share or
 coarsen, and steps every path of a batch at once in one streaming pass: it
 draws the increments BLOCK steps at a time from each path's stream, holding

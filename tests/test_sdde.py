@@ -391,8 +391,8 @@ def test_unit_cost_discounted_integral():
     x = models.initial_state(spec)
     delta = 0.01
     for T in (2.0, 5.0, 10.0):
-        val = sdde.simulate_sdde(spec, x, OpenLoopControl([1.0]), T, delta,
-                                 np.zeros((1, int(T / delta), 1))).costs[0]
+        val = simulate_sdde(spec, x, OpenLoopControl([1.0]), T, delta,
+                            np.zeros((1, int(T / delta), 1))).costs[0]
         # left Riemann sum of exp(-t) over [0, T)
         exact = float(np.sum(np.exp(-delta * np.arange(int(T / delta)))) * delta)
         assert val == pytest.approx(exact, rel=1e-12)
@@ -404,7 +404,7 @@ def test_zero_cost():
                          x0=(1.0,), x1=(1.0,))
     spec = build_affine_test(p, 10)
     x = models.initial_state(spec)
-    batch = sdde.simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.1, (0, 1))
+    batch = simulate_sdde(spec, x, OpenLoopControl([0.5]), 1.0, 0.1, (0, 1))
     assert batch.costs[0] == 0.0
 
 
@@ -415,13 +415,13 @@ def test_zero_horizon_costs_nothing(noise):
     x = models.initial_state(spec)
     u = OpenLoopControl([0.5])
     dw = (3, 4) if noise == "seed" else batch_increments(3, range(4), 0.1, spec.q, 0)
-    batch = sdde.simulate_sdde(spec, x, u, 0.0, 0.1, dw, keep=2)
+    batch = simulate_sdde(spec, x, u, 0.0, 0.1, dw, keep=2)
     np.testing.assert_array_equal(batch.costs, np.zeros(4))
     assert batch.window.shape == (4, spec_hist(spec, 0.1) + 1, spec.n)
     assert np.all(batch.window[:, -1] == x.head)
     assert batch.controls.shape == (2, 0, 1)
     assert mc_cost(spec, x, u, 0.0, 0.1, 4, seed=3) == (0.0, 0.0)
-    one = sdde.simulate_sdde(spec, x, u, 0.0, 0.1, (3, 1), keep=1)
+    one = simulate_sdde(spec, x, u, 0.0, 0.1, (3, 1), keep=1)
     assert one.costs[0] == 0.0 and one.controls[0].shape == (0, 1)
     assert one.states.shape == (1, spec_hist(spec, 0.1) + 1, spec.n)
     np.testing.assert_array_equal(one.times, 0.1 * np.arange(-spec_hist(spec, 0.1), 1))
@@ -437,8 +437,8 @@ def test_constant_path_linear_cost():
     spec = build_affine_test(p, 10)
     x = models.initial_state(spec)
     delta = 0.01
-    val = sdde.simulate_sdde(spec, x, OpenLoopControl([0.0]), 10.0, delta,
-                             np.zeros((1, 1000, 1))).costs[0]
+    val = simulate_sdde(spec, x, OpenLoopControl([0.0]), 10.0, delta,
+                        np.zeros((1, 1000, 1))).costs[0]
     assert val == pytest.approx(2.0 * (1 - math.exp(-10.0)), abs=4 * delta)
 
 
@@ -454,8 +454,8 @@ def test_mc_deterministic_given_seed_and_chunk_free():
     n_paths, delta = 9, 0.05
     K = 2 * BLOCK + 9
     T = K * delta
-    costs = [sdde.simulate_sdde(spec, x, OpenLoopControl([0.5]), T, delta,
-                                batch_increments(3, [i], delta, 1, K)).costs[0]
+    costs = [simulate_sdde(spec, x, OpenLoopControl([0.5]), T, delta,
+                           batch_increments(3, [i], delta, 1, K)).costs[0]
              for i in range(n_paths)]
     mean = math.fsum(costs) / n_paths
     var = math.fsum((c - mean) ** 2 for c in costs) / (n_paths - 1)
@@ -499,10 +499,10 @@ def test_closed_loop_pass_stays_within_its_memory_bound(merton_nodelay_solution)
     chain, res = merton_nodelay_solution
     spec, delta = chain.spec, 0.01
     x, ctrl = models.initial_state(spec), feedback_from_policy(chain, res.policy, delta)
-    sdde.simulate_sdde(spec, x, ctrl, 1.0, delta, (3, 4))  # first-call allocations
+    simulate_sdde(spec, x, ctrl, 1.0, delta, (3, 4))  # first-call allocations
     tracemalloc.start()
     try:
-        sdde.simulate_sdde(spec, x, ctrl, (2 * BLOCK + 9) * delta, delta, (3, 1000))
+        simulate_sdde(spec, x, ctrl, (2 * BLOCK + 9) * delta, delta, (3, 1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
