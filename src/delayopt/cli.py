@@ -447,14 +447,15 @@ def cmd_probe_regularity(run: Run):
 
 def cmd_probe_bcontinuity(run: Run):
     a, spec, x = run.args, run.spec, run.x
-    ys = []
     rng = np.random.default_rng(a.seed)
     nodes = spec.grid.nodes
-    for _ in range(a.pairs):
+    bumps = np.empty((a.pairs, spec.grid.m + 1))
+    for bump in bumps:
         scale = 10 ** rng.uniform(-3.0, 0.0)
         freq = rng.integers(1, 5)
-        bump = scale * np.sin(math.pi * freq * (nodes + spec.d) / spec.d)
-        ys.append(LiftedState(spec.grid, x.head, x.tail + bump[:, None]))
+        bump[:] = scale * np.sin(math.pi * freq * (nodes + spec.d) / spec.d)
+    # C-ordered, so each sample's weak norm is bitwise its one-sample batch's
+    ys = LiftedBatch(spec.grid, np.tile(x.head, (a.pairs, 1)), x.tail + bumps[:, :, None])
     table = hjb.b_continuity_probe(spec, _control(spec), x, ys, a.T, a.dt, a.paths, a.seed)
     monotone, vanishing = hjb.envelope_is_monotone(table)
     run.csv("bcontinuity.csv", ["weak_distance", "difference", "stderr"],

@@ -527,11 +527,13 @@ def _build_plans(chain: LagChainSpec, axes: tuple[np.ndarray, ...], gh_points: i
     over axes.
 
     Returns the stage costs (n_u, nodes), one (idx, wts) plan per control
-    (_interp_plan per Gauss-Hermite node, side by side, each block's weights
-    scaled by its node's weight), the number of planned next states clamped
-    onto the grid, and the index/weight pairs the plans store. A control
-    steps its registers once, all Gauss-Hermite nodes stacked, so the drift,
-    the noise and the kernel quadrature are evaluated once per control.
+    (a row is its node's Gauss-Hermite blocks side by side, each block's
+    weights scaled by its Gauss-Hermite weight), the number of planned next
+    states clamped onto the grid, and the index/weight pairs the plans
+    store. A control steps its registers once, all Gauss-Hermite nodes
+    stacked, so the drift, the noise and the kernel quadrature are evaluated
+    once per control, and interpolates all its next states in one
+    _interp_plan call, so its on-node collapse is decided once.
     """
     spec = chain.spec
     pts = _tensor_nodes(axes)
@@ -547,16 +549,11 @@ def _build_plans(chain: LagChainSpec, axes: tuple[np.ndarray, ...], gh_points: i
         u = np.broadcast_to(spec.control_set[iu], (n_nodes, spec.p))
         stage[iu] = np.asarray(spec.cost(regs[:, -1, :], u)) * chain.delta
         nxt = chain.flatten(chain.step(regs, u, zz))
-        idx_list, wts_list = [], []
-        for ig in range(zeta.shape[0]):
-            # one plan per node block: its collapse rule sees that block alone
-            idx, wts, n_out = _interp_plan(axes, nxt[ig])
-            clamped += n_out
-            wts *= zw[ig]
-            idx_list.append(idx)
-            wts_list.append(wts)
-        plans.append((np.concatenate(idx_list, axis=1),
-                      np.concatenate(wts_list, axis=1)))
+        # node-major, so a node's Gauss-Hermite blocks are adjacent rows
+        idx, wts, n_out = _interp_plan(axes, nxt.swapaxes(0, 1).reshape(-1, nxt.shape[-1]))
+        clamped += n_out
+        wts *= np.tile(zw, n_nodes)[:, None]
+        plans.append((idx.reshape(n_nodes, -1), wts.reshape(n_nodes, -1)))
     return stage, plans, clamped, sum(idx.size for idx, _ in plans)
 
 
@@ -580,8 +577,9 @@ def value_iteration(chain: LagChainSpec, axes, tol: float, max_iter: int, gh_poi
     v0; max_iter caps the improvement sweeps.
 
     The noise expectation uses a fixed Gauss-Hermite rule, transitions are
-    precomputed as one interpolation plan per control (_build_plans; a lag
-    register that lands on the nodes of its axis takes no upper corner),
+    precomputed as one interpolation plan per control (_build_plans; an
+    axis on which every next state of the control lands on a node takes no
+    upper corner),
     transition_entries counts what the plans store, and out-of-box
     transitions clamp to the boundary (rate above 20 percent sets the
     warning flag).
@@ -919,15 +917,16 @@ class ContinuityTable:
             object.__setattr__(self, name, getattr(self, name)[order])
 
 
-def b_continuity_probe(spec: ProblemSpec, ctrl, x: LiftedState, ys, T: float,
+def b_continuity_probe(spec: ProblemSpec, ctrl, x: LiftedState, ys: LiftedBatch, T: float,
                        delta: float, n_paths: int, seed: int) -> ContinuityTable:
-    """Paired Monte Carlo value differences from x to each state of ys,
+    """Paired Monte Carlo value differences from x to each sample of ys,
     against their weak distance.
 
     One increment array serves x and every y (common random numbers), so x
-    is simulated once. A row is the weak distance |x - y|_{-1} with the
-    absolute mean and the standard error of the per-path cost differences.
-    A zero horizon is refused: every difference would be 0 by construction.
+    is simulated once; each y is simulated from its validated LiftedState.
+    A row is the weak distance |x - y|_{-1} with the absolute mean and the
+    standard error of the per-path cost differences. A zero horizon is
+    refused: every difference would be 0 by construction.
     """
     n_steps = _steps_of(T, delta, "T")
     if n_steps == 0:
@@ -935,14 +934,12 @@ def b_continuity_probe(spec: ProblemSpec, ctrl, x: LiftedState, ys, T: float,
     dw = batch_increments(seed, np.arange(n_paths), delta, spec.q, n_steps)
     base = simulate_sdde(spec, x, ctrl, T, delta, dw).costs
     diff, err = [], []
-    for y in ys:
+    for head, tail in zip(ys.heads, ys.tails):
+        y = LiftedState(ys.grid, head, tail)
         d, s = _mean_stderr(base - simulate_sdde(spec, y, ctrl, T, delta, dw).costs)
         diff.append(abs(d))
         err.append(s)
-    # explicit shapes, so that no states still stack to an empty batch
-    heads = np.reshape([y.head for y in ys], (len(ys), x.n))
-    tails = np.reshape([y.tail for y in ys], (len(ys), x.grid.m + 1, x.n))
-    dist = minus_one_norm(LiftedBatch(x.grid, x.head - heads, x.tail - tails))
+    dist = minus_one_norm(LiftedBatch(x.grid, x.head - ys.heads, x.tail - ys.tails))
     return ContinuityTable(dist, np.asarray(diff), np.asarray(err))
 
 

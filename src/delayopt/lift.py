@@ -144,18 +144,14 @@ def equivalence_report(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
     if n_steps == 0:
         raise ValidationError("the agreement report needs a positive horizon T")
     fine = batch_increments(seed, [0], delta / 2, spec.q, 2 * n_steps)[0]
-    coarse = coarsen_increments(fine, 2)
-
-    path = simulate_sdde(spec, x, ctrl, T, delta, coarse[None], keep=1)
-    lifted = simulate_mild(spec, x, ctrl, T, delta, coarse)
-    base = _mismatch(spec.grid, delta, path, lifted)
-
     spec_f = with_resolution(spec, 2 * spec.grid.m)
-    x_f = x.resampled(spec_f.grid)
-    path_f = simulate_sdde(spec_f, x_f, ctrl, T, delta / 2, fine[None], keep=1)
-    lifted_f = simulate_mild(spec_f, x_f, ctrl, T, delta / 2, fine)
-    refined = _mismatch(spec_f.grid, delta / 2, path_f, lifted_f)
-
+    levels = []
+    for sp, state, step, dw in ((spec, x, delta, coarsen_increments(fine, 2)),
+                                (spec_f, x.resampled(spec_f.grid), delta / 2, fine)):
+        path = simulate_sdde(sp, state, ctrl, T, step, dw[None], keep=1)
+        lifted = simulate_mild(sp, state, ctrl, T, step, dw)
+        levels.append(_mismatch(sp.grid, step, path, lifted))
+    base, refined = levels
     if refined.head_mismatch > 0:
         ratio = base.head_mismatch / refined.head_mismatch
     else:  # 0/0 when both levels agree exactly: no halving to report

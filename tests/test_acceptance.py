@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import batch_of
+
 from delayopt import models
 from delayopt.cli import main as cli_main
 from delayopt.core import (Kernel, LiftedBatch, LiftedState, SegmentGrid, kernel_convolve,
@@ -233,8 +235,8 @@ def test_criterion_8_growth_and_continuity(advertising_solution):
         freq = int(rng.integers(1, 5))
         bump = scale * np.sin(math.pi * freq * (spec.grid.nodes + 1.0))
         ys.append(LiftedState(spec.grid, x.head, x.tail + bump[:, None]))
-    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, ys, T=4.0, delta=0.01,
-                               n_paths=200, seed=13)
+    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, batch_of(*ys), T=4.0,
+                               delta=0.01, n_paths=200, seed=13)
     monotone, vanishing = envelope_is_monotone(table)
     ok = growth_ok and monotone and vanishing
     report(8, "value growth and weak continuity", ok,

@@ -1020,14 +1020,30 @@ def test_lift_check(tmp_path):
 
 
 def test_lift_check_ratio_is_nan_when_both_levels_agree(tmp_path, capsys):
-    # over one step both simulators agree exactly at both levels, so the
-    # halving ratio is 0/0
+    # one step of exactly the segment spacing d/m = 0.01: the refined level's
+    # two half steps are its own spacing, so both simulators agree exactly
+    # at both levels and the halving ratio is 0/0
     out = tmp_path / "lift"
     assert run(["lift-check", "--spec", SPEC, "--T", "0.01", "--dt", "0.01",
                 "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip().endswith(" ratio=nan")
     rows = (out / "lift_report.csv").read_text().splitlines()
     assert [row.split(",")[2:] for row in rows[1:]] == [["0.0", "0.0", "nan"]] * 2
+
+
+def test_lift_check_ratio_is_zero_when_only_the_base_level_agrees(tmp_path, capsys):
+    # one step shorter than d/m = 0.01: the base level's one step is exact,
+    # but the refined level takes two half steps, each shorter than its
+    # spacing d/2m, and misses in the head and the tail, so the ratio is 0
+    out = tmp_path / "lift"
+    assert run(["lift-check", "--spec", SPEC, "--T", "0.001", "--dt", "0.001",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith(" ratio=0")
+    base, refined = [row.split(",")[2:] for row in
+                     (out / "lift_report.csv").read_text().splitlines()[1:]]
+    assert base == ["0.0", "0.0", "0.0"]
+    head, tail = float(refined[0]), float(refined[1])
+    assert 0 < head < 1e-9 and 0 < tail < 1e-5 and refined[2] == "nan"
 
 
 def test_dpp_subcommand(tmp_path):

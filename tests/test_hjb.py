@@ -1,5 +1,6 @@
 import argparse
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -807,8 +808,9 @@ def test_value_iteration_one_sweep_is_the_reference_sweep(oracle_cases):
 def test_value_iteration_pads_the_greedy_rows_of_narrower_plans():
     # control 0 (u = -1) drives every state below the axes, where it clamps
     # onto node 0 (one corner); control 1 (u = 0) only diffuses, and its
-    # zeta = 0 node stays on the nodes: plans 5 and 9 wide, and the greedy
-    # policy takes rows of both
+    # zeta = 0 block alone stays on the nodes: per-block plans are 5 and 9
+    # wide, and the one plan per control, whose collapse sees all five
+    # blocks, 5 and 10; the greedy policy takes rows of both
     p = AffineTestParams(drift_state=((0.0,),), drift_delay=((0.0,),),
                          drift_control=((50.0,),), noise_const=((0.1,),),
                          kernel_scale=0.0, control_lo=-1.0, control_hi=0.0, n_controls=2)
@@ -816,7 +818,7 @@ def test_value_iteration_pads_the_greedy_rows_of_narrower_plans():
     axes = (np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5))
     res = value_iteration(chain, axes, tol=1e-10, max_iter=20000, gh_points=5)
     assert [w.shape[1] for _, w in _reference_plans(chain, axes)[1]] == [5, 9]
-    assert res.transition_entries == 25 * (5 + 9)
+    assert res.transition_entries == 25 * (5 + 10)
     assert set(res.policy.indices.ravel()) == {0, 1}
     v_ref, policy_ref, bound_ref = _reference_value_iteration(chain, axes, tol=1e-10)
     np.testing.assert_array_equal(res.policy.indices.ravel(), policy_ref)
@@ -879,6 +881,111 @@ def test_build_plans_is_the_reference_plan_build_at_two_noise_dimensions():
     axes = (np.linspace(-1.0, 2.5, 5),) * 2 + (np.linspace(-1.0, 2.5, 3),) * 2
     res = value_iteration(chain, axes, tol=1e-6, max_iter=5000, gh_points=5)
     test_build_plans_is_the_reference_plan_build([(chain, res)])
+
+
+def test_build_plans_interpolates_each_control_once(oracle_cases, monkeypatch):
+    # one _interp_plan call per control over all its next states, not one
+    # per Gauss-Hermite node
+    calls = []
+
+    def spy(axes, pts):
+        calls.append(pts.shape[0])
+        return _interp_plan(axes, pts)
+
+    monkeypatch.setattr(hjb, "_interp_plan", spy)
+    for chain, res in oracle_cases:
+        calls.clear()
+        _build_plans(chain, res.value.axes, 5)
+        n_u, n_nodes = chain.spec.control_set.shape[0], res.value.values.size
+        assert calls == [5 ** chain.spec.q * n_nodes] * n_u
+
+
+def test_merton_delay_solution_stores_twenty_entries_per_node_and_control(
+        merton_delay_solution):
+    # the bench grid's plans: 2 corners on the wealth axis times 2 on the
+    # stock axis times 5 Gauss-Hermite nodes; s_lag1 copies s onto its nodes
+    chain, res = merton_delay_solution
+    assert chain.spec.control_set.shape[0] == 11 and res.value.values.size == 6561
+    assert res.transition_entries == 11 * 6561 * 20 == 1_443_420
+
+
+# ---------------------------------------------------------------------------
+# the uncontrolled affine chain: an exact value that is curved
+
+
+def _uncontrolled_affine_chain(m_lag):
+    """specs/affine.json with the one control u = 0, reduced at m_lag."""
+    doc = json.loads((SPECS / "affine.json").read_text())
+    doc["params"].update(control_lo=0.0, control_hi=0.0, n_controls=1)
+    return reduce_to_lag_chain(models.build_problem(doc), m_lag)
+
+
+def _affine_chain_oracle(chain):
+    """Exact value V(z) = z'Pz + kappa of the uncontrolled affine chain, as
+    (P, kappa) on flat states.
+
+    The drift is linear, the noise additive and the cost y^2, so a step is
+    z' = M z + s zeta, M read off LagChainSpec.step on the unit registers at
+    zeta = 0 and s off the zero register at zeta = 1. The stage cost is
+    delta z_0^2, so P = delta e0 e0' + g M'PM, a discrete Lyapunov equation
+    solved as its Kronecker system, and kappa = g s'Ps / (1 - g).
+    """
+    spec, dim, g = chain.spec, chain.state_dim, chain.step_discount
+    u = np.zeros((dim, spec.p))
+    m = chain.flatten(chain.step(chain.unflatten(np.eye(dim)), u,
+                                 np.zeros((dim, spec.q)))).T
+    s = chain.flatten(chain.step(chain.unflatten(np.zeros((1, dim))), u[:1],
+                                 np.ones((1, spec.q))))[0]
+    rhs = np.zeros((dim, dim))
+    rhs[0, 0] = chain.delta
+    p = np.linalg.solve(np.eye(dim * dim) - g * np.kron(m.T, m.T), rhs.ravel())
+    p = p.reshape(dim, dim)
+    return p, g * (s @ p @ s) / (1.0 - g)
+
+
+@pytest.mark.parametrize("m_lag, exact", [(1, 1.227213), (2, 0.880818), (4, 0.735475)])
+def test_affine_chain_oracle_solves_the_chain_bellman_equation(m_lag, exact):
+    # Gauss-Hermite with 5 points is exact on a quadratic, so the oracle is
+    # its own Bellman image at any register, to rounding
+    chain = _uncontrolled_affine_chain(m_lag)
+    spec = chain.spec
+    p, kappa = _affine_chain_oracle(chain)
+
+    def value(z):
+        return np.einsum("...i,ij,...j->...", z, p, z) + kappa
+
+    z = np.random.default_rng(4).uniform(-3.0, 3.0, (50, chain.state_dim))
+    regs = chain.unflatten(z)
+    zeta, zw = noise_rule(spec.q, 5)
+    u = np.zeros((len(z), spec.p))
+    nxt = chain.flatten(chain.step(regs, u, np.broadcast_to(
+        zeta[:, None, :], (len(zeta), len(z), spec.q))))
+    bellman = (np.asarray(spec.cost(regs[:, -1, :], u)) * chain.delta
+               + chain.step_discount * np.einsum("g,gp->p", zw, value(nxt)))
+    np.testing.assert_allclose(bellman, value(z), rtol=1e-12, atol=0)
+    # the exact chain values at the all-ones start state
+    assert value(np.ones(chain.state_dim)) == pytest.approx(exact, abs=5e-7)
+
+
+def test_value_iteration_approaches_the_affine_chain_oracle_at_second_order():
+    # on the +-3 box, value_iteration at tol 1e-9 overestimates the exact
+    # chain value at the all-ones start state, and halving both spacings
+    # divides the error by about 4 (multilinear interpolation is second
+    # order): measured ratios 4.02, 4.15 (m_lag 1) and 4.38 (m_lag 2, with
+    # about 1% of the next states clamped at the box). The band [3.5, 5]
+    # holds them and shuts out first order (2) and third order (8).
+    for m_lag, levels in ((1, ((21, 6), (41, 11), (81, 21))), (2, ((41, 11), (81, 21)))):
+        chain = _uncontrolled_affine_chain(m_lag)
+        p, kappa = _affine_chain_oracle(chain)
+        z = np.ones(chain.state_dim)
+        errors = []
+        for head, lag in levels:
+            axes = (np.linspace(-3.0, 3.0, head),) + (np.linspace(-3.0, 3.0, lag),) * m_lag
+            res = value_iteration(chain, axes, tol=1e-9, max_iter=20000, gh_points=5)
+            errors.append(res.value.interp(z[None])[0] - (z @ p @ z + kappa))
+        assert all(e > 0 for e in errors)
+        ratios = np.asarray(errors[:-1]) / np.asarray(errors[1:])
+        assert np.all((3.5 <= ratios) & (ratios <= 5.0)), ratios
 
 
 # the bench's solve-delay grid on specs/merton_delay.json
@@ -1410,8 +1517,8 @@ def test_regularity_probe_reports_only_without_ellipticity(advert_spec):
 def test_b_continuity_trivial_pairs(advert_spec):
     spec = advert_spec
     x = models.initial_state(spec)
-    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, [x], T=1.0, delta=0.05,
-                               n_paths=16, seed=0)
+    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, batch_of(x), T=1.0,
+                               delta=0.05, n_paths=16, seed=0)
     assert table.differences[0] == 0.0 and table.distances[0] == 0.0
 
 
@@ -1425,8 +1532,8 @@ def test_b_continuity_oscillatory_pairs(advert_spec):
     for freq in (1, 2, 4, 8):
         bump = 0.5 * np.sin(math.pi * freq * (g.nodes + 1.0))
         ys.append(LiftedState(g, x.head, x.tail + bump[:, None]))
-    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, ys, T=2.0, delta=0.025,
-                               n_paths=64, seed=1)
+    table = b_continuity_probe(spec, OpenLoopControl([0.5]), x, batch_of(*ys), T=2.0,
+                               delta=0.025, n_paths=64, seed=1)
     # weak distances decrease with frequency, and so do the differences
     assert np.all(np.diff(table.distances) > 0)
     order = np.argsort(table.distances)
@@ -1442,7 +1549,8 @@ def test_b_continuity_head_pairs_scale_like_lipschitz(advert_spec):
     x = models.initial_state(spec)
     eps = np.array([0.05, 0.1, 0.2, 0.4])
     table = b_continuity_probe(spec, OpenLoopControl([0.5]), x,
-                               [LiftedState(spec.grid, x.head + e, x.tail) for e in eps],
+                               batch_of(*[LiftedState(spec.grid, x.head + e, x.tail)
+                                           for e in eps]),
                                T=2.0, delta=0.025, n_paths=64, seed=9)
     # a head gap's weak distance is proportional to it, so the rows keep eps's order
     np.testing.assert_allclose(table.distances / eps, table.distances[0] / eps[0])
@@ -1465,8 +1573,8 @@ def test_b_continuity_distances_are_the_per_pair_weak_norms(spec_file):
                                                       / spec.d)
         ys.append(LiftedState(spec.grid, x.head + rng.uniform(0.0, 0.1, size=spec.n),
                               x.tail + bump[:, None]))
-    table = b_continuity_probe(spec, OpenLoopControl(spec.control_set[0]), x, ys, T=0.1,
-                               delta=0.05, n_paths=4, seed=0)
+    table = b_continuity_probe(spec, OpenLoopControl(spec.control_set[0]), x, batch_of(*ys),
+                               T=0.1, delta=0.05, n_paths=4, seed=0)
     ref = [minus_one_norm(batch_of(x) - batch_of(y))[0] for y in ys]
     np.testing.assert_array_equal(table.distances, np.sort(ref))
 
@@ -1480,7 +1588,8 @@ def test_paired_estimate_is_the_fsum_statistic_of_its_differences(advert_spec):
     x = models.initial_state(spec)
     y = LiftedState(spec.grid, x.head + 0.1, x.tail - 0.05)
     ctrl = OpenLoopControl([0.5])
-    table = b_continuity_probe(spec, ctrl, x, [y], T=1.0, delta=0.05, n_paths=64, seed=3)
+    table = b_continuity_probe(spec, ctrl, x, batch_of(y), T=1.0, delta=0.05, n_paths=64,
+                               seed=3)
     dw = batch_increments(3, np.arange(64), 0.05, spec.q, 20)
     d = (simulate_sdde(spec, x, ctrl, 1.0, 0.05, dw).costs
          - simulate_sdde(spec, y, ctrl, 1.0, 0.05, dw).costs).tolist()
@@ -1493,10 +1602,10 @@ def test_paired_estimate_refuses_a_zero_horizon_and_one_path(advert_spec):
     spec = advert_spec
     x = models.initial_state(spec)
     with pytest.raises(ValidationError, match="positive horizon"):
-        b_continuity_probe(spec, OpenLoopControl([0.5]), x, [x], T=0.0, delta=0.05,
+        b_continuity_probe(spec, OpenLoopControl([0.5]), x, batch_of(x), T=0.0, delta=0.05,
                            n_paths=16, seed=0)
     with pytest.raises(ValidationError, match="at least 2 paths"):
-        b_continuity_probe(spec, OpenLoopControl([0.5]), x, [x], T=1.0, delta=0.05,
+        b_continuity_probe(spec, OpenLoopControl([0.5]), x, batch_of(x), T=1.0, delta=0.05,
                            n_paths=1, seed=0)
 
 
