@@ -200,11 +200,10 @@ def _write_value_policy(run: Run, chain, result) -> None:
 
 def _write_dpp(run: Run, chain, result, tau: float):
     report = hjb.dpp_gap(chain, result.value, run.x, tau, run.args.paths, run.args.seed)
-    grid_tol = 0.03 * (1.0 + abs(report.value_at_x))
-    ok = report.ok(grid_tol)
     run.csv("dpp.csv", ["tau", "gap", "stderr", "value_at_x", "grid_tol", "pass"],
-            [[tau, report.gap, report.stderr, report.value_at_x, grid_tol, int(ok)]])
-    return report, grid_tol, ok
+            [[tau, report.gap, report.stderr, report.value_at_x, report.grid_tol,
+              int(report.ok)]])
+    return report
 
 
 def _record_tail_bound(run: Run) -> None:
@@ -227,6 +226,7 @@ class _PathRows:
     states: np.ndarray     # (paths, steps, n) the state at each step time
     controls: np.ndarray   # (paths, steps, p)
 
+    # the bench trace counts write_csv's rows by len() (bench/spans.py, _observe_csv)
     def __len__(self) -> int:
         return len(self.states) * len(self.t_cells)
 
@@ -366,7 +366,7 @@ def cmd_value(run: Run):
 def cmd_solve(run: Run):
     chain, axes, z0 = _lag_grid(run)
     result = _solve(run, chain, axes)
-    growth = hjb.growth_fit(result.value, chain, run.spec.cost_growth_exponent)
+    growth = hjb.growth_fit(result.value, chain)
     _write_value_policy(run, chain, result)
     policy, path = result.policy, run.out / "policy.json"
     path.write_text(json.dumps({"axes": [ax.tolist() for ax in policy.axes],
@@ -409,10 +409,10 @@ def cmd_dpp(run: Run):
     tau_steps = _count(run, "tau_steps")
     chain, axes, _ = _lag_grid(run)
     result = _solve(run, chain, axes)
-    report, grid_tol, ok = _write_dpp(run, chain, result, tau_steps * chain.delta)
+    report = _write_dpp(run, chain, result, tau_steps * chain.delta)
     lines = [f"dpp: gap={report.gap:.6g} stderr={report.stderr:.3g} "
-             f"tol={2 * report.stderr + grid_tol:.3g} pass={ok}"]
-    if not ok:
+             f"tol={report.bound:.3g} pass={report.ok}"]
+    if not report.ok:
         raise CheckFailed(lines, ["dpp_gap"])
     return lines
 
@@ -469,19 +469,14 @@ def cmd_probe_bcontinuity(run: Run):
 
 def cmd_merton_check(run: Run):
     a, spec = run.args, run.spec
-    p = spec.params
-    if not isinstance(p, models.MertonParams):
+    if not isinstance(spec.params, models.MertonParams):
         raise ValidationError("merton-check needs a portfolio problem file")
-    if p.mu.slope or p.nu.slope:
-        raise ValidationError("merton-check compares against the constant-coefficient closed "
-                              "form; use const mu and nu presets with zero kernels")
+    v_oracle, u_oracle = spec.params.oracle()
     if spec.control_set.shape[0] < 2:  # the feedback check's tolerance is the control spacing
         raise ValidationError("merton-check needs at least 2 controls")
-    oracle = models.merton_classical_oracle(p.r, p.mu.base, p.nu.base, p.gamma, spec.rho)
     chain, axes, z0 = _lag_grid(run)
     result = _solve(run, chain, axes)
     v_solver = -result.value.interp(z0)[0]  # cost sign flip back to utility
-    v_oracle = oracle.value(p.z0)
     policy = hjb.extract_feedback(chain, result.value)
     u_extract = float(policy.control_at(z0[None, :])[0][0])
     du = float(spec.control_set[1, 0] - spec.control_set[0, 0])
@@ -491,7 +486,7 @@ def cmd_merton_check(run: Run):
     rows = [[check, observed, target, tol, int(abs(observed - target) <= tol)]
             for check, observed, target, tol in (
                 ("value_iteration_vs_oracle", v_solver, v_oracle, 0.03 * abs(v_oracle)),
-                ("feedback_vs_oracle", u_extract, oracle.u_star, du + 1e-12),
+                ("feedback_vs_oracle", u_extract, u_oracle, du + 1e-12),
                 ("closed_loop_vs_solver", -mc_mean, v_solver,
                  0.03 * abs(v_solver) + 2 * mc_err))]
     run.csv("merton_check.csv", ["check", "observed", "target", "tol", "pass"], rows)
@@ -511,12 +506,12 @@ def cmd_advertising_demo(run: Run):
     chain, axes, z0 = _lag_grid(run)
     result = _solve(run, chain, axes)
     _write_value_policy(run, chain, result)
-    report, _, ok = _write_dpp(run, chain, result, 2 * chain.delta)
+    report = _write_dpp(run, chain, result, 2 * chain.delta)
     arr = np.asarray(rows)
     run.svg("path.svg", "goodwill", arr[:, 0], arr[:, 1], title="goodwill path")
     lines = [f"advertising-demo: V(x0)={result.value.interp(z0)[0]:.6g} "
-             f"dpp_gap={report.gap:.4g}{'' if ok else ' FAIL'}"]
-    if not ok:
+             f"dpp_gap={report.gap:.4g}{'' if report.ok else ' FAIL'}"]
+    if not report.ok:
         raise CheckFailed(lines, ["dpp_gap"])
     return lines
 

@@ -111,10 +111,6 @@ class LiftedState:
         object.__setattr__(self, "head", _freeze(head))
         object.__setattr__(self, "tail", _freeze(tail))
 
-    @property
-    def n(self) -> int:
-        return self.head.shape[0]
-
     def resampled(self, grid: SegmentGrid) -> "LiftedState":
         """The state with its tail resampled piecewise linearly onto a grid
         with the same horizon."""

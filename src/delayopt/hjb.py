@@ -557,6 +557,7 @@ def _build_plans(chain: LagChainSpec, axes: tuple[np.ndarray, ...], gh_points: i
     return stage, plans, clamped, sum(idx.size for idx, _ in plans)
 
 
+# the bench passes v0 and reads .iterations and .clamp_rate (bench/workloads.py, spans.py)
 def value_iteration(chain: LagChainSpec, axes, tol: float, max_iter: int, gh_points: int,
                     v0: ValueField | None = None) -> ValueIterationResult:
     """Discounted fixed point of the reduced Bellman operator T, by modified
@@ -685,12 +686,24 @@ def policy_mc_value(chain: LagChainSpec, policy: PolicyField, x: LiftedState,
 
 @dataclass(frozen=True)
 class DppReport:
+    """The gap passes when it is at most twice its standard error plus the
+    grid tolerance 0.03 (1 + |V(x)|)."""
+
     gap: float
     stderr: float
     value_at_x: float
 
-    def ok(self, grid_tol: float) -> bool:
-        return self.gap <= 2.0 * self.stderr + grid_tol
+    @property
+    def grid_tol(self) -> float:
+        return 0.03 * (1.0 + abs(self.value_at_x))
+
+    @property
+    def bound(self) -> float:
+        return 2.0 * self.stderr + self.grid_tol
+
+    @property
+    def ok(self) -> bool:
+        return self.gap <= self.bound
 
 
 def dpp_gap(chain: LagChainSpec, value: ValueField, x: LiftedState, tau: float,
@@ -969,9 +982,10 @@ def envelope_is_monotone(table: ContinuityTable) -> tuple[bool, bool]:
     return monotone, vanishing
 
 
-def growth_fit(value: ValueField, chain: LagChainSpec,
-               exponent: float) -> float:
-    """Smallest constant with |V| <= c (1 + |state|^m) at all grid nodes."""
+def growth_fit(value: ValueField, chain: LagChainSpec) -> float:
+    """Smallest constant with |V| <= c (1 + |state|^m) at all grid nodes, m
+    the problem's cost growth exponent."""
     regs = chain.unflatten(value.nodes())
     norms = lifted_norm(LiftedBatch(chain.coarse_grid, regs[:, -1, :], regs))
-    return float(np.max(np.abs(value.values.ravel()) / (1.0 + norms ** exponent)))
+    return float(np.max(np.abs(value.values.ravel())
+                        / (1.0 + norms ** chain.spec.cost_growth_exponent)))

@@ -117,11 +117,11 @@ class EquivalenceReport:
     head_ratio: float
 
 
-def _mismatch(grid: SegmentGrid, delta: float, path: Simulation,
-              lifted: LiftedBatch) -> EquivalenceLevel:
+def _mismatch(delta: float, path: Simulation, lifted: LiftedBatch) -> EquivalenceLevel:
     """Head and quadrature tail distances, largest over the step times 0 .. T,
-    between the mild path and the kept direct path's history lift on grid at
-    the same times."""
+    between the mild path and the kept direct path's history lift on the mild
+    path's grid at the same times."""
+    grid = lifted.grid
     direct = history_lift(grid, path.times, path.states[0],
                           path.times[-len(lifted.heads):])
     head_mis = float(np.max(np.linalg.norm(lifted.heads - direct.heads, axis=1)))
@@ -150,7 +150,7 @@ def equivalence_report(spec: ProblemSpec, x: LiftedState, ctrl, T: float,
                                 (spec_f, x.resampled(spec_f.grid), delta / 2, fine)):
         path = simulate_sdde(sp, state, ctrl, T, step, dw[None], keep=1)
         lifted = simulate_mild(sp, state, ctrl, T, step, dw)
-        levels.append(_mismatch(sp.grid, step, path, lifted))
+        levels.append(_mismatch(step, path, lifted))
     base, refined = levels
     if refined.head_mismatch > 0:
         ratio = base.head_mismatch / refined.head_mismatch

@@ -2,8 +2,8 @@
 
 Each constructor certifies the declared coefficient constants on a stated
 audit radius and wires batched drift / noise / cost callables into a
-ProblemSpec. The no-delay portfolio closed form used as ground truth in
-tests lives here as well.
+ProblemSpec. The no-delay portfolio closed form, the solver's external
+reference, is the portfolio parameters' own `oracle`.
 """
 
 from __future__ import annotations
@@ -174,6 +174,31 @@ class MertonParams:
         if not self.z_floor > 0:
             raise ValidationError("utility floor must be positive")
 
+    def oracle(self) -> tuple[float, float]:
+        """The no-delay closed form: the value at z0 and the optimal constant
+        fraction u*, with kernels off.
+
+        For a constant fraction u the wealth is geometric Brownian motion, the
+        expected utility grows at rate beta(u) = gamma (r + (mu - r) u)
+        - gamma (1 - gamma) nu^2 u^2 / 2, and the best constant fraction is
+        optimal overall, so the value is z0^gamma/gamma / (rho - beta(u*)).
+        """
+        if self.mu.slope or self.nu.slope:
+            raise ValidationError("merton-check compares against the constant-coefficient "
+                                  "closed form; use const mu and nu presets with zero kernels")
+        r, mu, nu, gamma, rho = self.r, self.mu.base, self.nu.base, self.gamma, self.rho
+
+        def beta(u: float) -> float:
+            return gamma * (r + (mu - r) * u) - 0.5 * gamma * (1 - gamma) * nu ** 2 * u ** 2
+
+        u_star = min(max((mu - r) / ((1 - gamma) * nu ** 2), 0.0), 1.0)
+        beta_star = beta(u_star)
+        if rho <= max(beta_star, beta(0.0), beta(1.0)):
+            raise ValidationError(
+                f"discount {rho} does not dominate the utility growth rate {beta_star:g}"
+            )
+        return self.z0 ** gamma / gamma * (1.0 / (rho - beta_star)), u_star
+
     @classmethod
     def from_dict(cls, d: dict) -> "MertonParams":
         kw = dict(d)
@@ -242,41 +267,6 @@ def build_merton(p: MertonParams, m: int) -> ProblemSpec:
         initial_head=(p.s0, p.z0),
         initial_history=(p.s1, p.z0),
     )
-
-
-@dataclass(frozen=True)
-class MertonOracle:
-    """Closed form for the no-delay constant-coefficient portfolio problem."""
-
-    u_star: float
-    coefficient: float
-    gamma: float
-
-    def value(self, z0: float) -> float:
-        """Supremum of the discounted utility stream from initial wealth z0."""
-        return z0 ** self.gamma / self.gamma * self.coefficient
-
-
-def merton_classical_oracle(r: float, mu: float, nu: float, gamma: float,
-                            rho: float) -> MertonOracle:
-    """Optimal constant fraction and value coefficient with kernels off.
-
-    For a constant fraction u the wealth is geometric Brownian motion, the
-    expected utility grows at rate beta(u) = gamma (r + (mu - r) u)
-    - gamma (1 - gamma) nu^2 u^2 / 2, and the best constant fraction is
-    optimal overall, so the value is z0^gamma/gamma / (rho - beta(u*)).
-    """
-
-    def beta(u: float) -> float:
-        return gamma * (r + (mu - r) * u) - 0.5 * gamma * (1 - gamma) * nu ** 2 * u ** 2
-
-    u_star = min(max((mu - r) / ((1 - gamma) * nu ** 2), 0.0), 1.0)
-    beta_star = beta(u_star)
-    if rho <= max(beta_star, beta(0.0), beta(1.0)):
-        raise ValidationError(
-            f"discount {rho} does not dominate the utility growth rate {beta_star:g}"
-        )
-    return MertonOracle(u_star=u_star, coefficient=1.0 / (rho - beta_star), gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

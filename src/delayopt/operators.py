@@ -146,6 +146,7 @@ class OperatorMatrix:
     grid: SegmentGrid
 
 
+# the bench trace reads the result's .matrix (bench/spans.py, _observe_gram)
 def assemble_gram_operator(grid: SegmentGrid) -> OperatorMatrix:
     """Weighted Gram operator of the inverse generator: (adjoint of M) M.
 

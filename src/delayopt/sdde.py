@@ -245,6 +245,7 @@ def _mean_stderr(samples) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+# the bench trace binds the arguments by these positional names (bench/spans.py, _MC_ARGS)
 def mc_cost(spec: ProblemSpec, x: LiftedState, ctrl, T: float, delta: float,
             n_paths: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the discounted cost: (mean, standard error).

@@ -460,7 +460,12 @@ NAMED_IN_REFUSAL = {"policy-no-axes": ("{no_axes}", "'axes'"),
                     "spec-kernel-table-2d": ("kernel table must have shape (m+1, h, n)",),
                     "box-narrower-than-stencil": ("no wider than two gradient spacings",),
                     "seed-negative": ("--seed must be in [0, 2^64)",),
-                    "seed-beyond-64-bits": ("--seed must be in [0, 2^64)",)}
+                    "seed-beyond-64-bits": ("--seed must be in [0, 2^64)",),
+                    "merton-check-advertising": ("merton-check needs a portfolio problem file",),
+                    "merton-check-sloped-coefficients": (
+                        "merton-check compares against the constant-coefficient closed form; "
+                        "use const mu and nu presets with zero kernels",),
+                    "merton-check-one-control": ("merton-check needs at least 2 controls",)}
 
 
 @pytest.mark.parametrize("argv", [

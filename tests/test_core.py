@@ -160,6 +160,16 @@ def test_inner_grid_mismatch_raises():
     y = one(g5, [1.0], constant(g5, 0.0))
     with pytest.raises(GridMismatchError):
         lifted_inner(x, y)
+    with pytest.raises(GridMismatchError, match="dimension mismatch 1 != 2"):
+        lifted_inner(x, one(g4, [1.0, 2.0], constant(g4, [0.0, 0.0])))
+
+
+@pytest.mark.parametrize("tails_shape", [(3, 5, 1), (2, 4, 1), (2, 5, 2)],
+                         ids=["samples", "nodes", "dimension"])
+def test_batch_refuses_tails_that_do_not_fit_its_heads(tails_shape):
+    g = SegmentGrid(1.0, 4)
+    with pytest.raises(GridMismatchError, match="do not fit 2 heads of dimension 1 on 5 nodes"):
+        LiftedBatch(g, np.zeros((2, 1)), np.zeros(tails_shape))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from conftest import batch_of
 
 from delayopt import models
-from delayopt.core import LiftedState, ValidationError, interp_columns, kernel_convolve
+from delayopt.core import (LiftedState, NumericalError, ValidationError, interp_columns,
+                           kernel_convolve)
 from delayopt.lift import (
     equivalence_report,
     history_lift,
@@ -62,6 +64,14 @@ def test_constant_drift_head():
     # the increments are given, never drawn, so too few of them are refused
     with pytest.raises(ValidationError, match="need 40 increments, got 39"):
         simulate_mild(spec, x, OpenLoopControl([0.0]), 2.0, 0.05, np.zeros((39, 1)))
+
+
+def test_mild_path_refuses_a_nonfinite_head():
+    spec = dataclasses.replace(zero_dynamics_spec(),
+                               drift=lambda y, z, u: np.full(y.shape, np.inf))
+    x = models.initial_state(spec)
+    with pytest.raises(NumericalError, match="non-finite lifted head at step 1"):
+        simulate_mild(spec, x, OpenLoopControl([0.0]), 0.5, 0.1, np.zeros((5, 1)))
 
 
 def test_lift_history_at_time_zero():

@@ -20,7 +20,6 @@ from delayopt.models import (
     build_affine_test,
     build_merton,
     build_problem,
-    merton_classical_oracle,
     power_utility,
 )
 from delayopt.sdde import OpenLoopControl, batch_increments, mc_cost, simulate_sdde
@@ -219,39 +218,54 @@ def test_merton_invalid_params():
 # the no-delay closed form
 
 
+def closed_form(r, mu, nu, gamma, rho, z0=1.0):
+    """(value at z0, u*) of the portfolio problem with constant mu and nu."""
+    return MertonParams(r=r, mu=ClampedAffine(mu), nu=ClampedAffine(nu), gamma=gamma,
+                        rho=rho, z0=z0).oracle()
+
+
 def test_oracle_no_excess_return():
-    o = merton_classical_oracle(r=0.02, mu=0.02, nu=0.3, gamma=0.5, rho=0.1)
-    assert o.u_star == 0.0
-    assert o.value(1.0) == pytest.approx(2.0 / (0.1 - 0.5 * 0.02), rel=1e-12)
+    v, u_star = closed_form(r=0.02, mu=0.02, nu=0.3, gamma=0.5, rho=0.1)
+    assert u_star == 0.0
+    assert v == pytest.approx(2.0 / (0.1 - 0.5 * 0.02), rel=1e-12)
 
 
 def test_oracle_frozen_acceptance_instance():
-    o = merton_classical_oracle(r=0.01, mu=0.07, nu=0.3, gamma=0.5, rho=0.1)
-    assert o.u_star == 1.0
-    # the coefficient is 1/(rho - beta(u*)), at the growth rate beta(1) = 0.02375
-    assert 0.1 - 1.0 / o.coefficient == pytest.approx(0.02375, rel=1e-12)
-    assert o.value(1.0) == pytest.approx(26.2295, abs=5e-4)
+    v, u_star = closed_form(r=0.01, mu=0.07, nu=0.3, gamma=0.5, rho=0.1)
+    assert u_star == 1.0
+    # the value at z0 = 1 is 2/(rho - beta(u*)), at the growth rate beta(1) = 0.02375
+    assert 0.1 - 2.0 / v == pytest.approx(0.02375, rel=1e-12)
+    assert v == pytest.approx(26.2295, abs=5e-4)
+    # the value scales like z0^gamma
+    v4, _ = closed_form(r=0.01, mu=0.07, nu=0.3, gamma=0.5, rho=0.1, z0=4.0)
+    assert v4 == pytest.approx(2.0 * v, rel=1e-12)
 
 
 def test_oracle_interior_optimum():
     # small excess return keeps the unconstrained fraction interior
-    o = merton_classical_oracle(r=0.01, mu=0.03, nu=0.3, gamma=0.5, rho=0.1)
-    assert o.u_star == pytest.approx(0.02 / (0.5 * 0.09), rel=1e-12)
+    _, u_star = closed_form(r=0.01, mu=0.03, nu=0.3, gamma=0.5, rho=0.1)
+    assert u_star == pytest.approx(0.02 / (0.5 * 0.09), rel=1e-12)
 
 
 def test_oracle_rejects_small_discount():
-    with pytest.raises(ValidationError):
-        merton_classical_oracle(r=0.01, mu=0.07, nu=0.3, gamma=0.5, rho=0.02)
+    with pytest.raises(ValidationError, match="does not dominate"):
+        closed_form(r=0.01, mu=0.07, nu=0.3, gamma=0.5, rho=0.02)
+
+
+@pytest.mark.parametrize("key", ["mu", "nu"])
+def test_oracle_refuses_a_sloped_map(key):
+    sloped = {key: ClampedAffine(base=0.1, slope=0.5, lo=0.05, hi=0.4)}
+    with pytest.raises(ValidationError, match="constant-coefficient closed form"):
+        MertonParams(**sloped).oracle()
 
 
 def test_oracle_small_exponent_scaling():
     # as the utility exponent shrinks the fraction keeps its pattern and the
     # value blows up like one over the exponent
-    o1 = merton_classical_oracle(r=0.01, mu=0.07, nu=0.3, gamma=1e-3, rho=0.1)
-    assert o1.u_star == pytest.approx(0.06 / 0.09, rel=1e-2)
-    u = o1.u_star
+    v1, u = closed_form(r=0.01, mu=0.07, nu=0.3, gamma=1e-3, rho=0.1)
+    assert u == pytest.approx(0.06 / 0.09, rel=1e-2)
     beta = 1e-3 * (0.01 + 0.06 * u) - 0.5 * 1e-3 * (1 - 1e-3) * 0.09 * u ** 2
-    assert o1.value(1.0) * 1e-3 == pytest.approx(1.0 / (0.1 - beta), rel=1e-9)
+    assert v1 * 1e-3 == pytest.approx(1.0 / (0.1 - beta), rel=1e-9)
 
 
 def test_oracle_confirmed_by_mc_policy_search():
@@ -259,14 +273,14 @@ def test_oracle_confirmed_by_mc_policy_search():
     # common seeds across fractions sharpen the comparison
     spec = build_merton(MertonParams(n_controls=6), m=4)
     x = models.initial_state(spec)
-    o = merton_classical_oracle(0.01, 0.07, 0.3, 0.5, 0.1)
+    _, u_star = spec.params.oracle()
     vals = {}
     for u in spec.control_set[:, 0]:
         mean, err = mc_cost(spec, x, OpenLoopControl([u]), T=40.0, delta=0.02,
                             n_paths=200, seed=29)
         vals[float(u)] = (-mean, err)
     best_u = max(vals, key=lambda u: vals[u][0])
-    assert best_u == pytest.approx(o.u_star)
+    assert best_u == pytest.approx(u_star)
     for u, (v, err) in vals.items():
         assert vals[best_u][0] >= v - 2 * (err + vals[best_u][1])
 

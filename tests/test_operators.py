@@ -386,6 +386,13 @@ def test_projection_of_leading_mode(gram_50):
     assert lifted_norm(q1)[0] <= 1e-10
 
 
+def test_tail_projector_refuses_a_mode_count_outside_one_to_dim(gram_50):
+    _, _, dec = gram_50
+    for n_modes in (0, dec.dim + 1):
+        with pytest.raises(ValueError, match=rf"mode count must be in \[1, {dec.dim}\]"):
+            dec.tail_projector(n_modes)
+
+
 def test_tail_projector_norm_is_next_eigenvalue(gram_50):
     g, op, dec = gram_50
     w = weight_vector(g)

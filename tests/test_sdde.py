@@ -88,6 +88,15 @@ def test_coarsen_increments_pairwise_sums():
     dw = np.arange(12.0).reshape(6, 2)
     out = coarsen_increments(dw, 2)
     np.testing.assert_array_equal(out, dw.reshape(3, 2, 2).sum(axis=1))
+    with pytest.raises(ValidationError, match="5 increments not divisible by factor 2"):
+        coarsen_increments(dw[:5], 2)
+
+
+def test_simulate_sdde_refuses_too_few_increments():
+    spec = pure_noise_spec()
+    x = models.initial_state(spec)
+    with pytest.raises(ValidationError, match="need 10 increments, got 9"):
+        simulate_sdde(spec, x, OpenLoopControl([0.0]), 1.0, 0.1, np.zeros((2, 9, 1)))
 
 
 # ---------------------------------------------------------------------------
